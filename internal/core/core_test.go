@@ -183,6 +183,10 @@ func TestFitInputValidation(t *testing.T) {
 	if _, err := Fit(net, xs, ys, Config{Layers: []int{1, 1}}); err == nil {
 		t.Error("duplicate layer accepted")
 	}
+	mixed := append([]*tensor.Tensor{tensor.New(1, 4, 4)}, xs[1:]...)
+	if _, err := Fit(net, mixed, ys, DefaultConfig()); err == nil {
+		t.Error("samples of differing shapes accepted")
+	}
 }
 
 func TestFitSubsetOfLayers(t *testing.T) {

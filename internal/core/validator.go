@@ -172,6 +172,11 @@ func Fit(net *nn.Network, trainX []*tensor.Tensor, trainY []int, cfg Config) (*V
 	if len(trainX) != len(trainY) {
 		return nil, fmt.Errorf("core: %d samples but %d labels", len(trainX), len(trainY))
 	}
+	for i, x := range trainX {
+		if !x.SameShape(trainX[0]) {
+			return nil, fmt.Errorf("core: training sample %d has shape %v, sample 0 has %v", i, x.Shape, trainX[0].Shape)
+		}
+	}
 	if cfg.Nu <= 0 {
 		cfg.Nu = 0.1
 	}
@@ -220,59 +225,20 @@ func Fit(net *nn.Network, trainX []*tensor.Tensor, trainY []int, cfg Config) (*V
 	totalSpan := telemetry.StartSpan(fitTotal)
 	reg.Counter(MetricFitSamples).Add(int64(len(trainX)))
 
-	// Algorithm 1 line 2: keep only correctly classified images, and
-	// collect their reduced hidden representations in one tapped pass.
 	// The reducers depend only on tap shapes, so they are sized up front
-	// from the input geometry; the per-sample passes then fan across the
-	// worker pool and merge in input order, making the fitted validator
-	// independent of the worker count.
+	// from the input geometry, before the collection pass fans out.
 	tapShapes := net.TapShapes(trainX[0].Shape)
 	reducers := make([]FeatureReducer, len(layers))
 	for p, l := range layers {
 		reducers[p] = fitReducer(tapShapes[l], cfg.MaxFeatures)
 	}
 
-	// collected[idx] is nil for misclassified samples, else the per-layer
-	// reduced features of trainX[idx].
 	collectSpan := telemetry.StartSpan(fitCollect)
-	instrumented := reg != nil
-	collected := make([][][]float64, len(trainX))
-	forEachIndex(len(trainX), workers, func(idx int) {
-		var t0 time.Time
-		if instrumented {
-			t0 = time.Now()
-		}
-		probs, taps := net.ForwardTapped(trainX[idx])
-		if instrumented {
-			fitForward.ObserveSince(t0)
-		}
-		if probs.ArgMax() != trainY[idx] {
-			return
-		}
-		if instrumented {
-			t0 = time.Now()
-		}
-		fs := make([][]float64, len(layers))
-		for p, l := range layers {
-			fs[p] = reducers[p].Reduce(taps[l])
-		}
-		if instrumented {
-			fitReduce.ObserveSince(t0)
-		}
-		collected[idx] = fs
-	})
+	kept, feats := collectFeatures(net, trainX, trainY, layers, reducers, workers, fitForward, fitReduce)
 	collectSpan.End()
-
-	feats := make([][][]float64, len(layers)) // [layerPos][kept sample] -> features
-	keptLabels := make([]int, 0, len(trainX))
-	for idx, fs := range collected {
-		if fs == nil {
-			continue
-		}
-		for p := range layers {
-			feats[p] = append(feats[p], fs[p])
-		}
-		keptLabels = append(keptLabels, trainY[idx])
+	keptLabels := make([]int, len(kept))
+	for j, idx := range kept {
+		keptLabels[j] = trainY[idx]
 	}
 	if len(keptLabels) == 0 {
 		return nil, fmt.Errorf("core: model misclassifies every training sample; nothing to fit")
@@ -364,6 +330,79 @@ func Fit(net *nn.Network, trainX []*tensor.Tensor, trainY []int, cfg Config) (*V
 	return v, nil
 }
 
+// collectFeatures is Algorithm 1 line 2: it keeps only the correctly
+// classified samples and reduces their hidden representations at the
+// given layers, one tapped forward pass per sample. It returns the kept
+// sample indices in input order and feats[p][j], the layer-position-p
+// features of sample kept[j]. The passes fan across a pool of workers
+// (≥ 1) and merge in input order, so the result is independent of the
+// worker count.
+//
+// Each worker runs its passes on its own nn.Scratch arena, held for the
+// whole collection — per-worker arenas rather than a sync.Pool, so the
+// allocation profile never depends on when the GC empties a pool. Taps
+// alias arena memory until the worker's next pass; the reduction copies
+// them out into one buffer per kept sample, which the per-layer feature
+// rows slice with full capacity so no row can grow into its neighbour.
+// Every sample must share xs[0]'s shape (Fit checks this), so each
+// reducer fills its slot of the buffer in place. fwd and reduce, when
+// non-nil, time each sample's pass and reduction.
+func collectFeatures(net *nn.Network, xs []*tensor.Tensor, ys []int, layers []int, reducers []FeatureReducer,
+	workers int, fwd, reduce *telemetry.Histogram) (kept []int, feats [][][]float64) {
+	tapShapes := net.TapShapes(xs[0].Shape)
+	bounds := make([]int, len(layers)+1) // layer position p of a sample is buf[bounds[p]:bounds[p+1]]
+	for p, l := range layers {
+		bounds[p+1] = bounds[p] + reducers[p].OutDim(tapShapes[l])
+	}
+
+	instrumented := fwd != nil || reduce != nil
+	arenas := make([]*nn.Scratch, workers)
+	bufs := make([][]float64, len(xs)) // nil for misclassified samples
+	forEachIndex(len(xs), workers, func(w, idx int) {
+		if arenas[w] == nil {
+			arenas[w] = nn.NewScratch()
+		}
+		var t0 time.Time
+		if instrumented {
+			t0 = time.Now()
+		}
+		probs, taps := net.ForwardTappedScratch(xs[idx], arenas[w])
+		if instrumented {
+			fwd.ObserveSince(t0)
+		}
+		if probs.ArgMax() != ys[idx] {
+			return
+		}
+		if instrumented {
+			t0 = time.Now()
+		}
+		buf := make([]float64, bounds[len(layers)])
+		for p, l := range layers {
+			a, b := bounds[p], bounds[p+1]
+			reducers[p].ReduceInto(buf[a:b:b], taps[l])
+		}
+		if instrumented {
+			reduce.ObserveSince(t0)
+		}
+		bufs[idx] = buf
+	})
+
+	for idx, buf := range bufs {
+		if buf != nil {
+			kept = append(kept, idx)
+		}
+	}
+	feats = make([][][]float64, len(layers))
+	for p := range layers {
+		a, b := bounds[p], bounds[p+1]
+		feats[p] = make([][]float64, len(kept))
+		for j, idx := range kept {
+			feats[p][j] = bufs[idx][a:b:b]
+		}
+	}
+	return kept, feats
+}
+
 // DefaultDriftProbs are the quantile probabilities of the fit-time
 // drift reference. Five probabilities spanning the tails and the body
 // keep the persisted reference tiny while still catching both location
@@ -381,7 +420,7 @@ func (v *Validator) snapshotDrift(feats [][][]float64, byClass [][]int, workers 
 	quantiles := make([][]float64, len(v.LayerIdx))
 	ok := true
 	var mu sync.Mutex
-	forEachIndex(len(v.LayerIdx), workers, func(p int) {
+	forEachIndex(len(v.LayerIdx), workers, func(_, p int) {
 		ds := make([]float64, 0, 64)
 		rows := make([][]float64, 0, 64)
 		var dec []float64
@@ -610,7 +649,7 @@ func (v *Validator) ScoreBatchWorkers(net *nn.Network, xs []*tensor.Tensor, work
 // by the serving path to time only the traced members of a batch.
 func (v *Validator) ScoreBatchTimedWorkers(net *nn.Network, xs []*tensor.Tensor, tms []*ScoreTimings, workers int) []Result {
 	out := make([]Result, len(xs))
-	forEachIndex(len(xs), workers, func(i int) {
+	forEachIndex(len(xs), workers, func(_, i int) {
 		var tm *ScoreTimings
 		if i < len(tms) {
 			tm = tms[i]
@@ -620,11 +659,13 @@ func (v *Validator) ScoreBatchTimedWorkers(net *nn.Network, xs []*tensor.Tensor,
 	return out
 }
 
-// forEachIndex runs fn(0..n-1) across a bounded worker pool. workers
-// ≤ 0 uses GOMAXPROCS; the pool never exceeds n goroutines, and with a
-// single worker fn runs inline on the caller. fn must be safe to call
-// concurrently for distinct indices.
-func forEachIndex(n, workers int, fn func(i int)) {
+// forEachIndex runs fn(w, i) for i in 0..n-1 across a bounded worker
+// pool, where w in [0, workers) names the worker making the call — no
+// two concurrent calls share a w, so fn may index per-worker state by
+// it. workers ≤ 0 uses GOMAXPROCS; the pool never exceeds n goroutines,
+// and with a single worker fn runs inline on the caller as worker 0. fn
+// must be safe to call concurrently for distinct indices.
+func forEachIndex(n, workers int, fn func(w, i int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -633,7 +674,7 @@ func forEachIndex(n, workers int, fn func(i int)) {
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			fn(i)
+			fn(0, i)
 		}
 		return
 	}
@@ -641,16 +682,16 @@ func forEachIndex(n, workers int, fn func(i int)) {
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
-				fn(i)
+				fn(w, i)
 			}
-		}()
+		}(w)
 	}
 	wg.Wait()
 }

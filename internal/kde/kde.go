@@ -62,10 +62,13 @@ func Fit(net *nn.Network, trainX []*tensor.Tensor, trainY []int, cfg Config) (*D
 		maxPer = 200
 	}
 
+	// One scratch arena serves every pass; the kept tap is copied out
+	// before the next pass overwrites it.
+	sc := nn.NewScratch()
 	points := make([][][]float64, net.Classes)
 	var dim int
 	for i, x := range trainX {
-		probs, taps := net.ForwardTapped(x)
+		probs, taps := net.ForwardTappedScratch(x, sc)
 		if probs.ArgMax() != trainY[i] {
 			continue
 		}
@@ -129,18 +132,24 @@ func scottBandwidth(points [][][]float64, dim int) float64 {
 // of its penultimate activation under the predicted class's KDE.
 // Higher means more anomalous.
 func (d *Detector) Score(net *nn.Network, x *tensor.Tensor) float64 {
-	probs, taps := net.ForwardTapped(x)
-	label := probs.ArgMax()
-	return -d.logDensity(taps[d.Layer].Data, label)
+	return d.score(net, x, nn.NewScratch())
 }
 
-// ScoreBatch scores many samples.
+// ScoreBatch scores many samples, sharing one scratch arena across the
+// batch.
 func (d *Detector) ScoreBatch(net *nn.Network, xs []*tensor.Tensor) []float64 {
+	sc := nn.NewScratch()
 	out := make([]float64, len(xs))
 	for i, x := range xs {
-		out[i] = d.Score(net, x)
+		out[i] = d.score(net, x, sc)
 	}
 	return out
+}
+
+// score is Score running its forward pass on sc.
+func (d *Detector) score(net *nn.Network, x *tensor.Tensor, sc *nn.Scratch) float64 {
+	probs, taps := net.ForwardTappedScratch(x, sc)
+	return -d.logDensity(taps[d.Layer].Data, probs.ArgMax())
 }
 
 // logDensity computes log(1/n Σ exp(−‖x−xᵢ‖²/(2h²))) via logsumexp,

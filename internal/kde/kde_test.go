@@ -2,6 +2,7 @@ package kde
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -159,5 +160,88 @@ func TestCloseToTrainingPointScoresLow(t *testing.T) {
 	noiseScore := d.Score(net, tensor.New(1, 8, 8).FillUniform(rng, 0, 1))
 	if trainScore >= noiseScore {
 		t.Fatalf("training sample scored %v ≥ noise %v", trainScore, noiseScore)
+	}
+}
+
+// referenceFit is Fit on the allocating nn.ForwardTapped path — the
+// reference the arena-backed Fit must reproduce bit for bit.
+func referenceFit(net *nn.Network, xs []*tensor.Tensor, ys []int, cfg Config) *Detector {
+	layer := cfg.Layer
+	if layer < 0 {
+		layer = net.NumLayers() - 2
+	}
+	points := make([][][]float64, net.Classes)
+	var dim int
+	for i, x := range xs {
+		probs, taps := net.ForwardTapped(x)
+		if probs.ArgMax() != ys[i] {
+			continue
+		}
+		f := taps[layer]
+		if dim == 0 {
+			dim = f.Len()
+		}
+		if len(points[ys[i]]) < cfg.MaxPerClass {
+			points[ys[i]] = append(points[ys[i]], append([]float64(nil), f.Data...))
+		}
+	}
+	return &Detector{Bandwidth: scottBandwidth(points, dim), Layer: layer, Dim: dim, Points: points}
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestArenaPathMatchesForwardTapped pins the scratch-arena Fit, Score
+// and ScoreBatch against the allocating nn.ForwardTapped reference: the
+// fitted detector and every score must be bit-identical.
+func TestArenaPathMatchesForwardTapped(t *testing.T) {
+	net, xs, ys := toyNet(t)
+	cfg := Config{Layer: -1, MaxPerClass: 30}
+	got, err := Fit(net, xs, ys, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := referenceFit(net, xs, ys, cfg)
+	if math.Float64bits(got.Bandwidth) != math.Float64bits(want.Bandwidth) || got.Layer != want.Layer || got.Dim != want.Dim {
+		t.Fatalf("detector header (%v, %d, %d), reference (%v, %d, %d)",
+			got.Bandwidth, got.Layer, got.Dim, want.Bandwidth, want.Layer, want.Dim)
+	}
+	for k := range want.Points {
+		if len(got.Points[k]) != len(want.Points[k]) {
+			t.Fatalf("class %d: %d points, reference %d", k, len(got.Points[k]), len(want.Points[k]))
+		}
+		for i := range want.Points[k] {
+			if !sameBits(got.Points[k][i], want.Points[k][i]) {
+				t.Fatalf("class %d point %d differs from the reference", k, i)
+			}
+		}
+	}
+
+	rng := rand.New(rand.NewSource(41))
+	batch := append([]*tensor.Tensor(nil), xs[:20]...)
+	for i := 0; i < 10; i++ {
+		batch = append(batch, tensor.New(1, 8, 8).FillUniform(rng, 0, 1))
+	}
+	ref := make([]float64, len(batch))
+	for i, x := range batch {
+		probs, taps := net.ForwardTapped(x)
+		ref[i] = -want.logDensity(taps[want.Layer].Data, probs.ArgMax())
+	}
+	if scores := got.ScoreBatch(net, batch); !sameBits(scores, ref) {
+		t.Fatalf("ScoreBatch = %v, reference %v", scores, ref)
+	}
+	for i, x := range batch {
+		if s := got.Score(net, x); math.Float64bits(s) != math.Float64bits(ref[i]) {
+			t.Fatalf("Score(sample %d) = %v, reference %v", i, s, ref[i])
+		}
 	}
 }

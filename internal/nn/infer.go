@@ -17,8 +17,9 @@
 // Ownership rules (the scratch-arena discipline DESIGN.md §13 spells
 // out):
 //
-//   - A Scratch must only ever be used by one goroutine at a time; pool
-//     one per worker (core.Validator does this via sync.Pool).
+//   - A Scratch must only ever be used by one goroutine at a time; give
+//     each worker its own (core.Validator pools scoring arenas in a
+//     sync.Pool; core.Fit holds one per worker for its collection pass).
 //   - Tensors returned by ForwardInfer / ForwardTappedScratch alias
 //     arena memory and are valid only until the next forward pass on
 //     the same Scratch. Callers must copy anything they keep.

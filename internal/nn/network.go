@@ -86,7 +86,9 @@ func (n *Network) Forward(x *tensor.Tensor) *tensor.Tensor {
 // (taps[i] is the output of Layers[i]; taps[len-1] aliases the returned
 // probabilities). This is the single-pass probe Deep Validation's
 // Algorithm 2 relies on: hidden representations come for free with the
-// prediction.
+// prediction. Every activation is freshly allocated; production paths
+// run ForwardTappedScratch instead, and tests keep this as the reference
+// it must match bit for bit.
 func (n *Network) ForwardTapped(x *tensor.Tensor) (probs *tensor.Tensor, taps []*tensor.Tensor) {
 	taps = make([]*tensor.Tensor, 0, len(n.Layers))
 	ctx := NewContext(false, nil)
