@@ -154,7 +154,9 @@ func (g *Gateway) forward(ctx context.Context, rep *replica, path, query, conten
 		return nil, err
 	}
 	defer resp.Body.Close()
-	respBody, err := io.ReadAll(resp.Body)
+	// Capped like every other replica read: an oversized response is a
+	// transport error, so it takes the 502/retry path.
+	respBody, err := serve.ReadLimited(resp.Body, resp.ContentLength, g.cfg.MaxBodyBytes)
 	if err != nil {
 		return nil, fmt.Errorf("reading replica response: %w", err)
 	}
@@ -324,15 +326,8 @@ func (g *Gateway) proxy(endpoint string, w http.ResponseWriter, r *http.Request)
 		// looked up afterwards, even if it never reached a replica.
 		w.Header().Set(trace.HeaderTraceID, id)
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes))
-	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", g.cfg.MaxBodyBytes))
-		} else {
-			writeError(w, http.StatusBadRequest, "reading request body: "+err.Error())
-		}
+	body, ok := serve.ReadBody(w, r, g.cfg.MaxBodyBytes)
+	if !ok {
 		return
 	}
 	key := routeKey(r, body)

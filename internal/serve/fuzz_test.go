@@ -3,8 +3,11 @@ package serve
 // FuzzCheckRequest hardens the serving subsystem's input path the way
 // FuzzImageValidate hardens the library's: for arbitrary request
 // bodies the JSON decoders must either reject cleanly or produce an
-// image that passes Validate — and must never panic. Wired into the CI
-// fuzz step next to FuzzImageValidate.
+// image that passes Validate — and must never panic. It is also
+// differential: whenever the canonical-form scanner accepts a body, the
+// encoding/json reference must accept it too and decode equal
+// dimensions and flags and bit-equal pixels. Wired into the CI fuzz
+// step next to FuzzImageValidate.
 
 import (
 	"testing"
@@ -15,17 +18,18 @@ func FuzzCheckRequest(f *testing.F) {
 	f.Add([]byte(`{"channels":1,"height":2,"width":2,"pixels":[0,0.5,1]}`))                              // count mismatch
 	f.Add([]byte(`{"channels":-1,"height":8,"width":8,"pixels":[]}`))                                    // negative dimension
 	f.Add([]byte(`{"channels":4611686018427387904,"height":4611686018427387904,"width":4,"pixels":[]}`)) // overflow bait
-	f.Add([]byte(`{"channels":1,"height":1,"width":1,"pixels":[1e309]}`))                                // float overflow literal
-	f.Add([]byte(`{"channels":1,"height":1,"width":1,"pixels":[0],"x":1}`))                              // unknown field
 	f.Add([]byte(`{"channels":1,`))                                                                      // truncated
-	f.Add([]byte(`{"channels":1,"height":1,"width":1,"pixels":[0]} trailing`))
 	f.Add([]byte(`[]`))
-	f.Add([]byte(`null`))
 	f.Add([]byte(``))
-	f.Add([]byte(`{"images":[{"channels":1,"height":1,"width":1,"pixels":[0.5]}]}`))
 	f.Add([]byte(`{"images":[]}`))
-	f.Add([]byte(`{"images":null}`))
+	for _, body := range acceptedBodies {
+		f.Add([]byte(body))
+	}
+	for _, body := range declinedBodies {
+		f.Add([]byte(body))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		diffScanned(t, data)
 		img, _, err := decodeCheckRequest(data)
 		if err == nil {
 			if verr := img.Validate(); verr != nil {

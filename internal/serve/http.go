@@ -1,12 +1,10 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -83,16 +81,16 @@ func verdictResponse(v deepvalidation.Verdict) VerdictResponse {
 // fields, trailing garbage, and images that fail Validate are all
 // rejected. JSON cannot carry NaN/Inf literals, so accepted pixel
 // values are always finite — Validate enforces it regardless. The
-// boolean is the request's Explain flag.
+// boolean is the request's Explain flag. Canonical bodies take the
+// one-pass scanner; the rest take the reference decoder (wire.go).
 func decodeCheckRequest(data []byte) (deepvalidation.Image, bool, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var req CheckRequest
-	if err := dec.Decode(&req); err != nil {
-		return deepvalidation.Image{}, false, fmt.Errorf("decoding check request: %w", err)
-	}
-	if dec.More() {
-		return deepvalidation.Image{}, false, errors.New("decoding check request: trailing data after JSON object")
+	req, ok := scanCheckRequest(data)
+	if !ok {
+		var ref CheckRequest
+		if err := decodeStrict(data, "check", &ref); err != nil {
+			return deepvalidation.Image{}, false, err
+		}
+		req = ref
 	}
 	img := req.image()
 	if err := img.Validate(); err != nil {
@@ -105,14 +103,13 @@ func decodeCheckRequest(data []byte) (deepvalidation.Image, bool, error) {
 // every member image. explains[i] is image i's effective Explain flag
 // (its own, or the batch-level one).
 func decodeBatchRequest(data []byte) ([]deepvalidation.Image, []bool, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var req BatchRequest
-	if err := dec.Decode(&req); err != nil {
-		return nil, nil, fmt.Errorf("decoding batch request: %w", err)
-	}
-	if dec.More() {
-		return nil, nil, errors.New("decoding batch request: trailing data after JSON object")
+	req, ok := scanBatchRequest(data)
+	if !ok {
+		var ref BatchRequest
+		if err := decodeStrict(data, "batch", &ref); err != nil {
+			return nil, nil, err
+		}
+		req = ref
 	}
 	if len(req.Images) == 0 {
 		return nil, nil, errors.New("batch request carries no images")
@@ -199,23 +196,6 @@ func (s *Server) shedResponse(w http.ResponseWriter) {
 	s.shed.Inc()
 	w.Header().Set("Retry-After", RetryAfterHeader(s.cfg.RetryAfter))
 	writeError(w, http.StatusTooManyRequests, "admission queue full; retry later")
-}
-
-// readBody reads at most MaxBodyBytes, answering 413 (oversized) or
-// 400 (transport error) itself. The boolean reports success.
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", s.cfg.MaxBodyBytes))
-		} else {
-			writeError(w, http.StatusBadRequest, "reading request body: "+err.Error())
-		}
-		return nil, false
-	}
-	return body, true
 }
 
 // admissible answers method/drain preconditions shared by the check
@@ -458,7 +438,7 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	if id != "" {
 		w.Header().Set(trace.HeaderTraceID, id)
 	}
-	body, ok := s.readBody(w, r)
+	body, ok := ReadBody(w, r, s.cfg.MaxBodyBytes)
 	if !ok {
 		return
 	}
@@ -529,7 +509,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if base != "" {
 		w.Header().Set(trace.HeaderTraceID, base)
 	}
-	body, ok := s.readBody(w, r)
+	body, ok := ReadBody(w, r, s.cfg.MaxBodyBytes)
 	if !ok {
 		return
 	}

@@ -186,6 +186,8 @@ func TestCheckEndpoint(t *testing.T) {
 		{"malformed JSON", http.MethodPost, []byte(`{"channels":1,`), http.StatusBadRequest, "decoding check request"},
 		{"unknown field", http.MethodPost, []byte(`{"channels":1,"height":8,"width":8,"pixels":[],"bogus":1}`), http.StatusBadRequest, "decoding check request"},
 		{"trailing garbage", http.MethodPost, append(checkBody(t, good[0]), []byte("{}")...), http.StatusBadRequest, "trailing data"},
+		{"trailing ]", http.MethodPost, append(checkBody(t, good[0]), ']'), http.StatusBadRequest, "trailing data"},
+		{"trailing }", http.MethodPost, append(checkBody(t, good[0]), '}'), http.StatusBadRequest, "trailing data"},
 		{"pixel count mismatch", http.MethodPost, checkBody(t, badCount), http.StatusBadRequest, "pixels"},
 		{"wrong image shape", http.MethodPost, checkBody(t, wrongShape), http.StatusBadRequest, "model expects a 1x8x8 image"},
 		{"oversized body", http.MethodPost, bytes.Repeat([]byte(" "), 16<<10), http.StatusRequestEntityTooLarge, "exceeds"},
@@ -253,6 +255,15 @@ func TestBatchEndpoint(t *testing.T) {
 		resp, body := post(t, ts.URL+"/v1/batch", []byte(`{"images":[]}`))
 		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body, "no images") {
 			t.Fatalf("status = %d, body %q", resp.StatusCode, body)
+		}
+	})
+
+	t.Run("trailing brackets", func(t *testing.T) {
+		for _, tail := range []string{"]", "}", "}]"} {
+			resp, body := post(t, ts.URL+"/v1/batch", append(batchBody(t, imgs), tail...))
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body, "trailing data") {
+				t.Fatalf("tail %q: status = %d, body %q", tail, resp.StatusCode, body)
+			}
 		}
 	})
 

@@ -1,0 +1,343 @@
+package serve
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"net/http"
+	"strconv"
+)
+
+// Request bodies are the serving tiers' largest allocation: a 28×28
+// check body is ~15 KB of JSON, a 32-image batch ~400 KB. This file
+// reads each body into one buffer and, for bodies in the canonical form
+// every client marshals, decodes it in one pass over those bytes with
+// Pixels allocated once at its final length. Anything else goes to the
+// encoding/json reference decoder, which decides acceptance and writes
+// every error message.
+
+// ReadBody reads a request body of at most limit bytes through
+// http.MaxBytesReader, answering 413 (oversized) or 400 (transport
+// error) itself. The boolean reports success. It is the body read of
+// both serving tiers, so dvserve and dvgateway refuse a body with the
+// same status and message.
+func ReadBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool) {
+	body, err := ReadLimited(http.MaxBytesReader(w, r.Body, limit), r.ContentLength, limit)
+	if err != nil {
+		var mbe *http.MaxBytesError
+		if errors.As(err, &mbe) {
+			writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", limit))
+		} else {
+			writeError(w, http.StatusBadRequest, "reading request body: "+err.Error())
+		}
+		return nil, false
+	}
+	return body, true
+}
+
+// ReadLimited reads r to EOF into one buffer. A non-negative sizeHint
+// (a declared Content-Length) sizes the buffer once at
+// min(sizeHint, limit)+1 bytes — the extra byte lets the read see EOF
+// without growing; with no hint (-1) the buffer starts small and
+// doubles, never past limit+1. More than limit bytes fail with an
+// *http.MaxBytesError, so no read allocates more than limit+1 bytes
+// (limit must be below math.MaxInt64).
+func ReadLimited(r io.Reader, sizeHint, limit int64) ([]byte, error) {
+	size := int64(512)
+	if sizeHint >= 0 {
+		size = sizeHint
+	}
+	buf := make([]byte, 0, min(size, limit)+1)
+	for {
+		if len(buf) == cap(buf) {
+			grown := make([]byte, len(buf), min(2*int64(cap(buf)), limit+1))
+			copy(grown, buf)
+			buf = grown
+		}
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if int64(len(buf)) > limit {
+			return nil, &http.MaxBytesError{Limit: limit}
+		}
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+}
+
+// decodeStrict is the reference decoder: encoding/json with unknown
+// fields rejected and nothing but JSON whitespace allowed after the
+// value. (json.Decoder.More is not that test: it reports false before
+// a stray ']' or '}'.) what names the request kind in error messages.
+func decodeStrict(data []byte, what string, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("decoding %s request: %w", what, err)
+	}
+	if len(bytes.TrimLeft(data[dec.InputOffset():], " \t\r\n")) != 0 {
+		return fmt.Errorf("decoding %s request: trailing data after JSON object", what)
+	}
+	return nil
+}
+
+// The canonical-form scanner accepts a subset of what decodeStrict
+// accepts and never reports an error: it either returns exactly the
+// value decodeStrict would (pixels bit-equal — numbers go through the
+// same strconv.ParseFloat call encoding/json makes) or declines. It
+// accepts only exact lowercase keys without escapes, each at most once;
+// JSON integers for the dimensions; true or false for explain; JSON
+// whitespace; and nothing after the object. Case-variant or escaped
+// keys, duplicates, null, out-of-range numbers, unknown keys and
+// malformed input all decline, leaving the verdict and the message to
+// the reference.
+
+// scanCheckRequest scans a check-request body in canonical form.
+func scanCheckRequest(data []byte) (CheckRequest, bool) {
+	s := scanner{data: data}
+	var req CheckRequest
+	ok := s.checkRequest(&req) && s.end()
+	return req, ok
+}
+
+// scanBatchRequest scans a batch-request body in canonical form.
+func scanBatchRequest(data []byte) (BatchRequest, bool) {
+	s := scanner{data: data}
+	var req BatchRequest
+	ok := s.batchRequest(&req) && s.end()
+	return req, ok
+}
+
+// scanner is a cursor over one request body. Every method returns false
+// to decline; the cursor is then meaningless.
+type scanner struct {
+	data []byte
+	i    int
+}
+
+func (s *scanner) skipSpace() {
+	for s.i < len(s.data) {
+		switch s.data[s.i] {
+		case ' ', '\t', '\n', '\r':
+			s.i++
+		default:
+			return
+		}
+	}
+}
+
+// consume skips whitespace and then c, reporting whether c was next.
+func (s *scanner) consume(c byte) bool {
+	s.skipSpace()
+	if s.i < len(s.data) && s.data[s.i] == c {
+		s.i++
+		return true
+	}
+	return false
+}
+
+// end reports whether only whitespace remains.
+func (s *scanner) end() bool {
+	s.skipSpace()
+	return s.i == len(s.data)
+}
+
+// object scans one JSON object, handing each key to field, which must
+// consume the value. The key aliases the body; field matches it as
+// bytes, so no key string is ever built.
+func (s *scanner) object(field func(key []byte) bool) bool {
+	if !s.consume('{') {
+		return false
+	}
+	if s.consume('}') {
+		return true
+	}
+	for {
+		if !s.consume('"') {
+			return false
+		}
+		n := bytes.IndexByte(s.data[s.i:], '"')
+		if n < 0 {
+			return false
+		}
+		key := s.data[s.i : s.i+n]
+		s.i += n + 1
+		if bytes.IndexByte(key, '\\') >= 0 || !s.consume(':') || !field(key) {
+			return false
+		}
+		if !s.consume(',') {
+			return s.consume('}')
+		}
+	}
+}
+
+// once marks bit in seen, declining a key seen before.
+func once(seen *uint8, bit uint8) bool {
+	if *seen&bit != 0 {
+		return false
+	}
+	*seen |= bit
+	return true
+}
+
+func (s *scanner) checkRequest(req *CheckRequest) bool {
+	var seen uint8
+	return s.object(func(key []byte) bool {
+		switch string(key) {
+		case "channels":
+			return once(&seen, 1) && s.integer(&req.Channels)
+		case "height":
+			return once(&seen, 2) && s.integer(&req.Height)
+		case "width":
+			return once(&seen, 4) && s.integer(&req.Width)
+		case "pixels":
+			return once(&seen, 8) && s.floats(&req.Pixels)
+		case "explain":
+			return once(&seen, 16) && s.boolean(&req.Explain)
+		}
+		return false
+	})
+}
+
+func (s *scanner) batchRequest(req *BatchRequest) bool {
+	var seen uint8
+	return s.object(func(key []byte) bool {
+		switch string(key) {
+		case "images":
+			return once(&seen, 1) && s.images(&req.Images)
+		case "explain":
+			return once(&seen, 2) && s.boolean(&req.Explain)
+		}
+		return false
+	})
+}
+
+// array scans one JSON array, calling elem for each element; elem must
+// consume it.
+func (s *scanner) array(elem func() bool) bool {
+	if !s.consume('[') {
+		return false
+	}
+	if s.consume(']') {
+		return true
+	}
+	for {
+		if !elem() {
+			return false
+		}
+		if !s.consume(',') {
+			return s.consume(']')
+		}
+	}
+}
+
+// images scans an array of check-request objects.
+func (s *scanner) images(out *[]CheckRequest) bool {
+	return s.array(func() bool {
+		var r CheckRequest
+		if !s.checkRequest(&r) {
+			return false
+		}
+		*out = append(*out, r)
+		return true
+	})
+}
+
+// floats scans an array of JSON numbers in two passes: the first, on a
+// copy of the cursor, checks the grammar and counts, so the slice is
+// allocated once at its final length; the second parses.
+func (s *scanner) floats(out *[]float64) bool {
+	c, n := *s, 0
+	if !c.array(func() bool { n++; return c.number() != nil }) {
+		return false
+	}
+	xs := make([]float64, 0, n)
+	ok := s.array(func() bool {
+		lit := s.number()
+		if lit == nil {
+			return false
+		}
+		v, err := strconv.ParseFloat(string(lit), 64)
+		xs = append(xs, v)
+		return err == nil
+	})
+	*out = xs
+	return ok
+}
+
+// integer scans a JSON integer that fits an int, parsed as
+// encoding/json parses it.
+func (s *scanner) integer(out *int) bool {
+	lit := s.number()
+	if lit == nil || bytes.ContainsAny(lit, ".eE") {
+		return false
+	}
+	n, err := strconv.ParseInt(string(lit), 10, 64)
+	if err != nil || int64(int(n)) != n {
+		return false
+	}
+	*out = int(n)
+	return true
+}
+
+func (s *scanner) boolean(out *bool) bool {
+	s.skipSpace()
+	rest := s.data[s.i:]
+	switch {
+	case bytes.HasPrefix(rest, []byte("true")):
+		*out = true
+		s.i += 4
+	case bytes.HasPrefix(rest, []byte("false")):
+		*out = false
+		s.i += 5
+	default:
+		return false
+	}
+	return true
+}
+
+// number skips whitespace and scans one number literal of RFC 8259's
+// grammar (which strconv alone would widen: it also takes "+1", ".5",
+// "0x1p3", "Inf"), returning its bytes, or nil if none starts here.
+func (s *scanner) number() []byte {
+	s.skipSpace()
+	d, start := s.data, s.i
+	i := start
+	digits := func() bool {
+		j := i
+		for i < len(d) && d[i] >= '0' && d[i] <= '9' {
+			i++
+		}
+		return i > j
+	}
+	if i < len(d) && d[i] == '-' {
+		i++
+	}
+	if i < len(d) && d[i] == '0' {
+		i++
+	} else if !digits() {
+		return nil
+	}
+	if i < len(d) && d[i] == '.' {
+		i++
+		if !digits() {
+			return nil
+		}
+	}
+	if i < len(d) && (d[i] == 'e' || d[i] == 'E') {
+		i++
+		if i < len(d) && (d[i] == '+' || d[i] == '-') {
+			i++
+		}
+		if !digits() {
+			return nil
+		}
+	}
+	s.i = i
+	return d[start:i]
+}

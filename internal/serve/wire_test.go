@@ -1,0 +1,173 @@
+package serve
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"deepvalidation"
+)
+
+// declinedBodies are well-formed-looking bodies outside the scanner's
+// canonical form, one per decline trigger. Each must reach the
+// reference decoder; FuzzCheckRequest seeds its corpus with them.
+var declinedBodies = []string{
+	`{"Channels":1,"height":1,"width":1,"pixels":[0.5]}`,                // case-variant key
+	`{"ch\u0061nnels":1,"height":1,"width":1,"pixels":[0.5]}`,           // escaped key
+	`{"channels":1,"channels":1,"height":1,"width":1,"pixels":[0.5]}`,   // duplicate key
+	`{"channels":1,"height":1,"width":1,"pixels":null}`,                 // null array
+	`{"channels":1,"height":1,"width":1,"pixels":[null]}`,               // null element
+	`{"channels":null,"height":1,"width":1,"pixels":[0.5]}`,             // null dimension
+	`{"channels":1,"height":1,"width":1,"pixels":[0.5],"explain":null}`, // null flag
+	`null`, // null body
+	`{"channels":1,"height":1,"width":1,"pixels":[1e309]}`,                        // float out of range
+	`{"channels":9223372036854775808,"height":1,"width":1,"pixels":[0.5]}`,        // int out of range
+	`{"channels":1.0,"height":1,"width":1,"pixels":[0.5]}`,                        // fractional dimension
+	`{"channels":1e0,"height":1,"width":1,"pixels":[0.5]}`,                        // exponent dimension
+	`{"channels":1,"height":1,"width":1,"pixels":[0.5]}]`,                         // trailing ]
+	`{"channels":1,"height":1,"width":1,"pixels":[0.5]}}`,                         // trailing }
+	`{"channels":1,"height":1,"width":1,"pixels":[0.5]} x`,                        // trailing bytes
+	`{"channels":1,"height":1,"width":1,"pixels":[0.5],"x":1}`,                    // unknown key
+	`{"channels":1,"height":1,"width":1,"pixels":[01]}`,                           // leading zero
+	`{"channels":1,"height":1,"width":1,"pixels":[.5]}`,                           // bare fraction
+	`{"channels":1,"height":1,"width":1,"pixels":[1.]}`,                           // empty fraction
+	`{"channels":1,"height":1,"width":1,"pixels":[+1]}`,                           // plus sign
+	`{"channels":1,"height":1,"width":1,"pixels":[0x1]}`,                          // hex
+	`{"channels":1,"height":1,"width":1,"pixels":[Infinity]}`,                     // non-JSON literal
+	`{"channels":1,"height":1,"width":1,"pixels":[0.5,]}`,                         // trailing comma
+	`{"channels":1,"height":1,"width":1,"pixels":["0.5"]}`,                        // string element
+	`{"channels":1,"height":1,"width":1,"pixels":[0.5],"explain":1}`,              // non-boolean flag
+	`{"images":[{"channels":1,"height":1,"width":1,"pixels":[0.5]}]}]`,            // batch, trailing ]
+	`{"images":[{"channels":1,"height":1,"width":1,"pixels":[0.5]}]}}`,            // batch, trailing }
+	`{"images":[{"channels":1,"height":1,"width":1,"pixels":[0.5]}],"images":[]}`, // batch, duplicate key
+	`{"images":[null]}`,              // batch, null image
+	`{"images":null}`,                // batch, null array
+	`{"Images":[]}`,                  // batch, case-variant key
+	`{"images":[],"explain":"true"}`, // batch, string flag
+}
+
+// acceptedBodies are canonical: the scanner must take them itself.
+var acceptedBodies = []string{
+	`{"channels":1,"height":2,"width":2,"pixels":[0,0.5,1,0.25]}`,
+	" \n{ \"channels\" : 1 ,\t\"height\":1,\r\"width\":1, \"pixels\" : [ -0 ] , \"explain\" : true } \n",
+	`{"pixels":[1E+2,-1.5e-3,1e-400,123456789012345678901234567890],"width":4,"height":1,"channels":1}`,
+	`{"channels":-1,"height":0,"width":2,"pixels":[]}`,
+	`{}`,
+	`{"images":[{"channels":1,"height":1,"width":1,"pixels":[0.5],"explain":false},{"channels":1,"height":1,"width":1,"pixels":[1]}],"explain":true}`,
+	`{"images":[]}`,
+}
+
+// diffRequest describes the first difference between two decoded check
+// requests, comparing pixels bit for bit; "" means equal.
+func diffRequest(got, want CheckRequest) string {
+	if got.Channels != want.Channels || got.Height != want.Height || got.Width != want.Width || got.Explain != want.Explain {
+		return fmt.Sprintf("header %d×%d×%d explain=%v, reference %d×%d×%d explain=%v",
+			got.Channels, got.Height, got.Width, got.Explain, want.Channels, want.Height, want.Width, want.Explain)
+	}
+	if len(got.Pixels) != len(want.Pixels) {
+		return fmt.Sprintf("%d pixels, reference %d", len(got.Pixels), len(want.Pixels))
+	}
+	for i := range got.Pixels {
+		if math.Float64bits(got.Pixels[i]) != math.Float64bits(want.Pixels[i]) {
+			return fmt.Sprintf("pixel %d is %v, reference %v", i, got.Pixels[i], want.Pixels[i])
+		}
+	}
+	return ""
+}
+
+// diffScanned runs both scanners over data and, for each that accepts,
+// checks that the reference decoder accepts the body too and decodes
+// an equal request. It returns how many of the two scanners accepted.
+func diffScanned(t *testing.T, data []byte) int {
+	t.Helper()
+	accepted := 0
+	if got, ok := scanCheckRequest(data); ok {
+		accepted++
+		var want CheckRequest
+		if err := decodeStrict(data, "check", &want); err != nil {
+			t.Fatalf("scanner accepted a check body the reference rejects (%v): %q", err, data)
+		}
+		if d := diffRequest(got, want); d != "" {
+			t.Fatalf("scanned check body differs from the reference: %s: %q", d, data)
+		}
+	}
+	if got, ok := scanBatchRequest(data); ok {
+		accepted++
+		var want BatchRequest
+		if err := decodeStrict(data, "batch", &want); err != nil {
+			t.Fatalf("scanner accepted a batch body the reference rejects (%v): %q", err, data)
+		}
+		if got.Explain != want.Explain || len(got.Images) != len(want.Images) {
+			t.Fatalf("scanned batch has %d images explain=%v, reference %d explain=%v: %q",
+				len(got.Images), got.Explain, len(want.Images), want.Explain, data)
+		}
+		for i := range got.Images {
+			if d := diffRequest(got.Images[i], want.Images[i]); d != "" {
+				t.Fatalf("scanned batch image %d differs from the reference: %s: %q", i, d, data)
+			}
+		}
+	}
+	return accepted
+}
+
+// TestScannerCanonicalForm pins which bodies the scanner takes itself
+// and that it agrees with the reference on every one it takes.
+func TestScannerCanonicalForm(t *testing.T) {
+	for _, body := range acceptedBodies {
+		if diffScanned(t, []byte(body)) == 0 {
+			t.Errorf("scanner declined canonical body %q", body)
+		}
+	}
+	for _, body := range declinedBodies {
+		if diffScanned(t, []byte(body)) != 0 {
+			t.Errorf("scanner accepted non-canonical body %q", body)
+		}
+	}
+}
+
+// digitImages returns n 28×28 greyscale images with random pixels —
+// the shape and number format of real camera-frame check bodies.
+func digitImages(n int) []deepvalidation.Image {
+	rng := rand.New(rand.NewSource(3))
+	imgs := make([]deepvalidation.Image, n)
+	for i := range imgs {
+		px := make([]float64, 28*28)
+		for j := range px {
+			px[j] = rng.Float64()
+		}
+		imgs[i] = deepvalidation.Image{Channels: 1, Height: 28, Width: 28, Pixels: px}
+	}
+	return imgs
+}
+
+// TestDecodeAllocBudget pins the canonical decode at one allocation per
+// pixel slice plus the request's own slices. A canonical body silently
+// falling back to encoding/json costs ~25 allocations per image and
+// trips it.
+func TestDecodeAllocBudget(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("race instrumentation allocates; budgets apply to normal builds")
+	}
+	imgs := digitImages(32)
+	check, batch := checkBody(t, imgs[0]), batchBody(t, imgs)
+	cases := []struct {
+		name   string
+		budget float64
+		decode func() error
+	}{
+		{"check 28x28", 2, func() error { _, _, err := decodeCheckRequest(check); return err }},
+		{"batch 32x28x28", 48, func() error { _, _, err := decodeBatchRequest(batch); return err }},
+	}
+	for _, tc := range cases {
+		var err error
+		allocs := testing.AllocsPerRun(20, func() { err = tc.decode() })
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		t.Logf("%s: %.0f allocations per decode", tc.name, allocs)
+		if allocs > tc.budget {
+			t.Errorf("%s: %.0f allocations per decode, budget %.0f", tc.name, allocs, tc.budget)
+		}
+	}
+}
