@@ -16,10 +16,12 @@ vet:
 # telemetry registry they all observe into, the serving micro-batcher,
 # the fleet gateway (router, probers, rollout), the hunt scheduler
 # fanning candidates across the scoring pool (its worker-count
-# determinism test included), and the experiment harness that drives
-# them — under the race detector.
+# determinism test included), the experiment harness that drives
+# them, and the shared observability plane (the SLO engine's goroutine
+# reads the flight ring request goroutines write) — under the race
+# detector.
 race:
-	$(GO) test -race -timeout 45m ./internal/core ./internal/experiment ./internal/telemetry ./internal/serve ./internal/gateway ./internal/hunt .
+	$(GO) test -race -timeout 45m ./internal/core ./internal/experiment ./internal/telemetry ./internal/serve ./internal/gateway ./internal/hunt ./internal/obs ./internal/trace .
 
 # smoke runs the end-to-end checks against real processes: the
 # observability pass (train, score, scrape /metrics), the serving

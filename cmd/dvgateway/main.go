@@ -164,14 +164,16 @@ func run() error {
 		TraceSample:       *traceSample,
 		TraceStore:        *traceStore,
 		SLO: gateway.SLOOptions{
-			Enabled:         *sloOn,
-			Availability:    *sloAvail,
+			SLOOptions: obs.SLOOptions{
+				Enabled:       *sloOn,
+				Availability:  *sloAvail,
+				LatencyTarget: *sloLatTgt,
+				LatencyGoal:   *sloLatGoal,
+				Interval:      *sloInterval,
+				Burn:          *sloBurn,
+			},
 			PassthroughGoal: *sloPassGoal,
 			BadGatewayGoal:  *sloBGGoal,
-			LatencyTarget:   *sloLatTgt,
-			LatencyGoal:     *sloLatGoal,
-			Interval:        *sloInterval,
-			Burn:            *sloBurn,
 		},
 	})
 	if err != nil {

@@ -213,13 +213,15 @@ func run() error {
 
 		Events: events,
 		SLO: serve.SLOOptions{
-			Enabled:        *sloOn,
-			Availability:   *sloAvail,
-			LatencyTarget:  *sloLatTgt,
-			LatencyGoal:    *sloLatGoal,
+			SLOOptions: obs.SLOOptions{
+				Enabled:       *sloOn,
+				Availability:  *sloAvail,
+				LatencyTarget: *sloLatTgt,
+				LatencyGoal:   *sloLatGoal,
+				Interval:      *sloInterval,
+				Burn:          *sloBurn,
+			},
 			QuarantineGoal: *sloQuarGoal,
-			Interval:       *sloInterval,
-			Burn:           *sloBurn,
 		},
 	})
 	if err != nil {

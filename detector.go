@@ -308,23 +308,21 @@ func (d *Detector) Epsilon() float64 { return d.mon.Epsilon() }
 // enabled, so operators can tell malformed inputs apart from detected
 // corner cases (dv_flagged_total).
 func (d *Detector) Check(img Image) (Verdict, error) {
+	return d.CheckDetailed(img, nil)
+}
+
+// input converts one image to the network's input tensor, counting a
+// rejection into dv_invalid_input_total.
+func (d *Detector) input(img Image) (*tensor.Tensor, error) {
 	x, err := tensorOf(img)
+	if err == nil {
+		err = d.net.CheckInput(x)
+	}
 	if err != nil {
 		d.countInvalid()
-		return Verdict{}, err
+		return nil, err
 	}
-	if err := d.net.CheckInput(x); err != nil {
-		d.countInvalid()
-		return Verdict{}, err
-	}
-	v := d.mon.Check(x)
-	return Verdict{
-		Label:       v.Label,
-		Confidence:  v.Confidence,
-		Discrepancy: v.Discrepancy,
-		Valid:       v.Valid,
-		Quarantined: v.Quarantined,
-	}, nil
+	return x, nil
 }
 
 // Detail receives the per-layer diagnostics of one checked image — the
@@ -359,54 +357,36 @@ func (dt *Detail) fill(layers []int, res core.Result, tm *core.ScoreTimings) {
 // CheckDetailed is Check with per-layer diagnostics: a non-nil out is
 // filled with the per-layer discrepancies (and, when out.Timed, stage
 // durations). The verdict — and every statistic and telemetry update —
-// is bit-identical to Check; a nil out is exactly Check.
+// is the same with or without out; Check is CheckDetailed(img, nil).
 func (d *Detector) CheckDetailed(img Image, out *Detail) (Verdict, error) {
-	if out == nil {
-		return d.Check(img)
-	}
-	x, err := tensorOf(img)
+	x, err := d.input(img)
 	if err != nil {
-		d.countInvalid()
-		return Verdict{}, err
-	}
-	if err := d.net.CheckInput(x); err != nil {
-		d.countInvalid()
 		return Verdict{}, err
 	}
 	var tm *core.ScoreTimings
-	if out.Timed {
+	if out != nil && out.Timed {
 		tm = &core.ScoreTimings{}
 	}
 	v, res := d.mon.CheckDetailed(x, tm)
-	out.fill(d.val.LayerIdx, res, tm)
-	return Verdict{
-		Label:       v.Label,
-		Confidence:  v.Confidence,
-		Discrepancy: v.Discrepancy,
-		Valid:       v.Valid,
-		Quarantined: v.Quarantined,
-	}, nil
+	if out != nil {
+		out.fill(d.val.LayerIdx, res, tm)
+	}
+	return Verdict(v), nil
 }
 
 // CheckBatchDetailed is CheckBatch with per-image diagnostics: details
 // may be nil, shorter than imgs, or hold nil entries — only images
 // with a non-nil *Detail collect diagnostics, and only those with
-// Timed set pay for stage clock reads. Verdicts are bit-identical to
-// CheckBatch at every worker count.
+// Timed set pay for stage clock reads. Verdicts do not depend on
+// details or the worker count; CheckBatch is CheckBatchDetailed(imgs,
+// nil).
 func (d *Detector) CheckBatchDetailed(imgs []Image, details []*Detail) ([]Verdict, error) {
 	xs := make([]*tensor.Tensor, len(imgs))
 	var firstErr error
 	for i, im := range imgs {
-		x, err := tensorOf(im)
-		if err == nil {
-			err = d.net.CheckInput(x)
-		}
-		if err != nil {
-			d.countInvalid()
-			if firstErr == nil {
-				firstErr = fmt.Errorf("image %d: %w", i, err)
-			}
-			continue
+		x, err := d.input(im)
+		if err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("image %d: %w", i, err)
 		}
 		xs[i] = x
 	}
@@ -428,13 +408,7 @@ func (d *Detector) CheckBatchDetailed(imgs []Image, details []*Detail) ([]Verdic
 	verdicts, results := d.mon.CheckBatchDetailed(xs, tms)
 	out := make([]Verdict, len(verdicts))
 	for i, v := range verdicts {
-		out[i] = Verdict{
-			Label:       v.Label,
-			Confidence:  v.Confidence,
-			Discrepancy: v.Discrepancy,
-			Valid:       v.Valid,
-			Quarantined: v.Quarantined,
-		}
+		out[i] = Verdict(v)
 		if i < len(details) && details[i] != nil {
 			var tm *core.ScoreTimings
 			if tms != nil {
@@ -481,37 +455,7 @@ func (d *Detector) SetWorkers(n int) { d.mon.SetWorkers(n) }
 // aborts on the first error), so the telemetry totals match what a
 // sequential Check loop would have recorded.
 func (d *Detector) CheckBatch(imgs []Image) ([]Verdict, error) {
-	xs := make([]*tensor.Tensor, len(imgs))
-	var firstErr error
-	for i, im := range imgs {
-		x, err := tensorOf(im)
-		if err == nil {
-			err = d.net.CheckInput(x)
-		}
-		if err != nil {
-			d.countInvalid()
-			if firstErr == nil {
-				firstErr = fmt.Errorf("image %d: %w", i, err)
-			}
-			continue
-		}
-		xs[i] = x
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	verdicts := d.mon.CheckBatch(xs)
-	out := make([]Verdict, len(verdicts))
-	for i, v := range verdicts {
-		out[i] = Verdict{
-			Label:       v.Label,
-			Confidence:  v.Confidence,
-			Discrepancy: v.Discrepancy,
-			Valid:       v.Valid,
-			Quarantined: v.Quarantined,
-		}
-	}
-	return out, nil
+	return d.CheckBatchDetailed(imgs, nil)
 }
 
 // Stats reports how many inputs were checked and flagged since the

@@ -89,7 +89,7 @@ func TestBenchGatewayObsSnapshot(t *testing.T) {
 			c.Events = obs.New(obs.Config{Registry: reg})
 			c.TraceSample = 1
 			c.TraceStore = 512
-			c.SLO = SLOOptions{Enabled: true, Interval: time.Hour}
+			c.SLO.Enabled, c.SLO.Interval = true, time.Hour
 		}},
 	}
 

@@ -48,7 +48,7 @@ type FleetResponse struct {
 func (g *Gateway) handleFleet(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, http.StatusMethodNotAllowed, "use GET")
+		obs.WriteError(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
 	rows := make([]FleetReplica, len(g.replicas))
@@ -80,7 +80,7 @@ func (g *Gateway) handleFleet(w http.ResponseWriter, r *http.Request) {
 			resp.Partial = true
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	obs.WriteJSON(w, http.StatusOK, resp)
 }
 
 // FleetFlightEntry is one merged flight-recorder entry, annotated with
@@ -108,20 +108,20 @@ type FleetFlightResponse struct {
 func (g *Gateway) handleFleetFlight(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, http.StatusMethodNotAllowed, "use GET")
+		obs.WriteError(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
 	q := r.URL.Query()
 	f, err := trace.ParseFilter(q)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		obs.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	targets := g.replicas
 	if name := q.Get("replica"); name != "" {
 		rep := g.replicaByName(name)
 		if rep == nil {
-			writeError(w, http.StatusBadRequest, "bad replica filter: no replica named "+name)
+			obs.WriteError(w, http.StatusBadRequest, "bad replica filter: no replica named "+name)
 			return
 		}
 		targets = []*replica{rep}
@@ -159,7 +159,7 @@ func (g *Gateway) handleFleetFlight(w http.ResponseWriter, r *http.Request) {
 		resp.Entries = resp.Entries[:f.Limit]
 	}
 	resp.Count = len(resp.Entries)
-	writeJSON(w, http.StatusOK, resp)
+	obs.WriteJSON(w, http.StatusOK, resp)
 }
 
 // flightFetch is one replica's contribution to the merged flight view.

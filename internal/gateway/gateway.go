@@ -263,7 +263,9 @@ func (c *Config) defaults() {
 	if c.TraceStore <= 0 {
 		c.TraceStore = 256
 	}
-	c.SLO.sloDefaults()
+	c.SLO.Defaults()
+	c.SLO.PassthroughGoal = obs.Goal(c.SLO.PassthroughGoal, 0.99)
+	c.SLO.BadGatewayGoal = obs.Goal(c.SLO.BadGatewayGoal, 0.999)
 }
 
 // replica is the gateway's view of one dvserve instance: its identity,

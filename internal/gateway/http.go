@@ -8,22 +8,6 @@ import (
 	"deepvalidation/internal/obs"
 )
 
-// errorResponse mirrors dvserve's uniform error body, so clients parse
-// one shape no matter which layer answered.
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(body)
-}
-
-func writeError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, errorResponse{Error: msg})
-}
-
 // Handler returns the gateway's routing table:
 //
 //	POST /v1/check            — route one image to a replica (retried per budget)
@@ -54,8 +38,12 @@ func (g *Gateway) Handler() http.Handler {
 	mux.HandleFunc("/debug/dv/trace/", g.handleTrace)
 	mux.HandleFunc("/debug/dv/fleet", g.handleFleet)
 	mux.HandleFunc("/debug/dv/flight", g.handleFleetFlight)
-	mux.HandleFunc("/debug/dv/events", g.handleEvents)
-	mux.HandleFunc("/debug/dv/slo", g.handleSLO)
+	mux.HandleFunc("/debug/dv/events", func(w http.ResponseWriter, r *http.Request) {
+		obs.HandleEvents(g.events, w, r)
+	})
+	mux.HandleFunc("/debug/dv/slo", func(w http.ResponseWriter, r *http.Request) {
+		obs.HandleSLO(g.slo, w, r)
+	})
 	return mux
 }
 
@@ -117,10 +105,10 @@ type replicasResponse struct {
 func (g *Gateway) handleReplicas(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, http.StatusMethodNotAllowed, "use GET")
+		obs.WriteError(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
-	writeJSON(w, http.StatusOK, replicasResponse{
+	obs.WriteJSON(w, http.StatusOK, replicasResponse{
 		Count:      len(g.replicas),
 		InRotation: g.InRotation(),
 		Replicas:   g.ReplicaStatuses(),

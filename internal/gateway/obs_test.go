@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"deepvalidation"
 	"deepvalidation/internal/obs"
@@ -72,7 +73,7 @@ func obsOnGateway(t testing.TB, procs []*replicaProc) (*Gateway, *telemetry.Regi
 		Registry:      reg,
 		Events:        events,
 		TraceSample:   1,
-		SLO:           SLOOptions{Enabled: true},
+		SLO:           SLOOptions{SLOOptions: obs.SLOOptions{Enabled: true}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -546,5 +547,102 @@ func TestGatewayReadyzQuietTail(t *testing.T) {
 	}
 	if rb.Status != "ready" || rb.InRotation != 1 || rb.SLO.Enabled {
 		t.Fatalf("readyz JSON tail = %+v", rb)
+	}
+}
+
+// TestDebugHandlersBothTiers pins the shared observability plane: a
+// replica and the gateway mount the same obs handlers on
+// /debug/dv/slo and /debug/dv/events, so with SLOs and events off and
+// on every method and filter answers byte-identical status, Allow
+// header, and body on both tiers. The one exception is the body of an
+// enabled GET /debug/dv/slo, which lists each tier's own objectives;
+// there the shared header fields must agree.
+func TestDebugHandlersBothTiers(t *testing.T) {
+	type reply struct {
+		status      int
+		allow, body string
+	}
+	do := func(t *testing.T, method, url string) reply {
+		t.Helper()
+		req, err := http.NewRequest(method, url, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return reply{resp.StatusCode, resp.Header.Get("Allow"), string(raw)}
+	}
+	cases := []struct {
+		method, path string
+		want         map[bool]reply // keyed by plane on; absent: tier-specific
+	}{
+		{"GET", "/debug/dv/slo", map[bool]reply{false: {200, "", `{"enabled":false,"breaching":false}` + "\n"}}},
+		{"POST", "/debug/dv/slo", map[bool]reply{
+			false: {405, "GET", `{"error":"use GET"}` + "\n"},
+			true:  {405, "GET", `{"error":"use GET"}` + "\n"},
+		}},
+		{"GET", "/debug/dv/events?type=no_such_type", map[bool]reply{
+			false: {404, "", `{"error":"event log disabled (run with -log)"}` + "\n"},
+			true:  {200, "", `{"count":0,"events":[]}` + "\n"},
+		}},
+		{"GET", "/debug/dv/events?level=bogus", map[bool]reply{
+			false: {404, "", `{"error":"event log disabled (run with -log)"}` + "\n"},
+			true:  {400, "", `{"error":"bad level filter: obs: unknown level \"bogus\" (want debug, info, warn or error)"}` + "\n"},
+		}},
+		{"POST", "/debug/dv/events", map[bool]reply{
+			false: {405, "GET", `{"error":"use GET"}` + "\n"},
+			true:  {405, "GET", `{"error":"use GET"}` + "\n"},
+		}},
+	}
+	for _, on := range []bool{false, true} {
+		t.Run(fmt.Sprintf("plane_on=%v", on), func(t *testing.T) {
+			tune := func(c *Config) {}
+			repTune := func(c *serve.Config) {}
+			if on {
+				tune = func(c *Config) {
+					c.Events = obs.New(obs.Config{})
+					c.SLO = SLOOptions{SLOOptions: obs.SLOOptions{Enabled: true, Interval: time.Hour}}
+				}
+				repTune = func(c *serve.Config) {
+					c.Registry = telemetry.New()
+					c.Events = obs.New(obs.Config{})
+					c.SLO = serve.SLOOptions{SLOOptions: obs.SLOOptions{Enabled: true, Interval: time.Hour}}
+				}
+			}
+			g, procs, _ := newFleet(t, 1, tune, repTune)
+			tiers := []struct{ name, url string }{
+				{"dvserve", "http://" + procs[0].addr},
+				{"gateway", gwServer(t, g).URL},
+			}
+			for _, tc := range cases {
+				replica := do(t, tc.method, tiers[0].url+tc.path)
+				gateway := do(t, tc.method, tiers[1].url+tc.path)
+				if want, ok := tc.want[on]; ok {
+					if replica != want || gateway != want {
+						t.Fatalf("%s %s:\ndvserve: %+v\ngateway: %+v\nwant:    %+v", tc.method, tc.path, replica, gateway, want)
+					}
+					continue
+				}
+				// Enabled GET /debug/dv/slo: tier-specific objectives
+				// under one shared header.
+				var rs, gs obs.Status
+				if err := json.Unmarshal([]byte(replica.body), &rs); err != nil || replica.status != 200 {
+					t.Fatalf("dvserve %s %s = %+v (%v)", tc.method, tc.path, replica, err)
+				}
+				if err := json.Unmarshal([]byte(gateway.body), &gs); err != nil || gateway.status != 200 {
+					t.Fatalf("gateway %s %s = %+v (%v)", tc.method, tc.path, gateway, err)
+				}
+				if !rs.Enabled || !gs.Enabled || rs.BurnThreshold != gs.BurnThreshold || rs.Breaching || gs.Breaching {
+					t.Fatalf("enabled SLO headers differ: dvserve %+v, gateway %+v", rs, gs)
+				}
+			}
+		})
 	}
 }

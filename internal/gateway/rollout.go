@@ -311,20 +311,20 @@ func shortSHA(sha string) string {
 func (g *Gateway) handleRollout(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, http.StatusMethodNotAllowed, "use POST")
+		obs.WriteError(w, http.StatusMethodNotAllowed, "use POST")
 		return
 	}
 	var req RolloutRequest
 	dec := json.NewDecoder(io.LimitReader(r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding rollout request: "+err.Error())
+		obs.WriteError(w, http.StatusBadRequest, "decoding rollout request: "+err.Error())
 		return
 	}
 	if req.Artifact == "" {
-		writeError(w, http.StatusBadRequest, `rollout request needs {"artifact": "/path/to/staged.dvart"}`)
+		obs.WriteError(w, http.StatusBadRequest, `rollout request needs {"artifact": "/path/to/staged.dvart"}`)
 		return
 	}
 	resp, status := g.Rollout(req.Artifact)
-	writeJSON(w, status, resp)
+	obs.WriteJSON(w, status, resp)
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"deepvalidation/internal/faultinject"
+	"deepvalidation/internal/obs"
 	"deepvalidation/internal/serve"
 	"deepvalidation/internal/trace"
 )
@@ -315,11 +316,11 @@ func (g *Gateway) route(ctx context.Context, key uint64, path, query, contentTyp
 func (g *Gateway) proxy(endpoint string, w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, http.StatusMethodNotAllowed, "use POST")
+		obs.WriteError(w, http.StatusMethodNotAllowed, "use POST")
 		return
 	}
 	t0 := time.Now()
-	id, traced := g.traceDecision(r)
+	id, traced := g.sampler.Decide(r.Header.Get(trace.HeaderTraceID))
 	if id != "" {
 		// Echo the gateway's trace identity on every response — success
 		// or error — so any request seen while tracing is on can be
@@ -348,7 +349,7 @@ func (g *Gateway) proxy(endpoint string, w http.ResponseWriter, r *http.Request)
 		if res.status == http.StatusServiceUnavailable || res.status == http.StatusTooManyRequests {
 			w.Header().Set("Retry-After", serve.RetryAfterHeader(g.cfg.RetryAfter))
 		}
-		writeError(w, res.status, res.msg)
+		obs.WriteError(w, res.status, res.msg)
 		return
 	}
 	g.writeUpstream(w, res.up, id)

@@ -2,24 +2,18 @@ package gateway
 
 import (
 	"fmt"
-	"net/http"
-	"time"
 
 	"deepvalidation/internal/obs"
-	"deepvalidation/internal/trace"
 )
 
 // SLOOptions declares the gateway's burn-rate objectives, evaluated by
 // the same obs.Engine dvserve uses — over the dv_gw_* instruments
-// instead of the serving counters.
+// instead of the serving counters. Availability counts requests the
+// gateway shed at capacity (429) or refused unroutable (503) as bad;
+// the route-latency objective counts successfully routed requests (ok
+// and retry outcomes).
 type SLOOptions struct {
-	// Enabled turns the engine on; it also needs Config.Registry, which
-	// carries the counters and histograms the objectives difference.
-	Enabled bool
-	// Availability is the goal fraction of requests the gateway routed
-	// at all — not shed at capacity (429) and not refused unroutable
-	// (503); default 0.999.
-	Availability float64
+	obs.SLOOptions
 	// PassthroughGoal is the goal fraction of requests not answered
 	// with relayed replica backpressure (429/503 passthrough); default
 	// 0.99 — replicas shedding is an expected, bounded regime.
@@ -28,43 +22,13 @@ type SLOOptions struct {
 	// (or a relayed replica 500/502 the retry budget could not absorb);
 	// default 0.999.
 	BadGatewayGoal float64
-	// LatencyTarget and LatencyGoal declare the route-latency
-	// objective: at least LatencyGoal of successfully routed requests
-	// (ok + retry outcomes) finish within LatencyTarget (defaults
-	// 250ms and 0.99). The target snaps up to the enclosing
-	// latency-histogram bucket edge.
-	LatencyTarget time.Duration
-	LatencyGoal   float64
-	// Windows, Interval, and Burn tune the engine; zero values mean
-	// obs.DefaultWindows, obs.DefaultSLOInterval, and
-	// obs.DefaultBurnThreshold.
-	Windows  []obs.Window
-	Interval time.Duration
-	Burn     float64
-}
-
-// sloDefaults fills unset objective goals in place.
-func (o *SLOOptions) sloDefaults() {
-	if o.Availability <= 0 || o.Availability >= 1 {
-		o.Availability = 0.999
-	}
-	if o.PassthroughGoal <= 0 || o.PassthroughGoal >= 1 {
-		o.PassthroughGoal = 0.99
-	}
-	if o.BadGatewayGoal <= 0 || o.BadGatewayGoal >= 1 {
-		o.BadGatewayGoal = 0.999
-	}
-	if o.LatencyTarget <= 0 {
-		o.LatencyTarget = 250 * time.Millisecond
-	}
-	if o.LatencyGoal <= 0 || o.LatencyGoal >= 1 {
-		o.LatencyGoal = 0.99
-	}
 }
 
 // buildSLO assembles the burn-rate engine over the gateway objectives.
 // All sources difference monotone counters/histograms the route path
-// already maintains, so evaluation costs nothing on the hot path.
+// already maintains, so evaluation costs nothing on the hot path;
+// breach evidence comes from the outcome ring. With tracing on, every
+// cited ID resolves on the gateway's own /debug/dv/trace/{id}.
 func (g *Gateway) buildSLO() {
 	o := g.cfg.SLO
 	if !o.Enabled || g.cfg.Registry == nil {
@@ -81,6 +45,7 @@ func (g *Gateway) buildSLO() {
 				tot := float64(g.reqCheck.Value() + g.reqBatch.Value())
 				return bad, tot
 			},
+			Outcomes: []string{outcomeShed},
 		},
 		{
 			Name:        "passthrough",
@@ -91,6 +56,7 @@ func (g *Gateway) buildSLO() {
 				tot := float64(g.reqCheck.Value() + g.reqBatch.Value())
 				return bad, tot
 			},
+			Outcomes: []string{outcomePassthrough},
 		},
 		{
 			Name:        "bad_gateway",
@@ -101,6 +67,7 @@ func (g *Gateway) buildSLO() {
 				tot := float64(g.reqCheck.Value() + g.reqBatch.Value())
 				return bad, tot
 			},
+			Outcomes: []string{outcomeBadGateway},
 		},
 		{
 			Name:        "route_latency",
@@ -111,6 +78,8 @@ func (g *Gateway) buildSLO() {
 				tot := float64(g.latOK.Count() + g.latRetry.Count())
 				return bad, tot
 			},
+			Outcomes:   []string{outcomeOK, outcomeRetry},
+			SlowerThan: target,
 		},
 	}
 	g.slo = obs.NewEngine(obs.SLOConfig{
@@ -120,49 +89,8 @@ func (g *Gateway) buildSLO() {
 		Burn:       o.Burn,
 		Registry:   g.cfg.Registry,
 		Events:     g.events,
-		TraceIDs:   g.sloTraceIDs(target),
+		Recent:     g.recent,
 	})
-}
-
-// sloTraceIDs builds the breach cross-linking callback: up to n recent
-// trace IDs whose outcome violates the breached objective, pulled from
-// the gateway's outcome ring. With tracing on, every returned ID
-// resolves on the gateway's own /debug/dv/trace/{id}.
-func (g *Gateway) sloTraceIDs(latencyTarget float64) func(string, int) []string {
-	return func(objective string, n int) []string {
-		if g.recent == nil || n <= 0 {
-			return nil
-		}
-		var outcomes []string
-		switch objective {
-		case "availability":
-			outcomes = []string{outcomeShed}
-		case "passthrough":
-			outcomes = []string{outcomePassthrough}
-		case "bad_gateway":
-			outcomes = []string{outcomeBadGateway}
-		case "route_latency":
-			outcomes = []string{outcomeOK, outcomeRetry}
-		default:
-			return nil
-		}
-		var ids []string
-		for _, oc := range outcomes {
-			for _, e := range g.recent.Snapshot(trace.Filter{Outcome: oc}) {
-				if e.TraceID == "" {
-					continue
-				}
-				if objective == "route_latency" && e.LatencySec <= latencyTarget {
-					continue
-				}
-				ids = append(ids, e.TraceID)
-				if len(ids) >= n {
-					return ids
-				}
-			}
-		}
-		return ids
-	}
 }
 
 // SLOStatus returns the gateway SLO engine's last evaluation (Enabled
@@ -175,20 +103,3 @@ func (g *Gateway) SLOStatus() obs.Status {
 // hook tests and smoke drivers use instead of waiting out the engine's
 // interval. Nil-safe when the engine is disabled.
 func (g *Gateway) SLOTick() { g.slo.Tick() }
-
-// handleSLO serves the burn-rate engine's per-objective evaluation.
-func (g *Gateway) handleSLO(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
-	writeJSON(w, http.StatusOK, g.SLOStatus())
-}
-
-// handleEvents serves the gateway's wide-event ring (replica health,
-// rollouts, SLO breaches) through obs.HandleEvents, the handler shared
-// with dvserve.
-func (g *Gateway) handleEvents(w http.ResponseWriter, r *http.Request) {
-	obs.HandleEvents(g.events, w, r)
-}

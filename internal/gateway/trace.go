@@ -8,6 +8,7 @@ import (
 	"strings"
 	"time"
 
+	"deepvalidation/internal/obs"
 	"deepvalidation/internal/trace"
 )
 
@@ -30,22 +31,6 @@ import (
 // stitcher probes a replica for when the base ID itself has no replica
 // trace (batch requests are traced per item on the replica).
 const stitchItemProbes = 32
-
-// traceDecision resolves one request's trace identity, mirroring
-// dvserve's rule: a validated client X-DV-Trace-Id is always traced
-// (the caller injected it to follow this exact request); otherwise a
-// minted ID is head-sampled deterministically. With tracing off both
-// returns are zero — no ID is minted at all.
-func (g *Gateway) traceDecision(r *http.Request) (id string, traced bool) {
-	if g.sampler == nil {
-		return "", false
-	}
-	if hid, ok := trace.FromHeader(r.Header.Get(trace.HeaderTraceID)); ok {
-		return hid, true
-	}
-	id = trace.NewID()
-	return id, g.sampler.Sample(id)
-}
 
 // observeRouteLatency files one terminal outcome's end-to-end latency
 // into its per-outcome histogram.
@@ -147,24 +132,24 @@ type StitchedTrace struct {
 func (g *Gateway) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, http.StatusMethodNotAllowed, "use GET")
+		obs.WriteError(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
 	if g.traces == nil {
-		writeError(w, http.StatusNotFound, "tracing disabled (run dvgateway with -trace-sample > 0)")
+		obs.WriteError(w, http.StatusNotFound, "tracing disabled (run dvgateway with -trace-sample > 0)")
 		return
 	}
 	id := strings.TrimPrefix(r.URL.Path, "/debug/dv/trace/")
 	if id == "" {
-		writeError(w, http.StatusBadRequest, "missing trace id: GET /debug/dv/trace/{id}")
+		obs.WriteError(w, http.StatusBadRequest, "missing trace id: GET /debug/dv/trace/{id}")
 		return
 	}
 	tr := g.traces.Get(id)
 	if tr == nil {
-		writeError(w, http.StatusNotFound, "no trace "+id+" (evicted, unsampled, or never seen)")
+		obs.WriteError(w, http.StatusNotFound, "no trace "+id+" (evicted, unsampled, or never seen)")
 		return
 	}
-	writeJSON(w, http.StatusOK, g.stitch(r.Context(), tr))
+	obs.WriteJSON(w, http.StatusOK, g.stitch(r.Context(), tr))
 }
 
 // lastUpstream returns the gateway tree's last answered upstream span —

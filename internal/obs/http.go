@@ -8,22 +8,41 @@ import (
 
 // EventsResponse is the body of GET /debug/dv/events. It is a wire
 // contract shared by dvserve and dvgateway, which both mount
-// HandleEvents — one triage grammar across the fleet.
+// HandleEvents and HandleSLO — one triage grammar across the fleet.
 type EventsResponse struct {
 	Count  int     `json:"count"`
 	Events []Event `json:"events"`
 }
 
-func httpJSON(w http.ResponseWriter, status int, body any) {
+// ErrorResponse is the uniform error body of every dvserve and
+// dvgateway endpoint, so clients parse one shape no matter which tier
+// answered.
+type ErrorResponse struct {
+	Error string `json:"error"`
+}
+
+// WriteJSON answers status with body encoded as JSON.
+func WriteJSON(w http.ResponseWriter, status int, body any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(body)
 }
 
-func httpError(w http.ResponseWriter, status int, msg string) {
-	httpJSON(w, status, struct {
-		Error string `json:"error"`
-	}{msg})
+// WriteError answers status with an ErrorResponse carrying msg.
+func WriteError(w http.ResponseWriter, status int, msg string) {
+	WriteJSON(w, status, ErrorResponse{Error: msg})
+}
+
+// HandleSLO serves the burn-rate engine's per-objective evaluation. A
+// nil engine answers Status{} (enabled false), so the endpoint is
+// mounted whether or not the tier runs SLOs.
+func HandleSLO(e *Engine, w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodGet {
+		w.Header().Set("Allow", http.MethodGet)
+		WriteError(w, http.StatusMethodNotAllowed, "use GET")
+		return
+	}
+	WriteJSON(w, http.StatusOK, e.Status())
 }
 
 // HandleEvents serves a wide-event ring, newest first, under the shared
@@ -33,11 +52,11 @@ func httpError(w http.ResponseWriter, status int, msg string) {
 func HandleEvents(l *Logger, w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
-		httpError(w, http.StatusMethodNotAllowed, "use GET")
+		WriteError(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
 	if l == nil {
-		httpError(w, http.StatusNotFound, "event log disabled (run with -log)")
+		WriteError(w, http.StatusNotFound, "event log disabled (run with -log)")
 		return
 	}
 	q := r.URL.Query()
@@ -45,7 +64,7 @@ func HandleEvents(l *Logger, w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("level"); v != "" {
 		lvl, err := ParseLevel(v)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, "bad level filter: "+err.Error())
+			WriteError(w, http.StatusBadRequest, "bad level filter: "+err.Error())
 			return
 		}
 		f.MinLevel = lvl
@@ -53,7 +72,7 @@ func HandleEvents(l *Logger, w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("valid"); v != "" {
 		b, err := strconv.ParseBool(v)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, "bad valid filter: "+err.Error())
+			WriteError(w, http.StatusBadRequest, "bad valid filter: "+err.Error())
 			return
 		}
 		f.Valid = &b
@@ -61,7 +80,7 @@ func HandleEvents(l *Logger, w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("class"); v != "" {
 		k, err := strconv.Atoi(v)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, "bad class filter: "+err.Error())
+			WriteError(w, http.StatusBadRequest, "bad class filter: "+err.Error())
 			return
 		}
 		f.Class = &k
@@ -69,7 +88,7 @@ func HandleEvents(l *Logger, w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("limit"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, "bad limit: "+err.Error())
+			WriteError(w, http.StatusBadRequest, "bad limit: "+err.Error())
 			return
 		}
 		f.Limit = n
@@ -78,5 +97,5 @@ func HandleEvents(l *Logger, w http.ResponseWriter, r *http.Request) {
 	if evs == nil {
 		evs = []Event{}
 	}
-	httpJSON(w, http.StatusOK, EventsResponse{Count: len(evs), Events: evs})
+	WriteJSON(w, http.StatusOK, EventsResponse{Count: len(evs), Events: evs})
 }

@@ -2,11 +2,13 @@ package obs
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
 	"deepvalidation/internal/telemetry"
+	"deepvalidation/internal/trace"
 )
 
 // Metric names published by the SLO engine. Series carry slo (and
@@ -48,6 +50,47 @@ var DefaultWindows = []Window{
 	{Name: "1h", Dur: time.Hour},
 }
 
+// SLOOptions is the SLO configuration both serving tiers share; each
+// tier embeds it and adds only the goals of its own objectives.
+// Zero-value fields take the documented defaults (see Defaults).
+type SLOOptions struct {
+	// Enabled turns the engine on; it also needs the tier's telemetry
+	// registry, which carries the counters the objectives difference.
+	Enabled bool
+	// Availability is the goal fraction of requests the tier answered
+	// without shedding (each tier defines its own bad outcomes);
+	// default 0.999.
+	Availability float64
+	// LatencyTarget and LatencyGoal declare the latency objective: at
+	// least LatencyGoal of the counted requests finish within
+	// LatencyTarget (defaults 250ms and 0.99). The target snaps up to
+	// the enclosing latency-histogram bucket edge.
+	LatencyTarget time.Duration
+	LatencyGoal   float64
+	// Windows, Interval, and Burn tune the engine; zero values mean
+	// DefaultWindows, DefaultSLOInterval, and DefaultBurnThreshold.
+	Windows  []Window
+	Interval time.Duration
+	Burn     float64
+}
+
+// Defaults fills unset shared goals in place.
+func (o *SLOOptions) Defaults() {
+	o.Availability = Goal(o.Availability, 0.999)
+	if o.LatencyTarget <= 0 {
+		o.LatencyTarget = 250 * time.Millisecond
+	}
+	o.LatencyGoal = Goal(o.LatencyGoal, 0.99)
+}
+
+// Goal returns g when it is a usable goal fraction in (0,1), else def.
+func Goal(g, def float64) float64 {
+	if g <= 0 || g >= 1 {
+		return def
+	}
+	return g
+}
+
 // Source samples an objective's cumulative bad and total event counts.
 // Both must be monotone non-decreasing; the engine differences them
 // over windows.
@@ -63,6 +106,25 @@ type Objective struct {
 	Goal float64
 	// Source supplies the cumulative counts.
 	Source Source
+	// Outcomes, Endpoint, and SlowerThan declare which flight entries
+	// are evidence for a breach, cited by trace ID in the breach event
+	// so the operator can jump straight to /debug/dv/trace/{id}. Nil
+	// Outcomes matches any outcome, an empty Endpoint any endpoint, and
+	// a positive SlowerThan only entries with LatencySec above it.
+	Outcomes   []string
+	Endpoint   string
+	SlowerThan float64
+}
+
+// evidence reports whether the flight entry is evidence for o.
+func (o *Objective) evidence(e trace.Entry) bool {
+	if o.Endpoint != "" && e.Endpoint != o.Endpoint {
+		return false
+	}
+	if o.SlowerThan > 0 && e.LatencySec <= o.SlowerThan {
+		return false
+	}
+	return o.Outcomes == nil || slices.Contains(o.Outcomes, e.Outcome)
 }
 
 // SLOConfig configures an Engine.
@@ -79,11 +141,9 @@ type SLOConfig struct {
 	Registry *telemetry.Registry
 	// Events receives slo_breach events on breach transitions.
 	Events *Logger
-	// TraceIDs, when set, supplies up to n recent trace IDs implicated
-	// in the named objective's bad events; they are cross-linked into
-	// breach events so the operator can jump straight to
-	// /debug/dv/trace/{id}.
-	TraceIDs func(objective string, n int) []string
+	// Recent, when set, is the ring of recent request outcomes breach
+	// events cite evidence from (see Objective.Outcomes).
+	Recent *trace.Flight
 	// Clock overrides time.Now for tests.
 	Clock func() time.Time
 }
@@ -156,7 +216,7 @@ type Engine struct {
 	burn       float64
 	reg        *telemetry.Registry
 	events     *Logger
-	traceIDs   func(string, int) []string
+	recent     *trace.Flight
 	clock      func() time.Time
 
 	mu       sync.Mutex
@@ -187,7 +247,7 @@ func NewEngine(cfg SLOConfig) *Engine {
 		burn:       cfg.Burn,
 		reg:        cfg.Registry,
 		events:     cfg.Events,
-		traceIDs:   cfg.TraceIDs,
+		recent:     cfg.Recent,
 		clock:      cfg.Clock,
 	}
 	if len(e.windows) == 0 {
@@ -323,8 +383,8 @@ func (e *Engine) Tick() {
 	e.status = st
 	e.mu.Unlock()
 
-	// Emit transition events outside the lock: the trace-ID callback
-	// reaches back into the flight recorder.
+	// Emit transition events outside the lock: citing evidence takes
+	// the flight recorder's lock.
 	for _, tr := range transitions {
 		ev := Event{
 			Type:  TypeSLOBreach,
@@ -337,11 +397,27 @@ func (e *Engine) Tick() {
 			ev.Level = LevelInfo
 			ev.Msg = fmt.Sprintf("SLO %s recovered", tr.objective.Name)
 		}
-		if tr.raise && e.traceIDs != nil {
-			ev.TraceIDs = e.traceIDs(tr.objective.Name, 8)
+		if tr.raise {
+			ev.TraceIDs = e.traceIDs(&tr.objective, 8)
 		}
 		e.events.Emit(ev)
 	}
+}
+
+// traceIDs returns up to n trace IDs of the newest flight entries that
+// are evidence for o, skipping entries without an ID.
+func (e *Engine) traceIDs(o *Objective, n int) []string {
+	var ids []string
+	for _, en := range e.recent.Snapshot(trace.Filter{}) {
+		if en.TraceID == "" || !o.evidence(en) {
+			continue
+		}
+		ids = append(ids, en.TraceID)
+		if len(ids) >= n {
+			break
+		}
+	}
+	return ids
 }
 
 // Status returns the last evaluation. Nil-safe: a nil engine reports

@@ -1,11 +1,13 @@
 package obs
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"deepvalidation/internal/telemetry"
+	"deepvalidation/internal/trace"
 )
 
 // sloClock is a manually advanced clock for deterministic ticks.
@@ -139,19 +141,26 @@ func TestMultiWindowVeto(t *testing.T) {
 func TestBreachEventCrossLinksTraces(t *testing.T) {
 	clk := &sloClock{t: time.Unix(1700000000, 0)}
 	log := New(Config{})
+	// The latency objective counts /v1/check only, so of these entries
+	// only the slow check is evidence: the slow batch item is another
+	// endpoint, the fast check is under target, and the slowest check
+	// carries no trace ID.
+	recent := trace.NewFlight(16)
+	recent.Record(trace.Entry{TraceID: "slow-check", Endpoint: "check", Outcome: trace.OutcomeOK, LatencySec: 0.5})
+	recent.Record(trace.Entry{TraceID: "batchitem.0", Endpoint: "batch", Outcome: trace.OutcomeOK, LatencySec: 1.0})
+	recent.Record(trace.Entry{TraceID: "fast-check", Endpoint: "check", Outcome: trace.OutcomeOK, LatencySec: 0.01})
+	recent.Record(trace.Entry{Endpoint: "check", Outcome: trace.OutcomeDeadline, LatencySec: 2.0})
 	bad, tot := 0.0, 0.0
 	eng := NewEngine(SLOConfig{
-		Objectives: []Objective{{Name: "availability", Goal: 0.999, Source: func() (float64, float64) { return bad, tot }}},
-		Interval:   time.Second,
-		Burn:       10,
-		Events:     log,
-		TraceIDs: func(name string, n int) []string {
-			if name != "availability" {
-				t.Errorf("TraceIDs called for %q", name)
-			}
-			return []string{"trace-a", "trace-b"}
-		},
-		Clock: clk.now,
+		Objectives: []Objective{{
+			Name: "latency", Goal: 0.999, Source: func() (float64, float64) { return bad, tot },
+			Endpoint: "check", SlowerThan: 0.25,
+		}},
+		Interval: time.Second,
+		Burn:     10,
+		Events:   log,
+		Recent:   recent,
+		Clock:    clk.now,
 	})
 	eng.Tick()
 	for i := 0; i < 2; i++ {
@@ -165,11 +174,11 @@ func TestBreachEventCrossLinksTraces(t *testing.T) {
 		t.Fatalf("breach transitions emitted %d events, want 1", len(evs))
 	}
 	ev := evs[0]
-	if ev.Level != LevelError || ev.SLO != "availability" {
+	if ev.Level != LevelError || ev.SLO != "latency" {
 		t.Fatalf("breach event = %+v", ev)
 	}
-	if len(ev.TraceIDs) != 2 || ev.TraceIDs[0] != "trace-a" {
-		t.Fatalf("breach event trace links = %v", ev.TraceIDs)
+	if len(ev.TraceIDs) != 1 || ev.TraceIDs[0] != "slow-check" {
+		t.Fatalf("breach event trace links = %v, want [slow-check]", ev.TraceIDs)
 	}
 	if ev.Burn["5m"] < 10 {
 		t.Fatalf("breach event burn = %v", ev.Burn)
@@ -190,6 +199,41 @@ func TestBreachEventCrossLinksTraces(t *testing.T) {
 	}
 	if eng.Status().Breaching {
 		t.Fatal("still breaching after recovery")
+	}
+}
+
+// TestBreachEvidenceSelection pins the evidence rule: outcome and
+// endpoint filters, newest first, empty IDs skipped, capped at n, and
+// no citations without a flight ring.
+func TestBreachEvidenceSelection(t *testing.T) {
+	recent := trace.NewFlight(32)
+	for i := 0; i < 12; i++ {
+		recent.Record(trace.Entry{TraceID: fmt.Sprintf("shed-%d", i), Endpoint: "batch", Outcome: trace.OutcomeShed})
+		recent.Record(trace.Entry{TraceID: fmt.Sprintf("ok-%d", i), Endpoint: "check", Outcome: trace.OutcomeOK})
+	}
+	recent.Record(trace.Entry{TraceID: "deadline-0", Endpoint: "check", Outcome: trace.OutcomeDeadline})
+	recent.Record(trace.Entry{Endpoint: "check", Outcome: trace.OutcomeShed})
+	cases := []struct {
+		name string
+		o    Objective
+		n    int
+		want []string
+	}{
+		{"outcomes newest first", Objective{Outcomes: []string{trace.OutcomeShed, trace.OutcomeDeadline}}, 3,
+			[]string{"deadline-0", "shed-11", "shed-10"}},
+		{"capped at n", Objective{Outcomes: []string{trace.OutcomeShed}}, 8,
+			[]string{"shed-11", "shed-10", "shed-9", "shed-8", "shed-7", "shed-6", "shed-5", "shed-4"}},
+		{"endpoint, any outcome", Objective{Endpoint: "check"}, 2, []string{"deadline-0", "ok-11"}},
+		{"no match", Objective{Outcomes: []string{trace.OutcomeQuarantined}}, 8, nil},
+	}
+	for _, tc := range cases {
+		e := &Engine{recent: recent}
+		if got := e.traceIDs(&tc.o, tc.n); fmt.Sprint(got) != fmt.Sprint(tc.want) || (got == nil) != (tc.want == nil) {
+			t.Errorf("%s: trace IDs = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+	if got := (&Engine{}).traceIDs(&Objective{}, 8); got != nil {
+		t.Errorf("no flight ring cited %v", got)
 	}
 }
 

@@ -68,11 +68,6 @@ type ReloadResponse struct {
 	Epsilon  float64 `json:"epsilon"`
 }
 
-// errorResponse is the uniform error body.
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
 func verdictResponse(v deepvalidation.Verdict) VerdictResponse {
 	return VerdictResponse{Label: v.Label, Confidence: v.Confidence, Discrepancy: v.Discrepancy, Valid: v.Valid, Quarantined: v.Quarantined}
 }
@@ -162,20 +157,13 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/debug/dv/trace/", s.handleTrace)
 	mux.HandleFunc("/debug/dv/flight", s.handleFlight)
 	mux.HandleFunc("/debug/dv/drift", s.handleDrift)
-	mux.HandleFunc("/debug/dv/events", s.handleEvents)
-	mux.HandleFunc("/debug/dv/slo", s.handleSLO)
+	mux.HandleFunc("/debug/dv/events", func(w http.ResponseWriter, r *http.Request) {
+		obs.HandleEvents(s.events, w, r)
+	})
+	mux.HandleFunc("/debug/dv/slo", func(w http.ResponseWriter, r *http.Request) {
+		obs.HandleSLO(s.slo, w, r)
+	})
 	return mux
-}
-
-func writeJSON(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(body)
-}
-
-func writeError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, errorResponse{Error: msg})
 }
 
 // RetryAfterHeader renders a backoff hint as the Retry-After header
@@ -195,7 +183,7 @@ func RetryAfterHeader(d time.Duration) string {
 func (s *Server) shedResponse(w http.ResponseWriter) {
 	s.shed.Inc()
 	w.Header().Set("Retry-After", RetryAfterHeader(s.cfg.RetryAfter))
-	writeError(w, http.StatusTooManyRequests, "admission queue full; retry later")
+	obs.WriteError(w, http.StatusTooManyRequests, "admission queue full; retry later")
 }
 
 // admissible answers method/drain preconditions shared by the check
@@ -203,11 +191,11 @@ func (s *Server) shedResponse(w http.ResponseWriter) {
 func (s *Server) admissible(w http.ResponseWriter, r *http.Request) bool {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, http.StatusMethodNotAllowed, "use POST")
+		obs.WriteError(w, http.StatusMethodNotAllowed, "use POST")
 		return false
 	}
 	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
+		obs.WriteError(w, http.StatusServiceUnavailable, "server is draining")
 		return false
 	}
 	return true
@@ -222,22 +210,6 @@ func (s *Server) checkShape(img deepvalidation.Image) error {
 			c, h, w, img.Channels, img.Height, img.Width)
 	}
 	return nil
-}
-
-// traceDecision resolves one request's trace identity: a validated
-// client X-DV-Trace-Id is always traced (the caller injected it to
-// follow this exact request); otherwise a generated ID is head-sampled
-// deterministically. With tracing off both returns are zero — no ID is
-// generated at all.
-func (s *Server) traceDecision(r *http.Request) (id string, traced bool) {
-	if s.sampler == nil {
-		return "", false
-	}
-	if hid, ok := trace.FromHeader(r.Header.Get(trace.HeaderTraceID)); ok {
-		return hid, true
-	}
-	id = trace.NewID()
-	return id, s.sampler.Sample(id)
 }
 
 // finiteSlice reports whether every value is representable in JSON.
@@ -434,7 +406,7 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	t0 := time.Now()
-	id, traced := s.traceDecision(r)
+	id, traced := s.sampler.Decide(r.Header.Get(trace.HeaderTraceID))
 	if id != "" {
 		w.Header().Set(trace.HeaderTraceID, id)
 	}
@@ -444,12 +416,12 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	}
 	img, explain, err := decodeCheckRequest(body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		obs.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	explain = explain || queryExplain(r)
 	if err := s.checkShape(img); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		obs.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
@@ -473,7 +445,7 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		if res.err != nil {
 			s.recordDropFlight("check", id, trace.OutcomeError, end.Sub(t0))
 			s.emitRequest("check", id, trace.OutcomeError, &res, end.Sub(t0))
-			writeError(w, http.StatusBadRequest, res.err.Error())
+			obs.WriteError(w, http.StatusBadRequest, res.err.Error())
 			return
 		}
 		s.recordVerdictFlight("check", id, res, end, end.Sub(t0))
@@ -486,14 +458,14 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		if explain {
 			resp.PerLayer = perLayerMap(res.d)
 		}
-		writeJSON(w, http.StatusOK, resp)
+		obs.WriteJSON(w, http.StatusOK, resp)
 	case <-ctx.Done():
 		s.deadlines.Inc()
 		lat := time.Since(t0)
 		s.recordDropFlight("check", id, trace.OutcomeDeadline, lat)
 		s.storeDropTrace("check", id, traced, t0, trace.OutcomeDeadline)
 		s.emitRequest("check", id, trace.OutcomeDeadline, nil, lat)
-		writeError(w, http.StatusGatewayTimeout, "deadline exceeded before a verdict was produced")
+		obs.WriteError(w, http.StatusGatewayTimeout, "deadline exceeded before a verdict was produced")
 	}
 }
 
@@ -505,7 +477,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	t0 := time.Now()
-	base, traced := s.traceDecision(r)
+	base, traced := s.sampler.Decide(r.Header.Get(trace.HeaderTraceID))
 	if base != "" {
 		w.Header().Set(trace.HeaderTraceID, base)
 	}
@@ -515,7 +487,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	imgs, explains, err := decodeBatchRequest(body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		obs.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if queryExplain(r) {
@@ -524,13 +496,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if len(imgs) > s.cfg.QueueDepth {
-		writeError(w, http.StatusBadRequest,
+		obs.WriteError(w, http.StatusBadRequest,
 			fmt.Sprintf("batch of %d exceeds the admission queue depth %d; split it", len(imgs), s.cfg.QueueDepth))
 		return
 	}
 	for i, img := range imgs {
 		if err := s.checkShape(img); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("image %d: %v", i, err))
+			obs.WriteError(w, http.StatusBadRequest, fmt.Sprintf("image %d: %v", i, err))
 			return
 		}
 	}
@@ -566,7 +538,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			if res.err != nil {
 				s.recordDropFlight("batch", itemID, trace.OutcomeError, end.Sub(t0))
 				s.emitRequest("batch", itemID, trace.OutcomeError, &res, end.Sub(t0))
-				writeError(w, http.StatusBadRequest, fmt.Sprintf("image %d: %v", i, res.err))
+				obs.WriteError(w, http.StatusBadRequest, fmt.Sprintf("image %d: %v", i, res.err))
 				return
 			}
 			s.recordVerdictFlight("batch", itemID, res, end, end.Sub(t0))
@@ -585,35 +557,35 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			s.recordDropFlight("batch", itemID, trace.OutcomeDeadline, lat)
 			s.storeDropTrace("batch", itemID, traced, t0, trace.OutcomeDeadline)
 			s.emitRequest("batch", itemID, trace.OutcomeDeadline, nil, lat)
-			writeError(w, http.StatusGatewayTimeout, "deadline exceeded before all verdicts were produced")
+			obs.WriteError(w, http.StatusGatewayTimeout, "deadline exceeded before all verdicts were produced")
 			return
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	obs.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleTrace serves one sampled trace's span tree as JSON.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, http.StatusMethodNotAllowed, "use GET")
+		obs.WriteError(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
 	if s.traces == nil {
-		writeError(w, http.StatusNotFound, "tracing disabled (serve with TraceSample > 0)")
+		obs.WriteError(w, http.StatusNotFound, "tracing disabled (serve with TraceSample > 0)")
 		return
 	}
 	id := strings.TrimPrefix(r.URL.Path, "/debug/dv/trace/")
 	if id == "" {
-		writeError(w, http.StatusBadRequest, "missing trace id: GET /debug/dv/trace/{id}")
+		obs.WriteError(w, http.StatusBadRequest, "missing trace id: GET /debug/dv/trace/{id}")
 		return
 	}
 	tr := s.traces.Get(id)
 	if tr == nil {
-		writeError(w, http.StatusNotFound, "no trace "+id+" (evicted, unsampled, or never seen)")
+		obs.WriteError(w, http.StatusNotFound, "no trace "+id+" (evicted, unsampled, or never seen)")
 		return
 	}
-	writeJSON(w, http.StatusOK, tr)
+	obs.WriteJSON(w, http.StatusOK, tr)
 }
 
 // FlightResponse is the body of GET /debug/dv/flight. It is exported
@@ -631,40 +603,23 @@ type FlightResponse struct {
 func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, http.StatusMethodNotAllowed, "use GET")
+		obs.WriteError(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
 	if s.flight == nil {
-		writeError(w, http.StatusNotFound, "flight recorder disabled (serve with FlightSize >= 0)")
+		obs.WriteError(w, http.StatusNotFound, "flight recorder disabled (serve with FlightSize >= 0)")
 		return
 	}
 	f, err := trace.ParseFilter(r.URL.Query())
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		obs.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	entries := s.flight.Snapshot(f)
 	if entries == nil {
 		entries = []trace.Entry{}
 	}
-	writeJSON(w, http.StatusOK, FlightResponse{Count: len(entries), Entries: entries})
-}
-
-// handleEvents serves the wide-event ring through obs.HandleEvents,
-// the handler shared with the gateway tier.
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	obs.HandleEvents(s.events, w, r)
-}
-
-// handleSLO serves the burn-rate engine's per-objective evaluation
-// (Enabled false when the engine is off).
-func (s *Server) handleSLO(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
-	writeJSON(w, http.StatusOK, s.SLOStatus())
+	obs.WriteJSON(w, http.StatusOK, FlightResponse{Count: len(entries), Entries: entries})
 }
 
 // handleDrift serves the drift-watch status (Enabled false when the
@@ -672,28 +627,28 @@ func (s *Server) handleSLO(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleDrift(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, http.StatusMethodNotAllowed, "use GET")
+		obs.WriteError(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
-	writeJSON(w, http.StatusOK, s.DriftStatus())
+	obs.WriteJSON(w, http.StatusOK, s.DriftStatus())
 }
 
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, http.StatusMethodNotAllowed, "use POST")
+		obs.WriteError(w, http.StatusMethodNotAllowed, "use POST")
 		return
 	}
 	if s.cfg.Loader == nil {
-		writeError(w, http.StatusNotImplemented, "reload not configured (no loader)")
+		obs.WriteError(w, http.StatusNotImplemented, "reload not configured (no loader)")
 		return
 	}
 	eps, err := s.Reload()
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
+		obs.WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, ReloadResponse{Reloaded: true, Epsilon: eps})
+	obs.WriteJSON(w, http.StatusOK, ReloadResponse{Reloaded: true, Epsilon: eps})
 }
 
 // drainResponse answers POST /admin/drain.
@@ -710,23 +665,23 @@ type drainResponse struct {
 func (s *Server) handleAdminDrain(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, http.StatusMethodNotAllowed, "use POST")
+		obs.WriteError(w, http.StatusMethodNotAllowed, "use POST")
 		return
 	}
 	enable := true
 	if v := r.URL.Query().Get("enable"); v != "" {
 		b, err := strconv.ParseBool(v)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad enable value: "+err.Error())
+			obs.WriteError(w, http.StatusBadRequest, "bad enable value: "+err.Error())
 			return
 		}
 		enable = b
 	}
 	if err := s.SetDrain(enable); err != nil {
-		writeError(w, http.StatusConflict, err.Error())
+		obs.WriteError(w, http.StatusConflict, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, drainResponse{Draining: s.draining.Load()})
+	obs.WriteJSON(w, http.StatusOK, drainResponse{Draining: s.draining.Load()})
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {

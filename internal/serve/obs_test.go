@@ -31,7 +31,7 @@ func TestObsOffResponsesIdentical(t *testing.T) {
 	_, on := newTestServer(t, Config{
 		Registry:    reg,
 		Events:      obs.New(obs.Config{Registry: reg}),
-		SLO:         SLOOptions{Enabled: true},
+		SLO:         SLOOptions{SLOOptions: obs.SLOOptions{Enabled: true}},
 		TraceSample: 0, // header-less requests stay untraced so responses match
 	})
 	rt := obs.NewRuntime(reg, nil)
@@ -152,7 +152,7 @@ func TestReadyzStructuredBody(t *testing.T) {
 	_, ts := newTestServer(t, Config{
 		Registry: reg,
 		Events:   obs.New(obs.Config{Registry: reg}),
-		SLO:      SLOOptions{Enabled: true},
+		SLO:      SLOOptions{SLOOptions: obs.SLOOptions{Enabled: true}},
 	})
 	resp, err := http.Get(ts.URL + "/readyz")
 	if err != nil {
@@ -199,7 +199,7 @@ func TestSLOEndpointAndMetrics(t *testing.T) {
 	reg := telemetry.New()
 	s, ts := newTestServer(t, Config{
 		Registry: reg,
-		SLO:      SLOOptions{Enabled: true},
+		SLO:      SLOOptions{SLOOptions: obs.SLOOptions{Enabled: true}},
 	})
 	imgs, _ := testImages(52, 4)
 	for _, img := range imgs {
@@ -255,7 +255,7 @@ func TestSLOBreachEventCrossLinksTraces(t *testing.T) {
 		Registry:    reg,
 		Events:      events,
 		TraceSample: 1,
-		SLO:         SLOOptions{Enabled: true},
+		SLO:         SLOOptions{SLOOptions: obs.SLOOptions{Enabled: true}},
 	})
 	img, _ := testImages(17, 1)
 	body := checkBody(t, img[0])

@@ -170,46 +170,15 @@ type Config struct {
 }
 
 // SLOOptions declares the serving objectives the SLO engine evaluates
-// as multi-window burn rates (see internal/obs). Zero-value fields take
-// the documented defaults when Enabled.
+// as multi-window burn rates (see internal/obs). Availability counts
+// shedding (429) and deadline expiry (504) as bad; the latency
+// objective counts single-check requests. Zero-value fields take the
+// documented defaults when Enabled.
 type SLOOptions struct {
-	// Enabled turns the engine on; it also needs Config.Registry, which
-	// carries the counters the objectives difference.
-	Enabled bool
-	// Availability is the goal fraction of requests answered without
-	// shedding (429) or deadline expiry (504); default 0.999.
-	Availability float64
-	// LatencyTarget and LatencyGoal declare the latency objective: at
-	// least LatencyGoal of single-check requests finish within
-	// LatencyTarget (defaults 250ms and 0.99). The target snaps up to
-	// the enclosing latency-histogram bucket edge.
-	LatencyTarget time.Duration
-	LatencyGoal   float64
+	obs.SLOOptions
 	// QuarantineGoal is the goal fraction of verdicts not quarantined
 	// by non-finite numerics; default 0.999.
 	QuarantineGoal float64
-	// Windows, Interval, and Burn tune the engine; zero values mean
-	// obs.DefaultWindows, obs.DefaultSLOInterval, and
-	// obs.DefaultBurnThreshold.
-	Windows  []obs.Window
-	Interval time.Duration
-	Burn     float64
-}
-
-// sloDefaults fills unset objective goals in place.
-func (o *SLOOptions) sloDefaults() {
-	if o.Availability <= 0 || o.Availability >= 1 {
-		o.Availability = 0.999
-	}
-	if o.LatencyTarget <= 0 {
-		o.LatencyTarget = 250 * time.Millisecond
-	}
-	if o.LatencyGoal <= 0 || o.LatencyGoal >= 1 {
-		o.LatencyGoal = 0.99
-	}
-	if o.QuarantineGoal <= 0 || o.QuarantineGoal >= 1 {
-		o.QuarantineGoal = 0.999
-	}
 }
 
 // defaults fills unset fields in place.
@@ -260,7 +229,8 @@ func (c *Config) defaults() {
 		c.FlightSize = 256
 	}
 	if c.SLO.Enabled {
-		c.SLO.sloDefaults()
+		c.SLO.Defaults()
+		c.SLO.QuarantineGoal = obs.Goal(c.SLO.QuarantineGoal, 0.999)
 	}
 }
 
@@ -375,7 +345,8 @@ func New(h *deepvalidation.Handle, cfg Config) (*Server, error) {
 
 // buildSLO assembles the burn-rate engine over the serving objectives.
 // All sources difference cumulative counters already maintained by the
-// request path, so evaluation costs nothing per request.
+// request path, so evaluation costs nothing per request; breach
+// evidence comes from the flight recorder.
 func (s *Server) buildSLO() {
 	o := s.cfg.SLO
 	reg := s.cfg.Registry
@@ -397,6 +368,7 @@ func (s *Server) buildSLO() {
 				tot := float64(s.reqCheck.Value() + s.reqBatch.Value())
 				return bad, tot
 			},
+			Outcomes: []string{trace.OutcomeShed, trace.OutcomeDeadline},
 		},
 		{
 			Name:        "latency",
@@ -405,6 +377,8 @@ func (s *Server) buildSLO() {
 			Source: func() (float64, float64) {
 				return float64(s.latCheck.CountAbove(target)), float64(s.latCheck.Count())
 			},
+			Endpoint:   "check",
+			SlowerThan: target,
 		},
 		{
 			Name:        "quarantine",
@@ -413,6 +387,7 @@ func (s *Server) buildSLO() {
 			Source: func() (float64, float64) {
 				return float64(quarantined.Value()), float64(checked.Value())
 			},
+			Outcomes: []string{trace.OutcomeQuarantined},
 		},
 	}
 	s.slo = obs.NewEngine(obs.SLOConfig{
@@ -422,46 +397,8 @@ func (s *Server) buildSLO() {
 		Burn:       o.Burn,
 		Registry:   reg,
 		Events:     s.events,
-		TraceIDs:   s.sloTraceIDs(target),
+		Recent:     s.flight,
 	})
-}
-
-// sloTraceIDs builds the breach cross-linking callback: up to n recent
-// flight-recorder trace IDs implicated in the named objective's bad
-// events, so a breach event points straight at /debug/dv/trace/{id}.
-func (s *Server) sloTraceIDs(latencyTarget float64) func(string, int) []string {
-	return func(objective string, n int) []string {
-		if s.flight == nil || n <= 0 {
-			return nil
-		}
-		var outcomes []string
-		switch objective {
-		case "availability":
-			outcomes = []string{trace.OutcomeShed, trace.OutcomeDeadline}
-		case "quarantine":
-			outcomes = []string{trace.OutcomeQuarantined}
-		case "latency":
-			outcomes = []string{trace.OutcomeOK}
-		default:
-			return nil
-		}
-		var ids []string
-		for _, oc := range outcomes {
-			for _, e := range s.flight.Snapshot(trace.Filter{Outcome: oc}) {
-				if e.TraceID == "" {
-					continue
-				}
-				if objective == "latency" && e.LatencySec <= latencyTarget {
-					continue
-				}
-				ids = append(ids, e.TraceID)
-				if len(ids) >= n {
-					return ids
-				}
-			}
-		}
-		return ids
-	}
 }
 
 // Warm runs one throwaway check on a zero image of the detector's

@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+
+	"deepvalidation/internal/obs"
 )
 
 // Request bodies are the serving tiers' largest allocation: a 28×28
@@ -28,9 +30,9 @@ func ReadBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool
 	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
-			writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", limit))
+			obs.WriteError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", limit))
 		} else {
-			writeError(w, http.StatusBadRequest, "reading request body: "+err.Error())
+			obs.WriteError(w, http.StatusBadRequest, "reading request body: "+err.Error())
 		}
 		return nil, false
 	}

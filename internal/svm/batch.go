@@ -2,57 +2,18 @@
 //
 // Deep Validation's serving hot path evaluates f(x) = Σ αᵢK(xᵢ,x) − ρ
 // once per (layer, sample); at scale the per-call [][]float64 walk and
-// math.Pow dominate. This file provides two batched paths:
-//
-//   - DecisionBatch / DecisionBatchInto: the production path. It walks a
-//     flattened, contiguous support-vector matrix but performs exactly
-//     the same floating-point operations in exactly the same order as
-//     the scalar Decision, so results are bit-identical — including
-//     NaN/±Inf propagation. Golden artifacts pin verdict bits, which
-//     makes this the only form the serving path may use.
-//
-//   - DecisionBatchExpanded: the textbook vectorized form, computing the
-//     RBF distance via ‖a−b‖² = ‖a‖² + ‖b‖² − 2a·b with support-vector
-//     norms precomputed at training time (OneClass.SVNorms). The
-//     expansion reassociates the summation, so results agree with
-//     Decision only to a relative tolerance (see ExpandedRelTol) and
-//     only for finite inputs: with x containing ±Inf the exact path
-//     yields exp(−Inf) = 0 while the expansion yields Inf − Inf = NaN.
-//     It exists for offline workloads (drift studies, bulk rescoring)
-//     that want the extra arithmetic regularity; nothing bit-pinned may
-//     route through it.
+// math.Pow dominate. DecisionBatch / DecisionBatchInto walk a
+// flattened, contiguous support-vector matrix but perform exactly the
+// same floating-point operations in exactly the same order as the
+// scalar Decision, so results are bit-identical — including NaN/±Inf
+// propagation. Golden artifacts pin verdict bits, which is why no
+// reassociated (norms-expansion) form exists.
 package svm
 
 import (
 	"fmt"
 	"math"
 )
-
-// ExpandedRelTol is the documented relative tolerance between
-// DecisionBatchExpanded and the scalar Decision for well-conditioned
-// finite inputs. The expansion computes ‖a−b‖² by cancellation between
-// O(‖a‖²) terms, so the squared distance — and hence the exponent —
-// carries a relative error of a few ULP amplified by the ratio
-// ‖a‖²/‖a−b‖²; the equivalence battery asserts this bound on random
-// models and inputs.
-const ExpandedRelTol = 1e-9
-
-// DecisionScratch holds the reusable per-worker buffers of the batched
-// decision paths. A DecisionScratch must not be shared between
-// concurrently scoring goroutines; pool one per worker.
-type DecisionScratch struct {
-	kdot []float64
-}
-
-// grow returns a length-n buffer, reusing the existing allocation when
-// it is large enough.
-func (sc *DecisionScratch) grow(n int) []float64 {
-	if cap(sc.kdot) < n {
-		sc.kdot = make([]float64, n)
-	}
-	sc.kdot = sc.kdot[:n]
-	return sc.kdot
-}
 
 // DecisionBatch evaluates f(x) for every row of xs, returning a fresh
 // slice. Results are bit-identical to calling Decision per row.
@@ -132,45 +93,6 @@ func (m *OneClass) DecisionBatchInto(dst []float64, xs [][]float64) []float64 {
 			}
 			dst[bi] = s - m.Rho
 		}
-	}
-	return dst
-}
-
-// DecisionBatchExpanded evaluates f(x) for every row of xs using the
-// norms-expansion RBF form (see the file comment for the tolerance and
-// the finite-input requirement); for linear and polynomial kernels the
-// expansion is the exact dot-product arithmetic and results are
-// bit-identical to Decision. sc may be nil (a batch-local scratch is
-// then allocated). It returns dst; len(dst) must equal len(xs).
-func (m *OneClass) DecisionBatchExpanded(dst []float64, xs [][]float64, sc *DecisionScratch) []float64 {
-	if m.Kind != KernelRBF {
-		return m.DecisionBatchInto(dst, xs)
-	}
-	if len(dst) != len(xs) {
-		panic(fmt.Sprintf("svm: DecisionBatchExpanded dst holds %d slots for %d inputs", len(dst), len(xs)))
-	}
-	if sc == nil {
-		sc = &DecisionScratch{}
-	}
-	norms := m.EnsureNorms()
-	flat := m.flatSupport()
-	d := m.Dim
-	kdot := sc.grow(len(m.Alpha))
-	for bi, x := range xs {
-		m.checkDim(x)
-		xn := 0.0
-		for _, v := range x {
-			xn += v * v
-		}
-		for i := range kdot {
-			kdot[i] = dotFlat(flat[i*d:(i+1)*d], x)
-		}
-		s := 0.0
-		for i, a := range m.Alpha {
-			sq := norms[i] + xn - 2*kdot[i]
-			s += a * math.Exp(-m.Gamma*sq)
-		}
-		dst[bi] = s - m.Rho
 	}
 	return dst
 }

@@ -11,8 +11,7 @@ import (
 // Decision bit-for-bit on every non-NaN output; NaN outputs must agree
 // as NaNs (payload propagation through compiled loops is register-
 // allocation dependent and carries no information — see the tensor
-// package's SIMD battery for the full argument). DecisionBatchExpanded
-// reassociates the RBF distance and is held to ExpandedRelTol instead.
+// package's SIMD battery for the full argument).
 
 var svmSpecials = []float64{
 	math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1),
@@ -182,41 +181,6 @@ func TestIpowEdgeCases(t *testing.T) {
 	}
 }
 
-// TestDecisionBatchExpandedTolerance holds the norms-expansion path to
-// its documented contract: bit-identical for non-RBF kernels, within
-// ExpandedRelTol of the scalar decision for finite RBF inputs.
-func TestDecisionBatchExpandedTolerance(t *testing.T) {
-	rng := rand.New(rand.NewSource(104))
-	for _, kind := range []KernelKind{KernelLinear, KernelPoly, KernelRBF} {
-		m := randModel(rng, kind, 12, 24, 2)
-		xs := randBatch(rng, 16, 24, false)
-		exact := m.DecisionBatch(xs)
-		sc := &DecisionScratch{}
-		expanded := m.DecisionBatchExpanded(make([]float64, len(xs)), xs, sc)
-		for i := range xs {
-			if kind != KernelRBF {
-				if math.Float64bits(expanded[i]) != math.Float64bits(exact[i]) {
-					t.Fatalf("%s row %d: expanded %x exact %x", kind, i, math.Float64bits(expanded[i]), math.Float64bits(exact[i]))
-				}
-				continue
-			}
-			diff := math.Abs(expanded[i] - exact[i])
-			scale := math.Abs(exact[i])
-			if scale < 1 {
-				scale = 1
-			}
-			if diff/scale > ExpandedRelTol {
-				t.Fatalf("rbf row %d: expanded %v exact %v rel err %g > %g",
-					i, expanded[i], exact[i], diff/scale, ExpandedRelTol)
-			}
-		}
-	}
-	// Nil scratch must work too (allocates batch-locally).
-	m := randModel(rng, KernelRBF, 4, 8, 3)
-	xs := randBatch(rng, 3, 8, false)
-	m.DecisionBatchExpanded(make([]float64, 3), xs, nil)
-}
-
 // TestEnsureNormsLegacyRecompute covers the legacy-artifact upgrade
 // path: a model decoded without SVNorms recomputes them on demand, and
 // the recomputation matches the trained-in values bit-for-bit.
@@ -246,16 +210,6 @@ func TestEnsureNormsLegacyRecompute(t *testing.T) {
 			t.Fatalf("norm %d: recomputed %x trained %x", i, math.Float64bits(norms[i]), math.Float64bits(m.SVNorms[i]))
 		}
 	}
-	// And the expanded path on the upgraded model matches the exact one.
-	xs := randBatch(rng, 4, 3, false)
-	exact := legacy.DecisionBatch(xs)
-	expanded := legacy.DecisionBatchExpanded(make([]float64, 4), xs, nil)
-	for i := range xs {
-		diff := math.Abs(expanded[i] - exact[i])
-		if diff > ExpandedRelTol*(1+math.Abs(exact[i])) {
-			t.Fatalf("row %d: expanded %v exact %v", i, expanded[i], exact[i])
-		}
-	}
 }
 
 // TestDecisionBatchPanics pins the dst-length and feature-dim guards.
@@ -276,14 +230,11 @@ func TestDecisionBatchPanics(t *testing.T) {
 	mustPanic("dim mismatch", func() {
 		m.DecisionBatch([][]float64{{1, 2}})
 	})
-	mustPanic("expanded short dst", func() {
-		m.DecisionBatchExpanded(nil, [][]float64{{1, 2, 3, 4}}, nil)
-	})
 }
 
 // TestDecisionBatchSteadyStateAllocs is the allocation-budget guard:
-// after the one-time flat-matrix (and, for the expanded path, norms)
-// build, batched scoring must allocate nothing.
+// after the one-time flat-matrix build, batched scoring must allocate
+// nothing.
 func TestDecisionBatchSteadyStateAllocs(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("race-detector instrumentation allocates; budgets apply to plain builds")
@@ -299,16 +250,6 @@ func TestDecisionBatchSteadyStateAllocs(t *testing.T) {
 		}); n != 0 {
 			t.Errorf("%s: DecisionBatchInto allocates %.1f/op in steady state, want 0", kind, n)
 		}
-	}
-	m := randModel(rng, KernelRBF, 8, 16, 3)
-	xs := randBatch(rng, 6, 16, false)
-	dst := make([]float64, len(xs))
-	sc := &DecisionScratch{}
-	m.DecisionBatchExpanded(dst, xs, sc) // warm flat support + norms + scratch
-	if n := testing.AllocsPerRun(50, func() {
-		m.DecisionBatchExpanded(dst, xs, sc)
-	}); n != 0 {
-		t.Errorf("DecisionBatchExpanded allocates %.1f/op in steady state, want 0", n)
 	}
 }
 

@@ -78,9 +78,10 @@ type OneClass struct {
 	Dim      int
 	TrainedN int
 	Iters    int
-	// SVNorms[i] is ‖Support[i]‖², precomputed at training time for the
-	// norms-expansion decision path and persisted with the model. Legacy
-	// artifacts decode with it nil; EnsureNorms recomputes it on demand.
+	// SVNorms[i] is ‖Support[i]‖², precomputed at training time and
+	// persisted with the model; it is part of the pinned gob format.
+	// Legacy artifacts decode with it nil; EnsureNorms recomputes it on
+	// demand.
 	SVNorms []float64
 
 	// Runtime caches, built lazily and skipped by gob.

@@ -22,8 +22,10 @@ import (
 )
 
 // HeaderTraceID is the HTTP request/response header carrying the trace
-// ID through the serving path.
-const HeaderTraceID = "X-DV-Trace-Id"
+// ID through the serving path (X-DV-Trace-Id). It is spelled in Go's
+// canonical form, which is what goes on the wire, so Header.Get on it
+// does not allocate a canonicalized copy of the key per request.
+const HeaderTraceID = "X-Dv-Trace-Id"
 
 // maxIDLen bounds accepted trace IDs; anything longer is rejected so a
 // hostile client cannot use the header as a memory amplifier.
@@ -115,4 +117,20 @@ func (s *Sampler) Sample(id string) bool {
 	h := fnv.New64a()
 	h.Write([]byte(id))
 	return h.Sum64() < s.threshold
+}
+
+// Decide resolves one request's trace identity from its X-DV-Trace-Id
+// header value: a valid client ID is always traced (the caller
+// injected it to follow this exact request); otherwise a fresh ID is
+// minted and head-sampled. A nil sampler — tracing off — returns
+// ("", false) and mints nothing.
+func (s *Sampler) Decide(header string) (id string, traced bool) {
+	if s == nil {
+		return "", false
+	}
+	if hid, ok := FromHeader(header); ok {
+		return hid, true
+	}
+	id = NewID()
+	return id, s.Sample(id)
 }

@@ -77,6 +77,30 @@ func TestSamplerEdges(t *testing.T) {
 	}
 }
 
+func TestSamplerDecide(t *testing.T) {
+	var off *Sampler
+	if id, traced := off.Decide("client-id"); id != "" || traced {
+		t.Fatalf("nil sampler Decide = (%q, %v), want no ID and untraced", id, traced)
+	}
+	// A valid client header is always traced, even at a tiny rate.
+	s := NewSampler(1e-12)
+	if id, traced := s.Decide("  client-id  "); id != "client-id" || !traced {
+		t.Fatalf("valid header Decide = (%q, %v), want (client-id, true)", id, traced)
+	}
+	// An invalid (or absent) header gets a minted ID whose fate is the
+	// sampler's deterministic decision for that ID.
+	for _, hdr := range []string{"", "bad id", strings.Repeat("x", 500)} {
+		id, traced := NewSampler(1).Decide(hdr)
+		if !ValidID(id) || id == strings.TrimSpace(hdr) || !traced {
+			t.Fatalf("Decide(%q) at rate 1 = (%q, %v), want a minted, traced ID", hdr, id, traced)
+		}
+		id, traced = s.Decide(hdr)
+		if !ValidID(id) || traced != s.Sample(id) {
+			t.Fatalf("Decide(%q) = (%q, %v), want a minted ID sampled by rate", hdr, id, traced)
+		}
+	}
+}
+
 func TestSamplerDeterministic(t *testing.T) {
 	s := NewSampler(0.5)
 	for i := 0; i < 50; i++ {
