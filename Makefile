@@ -41,6 +41,10 @@ race:
 # (both tiers traced: injected ID → one stitched two-tier span tree,
 # fleet/flight aggregation, kill -9 → marked partial tree, shed burst
 # → gateway availability breach with a resolvable cross-linked trace).
+# The scripts share scripts/lib.sh (workdir and cleanup trap, builds,
+# the trained fixture, process start, HTTP helpers); every race-built
+# pass — trace, obs, gateway, fleet obs — fails on a race report in
+# any process log.
 smoke:
 	./scripts/telemetry_smoke.sh
 	./scripts/serve_smoke.sh

@@ -534,6 +534,9 @@ func TestMonitorConcurrentChecks(t *testing.T) {
 	}
 }
 
+// TestMonitorSetEpsilon also pins which side of ε the boundary falls
+// on: a verdict is valid only when d < ε, so d == ε is flagged, on both
+// the single and the batch path.
 func TestMonitorSetEpsilon(t *testing.T) {
 	net, xs, ys := trainedToyModel(t)
 	v := fitToyValidator(t, net, xs, ys)
@@ -544,6 +547,25 @@ func TestMonitorSetEpsilon(t *testing.T) {
 	m.SetEpsilon(42)
 	if m.Epsilon() != 42 {
 		t.Fatal("SetEpsilon not stored")
+	}
+	res := v.Score(net, xs[0])
+	if res.NonFinite {
+		t.Fatal("fixture sample scored non-finite")
+	}
+	for _, tc := range []struct {
+		eps   float64
+		valid bool
+	}{
+		{res.Joint, false},
+		{math.Nextafter(res.Joint, math.Inf(1)), true},
+	} {
+		m.SetEpsilon(tc.eps)
+		if got := m.Check(xs[0]); got.Valid != tc.valid || got.Discrepancy != res.Joint {
+			t.Errorf("Check at eps %v (d = %v): valid = %v, want %v", tc.eps, got.Discrepancy, got.Valid, tc.valid)
+		}
+		if got := m.CheckBatch(xs[:1])[0]; got.Valid != tc.valid {
+			t.Errorf("CheckBatch at eps %v (d = %v): valid = %v, want %v", tc.eps, got.Discrepancy, got.Valid, tc.valid)
+		}
 	}
 }
 

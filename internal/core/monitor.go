@@ -13,9 +13,9 @@ import (
 
 // Monitor wraps a classifier and its fitted validator into the runtime
 // fail-safe component the paper motivates: every prediction is
-// validated, and predictions whose joint discrepancy exceeds ε are
-// flagged so the surrounding system can "call for human intervention"
-// (Section VI). Monitor is safe for concurrent use.
+// validated, and predictions whose joint discrepancy reaches ε (d ≥ ε)
+// are flagged so the surrounding system can "call for human
+// intervention" (Section VI). Monitor is safe for concurrent use.
 type Monitor struct {
 	net     *nn.Network
 	val     *Validator
@@ -71,7 +71,7 @@ type Verdict struct {
 	// quarantined verdict it covers only the finite layer terms, so it
 	// stays representable everywhere (JSON cannot carry NaN).
 	Discrepancy float64
-	// Valid is true when d ≤ ε: the prediction may be trusted. A
+	// Valid is true when d < ε: the prediction may be trusted. A
 	// quarantined verdict is never valid.
 	Valid bool
 	// Quarantined is true when scoring hit non-finite numerics (an
@@ -87,7 +87,7 @@ type Verdict struct {
 // counts.
 type ClassStats struct {
 	// Checked counts verdicts whose predicted label was this class;
-	// Flagged counts how many of those exceeded ε.
+	// Flagged counts how many of those were flagged (d ≥ ε).
 	Checked, Flagged int
 }
 

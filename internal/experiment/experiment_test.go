@@ -14,8 +14,19 @@ import (
 // all tests share one instance. Tests must treat it as read-only.
 var labFixture struct {
 	once sync.Once
+	dir  string
 	lab  *Lab
 	err  error
+}
+
+// TestMain removes the shared lab's artifact cache once every test has
+// run.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if labFixture.dir != "" {
+		os.RemoveAll(labFixture.dir)
+	}
+	os.Exit(code)
 }
 
 func quickLab(t *testing.T) *Lab {
@@ -26,6 +37,7 @@ func quickLab(t *testing.T) *Lab {
 			labFixture.err = err
 			return
 		}
+		labFixture.dir = dir
 		labFixture.lab = NewLab(QuickScale(), dir)
 	})
 	if labFixture.err != nil {

@@ -65,7 +65,6 @@ func TestMain(m *testing.M) {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	defer os.RemoveAll(dir)
 	imgs, labels := testImages(1, 90)
 	build := func(seed int64) (*deepvalidation.Detector, error) {
 		return deepvalidation.Build(imgs, labels, deepvalidation.BuildConfig{
@@ -103,7 +102,10 @@ func TestMain(m *testing.M) {
 		fmt.Fprintln(os.Stderr, "saving v2 artifacts:", err)
 		os.Exit(1)
 	}
-	os.Exit(m.Run())
+	// os.Exit skips deferred calls, so the fixture dir is removed here.
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
 }
 
 // replicaProc is one in-process dvserve replica: its own artifact

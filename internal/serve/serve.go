@@ -321,11 +321,8 @@ func New(h *deepvalidation.Handle, cfg Config) (*Server, error) {
 	s.flight = trace.NewFlight(cfg.FlightSize) // nil when FlightSize < 0
 	// Warm before attaching telemetry so the throwaway verdict doesn't
 	// pollute the counters.
-	if err := Warm(h.Get()); err != nil {
+	if err := Warm(h.Get(), cfg.Workers); err != nil {
 		return nil, fmt.Errorf("serve: warming detector: %w", err)
-	}
-	if err := WarmBatch(h.Get(), cfg.Workers); err != nil {
-		return nil, fmt.Errorf("serve: warming detector batch path: %w", err)
 	}
 	h.Get().AttachTelemetry(reg)
 	h.Get().AttachEvents(cfg.Events)
@@ -401,32 +398,16 @@ func (s *Server) buildSLO() {
 	})
 }
 
-// Warm runs one throwaway check on a zero image of the detector's
-// input geometry, forcing lazy allocations before live traffic
-// arrives. It counts one verdict into the detector's Stats (but not
-// into telemetry when called before AttachTelemetry, as New does).
-func Warm(det *deepvalidation.Detector) error {
-	c, h, w := det.InputShape()
-	if c <= 0 || h <= 0 || w <= 0 {
-		return fmt.Errorf("serve: detector reports input shape (%d,%d,%d)", c, h, w)
-	}
-	img := deepvalidation.Image{Channels: c, Height: h, Width: w, Pixels: make([]float64, c*h*w)}
-	_, err := det.Check(img)
-	return err
-}
-
-// WarmBatch primes the batched scoring path: one throwaway CheckBatch
-// of `width` zero images makes every concurrent scoring worker pull —
-// and therefore allocate — its scratch arena from the validator's pool
-// before live traffic arrives. Without it the first live batch pays
-// one arena construction (forward-pass buffers, im2col scratch,
-// flattened support vectors) per worker. Like Warm, the throwaway
-// verdicts land in Stats but not in telemetry when called before
-// AttachTelemetry.
-func WarmBatch(det *deepvalidation.Detector, width int) error {
-	if width < 2 {
-		return nil // Warm already primed the single arena
-	}
+// Warm forces the detector's lazy allocations before live traffic
+// arrives: one throwaway CheckBatch of max(width, 1) zero images makes
+// every concurrent scoring worker pull — and therefore allocate — its
+// scratch arena from the validator's pool. Without it the first live
+// batch pays one arena construction (forward-pass buffers, im2col
+// scratch, flattened support vectors) per worker. The throwaway
+// verdicts land in the detector's Stats, but not in telemetry when
+// called before AttachTelemetry, as New and reloads do.
+func Warm(det *deepvalidation.Detector, width int) error {
+	width = max(width, 1)
 	c, h, w := det.InputShape()
 	if c <= 0 || h <= 0 || w <= 0 {
 		return fmt.Errorf("serve: detector reports input shape (%d,%d,%d)", c, h, w)
@@ -515,11 +496,8 @@ func (s *Server) tryReload() (float64, error) {
 	}
 	eps := old.Epsilon()
 	det.SetEpsilon(eps)
-	if err := Warm(det); err != nil {
+	if err := Warm(det, s.cfg.Workers); err != nil {
 		return 0, fmt.Errorf("serve: warming reloaded detector: %w", err)
-	}
-	if err := WarmBatch(det, s.cfg.Workers); err != nil {
-		return 0, fmt.Errorf("serve: warming reloaded detector batch path: %w", err)
 	}
 	det.AttachTelemetry(s.cfg.Registry)
 	det.AttachEvents(s.events)

@@ -62,7 +62,6 @@ func TestMain(m *testing.M) {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	defer os.RemoveAll(dir)
 	imgs, labels := testImages(1, 90)
 	det, err := deepvalidation.Build(imgs, labels, deepvalidation.BuildConfig{
 		Classes: 3, Epochs: 6, Width: 4, FCWidth: 16,
@@ -85,7 +84,10 @@ func TestMain(m *testing.M) {
 		fmt.Fprintln(os.Stderr, "saving fixture detector:", err)
 		os.Exit(1)
 	}
-	os.Exit(m.Run())
+	// os.Exit skips deferred calls, so the fixture dir is removed here.
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
 }
 
 // loadDetector restores a fresh fixture detector with the calibrated ε.

@@ -11,27 +11,14 @@
 # reload failures flip /readyz to degraded; restoring the artifact
 # heals the instance. Used by `make smoke` and CI.
 set -euo pipefail
-
-cd "$(dirname "$0")/.."
-workdir=$(mktemp -d /tmp/dv-chaos-smoke-XXXXXX)
-pids=()
-cleanup() {
-    rm -rf "$workdir"
-    for p in "${pids[@]:-}"; do kill "$p" 2>/dev/null || true; done
-}
-trap cleanup EXIT
+source "$(dirname "$0")/lib.sh"
+smoke_init chaos
 
 echo "== building CLIs"
-go build -o "$workdir/dvtrain" ./cmd/dvtrain
-go build -o "$workdir/dvvalidate" ./cmd/dvvalidate
-go build -o "$workdir/dvserve" ./cmd/dvserve
+build dvtrain dvvalidate dvserve
 
 echo "== training a tiny model + validator"
-"$workdir/dvtrain" -dataset digits -train 400 -test 100 -epochs 6 \
-    -width 4 -fc 16 -out "$workdir/model.gob" -quiet
-"$workdir/dvvalidate" fit -model "$workdir/model.gob" -dataset digits \
-    -train 400 -test 100 -max-per-class 40 -max-features 64 \
-    -out "$workdir/validator.gob" >/dev/null
+train_fixture
 
 echo "== saved artifacts are checksummed containers"
 for f in model.gob validator.gob; do
@@ -53,40 +40,14 @@ cmp -s "$workdir/validator.gob" "$workdir/validator.backup" \
 ls "$workdir"/validator.gob.tmp-* 2>/dev/null \
     && { echo "failed save left temp litter behind"; exit 1; }
 
-# start_dvserve LOGFILE ARGS... — starts dvserve on an ephemeral port,
-# polls its stderr for the bound address, and sets $addr and $pid.
-start_dvserve() {
-    local log=$1; shift
-    "$workdir/dvserve" -model "$workdir/model.gob" -validator "$workdir/validator.gob" \
-        -addr 127.0.0.1:0 "$@" 2>"$log" &
-    pid=$!
-    pids+=("$pid")
-    addr=""
-    for _ in $(seq 1 100); do
-        addr=$(sed -n 's|^dvserve: serving .* on http://||p' "$log" | head -n1)
-        [ -n "$addr" ] && break
-        kill -0 "$pid" 2>/dev/null || { cat "$log"; echo "dvserve exited before serving"; exit 1; }
-        sleep 0.1
-    done
-    [ -n "$addr" ] || { cat "$log"; echo "never saw the serving address"; exit 1; }
-}
-
-post() { # post PATH BODYFILE — sets $code and $body
-    code=$(curl -sS -o "$workdir/resp.out" -w '%{http_code}' \
-        -H 'Content-Type: application/json' --data-binary @"$2" "http://$addr$1")
-    body=$(cat "$workdir/resp.out")
-}
-
-zeros() { seq "$1" | sed 's/.*/0/' | paste -sd, -; }
-printf '{"channels":1,"height":28,"width":28,"pixels":[%s]}' "$(zeros 784)" >"$workdir/check.json"
+write_images
 printf '{}' >"$workdir/empty.json"
 
 echo "== starting dvserve (reload-max-failures 3)"
 start_dvserve "$workdir/serve.stderr" -metrics-addr 127.0.0.1:0 -eps 0.5 -reload-max-failures 3
-maddr=$(sed -n 's|^metrics: serving .* on http://||p' "$workdir/serve.stderr" | head -n1)
-[ -n "$maddr" ] || { cat "$workdir/serve.stderr"; echo "no metrics address"; exit 1; }
+maddr=$(await_addr "$workdir/serve.stderr" metrics "$pid")
 
-post /v1/check "$workdir/check.json"
+post "$addr" /v1/check "$workdir/check.json"
 good_verdict=$body
 [ "$code" = 200 ] || { echo "baseline check: want 200, got $code: $body"; exit 1; }
 
@@ -99,10 +60,10 @@ printf "$(printf '\\x%02x' $(( (orig + 1) % 256 )))" \
 
 echo "== every reload is rejected; the old detector keeps serving"
 for i in 1 2 3; do
-    post /v1/reload "$workdir/empty.json"
+    post "$addr" /v1/reload "$workdir/empty.json"
     [ "$code" = 500 ] || { echo "reload $i of corrupt artifact: want 500, got $code: $body"; exit 1; }
     grep -q 'corrupt' <<<"$body" || { echo "reload error does not mention corruption: $body"; exit 1; }
-    post /v1/check "$workdir/check.json"
+    post "$addr" /v1/check "$workdir/check.json"
     [ "$code" = 200 ] || { echo "check after failed reload $i: want 200, got $code"; exit 1; }
     [ "$body" = "$good_verdict" ] \
         || { echo "verdict drifted after failed reload $i:"; echo " before: $good_verdict"; echo " after:  $body"; exit 1; }
@@ -123,11 +84,11 @@ grep -qF 'dv_serve_reload_fail_streak 3' <<<"$metrics" \
 
 echo "== restoring the artifact heals the instance"
 cp "$workdir/validator.backup" "$workdir/validator.gob"
-post /v1/reload "$workdir/empty.json"
+post "$addr" /v1/reload "$workdir/empty.json"
 [ "$code" = 200 ] || { echo "reload of restored artifact: want 200, got $code: $body"; exit 1; }
 rz=$(curl -sf "http://$addr/readyz")
 grep -q ready <<<"$rz" || { echo "readyz after recovery not ready: $rz"; exit 1; }
-post /v1/check "$workdir/check.json"
+post "$addr" /v1/check "$workdir/check.json"
 [ "$code" = 200 ] && [ "$body" = "$good_verdict" ] \
     || { echo "post-recovery verdict differs: $body"; exit 1; }
 

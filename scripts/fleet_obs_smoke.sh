@@ -11,93 +11,23 @@
 # kill -9'd replica must degrade the same trace lookup to an explicitly
 # marked partial tree (never a 500); and a forced shed burst must raise
 # a gateway availability burn-rate breach whose event cross-links a
-# trace ID that resolves on the gateway. Used by `make smoke` and CI.
+# trace ID that resolves on the gateway. Finally no process log may
+# hold a race report. Used by `make smoke` and CI.
 set -euo pipefail
-
-cd "$(dirname "$0")/.."
-workdir=$(mktemp -d /tmp/dv-fleet-obs-smoke-XXXXXX)
-pids=()
-cleanup() {
-    rm -rf "$workdir"
-    for p in "${pids[@]:-}"; do kill "$p" 2>/dev/null || true; done
-}
-trap cleanup EXIT
+source "$(dirname "$0")/lib.sh"
+smoke_init fleet-obs
 
 echo "== building CLIs (dvserve and dvgateway race-instrumented)"
-go build -o "$workdir/dvtrain" ./cmd/dvtrain
-go build -o "$workdir/dvvalidate" ./cmd/dvvalidate
-go build -race -o "$workdir/dvserve" ./cmd/dvserve
-go build -race -o "$workdir/dvgateway" ./cmd/dvgateway
+build dvtrain dvvalidate
+build -race dvserve dvgateway
 
 echo "== training a tiny model + validator"
-"$workdir/dvtrain" -dataset digits -train 400 -test 100 -epochs 6 \
-    -width 4 -fc 16 -out "$workdir/model.gob" -quiet
-"$workdir/dvvalidate" fit -model "$workdir/model.gob" -dataset digits \
-    -train 400 -test 100 -max-per-class 40 -max-features 64 \
-    -out "$workdir/validator.gob" >/dev/null
+train_fixture
 
 mkdir -p "$workdir/r1" "$workdir/r2"
 cp "$workdir/validator.gob" "$workdir/r1/validator.gob"
 cp "$workdir/validator.gob" "$workdir/r2/validator.gob"
-
-zeros() { seq "$1" | sed 's/.*/0/' | paste -sd, -; }
-printf '{"channels":1,"height":28,"width":28,"pixels":[%s]}' "$(zeros 784)" >"$workdir/check.json"
-
-# start_replica NAME ADDR LOG — one dvserve replica with tracing at 1.0
-# so every request that reaches it leaves a replica-side span tree.
-start_replica() {
-    local name=$1 want=$2 log=$3
-    for _ in $(seq 1 30); do
-        : >"$log"
-        "$workdir/dvserve" -model "$workdir/model.gob" \
-            -validator "$workdir/$name/validator.gob" -eps 0.5 \
-            -trace-sample 1 -addr "$want" 2>"$log" &
-        pid=$!
-        addr=""
-        for _ in $(seq 1 100); do
-            addr=$(sed -n 's|^dvserve: serving .* on http://||p' "$log" | head -n1)
-            [ -n "$addr" ] && break
-            kill -0 "$pid" 2>/dev/null || break
-            sleep 0.1
-        done
-        if [ -n "$addr" ]; then
-            pids+=("$pid")
-            return 0
-        fi
-        wait "$pid" 2>/dev/null || true
-        sleep 0.2
-    done
-    cat "$log"
-    echo "replica $name never bound $want"
-    exit 1
-}
-
-gpost() { # gpost PATH BODYFILE [TRACEID] — sets $code and $body
-    local hdr=()
-    [ -n "${3:-}" ] && hdr=(-H "X-DV-Trace-Id: $3")
-    code=$(curl -sS -o "$workdir/resp.out" -w '%{http_code}' \
-        -H 'Content-Type: application/json' "${hdr[@]}" \
-        --data-binary @"$2" "http://$gw_addr$1")
-    body=$(cat "$workdir/resp.out")
-}
-
-gget() { # gget PATH — sets $code and $body
-    code=$(curl -sS -o "$workdir/resp.out" -w '%{http_code}' "http://$gw_addr$1")
-    body=$(cat "$workdir/resp.out")
-}
-
-# wait_for DESC PREDICATE... — polls PREDICATE until true (10s cap).
-wait_for() {
-    local desc=$1; shift
-    for _ in $(seq 1 100); do
-        "$@" && return 0
-        sleep 0.1
-    done
-    echo "timeout waiting for: $desc"
-    curl -sf "http://$gw_addr/admin/replicas" || true
-    echo
-    exit 1
-}
+write_images
 
 in_rotation_is() { curl -sf "http://$gw_addr/admin/replicas" | grep -q "\"in_rotation\":$1,"; }
 breach_raised() {
@@ -106,35 +36,26 @@ breach_raised() {
 }
 
 echo "== starting 2 traced dvserve replicas + dvgateway (tracing + SLO on)"
-start_replica r1 127.0.0.1:0 "$workdir/r1.stderr"
+# Tracing at 1.0 on the replicas: every request that reaches one leaves
+# a replica-side span tree.
+start_dvserve "$workdir/r1.stderr" -validator "$workdir/r1/validator.gob" -eps 0.5 -trace-sample 1
 r1_pid=$pid r1_addr=$addr
-start_replica r2 127.0.0.1:0 "$workdir/r2.stderr"
+start_dvserve "$workdir/r2.stderr" -validator "$workdir/r2/validator.gob" -eps 0.5 -trace-sample 1
 r2_pid=$pid r2_addr=$addr
-"$workdir/dvgateway" -addr 127.0.0.1:0 \
+start_gateway "$workdir/gw.stderr" \
     -replica "r1@$r1_addr" -replica "r2@$r2_addr" \
     -probe-interval 100ms -drain-after 2 -reinstate-after 2 \
     -reprobe-backoff 100ms -reprobe-backoff-cap 500ms \
-    -trace-sample 1 -slo -slo-interval 100ms \
-    2>"$workdir/gw.stderr" &
-gw_pid=$!
-pids+=("$gw_pid")
-gw_addr=""
-for _ in $(seq 1 100); do
-    gw_addr=$(sed -n 's|^dvgateway: serving .* on http://||p' "$workdir/gw.stderr" | head -n1)
-    [ -n "$gw_addr" ] && break
-    kill -0 "$gw_pid" 2>/dev/null || { cat "$workdir/gw.stderr"; echo "dvgateway exited before serving"; exit 1; }
-    sleep 0.1
-done
-[ -n "$gw_addr" ] || { cat "$workdir/gw.stderr"; echo "never saw the gateway address"; exit 1; }
+    -trace-sample 1 -slo -slo-interval 100ms
 echo "   r1:      http://$r1_addr"
 echo "   r2:      http://$r2_addr"
 echo "   gateway: http://$gw_addr"
 wait_for "2 replicas in rotation" in_rotation_is 2
 
 echo "== injected trace ID stitches into one two-tier tree"
-gpost /v1/check "$workdir/check.json" smoke-stitch-1
+post "$gw_addr" /v1/check "$workdir/check.json" -H "X-DV-Trace-Id: smoke-stitch-1"
 [ "$code" = 200 ] || { echo "traced check: want 200, got $code: $body"; exit 1; }
-gget /debug/dv/trace/smoke-stitch-1
+get "$gw_addr" /debug/dv/trace/smoke-stitch-1
 [ "$code" = 200 ] || { echo "stitched trace: want 200, got $code: $body"; exit 1; }
 grep -q '"partial":false' <<<"$body" || { echo "healthy stitch marked partial: $body"; exit 1; }
 # Gateway tier spans...
@@ -148,12 +69,12 @@ serving_replica=$(grep -o '"tier":"replica","replica":"r[12]"' <<<"$body" | head
 echo "   two-tier tree OK (served by $serving_replica)"
 
 echo "== fleet + flight aggregation over the healthy fleet"
-gget /debug/dv/fleet
+get "$gw_addr" /debug/dv/fleet
 [ "$code" = 200 ] || { echo "fleet view: want 200, got $code"; exit 1; }
 grep -q '"partial":false' <<<"$body" || { echo "healthy fleet marked partial: $body"; exit 1; }
 [ "$(grep -o '"fetch":"ok"' <<<"$body" | wc -l)" = 2 ] || { echo "fleet view lacks 2 ok rows: $body"; exit 1; }
 grep -q '"gateway_slo":{"enabled":true' <<<"$body" || { echo "fleet view lacks gateway SLO: $body"; exit 1; }
-gget '/debug/dv/flight?limit=5'
+get "$gw_addr" '/debug/dv/flight?limit=5'
 [ "$code" = 200 ] || { echo "fleet flight: want 200, got $code"; exit 1; }
 grep -q '"replica":"r' <<<"$body" || { echo "merged flight entries lack replica annotations: $body"; exit 1; }
 
@@ -161,12 +82,12 @@ echo "== kill -9 the serving replica: same lookup degrades to a marked partial t
 if [ "$serving_replica" = r1 ]; then victim=$r1_pid; else victim=$r2_pid; fi
 kill -9 "$victim"
 wait "$victim" 2>/dev/null || true
-gget /debug/dv/trace/smoke-stitch-1
+get "$gw_addr" /debug/dv/trace/smoke-stitch-1
 [ "$code" = 200 ] || { echo "degraded stitch: want 200, got $code: $body"; exit 1; }
 grep -q '"partial":true' <<<"$body" || { echo "degraded stitch not marked partial: $body"; exit 1; }
 grep -q '"state":"unreachable"' <<<"$body" || { echo "replica tier not marked unreachable: $body"; exit 1; }
 grep -q '"name":"route"' <<<"$body" || { echo "partial tree lost the gateway spans: $body"; exit 1; }
-gget /debug/dv/fleet
+get "$gw_addr" /debug/dv/fleet
 grep -q '"partial":true' <<<"$body" || { echo "fleet view not partial with a replica down: $body"; exit 1; }
 grep -q '"fetch":"unreachable"' <<<"$body" || { echo "fleet view lacks the unreachable row: $body"; exit 1; }
 echo "   partial tree + fleet row marked unreachable; no 500s"
@@ -179,23 +100,23 @@ done
 # Route-path failures + probes drain both replicas, then every traced
 # request sheds 503 (unroutable) and lands in the SLO cross-link ring.
 for i in $(seq 1 20); do
-    gpost /v1/check "$workdir/check.json" "shed-$i" || true
+    post "$gw_addr" /v1/check "$workdir/check.json" -H "X-DV-Trace-Id: shed-$i" || true
 done
 wait_for "0 replicas in rotation" in_rotation_is 0
 for i in $(seq 1 5); do
-    gpost /v1/check "$workdir/check.json" "breach-$i"
+    post "$gw_addr" /v1/check "$workdir/check.json" -H "X-DV-Trace-Id: breach-$i"
     [ "$code" = 503 ] || { echo "drained-fleet check breach-$i: want 503, got $code"; exit 1; }
 done
 wait_for "availability burn-rate breach event" breach_raised
-gget '/debug/dv/events?type=slo_breach&level=error'
+get "$gw_addr" '/debug/dv/events?type=slo_breach&level=error'
 linked=$(grep -o '"trace_ids":\["[^"]*"' <<<"$body" | head -n1 | cut -d'"' -f4)
 [ -n "$linked" ] || { echo "breach event cross-links no trace IDs: $body"; exit 1; }
-gget "/debug/dv/trace/$linked"
+get "$gw_addr" "/debug/dv/trace/$linked"
 [ "$code" = 200 ] || { echo "cross-linked trace $linked: want 200, got $code: $body"; exit 1; }
 grep -q "\"id\":\"$linked\"" <<<"$body" || { echo "cross-linked trace body mismatch: $body"; exit 1; }
-gget /readyz
+get "$gw_addr" /readyz
 grep -q 'slo: BREACH' <<<"$body" || { echo "readyz lacks the breach line: $body"; exit 1; }
-gget /debug/dv/slo
+get "$gw_addr" /debug/dv/slo
 grep -q '"breaching":true' <<<"$body" || { echo "/debug/dv/slo not breaching: $body"; exit 1; }
 echo "   breach event → $linked resolved on the gateway trace store"
 
@@ -204,5 +125,7 @@ kill -TERM "$gw_pid"
 wait "$gw_pid" || { echo "dvgateway exited non-zero after SIGTERM"; cat "$workdir/gw.stderr"; exit 1; }
 grep -q 'drained cleanly' "$workdir/gw.stderr" \
     || { cat "$workdir/gw.stderr"; echo "no clean-drain log line"; exit 1; }
+
+assert_no_races
 
 echo "fleet obs smoke: OK"

@@ -10,100 +10,39 @@
 # touched, a rollout whose reload fails on replica 2 must halt and
 # automatically roll replica 1 back to the prior artifact (on disk and
 # in the fleet view), and the healed fleet must converge a retried
-# rollout on the staged checksum. Used by `make smoke` and CI.
+# rollout on the staged checksum. Finally no process log may hold a
+# race report. Used by `make smoke` and CI.
 set -euo pipefail
-
-cd "$(dirname "$0")/.."
-workdir=$(mktemp -d /tmp/dv-gateway-smoke-XXXXXX)
-pids=()
-cleanup() {
-    rm -rf "$workdir"
-    for p in "${pids[@]:-}"; do kill "$p" 2>/dev/null || true; done
-}
-trap cleanup EXIT
+source "$(dirname "$0")/lib.sh"
+smoke_init gateway
 
 echo "== building CLIs (dvserve and dvgateway race-instrumented)"
-go build -o "$workdir/dvtrain" ./cmd/dvtrain
-go build -o "$workdir/dvvalidate" ./cmd/dvvalidate
-go build -race -o "$workdir/dvserve" ./cmd/dvserve
-go build -race -o "$workdir/dvgateway" ./cmd/dvgateway
+build dvtrain dvvalidate
+build -race dvserve dvgateway
 
 echo "== training a tiny model + two distinct validators"
-"$workdir/dvtrain" -dataset digits -train 400 -test 100 -epochs 6 \
-    -width 4 -fc 16 -out "$workdir/model.gob" -quiet
-"$workdir/dvvalidate" fit -model "$workdir/model.gob" -dataset digits \
-    -train 400 -test 100 -max-per-class 40 -max-features 64 \
-    -out "$workdir/validator-v1.gob" >/dev/null
+train_fixture
 # A different SVM sample budget yields a payload-distinct (but
 # compatible) validator — the staged rollout target.
 "$workdir/dvvalidate" fit -model "$workdir/model.gob" -dataset digits \
     -train 400 -test 100 -max-per-class 24 -max-features 64 \
     -out "$workdir/validator-v2.gob" >/dev/null
-cmp -s "$workdir/validator-v1.gob" "$workdir/validator-v2.gob" \
+cmp -s "$workdir/validator.gob" "$workdir/validator-v2.gob" \
     && { echo "v1 and v2 validators are byte-identical; rollout would be a no-op"; exit 1; }
 
 mkdir -p "$workdir/r1" "$workdir/r2"
-cp "$workdir/validator-v1.gob" "$workdir/r1/validator.gob"
-cp "$workdir/validator-v1.gob" "$workdir/r2/validator.gob"
+cp "$workdir/validator.gob" "$workdir/r1/validator.gob"
+cp "$workdir/validator.gob" "$workdir/r2/validator.gob"
+write_images
 
-# Request body: digits images are 1x28x28 = 784 pixels.
-zeros() { seq "$1" | sed 's/.*/0/' | paste -sd, -; }
-printf '{"channels":1,"height":28,"width":28,"pixels":[%s]}' "$(zeros 784)" >"$workdir/check.json"
-
-# start_replica NAME ADDR LOG [FAULTSPEC] — starts a dvserve replica
-# serving NAME's validator copy on ADDR (127.0.0.1:0 for ephemeral),
-# polls its stderr for the bound address, and sets $addr and $pid. A
-# fixed ADDR retries the bind: a kill -9'd listener's port can linger.
+# start_replica NAME LOG [ARGS...] — a dvserve replica serving NAME's
+# validator copy; sets $addr and $pid.
 start_replica() {
-    local name=$1 want=$2 log=$3 fault=${4:-}
-    for _ in $(seq 1 30); do
-        : >"$log"
-        DV_FAULT="$fault" "$workdir/dvserve" -model "$workdir/model.gob" \
-            -validator "$workdir/$name/validator.gob" -eps 0.5 \
-            -addr "$want" 2>"$log" &
-        pid=$!
-        addr=""
-        for _ in $(seq 1 100); do
-            addr=$(sed -n 's|^dvserve: serving .* on http://||p' "$log" | head -n1)
-            [ -n "$addr" ] && break
-            kill -0 "$pid" 2>/dev/null || break
-            sleep 0.1
-        done
-        if [ -n "$addr" ]; then
-            pids+=("$pid")
-            return 0
-        fi
-        wait "$pid" 2>/dev/null || true
-        sleep 0.2
-    done
-    cat "$log"
-    echo "replica $name never bound $want"
-    exit 1
-}
-
-gpost() { # gpost PATH BODYFILE [TRACEID] — sets $code and $body
-    local hdr=()
-    [ -n "${3:-}" ] && hdr=(-H "X-DV-Trace-Id: $3")
-    code=$(curl -sS -o "$workdir/resp.out" -w '%{http_code}' \
-        -H 'Content-Type: application/json' "${hdr[@]}" \
-        --data-binary @"$2" "http://$gw_addr$1")
-    body=$(cat "$workdir/resp.out")
+    local name=$1 log=$2; shift 2
+    start_dvserve "$log" -validator "$workdir/$name/validator.gob" -eps 0.5 "$@"
 }
 
 replicas_json() { curl -sf "http://$gw_addr/admin/replicas"; }
-
-# wait_for DESC PREDICATE... — polls PREDICATE until true (10s cap).
-wait_for() {
-    local desc=$1; shift
-    for _ in $(seq 1 100); do
-        "$@" && return 0
-        sleep 0.1
-    done
-    echo "timeout waiting for: $desc"
-    replicas_json || true
-    echo
-    exit 1
-}
 
 in_rotation_is() { grep -q "\"in_rotation\":$1," <<<"$(replicas_json)"; }
 has_state() { grep -q "\"state\":\"$1\"" <<<"$(replicas_json)"; }
@@ -114,26 +53,15 @@ sha_count_is() { # sha_count_is SHA N — N replicas report validator SHA
 }
 
 echo "== starting 2 dvserve replicas + dvgateway"
-start_replica r1 127.0.0.1:0 "$workdir/r1.stderr"
-r1_pid=$pid r1_addr=$addr
-start_replica r2 127.0.0.1:0 "$workdir/r2.stderr"
+start_replica r1 "$workdir/r1.stderr"
+r1_addr=$addr
+start_replica r2 "$workdir/r2.stderr"
 r2_pid=$pid r2_addr=$addr
-"$workdir/dvgateway" -addr 127.0.0.1:0 \
+start_gateway "$workdir/gw.stderr" \
     -replica "r1@$r1_addr=$workdir/r1/validator.gob" \
     -replica "r2@$r2_addr=$workdir/r2/validator.gob" \
     -probe-interval 100ms -drain-after 2 -reinstate-after 2 \
-    -reprobe-backoff 100ms -reprobe-backoff-cap 500ms \
-    2>"$workdir/gw.stderr" &
-gw_pid=$!
-pids+=("$gw_pid")
-gw_addr=""
-for _ in $(seq 1 100); do
-    gw_addr=$(sed -n 's|^dvgateway: serving .* on http://||p' "$workdir/gw.stderr" | head -n1)
-    [ -n "$gw_addr" ] && break
-    kill -0 "$gw_pid" 2>/dev/null || { cat "$workdir/gw.stderr"; echo "dvgateway exited before serving"; exit 1; }
-    sleep 0.1
-done
-[ -n "$gw_addr" ] || { cat "$workdir/gw.stderr"; echo "never saw the gateway address"; exit 1; }
+    -reprobe-backoff 100ms -reprobe-backoff-cap 500ms
 echo "   r1:      http://$r1_addr"
 echo "   r2:      http://$r2_addr"
 echo "   gateway: http://$gw_addr"
@@ -141,7 +69,7 @@ echo "   gateway: http://$gw_addr"
 echo "== routing across the healthy fleet"
 wait_for "2 replicas in rotation" in_rotation_is 2
 for i in $(seq 1 8); do
-    gpost /v1/check "$workdir/check.json" "trace-$i"
+    post "$gw_addr" /v1/check "$workdir/check.json" -H "X-DV-Trace-Id: trace-$i"
     [ "$code" = 200 ] || { echo "routed check trace-$i: want 200, got $code: $body"; exit 1; }
 done
 grep -q '"label"' <<<"$body" || { echo "check body lacks label: $body"; exit 1; }
@@ -156,33 +84,33 @@ wait "$r2_pid" 2>/dev/null || true
 # Route-path failures plus probes feed the health machine; the victim's
 # failure streak drains it out of rotation within a couple of probes.
 for i in $(seq 1 20); do
-    gpost /v1/check "$workdir/check.json" "kill-$i" || true
+    post "$gw_addr" /v1/check "$workdir/check.json" -H "X-DV-Trace-Id: kill-$i" || true
 done
 wait_for "victim replica drained" has_state drained
 wait_for "1 replica in rotation" in_rotation_is 1
 # Settled: every request must answer 200 — the drained replica takes
 # no traffic, so not a single client-visible 5xx is acceptable.
 for i in $(seq 1 20); do
-    gpost /v1/check "$workdir/check.json" "settled-$i"
+    post "$gw_addr" /v1/check "$workdir/check.json" -H "X-DV-Trace-Id: settled-$i"
     [ "$code" = 200 ] || { echo "post-drain check settled-$i: want 200, got $code: $body"; exit 1; }
 done
 echo "   drained; 20/20 settled requests answered 200"
 
 echo "== restart the replica: the success streak reinstates it"
-start_replica r2 "$r2_addr" "$workdir/r2-back.stderr"
+start_replica r2 "$workdir/r2-back.stderr" -addr "$r2_addr"
 r2_pid=$pid
 wait_for "2 replicas in rotation" in_rotation_is 2
-gpost /v1/check "$workdir/check.json" reinstated
+post "$gw_addr" /v1/check "$workdir/check.json" -H "X-DV-Trace-Id: reinstated"
 [ "$code" = 200 ] || { echo "post-reinstate check: want 200, got $code"; exit 1; }
 
 echo "== corrupt staged artifact is refused before touching any replica"
 cp "$workdir/validator-v2.gob" "$workdir/corrupt.gob"
 printf 'XX' | dd of="$workdir/corrupt.gob" bs=1 seek=200 conv=notrunc 2>/dev/null
 printf '{"artifact":"%s"}' "$workdir/corrupt.gob" >"$workdir/rollout-corrupt.json"
-gpost /admin/rollout "$workdir/rollout-corrupt.json"
+post "$gw_addr" /admin/rollout "$workdir/rollout-corrupt.json"
 [ "$code" = 400 ] || { echo "corrupt rollout: want 400, got $code: $body"; exit 1; }
 sha_count_is "$v1_sha" 2 || { echo "refused rollout changed the fleet view"; replicas_json; exit 1; }
-cmp -s "$workdir/r1/validator.gob" "$workdir/validator-v1.gob" \
+cmp -s "$workdir/r1/validator.gob" "$workdir/validator.gob" \
     || { echo "refused rollout touched r1's disk artifact"; exit 1; }
 
 echo "== rollout halts on a reload-failing replica and rolls back"
@@ -191,17 +119,17 @@ echo "== rollout halts on a reload-failing replica and rolls back"
 # must roll r1 back to the prior artifact automatically.
 kill -9 "$r2_pid"
 wait "$r2_pid" 2>/dev/null || true
-start_replica r2 "$r2_addr" "$workdir/r2-fault.stderr" serve.reload
+DV_FAULT=serve.reload start_replica r2 "$workdir/r2-fault.stderr" -addr "$r2_addr"
 r2_pid=$pid
 wait_for "2 replicas in rotation" in_rotation_is 2
 printf '{"artifact":"%s"}' "$workdir/validator-v2.gob" >"$workdir/rollout.json"
-gpost /admin/rollout "$workdir/rollout.json"
+post "$gw_addr" /admin/rollout "$workdir/rollout.json"
 [ "$code" = 500 ] || { echo "halted rollout: want 500, got $code: $body"; exit 1; }
 grep -q 'rolled back' <<<"$body" || { echo "halted rollout not rolled back: $body"; exit 1; }
 grep -q '"rolled_back":true' <<<"$body" || { echo "no replica reports rolled_back: $body"; exit 1; }
-cmp -s "$workdir/r1/validator.gob" "$workdir/validator-v1.gob" \
+cmp -s "$workdir/r1/validator.gob" "$workdir/validator.gob" \
     || { echo "r1 disk artifact not restored after rollback"; exit 1; }
-cmp -s "$workdir/r2/validator.gob" "$workdir/validator-v1.gob" \
+cmp -s "$workdir/r2/validator.gob" "$workdir/validator.gob" \
     || { echo "r2 disk artifact not restored after rollback"; exit 1; }
 wait_for "fleet view back on v1" sha_count_is "$v1_sha" 2
 echo "   halted on r2, rolled r1 back; every replica on the prior SHA"
@@ -209,10 +137,10 @@ echo "   halted on r2, rolled r1 back; every replica on the prior SHA"
 echo "== healed fleet converges the retried rollout"
 kill -9 "$r2_pid"
 wait "$r2_pid" 2>/dev/null || true
-start_replica r2 "$r2_addr" "$workdir/r2-heal.stderr"
+start_replica r2 "$workdir/r2-heal.stderr" -addr "$r2_addr"
 r2_pid=$pid
 wait_for "2 replicas in rotation" in_rotation_is 2
-gpost /admin/rollout "$workdir/rollout.json"
+post "$gw_addr" /admin/rollout "$workdir/rollout.json"
 [ "$code" = 200 ] || { echo "retried rollout: want 200, got $code: $body"; exit 1; }
 grep -q '"completed":true' <<<"$body" || { echo "retried rollout incomplete: $body"; exit 1; }
 target_sha=$(grep -o '"target_sha256":"[0-9a-f]*"' <<<"$body" | head -n1 | cut -d'"' -f4)
@@ -223,7 +151,7 @@ cmp -s "$workdir/r1/validator.gob" "$workdir/validator-v2.gob" \
     || { echo "r1 disk artifact is not the staged v2"; exit 1; }
 cmp -s "$workdir/r2/validator.gob" "$workdir/validator-v2.gob" \
     || { echo "r2 disk artifact is not the staged v2"; exit 1; }
-gpost /v1/check "$workdir/check.json" converged
+post "$gw_addr" /v1/check "$workdir/check.json" -H "X-DV-Trace-Id: converged"
 [ "$code" = 200 ] || { echo "post-rollout check: want 200, got $code"; exit 1; }
 echo "   converged on $(cut -c1-12 <<<"$target_sha")…"
 
@@ -232,5 +160,7 @@ kill -TERM "$gw_pid"
 wait "$gw_pid" || { echo "dvgateway exited non-zero after SIGTERM"; cat "$workdir/gw.stderr"; exit 1; }
 grep -q 'drained cleanly' "$workdir/gw.stderr" \
     || { cat "$workdir/gw.stderr"; echo "no clean-drain log line"; exit 1; }
+
+assert_no_races
 
 echo "gateway smoke: OK"

@@ -13,24 +13,14 @@
 # testdata/escapes corpus passes its replay regression test. Used by
 # `make smoke` and CI.
 set -euo pipefail
-
-cd "$(dirname "$0")/.."
-workdir=$(mktemp -d /tmp/dv-hunt-smoke-XXXXXX)
-cleanup() { rm -rf "$workdir"; }
-trap cleanup EXIT
+source "$(dirname "$0")/lib.sh"
+smoke_init hunt
 
 echo "== building CLIs"
-go build -o "$workdir/dvtrain" ./cmd/dvtrain
-go build -o "$workdir/dvvalidate" ./cmd/dvvalidate
-go build -o "$workdir/dvhunt" ./cmd/dvhunt
-go build -o "$workdir/dvreport" ./cmd/dvreport
+build dvtrain dvvalidate dvhunt dvreport
 
 echo "== training a tiny model + validator (with drift reference)"
-"$workdir/dvtrain" -dataset digits -train 400 -test 100 -epochs 6 \
-    -width 4 -fc 16 -out "$workdir/model.gob" -quiet
-"$workdir/dvvalidate" fit -model "$workdir/model.gob" -dataset digits \
-    -train 400 -test 100 -max-per-class 40 -max-features 64 \
-    -out "$workdir/validator.gob" >/dev/null
+train_fixture
 
 hunt_flags=(-model "$workdir/model.gob" -validator "$workdir/validator.gob"
     -dataset digits -train 400 -test 100

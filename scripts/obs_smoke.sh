@@ -18,42 +18,16 @@
 # event. dvserve is built with -race so the smoke doubles as a race
 # check on the real serving binary. Used by `make smoke` and CI.
 set -euo pipefail
-
-cd "$(dirname "$0")/.."
-workdir=$(mktemp -d /tmp/dv-obs-smoke-XXXXXX)
-pids=()
-cleanup() {
-    rm -rf "$workdir"
-    for p in "${pids[@]:-}"; do kill "$p" 2>/dev/null || true; done
-}
-trap cleanup EXIT
+source "$(dirname "$0")/lib.sh"
+smoke_init obs
 
 echo "== building CLIs (dvserve with -race)"
-go build -o "$workdir/dvtrain" ./cmd/dvtrain
-go build -o "$workdir/dvvalidate" ./cmd/dvvalidate
-go build -race -o "$workdir/dvserve" ./cmd/dvserve
+build dvtrain dvvalidate
+build -race dvserve
 
 echo "== training a tiny model + validator"
-"$workdir/dvtrain" -dataset digits -train 400 -test 100 -epochs 6 \
-    -width 4 -fc 16 -out "$workdir/model.gob" -quiet
-"$workdir/dvvalidate" fit -model "$workdir/model.gob" -dataset digits \
-    -train 400 -test 100 -max-per-class 40 -max-features 64 \
-    -out "$workdir/validator.gob" >"$workdir/fit.out"
-
-# Request bodies: digits images are 1x28x28 = 784 pixels.
-zeros() { seq "$1" | sed 's/.*/0/' | paste -sd, -; }
-img=$(printf '{"channels":1,"height":28,"width":28,"pixels":[%s]}' "$(zeros 784)")
-printf '%s' "$img" >"$workdir/check.json"
-batch=$img
-for _ in $(seq 2 16); do batch="$batch,$img"; done
-printf '{"images":[%s]}' "$batch" >"$workdir/batch.json"
-
-post() { # post PATH BODYFILE [CURL_ARGS...] — sets $code and $body
-    local path=$1 bodyfile=$2; shift 2
-    code=$(curl -sS -o "$workdir/resp.out" -w '%{http_code}' "$@" \
-        -H 'Content-Type: application/json' --data-binary @"$bodyfile" "http://$addr$path")
-    body=$(cat "$workdir/resp.out")
-}
+train_fixture
+write_images 16
 
 echo "== starting dvserve (-slo, trace-sample 1, NDJSON event log, queue-depth 16)"
 # Admission is all-or-nothing per request: a 16-image batch fills the
@@ -62,33 +36,20 @@ echo "== starting dvserve (-slo, trace-sample 1, NDJSON event log, queue-depth 1
 # deterministically. The 1s SLO interval keeps the breach wait short;
 # the 2000-byte rotation threshold guarantees the wide request events
 # roll the log within one smoke run.
-"$workdir/dvserve" -model "$workdir/model.gob" -validator "$workdir/validator.gob" \
-    -addr 127.0.0.1:0 -metrics-addr 127.0.0.1:0 -eps 1000 \
+start_dvserve "$workdir/serve.stderr" -metrics-addr 127.0.0.1:0 -eps 1000 \
     -slo -slo-interval 1s -trace-sample 1 \
     -queue-depth 16 -dispatch-workers 1 -max-batch 1 -batch-window 0 -workers 1 \
-    -log info -log-file "$workdir/events.ndjson" -log-max-bytes 2000 \
-    2>"$workdir/serve.stderr" &
-pid=$!
-pids+=("$pid")
-addr=""
-for _ in $(seq 1 100); do
-    addr=$(sed -n 's|^dvserve: serving .* on http://||p' "$workdir/serve.stderr" | head -n1)
-    [ -n "$addr" ] && break
-    kill -0 "$pid" 2>/dev/null || { cat "$workdir/serve.stderr"; echo "dvserve exited before serving"; exit 1; }
-    sleep 0.1
-done
-[ -n "$addr" ] || { cat "$workdir/serve.stderr"; echo "never saw the serving address"; exit 1; }
-maddr=$(sed -n 's|^metrics: serving .* on http://||p' "$workdir/serve.stderr" | head -n1)
-[ -n "$maddr" ] || { cat "$workdir/serve.stderr"; echo "no metrics address"; exit 1; }
+    -log info -log-file "$workdir/events.ndjson" -log-max-bytes 2000
+maddr=$(await_addr "$workdir/serve.stderr" metrics "$pid")
 echo "   serving:  http://$addr"
 echo "   metrics:  http://$maddr"
 
 echo "== healthy traffic (traced checks + one batch)"
 for i in 1 2 3 4 5 6; do
-    post /v1/check "$workdir/check.json" -H "X-DV-Trace-Id: obs-smoke-$i"
+    post "$addr" /v1/check "$workdir/check.json" -H "X-DV-Trace-Id: obs-smoke-$i"
     [ "$code" = 200 ] || { echo "check $i: want 200, got $code: $body"; exit 1; }
 done
-post /v1/batch "$workdir/batch.json"
+post "$addr" /v1/batch "$workdir/batch.json"
 [ "$code" = 200 ] || { echo "batch: want 200, got $code: $body"; exit 1; }
 
 echo "== dv_build_info, dv_runtime_*, dv_slo_*, dv_events_* on /metrics"
@@ -181,9 +142,6 @@ grep -qh '"type":"slo_breach"' "$workdir/events.ndjson" "$workdir/events.ndjson.
     || { echo "breach event never reached the NDJSON sink"; exit 1; }
 
 echo "== race check: no data races logged by the -race dvserve binary"
-if grep -q 'WARNING: DATA RACE' "$workdir"/*.stderr; then
-    grep -A40 'WARNING: DATA RACE' "$workdir"/*.stderr
-    exit 1
-fi
+assert_no_races
 
 echo "obs smoke: OK"

@@ -9,64 +9,22 @@
 # 429 + Retry-After, and SIGTERM must drain the in-flight request to a
 # 200 before the process exits 0. Used by `make smoke` and CI.
 set -euo pipefail
-
-cd "$(dirname "$0")/.."
-workdir=$(mktemp -d /tmp/dv-serve-smoke-XXXXXX)
-pids=()
-cleanup() {
-    rm -rf "$workdir"
-    for p in "${pids[@]:-}"; do kill "$p" 2>/dev/null || true; done
-}
-trap cleanup EXIT
+source "$(dirname "$0")/lib.sh"
+smoke_init serve
 
 echo "== building CLIs"
-go build -o "$workdir/dvtrain" ./cmd/dvtrain
-go build -o "$workdir/dvvalidate" ./cmd/dvvalidate
-go build -o "$workdir/dvserve" ./cmd/dvserve
+build dvtrain dvvalidate dvserve
 
 echo "== training a tiny model + validator"
-"$workdir/dvtrain" -dataset digits -train 400 -test 100 -epochs 6 \
-    -width 4 -fc 16 -out "$workdir/model.gob" -quiet
-"$workdir/dvvalidate" fit -model "$workdir/model.gob" -dataset digits \
-    -train 400 -test 100 -max-per-class 40 -max-features 64 \
-    -out "$workdir/validator.gob" >/dev/null
+train_fixture
 
-# Request bodies: digits images are 1x28x28 = 784 pixels.
-zeros() { seq "$1" | sed 's/.*/0/' | paste -sd, -; }
-printf '{"channels":1,"height":28,"width":28,"pixels":[%s]}' "$(zeros 784)" >"$workdir/check.json"
-img=$(cat "$workdir/check.json")
-printf '{"images":[%s,%s,%s]}' "$img" "$img" "$img" >"$workdir/batch.json"
+write_images 3
 printf '{"channels":1,"height":8,"width":8,"pixels":[%s]}' "$(zeros 64)" >"$workdir/badshape.json"
-
-# start_dvserve LOGFILE ARGS... — starts dvserve on an ephemeral port,
-# polls its stderr for the bound address, and sets $addr and $pid.
-start_dvserve() {
-    local log=$1; shift
-    "$workdir/dvserve" -model "$workdir/model.gob" -validator "$workdir/validator.gob" \
-        -addr 127.0.0.1:0 "$@" 2>"$log" &
-    pid=$!
-    pids+=("$pid")
-    addr=""
-    for _ in $(seq 1 100); do
-        addr=$(sed -n 's|^dvserve: serving .* on http://||p' "$log" | head -n1)
-        [ -n "$addr" ] && break
-        kill -0 "$pid" 2>/dev/null || { cat "$log"; echo "dvserve exited before serving"; exit 1; }
-        sleep 0.1
-    done
-    [ -n "$addr" ] || { cat "$log"; echo "never saw the serving address"; exit 1; }
-}
-
-post() { # post PATH BODYFILE — sets $code and $body
-    code=$(curl -sS -o "$workdir/resp.out" -w '%{http_code}' \
-        -H 'Content-Type: application/json' --data-binary @"$2" "http://$addr$1")
-    body=$(cat "$workdir/resp.out")
-}
 
 echo "== starting dvserve (ephemeral port, metrics enabled)"
 start_dvserve "$workdir/serve.stderr" -metrics-addr 127.0.0.1:0 -eps 0.5
 main_pid=$pid
-maddr=$(sed -n 's|^metrics: serving .* on http://||p' "$workdir/serve.stderr" | head -n1)
-[ -n "$maddr" ] || { cat "$workdir/serve.stderr"; echo "no metrics address"; exit 1; }
+maddr=$(await_addr "$workdir/serve.stderr" metrics "$pid")
 echo "   serving:  http://$addr"
 echo "   metrics:  http://$maddr"
 
@@ -77,14 +35,14 @@ rz=$(curl -sf "http://$addr/readyz")
 grep -q ready <<<"$rz" || { echo "readyz not ready: $rz"; exit 1; }
 
 echo "== POST /v1/check"
-post /v1/check "$workdir/check.json"
+post "$addr" /v1/check "$workdir/check.json"
 check_body=$body
 [ "$code" = 200 ] || { echo "check: want 200, got $code: $check_body"; exit 1; }
 grep -q '"label"' <<<"$check_body" || { echo "check body lacks label: $check_body"; exit 1; }
 grep -q '"valid"' <<<"$check_body" || { echo "check body lacks valid: $check_body"; exit 1; }
 
 echo "== POST /v1/batch (verdicts must match /v1/check exactly)"
-post /v1/batch "$workdir/batch.json"
+post "$addr" /v1/batch "$workdir/batch.json"
 batch_body=$body
 [ "$code" = 200 ] || { echo "batch: want 200, got $code: $batch_body"; exit 1; }
 # The same image three times must yield the single-check verdict,
@@ -95,15 +53,15 @@ n=$(grep -o -F "$check_body" <<<"$batch_body" | wc -l)
 
 echo "== malformed and wrong-shape bodies are rejected"
 printf 'not json' >"$workdir/garbage.json"
-post /v1/check "$workdir/garbage.json"
+post "$addr" /v1/check "$workdir/garbage.json"
 [ "$code" = 400 ] || { echo "garbage: want 400, got $code"; exit 1; }
-post /v1/check "$workdir/badshape.json"
+post "$addr" /v1/check "$workdir/badshape.json"
 [ "$code" = 400 ] || { echo "badshape: want 400, got $code"; exit 1; }
 grep -q 'model expects' <<<"$body" || { echo "badshape error unhelpful: $body"; exit 1; }
 
 echo "== POST /v1/reload and SIGHUP hot-swap"
 printf '{}' >"$workdir/empty.json"
-post /v1/reload "$workdir/empty.json"
+post "$addr" /v1/reload "$workdir/empty.json"
 [ "$code" = 200 ] || { echo "reload: want 200, got $code: $body"; exit 1; }
 grep -q '"reloaded":true' <<<"$body" || { echo "reload body: $body"; exit 1; }
 kill -HUP "$main_pid"
@@ -113,7 +71,7 @@ for _ in $(seq 1 50); do
 done
 grep -q 'dvserve: reloaded' "$workdir/serve.stderr" \
     || { cat "$workdir/serve.stderr"; echo "SIGHUP reload never logged"; exit 1; }
-post /v1/check "$workdir/check.json"
+post "$addr" /v1/check "$workdir/check.json"
 [ "$code" = 200 ] || { echo "post-reload check: want 200, got $code"; exit 1; }
 
 echo "== scraping serving metrics"
@@ -175,5 +133,4 @@ wait "$drain_pid" || { echo "dvserve exited non-zero after SIGTERM"; cat "$workd
 grep -q 'drained cleanly' "$workdir/drain.stderr" \
     || { cat "$workdir/drain.stderr"; echo "no clean-drain log line"; exit 1; }
 
-kill "$main_pid" 2>/dev/null || true
 echo "serve smoke: OK"

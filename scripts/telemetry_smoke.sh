@@ -7,18 +7,14 @@
 # format, /metrics?format=json must parse, and /debug/vars must carry
 # the expvar bridge. Used by `make smoke` and CI.
 set -euo pipefail
-
-cd "$(dirname "$0")/.."
-workdir=$(mktemp -d /tmp/dv-smoke-XXXXXX)
-trap 'rm -rf "$workdir"; [ -n "${score_pid:-}" ] && kill "$score_pid" 2>/dev/null || true' EXIT
+source "$(dirname "$0")/lib.sh"
+smoke_init telemetry
 
 echo "== building CLIs"
-go build -o "$workdir/dvtrain" ./cmd/dvtrain
-go build -o "$workdir/dvvalidate" ./cmd/dvvalidate
+build dvtrain dvvalidate
 
 echo "== training a tiny model"
-"$workdir/dvtrain" -dataset digits -train 400 -test 100 -epochs 6 \
-    -width 4 -fc 16 -out "$workdir/model.gob" -quiet
+train_model
 
 echo "== fitting the validator (with -telemetry summary)"
 "$workdir/dvvalidate" fit -model "$workdir/model.gob" -dataset digits \
@@ -26,23 +22,14 @@ echo "== fitting the validator (with -telemetry summary)"
     -out "$workdir/validator.gob" -telemetry
 
 echo "== scoring with the metrics endpoint on an ephemeral port"
-stderr_log="$workdir/score.stderr"
 "$workdir/dvvalidate" score -model "$workdir/model.gob" \
     -validator "$workdir/validator.gob" -dataset digits \
     -train 400 -test 100 -telemetry \
     -metrics-addr 127.0.0.1:0 -metrics-linger 30s \
-    2>"$stderr_log" &
-score_pid=$!
-
-# The CLI prints the bound address before it starts working; poll for it.
-addr=""
-for _ in $(seq 1 100); do
-    addr=$(sed -n 's|^metrics: serving .* on http://||p' "$stderr_log" | head -n1)
-    [ -n "$addr" ] && break
-    kill -0 "$score_pid" 2>/dev/null || { cat "$stderr_log"; echo "score exited before serving metrics"; exit 1; }
-    sleep 0.1
-done
-[ -n "$addr" ] || { cat "$stderr_log"; echo "never saw the metrics address"; exit 1; }
+    2>"$workdir/score.stderr" &
+pids+=("$!")
+# The CLI prints the bound address before it starts working.
+addr=$(await_addr "$workdir/score.stderr" metrics "$!")
 echo "   endpoint: http://$addr"
 
 # Let the scoring pass populate the histograms, then scrape while the
@@ -88,7 +75,4 @@ pprof=$(curl -sf "http://$addr/debug/pprof/")
 echo "$pprof" | grep -q goroutine \
     || { echo "pprof index not serving"; exit 1; }
 
-kill "$score_pid" 2>/dev/null || true
-wait "$score_pid" 2>/dev/null || true
-score_pid=""
 echo "telemetry smoke: OK"

@@ -15,77 +15,32 @@
 # so the smoke doubles as a race check on the real serving binary.
 # Used by `make smoke` and CI.
 set -euo pipefail
-
-cd "$(dirname "$0")/.."
-workdir=$(mktemp -d /tmp/dv-trace-smoke-XXXXXX)
-pids=()
-cleanup() {
-    rm -rf "$workdir"
-    for p in "${pids[@]:-}"; do kill "$p" 2>/dev/null || true; done
-}
-trap cleanup EXIT
+source "$(dirname "$0")/lib.sh"
+smoke_init trace
 
 echo "== building CLIs (dvserve with -race)"
-go build -o "$workdir/dvtrain" ./cmd/dvtrain
-go build -o "$workdir/dvvalidate" ./cmd/dvvalidate
-go build -race -o "$workdir/dvserve" ./cmd/dvserve
+build dvtrain dvvalidate
+build -race dvserve
 
 echo "== training a tiny model + validator (drift reference persisted)"
-"$workdir/dvtrain" -dataset digits -train 400 -test 100 -epochs 6 \
-    -width 4 -fc 16 -out "$workdir/model.gob" -quiet
-"$workdir/dvvalidate" fit -model "$workdir/model.gob" -dataset digits \
-    -train 400 -test 100 -max-per-class 40 -max-features 64 \
-    -out "$workdir/validator.gob" >"$workdir/fit.out"
+train_fixture
 grep -q 'drift reference: persisted' "$workdir/fit.out" \
     || { cat "$workdir/fit.out"; echo "fit did not persist the drift reference"; exit 1; }
 
-# Request bodies: digits images are 1x28x28 = 784 pixels.
-zeros() { seq "$1" | sed 's/.*/0/' | paste -sd, -; }
-img=$(printf '{"channels":1,"height":28,"width":28,"pixels":[%s]}' "$(zeros 784)")
-printf '%s' "$img" >"$workdir/check.json"
 # 16-image batch, posted thrice below: 48 accepted verdicts clears the
 # drift watch's warm-up floor (32) with margin.
-batch=$img
-for _ in $(seq 2 16); do batch="$batch,$img"; done
-printf '{"images":[%s]}' "$batch" >"$workdir/batch.json"
-
-# start_dvserve LOGFILE ARGS... — starts dvserve on an ephemeral port,
-# polls its stderr for the bound address, and sets $addr and $pid.
-start_dvserve() {
-    local log=$1; shift
-    "$workdir/dvserve" -model "$workdir/model.gob" -validator "$workdir/validator.gob" \
-        -addr 127.0.0.1:0 "$@" 2>"$log" &
-    pid=$!
-    pids+=("$pid")
-    addr=""
-    for _ in $(seq 1 100); do
-        addr=$(sed -n 's|^dvserve: serving .* on http://||p' "$log" | head -n1)
-        [ -n "$addr" ] && break
-        kill -0 "$pid" 2>/dev/null || { cat "$log"; echo "dvserve exited before serving"; exit 1; }
-        sleep 0.1
-    done
-    [ -n "$addr" ] || { cat "$log"; echo "never saw the serving address"; exit 1; }
-}
-
-post() { # post PATH BODYFILE [CURL_ARGS...] — sets $code and $body
-    local path=$1 bodyfile=$2; shift 2
-    code=$(curl -sS -o "$workdir/resp.out" -w '%{http_code}' "$@" \
-        -H 'Content-Type: application/json' --data-binary @"$bodyfile" "http://$addr$path")
-    body=$(cat "$workdir/resp.out")
-}
+write_images 16
 
 echo "== starting dvserve (trace-sample 1, metrics on, generous eps so verdicts are accepted)"
 start_dvserve "$workdir/serve.stderr" -trace-sample 1 -metrics-addr 127.0.0.1:0 -eps 1000
-main_pid=$pid
-maddr=$(sed -n 's|^metrics: serving .* on http://||p' "$workdir/serve.stderr" | head -n1)
-[ -n "$maddr" ] || { cat "$workdir/serve.stderr"; echo "no metrics address"; exit 1; }
+maddr=$(await_addr "$workdir/serve.stderr" metrics "$pid")
 grep -q 'drift on' "$workdir/serve.stderr" \
     || { cat "$workdir/serve.stderr"; echo "banner does not report the drift watch on"; exit 1; }
 echo "   serving:  http://$addr"
 echo "   metrics:  http://$maddr"
 
 echo "== traced /v1/check: injected X-DV-Trace-Id is echoed"
-post /v1/check "$workdir/check.json" -H 'X-DV-Trace-Id: smoke-trace-1' -D "$workdir/check.headers"
+post "$addr" /v1/check "$workdir/check.json" -H 'X-DV-Trace-Id: smoke-trace-1' -D "$workdir/check.headers"
 [ "$code" = 200 ] || { echo "traced check: want 200, got $code: $body"; exit 1; }
 grep -qi '^x-dv-trace-id: smoke-trace-1' "$workdir/check.headers" \
     || { cat "$workdir/check.headers"; echo "trace id not echoed"; exit 1; }
@@ -99,10 +54,10 @@ for want in '"id":"smoke-trace-1"' '"endpoint":"check"' '"name":"verdict"' \
 done
 
 echo "== explain=1 surfaces per-layer discrepancies in the verdict"
-post '/v1/check?explain=1' "$workdir/check.json"
+post "$addr" '/v1/check?explain=1' "$workdir/check.json"
 [ "$code" = 200 ] || { echo "explain check: want 200, got $code: $body"; exit 1; }
 grep -qF '"per_layer"' <<<"$body" || { echo "explain verdict lacks per_layer: $body"; exit 1; }
-post /v1/check "$workdir/check.json"
+post "$addr" /v1/check "$workdir/check.json"
 grep -qF '"per_layer"' <<<"$body" && { echo "per_layer leaked without explain: $body"; exit 1; }
 
 echo "== flight recorder holds the traced verdict with per-layer d_i"
@@ -113,7 +68,7 @@ done
 
 echo "== warming the drift window (3 x 16-image batches, all accepted)"
 for _ in 1 2 3; do
-    post /v1/batch "$workdir/batch.json"
+    post "$addr" /v1/batch "$workdir/batch.json"
     [ "$code" = 200 ] || { echo "warming batch: want 200, got $code: $body"; exit 1; }
 done
 
@@ -137,7 +92,7 @@ grep -qF '"scores"' <<<"$dr" || { echo "drift status lacks scores after warm-up:
 echo "== triage query: /debug/dv/flight?valid=false returns rejected verdicts"
 # A second instance with a tiny eps rejects everything it scores.
 start_dvserve "$workdir/reject.stderr" -trace-sample 1 -eps 0.000001
-post /v1/check "$workdir/check.json" -H 'X-DV-Trace-Id: smoke-reject-1'
+post "$addr" /v1/check "$workdir/check.json" -H 'X-DV-Trace-Id: smoke-reject-1'
 [ "$code" = 200 ] || { echo "reject check: want 200, got $code: $body"; exit 1; }
 grep -qF '"valid":false' <<<"$body" || { echo "tiny-eps verdict unexpectedly valid: $body"; exit 1; }
 fl_json=$(curl -sf "http://$addr/debug/dv/flight?valid=false")
@@ -153,20 +108,10 @@ echo "== legacy leg: validator without a drift reference degrades cleanly"
     -out "$workdir/validator-nodrift.gob" >"$workdir/fit2.out"
 grep -q 'drift reference: none' "$workdir/fit2.out" \
     || { cat "$workdir/fit2.out"; echo "-drift=false still persisted a reference"; exit 1; }
-"$workdir/dvserve" -model "$workdir/model.gob" -validator "$workdir/validator-nodrift.gob" \
-    -addr 127.0.0.1:0 -trace-sample 1 2>"$workdir/legacy.stderr" &
-pid=$!
-pids+=("$pid")
-addr=""
-for _ in $(seq 1 100); do
-    addr=$(sed -n 's|^dvserve: serving .* on http://||p' "$workdir/legacy.stderr" | head -n1)
-    [ -n "$addr" ] && break
-    sleep 0.1
-done
-[ -n "$addr" ] || { cat "$workdir/legacy.stderr"; echo "legacy dvserve never served"; exit 1; }
+start_dvserve "$workdir/legacy.stderr" -validator "$workdir/validator-nodrift.gob" -trace-sample 1
 grep -q 'drift off' "$workdir/legacy.stderr" \
     || { cat "$workdir/legacy.stderr"; echo "banner does not report the drift watch off"; exit 1; }
-post /v1/check "$workdir/check.json"
+post "$addr" /v1/check "$workdir/check.json"
 [ "$code" = 200 ] || { echo "legacy check: want 200, got $code: $body"; exit 1; }
 rz=$(curl -sf "http://$addr/readyz")
 grep -q '^drift: disabled' <<<"$rz" || { echo "readyz lacks the disabled drift line: $rz"; exit 1; }
@@ -174,9 +119,6 @@ dr=$(curl -sf "http://$addr/debug/dv/drift")
 grep -qF '"enabled":false' <<<"$dr" || { echo "legacy drift status not disabled: $dr"; exit 1; }
 
 echo "== race check: no data races logged by the -race dvserve binaries"
-if grep -q 'WARNING: DATA RACE' "$workdir"/*.stderr; then
-    grep -A40 'WARNING: DATA RACE' "$workdir"/*.stderr
-    exit 1
-fi
+assert_no_races
 
 echo "trace smoke: OK"
