@@ -8,8 +8,10 @@ build:
 test:
 	$(GO) test ./...
 
+# vet also fails on any file gofmt would rewrite.
 vet:
 	$(GO) vet ./...
+	test -z "$$(gofmt -l .)"
 
 # race exercises the concurrency-bearing packages — the parallel Fit
 # collection pass, the ScoreBatch worker pool, Monitor.CheckBatch, the

@@ -37,6 +37,12 @@ import (
 
 // Image is a C×H×W image with pixel values in [0, 1], stored
 // channel-major (all of channel 0's rows, then channel 1's, ...).
+//
+// Scoring (Check, CheckDetailed, CheckBatch, CheckBatchDetailed and
+// Calibrate) reads Pixels in place for the duration of the call: it
+// never writes them and keeps no reference once it returns, so the
+// caller owns the slice again afterwards, but must not modify it while
+// the call runs. Build copies the pixels it trains on.
 type Image struct {
 	Channels int
 	Height   int
@@ -73,15 +79,25 @@ func (im Image) Validate() error {
 	return nil
 }
 
-// tensorOf converts an Image to the internal representation, copying
-// the pixels so the caller's slice stays untouched.
-func tensorOf(im Image) (*tensor.Tensor, error) {
+// pixelTensor validates im and wraps its pixels in a tensor header
+// without copying them: the tensor aliases the caller's slice, so it
+// may only be read, and only while the caller's call runs.
+func pixelTensor(im Image) (*tensor.Tensor, error) {
 	if err := im.Validate(); err != nil {
 		return nil, err
 	}
-	data := make([]float64, len(im.Pixels))
-	copy(data, im.Pixels)
-	return tensor.From(data, im.Channels, im.Height, im.Width), nil
+	return tensor.From(im.Pixels, im.Channels, im.Height, im.Width), nil
+}
+
+// tensorOf is pixelTensor over a copy of the pixels, for tensors that
+// outlive the call that made them.
+func tensorOf(im Image) (*tensor.Tensor, error) {
+	x, err := pixelTensor(im)
+	if err != nil {
+		return nil, err
+	}
+	x.Data = append([]float64(nil), x.Data...)
+	return x, nil
 }
 
 func tensorsOf(ims []Image) ([]*tensor.Tensor, error) {

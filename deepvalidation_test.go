@@ -1,6 +1,8 @@
 package deepvalidation
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"sync"
@@ -262,15 +264,89 @@ func TestDetectorCheckBatch(t *testing.T) {
 	}
 }
 
+// TestCheckDoesNotMutateInput pins the Image pixel contract: scoring
+// wraps the caller's Pixels without copying them, so Check,
+// CheckDetailed, CheckBatch and Calibrate must leave every pixel
+// bit-identical — including -0 and subnormal values that any write-back
+// through arithmetic would normalize — and concurrent CheckBatch calls
+// over one shared []Image must agree (and, under -race, not race).
 func TestCheckDoesNotMutateInput(t *testing.T) {
-	det := builtDetector(t)
-	px := make([]float64, 64)
-	px[0] = 0.5
-	img := Image{Channels: 1, Height: 8, Width: 8, Pixels: px}
-	if _, err := det.Check(img); err != nil {
+	// A private copy of the fixture: Calibrate moves ε and every check
+	// moves Stats, which the lifecycle test asserts exactly.
+	dir := t.TempDir()
+	mp, vp := filepath.Join(dir, "m.gob"), filepath.Join(dir, "v.gob")
+	if err := builtDetector(t).Save(mp, vp); err != nil {
 		t.Fatal(err)
 	}
-	if px[0] != 0.5 {
-		t.Fatal("Check mutated the caller's pixel buffer")
+	det, err := Load(mp, vp)
+	if err != nil {
+		t.Fatal(err)
 	}
+	det.SetWorkers(4)
+
+	imgs, _ := bandImages(rand.New(rand.NewSource(21)), 24)
+	imgs[0].Pixels[0] = math.Copysign(0, -1)
+	imgs[1].Pixels[5] = math.SmallestNonzeroFloat64
+	imgs[2].Pixels[63] = 1 - 1e-17
+	want := make([][]uint64, len(imgs))
+	for i, im := range imgs {
+		for _, p := range im.Pixels {
+			want[i] = append(want[i], math.Float64bits(p))
+		}
+	}
+	untouched := func(stage string) {
+		t.Helper()
+		for i, im := range imgs {
+			for j, p := range im.Pixels {
+				if math.Float64bits(p) != want[i][j] {
+					t.Fatalf("%s wrote pixel %d of image %d: %v", stage, j, i, p)
+				}
+			}
+		}
+	}
+
+	if _, err := det.Calibrate(imgs, 0.1); err != nil {
+		t.Fatal(err)
+	}
+	untouched("Calibrate")
+	for _, im := range imgs {
+		if _, err := det.Check(im); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := det.CheckDetailed(im, &Detail{Timed: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	untouched("Check/CheckDetailed")
+
+	ref, err := det.CheckBatch(imgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, err := det.CheckBatch(imgs)
+			if err == nil {
+				for i := range got {
+					if got[i] != ref[i] {
+						err = fmt.Errorf("concurrent CheckBatch image %d: %+v != %+v", i, got[i], ref[i])
+						break
+					}
+				}
+			}
+			errs <- err
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	untouched("concurrent CheckBatch")
 }

@@ -279,7 +279,9 @@ func (d *Detector) AttachEvents(log *obs.Logger) {
 
 // Calibrate sets the detection threshold ε so that at most fpr of the
 // given clean images is flagged, and returns the chosen ε. Run it once
-// on held-out clean data before trusting Check's Valid field.
+// on held-out clean data before trusting Check's Valid field. Invalid
+// images are rejected and counted as CheckBatch counts them. The
+// pixels are read in place, never written or retained (see Image).
 func (d *Detector) Calibrate(clean []Image, fpr float64) (float64, error) {
 	if len(clean) == 0 {
 		return 0, fmt.Errorf("deepvalidation: no calibration images")
@@ -287,9 +289,8 @@ func (d *Detector) Calibrate(clean []Image, fpr float64) (float64, error) {
 	if fpr < 0 || fpr >= 1 {
 		return 0, fmt.Errorf("deepvalidation: fpr %v outside [0, 1)", fpr)
 	}
-	xs, err := tensorsOf(clean)
+	xs, err := d.inputs(clean)
 	if err != nil {
-		d.countInvalid()
 		return 0, err
 	}
 	return d.mon.CalibrateEpsilon(xs, fpr), nil
@@ -306,15 +307,18 @@ func (d *Detector) Epsilon() float64 { return d.mon.Epsilon() }
 // inputs (Image.Validate or geometry failures) count into the
 // telemetry registry's dv_invalid_input_total when telemetry is
 // enabled, so operators can tell malformed inputs apart from detected
-// corner cases (dv_flagged_total).
+// corner cases (dv_flagged_total). The pixels are read in place,
+// never written or retained (see Image).
 func (d *Detector) Check(img Image) (Verdict, error) {
 	return d.CheckDetailed(img, nil)
 }
 
-// input converts one image to the network's input tensor, counting a
-// rejection into dv_invalid_input_total.
+// input wraps one image's pixels, uncopied, as the network's input
+// tensor, counting a rejection into dv_invalid_input_total. Every
+// forward pass only reads its input (nn.InferenceLayer), so scoring the
+// caller's pixels in place leaves them untouched.
 func (d *Detector) input(img Image) (*tensor.Tensor, error) {
-	x, err := tensorOf(img)
+	x, err := pixelTensor(img)
 	if err == nil {
 		err = d.net.CheckInput(x)
 	}
@@ -323,6 +327,21 @@ func (d *Detector) input(img Image) (*tensor.Tensor, error) {
 		return nil, err
 	}
 	return x, nil
+}
+
+// inputs is input over a batch. Every invalid image is counted, not
+// just the first, though the error names only the first.
+func (d *Detector) inputs(imgs []Image) ([]*tensor.Tensor, error) {
+	xs := make([]*tensor.Tensor, len(imgs))
+	var firstErr error
+	for i, im := range imgs {
+		x, err := d.input(im)
+		if err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("image %d: %w", i, err)
+		}
+		xs[i] = x
+	}
+	return xs, firstErr
 }
 
 // Detail receives the per-layer diagnostics of one checked image — the
@@ -381,17 +400,9 @@ func (d *Detector) CheckDetailed(img Image, out *Detail) (Verdict, error) {
 // details or the worker count; CheckBatch is CheckBatchDetailed(imgs,
 // nil).
 func (d *Detector) CheckBatchDetailed(imgs []Image, details []*Detail) ([]Verdict, error) {
-	xs := make([]*tensor.Tensor, len(imgs))
-	var firstErr error
-	for i, im := range imgs {
-		x, err := d.input(im)
-		if err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("image %d: %w", i, err)
-		}
-		xs[i] = x
-	}
-	if firstErr != nil {
-		return nil, firstErr
+	xs, err := d.inputs(imgs)
+	if err != nil {
+		return nil, err
 	}
 	var tms []*core.ScoreTimings
 	for i := range details {
@@ -453,7 +464,9 @@ func (d *Detector) SetWorkers(n int) { d.mon.SetWorkers(n) }
 // Every invalid image in the batch is counted into
 // dv_invalid_input_total (not just the first, even though the batch
 // aborts on the first error), so the telemetry totals match what a
-// sequential Check loop would have recorded.
+// sequential Check loop would have recorded. The pixels are read in
+// place, never written or retained (see Image); concurrent calls may
+// share one []Image.
 func (d *Detector) CheckBatch(imgs []Image) ([]Verdict, error) {
 	return d.CheckBatchDetailed(imgs, nil)
 }

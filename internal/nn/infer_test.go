@@ -27,7 +27,7 @@ func allLayerNet(t *testing.T) *Network {
 			NewConv2D("conv_k1", 6, 6, 1, 1, 0, rng), // 1×1 kernel, direct
 			NewTanh("tanh"),
 		),
-		NewMaxPool2D("pool_odd", 2, 2),     // 7×7 odd input → generic pool
+		NewMaxPool2D("pool_odd", 2, 2), // 7×7 odd input → generic pool
 		NewDenseBlock("dense_block", 6, 4, 2, rng),
 		NewConv2D("conv_pad0", 14, 8, 3, 1, 0, rng), // pad 0, direct → 8×1×1... careful
 		NewSigmoid("sigmoid"),

@@ -78,6 +78,8 @@ func verdictResponse(v deepvalidation.Verdict) VerdictResponse {
 // values are always finite — Validate enforces it regardless. The
 // boolean is the request's Explain flag. Canonical bodies take the
 // one-pass scanner; the rest take the reference decoder (wire.go).
+// Nothing returned refers into data, so the caller may recycle the body
+// buffer as soon as this returns.
 func decodeCheckRequest(data []byte) (deepvalidation.Image, bool, error) {
 	req, ok := scanCheckRequest(data)
 	if !ok {
@@ -96,7 +98,8 @@ func decodeCheckRequest(data []byte) (deepvalidation.Image, bool, error) {
 
 // decodeBatchRequest strictly parses a batch-request body, validating
 // every member image. explains[i] is image i's effective Explain flag
-// (its own, or the batch-level one).
+// (its own, or the batch-level one). Like decodeCheckRequest, it keeps
+// no reference into data.
 func decodeBatchRequest(data []byte) ([]deepvalidation.Image, []bool, error) {
 	req, ok := scanBatchRequest(data)
 	if !ok {
@@ -410,11 +413,12 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	if id != "" {
 		w.Header().Set(trace.HeaderTraceID, id)
 	}
-	body, ok := ReadBody(w, r, s.cfg.MaxBodyBytes)
+	body, release, ok := ReadBody(w, r, s.cfg.MaxBodyBytes)
 	if !ok {
 		return
 	}
 	img, explain, err := decodeCheckRequest(body)
+	release()
 	if err != nil {
 		obs.WriteError(w, http.StatusBadRequest, err.Error())
 		return
@@ -481,11 +485,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if base != "" {
 		w.Header().Set(trace.HeaderTraceID, base)
 	}
-	body, ok := ReadBody(w, r, s.cfg.MaxBodyBytes)
+	body, release, ok := ReadBody(w, r, s.cfg.MaxBodyBytes)
 	if !ok {
 		return
 	}
 	imgs, explains, err := decodeBatchRequest(body)
+	release()
 	if err != nil {
 		obs.WriteError(w, http.StatusBadRequest, err.Error())
 		return

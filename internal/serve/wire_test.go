@@ -1,9 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"deepvalidation"
@@ -169,5 +173,39 @@ func TestDecodeAllocBudget(t *testing.T) {
 		if allocs > tc.budget {
 			t.Errorf("%s: %.0f allocations per decode, budget %.0f", tc.name, allocs, tc.budget)
 		}
+	}
+}
+
+// TestReadBodySizes reads bodies across the pooled size classes and
+// past the largest, with and without a declared length: each arrives
+// intact, in a pooled power-of-two buffer exactly when it fits 64 KiB
+// with the extra byte that detects EOF, and over the limit it is
+// refused with 413.
+func TestReadBodySizes(t *testing.T) {
+	const limit = 300_000
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{0, 1, 1023, 1024, 5000, 1<<16 - 1, 1 << 16, 200_000, limit} {
+		body := make([]byte, n)
+		rng.Read(body)
+		for _, declared := range []bool{true, false} {
+			req := httptest.NewRequest(http.MethodPost, "/v1/check", bytes.NewReader(body))
+			if !declared {
+				req.ContentLength = -1
+			}
+			got, release, ok := ReadBody(httptest.NewRecorder(), req, limit)
+			if !ok || !bytes.Equal(got, body) {
+				t.Fatalf("%d bytes, declared %v: ok=%v, %d bytes back", n, declared, ok, len(got))
+			}
+			pooled := cap(got) <= 1<<maxBodyShift
+			if pooled != (n < 1<<maxBodyShift) || pooled && bits.OnesCount(uint(cap(got))) != 1 {
+				t.Errorf("%d bytes, declared %v: buffer capacity %d", n, declared, cap(got))
+			}
+			release()
+		}
+	}
+	rec := httptest.NewRecorder()
+	req := httptest.NewRequest(http.MethodPost, "/v1/check", bytes.NewReader(make([]byte, limit+1)))
+	if _, _, ok := ReadBody(rec, req, limit); ok || rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: ok=%v, status %d", ok, rec.Code)
 	}
 }

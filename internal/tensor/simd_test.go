@@ -257,7 +257,7 @@ func TestMatMulBlockedMatchesNaive(t *testing.T) {
 			fillMixed(rng, b.Data)
 			// Sprinkle zeros into a to exercise the hasZero fallback.
 			for z := 0; z < m*k/5+1; z++ {
-				a.Data[rng.Intn(m * k)] = 0
+				a.Data[rng.Intn(m*k)] = 0
 			}
 			want := make([]float64, m*n)
 			for i := 0; i < m; i++ {
