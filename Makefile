@@ -13,7 +13,8 @@ vet:
 	$(GO) vet ./...
 	test -z "$$(gofmt -l .)"
 
-# race exercises the concurrency-bearing packages — the parallel Fit
+# race exercises the concurrency-bearing packages — the trainer's
+# worker goroutines sharing one network, the parallel Fit
 # collection pass, the ScoreBatch worker pool, Monitor.CheckBatch, the
 # telemetry registry they all observe into, the serving micro-batcher,
 # the fleet gateway (router, probers, rollout), the hunt scheduler
@@ -23,7 +24,7 @@ vet:
 # reads the flight ring request goroutines write) — under the race
 # detector.
 race:
-	$(GO) test -race -timeout 45m ./internal/core ./internal/experiment ./internal/telemetry ./internal/serve ./internal/gateway ./internal/hunt ./internal/obs ./internal/trace .
+	$(GO) test -race -timeout 45m ./internal/nn ./internal/core ./internal/experiment ./internal/telemetry ./internal/serve ./internal/gateway ./internal/hunt ./internal/obs ./internal/trace .
 
 # smoke runs the end-to-end checks against real processes: the
 # observability pass (train, score, scrape /metrics), the serving

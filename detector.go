@@ -70,10 +70,10 @@ type BuildConfig struct {
 	SVMPerClass, SVMFeatures int
 	// Seed makes the whole build deterministic (default 1).
 	Seed int64
-	// Workers bounds the concurrency of validator fitting and of
-	// CheckBatch/Calibrate scoring (0 = GOMAXPROCS, 1 = sequential).
-	// Any value yields bit-identical results; pin it to 1 for
-	// single-threaded reproducibility audits.
+	// Workers bounds the concurrency of classifier training, validator
+	// fitting and CheckBatch/Calibrate scoring (0 = GOMAXPROCS,
+	// 1 = sequential). Any value yields bit-identical results; pin it
+	// to 1 for single-threaded reproducibility audits.
 	Workers int
 	// Progress, when non-nil, receives per-epoch training updates.
 	Progress func(epoch int, loss, accuracy float64)
@@ -126,6 +126,9 @@ func Build(images []Image, labels []int, cfg BuildConfig) (*Detector, error) {
 		return nil, err
 	}
 	tr := nn.NewTrainer(net, opt.NewAdadelta(1.0, 0.95), rand.New(rand.NewSource(cfg.Seed+1)))
+	if cfg.Workers > 0 {
+		tr.Workers = cfg.Workers
+	}
 	tr.OnEpoch = cfg.Progress
 	if _, err := tr.Train(xs, labels, cfg.Epochs); err != nil {
 		return nil, err
@@ -314,9 +317,10 @@ func (d *Detector) Check(img Image) (Verdict, error) {
 }
 
 // input wraps one image's pixels, uncopied, as the network's input
-// tensor, counting a rejection into dv_invalid_input_total. Every
-// forward pass only reads its input (nn.InferenceLayer), so scoring the
-// caller's pixels in place leaves them untouched.
+// tensor, counting a rejection into dv_invalid_input_total. Scoring
+// runs each layer's ForwardInfer (nn.InferenceLayer), which only reads
+// its input, so scoring the caller's pixels in place leaves them
+// untouched.
 func (d *Detector) input(img Image) (*tensor.Tensor, error) {
 	x, err := pixelTensor(img)
 	if err == nil {

@@ -1,10 +1,6 @@
 package nn
 
-import (
-	"math"
-
-	"deepvalidation/internal/tensor"
-)
+import "deepvalidation/internal/tensor"
 
 // ReLU applies max(0, x) elementwise.
 type ReLU struct {
@@ -23,31 +19,23 @@ func (l *ReLU) Params() []*Param { return nil }
 // OutShape implements Layer.
 func (l *ReLU) OutShape(in []int) []int { return append([]int(nil), in...) }
 
-// Forward implements Layer.
+// Forward implements Layer, recording the input for Backward.
 func (l *ReLU) Forward(x *tensor.Tensor, ctx *Context) *tensor.Tensor {
-	mask := make([]bool, x.Len())
-	out := x.Clone()
-	for i, v := range out.Data {
-		if v > 0 {
-			mask[i] = true
-		} else {
-			out.Data[i] = 0
-		}
-	}
-	ctx.put(l, mask)
-	return out
+	return ctx.record(l, x, l.ForwardInfer(x, ctx.sc))
 }
 
 // Backward implements Layer.
 func (l *ReLU) Backward(grad *tensor.Tensor, ctx *Context) *tensor.Tensor {
-	mv, ok := ctx.get(l)
-	if !ok {
-		panic("nn: " + l.LayerName + ": Backward before Forward")
-	}
-	mask := mv.([]bool)
+	return reluBackward(grad, ctx.cached(l))
+}
+
+// reluBackward passes grad where x > 0 and zeroes it elsewhere. x may be
+// the ReLU's input or its output: both are positive at the same
+// positions.
+func reluBackward(grad, x *tensor.Tensor) *tensor.Tensor {
 	out := grad.Clone()
-	for i := range out.Data {
-		if !mask[i] {
+	for i, v := range x.Data {
+		if !(v > 0) {
 			out.Data[i] = 0
 		}
 	}
@@ -73,22 +61,17 @@ func (l *Softmax) Params() []*Param { return nil }
 // OutShape implements Layer.
 func (l *Softmax) OutShape(in []int) []int { return append([]int(nil), in...) }
 
-// Forward implements Layer.
+// Forward implements Layer, recording the output for Backward.
 func (l *Softmax) Forward(x *tensor.Tensor, ctx *Context) *tensor.Tensor {
-	out := SoftmaxVector(x)
-	ctx.put(l, out.Clone())
-	return out
+	out := l.ForwardInfer(x, ctx.sc)
+	return ctx.record(l, out, out)
 }
 
 // Backward implements Layer. It applies the full softmax Jacobian,
 // dL/dz_i = y_i (g_i - Σ_j g_j y_j), so both the training loss and the
 // attack objectives can backpropagate through probabilities.
 func (l *Softmax) Backward(grad *tensor.Tensor, ctx *Context) *tensor.Tensor {
-	yv, ok := ctx.get(l)
-	if !ok {
-		panic("nn: " + l.LayerName + ": Backward before Forward")
-	}
-	y := yv.(*tensor.Tensor)
+	y := ctx.cached(l)
 	dot := 0.0
 	for i, g := range grad.Data {
 		dot += g * y.Data[i]
@@ -96,23 +79,6 @@ func (l *Softmax) Backward(grad *tensor.Tensor, ctx *Context) *tensor.Tensor {
 	out := tensor.New(y.Len())
 	for i := range out.Data {
 		out.Data[i] = y.Data[i] * (grad.Data[i] - dot)
-	}
-	return out
-}
-
-// SoftmaxVector computes a numerically stable softmax of a flat tensor
-// without touching any layer state.
-func SoftmaxVector(x *tensor.Tensor) *tensor.Tensor {
-	out := tensor.New(x.Len())
-	m := x.Max()
-	sum := 0.0
-	for i, v := range x.Data {
-		e := math.Exp(v - m)
-		out.Data[i] = e
-		sum += e
-	}
-	for i := range out.Data {
-		out.Data[i] /= sum
 	}
 	return out
 }

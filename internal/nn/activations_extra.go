@@ -1,10 +1,6 @@
 package nn
 
-import (
-	"math"
-
-	"deepvalidation/internal/tensor"
-)
+import "deepvalidation/internal/tensor"
 
 // Sigmoid applies 1/(1+e^{−x}) elementwise. The reference
 // architectures use ReLU, but custom models assembled from this
@@ -25,20 +21,15 @@ func (l *Sigmoid) Params() []*Param { return nil }
 // OutShape implements Layer.
 func (l *Sigmoid) OutShape(in []int) []int { return append([]int(nil), in...) }
 
-// Forward implements Layer.
+// Forward implements Layer, recording the output for Backward.
 func (l *Sigmoid) Forward(x *tensor.Tensor, ctx *Context) *tensor.Tensor {
-	out := x.Map(func(v float64) float64 { return 1 / (1 + math.Exp(-v)) })
-	ctx.put(l, out.Clone())
-	return out
+	out := l.ForwardInfer(x, ctx.sc)
+	return ctx.record(l, out, out)
 }
 
 // Backward implements Layer.
 func (l *Sigmoid) Backward(grad *tensor.Tensor, ctx *Context) *tensor.Tensor {
-	yv, ok := ctx.get(l)
-	if !ok {
-		panic("nn: " + l.LayerName + ": Backward before Forward")
-	}
-	y := yv.(*tensor.Tensor)
+	y := ctx.cached(l)
 	out := grad.Clone()
 	for i, g := range out.Data {
 		out.Data[i] = g * y.Data[i] * (1 - y.Data[i])
@@ -63,20 +54,15 @@ func (l *Tanh) Params() []*Param { return nil }
 // OutShape implements Layer.
 func (l *Tanh) OutShape(in []int) []int { return append([]int(nil), in...) }
 
-// Forward implements Layer.
+// Forward implements Layer, recording the output for Backward.
 func (l *Tanh) Forward(x *tensor.Tensor, ctx *Context) *tensor.Tensor {
-	out := x.Map(math.Tanh)
-	ctx.put(l, out.Clone())
-	return out
+	out := l.ForwardInfer(x, ctx.sc)
+	return ctx.record(l, out, out)
 }
 
 // Backward implements Layer.
 func (l *Tanh) Backward(grad *tensor.Tensor, ctx *Context) *tensor.Tensor {
-	yv, ok := ctx.get(l)
-	if !ok {
-		panic("nn: " + l.LayerName + ": Backward before Forward")
-	}
-	y := yv.(*tensor.Tensor)
+	y := ctx.cached(l)
 	out := grad.Clone()
 	for i, g := range out.Data {
 		out.Data[i] = g * (1 - y.Data[i]*y.Data[i])
@@ -106,40 +92,19 @@ func (l *LeakyReLU) Params() []*Param { return nil }
 // OutShape implements Layer.
 func (l *LeakyReLU) OutShape(in []int) []int { return append([]int(nil), in...) }
 
-// Forward implements Layer.
+// Forward implements Layer, recording the input for Backward.
 func (l *LeakyReLU) Forward(x *tensor.Tensor, ctx *Context) *tensor.Tensor {
-	mask := make([]bool, x.Len())
-	out := x.Clone()
-	for i, v := range out.Data {
-		if v > 0 {
-			mask[i] = true
-		} else {
-			out.Data[i] = l.Alpha * v
-		}
-	}
-	ctx.put(l, mask)
-	return out
+	return ctx.record(l, x, l.ForwardInfer(x, ctx.sc))
 }
 
 // Backward implements Layer.
 func (l *LeakyReLU) Backward(grad *tensor.Tensor, ctx *Context) *tensor.Tensor {
-	mv, ok := ctx.get(l)
-	if !ok {
-		panic("nn: " + l.LayerName + ": Backward before Forward")
-	}
-	mask := mv.([]bool)
+	x := ctx.cached(l)
 	out := grad.Clone()
-	for i := range out.Data {
-		if !mask[i] {
+	for i, v := range x.Data {
+		if !(v > 0) {
 			out.Data[i] *= l.Alpha
 		}
 	}
 	return out
 }
-
-// Interface compliance checks.
-var (
-	_ Layer = (*Sigmoid)(nil)
-	_ Layer = (*Tanh)(nil)
-	_ Layer = (*LeakyReLU)(nil)
-)

@@ -149,7 +149,9 @@ var (
 	_ Layer = (*BatchNorm)(nil)
 	_ Layer = (*Seq)(nil)
 	_ Layer = (*DenseBlock)(nil)
-	_ Layer = blockReluKey{}
+	_ Layer = (*Sigmoid)(nil)
+	_ Layer = (*Tanh)(nil)
+	_ Layer = (*LeakyReLU)(nil)
 )
 
 // inputShapeElems is a small helper used by arch validation.

@@ -57,7 +57,9 @@ func (l *BatchNorm) OutShape(in []int) []int {
 	return append([]int(nil), in...)
 }
 
-// Forward implements Layer.
+// Forward implements Layer: in a calibration context it first folds x
+// into the running statistics, then runs ForwardInfer on the context's
+// arena, recording the input for Backward.
 func (l *BatchNorm) Forward(x *tensor.Tensor, ctx *Context) *tensor.Tensor {
 	if x.Rank() != 3 || x.Shape[0] != l.C {
 		panic(fmt.Sprintf("nn: %s expects input (%d,H,W), got %v", l.LayerName, l.C, x.Shape))
@@ -65,47 +67,28 @@ func (l *BatchNorm) Forward(x *tensor.Tensor, ctx *Context) *tensor.Tensor {
 	if ctx.Calibrating() {
 		l.UpdateStats(x)
 	}
-	h, w := x.Shape[1], x.Shape[2]
-	area := h * w
-	out := tensor.New(x.Shape...)
-	xhat := tensor.New(x.Shape...)
-	for ch := 0; ch < l.C; ch++ {
-		mean := l.RunMean.Data[ch]
-		invStd := 1 / math.Sqrt(l.RunVar.Data[ch]+l.Eps)
-		g, b := l.Gamma.Value.Data[ch], l.Beta.Value.Data[ch]
-		in := x.Data[ch*area : (ch+1)*area]
-		xh := xhat.Data[ch*area : (ch+1)*area]
-		o := out.Data[ch*area : (ch+1)*area]
-		for i, v := range in {
-			n := (v - mean) * invStd
-			xh[i] = n
-			o[i] = g*n + b
-		}
-	}
-	ctx.put(l, xhat)
-	return out
+	return ctx.record(l, x, l.ForwardInfer(x, ctx.sc))
 }
 
-// Backward implements Layer.
+// Backward implements Layer. It recomputes x̂ = (x−μ)/σ from the
+// recorded input with ForwardInfer's arithmetic.
 func (l *BatchNorm) Backward(grad *tensor.Tensor, ctx *Context) *tensor.Tensor {
-	xv, ok := ctx.get(l)
-	if !ok {
-		panic("nn: " + l.LayerName + ": Backward before Forward")
-	}
-	xhat := xv.(*tensor.Tensor)
+	x := ctx.cached(l)
 	area := grad.Len() / l.C
 	dGamma := tensor.New(l.C)
 	dBeta := tensor.New(l.C)
 	dX := tensor.New(grad.Shape...)
 	for ch := 0; ch < l.C; ch++ {
+		mean := l.RunMean.Data[ch]
 		invStd := 1 / math.Sqrt(l.RunVar.Data[ch]+l.Eps)
 		g := l.Gamma.Value.Data[ch]
 		gs := grad.Data[ch*area : (ch+1)*area]
-		xs := xhat.Data[ch*area : (ch+1)*area]
+		xs := x.Data[ch*area : (ch+1)*area]
 		ds := dX.Data[ch*area : (ch+1)*area]
 		sg, sb := 0.0, 0.0
 		for i, gv := range gs {
-			sg += gv * xs[i]
+			xh := (xs[i] - mean) * invStd
+			sg += gv * xh
 			sb += gv
 			ds[i] = gv * g * invStd
 		}

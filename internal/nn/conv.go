@@ -18,11 +18,6 @@ type Conv2D struct {
 	Bias        *Param // (OutC)
 }
 
-type convCache struct {
-	cols    *tensor.Tensor
-	inShape []int
-}
-
 // NewConv2D constructs a convolution layer with He-initialized weights.
 func NewConv2D(name string, inC, outC, k, stride, pad int, rng *rand.Rand) *Conv2D {
 	w := tensor.New(outC, inC*k*k).FillHe(rng, inC*k*k)
@@ -55,35 +50,23 @@ func (l *Conv2D) OutShape(in []int) []int {
 	}
 }
 
-// Forward implements Layer.
+// Forward implements Layer: ForwardInfer on the context's arena,
+// recording the input for Backward.
 func (l *Conv2D) Forward(x *tensor.Tensor, ctx *Context) *tensor.Tensor {
-	outShape := l.OutShape(x.Shape)
-	cols := tensor.Im2Col(x, l.KH, l.KW, l.Stride, l.Pad)
-	out := tensor.MatMul(l.Weight.Value, cols) // (OutC, outH*outW)
-	area := outShape[1] * outShape[2]
-	for f := 0; f < l.OutC; f++ {
-		b := l.Bias.Value.Data[f]
-		row := out.Data[f*area : (f+1)*area]
-		for i := range row {
-			row[i] += b
-		}
-	}
-	ctx.put(l, &convCache{cols: cols, inShape: x.Shape})
-	return out.Reshape(outShape...)
+	return ctx.record(l, x, l.ForwardInfer(x, ctx.sc))
 }
 
-// Backward implements Layer.
+// Backward implements Layer. It rebuilds the im2col columns of the
+// recorded input in an arena slot.
 func (l *Conv2D) Backward(grad *tensor.Tensor, ctx *Context) *tensor.Tensor {
-	cv, ok := ctx.get(l)
-	if !ok {
-		panic("nn: " + l.LayerName + ": Backward before Forward")
-	}
-	cache := cv.(*convCache)
+	x := ctx.cached(l)
 	area := grad.Len() / l.OutC
 	g2 := grad.Reshape(l.OutC, area)
+	cols := ctx.sc.tensor2(skey{l, 0}, l.InC*l.KH*l.KW, area)
+	tensor.Im2ColInto(cols, x, l.KH, l.KW, l.Stride, l.Pad)
 
 	// dW = g2 × colsᵀ ; db = row sums of g2.
-	dW := tensor.MatMulTransB(g2, cache.cols)
+	dW := tensor.MatMulTransB(g2, cols)
 	ctx.AddGrad(l.Weight, dW)
 	db := tensor.New(l.OutC)
 	for f := 0; f < l.OutC; f++ {
@@ -97,6 +80,5 @@ func (l *Conv2D) Backward(grad *tensor.Tensor, ctx *Context) *tensor.Tensor {
 
 	// dX via cols gradient scattered back through Col2Im.
 	dCols := tensor.MatMulTransA(l.Weight.Value, g2)
-	in := cache.inShape
-	return tensor.Col2Im(dCols, in[0], in[1], in[2], l.KH, l.KW, l.Stride, l.Pad)
+	return tensor.Col2Im(dCols, x.Shape[0], x.Shape[1], x.Shape[2], l.KH, l.KW, l.Stride, l.Pad)
 }

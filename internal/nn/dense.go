@@ -46,25 +46,14 @@ func (l *Dense) OutShape(in []int) []int {
 	return []int{l.Out}
 }
 
-// Forward implements Layer.
+// Forward implements Layer, recording the input for Backward.
 func (l *Dense) Forward(x *tensor.Tensor, ctx *Context) *tensor.Tensor {
-	if x.Len() != l.In {
-		panic(fmt.Sprintf("nn: %s expects %d inputs, got %d", l.LayerName, l.In, x.Len()))
-	}
-	flat := x.Reshape(l.In)
-	out := tensor.MatVec(l.Weight.Value, flat)
-	out.AddInPlace(l.Bias.Value)
-	ctx.put(l, flat)
-	return out
+	return ctx.record(l, x, l.ForwardInfer(x, ctx.sc))
 }
 
 // Backward implements Layer.
 func (l *Dense) Backward(grad *tensor.Tensor, ctx *Context) *tensor.Tensor {
-	xv, ok := ctx.get(l)
-	if !ok {
-		panic("nn: " + l.LayerName + ": Backward before Forward")
-	}
-	x := xv.(*tensor.Tensor)
+	x := ctx.cached(l)
 
 	// dW[o][i] = grad[o] * x[i]; db = grad; dX = Wᵀ grad.
 	dW := tensor.New(l.Out, l.In)

@@ -62,24 +62,55 @@ func (l *DenseBlock) OutShape(in []int) []int {
 	return []int{l.OutC(), in[1], in[2]}
 }
 
-// Forward implements Layer.
+// ForwardInfer implements Layer.
+func (l *DenseBlock) ForwardInfer(x *tensor.Tensor, sc *Scratch) *tensor.Tensor {
+	return l.forward(x, sc, nil)
+}
+
+// Forward implements Layer: the block's forward body on the context's
+// arena, with every sub-layer running its own Forward so it records
+// what its Backward needs (and BatchNorm calibrates).
 func (l *DenseBlock) Forward(x *tensor.Tensor, ctx *Context) *tensor.Tensor {
-	cat := x
-	for i := range l.Convs {
-		h := l.Norms[i].Forward(cat, ctx)
-		h = reluForwardKeyed(l, i, h, ctx)
-		out := l.Convs[i].Forward(h, ctx)
-		cat = concatChannels(cat, out)
+	return ctx.record(l, x, l.forward(x, ctx.sc, ctx))
+}
+
+// forward is the block's one forward body. The concatenation is built
+// in place in one arena buffer: sub-layer i reads the prefix holding
+// the block input and the outputs of sub-layers 0..i-1, and its output
+// is copied in after that prefix. With ctx nil the sub-layers run
+// ForwardInfer on sc; otherwise they run Forward on ctx, whose arena is
+// sc.
+func (l *DenseBlock) forward(x *tensor.Tensor, sc *Scratch, ctx *Context) *tensor.Tensor {
+	step := func(sub Layer, x *tensor.Tensor) *tensor.Tensor {
+		if ctx == nil {
+			return sub.ForwardInfer(x, sc)
+		}
+		return sub.Forward(x, ctx)
 	}
-	ctx.put(l, x.Shape)
+	h, w := x.Shape[1], x.Shape[2]
+	area := h * w
+	cat := sc.tensor3(skey{l, 0}, l.OutC(), h, w)
+	copy(cat.Data[:l.InC*area], x.Data)
+	for i := range l.Convs {
+		prefixC := l.InC + i*l.Growth
+		prefix := sc.viewOf3(skey{l, 1 + i}, cat.Data[:prefixC*area], prefixC, h, w)
+		hb := step(l.Norms[i], prefix)
+		// The ReLU buffer lives in the tens map under the same
+		// (block, 1+i) key the prefix view uses in the views map — the
+		// maps are disjoint, and keying by the block pointer avoids
+		// boxing a per-call interface value (which would allocate).
+		hr := sc.like(skey{l, 1 + i}, hb)
+		reluInto(hr.Data, hb.Data)
+		out := step(l.Convs[i], hr)
+		copy(cat.Data[prefixC*area:(prefixC+l.Growth)*area], out.Data)
+	}
 	return cat
 }
 
-// Backward implements Layer.
+// Backward implements Layer. Sub-layer i's ReLU mask comes from the
+// input conv i recorded, which is that ReLU's output.
 func (l *DenseBlock) Backward(grad *tensor.Tensor, ctx *Context) *tensor.Tensor {
-	if _, ok := ctx.get(l); !ok {
-		panic("nn: " + l.LayerName + ": Backward before Forward")
-	}
+	ctx.cached(l) // panics unless Forward ran
 	h, w := grad.Shape[1], grad.Shape[2]
 	area := h * w
 
@@ -91,70 +122,13 @@ func (l *DenseBlock) Backward(grad *tensor.Tensor, ctx *Context) *tensor.Tensor 
 		prefixC := l.InC + i*l.Growth
 		gOut := tensor.From(acc.Data[prefixC*area:(prefixC+l.Growth)*area], l.Growth, h, w)
 		g := l.Convs[i].Backward(gOut, ctx)
-		g = reluBackwardKeyed(l, i, g, ctx)
+		g = reluBackward(g, ctx.cached(l.Convs[i]))
 		g = l.Norms[i].Backward(g, ctx)
 		prefix := tensor.From(acc.Data[:prefixC*area], prefixC, h, w)
 		prefix.AddInPlace(g)
 		acc = tensor.From(acc.Data[:prefixC*area], prefixC, h, w)
 	}
 	return acc
-}
-
-// reluForwardKeyed applies ReLU, caching the mask under a composite key
-// so each sub-layer's mask is distinct within the block.
-func reluForwardKeyed(l *DenseBlock, i int, x *tensor.Tensor, ctx *Context) *tensor.Tensor {
-	mask := make([]bool, x.Len())
-	out := x.Clone()
-	for j, v := range out.Data {
-		if v > 0 {
-			mask[j] = true
-		} else {
-			out.Data[j] = 0
-		}
-	}
-	ctx.put(blockReluKey{block: l, idx: i}, mask)
-	return out
-}
-
-func reluBackwardKeyed(l *DenseBlock, i int, grad *tensor.Tensor, ctx *Context) *tensor.Tensor {
-	mv, ok := ctx.get(blockReluKey{block: l, idx: i})
-	if !ok {
-		panic("nn: " + l.LayerName + ": ReLU Backward before Forward")
-	}
-	mask := mv.([]bool)
-	out := grad.Clone()
-	for j := range out.Data {
-		if !mask[j] {
-			out.Data[j] = 0
-		}
-	}
-	return out
-}
-
-// blockReluKey lets a DenseBlock cache several ReLU masks in one
-// Context. It satisfies Layer only so it can be used as a cache key;
-// none of its methods are ever called.
-type blockReluKey struct {
-	block *DenseBlock
-	idx   int
-}
-
-func (blockReluKey) Name() string                                         { return "denseblock.relu" }
-func (blockReluKey) OutShape(in []int) []int                              { return in }
-func (blockReluKey) Forward(x *tensor.Tensor, _ *Context) *tensor.Tensor  { return x }
-func (blockReluKey) Backward(g *tensor.Tensor, _ *Context) *tensor.Tensor { return g }
-func (blockReluKey) Params() []*Param                                     { return nil }
-
-// concatChannels concatenates two (C,H,W) tensors along the channel
-// axis; spatial dimensions must agree.
-func concatChannels(a, b *tensor.Tensor) *tensor.Tensor {
-	if a.Shape[1] != b.Shape[1] || a.Shape[2] != b.Shape[2] {
-		panic(fmt.Sprintf("nn: concatChannels spatial mismatch %v vs %v", a.Shape, b.Shape))
-	}
-	out := tensor.New(a.Shape[0]+b.Shape[0], a.Shape[1], a.Shape[2])
-	copy(out.Data, a.Data)
-	copy(out.Data[a.Len():], b.Data)
-	return out
 }
 
 // NewTransition constructs the DenseNet between-block unit — BN → ReLU

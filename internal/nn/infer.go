@@ -1,25 +1,30 @@
-// Inference-mode forward passes over reusable scratch arenas.
+// The forward pass: every layer's ForwardInfer, over reusable scratch
+// arenas.
 //
-// The training-oriented Layer.Forward allocates its output (and its
-// backward caches) on every call, which makes the scoring hot path
-// allocation-bound: one tapped forward pass through the seven-layer CNN
-// costs ~1 MB of garbage per sample. The InferenceLayer paths below
-// write into per-layer buffers owned by a Scratch arena instead, so a
-// warmed-up pass allocates nothing.
+// This file holds each layer's forward arithmetic, once. Scoring and
+// Fit call ForwardInfer directly (through ForwardTappedScratch);
+// training, input gradients and BatchNorm calibration reach it through
+// Layer.Forward, which runs ForwardInfer on the Context's arena and
+// records only what Backward needs (see the package comment). Each
+// ForwardInfer writes into per-layer buffers owned by a Scratch arena,
+// so a warmed-up pass allocates nothing.
 //
-// Equivalence contract: every ForwardInfer performs exactly the same
-// floating-point operations in the same order as the corresponding
-// Forward — only the memory the results land in changes. Reused buffers
-// are written element-for-element (never assumed zeroed), so stale
-// contents cannot leak. TestForwardTappedScratchBitEquivalent pins this
-// bit-for-bit against ForwardTapped for every layer type.
+// Equivalence contract: every ForwardInfer performs exactly the
+// floating-point operations of the plain scalar definition of its
+// layer, in the same order. Reused buffers are written
+// element-for-element (never assumed zeroed), so stale contents cannot
+// leak. The scalar definitions live in infer_test.go as a test-only
+// per-layer reference; TestForwardTappedScratchBitEquivalent and
+// TestForwardTappedScratchSpecialInputs pin every layer type against it
+// bit for bit.
 //
 // Ownership rules (the scratch-arena discipline DESIGN.md §13 spells
 // out):
 //
 //   - A Scratch must only ever be used by one goroutine at a time; give
 //     each worker its own (core.Validator pools scoring arenas in a
-//     sync.Pool; core.Fit holds one per worker for its collection pass).
+//     sync.Pool; core.Fit holds one per worker for its collection pass;
+//     every Context owns one).
 //   - Tensors returned by ForwardInfer / ForwardTappedScratch alias
 //     arena memory and are valid only until the next forward pass on
 //     the same Scratch. Callers must copy anything they keep.
@@ -33,13 +38,9 @@ import (
 	"deepvalidation/internal/tensor"
 )
 
-// InferenceLayer is implemented by layers that can run their forward
-// pass through a Scratch arena without allocating. The result must be
-// bitwise identical to Forward with an inference Context.
-type InferenceLayer interface {
-	Layer
-	ForwardInfer(x *tensor.Tensor, sc *Scratch) *tensor.Tensor
-}
+// InferenceLayer is the arena forward contract. Every Layer carries
+// ForwardInfer, so the two names denote one interface.
+type InferenceLayer = Layer
 
 // skey addresses one reusable buffer: a layer may own several slots.
 type skey struct {
@@ -54,7 +55,6 @@ type Scratch struct {
 	tens  map[skey]*tensor.Tensor
 	views map[skey]*tensor.Tensor
 	taps  []*tensor.Tensor
-	ctx   *Context // fallback Context for layers without an inference path
 }
 
 // NewScratch returns an empty arena.
@@ -63,18 +63,6 @@ func NewScratch() *Scratch {
 		tens:  make(map[skey]*tensor.Tensor),
 		views: make(map[skey]*tensor.Tensor),
 	}
-}
-
-// forward routes one layer through its inference path, falling back to
-// the allocating Forward for layer types outside this package.
-func (sc *Scratch) forward(l Layer, x *tensor.Tensor) *tensor.Tensor {
-	if il, ok := l.(InferenceLayer); ok {
-		return il.ForwardInfer(x, sc)
-	}
-	if sc.ctx == nil {
-		sc.ctx = NewContext(false, nil)
-	}
-	return l.Forward(x, sc.ctx)
 }
 
 // tensor1 returns the key's cached rank-1 buffer of length n,
@@ -147,33 +135,37 @@ func (sc *Scratch) viewOf1(k skey, data []float64) *tensor.Tensor {
 	return v
 }
 
-// ForwardTappedScratch is ForwardTapped running through sc's reusable
-// buffers: a warmed-up arena allocates nothing, and the results are
-// bitwise identical. The returned probabilities and taps alias arena
+// ForwardTappedScratch runs one sample through the network in inference
+// mode on sc's reusable buffers and returns both the output
+// probabilities and every layer's output (taps[i] is the output of
+// Layers[i]; taps[len-1] aliases the returned probabilities). This is
+// the single-pass probe Deep Validation's Algorithm 2 relies on: hidden
+// representations come for free with the prediction. A warmed-up arena
+// allocates nothing. The returned probabilities and taps alias arena
 // memory and are valid only until the next forward pass on sc; callers
 // must copy anything they retain.
 func (n *Network) ForwardTappedScratch(x *tensor.Tensor, sc *Scratch) (probs *tensor.Tensor, taps []*tensor.Tensor) {
 	taps = sc.taps[:0]
 	for _, l := range n.Layers {
-		x = sc.forward(l, x)
+		x = l.ForwardInfer(x, sc)
 		taps = append(taps, x)
 	}
 	sc.taps = taps
 	return x, taps
 }
 
-// ForwardInfer implements InferenceLayer.
+// ForwardInfer implements Layer.
 func (l *Seq) ForwardInfer(x *tensor.Tensor, sc *Scratch) *tensor.Tensor {
 	for _, c := range l.Children {
-		x = sc.forward(c, x)
+		x = c.ForwardInfer(x, sc)
 	}
 	return x
 }
 
-// ForwardInfer implements InferenceLayer: im2col into a reused column
-// buffer, a matrix multiply into a reused output buffer, and a cached
-// rank-3 view — the same arithmetic as Forward without the three large
-// allocations per call.
+// ForwardInfer implements Layer: im2col into a reused column buffer, a
+// matrix multiply into a reused output buffer, and a cached rank-3
+// view. Stride-1 convolutions skip the column matrix (see
+// forwardInferDirect).
 func (l *Conv2D) ForwardInfer(x *tensor.Tensor, sc *Scratch) *tensor.Tensor {
 	if x.Rank() != 3 || x.Shape[0] != l.InC {
 		panic("nn: " + l.LayerName + ": ForwardInfer input shape mismatch")
@@ -295,8 +287,9 @@ func zeroFloats(s []float64) {
 	}
 }
 
-// ForwardInfer implements InferenceLayer: the same window maxima
-// without recording the backward-pass argmax indices.
+// ForwardInfer implements Layer: the window maxima, scanned in (ky,kx)
+// order with strict > updates. Backward recomputes the argmax from the
+// input with the same scan.
 func (l *MaxPool2D) ForwardInfer(x *tensor.Tensor, sc *Scratch) *tensor.Tensor {
 	if x.Rank() != 3 {
 		panic("nn: " + l.LayerName + ": ForwardInfer expects (C,H,W) input")
@@ -365,7 +358,7 @@ func (l *MaxPool2D) ForwardInfer(x *tensor.Tensor, sc *Scratch) *tensor.Tensor {
 	return out
 }
 
-// ForwardInfer implements InferenceLayer.
+// ForwardInfer implements Layer.
 func (l *AvgPool2D) ForwardInfer(x *tensor.Tensor, sc *Scratch) *tensor.Tensor {
 	if x.Rank() != 3 {
 		panic("nn: " + l.LayerName + ": ForwardInfer expects (C,H,W) input")
@@ -402,7 +395,7 @@ func (l *AvgPool2D) ForwardInfer(x *tensor.Tensor, sc *Scratch) *tensor.Tensor {
 	return out
 }
 
-// ForwardInfer implements InferenceLayer.
+// ForwardInfer implements Layer.
 func (l *GlobalAvgPool) ForwardInfer(x *tensor.Tensor, sc *Scratch) *tensor.Tensor {
 	c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
 	out := sc.tensor1(skey{l, 0}, c)
@@ -417,7 +410,7 @@ func (l *GlobalAvgPool) ForwardInfer(x *tensor.Tensor, sc *Scratch) *tensor.Tens
 	return out
 }
 
-// ForwardInfer implements InferenceLayer. MatVec is length-based, so no
+// ForwardInfer implements Layer. MatVec is length-based, so no
 // flattening reshape is needed.
 func (l *Dense) ForwardInfer(x *tensor.Tensor, sc *Scratch) *tensor.Tensor {
 	out := sc.tensor1(skey{l, 0}, l.Out)
@@ -426,9 +419,9 @@ func (l *Dense) ForwardInfer(x *tensor.Tensor, sc *Scratch) *tensor.Tensor {
 	return out
 }
 
-// ForwardInfer implements InferenceLayer: max(0, x) into a scratch
-// buffer, no mask, no clone. It deliberately does not write in place —
-// x may be a tap the caller still observes.
+// ForwardInfer implements Layer: max(0, x) into a scratch buffer. It
+// deliberately does not write in place — x may be a tap the caller
+// still observes, or the input a training Backward reads.
 func (l *ReLU) ForwardInfer(x *tensor.Tensor, sc *Scratch) *tensor.Tensor {
 	out := sc.like(skey{l, 0}, x)
 	reluInto(out.Data, x.Data)
@@ -439,8 +432,8 @@ func reluInto(dst, src []float64) {
 	tensor.ReLUInto(dst, src)
 }
 
-// ForwardInfer implements InferenceLayer with SoftmaxVector's exact
-// arithmetic into a reused buffer.
+// ForwardInfer implements Layer: a numerically stable softmax (the
+// maximum is subtracted before exponentiating) into a reused buffer.
 func (l *Softmax) ForwardInfer(x *tensor.Tensor, sc *Scratch) *tensor.Tensor {
 	out := sc.tensor1(skey{l, 0}, x.Len())
 	m := x.Max()
@@ -456,7 +449,7 @@ func (l *Softmax) ForwardInfer(x *tensor.Tensor, sc *Scratch) *tensor.Tensor {
 	return out
 }
 
-// ForwardInfer implements InferenceLayer.
+// ForwardInfer implements Layer.
 func (l *Sigmoid) ForwardInfer(x *tensor.Tensor, sc *Scratch) *tensor.Tensor {
 	out := sc.like(skey{l, 0}, x)
 	for i, v := range x.Data {
@@ -465,7 +458,7 @@ func (l *Sigmoid) ForwardInfer(x *tensor.Tensor, sc *Scratch) *tensor.Tensor {
 	return out
 }
 
-// ForwardInfer implements InferenceLayer.
+// ForwardInfer implements Layer.
 func (l *Tanh) ForwardInfer(x *tensor.Tensor, sc *Scratch) *tensor.Tensor {
 	out := sc.like(skey{l, 0}, x)
 	for i, v := range x.Data {
@@ -474,7 +467,7 @@ func (l *Tanh) ForwardInfer(x *tensor.Tensor, sc *Scratch) *tensor.Tensor {
 	return out
 }
 
-// ForwardInfer implements InferenceLayer.
+// ForwardInfer implements Layer.
 func (l *LeakyReLU) ForwardInfer(x *tensor.Tensor, sc *Scratch) *tensor.Tensor {
 	out := sc.like(skey{l, 0}, x)
 	for i, v := range x.Data {
@@ -487,20 +480,19 @@ func (l *LeakyReLU) ForwardInfer(x *tensor.Tensor, sc *Scratch) *tensor.Tensor {
 	return out
 }
 
-// ForwardInfer implements InferenceLayer: a cached flat view, the
-// scratch analogue of Forward's Reshape.
+// ForwardInfer implements Layer: a cached flat view of x.
 func (l *Flatten) ForwardInfer(x *tensor.Tensor, sc *Scratch) *tensor.Tensor {
 	return sc.viewOf1(skey{l, 0}, x.Data)
 }
 
-// ForwardInfer implements InferenceLayer: inverted dropout is the
-// identity in inference mode.
+// ForwardInfer implements Layer: inverted dropout is the identity in
+// inference mode (Forward draws the training mask).
 func (l *Dropout) ForwardInfer(x *tensor.Tensor, sc *Scratch) *tensor.Tensor {
 	return x
 }
 
-// ForwardInfer implements InferenceLayer: the frozen-statistics
-// normalization without materializing the backward-pass xhat.
+// ForwardInfer implements Layer: the frozen-statistics normalization.
+// Backward recomputes x̂ from the input rather than storing it.
 func (l *BatchNorm) ForwardInfer(x *tensor.Tensor, sc *Scratch) *tensor.Tensor {
 	if x.Rank() != 3 || x.Shape[0] != l.C {
 		panic("nn: " + l.LayerName + ": ForwardInfer input shape mismatch")
@@ -521,50 +513,3 @@ func (l *BatchNorm) ForwardInfer(x *tensor.Tensor, sc *Scratch) *tensor.Tensor {
 	}
 	return out
 }
-
-// ForwardInfer implements InferenceLayer: the concatenation is built
-// in place in one arena buffer (each sub-layer reads the prefix its
-// training-mode counterpart would read from the growing concat chain),
-// so the block performs no per-call concatenation copies beyond the
-// sub-layer outputs themselves.
-func (l *DenseBlock) ForwardInfer(x *tensor.Tensor, sc *Scratch) *tensor.Tensor {
-	h, w := x.Shape[1], x.Shape[2]
-	area := h * w
-	cat := sc.tensor3(skey{l, 0}, l.OutC(), h, w)
-	copy(cat.Data[:l.InC*area], x.Data)
-	for i := range l.Convs {
-		prefixC := l.InC + i*l.Growth
-		prefix := sc.viewOf3(skey{l, 1 + i}, cat.Data[:prefixC*area], prefixC, h, w)
-		hb := l.Norms[i].ForwardInfer(prefix, sc)
-		// The ReLU buffer lives in the tens map under the same
-		// (block, 1+i) key the prefix view uses in the views map — the
-		// maps are disjoint, and keying by the block pointer avoids
-		// boxing a per-call interface value (which would allocate).
-		hr := sc.like(skey{l, 1 + i}, hb)
-		reluInto(hr.Data, hb.Data)
-		out := l.Convs[i].ForwardInfer(hr, sc)
-		copy(cat.Data[prefixC*area:(prefixC+l.Growth)*area], out.Data)
-	}
-	return cat
-}
-
-// Interface compliance checks: every in-repo layer type must carry an
-// inference path, so production scoring never falls back to the
-// allocating Forward.
-var (
-	_ InferenceLayer = (*Seq)(nil)
-	_ InferenceLayer = (*Conv2D)(nil)
-	_ InferenceLayer = (*MaxPool2D)(nil)
-	_ InferenceLayer = (*AvgPool2D)(nil)
-	_ InferenceLayer = (*GlobalAvgPool)(nil)
-	_ InferenceLayer = (*Dense)(nil)
-	_ InferenceLayer = (*ReLU)(nil)
-	_ InferenceLayer = (*Softmax)(nil)
-	_ InferenceLayer = (*Sigmoid)(nil)
-	_ InferenceLayer = (*Tanh)(nil)
-	_ InferenceLayer = (*LeakyReLU)(nil)
-	_ InferenceLayer = (*Flatten)(nil)
-	_ InferenceLayer = (*Dropout)(nil)
-	_ InferenceLayer = (*BatchNorm)(nil)
-	_ InferenceLayer = (*DenseBlock)(nil)
-)

@@ -6,11 +6,23 @@
 // Algorithm 2) and input gradients for the white-box attacks of the
 // evaluation (Section IV-D5). Both fall out of the Layer contract below.
 //
+// One forward path: each layer's forward arithmetic lives once, in
+// ForwardInfer, which writes into a Scratch arena (infer.go). Scoring
+// and Fit call it directly. Training, input gradients and BatchNorm
+// calibration call Forward, which runs the same ForwardInfer on the
+// Context's own arena and records only what Backward needs: the input,
+// the output or a dropout mask. Backward recomputes anything else (the
+// im2col columns, the pool argmax, BatchNorm's x̂) from that record.
+// The scalar arithmetic the arena kernels must reproduce bit for bit
+// lives in the tests as an independent per-layer reference.
+//
 // Concurrency model: layers hold parameters but no per-call state. All
 // forward caches and per-sample parameter gradients live in a Context,
 // so any number of samples can flow through the same network
-// concurrently. The trainer reduces per-worker gradients in fixed
-// parameter order, keeping training deterministic for a given seed.
+// concurrently. The trainer computes each sample's gradient on a
+// worker's Context and adds the samples into the batch total in sample
+// order, so a given seed produces the same model bits at any worker
+// count.
 package nn
 
 import (
@@ -26,11 +38,12 @@ type Param struct {
 	Value *tensor.Tensor
 }
 
-// Layer is one component of a network. Forward computes the layer output
-// for a single sample, recording whatever Backward will need in ctx.
-// Backward consumes the upstream gradient, accumulates parameter
-// gradients into ctx, and returns the gradient with respect to the
-// layer input.
+// Layer is one component of a network. ForwardInfer computes the layer
+// output for a single sample into a Scratch arena. Forward runs
+// ForwardInfer on the Context's arena and records whatever Backward
+// will need in ctx. Backward consumes the upstream gradient, accumulates
+// parameter gradients into ctx, and returns the gradient with respect to
+// the layer input.
 type Layer interface {
 	// Name returns a short human-readable identifier, unique within a
 	// network (the builder enforces uniqueness by suffixing).
@@ -39,7 +52,11 @@ type Layer interface {
 	// allowing architectures to be assembled without running data
 	// through them.
 	OutShape(in []int) []int
-	// Forward computes the output for one sample.
+	// ForwardInfer computes the inference-mode output for one sample
+	// into sc's buffers; it only reads x. See infer.go for the arena
+	// rules.
+	ForwardInfer(x *tensor.Tensor, sc *Scratch) *tensor.Tensor
+	// Forward computes the output for one sample within ctx.
 	Forward(x *tensor.Tensor, ctx *Context) *tensor.Tensor
 	// Backward computes the input gradient for one sample; it must be
 	// called after Forward with the same Context.
@@ -51,22 +68,34 @@ type Layer interface {
 
 // Context carries per-sample forward caches and parameter gradients.
 // A Context must not be shared between concurrently processed samples.
+//
+// A Context owns a Scratch arena that every Forward on it writes into,
+// so the activations Forward returns and the caches it records alias
+// arena memory. They stay valid until the next Forward on the same
+// Context: run Backward for one sample before the next sample's
+// Forward, and copy any activation kept beyond that. The first layer
+// records the caller's input by reference, so it must not change
+// before Backward either. One Context can
+// serve many samples in turn (the trainer gives each worker one and
+// calls ResetCache and ResetGrads between samples).
 type Context struct {
 	train     bool
 	calibrate bool
 	rng       *rand.Rand
-	cache     map[Layer]any
+	sc        *Scratch
+	cache     map[Layer]*tensor.Tensor
 	grads     map[*Param]*tensor.Tensor
 }
 
-// NewContext returns a Context for one forward/backward pass.
+// NewContext returns a Context for forward/backward passes.
 // train selects training behaviour (e.g. dropout active); rng supplies
 // any stochastic layers and may be nil when train is false.
 func NewContext(train bool, rng *rand.Rand) *Context {
 	return &Context{
 		train: train,
 		rng:   rng,
-		cache: make(map[Layer]any),
+		sc:    NewScratch(),
+		cache: make(map[Layer]*tensor.Tensor),
 		grads: make(map[*Param]*tensor.Tensor),
 	}
 }
@@ -91,14 +120,21 @@ func (c *Context) Calibrating() bool { return c.calibrate }
 // that were created without one).
 func (c *Context) Rand() *rand.Rand { return c.rng }
 
-// put stores a layer's forward cache.
-func (c *Context) put(l Layer, v any) { c.cache[l] = v }
+// record stores the one tensor l's Backward needs and passes out
+// through, so a layer's Forward reads as one line.
+func (c *Context) record(l Layer, cached, out *tensor.Tensor) *tensor.Tensor {
+	c.cache[l] = cached
+	return out
+}
 
-// get retrieves a layer's forward cache; ok is false if Forward was not
-// called for l in this context.
-func (c *Context) get(l Layer) (any, bool) {
+// cached returns what l's Forward recorded in this context, panicking
+// if Forward was not called for l.
+func (c *Context) cached(l Layer) *tensor.Tensor {
 	v, ok := c.cache[l]
-	return v, ok
+	if !ok {
+		panic("nn: " + l.Name() + ": Backward before Forward")
+	}
+	return v
 }
 
 // AddGrad accumulates g into the gradient slot for p, allocating it on

@@ -223,27 +223,6 @@ func TestFlattenRoundTrip(t *testing.T) {
 	}
 }
 
-func TestConcatChannels(t *testing.T) {
-	a := tensor.From([]float64{1, 2, 3, 4}, 1, 2, 2)
-	b := tensor.From([]float64{5, 6, 7, 8, 9, 10, 11, 12}, 2, 2, 2)
-	c := concatChannels(a, b)
-	if c.Shape[0] != 3 {
-		t.Fatalf("concat channels = %d, want 3", c.Shape[0])
-	}
-	if c.At(0, 0, 0) != 1 || c.At(1, 0, 0) != 5 || c.At(2, 1, 1) != 12 {
-		t.Fatal("concat layout wrong")
-	}
-}
-
-func TestConcatChannelsMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for spatial mismatch")
-		}
-	}()
-	concatChannels(tensor.New(1, 2, 2), tensor.New(1, 3, 3))
-}
-
 func TestDenseBlockOutputShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	b := NewDenseBlock("b", 4, 3, 2, rng)

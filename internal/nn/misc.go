@@ -30,19 +30,14 @@ func (l *Flatten) OutShape(in []int) []int {
 	return []int{n}
 }
 
-// Forward implements Layer.
+// Forward implements Layer, recording the input for Backward.
 func (l *Flatten) Forward(x *tensor.Tensor, ctx *Context) *tensor.Tensor {
-	ctx.put(l, x.Shape)
-	return x.Reshape(x.Len())
+	return ctx.record(l, x, l.ForwardInfer(x, ctx.sc))
 }
 
 // Backward implements Layer.
 func (l *Flatten) Backward(grad *tensor.Tensor, ctx *Context) *tensor.Tensor {
-	sv, ok := ctx.get(l)
-	if !ok {
-		panic("nn: " + l.LayerName + ": Backward before Forward")
-	}
-	return grad.Reshape(sv.([]int)...)
+	return grad.Reshape(ctx.cached(l).Shape...)
 }
 
 // Dropout zeroes a random fraction Rate of activations during training
@@ -70,11 +65,14 @@ func (l *Dropout) Params() []*Param { return nil }
 // OutShape implements Layer.
 func (l *Dropout) OutShape(in []int) []int { return append([]int(nil), in...) }
 
-// Forward implements Layer.
+// Forward implements Layer. Outside training (or at rate 0) it is
+// ForwardInfer, the identity. In training it keeps each activation with
+// probability 1-Rate, drawing one ctx.Rand() value per element in
+// order, and scales survivors by 1/(1-Rate); the mask and the output
+// live in the context's arena, and the mask is recorded for Backward.
 func (l *Dropout) Forward(x *tensor.Tensor, ctx *Context) *tensor.Tensor {
 	if !ctx.Training() || l.Rate == 0 {
-		ctx.put(l, []float64(nil))
-		return x
+		return ctx.record(l, nil, l.ForwardInfer(x, ctx.sc))
 	}
 	rng := ctx.Rand()
 	if rng == nil {
@@ -82,32 +80,28 @@ func (l *Dropout) Forward(x *tensor.Tensor, ctx *Context) *tensor.Tensor {
 	}
 	keep := 1 - l.Rate
 	scale := 1 / keep
-	mask := make([]float64, x.Len())
-	out := x.Clone()
-	for i := range out.Data {
+	mask := ctx.sc.like(skey{l, 0}, x)
+	out := ctx.sc.like(skey{l, 1}, x)
+	for i, v := range x.Data {
 		if rng.Float64() < keep {
-			mask[i] = scale
-			out.Data[i] *= scale
+			mask.Data[i] = scale
+			out.Data[i] = v * scale
 		} else {
+			mask.Data[i] = 0
 			out.Data[i] = 0
 		}
 	}
-	ctx.put(l, mask)
-	return out
+	return ctx.record(l, mask, out)
 }
 
 // Backward implements Layer.
 func (l *Dropout) Backward(grad *tensor.Tensor, ctx *Context) *tensor.Tensor {
-	mv, ok := ctx.get(l)
-	if !ok {
-		panic("nn: " + l.LayerName + ": Backward before Forward")
-	}
-	mask := mv.([]float64)
+	mask := ctx.cached(l)
 	if mask == nil {
 		return grad
 	}
 	out := grad.Clone()
-	for i, m := range mask {
+	for i, m := range mask.Data {
 		out.Data[i] *= m
 	}
 	return out

@@ -68,7 +68,8 @@ func (n *Network) ParamCount() int {
 }
 
 // ForwardCtx runs one sample through the network within ctx, returning
-// the output probability vector.
+// the output probability vector. The result aliases ctx's arena (see
+// Context).
 func (n *Network) ForwardCtx(x *tensor.Tensor, ctx *Context) *tensor.Tensor {
 	for _, l := range n.Layers {
 		x = l.Forward(x, ctx)
@@ -76,27 +77,18 @@ func (n *Network) ForwardCtx(x *tensor.Tensor, ctx *Context) *tensor.Tensor {
 	return x
 }
 
-// Forward runs one sample through the network in inference mode.
+// Forward runs one sample through the network in inference mode on a
+// fresh arena, so the result belongs to the caller.
 func (n *Network) Forward(x *tensor.Tensor) *tensor.Tensor {
-	return n.ForwardCtx(x, NewContext(false, nil))
+	probs, _ := n.ForwardTapped(x)
+	return probs
 }
 
-// ForwardTapped runs one sample through the network in inference mode
-// and returns both the output probabilities and every layer's output
-// (taps[i] is the output of Layers[i]; taps[len-1] aliases the returned
-// probabilities). This is the single-pass probe Deep Validation's
-// Algorithm 2 relies on: hidden representations come for free with the
-// prediction. Every activation is freshly allocated; production paths
-// run ForwardTappedScratch instead, and tests keep this as the reference
-// it must match bit for bit.
+// ForwardTapped is ForwardTappedScratch on a fresh arena: the
+// probabilities and taps belong to the caller. Hot paths keep an arena
+// and call ForwardTappedScratch instead.
 func (n *Network) ForwardTapped(x *tensor.Tensor) (probs *tensor.Tensor, taps []*tensor.Tensor) {
-	taps = make([]*tensor.Tensor, 0, len(n.Layers))
-	ctx := NewContext(false, nil)
-	for _, l := range n.Layers {
-		x = l.Forward(x, ctx)
-		taps = append(taps, x)
-	}
-	return x, taps
+	return n.ForwardTappedScratch(x, NewScratch())
 }
 
 // TapShapes returns the output shape of every tap-level layer for an
@@ -204,12 +196,14 @@ func (n *Network) InputGradient(x *tensor.Tensor, label int) *tensor.Tensor {
 }
 
 // Calibrate refreshes the running statistics of any BatchNorm layers by
-// streaming the given samples through the network single-threaded. It
-// is a no-op for networks without such layers.
+// streaming the given samples through the network single-threaded, on
+// one calibration Context and so one arena. It leaves networks without
+// such layers unchanged.
 func (n *Network) Calibrate(xs []*tensor.Tensor) {
+	ctx := NewCalibrationContext()
 	for _, x := range xs {
-		ctx := NewCalibrationContext()
 		n.ForwardCtx(x, ctx)
+		ctx.ResetCache()
 	}
 }
 

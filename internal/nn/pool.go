@@ -36,18 +36,20 @@ func (l *MaxPool2D) OutShape(in []int) []int {
 	}
 }
 
-type maxPoolCache struct {
-	argmax  []int // flat input index chosen per output element
-	inShape []int
+// Forward implements Layer, recording the input for Backward.
+func (l *MaxPool2D) Forward(x *tensor.Tensor, ctx *Context) *tensor.Tensor {
+	return ctx.record(l, x, l.ForwardInfer(x, ctx.sc))
 }
 
-// Forward implements Layer.
-func (l *MaxPool2D) Forward(x *tensor.Tensor, ctx *Context) *tensor.Tensor {
-	outShape := l.OutShape(x.Shape)
+// Backward implements Layer. It rescans each window of the recorded
+// input for the element ForwardInfer chose (the first maximum in
+// (ky,kx) order) and routes the gradient there.
+func (l *MaxPool2D) Backward(grad *tensor.Tensor, ctx *Context) *tensor.Tensor {
+	x := ctx.cached(l)
 	c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
-	oh, ow := outShape[1], outShape[2]
-	out := tensor.New(outShape...)
-	argmax := make([]int, out.Len())
+	oh := tensor.ConvOutSize(h, l.K, l.Stride, 0)
+	ow := tensor.ConvOutSize(w, l.K, l.Stride, 0)
+	dX := tensor.New(x.Shape...)
 	oi := 0
 	for ch := 0; ch < c; ch++ {
 		plane := x.Data[ch*h*w : (ch+1)*h*w]
@@ -71,26 +73,10 @@ func (l *MaxPool2D) Forward(x *tensor.Tensor, ctx *Context) *tensor.Tensor {
 						}
 					}
 				}
-				out.Data[oi] = bestV
-				argmax[oi] = ch*h*w + best
+				dX.Data[ch*h*w+best] += grad.Data[oi]
 				oi++
 			}
 		}
-	}
-	ctx.put(l, &maxPoolCache{argmax: argmax, inShape: x.Shape})
-	return out
-}
-
-// Backward implements Layer.
-func (l *MaxPool2D) Backward(grad *tensor.Tensor, ctx *Context) *tensor.Tensor {
-	cv, ok := ctx.get(l)
-	if !ok {
-		panic("nn: " + l.LayerName + ": Backward before Forward")
-	}
-	cache := cv.(*maxPoolCache)
-	dX := tensor.New(cache.inShape...)
-	for oi, ii := range cache.argmax {
-		dX.Data[ii] += grad.Data[oi]
 	}
 	return dX
 }
@@ -125,48 +111,14 @@ func (l *AvgPool2D) OutShape(in []int) []int {
 	}
 }
 
-// Forward implements Layer.
+// Forward implements Layer, recording the input for Backward.
 func (l *AvgPool2D) Forward(x *tensor.Tensor, ctx *Context) *tensor.Tensor {
-	outShape := l.OutShape(x.Shape)
-	c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
-	oh, ow := outShape[1], outShape[2]
-	out := tensor.New(outShape...)
-	inv := 1.0 / float64(l.K*l.K)
-	oi := 0
-	for ch := 0; ch < c; ch++ {
-		plane := x.Data[ch*h*w : (ch+1)*h*w]
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				s := 0.0
-				for ky := 0; ky < l.K; ky++ {
-					iy := oy*l.Stride + ky
-					if iy >= h {
-						continue
-					}
-					for kx := 0; kx < l.K; kx++ {
-						ix := ox*l.Stride + kx
-						if ix >= w {
-							continue
-						}
-						s += plane[iy*w+ix]
-					}
-				}
-				out.Data[oi] = s * inv
-				oi++
-			}
-		}
-	}
-	ctx.put(l, x.Shape)
-	return out
+	return ctx.record(l, x, l.ForwardInfer(x, ctx.sc))
 }
 
 // Backward implements Layer.
 func (l *AvgPool2D) Backward(grad *tensor.Tensor, ctx *Context) *tensor.Tensor {
-	sv, ok := ctx.get(l)
-	if !ok {
-		panic("nn: " + l.LayerName + ": Backward before Forward")
-	}
-	inShape := sv.([]int)
+	inShape := ctx.cached(l).Shape
 	c, h, w := inShape[0], inShape[1], inShape[2]
 	oh := tensor.ConvOutSize(h, l.K, l.Stride, 0)
 	ow := tensor.ConvOutSize(w, l.K, l.Stride, 0)
@@ -221,29 +173,14 @@ func (l *GlobalAvgPool) OutShape(in []int) []int {
 	return []int{in[0]}
 }
 
-// Forward implements Layer.
+// Forward implements Layer, recording the input for Backward.
 func (l *GlobalAvgPool) Forward(x *tensor.Tensor, ctx *Context) *tensor.Tensor {
-	c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
-	out := tensor.New(c)
-	inv := 1.0 / float64(h*w)
-	for ch := 0; ch < c; ch++ {
-		s := 0.0
-		for _, v := range x.Data[ch*h*w : (ch+1)*h*w] {
-			s += v
-		}
-		out.Data[ch] = s * inv
-	}
-	ctx.put(l, x.Shape)
-	return out
+	return ctx.record(l, x, l.ForwardInfer(x, ctx.sc))
 }
 
 // Backward implements Layer.
 func (l *GlobalAvgPool) Backward(grad *tensor.Tensor, ctx *Context) *tensor.Tensor {
-	sv, ok := ctx.get(l)
-	if !ok {
-		panic("nn: " + l.LayerName + ": Backward before Forward")
-	}
-	inShape := sv.([]int)
+	inShape := ctx.cached(l).Shape
 	c, h, w := inShape[0], inShape[1], inShape[2]
 	dX := tensor.New(inShape...)
 	inv := 1.0 / float64(h*w)

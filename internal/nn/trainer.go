@@ -19,11 +19,15 @@ type Optimizer interface {
 
 // Trainer runs minibatch gradient descent over a network.
 //
-// Each batch fans out across Workers goroutines; every worker owns a
-// Context and a derived random source, accumulates parameter gradients
-// locally, and the reduction happens on the caller's goroutine in fixed
-// worker order — so a given seed always produces the same model,
-// independent of scheduling.
+// Each batch runs in waves of Workers samples. Every worker owns one
+// Context (and so one arena) for the whole of Train and computes one
+// sample's gradient per wave on it; after each wave the caller adds the
+// wave's gradients into the batch total in sample order. The total is
+// therefore the same left fold over the batch at every worker count.
+// Dropout draws one seed per batch from Rng and derives each sample's
+// stream from that seed and the sample's position in the batch. A given
+// seed thus produces the same model bits whatever Workers is and
+// however the goroutines are scheduled.
 type Trainer struct {
 	Net       *Network
 	Optimizer Optimizer
@@ -57,7 +61,8 @@ type EpochStats struct {
 }
 
 // NewTrainer returns a trainer with sensible defaults: batch size 128
-// (the paper's setting), workers = GOMAXPROCS.
+// (the paper's setting), workers = GOMAXPROCS. The worker count sets
+// only the parallelism; the trained bits do not depend on it.
 func NewTrainer(net *Network, optimizer Optimizer, rng *rand.Rand) *Trainer {
 	return &Trainer{
 		Net:       net,
@@ -90,6 +95,13 @@ func (t *Trainer) Train(xs []*tensor.Tensor, ys []int, epochs int) ([]EpochStats
 	if workers <= 0 {
 		workers = 1
 	}
+	if workers > t.BatchSize {
+		workers = t.BatchSize
+	}
+	ctxs := make([]*Context, workers)
+	for w := range ctxs {
+		ctxs[w] = NewContext(true, rand.New(rand.NewSource(0)))
+	}
 
 	idx := make([]int, len(xs))
 	for i := range idx {
@@ -106,7 +118,7 @@ func (t *Trainer) Train(xs []*tensor.Tensor, ys []int, epochs int) ([]EpochStats
 				end = len(idx)
 			}
 			batch := idx[start:end]
-			bl, bc := t.trainBatch(xs, ys, batch, workers)
+			bl, bc := t.trainBatch(xs, ys, batch, ctxs)
 			lossSum += bl
 			correct += bc
 		}
@@ -128,76 +140,47 @@ func (t *Trainer) Train(xs []*tensor.Tensor, ys []int, epochs int) ([]EpochStats
 
 // trainBatch processes one minibatch and applies a single optimizer
 // step with gradients averaged over the batch. It returns the summed
-// loss and the number of correct predictions.
-func (t *Trainer) trainBatch(xs []*tensor.Tensor, ys []int, batch []int, workers int) (lossSum float64, correct int) {
-	if workers > len(batch) {
-		workers = len(batch)
-	}
-	type result struct {
-		loss    float64
-		correct int
-		grads   map[*Param]*tensor.Tensor
-	}
-	results := make([]result, workers)
-	seeds := make([]int64, workers)
-	for w := range seeds {
-		seeds[w] = t.Rng.Int63()
-	}
-
-	var wg sync.WaitGroup
-	per := (len(batch) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * per
-		hi := lo + per
-		if hi > len(batch) {
-			hi = len(batch)
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seeds[w]))
-			grads := make(map[*Param]*tensor.Tensor)
-			loss := 0.0
-			corr := 0
-			for _, i := range batch[lo:hi] {
-				ctx := NewContext(true, rng)
-				probs := t.Net.ForwardCtx(xs[i], ctx)
-				if probs.ArgMax() == ys[i] {
-					corr++
-				}
-				l, g := CrossEntropy(probs, ys[i])
-				loss += l
-				t.Net.Backward(g, ctx)
-				ctx.MergeGradsInto(grads, t.Net.Params())
-			}
-			results[w] = result{loss: loss, correct: corr, grads: grads}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-
+// loss and the number of correct predictions. Sample k of each wave
+// runs on ctxs[k]; the caller's goroutine runs the wave's last sample
+// and then folds the wave into the total in sample order.
+func (t *Trainer) trainBatch(xs []*tensor.Tensor, ys []int, batch []int, ctxs []*Context) (lossSum float64, correct int) {
+	seed := t.Rng.Int63()
 	params := t.Net.Params()
 	total := make(map[*Param]*tensor.Tensor, len(params))
-	for w := range results {
-		if results[w].grads == nil {
-			continue
+	losses := make([]float64, len(ctxs))
+	hits := make([]bool, len(ctxs))
+	sample := func(k, pos int) {
+		ctx, i := ctxs[k], batch[pos]
+		ctx.ResetCache()
+		ctx.ResetGrads()
+		ctx.rng.Seed(sampleSeed(seed, pos))
+		probs := t.Net.ForwardCtx(xs[i], ctx)
+		hits[k] = probs.ArgMax() == ys[i]
+		l, g := CrossEntropy(probs, ys[i])
+		losses[k] = l
+		t.Net.Backward(g, ctx)
+	}
+	var wg sync.WaitGroup
+	for start := 0; start < len(batch); start += len(ctxs) {
+		n := min(len(ctxs), len(batch)-start)
+		wg.Add(n - 1)
+		for k := 0; k < n-1; k++ {
+			go func(k int) {
+				defer wg.Done()
+				sample(k, start+k)
+			}(k)
 		}
-		lossSum += results[w].loss
-		correct += results[w].correct
-		for _, p := range params {
-			g, ok := results[w].grads[p]
-			if !ok {
-				continue
+		sample(n-1, start+n-1)
+		wg.Wait()
+		for k := 0; k < n; k++ {
+			lossSum += losses[k]
+			if hits[k] {
+				correct++
 			}
-			if acc, ok := total[p]; ok {
-				acc.AddInPlace(g)
-			} else {
-				total[p] = g
-			}
+			ctxs[k].MergeGradsInto(total, params)
 		}
 	}
+
 	inv := 1.0 / float64(len(batch))
 	for _, p := range params {
 		g, ok := total[p]
@@ -216,4 +199,15 @@ func (t *Trainer) trainBatch(xs []*tensor.Tensor, ys []int, batch []int, workers
 		t.Optimizer.Step(p.Name, p.Value, g)
 	}
 	return lossSum, correct
+}
+
+// sampleSeed derives the dropout seed of the sample at position pos of
+// a batch from the batch's seed (a SplitMix64 step), so each sample's
+// stream depends on where it sits in the batch, not on which worker
+// runs it.
+func sampleSeed(batchSeed int64, pos int) int64 {
+	z := uint64(batchSeed) + uint64(pos+1)*0x9e3779b97f4a7c15
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return int64(z ^ (z >> 31))
 }

@@ -90,10 +90,20 @@ func TestTrainerDeterministicGivenSeed(t *testing.T) {
 }
 
 func TestTrainerBatchStepWorkerCountIndependent(t *testing.T) {
-	// One full-set batch step must produce the same parameters whatever
-	// the worker count — fan-out only changes float summation order.
-	paramsAfterOneBatch := func(workers int) []float64 {
+	// One full-set batch step must produce the same parameter bits
+	// whatever the worker count: per-sample gradients are folded into
+	// the batch total in sample order, and each sample's dropout stream
+	// comes from the batch seed and the sample's position, not from the
+	// worker that runs it.
+	paramsAfterOneBatch := func(dropout float64, workers int) []float64 {
 		tr, xs, ys := toyTrainer(t, 300, workers)
+		if dropout > 0 {
+			net, err := NewSevenLayerCNN("toy", 1, 6, 3, ArchConfig{Width: 2, FCWidth: 8, Dropout: dropout}, rand.New(rand.NewSource(301)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr.Net = net
+		}
 		tr.BatchSize = len(xs) // a single batch per epoch
 		if _, err := tr.Train(xs, ys, 1); err != nil {
 			t.Fatal(err)
@@ -104,10 +114,15 @@ func TestTrainerBatchStepWorkerCountIndependent(t *testing.T) {
 		}
 		return out
 	}
-	a1, a4 := paramsAfterOneBatch(1), paramsAfterOneBatch(4)
-	for i := range a1 {
-		if math.Abs(a1[i]-a4[i]) > 1e-9 {
-			t.Fatalf("param %d differs across worker counts: %v vs %v", i, a1[i], a4[i])
+	for _, dropout := range []float64{0, 0.25} {
+		want := paramsAfterOneBatch(dropout, 1)
+		for _, workers := range []int{2, 3, 4} {
+			got := paramsAfterOneBatch(dropout, workers)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("dropout %v: param %d differs at %d workers: %v vs %v", dropout, i, workers, got[i], want[i])
+				}
+			}
 		}
 	}
 }
