@@ -6,36 +6,74 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"sync"
 	"testing"
 
 	"deepvalidation"
 )
 
-// TestCheckAllocatesLessThanBody is the serving path's byte budget: a
-// warm POST /v1/check through the full handler allocates fewer bytes
-// than its own body, averaged over many requests. Reading the body into
-// a pooled buffer and scoring the decoded pixels in place leave the
-// decoded pixels (8 bytes per value, about half the JSON) as the one
-// per-image copy; a body buffer allocated per request or a second pixel
-// copy before scoring each push the total past the body length.
-//
-// The image is 28×28 with full-precision pixels, the shape of the
-// benchmark's check-direct traffic, so the fixed per-request cost is
-// weighed against a realistic body. Like testing.AllocsPerRun, the test
-// runs at GOMAXPROCS=1: with more Ps each one may hold its own pooled
-// scoring arena, and every GC cycle inside the window rebuilds them all,
-// which is arena churn, not the per-request cost pinned here.
+// The serving path's byte budgets: warm requests through the full
+// handler, at GOMAXPROCS=1 like testing.AllocsPerRun. With more Ps each
+// one may hold its own pooled scoring arena, and every GC cycle inside
+// the window rebuilds them all, which is arena churn, not the
+// per-request cost pinned here. The images are 28×28 with
+// full-precision pixels, the shape of the benchmark's check-direct and
+// batch-fleet traffic, so the fixed per-request cost is weighed against
+// realistic bodies. Each budget sits below what one more copy of an
+// image's decoded pixels (c·h·w·8 = 6,272 bytes) would add.
+
+// TestCheckAllocatesLessThanBody: a warm POST /v1/check allocates fewer
+// bytes than its own body. A body buffer allocated per request, or a
+// second pixel copy before scoring, pushes the total past the body
+// length.
 func TestCheckAllocatesLessThanBody(t *testing.T) {
+	perReq, body := warmAllocs(t, "/v1/check", 1)
+	if perReq >= float64(body) {
+		t.Errorf("a warm /v1/check allocates %.0f bytes per request, not less than its %d-byte body", perReq, body)
+	}
+}
+
+// TestCheckAllocatesLessThanImage: a warm POST /v1/check allocates less
+// than one decoded image, so the pixels must come from the server's
+// free list rather than a new slice per request.
+func TestCheckAllocatesLessThanImage(t *testing.T) {
+	perReq, _ := warmAllocs(t, "/v1/check", 1)
+	if image := 28 * 28 * 8; perReq >= float64(image) {
+		t.Errorf("a warm /v1/check allocates %.0f bytes per request, not less than one %d-byte decoded image", perReq, image)
+	}
+}
+
+// TestBatchAllocatesLessThanImageShare: a warm 32-image POST /v1/batch
+// allocates less per image than its share of the body (batch bodies are
+// too large for the body pools) plus half a decoded image.
+func TestBatchAllocatesLessThanImageShare(t *testing.T) {
+	const n = 32
+	perReq, body := warmAllocs(t, "/v1/batch", n)
+	perImage, budget := perReq/n, float64(body)/n+28*28*8/2
+	if perImage >= budget {
+		t.Errorf("a warm %d-image /v1/batch allocates %.0f bytes per image, budget %.0f (body share plus half an image)", n, perImage, budget)
+	}
+}
+
+// allocDetector is the budget tests' 28×28 detector, built once.
+var allocDetector = sync.OnceValues(func() (*deepvalidation.Detector, error) {
+	imgs, labels := bandImages28(rand.New(rand.NewSource(3)), 90, 28)
+	return deepvalidation.Build(imgs, labels, deepvalidation.BuildConfig{
+		Classes: 3, Epochs: 6, Width: 4, FCWidth: 16,
+		SVMPerClass: 20, SVMFeatures: 32, Seed: 5, Workers: 1,
+	})
+})
+
+// warmAllocs serves warm requests of n 28×28 images each (a check body
+// for n == 1 on /v1/check, a batch body otherwise) through a fresh
+// server's handler and returns the bytes allocated per request,
+// averaged over the measured requests, and the body length.
+func warmAllocs(t *testing.T, path string, n int) (perReq float64, bodyLen int) {
 	if raceDetectorEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	const side = 28
-	imgs, labels := bandImages28(rand.New(rand.NewSource(3)), 90, side)
-	det, err := deepvalidation.Build(imgs, labels, deepvalidation.BuildConfig{
-		Classes: 3, Epochs: 6, Width: 4, FCWidth: 16,
-		SVMPerClass: 20, SVMFeatures: 32, Seed: 5, Workers: 1,
-	})
+	det, err := allocDetector()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,17 +83,23 @@ func TestCheckAllocatesLessThanBody(t *testing.T) {
 	}
 	t.Cleanup(s.Close)
 	h := s.Handler()
-	probe, _ := bandImages28(rand.New(rand.NewSource(4)), 1, side)
-	body := checkBody(t, probe[0])
+	probe, _ := bandImages28(rand.New(rand.NewSource(4)), n, 28)
+	body := batchBody(t, probe)
+	if path == "/v1/check" {
+		body = checkBody(t, probe[0])
+	}
 
-	const warm, measured = 50, 300
+	warm, measured := 50, 300
+	if n > 1 {
+		warm, measured = 5, 30
+	}
 	reqs := make([]*http.Request, warm+measured)
 	recs := make([]*httptest.ResponseRecorder, len(reqs))
 	for i := range reqs {
-		reqs[i] = httptest.NewRequest(http.MethodPost, "/v1/check", bytes.NewReader(body))
+		reqs[i] = httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
 		reqs[i].Header.Set("Content-Type", "application/json")
 		recs[i] = httptest.NewRecorder()
-		recs[i].Body.Grow(256)
+		recs[i].Body.Grow(256 * n)
 	}
 	serveOne := func(i int) {
 		h.ServeHTTP(recs[i], reqs[i])
@@ -72,11 +116,10 @@ func TestCheckAllocatesLessThanBody(t *testing.T) {
 		serveOne(i)
 	}
 	runtime.ReadMemStats(&after)
-	perReq := float64(after.TotalAlloc-before.TotalAlloc) / measured
-	t.Logf("%.0f bytes allocated per request for a %d-byte body", perReq, len(body))
-	if perReq >= float64(len(body)) {
-		t.Errorf("a warm /v1/check allocates %.0f bytes per request, not less than its %d-byte body", perReq, len(body))
-	}
+	perReq = float64(after.TotalAlloc-before.TotalAlloc) / float64(measured)
+	t.Logf("%s: %.0f bytes allocated per request of %d images (%.0f per image) for a %d-byte body",
+		path, perReq, n, perReq/float64(n), len(body))
+	return perReq, len(body)
 }
 
 // bandImages28 is testImages' band corpus at side×side: class k lights

@@ -32,6 +32,11 @@ type reqTrace struct {
 // pending is one admitted request waiting for a verdict. done is
 // buffered so a batch worker never blocks delivering to a handler that
 // already gave up (deadline expiry between scoring and delivery).
+//
+// img's pixels belong to the handler, which recycles them once it has
+// received on done. runBatch therefore never reads p.img after sending
+// on p.done, in the batch path and in the per-request fallback alike;
+// a handler that stops waiting (deadline) leaves them to the GC.
 type pending struct {
 	img     deepvalidation.Image
 	ctx     context.Context
@@ -201,9 +206,12 @@ func (s *Server) runBatch(batch []*pending) {
 			p.tr.scoreStart = now
 		}
 	}
-	vs, err := det.CheckBatchDetailed(imgs, details)
-	if ferr := faultinject.Check(faultinject.PointServeBatch); ferr != nil {
-		err = ferr // chaos seam: force the per-request fallback path
+	// Chaos seam: an injected error skips the batch call and takes the
+	// per-request fallback path.
+	var vs []deepvalidation.Verdict
+	err := faultinject.Check(faultinject.PointServeBatch)
+	if err == nil {
+		vs, err = det.CheckBatchDetailed(imgs, details)
 	}
 	end := time.Now()
 	for _, p := range live {

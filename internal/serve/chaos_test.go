@@ -11,12 +11,15 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -233,9 +236,11 @@ func TestReloadRejectsGeometryChange(t *testing.T) {
 // TestBatchFallbackUnderFault arms the serve.batch point so every
 // micro-batch "fails" and is re-scored singly; the per-request
 // fallback must produce bit-identical verdicts, invisibly to clients.
+// The point fires before the batch is scored, so each image is scored
+// exactly once.
 func TestBatchFallbackUnderFault(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
-	_, ts := newTestServer(t, Config{MaxBatch: 8, BatchWindow: 5 * time.Millisecond})
+	s, ts := newTestServer(t, Config{MaxBatch: 8, BatchWindow: 5 * time.Millisecond})
 	ref := loadDetector(t)
 	imgs, _ := testImages(47, 4)
 	want := make([]deepvalidation.Verdict, len(imgs))
@@ -248,9 +253,13 @@ func TestBatchFallbackUnderFault(t *testing.T) {
 	}
 
 	faultinject.Arm(faultinject.PointServeBatch, nil)
+	before, _, _ := s.Detector().Stats()
 	resp, body := post(t, ts.URL+"/v1/batch", batchBody(t, imgs))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch under fault = %d (body %q)", resp.StatusCode, body)
+	}
+	if after, _, _ := s.Detector().Stats(); after-before != len(imgs) {
+		t.Errorf("scored %d times for %d images under fault, want once each", after-before, len(imgs))
 	}
 	var br BatchResponse
 	if err := json.Unmarshal([]byte(body), &br); err != nil {
@@ -266,5 +275,60 @@ func TestBatchFallbackUnderFault(t *testing.T) {
 	// (omitempty keeps the happy-path format unchanged).
 	if strings.Contains(body, "quarantined") {
 		t.Fatalf("healthy batch response leaks the quarantined field: %s", body)
+	}
+}
+
+// TestDeadlinePixelsNotRecycled pins who may recycle a decoded pixel
+// slice. The serve.batch point holds request A's micro-batch until A's
+// handler has answered 504, then fails it, so the per-request fallback
+// scores A's pixels after the handler gave up. Fresh checks sent next
+// must get the reference verdicts. A handler that recycled its pixels
+// on the deadline path would hand A's slice to the first of them, whose
+// decode writes it with nothing ordering the write after the
+// fallback's read: under -race that is reported as a data race and
+// fails the test.
+func TestDeadlinePixelsNotRecycled(t *testing.T) {
+	t.Cleanup(faultinject.Reset)
+	_, ts := newTestServer(t, Config{MaxBatch: 1, BatchWindow: -1, Workers: 2, RequestTimeout: time.Second})
+	answered := make(chan struct{})
+	unblock := sync.OnceFunc(func() { close(answered) })
+	t.Cleanup(unblock) // runs before the server closes, even on failure
+	ref := loadDetector(t)
+	imgs, _ := testImages(53, 8)
+
+	// One warm check leaves one slice on the free list for A to take.
+	if resp, body := post(t, ts.URL+"/v1/check", checkBody(t, imgs[0])); resp.StatusCode != http.StatusOK {
+		t.Fatalf("warm check = %d (body %q)", resp.StatusCode, body)
+	}
+	var calls atomic.Int32
+	faultinject.Arm(faultinject.PointServeBatch, func() error {
+		if calls.Add(1) > 1 {
+			return nil
+		}
+		<-answered
+		return faultinject.ErrInjected
+	})
+	if resp, body := post(t, ts.URL+"/v1/check", checkBody(t, imgs[1])); resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("held check = %d (body %q), want 504", resp.StatusCode, body)
+	}
+	unblock()
+	// Give the fallback time to read A's pixels before the fresh checks
+	// decode. A sleep orders nothing for the race detector, so a fresh
+	// decode writing A's slice still races with that read.
+	time.Sleep(50 * time.Millisecond)
+	for i, img := range imgs[2:] {
+		resp, body := post(t, ts.URL+"/v1/check", checkBody(t, img))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("fresh check %d = %d (body %q)", i, resp.StatusCode, body)
+		}
+		var got VerdictResponse
+		if err := json.Unmarshal([]byte(body), &got); err != nil {
+			t.Fatal(err)
+		}
+		want, err := ref.Check(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameVerdict(t, got, want, fmt.Sprintf("fresh check %d", i))
 	}
 }

@@ -6,8 +6,10 @@ package serve
 // image that passes Validate — and must never panic. It is also
 // differential: whenever the canonical-form scanner accepts a body, the
 // encoding/json reference must accept it too and decode equal
-// dimensions and flags and bit-equal pixels. Wired into the CI fuzz
-// step next to FuzzImageValidate.
+// dimensions and flags and bit-equal pixels. The same holds for the
+// recycling path: decoding into NaN-filled slices from a free list,
+// releasing them and decoding another body into them (diffRecycled).
+// Wired into the CI fuzz step next to FuzzImageValidate.
 
 import (
 	"testing"
@@ -30,13 +32,14 @@ func FuzzCheckRequest(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		diffScanned(t, data)
-		img, _, err := decodeCheckRequest(data)
+		diffRecycled(t, data)
+		img, _, err := decodeCheckRequest(data, nil)
 		if err == nil {
 			if verr := img.Validate(); verr != nil {
 				t.Fatalf("decodeCheckRequest accepted an image Validate rejects: %v", verr)
 			}
 		}
-		imgs, explains, err := decodeBatchRequest(data)
+		imgs, explains, err := decodeBatchRequest(data, nil)
 		if err == nil {
 			if len(imgs) == 0 {
 				t.Fatal("decodeBatchRequest accepted an empty batch")

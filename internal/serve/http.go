@@ -77,11 +77,11 @@ func verdictResponse(v deepvalidation.Verdict) VerdictResponse {
 // rejected. JSON cannot carry NaN/Inf literals, so accepted pixel
 // values are always finite — Validate enforces it regardless. The
 // boolean is the request's Explain flag. Canonical bodies take the
-// one-pass scanner; the rest take the reference decoder (wire.go).
-// Nothing returned refers into data, so the caller may recycle the body
-// buffer as soon as this returns.
-func decodeCheckRequest(data []byte) (deepvalidation.Image, bool, error) {
-	req, ok := scanCheckRequest(data)
+// one-pass scanner, which takes the pixel slice from free; the rest take
+// the reference decoder (wire.go). Nothing returned refers into data,
+// so the caller may recycle the body buffer as soon as this returns.
+func decodeCheckRequest(data []byte, free *pixelFree) (deepvalidation.Image, bool, error) {
+	req, ok := scanCheckRequest(data, free)
 	if !ok {
 		var ref CheckRequest
 		if err := decodeStrict(data, "check", &ref); err != nil {
@@ -98,10 +98,10 @@ func decodeCheckRequest(data []byte) (deepvalidation.Image, bool, error) {
 
 // decodeBatchRequest strictly parses a batch-request body, validating
 // every member image. explains[i] is image i's effective Explain flag
-// (its own, or the batch-level one). Like decodeCheckRequest, it keeps
-// no reference into data.
-func decodeBatchRequest(data []byte) ([]deepvalidation.Image, []bool, error) {
-	req, ok := scanBatchRequest(data)
+// (its own, or the batch-level one). Like decodeCheckRequest, it takes
+// canonical pixel slices from free and keeps no reference into data.
+func decodeBatchRequest(data []byte, free *pixelFree) ([]deepvalidation.Image, []bool, error) {
+	req, ok := scanBatchRequest(data, free)
 	if !ok {
 		var ref BatchRequest
 		if err := decodeStrict(data, "batch", &ref); err != nil {
@@ -202,6 +202,16 @@ func (s *Server) admissible(w http.ResponseWriter, r *http.Request) bool {
 		return false
 	}
 	return true
+}
+
+// releasePixels returns the images' pixel slices to the free list. Call
+// it only when no batch worker can read them again: after every one of
+// the request's verdicts was received, or when none was enqueued.
+func (s *Server) releasePixels(imgs ...deepvalidation.Image) {
+	c, h, w := s.handle.Get().InputShape()
+	for _, img := range imgs {
+		s.pixels.put(img.Pixels, c*h*w)
+	}
 }
 
 // checkShape rejects images whose geometry the current detector cannot
@@ -417,7 +427,7 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	img, explain, err := decodeCheckRequest(body)
+	img, explain, err := decodeCheckRequest(body, s.pixels)
 	release()
 	if err != nil {
 		obs.WriteError(w, http.StatusBadRequest, err.Error())
@@ -425,6 +435,7 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	}
 	explain = explain || queryExplain(r)
 	if err := s.checkShape(img); err != nil {
+		s.releasePixels(img)
 		obs.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
@@ -435,6 +446,7 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		p.tr = &reqTrace{id: id, t0: t0, enq: time.Now()}
 	}
 	if !s.tryEnqueue(p) {
+		s.releasePixels(img)
 		lat := time.Since(t0)
 		s.recordDropFlight("check", id, trace.OutcomeShed, lat)
 		s.storeDropTrace("check", id, traced, t0, trace.OutcomeShed)
@@ -444,6 +456,7 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	}
 	select {
 	case res := <-p.done:
+		s.releasePixels(img)
 		end := time.Now()
 		s.storeTrace("check", p, res, end)
 		if res.err != nil {
@@ -464,6 +477,7 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		}
 		obs.WriteJSON(w, http.StatusOK, resp)
 	case <-ctx.Done():
+		// img is not released: a batch worker may still be scoring it.
 		s.deadlines.Inc()
 		lat := time.Since(t0)
 		s.recordDropFlight("check", id, trace.OutcomeDeadline, lat)
@@ -489,7 +503,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	imgs, explains, err := decodeBatchRequest(body)
+	imgs, explains, err := decodeBatchRequest(body, s.pixels)
 	release()
 	if err != nil {
 		obs.WriteError(w, http.StatusBadRequest, err.Error())
@@ -501,12 +515,14 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if len(imgs) > s.cfg.QueueDepth {
+		s.releasePixels(imgs...)
 		obs.WriteError(w, http.StatusBadRequest,
 			fmt.Sprintf("batch of %d exceeds the admission queue depth %d; split it", len(imgs), s.cfg.QueueDepth))
 		return
 	}
 	for i, img := range imgs {
 		if err := s.checkShape(img); err != nil {
+			s.releasePixels(imgs...)
 			obs.WriteError(w, http.StatusBadRequest, fmt.Sprintf("image %d: %v", i, err))
 			return
 		}
@@ -523,6 +539,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if !s.tryEnqueue(ps...) {
+		s.releasePixels(imgs...)
 		lat := time.Since(t0)
 		s.recordDropFlight("batch", base, trace.OutcomeShed, lat)
 		s.storeDropTrace("batch", base, traced, t0, trace.OutcomeShed)
@@ -530,6 +547,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.shedResponse(w)
 		return
 	}
+	// The early returns below leave imgs to the GC: later members may
+	// still be queued or scoring.
 	resp := BatchResponse{Verdicts: make([]VerdictResponse, len(ps))}
 	for i, p := range ps {
 		itemID := ""
@@ -566,6 +585,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	s.releasePixels(imgs...)
 	obs.WriteJSON(w, http.StatusOK, resp)
 }
 

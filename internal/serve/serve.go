@@ -249,6 +249,8 @@ type Server struct {
 	stop  chan struct{}
 	wg    sync.WaitGroup // batcher goroutine + in-flight batch workers
 
+	pixels *pixelFree // decoded pixel slices for reuse; see releasePixels
+
 	ready     atomic.Bool
 	draining  atomic.Bool
 	closed    atomic.Bool // Close is permanent; SetDrain(false) must not undo it
@@ -300,6 +302,7 @@ func New(h *deepvalidation.Handle, cfg Config) (*Server, error) {
 		queue:  make(chan *pending, cfg.QueueDepth),
 		sem:    make(chan struct{}, cfg.Workers),
 		stop:   make(chan struct{}),
+		pixels: newPixelFree(cfg.MaxBatch),
 		events: cfg.Events,
 
 		queueDepth:  reg.Gauge(MetricQueueDepth),

@@ -18,9 +18,10 @@ import (
 // check body is ~15 KB of JSON, a 32-image batch ~400 KB. This file
 // reads each body into one buffer and, for bodies in the canonical form
 // every client marshals, decodes it in one pass over those bytes with
-// Pixels allocated once at its final length. Anything else goes to the
-// encoding/json reference decoder, which decides acceptance and writes
-// every error message.
+// Pixels taken at its final length from the server's pixel free list.
+// Anything else goes to the encoding/json reference decoder, which
+// decides acceptance, writes every error message and allocates its own
+// pixels.
 //
 // Body buffers of up to 64 KiB come from power-of-two size-class pools
 // and go back through the release ReadBody returns. The reader owns the
@@ -33,6 +34,17 @@ import (
 // an idle pooled buffer stays live heap and doubles in the GC goal,
 // which raised batch-fleet's median RSS by 8% when ~400 KB batch bodies
 // were pooled.
+//
+// Decoded pixel slices are the next largest allocation (8 bytes per
+// value: 6,272 B for a 28×28 image) and come from pixelFree, a bounded
+// free list each dvserve Server owns. The handler owns an image's
+// pixels from decode until it hands them back, which it may do only once
+// no batch worker can read them again: after it has received the
+// verdict of every image in the request (runBatch reads no image after
+// delivering its verdict), or when the request never reached the
+// batcher (shed, or a shape mismatch). On the deadline path a worker
+// may still be scoring the image, so those pixels, like dvgateway's
+// bodies, are left to the GC.
 
 // Pooled body size classes: 1 KiB << 0 .. 1 KiB << 6 (64 KiB).
 const (
@@ -67,6 +79,63 @@ func takeBody(n int64) *bodyBuf {
 		bodyPools[c].Put(bb)
 	}
 	return bb
+}
+
+// pixelFree is a free list of decoded pixel slices: a mutex-guarded
+// stack holding at most limit slices, each of capacity n. A nil list
+// holds nothing, so decoding through it always allocates. dvserve sizes
+// limit to Config.MaxBatch, one full micro-batch: every slice held is
+// live heap, and a list holding 256 slices raised batch-fleet's median
+// RSS by 3% where one holding 32 raised it 1.4%.
+type pixelFree struct {
+	mu    sync.Mutex
+	n     int
+	limit int
+	stack [][]float64
+}
+
+func newPixelFree(limit int) *pixelFree {
+	return &pixelFree{limit: limit, stack: make([][]float64, 0, limit)}
+}
+
+// take returns an empty slice with capacity n: a held one if the list
+// holds slices of that capacity, otherwise a new one. The caller must
+// overwrite every element it reads back; a held slice keeps the values
+// of its last user.
+func (f *pixelFree) take(n int) []float64 {
+	if f != nil {
+		f.mu.Lock()
+		if k := len(f.stack); k > 0 && f.n == n {
+			xs := f.stack[k-1]
+			f.stack[k-1] = nil
+			f.stack = f.stack[:k-1]
+			f.mu.Unlock()
+			return xs[:0]
+		}
+		f.mu.Unlock()
+	}
+	return make([]float64, 0, n)
+}
+
+// put hands xs back once no one reads or writes it any more. It is
+// kept only if its capacity is n, the serving detector's input length,
+// and the list has room. A list holding another length is emptied
+// first, so after a reload changes the input shape the old slices go to
+// the GC instead of occupying the list.
+func (f *pixelFree) put(xs []float64, n int) {
+	if n <= 0 || cap(xs) != n {
+		return
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.n != n {
+		clear(f.stack)
+		f.stack = f.stack[:0]
+		f.n = n
+	}
+	if len(f.stack) < f.limit {
+		f.stack = append(f.stack, xs)
+	}
 }
 
 // ReadBody reads a request body of at most limit bytes through
@@ -175,17 +244,20 @@ func decodeStrict(data []byte, what string, v any) error {
 // malformed input all decline, leaving the verdict and the message to
 // the reference.
 
-// scanCheckRequest scans a check-request body in canonical form.
-func scanCheckRequest(data []byte) (CheckRequest, bool) {
-	s := scanner{data: data}
+// scanCheckRequest scans a check-request body in canonical form,
+// taking its pixel slice from free. A body declined after the slice was
+// taken leaves it to the GC.
+func scanCheckRequest(data []byte, free *pixelFree) (CheckRequest, bool) {
+	s := scanner{data: data, free: free}
 	var req CheckRequest
 	ok := s.checkRequest(&req) && s.end()
 	return req, ok
 }
 
-// scanBatchRequest scans a batch-request body in canonical form.
-func scanBatchRequest(data []byte) (BatchRequest, bool) {
-	s := scanner{data: data}
+// scanBatchRequest scans a batch-request body in canonical form, taking
+// every image's pixel slice from free.
+func scanBatchRequest(data []byte, free *pixelFree) (BatchRequest, bool) {
+	s := scanner{data: data, free: free}
 	var req BatchRequest
 	ok := s.batchRequest(&req) && s.end()
 	return req, ok
@@ -196,6 +268,7 @@ func scanBatchRequest(data []byte) (BatchRequest, bool) {
 type scanner struct {
 	data []byte
 	i    int
+	free *pixelFree // where pixel slices come from
 }
 
 func (s *scanner) skipSpace() {
@@ -328,13 +401,14 @@ func (s *scanner) images(out *[]CheckRequest) bool {
 
 // floats scans an array of JSON numbers in two passes: the first, on a
 // copy of the cursor, checks the grammar and counts, so the slice is
-// allocated once at its final length; the second parses.
+// taken once at its final length; the second parses, appending every
+// element, so a recycled slice keeps none of its old values.
 func (s *scanner) floats(out *[]float64) bool {
 	c, n := *s, 0
 	if !c.array(func() bool { n++; return c.number() != nil }) {
 		return false
 	}
-	xs := make([]float64, 0, n)
+	xs := s.free.take(n)
 	ok := s.array(func() bool {
 		lit := s.number()
 		if lit == nil {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/bits"
@@ -86,7 +87,7 @@ func diffRequest(got, want CheckRequest) string {
 func diffScanned(t *testing.T, data []byte) int {
 	t.Helper()
 	accepted := 0
-	if got, ok := scanCheckRequest(data); ok {
+	if got, ok := scanCheckRequest(data, nil); ok {
 		accepted++
 		var want CheckRequest
 		if err := decodeStrict(data, "check", &want); err != nil {
@@ -96,7 +97,7 @@ func diffScanned(t *testing.T, data []byte) int {
 			t.Fatalf("scanned check body differs from the reference: %s: %q", d, data)
 		}
 	}
-	if got, ok := scanBatchRequest(data); ok {
+	if got, ok := scanBatchRequest(data, nil); ok {
 		accepted++
 		var want BatchRequest
 		if err := decodeStrict(data, "batch", &want); err != nil {
@@ -113,6 +114,81 @@ func diffScanned(t *testing.T, data []byte) int {
 		}
 	}
 	return accepted
+}
+
+// diffRecycled decodes data through a free list primed with NaN-filled
+// slices of the reference's first pixel count, so a reused slice that
+// kept an old element shows up. Every image it accepts must be
+// bit-equal to decodeStrict's. It then releases those pixels to an
+// empty list and decodes a second check body, with the same geometry
+// and other pixels,
+// which must be bit-equal to the reference too and, when the list kept
+// the released slice, land in it.
+func diffRecycled(t *testing.T, data []byte) {
+	t.Helper()
+	var refCheck CheckRequest
+	if decodeStrict(data, "check", &refCheck) == nil {
+		n := len(refCheck.Pixels)
+		free := primedFree(n, 1)
+		img, explain, err := decodeCheckRequest(data, free)
+		if err != nil {
+			return
+		}
+		got := CheckRequest{Channels: img.Channels, Height: img.Height, Width: img.Width, Pixels: img.Pixels, Explain: explain}
+		if d := diffRequest(got, refCheck); d != "" {
+			t.Fatalf("recycled check decode differs from the reference: %s: %q", d, data)
+		}
+		free = newPixelFree(1)
+		free.put(img.Pixels, n)
+		other := refCheck
+		other.Pixels = make([]float64, n)
+		for i, v := range refCheck.Pixels {
+			other.Pixels[i] = v*0.5 + 0.25
+		}
+		body, err := json.Marshal(other)
+		if err != nil {
+			t.Fatal(err)
+		}
+		img2, explain2, err := decodeCheckRequest(body, free)
+		if err != nil {
+			t.Fatalf("decoding a re-marshaled accepted body: %v: %q", err, body)
+		}
+		got = CheckRequest{Channels: img2.Channels, Height: img2.Height, Width: img2.Width, Pixels: img2.Pixels, Explain: explain2}
+		if d := diffRequest(got, other); d != "" {
+			t.Fatalf("second decode into a recycled slice differs from the reference: %s: %q", d, body)
+		}
+		if n > 0 && cap(img.Pixels) == n && &img2.Pixels[0] != &img.Pixels[0] {
+			t.Fatalf("second decode of %q did not reuse the released pixel slice", body)
+		}
+	}
+	var refBatch BatchRequest
+	if decodeStrict(data, "batch", &refBatch) == nil && len(refBatch.Images) > 0 {
+		imgs, explains, err := decodeBatchRequest(data, primedFree(len(refBatch.Images[0].Pixels), len(refBatch.Images)))
+		if err != nil {
+			return
+		}
+		for i, img := range imgs {
+			got := CheckRequest{Channels: img.Channels, Height: img.Height, Width: img.Width, Pixels: img.Pixels, Explain: explains[i]}
+			want := refBatch.Images[i]
+			want.Explain = want.Explain || refBatch.Explain
+			if d := diffRequest(got, want); d != "" {
+				t.Fatalf("recycled batch decode of image %d differs from the reference: %s: %q", i, d, data)
+			}
+		}
+	}
+}
+
+// primedFree returns a free list holding k NaN-filled slices of length n.
+func primedFree(n, k int) *pixelFree {
+	free := newPixelFree(k)
+	for range k {
+		stale := make([]float64, n)
+		for i := range stale {
+			stale[i] = math.NaN()
+		}
+		free.put(stale, n)
+	}
+	return free
 }
 
 // TestScannerCanonicalForm pins which bodies the scanner takes itself
@@ -146,22 +222,37 @@ func digitImages(n int) []deepvalidation.Image {
 }
 
 // TestDecodeAllocBudget pins the canonical decode at one allocation per
-// pixel slice plus the request's own slices. A canonical body silently
-// falling back to encoding/json costs ~25 allocations per image and
-// trips it.
+// pixel slice plus the request's own slices, and at none per pixel
+// slice once the free list is warm: each recycled case hands its pixels
+// back after every decode, as the handler does after the verdict. A
+// canonical body silently falling back to encoding/json costs ~25
+// allocations per image and trips it.
 func TestDecodeAllocBudget(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("race instrumentation allocates; budgets apply to normal builds")
 	}
 	imgs := digitImages(32)
 	check, batch := checkBody(t, imgs[0]), batchBody(t, imgs)
+	free := newPixelFree(len(imgs))
 	cases := []struct {
 		name   string
 		budget float64
 		decode func() error
 	}{
-		{"check 28x28", 2, func() error { _, _, err := decodeCheckRequest(check); return err }},
-		{"batch 32x28x28", 48, func() error { _, _, err := decodeBatchRequest(batch); return err }},
+		{"check 28x28", 2, func() error { _, _, err := decodeCheckRequest(check, nil); return err }},
+		{"batch 32x28x28", 48, func() error { _, _, err := decodeBatchRequest(batch, nil); return err }},
+		{"check 28x28, recycled pixels", 0, func() error {
+			img, _, err := decodeCheckRequest(check, free)
+			free.put(img.Pixels, 28*28)
+			return err
+		}},
+		{"batch 32x28x28, recycled pixels", 16, func() error {
+			got, _, err := decodeBatchRequest(batch, free)
+			for _, img := range got {
+				free.put(img.Pixels, 28*28)
+			}
+			return err
+		}},
 	}
 	for _, tc := range cases {
 		var err error
