@@ -1,0 +1,93 @@
+package deepvalidation
+
+import (
+	"math/rand"
+	"runtime"
+	"sync"
+	"testing"
+	"unsafe"
+
+	"deepvalidation/internal/core"
+	"deepvalidation/internal/tensor"
+)
+
+// TestCheckBatchAllocatesOnlyVerdicts pins what a warm CheckBatch
+// allocates: the []Verdict it returns plus a constant per call (worker
+// goroutines, closures), never anything per image. Each worker scores
+// on one pooled arena, one tensor header and one per-layer row for the
+// whole batch, so the object count must not grow from 32 to 300 images.
+//
+// How many arenas a call takes depends on the scheduler: a worker
+// takes one only once it runs, so the pool grows to as many workers as
+// have ever overlapped. The test therefore warms the pool with
+// primeArenas, and, like testing.AllocsPerRun, measures at
+// GOMAXPROCS=1 (two workers still run as two goroutines), because with
+// more Ps a worker can start on a P whose pool shard holds no arena.
+func TestCheckBatchAllocatesOnlyVerdicts(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	det, err := Load(goldenModelContainer, goldenValContainer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	imgs, _ := benchBandImages(rand.New(rand.NewSource(19)), 300)
+	const runs = 20
+	for _, workers := range []int{1, 2} {
+		det.SetWorkers(workers)
+		for _, n := range []int{32, 300} {
+			batch := imgs[:n]
+			check := func() {
+				if _, err := det.CheckBatch(batch); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Collect first so no GC cycle empties the arena pool inside
+			// the measured window, then warm the pool.
+			runtime.GC()
+			primeArenas(det, batch, workers)
+			check()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				check()
+			}
+			runtime.ReadMemStats(&after)
+			objs := float64(after.Mallocs-before.Mallocs) / runs
+			bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+			budget := float64(n)*float64(unsafe.Sizeof(Verdict{})) + 2048
+			t.Logf("workers=%d n=%d: %.1f objects, %.0f bytes per call (budget 24, %.0f)", workers, n, objs, bytes, budget)
+			if objs > 24 {
+				t.Errorf("workers=%d n=%d: CheckBatch allocates %.1f objects per call, budget 24", workers, n, objs)
+			}
+			if bytes > budget {
+				t.Errorf("workers=%d n=%d: CheckBatch allocates %.0f bytes per call, budget %.0f", workers, n, bytes, budget)
+			}
+		}
+	}
+}
+
+// primeArenas runs one batch check whose workers each hold their first
+// image until all of them have started, so the validator's arena pool
+// ends up holding one arena per worker. A plain warm-up call cannot
+// promise that: if the first worker finishes the batch before the
+// second is scheduled, the second never takes an arena. imgs must hold
+// at least workers images.
+func primeArenas(det *Detector, imgs []Image, workers int) {
+	var started sync.WaitGroup
+	started.Add(workers)
+	in := pixels(imgs)
+	det.mon.CheckBatchInto(core.Batch{
+		Input: func(i int, hdr *tensor.Tensor) *tensor.Tensor {
+			// A worker blocked here holds sample i, so the first
+			// `workers` samples go to distinct workers.
+			if i < workers {
+				started.Done()
+				started.Wait()
+			}
+			return in(i, hdr)
+		},
+		Out: make([]Verdict, len(imgs)),
+	})
+}

@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"deepvalidation/internal/core"
@@ -34,6 +35,22 @@ func chaosBuild(t *testing.T) *Detector {
 func chaosProbe() Image {
 	imgs, _ := benchBandImages(rand.New(rand.NewSource(99)), 1)
 	return imgs[0]
+}
+
+// poisonLastLayer fills the final layer's parameters with NaN. (Not the
+// first conv: a ReLU squashes NaN to zero — NaN > 0 is false — so early
+// poison can die before the output. The last Dense feeds softmax
+// directly, so its NaN reaches the logits and the confidence.)
+func poisonLastLayer(t *testing.T, det *Detector) {
+	t.Helper()
+	params := det.net.Params()
+	if len(params) == 0 {
+		t.Fatal("network has no parameters")
+	}
+	last := params[len(params)-1]
+	for i := range last.Value.Data {
+		last.Value.Data[i] = math.NaN()
+	}
 }
 
 // TestCorruptionMatrix saves a real model+validator pair and then
@@ -164,6 +181,106 @@ func TestSaveIsAtomicUnderCrash(t *testing.T) {
 	}
 }
 
+// quarantineRun is one detector's record of TestBatchQuarantineMatchesSequential:
+// verdicts before and after the poison, what its quarantine hook saw,
+// and its statistics.
+type quarantineRun struct {
+	healthy, poisoned []Verdict
+	hooked            []core.Result
+	hookVerdicts      []Verdict
+	stats             StatsDetail
+	quarantined       int64
+}
+
+// TestBatchQuarantineMatchesSequential runs the poisoned final layer of
+// TestQuarantineOnNonFiniteNumerics through the batch body at 1, 2 and
+// 4 workers. Verdicts, StatsDetail (its recent ring included) and
+// dv_quarantined_total must equal a sequential CheckDetailed loop's;
+// the quarantine hook must fire once per image, in input order; and
+// every per-layer row it received must keep its bits through a later
+// CheckBatch, so none aliases a worker's reused row.
+func TestBatchQuarantineMatchesSequential(t *testing.T) {
+	// More healthy images than the 50-verdict recent window, with a mix
+	// of valid and flagged verdicts, so the ring's contents depend on
+	// the order the batch records them in.
+	healthy, _ := benchBandImages(rand.New(rand.NewSource(41)), 60)
+	probes, _ := benchBandImages(rand.New(rand.NewSource(42)), 8)
+	run := func(workers int, check func(det *Detector, imgs []Image) []Verdict) quarantineRun {
+		det, err := Load(goldenModelContainer, goldenValContainer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		det.SetEpsilon(1.0)
+		det.SetWorkers(workers)
+		reg := det.Telemetry()
+		var r quarantineRun
+		det.mon.SetQuarantineHook(func(v core.Verdict, res core.Result) {
+			r.hookVerdicts = append(r.hookVerdicts, v)
+			r.hooked = append(r.hooked, res)
+		})
+		r.healthy = check(det, healthy)
+		poisonLastLayer(t, det)
+		r.poisoned = check(det, probes)
+		r.stats = det.StatsDetail()
+		r.quarantined = reg.Snapshot().Counters[core.MetricQuarantined]
+		// Overwrite every worker's row with other images' discrepancies.
+		if _, err := det.CheckBatch(healthy); err != nil {
+			t.Fatal(err)
+		}
+		r.hooked = r.hooked[:len(probes)]
+		r.hookVerdicts = r.hookVerdicts[:len(probes)]
+		return r
+	}
+	want := run(1, func(det *Detector, imgs []Image) []Verdict {
+		out := make([]Verdict, len(imgs))
+		for i, im := range imgs {
+			v, err := det.CheckDetailed(im, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = v
+		}
+		return out
+	})
+	if want.quarantined != int64(len(probes)) {
+		t.Fatalf("sequential reference quarantined %d of %d poisoned checks", want.quarantined, len(probes))
+	}
+	for _, workers := range []int{1, 2, 4} {
+		got := run(workers, func(det *Detector, imgs []Image) []Verdict {
+			vs, err := det.CheckBatch(imgs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return vs
+		})
+		if !reflect.DeepEqual(got.healthy, want.healthy) || !reflect.DeepEqual(got.poisoned, want.poisoned) {
+			t.Errorf("workers=%d: batch verdicts differ from the sequential loop:\n%+v %+v\nwant\n%+v %+v",
+				workers, got.healthy, got.poisoned, want.healthy, want.poisoned)
+		}
+		if !reflect.DeepEqual(got.stats, want.stats) {
+			t.Errorf("workers=%d: StatsDetail %+v, sequential %+v", workers, got.stats, want.stats)
+		}
+		if got.quarantined != want.quarantined {
+			t.Errorf("workers=%d: dv_quarantined_total %d, sequential %d", workers, got.quarantined, want.quarantined)
+		}
+		if !reflect.DeepEqual(got.hookVerdicts, got.poisoned) {
+			t.Errorf("workers=%d: hook saw verdicts %+v, not the batch's in input order %+v", workers, got.hookVerdicts, got.poisoned)
+		}
+		for i, res := range got.hooked {
+			w := want.hooked[i]
+			if len(res.Layer) != len(w.Layer) {
+				t.Fatalf("workers=%d: hook result %d has %d layers, want %d", workers, i, len(res.Layer), len(w.Layer))
+			}
+			for p := range res.Layer {
+				if math.Float64bits(res.Layer[p]) != math.Float64bits(w.Layer[p]) {
+					t.Errorf("workers=%d: hook result %d layer %d is %v after a later batch, sequential %v (aliased row?)",
+						workers, i, p, res.Layer[p], w.Layer[p])
+				}
+			}
+		}
+	}
+}
+
 // TestQuarantineOnNonFiniteNumerics poisons one network weight with
 // NaN and checks the full quarantine contract: the verdict is
 // explicitly quarantined and never valid, its discrepancy stays finite
@@ -182,18 +299,7 @@ func TestQuarantineOnNonFiniteNumerics(t *testing.T) {
 		t.Fatalf("healthy detector quarantined a clean probe: %+v", v)
 	}
 
-	// Poison the final layer's parameters. (Not the first conv: a ReLU
-	// squashes NaN to zero — NaN > 0 is false — so early poison can die
-	// before the output. The last Dense feeds softmax directly, so its
-	// NaN reaches the logits and the confidence.)
-	params := det.net.Params()
-	if len(params) == 0 {
-		t.Fatal("network has no parameters")
-	}
-	last := params[len(params)-1]
-	for i := range last.Value.Data {
-		last.Value.Data[i] = math.NaN()
-	}
+	poisonLastLayer(t, det)
 
 	v, err = det.Check(chaosProbe())
 	if err != nil {

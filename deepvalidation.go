@@ -79,25 +79,13 @@ func (im Image) Validate() error {
 	return nil
 }
 
-// pixelTensor validates im and wraps its pixels in a tensor header
-// without copying them: the tensor aliases the caller's slice, so it
-// may only be read, and only while the caller's call runs.
-func pixelTensor(im Image) (*tensor.Tensor, error) {
+// tensorOf validates im and copies its pixels into a tensor, for
+// tensors that outlive the call that made them.
+func tensorOf(im Image) (*tensor.Tensor, error) {
 	if err := im.Validate(); err != nil {
 		return nil, err
 	}
-	return tensor.From(im.Pixels, im.Channels, im.Height, im.Width), nil
-}
-
-// tensorOf is pixelTensor over a copy of the pixels, for tensors that
-// outlive the call that made them.
-func tensorOf(im Image) (*tensor.Tensor, error) {
-	x, err := pixelTensor(im)
-	if err != nil {
-		return nil, err
-	}
-	x.Data = append([]float64(nil), x.Data...)
-	return x, nil
+	return tensor.From(append([]float64(nil), im.Pixels...), im.Channels, im.Height, im.Width), nil
 }
 
 func tensorsOf(ims []Image) ([]*tensor.Tensor, error) {

@@ -30,30 +30,15 @@ type Detector struct {
 	invalid atomic.Pointer[telemetry.Counter]
 }
 
-// Verdict is the outcome of checking one image.
-type Verdict struct {
-	// Label is the classifier's prediction; Confidence its softmax
-	// probability.
-	Label      int
-	Confidence float64
-	// Discrepancy is the joint discrepancy d of the paper's
-	// Algorithm 2; higher means further outside the training
-	// distribution. For a quarantined verdict it covers only the
-	// finite per-layer terms, so it is always representable (JSON
-	// cannot carry NaN).
-	Discrepancy float64
-	// Valid is true when Discrepancy is below the calibrated threshold:
-	// the prediction may be trusted. A quarantined verdict is never
-	// valid.
-	Valid bool
-	// Quarantined is true when scoring encountered non-finite numerics
-	// (a NaN or Inf activation or discrepancy). The prediction is
-	// rejected outright — a poisoned score cannot be meaningfully
-	// compared against ε — and counted into dv_quarantined_total so
-	// operators can tell numeric corruption apart from detected corner
-	// cases.
-	Quarantined bool
-}
+// Verdict is the outcome of checking one image: the classifier's
+// Label and its softmax Confidence, the joint Discrepancy d of the
+// paper's Algorithm 2, Valid (d below the calibrated threshold ε, so
+// the prediction may be trusted) and Quarantined (scoring hit NaN or
+// Inf numerics; never valid, and counted into dv_quarantined_total).
+// It is the monitor's verdict type, so a batch check writes each
+// verdict straight into the slice it returns; core.Verdict documents
+// every field.
+type Verdict = core.Verdict
 
 // BuildConfig controls Build.
 type BuildConfig struct {
@@ -292,11 +277,10 @@ func (d *Detector) Calibrate(clean []Image, fpr float64) (float64, error) {
 	if fpr < 0 || fpr >= 1 {
 		return 0, fmt.Errorf("deepvalidation: fpr %v outside [0, 1)", fpr)
 	}
-	xs, err := d.inputs(clean)
-	if err != nil {
+	if err := d.validateAll(clean); err != nil {
 		return 0, err
 	}
-	return d.mon.CalibrateEpsilon(xs, fpr), nil
+	return d.mon.CalibrateInput(len(clean), pixels(clean), fpr), nil
 }
 
 // SetEpsilon overrides the detection threshold directly; most callers
@@ -316,36 +300,44 @@ func (d *Detector) Check(img Image) (Verdict, error) {
 	return d.CheckDetailed(img, nil)
 }
 
-// input wraps one image's pixels, uncopied, as the network's input
-// tensor, counting a rejection into dv_invalid_input_total. Scoring
-// runs each layer's ForwardInfer (nn.InferenceLayer), which only reads
-// its input, so scoring the caller's pixels in place leaves them
-// untouched.
-func (d *Detector) input(img Image) (*tensor.Tensor, error) {
-	x, err := pixelTensor(img)
+// validate checks one image before it is scored — Image.Validate,
+// then the network's input length — counting a rejection into
+// dv_invalid_input_total. It builds no tensor.
+func (d *Detector) validate(img Image) error {
+	err := img.Validate()
 	if err == nil {
-		err = d.net.CheckInput(x)
+		err = d.net.CheckInputShape(img.Channels, img.Height, img.Width)
 	}
 	if err != nil {
 		d.countInvalid()
-		return nil, err
 	}
-	return x, nil
+	return err
 }
 
-// inputs is input over a batch. Every invalid image is counted, not
-// just the first, though the error names only the first.
-func (d *Detector) inputs(imgs []Image) ([]*tensor.Tensor, error) {
-	xs := make([]*tensor.Tensor, len(imgs))
+// validateAll is validate over a batch. Every invalid image is counted,
+// not just the first, though the error names only the first.
+func (d *Detector) validateAll(imgs []Image) error {
 	var firstErr error
 	for i, im := range imgs {
-		x, err := d.input(im)
-		if err != nil && firstErr == nil {
+		if err := d.validate(im); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("image %d: %w", i, err)
 		}
-		xs[i] = x
 	}
-	return xs, firstErr
+	return firstErr
+}
+
+// pixels is the core.Input over validated images: it points the
+// scoring worker's header at each image's pixels, uncopied. Scoring
+// runs each layer's ForwardInfer (nn.InferenceLayer), which only reads
+// its input, so scoring the caller's pixels in place leaves them
+// untouched.
+func pixels(imgs []Image) core.Input {
+	return func(i int, hdr *tensor.Tensor) *tensor.Tensor {
+		im := imgs[i]
+		hdr.Shape = append(hdr.Shape[:0], im.Channels, im.Height, im.Width)
+		hdr.Data = im.Pixels
+		return hdr
+	}
 }
 
 // Detail receives the per-layer diagnostics of one checked image — the
@@ -367,34 +359,17 @@ type Detail struct {
 	LayerTimes []time.Duration
 }
 
-// fill populates the output fields from a scoring result.
-func (dt *Detail) fill(layers []int, res core.Result, tm *core.ScoreTimings) {
-	dt.Layers = layers
-	dt.PerLayer = res.Layer
-	if tm != nil {
-		dt.Forward = tm.Forward
-		dt.LayerTimes = tm.Layers
-	}
-}
-
 // CheckDetailed is Check with per-layer diagnostics: a non-nil out is
 // filled with the per-layer discrepancies (and, when out.Timed, stage
 // durations). The verdict — and every statistic and telemetry update —
 // is the same with or without out; Check is CheckDetailed(img, nil).
 func (d *Detector) CheckDetailed(img Image, out *Detail) (Verdict, error) {
-	x, err := d.input(img)
-	if err != nil {
+	if err := d.validate(img); err != nil {
 		return Verdict{}, err
 	}
-	var tm *core.ScoreTimings
-	if out != nil && out.Timed {
-		tm = &core.ScoreTimings{}
-	}
-	v, res := d.mon.CheckDetailed(x, tm)
-	if out != nil {
-		out.fill(d.val.LayerIdx, res, tm)
-	}
-	return Verdict(v), nil
+	var v [1]Verdict
+	d.check([]Image{img}, []*Detail{out}, v[:])
+	return v[0], nil
 }
 
 // CheckBatchDetailed is CheckBatch with per-image diagnostics: details
@@ -404,35 +379,50 @@ func (d *Detector) CheckDetailed(img Image, out *Detail) (Verdict, error) {
 // details or the worker count; CheckBatch is CheckBatchDetailed(imgs,
 // nil).
 func (d *Detector) CheckBatchDetailed(imgs []Image, details []*Detail) ([]Verdict, error) {
-	xs, err := d.inputs(imgs)
-	if err != nil {
+	if err := d.validateAll(imgs); err != nil {
 		return nil, err
 	}
-	var tms []*core.ScoreTimings
-	for i := range details {
-		if i >= len(imgs) {
-			break
-		}
-		if details[i] != nil && details[i].Timed {
-			if tms == nil {
-				tms = make([]*core.ScoreTimings, len(imgs))
-			}
-			tms[i] = &core.ScoreTimings{}
-		}
-	}
-	verdicts, results := d.mon.CheckBatchDetailed(xs, tms)
-	out := make([]Verdict, len(verdicts))
-	for i, v := range verdicts {
-		out[i] = Verdict(v)
-		if i < len(details) && details[i] != nil {
-			var tm *core.ScoreTimings
-			if tms != nil {
-				tm = tms[i]
-			}
-			details[i].fill(d.val.LayerIdx, results[i], tm)
-		}
-	}
+	out := make([]Verdict, len(imgs))
+	d.check(imgs, details, out)
 	return out, nil
+}
+
+// check is the body of every Detector check: it scores validated imgs
+// through the monitor's batch body straight into out. Only images with
+// a non-nil Detail get a PerLayer copy, and only Timed ones a
+// ScoreTimings.
+func (d *Detector) check(imgs []Image, details []*Detail, out []Verdict) {
+	details = details[:min(len(details), len(imgs))]
+	b := core.Batch{Input: pixels(imgs), Out: out}
+	detailed := false
+	for i, dt := range details {
+		if dt == nil {
+			continue
+		}
+		detailed = true
+		if dt.Timed {
+			if b.Timings == nil {
+				b.Timings = make([]*core.ScoreTimings, len(details))
+			}
+			b.Timings[i] = &core.ScoreTimings{}
+		}
+	}
+	if detailed {
+		tms := b.Timings
+		b.Result = func(i int, r core.Result) {
+			if i >= len(details) || details[i] == nil {
+				return
+			}
+			dt := details[i]
+			dt.Layers = d.val.LayerIdx
+			dt.PerLayer = append([]float64(nil), r.Layer...)
+			if tms != nil && tms[i] != nil {
+				dt.Forward = tms[i].Forward
+				dt.LayerTimes = tms[i].Layers
+			}
+		}
+	}
+	d.mon.CheckBatchInto(b)
 }
 
 // DriftReference returns the fit-time drift reference persisted in the

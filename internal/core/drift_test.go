@@ -223,9 +223,10 @@ func TestScoreTimedMatchesScore(t *testing.T) {
 	want := v.ScoreBatchWorkers(net, xs[:10], 2)
 	tms := make([]*ScoreTimings, 4) // shorter than the batch
 	tms[1] = &ScoreTimings{}
-	got := v.ScoreBatchTimedWorkers(net, xs[:10], tms, 2)
+	got := make([]float64, len(want))
+	v.scoreEach(net, len(want), 2, Tensors(xs[:10]), tms, func(i int, res *Result) { got[i] = res.Joint })
 	for i := range want {
-		if math.Float64bits(want[i].Joint) != math.Float64bits(got[i].Joint) {
+		if math.Float64bits(want[i].Joint) != math.Float64bits(got[i]) {
 			t.Fatalf("batch sample %d differs under sparse timing", i)
 		}
 	}
@@ -271,10 +272,14 @@ func TestCheckDetailedMatchesCheck(t *testing.T) {
 	m3.SetWorkers(3)
 	tms := make([]*ScoreTimings, 20)
 	tms[7] = &ScoreTimings{}
-	verdicts, results := m3.CheckBatchDetailed(xs[:20], tms)
-	if len(verdicts) != 20 || len(results) != 20 {
-		t.Fatalf("detailed batch returned %d/%d", len(verdicts), len(results))
-	}
+	verdicts := make([]Verdict, 20)
+	results := make([]Result, 20)
+	m3.CheckBatchInto(Batch{
+		Input:   Tensors(xs[:20]),
+		Out:     verdicts,
+		Timings: tms,
+		Result:  func(i int, r Result) { results[i] = r },
+	})
 	for i := range verdicts {
 		want := m1.Check(xs[i]) // m1 already has identical history? no — only verdict fields matter
 		if verdicts[i].Label != want.Label || verdicts[i].Valid != want.Valid ||

@@ -67,7 +67,8 @@ type Verdict struct {
 	// Label and Confidence are the classifier's output.
 	Label      int
 	Confidence float64
-	// Discrepancy is the joint discrepancy d of Algorithm 2. For a
+	// Discrepancy is the joint discrepancy d of Algorithm 2; higher
+	// means further outside the training distribution. For a
 	// quarantined verdict it covers only the finite layer terms, so it
 	// stays representable everywhere (JSON cannot carry NaN).
 	Discrepancy float64
@@ -153,7 +154,13 @@ func (m *Monitor) Workers() int {
 // provided clean samples is flagged (the false positive rate budget of
 // Section IV-D3), and returns the chosen value.
 func (m *Monitor) CalibrateEpsilon(clean []*tensor.Tensor, fpr float64) float64 {
-	scores := JointScores(m.val.ScoreBatchWorkers(m.net, clean, m.Workers()))
+	return m.CalibrateInput(len(clean), Tensors(clean), fpr)
+}
+
+// CalibrateInput is CalibrateEpsilon over the n clean samples of in.
+func (m *Monitor) CalibrateInput(n int, in Input, fpr float64) float64 {
+	scores := make([]float64, n)
+	m.val.scoreEach(m.net, n, m.Workers(), in, nil, func(i int, res *Result) { scores[i] = res.Joint })
 	eps := metrics.ThresholdForFPR(scores, fpr)
 	m.SetEpsilon(eps)
 	return eps
@@ -200,91 +207,110 @@ func (m *Monitor) Check(x *tensor.Tensor) Verdict {
 
 // CheckDetailed is Check returning the underlying scoring Result too —
 // the per-layer discrepancies the Verdict's joint score collapses —
-// plus optional stage timing into tm (nil adds no clock reads). The
-// verdict and all statistics updates are identical to Check.
+// plus optional stage timing into tm (nil adds no clock reads). It is
+// CheckBatchInto over one sample, on the calling goroutine.
 func (m *Monitor) CheckDetailed(x *tensor.Tensor, tm *ScoreTimings) (Verdict, Result) {
-	tel := m.tel.Load()
-	var t0 time.Time
-	if tel != nil {
-		t0 = time.Now()
-	}
-	res := m.val.ScoreTimed(m.net, x, tm)
-	m.mu.Lock()
-	valid := !res.NonFinite && res.Joint < m.epsilon
-	m.record(res.Label, valid)
-	m.mu.Unlock()
-	if tel != nil {
-		tel.verdictLatency.ObserveSince(t0)
-		tel.observe(res.Label, valid, res.NonFinite)
-	}
-	v := Verdict{
-		Label:       res.Label,
-		Confidence:  res.Confidence,
-		Discrepancy: res.Joint,
-		Valid:       valid,
-		Quarantined: res.NonFinite,
-	}
-	if res.NonFinite {
-		if hp := m.quarHook.Load(); hp != nil {
-			(*hp)(v, res)
-		}
-	}
-	return v, res
+	var v [1]Verdict
+	var res Result
+	m.CheckBatchInto(Batch{
+		Input:   func(int, *tensor.Tensor) *tensor.Tensor { return x },
+		Out:     v[:],
+		Timings: []*ScoreTimings{tm},
+		Result: func(_ int, r Result) {
+			res = r
+			res.Layer = append([]float64(nil), r.Layer...)
+		},
+	})
+	return v[0], res
 }
 
 // CheckBatch classifies and validates many samples, returning verdicts
-// in input order. Scoring fans across the monitor's worker pool; the
-// lifetime statistics are then updated once, in input order, so Stats
-// after CheckBatch is identical to a sequential sequence of Check
-// calls. With telemetry attached, each verdict observes the batch's
-// amortized per-sample latency (elapsed / batch size) into
-// MetricVerdictLatency; per-sample score latency comes from the
-// validator's own MetricScoreLatency histogram.
+// in input order; it is CheckBatchInto over xs.
 func (m *Monitor) CheckBatch(xs []*tensor.Tensor) []Verdict {
-	out, _ := m.CheckBatchDetailed(xs, nil)
+	out := make([]Verdict, len(xs))
+	m.CheckBatchInto(Batch{Input: Tensors(xs), Out: out})
 	return out
 }
 
-// CheckBatchDetailed is CheckBatch returning the underlying scoring
-// Results as well, with optional per-sample stage timing (tms may be
-// nil, short, or hold nil entries). Verdicts and statistics updates
-// are identical to CheckBatch at every worker count.
-func (m *Monitor) CheckBatchDetailed(xs []*tensor.Tensor, tms []*ScoreTimings) ([]Verdict, []Result) {
+// Batch is one CheckBatchInto call: where its samples come from and
+// where their verdicts and diagnostics go.
+type Batch struct {
+	// Input supplies the samples and Out receives their verdicts; the
+	// batch is len(Out) samples long.
+	Input Input
+	Out   []Verdict
+	// Timings requests stage timing: it may be nil, shorter than Out,
+	// or hold nil entries; only samples with a non-nil entry pay for
+	// clock reads.
+	Timings []*ScoreTimings
+	// Result, when non-nil, receives each sample's scoring result on the
+	// worker that scored it (concurrently for distinct samples), before
+	// statistics are recorded. r.Layer is that worker's row and is
+	// overwritten by its next sample: copy it to keep it.
+	Result func(i int, r Result)
+}
+
+// CheckBatchInto is the one check body every monitor and Detector check
+// runs. Scoring fans across the monitor's worker pool, one arena and
+// one input header per worker for the whole batch, and writes each
+// verdict straight into its slot, so a warm call allocates only a
+// constant per batch. The lifetime statistics are then updated once, in
+// input order, so Stats afterwards is identical to a sequence of
+// one-sample checks. With telemetry attached, each verdict observes the
+// batch's amortized per-sample latency (elapsed / batch size) into
+// MetricVerdictLatency; per-sample score latency comes from the
+// validator's own MetricScoreLatency histogram. The quarantine hook
+// then sees each quarantined verdict, in input order, with an owned
+// copy of its per-layer row.
+func (m *Monitor) CheckBatchInto(b Batch) {
 	tel := m.tel.Load()
 	var t0 time.Time
 	if tel != nil {
 		t0 = time.Now()
 	}
-	results := m.val.ScoreBatchTimedWorkers(m.net, xs, tms, m.Workers())
-	out := make([]Verdict, len(results))
-	m.mu.Lock()
-	for i, res := range results {
-		valid := !res.NonFinite && res.Joint < m.epsilon
-		m.record(res.Label, valid)
-		out[i] = Verdict{
+	hook := m.quarHook.Load()
+	var heldMu sync.Mutex
+	var held [][]float64 // held[i]: quarantined sample i's row, for the hook
+	m.val.scoreEach(m.net, len(b.Out), m.Workers(), b.Input, b.Timings, func(i int, res *Result) {
+		b.Out[i] = Verdict{
 			Label:       res.Label,
 			Confidence:  res.Confidence,
 			Discrepancy: res.Joint,
-			Valid:       valid,
 			Quarantined: res.NonFinite,
 		}
+		if b.Result != nil {
+			b.Result(i, *res)
+		}
+		if res.NonFinite && hook != nil {
+			row := append([]float64(nil), res.Layer...)
+			heldMu.Lock()
+			if held == nil {
+				held = make([][]float64, len(b.Out))
+			}
+			held[i] = row
+			heldMu.Unlock()
+		}
+	})
+	m.mu.Lock()
+	for i := range b.Out {
+		v := &b.Out[i]
+		v.Valid = !v.Quarantined && v.Discrepancy < m.epsilon
+		m.record(v.Label, v.Valid)
 	}
 	m.mu.Unlock()
-	if tel != nil && len(out) > 0 {
-		perSample := time.Since(t0).Seconds() / float64(len(out))
-		for _, v := range out {
+	if tel != nil && len(b.Out) > 0 {
+		perSample := time.Since(t0).Seconds() / float64(len(b.Out))
+		for _, v := range b.Out {
 			tel.verdictLatency.Observe(perSample)
 			tel.observe(v.Label, v.Valid, v.Quarantined)
 		}
 	}
-	if hp := m.quarHook.Load(); hp != nil {
-		for i, v := range out {
-			if v.Quarantined {
-				(*hp)(v, results[i])
-			}
+	for i, row := range held {
+		if row != nil {
+			v := b.Out[i]
+			(*hook)(v, Result{Label: v.Label, Confidence: v.Confidence, Layer: row, Joint: v.Discrepancy, NonFinite: true})
 		}
 	}
-	return out, results
 }
 
 // Stats reports lifetime counts and the alarm rate over the most recent

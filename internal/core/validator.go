@@ -107,8 +107,9 @@ type Validator struct {
 	tel atomic.Pointer[valTelemetry]
 
 	// scratch pools per-worker scoring arenas (forward-pass buffers,
-	// reduced-feature buffers, SVM batch rows). Each ScoreTimed call
-	// takes one arena for its whole duration and returns it afterwards,
+	// reduced-feature buffers, SVM batch rows, the input header and the
+	// per-layer row). A ScoreTimed call takes one arena for its whole
+	// duration, and a batch takes one per worker for the whole batch,
 	// so arenas are never shared between concurrent scores — the
 	// ownership rule that keeps the allocation diet race-free.
 	// Unexported: gob skips it, and Clone starts with a fresh pool.
@@ -117,24 +118,26 @@ type Validator struct {
 
 // scoreScratch is one worker's reusable scoring arena.
 type scoreScratch struct {
-	fwd  *nn.Scratch
-	feat [][]float64  // per layer-position reduced features
-	xrow [1][]float64 // single-row batch for DecisionBatchInto
-	drow [1]float64
+	fwd   *nn.Scratch
+	feat  [][]float64  // per layer-position reduced features
+	xrow  [1][]float64 // single-row batch for DecisionBatchInto
+	drow  [1]float64
+	hdr   tensor.Tensor // handed to Input, which may point it at a sample
+	layer []float64     // the batch body's per-layer row (res.Layer)
+	res   Result        // the batch body's result, Layer aliasing layer
 }
 
 // getScratch takes an arena from the pool, building one on first use.
 func (v *Validator) getScratch() *scoreScratch {
-	if s, ok := v.scratch.Get().(*scoreScratch); ok {
+	if s, ok := v.scratch.Get().(*scoreScratch); ok && len(s.layer) == len(v.LayerIdx) {
 		return s
 	}
-	return &scoreScratch{fwd: nn.NewScratch(), feat: make([][]float64, len(v.LayerIdx))}
+	n := len(v.LayerIdx)
+	return &scoreScratch{fwd: nn.NewScratch(), feat: make([][]float64, n), layer: make([]float64, n)}
 }
 
 func (v *Validator) putScratch(s *scoreScratch) {
-	if len(s.feat) < len(v.LayerIdx) {
-		s.feat = make([][]float64, len(v.LayerIdx))
-	}
+	s.hdr.Data = nil // a pooled arena keeps no caller's pixels alive
 	v.scratch.Put(s)
 }
 
@@ -553,13 +556,24 @@ func (v *Validator) Score(net *nn.Network, x *tensor.Tensor) Result {
 // is byte-for-byte the same as Score — timing only adds clock reads —
 // so results are bit-identical with tm nil or not.
 func (v *Validator) ScoreTimed(net *nn.Network, x *tensor.Tensor, tm *ScoreTimings) Result {
+	sc := v.getScratch()
+	defer v.putScratch(sc)
+	res := Result{Layer: make([]float64, len(v.LayerIdx))}
+	v.score(net, x, sc, tm, &res)
+	return res
+}
+
+// score is Algorithm 2 on one sample, the body every scoring entry
+// point runs: one tapped forward pass on sc, then each validated
+// layer's reduction and predicted-class SVM decision, in LayerIdx
+// order. It overwrites every field of res, writing d_i into res.Layer,
+// which must hold len(LayerIdx) values.
+func (v *Validator) score(net *nn.Network, x *tensor.Tensor, sc *scoreScratch, tm *ScoreTimings, res *Result) {
 	tel := v.tel.Load()
 	var t0 time.Time
 	if tel != nil || tm != nil {
 		t0 = time.Now()
 	}
-	sc := v.getScratch()
-	defer v.putScratch(sc)
 	probs, taps := net.ForwardTappedScratch(x, sc.fwd)
 	if tm != nil {
 		tm.Forward = time.Since(t0)
@@ -570,10 +584,10 @@ func (v *Validator) ScoreTimed(net *nn.Network, x *tensor.Tensor, tm *ScoreTimin
 		}
 	}
 	label := probs.ArgMax()
-	res := Result{
+	*res = Result{
 		Label:      label,
 		Confidence: probs.Data[label],
-		Layer:      make([]float64, len(v.LayerIdx)),
+		Layer:      res.Layer[:len(v.LayerIdx)],
 	}
 	if !finite(res.Confidence) {
 		// The softmax itself overflowed; zero the confidence so the
@@ -610,7 +624,6 @@ func (v *Validator) ScoreTimed(net *nn.Network, x *tensor.Tensor, tm *ScoreTimin
 			}
 		}
 	}
-	return res
 }
 
 // WeightedJoint recomputes the joint discrepancy of a Result with
@@ -640,23 +653,55 @@ func (v *Validator) ScoreBatch(net *nn.Network, xs []*tensor.Tensor) []Result {
 // runs sequentially on the calling goroutine. Every worker count yields
 // identical results.
 func (v *Validator) ScoreBatchWorkers(net *nn.Network, xs []*tensor.Tensor, workers int) []Result {
-	return v.ScoreBatchTimedWorkers(net, xs, nil, workers)
-}
-
-// ScoreBatchTimedWorkers is ScoreBatchWorkers with optional per-sample
-// stage timing: tms may be nil, shorter than xs, or hold nil entries —
-// only samples with a non-nil *ScoreTimings pay for clock reads. Used
-// by the serving path to time only the traced members of a batch.
-func (v *Validator) ScoreBatchTimedWorkers(net *nn.Network, xs []*tensor.Tensor, tms []*ScoreTimings, workers int) []Result {
 	out := make([]Result, len(xs))
-	forEachIndex(len(xs), workers, func(_, i int) {
-		var tm *ScoreTimings
-		if i < len(tms) {
-			tm = tms[i]
-		}
-		out[i] = v.ScoreTimed(net, xs[i], tm)
+	v.scoreEach(net, len(xs), workers, Tensors(xs), nil, func(i int, res *Result) {
+		out[i] = *res
+		out[i].Layer = append([]float64(nil), res.Layer...)
 	})
 	return out
+}
+
+// Input returns sample i of a batch. hdr is a tensor header the calling
+// worker owns for the whole batch: Input may point it at the sample's
+// data and return it, so a batch builds no tensor per sample. Scoring
+// only reads the returned tensor, and only until the batch returns.
+type Input func(i int, hdr *tensor.Tensor) *tensor.Tensor
+
+// Tensors is the Input over ready-made tensors.
+func Tensors(xs []*tensor.Tensor) Input {
+	return func(i int, _ *tensor.Tensor) *tensor.Tensor { return xs[i] }
+}
+
+// scoreEach is the batch scoring body: it scores samples 0..n-1 of in
+// across a bounded worker pool and hands each result to emit on the
+// worker that scored it. Each worker takes one arena when it starts and
+// returns it when the samples run out, so a warm batch allocates
+// nothing per sample; res and its Layer belong to that arena and are
+// overwritten by the worker's next sample, so emit must copy whatever
+// it keeps. tms may be nil, shorter than n, or hold nil entries: only
+// samples with a non-nil *ScoreTimings pay for clock reads. Results are
+// identical at every worker count.
+func (v *Validator) scoreEach(net *nn.Network, n, workers int, in Input, tms []*ScoreTimings, emit func(i int, res *Result)) {
+	// One forEachIndex item per worker, each draining the shared sample
+	// counter. The arena is taken on the worker's own goroutine, not
+	// up front by the caller: a worker that has not started holds none,
+	// and it finds the arena its P's pool shard kept, even after a GC
+	// moved it to the victim cache.
+	k := poolSize(n, workers)
+	var next atomic.Int64
+	forEachIndex(k, k, func(_, _ int) {
+		sc := v.getScratch()
+		defer v.putScratch(sc)
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			var tm *ScoreTimings
+			if i < len(tms) {
+				tm = tms[i]
+			}
+			sc.res.Layer = sc.layer
+			v.score(net, in(i, &sc.hdr), sc, tm, &sc.res)
+			emit(i, &sc.res)
+		}
+	})
 }
 
 // forEachIndex runs fn(w, i) for i in 0..n-1 across a bounded worker
@@ -666,12 +711,7 @@ func (v *Validator) ScoreBatchTimedWorkers(net *nn.Network, xs []*tensor.Tensor,
 // and with a single worker fn runs inline on the caller as worker 0. fn
 // must be safe to call concurrently for distinct indices.
 func forEachIndex(n, workers int, fn func(w, i int)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
+	workers = poolSize(n, workers)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			fn(0, i)
@@ -694,6 +734,15 @@ func forEachIndex(n, workers int, fn func(w, i int)) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// poolSize is the number of workers forEachIndex runs for n items:
+// workers, or GOMAXPROCS when workers ≤ 0, capped at n.
+func poolSize(n, workers int) int {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return min(workers, n)
 }
 
 // JointScores extracts the joint discrepancies from a batch of results.

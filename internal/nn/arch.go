@@ -166,9 +166,22 @@ func inputShapeElems(shape []int) int {
 // CheckInput validates that x matches the network's declared input
 // shape, returning a descriptive error for API misuse.
 func (n *Network) CheckInput(x *tensor.Tensor) error {
-	if x.Len() != inputShapeElems(n.InShape) {
+	return n.checkInput(x.Len(), x.Shape)
+}
+
+// CheckInputShape is CheckInput for an input of the given shape (its
+// element count being the product of the dimensions), without building
+// a tensor for it.
+func (n *Network) CheckInputShape(shape ...int) error {
+	return n.checkInput(inputShapeElems(shape), shape)
+}
+
+func (n *Network) checkInput(elems int, shape []int) error {
+	if elems != inputShapeElems(n.InShape) {
+		// The copy keeps shape from escaping, so callers' shapes stay on
+		// their stacks.
 		return fmt.Errorf("nn: network %q expects input shape %v (%d elements), got %v",
-			n.ModelName, n.InShape, inputShapeElems(n.InShape), x.Shape)
+			n.ModelName, n.InShape, inputShapeElems(n.InShape), append([]int(nil), shape...))
 	}
 	return nil
 }

@@ -81,7 +81,9 @@ func TestDetectorInvalidInputCounted(t *testing.T) {
 
 // TestDetectorBatchInvalidAllCounted pins the batch-path fix: every
 // invalid image in a batch is counted, not only the first one the
-// returned error names.
+// returned error names. That holds for both kinds of rejection: an
+// image failing Image.Validate, and a well-formed image whose geometry
+// does not match the network's input, whose error text is pinned.
 func TestDetectorBatchInvalidAllCounted(t *testing.T) {
 	det := builtDetector(t)
 	reg := det.Telemetry()
@@ -105,6 +107,44 @@ func TestDetectorBatchInvalidAllCounted(t *testing.T) {
 	}
 	if d := after.Counters[core.MetricChecked] - before.Counters[core.MetricChecked]; d != 0 {
 		t.Errorf("failed batch advanced dv_checked_total by %d", d)
+	}
+
+	wrong := Image{Channels: 1, Height: 28, Width: 28, Pixels: make([]float64, 28*28)}
+	if err := wrong.Validate(); err != nil {
+		t.Fatalf("mismatched-geometry probe must pass Image.Validate: %v", err)
+	}
+	const shapeErr = `nn: network "detector" expects input shape [1 8 8] (64 elements), got [1 28 28]`
+	for _, tc := range []struct {
+		name    string
+		check   func() error
+		wantErr string
+		invalid int64
+	}{
+		{"batch", func() error {
+			_, err := det.CheckBatch([]Image{xs[0], wrong, bad, xs[1], wrong})
+			return err
+		}, "image 1: " + shapeErr, 3},
+		{"check", func() error {
+			_, err := det.Check(wrong)
+			return err
+		}, shapeErr, 1},
+		{"calibrate", func() error {
+			_, err := det.Calibrate([]Image{wrong, xs[0], bad}, 0.1)
+			return err
+		}, "image 0: " + shapeErr, 2},
+	} {
+		before := reg.Snapshot()
+		err := tc.check()
+		if err == nil || err.Error() != tc.wantErr {
+			t.Errorf("%s: error %v, want %q", tc.name, err, tc.wantErr)
+		}
+		after := reg.Snapshot()
+		if d := after.Counters[core.MetricInvalidInput] - before.Counters[core.MetricInvalidInput]; d != tc.invalid {
+			t.Errorf("%s: dv_invalid_input_total advanced by %d, want %d", tc.name, d, tc.invalid)
+		}
+		if d := after.Counters[core.MetricChecked] - before.Counters[core.MetricChecked]; d != 0 {
+			t.Errorf("%s: rejected input advanced dv_checked_total by %d", tc.name, d)
+		}
 	}
 }
 
