@@ -77,6 +77,7 @@ bench:
 fuzz:
 	$(GO) test -fuzz FuzzImageValidate -fuzztime 30s -run '^$$' .
 	$(GO) test -fuzz FuzzCheckRequest -fuzztime 30s -run '^$$' ./internal/serve
+	$(GO) test -fuzz FuzzBatchStream -fuzztime 30s -run '^$$' ./internal/serve
 	$(GO) test -fuzz FuzzTraceID -fuzztime 30s -run '^$$' ./internal/trace
 	$(GO) test -fuzz FuzzReadPNM -fuzztime 30s -run '^$$' ./internal/dataset
 	$(GO) test -fuzz FuzzLoadPNM -fuzztime 30s -run '^$$' ./internal/dataset

@@ -55,3 +55,25 @@ func FuzzCheckRequest(f *testing.F) {
 		}
 	})
 }
+
+// FuzzBatchStream is the streamed batch decoder's differential test:
+// for any body, decodeBatchStream must return exactly what
+// decodeBatchRequest returns for the whole body — bit-equal pixels,
+// equal dimensions and explain flags, identical error text — whether
+// the body arrives in one read, one byte per read or in chunks drawn
+// from seed (diffStream). Wired into the CI fuzz step next to
+// FuzzCheckRequest.
+func FuzzBatchStream(f *testing.F) {
+	for i, body := range acceptedBodies {
+		f.Add([]byte(body), int64(i))
+	}
+	for i, body := range declinedBodies {
+		f.Add([]byte(body), int64(i))
+	}
+	for i, body := range streamDeclinedBodies {
+		f.Add([]byte(body), int64(i))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, seed int64) {
+		diffStream(t, data, seed)
+	})
+}

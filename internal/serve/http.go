@@ -97,9 +97,8 @@ func decodeCheckRequest(data []byte, free *pixelFree) (deepvalidation.Image, boo
 }
 
 // decodeBatchRequest strictly parses a batch-request body, validating
-// every member image. explains[i] is image i's effective Explain flag
-// (its own, or the batch-level one). Like decodeCheckRequest, it takes
-// canonical pixel slices from free and keeps no reference into data.
+// every member image. Like decodeCheckRequest, it takes canonical pixel
+// slices from free and keeps no reference into data.
 func decodeBatchRequest(data []byte, free *pixelFree) ([]deepvalidation.Image, []bool, error) {
 	req, ok := scanBatchRequest(data, free)
 	if !ok {
@@ -109,6 +108,13 @@ func decodeBatchRequest(data []byte, free *pixelFree) ([]deepvalidation.Image, [
 		}
 		req = ref
 	}
+	return batchImages(req)
+}
+
+// batchImages validates every member image of a decoded batch request.
+// explains[i] is image i's effective Explain flag (its own, or the
+// batch-level one).
+func batchImages(req BatchRequest) ([]deepvalidation.Image, []bool, error) {
 	if len(req.Images) == 0 {
 		return nil, nil, errors.New("batch request carries no images")
 	}
@@ -499,14 +505,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if base != "" {
 		w.Header().Set(trace.HeaderTraceID, base)
 	}
-	body, release, ok := ReadBody(w, r, s.cfg.MaxBodyBytes)
-	if !ok {
-		return
-	}
-	imgs, explains, err := decodeBatchRequest(body, s.pixels)
-	release()
+	limit := s.cfg.MaxBodyBytes
+	imgs, explains, err := decodeBatchStream(http.MaxBytesReader(w, r.Body, limit), limit, s.pixels)
 	if err != nil {
-		obs.WriteError(w, http.StatusBadRequest, err.Error())
+		writeBodyError(w, err, limit)
 		return
 	}
 	if queryExplain(r) {

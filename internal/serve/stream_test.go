@@ -1,0 +1,365 @@
+package serve
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync"
+	"testing"
+	"testing/iotest"
+
+	"deepvalidation"
+)
+
+// streamDeclinedBodies are multi-image batch bodies the streamed
+// decoder declines after accepting part of them: in the head (which it
+// takes only as `{"images":[`), at image k ≥ 1, and in the tail. The
+// rebuilt body must decode exactly as the original. The last is
+// accepted but fails validation, which must also match.
+var streamDeclinedBodies = []string{
+	`{"explain":true,"images":[{"channels":1,"height":1,"width":1,"pixels":[0.5]},{"channels":1,"height":1,"width":1,"pixels":[1]}]}`,    // head: explain first, which the whole-body scanner takes
+	`{"Images":[{"channels":1,"height":1,"width":1,"pixels":[0.5]},{"channels":1,"height":1,"width":1,"pixels":[1]}]}`,                   // head: case-variant key
+	`{"images":[{"channels":1,"height":1,"width":1,"pixels":[1E+2]},{"channels":1,"height":1,"width":1,"Pixels":[0.25]}]}`,               // image 1: case-variant key
+	`{"images":[{"channels":1,"height":1,"width":1,"pixels":[-0]},{"channels":1,"height":1,"width":1,"pixels":[1e-400],"x":1}]}`,         // image 1: unknown key
+	`{"images":[{"height":1,"width":1,"pixels":[0.5]},{"channels":1,"height":1,"width":1},{"channels":1e0,"height":1,"width":1}]}`,       // image 2: exponent dimension
+	`{"images":[{"channels":1,"height":1,"width":1,"pixels":[0.5]},{"channels":1,"height":1,"width":1,"pixels":[1e309]}]}`,               // image 1: float out of range
+	`{"images":[{"channels":1,"height":1,"width":1,"pixels":[0.5],"explain":true} {"channels":1,"height":1,"width":1,"pixels":[1]}]}`,    // separator missing
+	`{"images":[{"channels":1,"height":1,"width":1,"pixels":[0.5]},{"channels":1,"height":1,"width":1,"pixels":[1]},]}`,                  // trailing comma
+	`{"images":[{"channels":1,"height":1,"width":1,"pixels":[0.5]},{"channels":1,"height":1,"width":1,"pixels":[1]}],"explain":null}`,    // tail: null flag
+	`{"images":[{"channels":1,"height":1,"width":1,"pixels":[0.5]}],"explain":true,"explain":false}`,                                     // tail: duplicate flag
+	`{"images":[{"channels":1,"height":1,"width":1,"pixels":[0.5]}],"images":[{"channels":1,"height":1,"width":1,"pixels":[1]}]}`,        // tail: duplicate images
+	`{"images":[{"channels":1,"height":1,"width":1,"pixels":[0.5]},{"channels":1,"height":1,"width":1,"pixels":[1]}]} x`,                 // tail: trailing bytes
+	`{"images":[{"channels":1,"height":1,"width":1,"pixels":[0.5]},{"channels":1,"height":1,"width":1,"pixels":[1]}]`,                    // tail: truncated
+	`{"images":[{"channels":1,"height":2,"width":1,"pixels":[0.5]},{"channels":1,"height":1,"width":1,"pixels":[1]}], "explain" : true}`, // accepted; image 0 fails Validate
+}
+
+// chunkReader yields data in chunks of 1 to max bytes drawn from rng,
+// returning io.EOF with the last one.
+type chunkReader struct {
+	data []byte
+	max  int
+	rng  *rand.Rand
+}
+
+func (c *chunkReader) Read(p []byte) (int, error) {
+	if len(c.data) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, c.data[:min(len(c.data), 1+c.rng.Intn(c.max))])
+	c.data = c.data[n:]
+	if len(c.data) == 0 {
+		return n, io.EOF
+	}
+	return n, nil
+}
+
+// newWindow returns an empty, unpooled decode window of n bytes.
+func newWindow(n int) *bodyBuf {
+	return &bodyBuf{b: make([]byte, 0, n), release: func() {}}
+}
+
+// diffStream decodes data with decodeBatchWindow through a
+// bytes.Reader, an iotest.OneByteReader and a chunkReader seeded with
+// seed, each through the production 64 KiB window and through a window
+// of 1–61 bytes (from seed) that makes almost every scan come up short.
+// The small-window decodes take pixels from a list primed with
+// NaN-filled slices. Every result must equal decodeBatchRequest's on
+// the whole body.
+func diffStream(t *testing.T, data []byte, seed int64) {
+	t.Helper()
+	want, wantExplains, wantErr := decodeBatchRequest(data, nil)
+	readers := []struct {
+		name string
+		r    func() io.Reader
+	}{
+		{"whole", func() io.Reader { return bytes.NewReader(data) }},
+		{"one byte", func() io.Reader { return iotest.OneByteReader(bytes.NewReader(data)) }},
+		{"chunks", func() io.Reader { return &chunkReader{data: data, max: 64, rng: rand.New(rand.NewSource(seed))} }},
+	}
+	small := 1 + int(uint64(seed)%61)
+	for _, rd := range readers {
+		for _, window := range []int{1 << maxBodyShift, small} {
+			var free *pixelFree
+			if window == small && wantErr == nil {
+				free = primedFree(len(want[0].Pixels), 2)
+			}
+			got, explains, err := decodeBatchWindow(rd.r(), int64(len(data)), free, newWindow(window))
+			if d := diffDecoded(got, explains, err, want, wantExplains, wantErr); d != "" {
+				t.Fatalf("%s reader, %d-byte window: %s: %q", rd.name, window, d, data)
+			}
+		}
+	}
+}
+
+// diffDecoded describes the first difference between two batch decodes;
+// "" means equal.
+func diffDecoded(got []deepvalidation.Image, explains []bool, err error, want []deepvalidation.Image, wantExplains []bool, wantErr error) string {
+	if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+		return fmt.Sprintf("error %v, reference %v", err, wantErr)
+	}
+	if len(got) != len(want) {
+		return fmt.Sprintf("%d images, reference %d", len(got), len(want))
+	}
+	for i := range got {
+		g := CheckRequest{Channels: got[i].Channels, Height: got[i].Height, Width: got[i].Width, Pixels: got[i].Pixels, Explain: explains[i]}
+		w := CheckRequest{Channels: want[i].Channels, Height: want[i].Height, Width: want[i].Width, Pixels: want[i].Pixels, Explain: wantExplains[i]}
+		if d := diffRequest(g, w); d != "" {
+			return fmt.Sprintf("image %d: %s", i, d)
+		}
+	}
+	return ""
+}
+
+// TestBatchStreamMatchesReference runs diffStream over real 28×28
+// batches of 1–40 images, several 64 KiB windows long: canonical, with
+// random bytes inserted, and with case-variant keys, so the streamed
+// decoder accepts, declines at every stage and falls back after
+// refilling its window many times.
+func TestBatchStreamMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	imgs := digitImages(40)
+	keys := []string{`"channels"`, `"height"`, `"width"`, `"pixels"`, `"images"`}
+	const inserts = " \n,:[]{}\"0123456789.-+eEx"
+	for trial := range 24 {
+		body := batchBody(t, imgs[:1+rng.Intn(len(imgs))])
+		if trial%3 != 0 {
+			for range 1 + rng.Intn(3) {
+				at := rng.Intn(len(body) + 1)
+				body = append(body[:at], append([]byte{inserts[rng.Intn(len(inserts))]}, body[at:]...)...)
+			}
+		}
+		if trial%2 == 1 {
+			key := keys[rng.Intn(len(keys))]
+			n := bytes.Count(body, []byte(key))
+			if n > 0 {
+				at := nthIndex(body, key, rng.Intn(n))
+				body[at+1] -= 'a' - 'A'
+			}
+		}
+		diffStream(t, body, int64(trial))
+	}
+}
+
+// nthIndex returns the index of the n-th (from 0) occurrence of sep in
+// s, which must exist.
+func nthIndex(s []byte, sep string, n int) int {
+	at := 0
+	for ; n >= 0; n-- {
+		at += bytes.Index(s[at:], []byte(sep)) + 1
+	}
+	return at - 1
+}
+
+// TestBatchStreamShortIsNotDecline: a canonical body is decoded by the
+// scanner, not by the fallback, wherever a window boundary cuts it —
+// inside a key, a number, a flag, whitespace or the tail. Through every
+// window from 1 to 96 bytes, one byte per read, the streamed decode
+// allocates at most the whole-body decode's allocations plus the
+// stream's own few (pixels come from a free list and go back after
+// each decode, as in the handler, so a rescan allocates none); a scan
+// that declined at a boundary instead of coming up short would rebuild
+// the body and decode it again. The same body with a byte after it must
+// be refused whatever the window.
+func TestBatchStreamShortIsNotDecline(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	body := []byte(` {"images" : [ {"channels":1,"height":1,"width":2,"pixels":[0.5, -1.25e-3],"explain":false},` +
+		"\n\t" + `{"pixels":[1E+2,0],"width":2,"height":1,"channels":1,"explain":true} ,` +
+		`{"channels":1,"height":1,"width":2,"pixels":[123456789012345678901234567890,0]} ] , "explain" : true } `)
+	want, wantExplains, wantErr := decodeBatchRequest(body, nil)
+	if wantErr != nil {
+		t.Fatal(wantErr)
+	}
+	free := primedFree(2, len(want))
+	recycle := func(imgs []deepvalidation.Image) {
+		for _, img := range imgs {
+			free.put(img.Pixels, 2)
+		}
+	}
+	whole := testing.AllocsPerRun(10, func() {
+		imgs, _, _ := decodeBatchRequest(body, free)
+		recycle(imgs)
+	})
+	for window := 1; window <= 96; window++ {
+		var d string
+		allocs := testing.AllocsPerRun(10, func() {
+			got, explains, err := decodeBatchWindow(iotest.OneByteReader(bytes.NewReader(body)), int64(len(body)), free, newWindow(window))
+			d = diffDecoded(got, explains, err, want, wantExplains, wantErr)
+			recycle(got)
+		})
+		if d != "" {
+			t.Fatalf("%d-byte window: %s", window, d)
+		}
+		if allocs > whole+5 {
+			t.Errorf("%d-byte window: %.0f allocations, whole-body decode %.0f: a scan declined at a window boundary", window, allocs, whole)
+		}
+		// The tail is accepted only at EOF, not where a window ends.
+		for _, b := range [][]byte{body, []byte(`{"images":[{}]}`)} {
+			trailing := append(bytes.Clone(b), 'x')
+			_, _, err := decodeBatchWindow(iotest.OneByteReader(bytes.NewReader(trailing)), int64(len(trailing)), nil, newWindow(window))
+			if _, _, wantErr := decodeBatchRequest(trailing, nil); err == nil || err.Error() != wantErr.Error() {
+				t.Fatalf("%d-byte window: %q: error %v, reference %v", window, trailing, err, wantErr)
+			}
+		}
+	}
+}
+
+// TestBatchBodyErrors: /v1/batch answers a body it cannot read exactly
+// as ReadBody answers /v1/check, and before any decode error, whether
+// the body declares its length or is chunked.
+func TestBatchBodyErrors(t *testing.T) {
+	const limit = 1 << 17 // two 64 KiB windows
+	s, err := New(deepvalidation.NewHandle(loadDetector(t)), Config{MaxBodyBytes: limit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	h := s.Handler()
+	imgs := digitImages(12)
+	overCheck := append(checkBody(t, imgs[0]), bytes.Repeat([]byte(" "), limit)...)
+	overBatch := batchBody(t, imgs)
+	if len(overBatch) <= limit {
+		t.Fatalf("a %d-byte batch is not over the %d-byte limit", len(overBatch), limit)
+	}
+	malformedOver := bytes.Replace(overBatch, []byte(`"channels"`), []byte(`"channels"x`), 1)
+	cut := func(prefix []byte) io.Reader {
+		return io.MultiReader(bytes.NewReader(prefix), iotest.ErrReader(errors.New("connection reset by peer")))
+	}
+	const cutMsg = "reading request body: connection reset by peer"
+	cases := []struct {
+		name       string
+		body       func() io.Reader
+		length     int // declared Content-Length
+		wantStatus int
+		wantMsg    string // "" means /v1/check's answer to overCheck
+	}{
+		{"canonical over the limit", func() io.Reader { return bytes.NewReader(overBatch) }, len(overBatch), http.StatusRequestEntityTooLarge, ""},
+		{"malformed first image, over the limit", func() io.Reader { return bytes.NewReader(malformedOver) }, len(malformedOver), http.StatusRequestEntityTooLarge, ""},
+		{"cut short", func() io.Reader { return cut(overBatch[:100_000]) }, len(overBatch), http.StatusBadRequest, cutMsg},
+		{"malformed, then cut short", func() io.Reader { return cut(malformedOver[:100]) }, len(malformedOver), http.StatusBadRequest, cutMsg},
+		{"no images", func() io.Reader { return strings.NewReader(`{"images":[]}`) }, len(`{"images":[]}`), http.StatusBadRequest, "batch request carries no images"},
+	}
+	serveOne := func(path string, body io.Reader, length int) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodPost, path, body)
+		req.ContentLength = int64(length)
+		if length < 0 {
+			req.TransferEncoding = []string{"chunked"}
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec
+	}
+	for _, chunked := range []bool{false, true} {
+		declared := func(n int) int {
+			if chunked {
+				return -1
+			}
+			return n
+		}
+		checkRec := serveOne("/v1/check", bytes.NewReader(overCheck), declared(len(overCheck)))
+		if checkRec.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("chunked=%v: oversized /v1/check got %d, want 413", chunked, checkRec.Code)
+		}
+		for _, tc := range cases {
+			rec := serveOne("/v1/batch", tc.body(), declared(tc.length))
+			want := checkRec.Body.String()
+			if tc.wantMsg != "" {
+				b, _ := json.Marshal(map[string]string{"error": tc.wantMsg})
+				want = string(b) + "\n"
+			}
+			if rec.Code != tc.wantStatus || rec.Body.String() != want {
+				t.Errorf("chunked=%v, %s: got %d %q, want %d %q", chunked, tc.name, rec.Code, rec.Body.String(), tc.wantStatus, want)
+			}
+		}
+	}
+	// The decoder enforces the cap itself, not only through
+	// http.MaxBytesReader.
+	var mbe *http.MaxBytesError
+	for _, body := range [][]byte{overBatch, malformedOver} {
+		if _, _, err := decodeBatchStream(bytes.NewReader(body), limit, nil); !errors.As(err, &mbe) {
+			t.Errorf("decoding %d bytes under a %d-byte cap: %v, want an *http.MaxBytesError", len(body), limit, err)
+		}
+	}
+}
+
+// TestBatchStreamPixelOwnership: streamed decoders sharing one pixel
+// free list never see each other's pixels. Four goroutines decode
+// canonical bodies and bodies that decline at image k ≥ 2 (a
+// case-variant key the reference still accepts) through one list
+// primed with NaN-filled slices, handing every image's pixels back
+// after checking it. A fallback re-serializes its accepted images from
+// their slices, so handing those back first lets another decode
+// overwrite them mid-serialization: results differ, and -race reports
+// the overlap. Alone, a fallback leaves exactly its k slices on the
+// list.
+func TestBatchStreamPixelOwnership(t *testing.T) {
+	const px = 28 * 28
+	imgs := digitImages(8)
+	canonical := batchBody(t, imgs)
+	declineAt := func(k int) []byte {
+		body := bytes.Clone(canonical)
+		body[nthIndex(body, `"channels"`, k)+1] = 'C'
+		return body
+	}
+	bodies := [][]byte{canonical, declineAt(2), declineAt(5), declineAt(7)}
+	type ref struct {
+		imgs     []deepvalidation.Image
+		explains []bool
+	}
+	refs := make([]ref, len(bodies))
+	for i, body := range bodies {
+		got, explains, err := decodeBatchRequest(body, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs[i] = ref{got, explains}
+	}
+
+	free := primedFree(px, 2*len(imgs))
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for range 40 {
+				i := rng.Intn(len(bodies))
+				r := &chunkReader{data: bodies[i], max: 4096, rng: rng}
+				got, explains, err := decodeBatchStream(r, int64(len(bodies[i])), free)
+				if d := diffDecoded(got, explains, err, refs[i].imgs, refs[i].explains, nil); d != "" {
+					t.Errorf("goroutine %d, body %d: %s", g, i, d)
+					return
+				}
+				for _, img := range got {
+					free.put(img.Pixels, px)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	const k = 3
+	free = primedFree(px, k)
+	primed := make(map[*float64]bool, k)
+	for _, xs := range free.stack {
+		primed[&xs[:1][0]] = true
+	}
+	if _, _, err := decodeBatchStream(bytes.NewReader(declineAt(k)), int64(len(canonical)), free); err != nil {
+		t.Fatal(err)
+	}
+	if len(free.stack) != k {
+		t.Fatalf("after a fallback at image %d the list holds %d slices, want %d", k, len(free.stack), k)
+	}
+	for _, xs := range free.stack {
+		if !primed[&xs[:1][0]] {
+			t.Fatalf("after a fallback the list holds a slice the accepted images did not use")
+		}
+	}
+}

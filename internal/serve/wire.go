@@ -11,29 +11,35 @@ import (
 	"strconv"
 	"sync"
 
+	"deepvalidation"
 	"deepvalidation/internal/obs"
 )
 
 // Request bodies are the serving tiers' largest allocation: a 28×28
-// check body is ~15 KB of JSON, a 32-image batch ~400 KB. This file
-// reads each body into one buffer and, for bodies in the canonical form
-// every client marshals, decodes it in one pass over those bytes with
-// Pixels taken at its final length from the server's pixel free list.
-// Anything else goes to the encoding/json reference decoder, which
-// decides acceptance, writes every error message and allocates its own
-// pixels.
+// check body is ~15 KB of JSON, a 32-image batch ~400 KB. For bodies in
+// the canonical form every client marshals, this file decodes in one
+// pass over the bytes with Pixels taken at their final length from the
+// server's pixel free list. Anything else goes to the encoding/json
+// reference decoder, which decides acceptance, writes every error
+// message and allocates its own pixels.
 //
-// Body buffers of up to 64 KiB come from power-of-two size-class pools
-// and go back through the release ReadBody returns. The reader owns the
-// bytes until it calls release, and releasing is optional: a buffer
-// never released is left to the GC. dvserve releases as soon as the
-// body is decoded (neither decoder keeps a reference into it).
-// dvgateway does not release: the transport may still read a forwarded
-// body after the handler returns, so its bodies are left to the GC.
-// Larger bodies (batches) are allocated per request and never pooled:
-// an idle pooled buffer stays live heap and doubles in the GC goal,
-// which raised batch-fleet's median RSS by 8% when ~400 KB batch bodies
-// were pooled.
+// A check body, and every body dvgateway reads, is read whole into one
+// buffer (ReadBody). Buffers of up to 64 KiB come from power-of-two
+// size-class pools and go back through the release ReadBody returns.
+// The reader owns the bytes until it calls release, and releasing is
+// optional: a buffer never released is left to the GC. dvserve releases
+// as soon as the body is decoded (neither decoder keeps a reference into
+// it). dvgateway does not release: the transport may still read a
+// forwarded body after the handler returns.
+//
+// dvserve never holds a whole batch body. decodeBatchStream decodes it
+// from the connection through one window taken from the 64 KiB class,
+// one image at a time, so no large buffer is allocated per request or
+// kept between requests. Pooling whole batch bodies was measured twice
+// and rejected: an idle pooled buffer stays live heap and doubles in the
+// GC goal, and holding ~400 KB bodies raised batch-fleet's median RSS by
+// 7-8%. A body the scanner declines is rebuilt into one that decodes
+// exactly like the body the client sent and handed to the reference.
 //
 // Decoded pixel slices are the next largest allocation (8 bytes per
 // value: 6,272 B for a 28×28 image) and come from pixelFree, a bounded
@@ -117,6 +123,20 @@ func (f *pixelFree) take(n int) []float64 {
 	return make([]float64, 0, n)
 }
 
+// giveBack hands back a slice take returned that no caller has seen.
+// Unlike put it never changes the length the list holds: xs is kept
+// only if its capacity is that length and the list has room.
+func (f *pixelFree) giveBack(xs []float64) {
+	if f == nil || cap(xs) == 0 {
+		return
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if cap(xs) == f.n && len(f.stack) < f.limit {
+		f.stack = append(f.stack, xs)
+	}
+}
+
 // put hands xs back once no one reads or writes it any more. It is
 // kept only if its capacity is n, the serving detector's input length,
 // and the list has room. A list holding another length is emptied
@@ -157,15 +177,28 @@ func ReadBody(w http.ResponseWriter, r *http.Request, limit int64) (body []byte,
 	})
 	if err != nil {
 		bb.release()
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			obs.WriteError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", limit))
-		} else {
-			obs.WriteError(w, http.StatusBadRequest, "reading request body: "+err.Error())
-		}
+		writeBodyError(w, readError(err), limit)
 		return nil, nil, false
 	}
 	return body, bb.release, true
+}
+
+// readError marks err as a failure to read the request body rather than
+// to decode it.
+func readError(err error) error {
+	return fmt.Errorf("reading request body: %w", err)
+}
+
+// writeBodyError answers a request whose body could not be read or
+// decoded: 413 when it exceeds limit, 400 with the error's text
+// otherwise.
+func writeBodyError(w http.ResponseWriter, err error, limit int64) {
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		obs.WriteError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", limit))
+		return
+	}
+	obs.WriteError(w, http.StatusBadRequest, err.Error())
 }
 
 // ReadLimited reads r to EOF into one buffer. A non-negative sizeHint
@@ -255,20 +288,42 @@ func scanCheckRequest(data []byte, free *pixelFree) (CheckRequest, bool) {
 }
 
 // scanBatchRequest scans a batch-request body in canonical form, taking
-// every image's pixel slice from free.
+// every image's pixel slice from free. A declined body hands the slices
+// back.
 func scanBatchRequest(data []byte, free *pixelFree) (BatchRequest, bool) {
 	s := scanner{data: data, free: free}
 	var req BatchRequest
-	ok := s.batchRequest(&req) && s.end()
-	return req, ok
+	if s.batchRequest(&req) && s.end() {
+		return req, true
+	}
+	for _, r := range req.Images {
+		free.giveBack(r.Pixels)
+	}
+	return req, false
 }
 
-// scanner is a cursor over one request body. Every method returns false
-// to decline; the cursor is then meaningless.
+// scanner is a cursor over a request body, or over a window of one
+// whose end is not the body's end (more). Every method returns false to
+// decline; the cursor is then meaningless. A method that declines
+// because it reached the end of the data while more is set also sets
+// short: a longer window might let it accept, so the caller refills and
+// rescans rather than declining. Without more, short is never set.
 type scanner struct {
-	data []byte
-	i    int
-	free *pixelFree // where pixel slices come from
+	data  []byte
+	i     int
+	free  *pixelFree // where pixel slices come from
+	more  bool       // more input may follow data
+	short bool
+}
+
+// shortAt reports whether position i lies at or past the end of the
+// data while more input may follow, and if so marks the scan short.
+func (s *scanner) shortAt(i int) bool {
+	if i >= len(s.data) && s.more {
+		s.short = true
+		return true
+	}
+	return false
 }
 
 func (s *scanner) skipSpace() {
@@ -289,18 +344,34 @@ func (s *scanner) consume(c byte) bool {
 		s.i++
 		return true
 	}
+	s.shortAt(s.i)
 	return false
 }
 
 // end reports whether only whitespace remains.
 func (s *scanner) end() bool {
 	s.skipSpace()
-	return s.i == len(s.data)
+	return !s.shortAt(s.i) && s.i == len(s.data)
+}
+
+// key scans an object key and the colon after it. The key aliases the
+// data; callers match it as bytes, so no key string is ever built.
+func (s *scanner) key() ([]byte, bool) {
+	if !s.consume('"') {
+		return nil, false
+	}
+	n := bytes.IndexByte(s.data[s.i:], '"')
+	if n < 0 {
+		s.shortAt(len(s.data))
+		return nil, false
+	}
+	key := s.data[s.i : s.i+n]
+	s.i += n + 1
+	return key, bytes.IndexByte(key, '\\') < 0 && s.consume(':')
 }
 
 // object scans one JSON object, handing each key to field, which must
-// consume the value. The key aliases the body; field matches it as
-// bytes, so no key string is ever built.
+// consume the value.
 func (s *scanner) object(field func(key []byte) bool) bool {
 	if !s.consume('{') {
 		return false
@@ -309,16 +380,8 @@ func (s *scanner) object(field func(key []byte) bool) bool {
 		return true
 	}
 	for {
-		if !s.consume('"') {
-			return false
-		}
-		n := bytes.IndexByte(s.data[s.i:], '"')
-		if n < 0 {
-			return false
-		}
-		key := s.data[s.i : s.i+n]
-		s.i += n + 1
-		if bytes.IndexByte(key, '\\') >= 0 || !s.consume(':') || !field(key) {
+		key, ok := s.key()
+		if !ok || !field(key) {
 			return false
 		}
 		if !s.consume(',') {
@@ -353,6 +416,16 @@ func (s *scanner) checkRequest(req *CheckRequest) bool {
 		}
 		return false
 	})
+}
+
+// image scans one check-request object. An image it does not accept
+// hands its pixel slice back: no caller ever sees it.
+func (s *scanner) image(req *CheckRequest) bool {
+	if s.checkRequest(req) {
+		return true
+	}
+	s.free.giveBack(req.Pixels)
+	return false
 }
 
 func (s *scanner) batchRequest(req *BatchRequest) bool {
@@ -391,7 +464,7 @@ func (s *scanner) array(elem func() bool) bool {
 func (s *scanner) images(out *[]CheckRequest) bool {
 	return s.array(func() bool {
 		var r CheckRequest
-		if !s.checkRequest(&r) {
+		if !s.image(&r) {
 			return false
 		}
 		*out = append(*out, r)
@@ -406,6 +479,7 @@ func (s *scanner) images(out *[]CheckRequest) bool {
 func (s *scanner) floats(out *[]float64) bool {
 	c, n := *s, 0
 	if !c.array(func() bool { n++; return c.number() != nil }) {
+		s.short = c.short
 		return false
 	}
 	xs := s.free.take(n)
@@ -448,18 +522,33 @@ func (s *scanner) boolean(out *bool) bool {
 		*out = false
 		s.i += 5
 	default:
+		// Fewer than five bytes left may be a cut "true" or "false".
+		s.shortAt(s.i + 4)
 		return false
 	}
 	return true
 }
 
-// number skips whitespace and scans one number literal of RFC 8259's
-// grammar (which strconv alone would widen: it also takes "+1", ".5",
-// "0x1p3", "Inf"), returning its bytes, or nil if none starts here.
+// number skips whitespace and scans one number literal, returning its
+// bytes, or nil if none starts here. A literal running to the end of
+// the data is short when more may follow: the next bytes could extend
+// it.
 func (s *scanner) number() []byte {
 	s.skipSpace()
-	d, start := s.data, s.i
-	i := start
+	start := s.i
+	end, ok := numberEnd(s.data, start)
+	if s.shortAt(end) || !ok {
+		return nil
+	}
+	s.i = end
+	return s.data[start:end]
+}
+
+// numberEnd scans a number literal of RFC 8259's grammar (which strconv
+// alone would widen: it also takes "+1", ".5", "0x1p3", "Inf") from
+// d[i], returning where the literal ends and whether there is one. On
+// failure the index is where the scan stopped.
+func numberEnd(d []byte, i int) (int, bool) {
 	digits := func() bool {
 		j := i
 		for i < len(d) && d[i] >= '0' && d[i] <= '9' {
@@ -473,12 +562,12 @@ func (s *scanner) number() []byte {
 	if i < len(d) && d[i] == '0' {
 		i++
 	} else if !digits() {
-		return nil
+		return i, false
 	}
 	if i < len(d) && d[i] == '.' {
 		i++
 		if !digits() {
-			return nil
+			return i, false
 		}
 	}
 	if i < len(d) && (d[i] == 'e' || d[i] == 'E') {
@@ -487,9 +576,227 @@ func (s *scanner) number() []byte {
 			i++
 		}
 		if !digits() {
-			return nil
+			return i, false
 		}
 	}
-	s.i = i
-	return d[start:i]
+	return i, true
+}
+
+// decodeBatchStream decodes a batch-request body from r exactly as
+// decodeBatchRequest decodes the whole body, but never holds it: the
+// canonical scanner decodes one image at a time from a 64 KiB window.
+// r must end after at most limit bytes; more fail with an
+// *http.MaxBytesError. A read error is returned wrapped by readError,
+// and before any decode error: every body is read to EOF before it is
+// judged.
+//
+// The window holds the input from the commit point, where the
+// undecoded input starts: after `{"images":[`, then before or after
+// each image. A scan that comes up short moves the bytes from the
+// commit point to the front, reads until the window is full or the body
+// ends, and rescans from the commit point; the window grows, unpooled,
+// only while one image's JSON is larger than it. A scan that declines
+// hands the body, rebuilt, to decodeBatchRequest.
+func decodeBatchStream(r io.Reader, limit int64, free *pixelFree) ([]deepvalidation.Image, []bool, error) {
+	return decodeBatchWindow(r, limit, free, takeBody(1<<maxBodyShift))
+}
+
+// decodeBatchWindow is decodeBatchStream starting from the empty window
+// bb, which it releases when done. A window of a few bytes makes almost
+// every scan come up short, which is how the tests drive the refill
+// path with small bodies.
+func decodeBatchWindow(r io.Reader, limit int64, free *pixelFree, bb *bodyBuf) ([]deepvalidation.Image, []bool, error) {
+	st := &batchStream{r: r, limit: limit, more: true, free: free, bb: bb}
+	defer func() { st.bb.release() }()
+	if st.scan() {
+		return batchImages(st.req)
+	}
+	var body []byte
+	if st.err == nil {
+		body, st.err = st.rebuild()
+	}
+	// Only now, with every accepted image re-serialized, may another
+	// request take their pixel slices.
+	for _, img := range st.req.Images {
+		free.giveBack(img.Pixels)
+	}
+	if st.err != nil {
+		return nil, nil, readError(st.err)
+	}
+	return decodeBatchRequest(body, free)
+}
+
+// batchStream is one streamed batch decode: the window over the body
+// and what the scan has accepted from it.
+type batchStream struct {
+	r      io.Reader
+	limit  int64
+	read   int64 // bytes read from r
+	more   bool  // r has not reported EOF
+	err    error // a read error, which ends the decode
+	free   *pixelFree
+	bb     *bodyBuf // the window: bb.b[commit:] is undecoded input
+	commit int
+	s      scanner // the cursor step hands to scan; a local one would escape to the heap on every step
+
+	// The consumed input, as rebuild writes it back: `{"images":[` when
+	// head, then each accepted image and the separator after it, which
+	// is `]` when closed and a comma otherwise. req.Explain is set only
+	// on acceptance.
+	head, closed bool
+	req          BatchRequest
+}
+
+// scan decodes the body through the window, reporting whether the
+// scanner accepted all of it. On false, either err is set or the commit
+// point is where the scanner declined. An empty images array declines
+// too, and the fallback refuses it with decodeBatchRequest's error.
+func (st *batchStream) scan() bool {
+	st.head = st.step(func(s *scanner) bool {
+		if !s.consume('{') {
+			return false
+		}
+		key, ok := s.key()
+		return ok && string(key) == "images" && s.consume('[')
+	})
+	if !st.head {
+		return false
+	}
+	for !st.closed {
+		// One image and the comma or ']' after it. An image whose
+		// separator is cut off or wrong hands its pixel slice back.
+		var img CheckRequest
+		if !st.step(func(s *scanner) bool {
+			img = CheckRequest{}
+			if !s.image(&img) {
+				return false
+			}
+			if s.consume(',') {
+				return true
+			}
+			if st.closed = s.consume(']'); !st.closed {
+				s.free.giveBack(img.Pixels)
+			}
+			return st.closed
+		}) {
+			return false
+		}
+		st.req.Images = append(st.req.Images, img)
+	}
+	return st.step(func(s *scanner) bool {
+		st.req.Explain = false
+		if s.consume(',') {
+			key, ok := s.key()
+			if !ok || string(key) != "explain" || !s.boolean(&st.req.Explain) {
+				return false
+			}
+		}
+		return s.consume('}') && s.end()
+	})
+}
+
+// step runs scan over the window from the commit point, refilling and
+// rescanning while it comes up short. On acceptance the commit point
+// moves past what scan consumed. It reports false when scan declines or
+// a read fails.
+func (st *batchStream) step(scan func(s *scanner) bool) bool {
+	for {
+		st.s = scanner{data: st.bb.b, i: st.commit, free: st.free, more: st.more}
+		if scan(&st.s) {
+			st.commit = st.s.i
+			return true
+		}
+		if !st.s.short || !st.refill() {
+			return false
+		}
+	}
+}
+
+// refill moves the undecoded input to the front of the window, growing
+// the window if that input fills it, and reads until the window is full
+// or the body ends. It reports false on a read error.
+func (st *batchStream) refill() bool {
+	n := copy(st.bb.b[:cap(st.bb.b)], st.bb.b[st.commit:])
+	st.bb.b, st.commit = st.bb.b[:n], 0
+	if n == cap(st.bb.b) {
+		next := takeBody(min(2*int64(n), st.limit+1))
+		next.b = append(next.b, st.bb.b...)
+		st.bb.release()
+		st.bb = next
+	}
+	for st.more && len(st.bb.b) < cap(st.bb.b) {
+		b := st.bb.b
+		room := min(int64(cap(b)-len(b)), st.limit+1-st.read)
+		m, err := st.r.Read(b[len(b) : len(b)+int(room)])
+		st.bb.b, st.read = b[:len(b)+m], st.read+int64(m)
+		if st.read > st.limit {
+			err = &http.MaxBytesError{Limit: st.limit}
+		}
+		st.more = err == nil
+		if err != io.EOF {
+			st.err = err
+		}
+	}
+	return st.err == nil
+}
+
+// rebuild returns a body that decodes exactly as the one being read:
+// the accepted images re-serialized in place of the input they were
+// decoded from, then the window from the commit point, then the rest of
+// the body, read to EOF under the same cap. It must be called before the
+// accepted images' pixel slices go back to the free list.
+func (st *batchStream) rebuild() ([]byte, error) {
+	var rest []byte
+	if st.more {
+		var err error
+		if rest, err = ReadLimited(st.r, -1, st.limit-st.read); err != nil {
+			return nil, err
+		}
+	}
+	var body []byte
+	if st.head {
+		body = append(body, `{"images":[`...)
+		for i, img := range st.req.Images {
+			if i > 0 {
+				body = append(body, ',')
+			}
+			body = appendImage(body, img)
+		}
+		switch {
+		case st.closed:
+			body = append(body, ']')
+		case len(st.req.Images) > 0:
+			body = append(body, ',')
+		}
+	}
+	body = append(body, st.bb.b[st.commit:]...)
+	return append(body, rest...), nil
+}
+
+// appendImage appends req in canonical form. The reference decoder
+// reads it back to req exactly: AppendFloat's shortest form parses back
+// to the same bits, and a field left out decodes as its zero value, so
+// only the pixels (nil when the scanner did not see them; take never
+// returns nil) and a true explain flag need to be written when present.
+func appendImage(b []byte, req CheckRequest) []byte {
+	b = append(b, `{"channels":`...)
+	b = strconv.AppendInt(b, int64(req.Channels), 10)
+	b = append(b, `,"height":`...)
+	b = strconv.AppendInt(b, int64(req.Height), 10)
+	b = append(b, `,"width":`...)
+	b = strconv.AppendInt(b, int64(req.Width), 10)
+	if req.Pixels != nil {
+		b = append(b, `,"pixels":[`...)
+		for i, v := range req.Pixels {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendFloat(b, v, 'g', -1, 64)
+		}
+		b = append(b, ']')
+	}
+	if req.Explain {
+		b = append(b, `,"explain":true`...)
+	}
+	return append(b, '}')
 }
