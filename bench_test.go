@@ -476,8 +476,8 @@ func TestBenchPipelineSnapshot(t *testing.T) {
 		SpeedupAtLeast2: scoreSpeedup >= 2,
 		Telemetry:       telSummary,
 	}
-	// Merge over the committed file, so the sections the later passes and
-	// `dvbench -fleet-snapshot` own survive a pipeline refresh.
+	// Merge over the committed file, so the sections the later passes own
+	// survive a pipeline refresh.
 	doc := map[string]json.RawMessage{}
 	if raw, err := os.ReadFile("BENCH_pipeline.json"); err == nil {
 		if err := json.Unmarshal(raw, &doc); err != nil {

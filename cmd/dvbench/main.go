@@ -46,10 +46,6 @@ func run() error {
 		quiet    = flag.Bool("quiet", false, "suppress progress logging")
 		telFlag  = flag.Bool("telemetry", false, "print a telemetry summary after the experiments")
 
-		fleetN    = flag.Int("fleet", 0, "run the gateway fleet load generator with this many in-process replicas instead of experiments (0 disables; min 2)")
-		fleetKeys = flag.Int("fleet-keys", 64, "distinct request bodies routed per fleet phase (rendezvous spread)")
-		fleetSnap = flag.String("fleet-snapshot", "", `merge the fleet counters into this BENCH_pipeline.json under "fleet" (empty skips the merge)`)
-
 		addr   = flag.String("metrics-addr", "", `serve /metrics, /debug/vars, and /debug/pprof on this address (e.g. ":9090" or "127.0.0.1:0"; empty disables)`)
 		linger = flag.Duration("metrics-linger", 0, "keep the metrics endpoint serving this long after the run finishes (for scrapers)")
 	)
@@ -81,10 +77,6 @@ func run() error {
 	}
 	if *telFlag {
 		defer func() { core.TelemetrySummary(os.Stdout, reg.Snapshot()) }()
-	}
-
-	if *fleetN > 0 {
-		return runFleetMode(*fleetN, *fleetKeys, *fleetSnap)
 	}
 
 	var sc experiment.Scale

@@ -54,9 +54,10 @@ func rawPost(t *testing.T, addr, path string, body []byte, declared int) (int, s
 }
 
 // TestReadBodyBothTiers runs one body-framing table against a dvserve
-// replica and against the gateway in front of it. Both read bodies
-// through serve.ReadBody under the same cap, so every case must get
-// the same status and the same body from either tier.
+// replica and against the gateway in front of it. The gateway reads
+// bodies through serve.ReadBody and dvserve streams them, both under
+// the same cap and through the same error writer, so every case must
+// get the same status and the same body from either tier.
 func TestReadBodyBothTiers(t *testing.T) {
 	const limit = 4096
 	g, procs, _ := newFleet(t, 1,

@@ -327,10 +327,9 @@ func (g *Gateway) proxy(endpoint string, w http.ResponseWriter, r *http.Request)
 		// looked up afterwards, even if it never reached a replica.
 		w.Header().Set(trace.HeaderTraceID, id)
 	}
-	// The body is not released to serve's pool: the transport may still
-	// be writing it to a replica that answered before reading it after
-	// Do returns, so it is left to the GC.
-	body, _, ok := serve.ReadBody(w, r, g.cfg.MaxBodyBytes)
+	// The body is left to the GC: the transport may still be writing it
+	// to a replica that answered before reading it after Do returns.
+	body, ok := serve.ReadBody(w, r, g.cfg.MaxBodyBytes)
 	if !ok {
 		return
 	}

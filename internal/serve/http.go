@@ -72,45 +72,6 @@ func verdictResponse(v deepvalidation.Verdict) VerdictResponse {
 	return VerdictResponse{Label: v.Label, Confidence: v.Confidence, Discrepancy: v.Discrepancy, Valid: v.Valid, Quarantined: v.Quarantined}
 }
 
-// decodeCheckRequest strictly parses one check-request body: unknown
-// fields, trailing garbage, and images that fail Validate are all
-// rejected. JSON cannot carry NaN/Inf literals, so accepted pixel
-// values are always finite — Validate enforces it regardless. The
-// boolean is the request's Explain flag. Canonical bodies take the
-// one-pass scanner, which takes the pixel slice from free; the rest take
-// the reference decoder (wire.go). Nothing returned refers into data,
-// so the caller may recycle the body buffer as soon as this returns.
-func decodeCheckRequest(data []byte, free *pixelFree) (deepvalidation.Image, bool, error) {
-	req, ok := scanCheckRequest(data, free)
-	if !ok {
-		var ref CheckRequest
-		if err := decodeStrict(data, "check", &ref); err != nil {
-			return deepvalidation.Image{}, false, err
-		}
-		req = ref
-	}
-	img := req.image()
-	if err := img.Validate(); err != nil {
-		return deepvalidation.Image{}, false, err
-	}
-	return img, req.Explain, nil
-}
-
-// decodeBatchRequest strictly parses a batch-request body, validating
-// every member image. Like decodeCheckRequest, it takes canonical pixel
-// slices from free and keeps no reference into data.
-func decodeBatchRequest(data []byte, free *pixelFree) ([]deepvalidation.Image, []bool, error) {
-	req, ok := scanBatchRequest(data, free)
-	if !ok {
-		var ref BatchRequest
-		if err := decodeStrict(data, "batch", &ref); err != nil {
-			return nil, nil, err
-		}
-		req = ref
-	}
-	return batchImages(req)
-}
-
 // batchImages validates every member image of a decoded batch request.
 // explains[i] is image i's effective Explain flag (its own, or the
 // batch-level one).
@@ -429,14 +390,10 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	if id != "" {
 		w.Header().Set(trace.HeaderTraceID, id)
 	}
-	body, release, ok := ReadBody(w, r, s.cfg.MaxBodyBytes)
-	if !ok {
-		return
-	}
-	img, explain, err := decodeCheckRequest(body, s.pixels)
-	release()
+	limit := s.cfg.MaxBodyBytes
+	img, explain, err := decodeCheckStream(http.MaxBytesReader(w, r.Body, limit), limit, s.pixels)
 	if err != nil {
-		obs.WriteError(w, http.StatusBadRequest, err.Error())
+		writeBodyError(w, err, limit)
 		return
 	}
 	explain = explain || queryExplain(r)

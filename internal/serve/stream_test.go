@@ -23,7 +23,7 @@ import (
 // rebuilt body must decode exactly as the original. The last is
 // accepted but fails validation, which must also match.
 var streamDeclinedBodies = []string{
-	`{"explain":true,"images":[{"channels":1,"height":1,"width":1,"pixels":[0.5]},{"channels":1,"height":1,"width":1,"pixels":[1]}]}`,    // head: explain first, which the whole-body scanner takes
+	`{"explain":true,"images":[{"channels":1,"height":1,"width":1,"pixels":[0.5]},{"channels":1,"height":1,"width":1,"pixels":[1]}]}`,    // head: explain first
 	`{"Images":[{"channels":1,"height":1,"width":1,"pixels":[0.5]},{"channels":1,"height":1,"width":1,"pixels":[1]}]}`,                   // head: case-variant key
 	`{"images":[{"channels":1,"height":1,"width":1,"pixels":[1E+2]},{"channels":1,"height":1,"width":1,"Pixels":[0.25]}]}`,               // image 1: case-variant key
 	`{"images":[{"channels":1,"height":1,"width":1,"pixels":[-0]},{"channels":1,"height":1,"width":1,"pixels":[1e-400],"x":1}]}`,         // image 1: unknown key
@@ -59,21 +59,20 @@ func (c *chunkReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// newWindow returns an empty, unpooled decode window of n bytes.
-func newWindow(n int) *bodyBuf {
-	return &bodyBuf{b: make([]byte, 0, n), release: func() {}}
+// newStream returns an unpooled stream with an empty window of n bytes.
+func newStream(n int) *stream {
+	return &stream{buf: make([]byte, 0, n)}
 }
 
-// diffStream decodes data with decodeBatchWindow through a
-// bytes.Reader, an iotest.OneByteReader and a chunkReader seeded with
-// seed, each through the production 64 KiB window and through a window
-// of 1–61 bytes (from seed) that makes almost every scan come up short.
-// The small-window decodes take pixels from a list primed with
-// NaN-filled slices. Every result must equal decodeBatchRequest's on
-// the whole body.
-func diffStream(t *testing.T, data []byte, seed int64) {
+// forEachRead hands decode a new stream and a reader over data once for
+// each way the body can arrive: through a bytes.Reader, an
+// iotest.OneByteReader and a chunkReader seeded with seed, each through
+// the production 64 KiB window and through a window of 1–61 bytes (from
+// seed) that makes almost every scan come up short. small reports the
+// small window. decode returns the first difference from the reference,
+// "" for none.
+func forEachRead(t *testing.T, data []byte, seed int64, decode func(st *stream, r io.Reader, small bool) string) {
 	t.Helper()
-	want, wantExplains, wantErr := decodeBatchRequest(data, nil)
 	readers := []struct {
 		name string
 		r    func() io.Reader
@@ -84,17 +83,43 @@ func diffStream(t *testing.T, data []byte, seed int64) {
 	}
 	small := 1 + int(uint64(seed)%61)
 	for _, rd := range readers {
-		for _, window := range []int{1 << maxBodyShift, small} {
-			var free *pixelFree
-			if window == small && wantErr == nil {
-				free = primedFree(len(want[0].Pixels), 2)
-			}
-			got, explains, err := decodeBatchWindow(rd.r(), int64(len(data)), free, newWindow(window))
-			if d := diffDecoded(got, explains, err, want, wantExplains, wantErr); d != "" {
+		for _, window := range []int{windowSize, small} {
+			if d := decode(newStream(window), rd.r(), window == small); d != "" {
 				t.Fatalf("%s reader, %d-byte window: %s: %q", rd.name, window, d, data)
 			}
 		}
 	}
+}
+
+// diffStream decodes data as a batch every way forEachRead reads it.
+// The small-window decodes take pixels from a list primed with
+// NaN-filled slices. Every result must equal the reference's on the
+// whole body.
+func diffStream(t *testing.T, data []byte, seed int64) {
+	t.Helper()
+	want, wantExplains, wantErr := referenceBatch(data)
+	forEachRead(t, data, seed, func(st *stream, r io.Reader, small bool) string {
+		var free *pixelFree
+		if small && wantErr == nil {
+			free = primedFree(len(want[0].Pixels), 2)
+		}
+		got, explains, err := st.batch(r, int64(len(data)), free)
+		return diffDecoded(got, explains, err, want, wantExplains, wantErr)
+	})
+}
+
+// diffCheckStream is diffStream for a check body.
+func diffCheckStream(t *testing.T, data []byte, seed int64) {
+	t.Helper()
+	want, wantExplain, wantErr := referenceCheck(data)
+	forEachRead(t, data, seed, func(st *stream, r io.Reader, small bool) string {
+		var free *pixelFree
+		if small && wantErr == nil {
+			free = primedFree(len(want.Pixels), 1)
+		}
+		got, explain, err := st.check(r, int64(len(data)), free)
+		return diffDecoded([]deepvalidation.Image{got}, []bool{explain}, err, []deepvalidation.Image{want}, []bool{wantExplain}, wantErr)
+	})
 }
 
 // diffDecoded describes the first difference between two batch decodes;
@@ -159,13 +184,15 @@ func nthIndex(s []byte, sep string, n int) int {
 // TestBatchStreamShortIsNotDecline: a canonical body is decoded by the
 // scanner, not by the fallback, wherever a window boundary cuts it —
 // inside a key, a number, a flag, whitespace or the tail. Through every
-// window from 1 to 96 bytes, one byte per read, the streamed decode
-// allocates at most the whole-body decode's allocations plus the
-// stream's own few (pixels come from a free list and go back after
-// each decode, as in the handler, so a rescan allocates none); a scan
-// that declined at a boundary instead of coming up short would rebuild
-// the body and decode it again. The same body with a byte after it must
-// be refused whatever the window.
+// window from 1 to 96 bytes, one byte per read, every image's pixels
+// come from the primed free list (the fallback's come from
+// encoding/json), and the streamed decode allocates at most the
+// one-window decode's allocations, plus one per doubling of a window
+// smaller than an image, plus the stream's own few (pixels go back
+// after each decode, as in the handler, so a rescan allocates none); a
+// scan that declined at a boundary instead of coming up short would
+// rebuild the body and decode it again. The same body with a byte after
+// it must be refused whatever the window.
 func TestBatchStreamShortIsNotDecline(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -173,47 +200,64 @@ func TestBatchStreamShortIsNotDecline(t *testing.T) {
 	body := []byte(` {"images" : [ {"channels":1,"height":1,"width":2,"pixels":[0.5, -1.25e-3],"explain":false},` +
 		"\n\t" + `{"pixels":[1E+2,0],"width":2,"height":1,"channels":1,"explain":true} ,` +
 		`{"channels":1,"height":1,"width":2,"pixels":[123456789012345678901234567890,0]} ] , "explain" : true } `)
-	want, wantExplains, wantErr := decodeBatchRequest(body, nil)
+	limit := int64(len(body))
+	want, wantExplains, wantErr := referenceBatch(body)
 	if wantErr != nil {
 		t.Fatal(wantErr)
 	}
 	free := primedFree(2, len(want))
+	primed := make(map[*float64]bool, len(want))
+	for _, xs := range free.stack {
+		primed[&xs[:1][0]] = true
+	}
 	recycle := func(imgs []deepvalidation.Image) {
 		for _, img := range imgs {
 			free.put(img.Pixels, 2)
 		}
 	}
 	whole := testing.AllocsPerRun(10, func() {
-		imgs, _, _ := decodeBatchRequest(body, free)
+		imgs, _, _ := newStream(windowSize).batch(bytes.NewReader(body), limit, free)
 		recycle(imgs)
 	})
 	for window := 1; window <= 96; window++ {
-		var d string
-		allocs := testing.AllocsPerRun(10, func() {
-			got, explains, err := decodeBatchWindow(iotest.OneByteReader(bytes.NewReader(body)), int64(len(body)), free, newWindow(window))
-			d = diffDecoded(got, explains, err, want, wantExplains, wantErr)
-			recycle(got)
-		})
-		if d != "" {
+		st := newStream(window)
+		got, explains, err := st.batch(iotest.OneByteReader(bytes.NewReader(body)), limit, free)
+		if d := diffDecoded(got, explains, err, want, wantExplains, wantErr); d != "" {
 			t.Fatalf("%d-byte window: %s", window, d)
 		}
-		if allocs > whole+5 {
-			t.Errorf("%d-byte window: %.0f allocations, whole-body decode %.0f: a scan declined at a window boundary", window, allocs, whole)
+		for i, img := range got {
+			if !primed[&img.Pixels[:1][0]] {
+				t.Fatalf("%d-byte window: image %d's pixels are not from the free list: a scan declined at a window boundary", window, i)
+			}
+		}
+		recycle(got)
+		doublings := 0
+		for c := int64(window); c < int64(cap(st.buf)); c = min(2*c, limit+1) {
+			doublings++
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			imgs, _, _ := newStream(window).batch(iotest.OneByteReader(bytes.NewReader(body)), limit, free)
+			recycle(imgs)
+		})
+		if allocs > whole+float64(doublings)+5 {
+			t.Errorf("%d-byte window: %.0f allocations, one-window decode %.0f plus %d window doublings: a scan declined at a window boundary", window, allocs, whole, doublings)
 		}
 		// The tail is accepted only at EOF, not where a window ends.
 		for _, b := range [][]byte{body, []byte(`{"images":[{}]}`)} {
 			trailing := append(bytes.Clone(b), 'x')
-			_, _, err := decodeBatchWindow(iotest.OneByteReader(bytes.NewReader(trailing)), int64(len(trailing)), nil, newWindow(window))
-			if _, _, wantErr := decodeBatchRequest(trailing, nil); err == nil || err.Error() != wantErr.Error() {
+			_, _, err := newStream(window).batch(iotest.OneByteReader(bytes.NewReader(trailing)), int64(len(trailing)), nil)
+			if _, _, wantErr := referenceBatch(trailing); err == nil || err.Error() != wantErr.Error() {
 				t.Fatalf("%d-byte window: %q: error %v, reference %v", window, trailing, err, wantErr)
 			}
 		}
 	}
 }
 
-// TestBatchBodyErrors: /v1/batch answers a body it cannot read exactly
-// as ReadBody answers /v1/check, and before any decode error, whether
-// the body declares its length or is chunked.
+// TestBatchBodyErrors: /v1/batch and /v1/check answer a body they
+// cannot read alike, and before any decode error, whether the body
+// declares its length or is chunked. Over the limit, a canonical body
+// and one malformed at its first byte both get 413; a failing reader
+// gets 400 naming the read.
 func TestBatchBodyErrors(t *testing.T) {
 	const limit = 1 << 17 // two 64 KiB windows
 	s, err := New(deepvalidation.NewHandle(loadDetector(t)), Config{MaxBodyBytes: limit})
@@ -229,22 +273,39 @@ func TestBatchBodyErrors(t *testing.T) {
 		t.Fatalf("a %d-byte batch is not over the %d-byte limit", len(overBatch), limit)
 	}
 	malformedOver := bytes.Replace(overBatch, []byte(`"channels"`), []byte(`"channels"x`), 1)
+	// One image whose JSON alone is over the limit: the window grows
+	// past 64 KiB before the cap stops it.
+	big := deepvalidation.Image{Channels: 1, Height: 100, Width: 100, Pixels: make([]float64, 100*100)}
+	for i := range big.Pixels {
+		big.Pixels[i] = imgs[0].Pixels[i%len(imgs[0].Pixels)]
+	}
+	bigCheck := checkBody(t, big)
+	if len(bigCheck) <= limit {
+		t.Fatalf("a %d-byte check is not over the %d-byte limit", len(bigCheck), limit)
+	}
+	malformedCheck := append([]byte("x"), bigCheck...)
 	cut := func(prefix []byte) io.Reader {
 		return io.MultiReader(bytes.NewReader(prefix), iotest.ErrReader(errors.New("connection reset by peer")))
 	}
 	const cutMsg = "reading request body: connection reset by peer"
 	cases := []struct {
 		name       string
+		path       string
 		body       func() io.Reader
 		length     int // declared Content-Length
 		wantStatus int
 		wantMsg    string // "" means /v1/check's answer to overCheck
 	}{
-		{"canonical over the limit", func() io.Reader { return bytes.NewReader(overBatch) }, len(overBatch), http.StatusRequestEntityTooLarge, ""},
-		{"malformed first image, over the limit", func() io.Reader { return bytes.NewReader(malformedOver) }, len(malformedOver), http.StatusRequestEntityTooLarge, ""},
-		{"cut short", func() io.Reader { return cut(overBatch[:100_000]) }, len(overBatch), http.StatusBadRequest, cutMsg},
-		{"malformed, then cut short", func() io.Reader { return cut(malformedOver[:100]) }, len(malformedOver), http.StatusBadRequest, cutMsg},
-		{"no images", func() io.Reader { return strings.NewReader(`{"images":[]}`) }, len(`{"images":[]}`), http.StatusBadRequest, "batch request carries no images"},
+		{"canonical over the limit", "/v1/batch", func() io.Reader { return bytes.NewReader(overBatch) }, len(overBatch), http.StatusRequestEntityTooLarge, ""},
+		{"malformed first image, over the limit", "/v1/batch", func() io.Reader { return bytes.NewReader(malformedOver) }, len(malformedOver), http.StatusRequestEntityTooLarge, ""},
+		{"cut short", "/v1/batch", func() io.Reader { return cut(overBatch[:100_000]) }, len(overBatch), http.StatusBadRequest, cutMsg},
+		{"malformed, then cut short", "/v1/batch", func() io.Reader { return cut(malformedOver[:100]) }, len(malformedOver), http.StatusBadRequest, cutMsg},
+		{"no images", "/v1/batch", func() io.Reader { return strings.NewReader(`{"images":[]}`) }, len(`{"images":[]}`), http.StatusBadRequest, "batch request carries no images"},
+		{"check: canonical over the limit", "/v1/check", func() io.Reader { return bytes.NewReader(bigCheck) }, len(bigCheck), http.StatusRequestEntityTooLarge, ""},
+		{"check: malformed first byte, over the limit", "/v1/check", func() io.Reader { return bytes.NewReader(malformedCheck) }, len(malformedCheck), http.StatusRequestEntityTooLarge, ""},
+		{"check: cut short", "/v1/check", func() io.Reader { return cut(bigCheck[:100_000]) }, len(bigCheck), http.StatusBadRequest, cutMsg},
+		{"check: malformed, then cut short", "/v1/check", func() io.Reader { return cut(malformedCheck[:100]) }, len(malformedCheck), http.StatusBadRequest, cutMsg},
+		{"check: empty", "/v1/check", func() io.Reader { return strings.NewReader("") }, 0, http.StatusBadRequest, "decoding check request: EOF"},
 	}
 	serveOne := func(path string, body io.Reader, length int) *httptest.ResponseRecorder {
 		req := httptest.NewRequest(http.MethodPost, path, body)
@@ -268,7 +329,7 @@ func TestBatchBodyErrors(t *testing.T) {
 			t.Fatalf("chunked=%v: oversized /v1/check got %d, want 413", chunked, checkRec.Code)
 		}
 		for _, tc := range cases {
-			rec := serveOne("/v1/batch", tc.body(), declared(tc.length))
+			rec := serveOne(tc.path, tc.body(), declared(tc.length))
 			want := checkRec.Body.String()
 			if tc.wantMsg != "" {
 				b, _ := json.Marshal(map[string]string{"error": tc.wantMsg})
@@ -285,6 +346,11 @@ func TestBatchBodyErrors(t *testing.T) {
 	for _, body := range [][]byte{overBatch, malformedOver} {
 		if _, _, err := decodeBatchStream(bytes.NewReader(body), limit, nil); !errors.As(err, &mbe) {
 			t.Errorf("decoding %d bytes under a %d-byte cap: %v, want an *http.MaxBytesError", len(body), limit, err)
+		}
+	}
+	for _, body := range [][]byte{overCheck, bigCheck, malformedCheck} {
+		if _, _, err := decodeCheckStream(bytes.NewReader(body), limit, nil); !errors.As(err, &mbe) {
+			t.Errorf("decoding a %d-byte check under a %d-byte cap: %v, want an *http.MaxBytesError", len(body), limit, err)
 		}
 	}
 }
@@ -315,7 +381,7 @@ func TestBatchStreamPixelOwnership(t *testing.T) {
 	}
 	refs := make([]ref, len(bodies))
 	for i, body := range bodies {
-		got, explains, err := decodeBatchRequest(body, nil)
+		got, explains, err := referenceBatch(body)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/bits"
 	"net/http"
 	"strconv"
 	"sync"
@@ -16,30 +15,29 @@ import (
 )
 
 // Request bodies are the serving tiers' largest allocation: a 28×28
-// check body is ~15 KB of JSON, a 32-image batch ~400 KB. For bodies in
-// the canonical form every client marshals, this file decodes in one
-// pass over the bytes with Pixels taken at their final length from the
-// server's pixel free list. Anything else goes to the encoding/json
-// reference decoder, which decides acceptance, writes every error
-// message and allocates its own pixels.
+// check body is ~15 KB of JSON, a 32-image batch ~400 KB. dvserve never
+// holds a whole body. Both endpoints decode from the connection through
+// one 64 KiB window (decodeCheckStream, decodeBatchStream): a check is
+// one image object, a batch an array of them, scanned one image at a
+// time. For bodies in the canonical form every client marshals, the
+// scanner decodes in one pass with Pixels taken at their final length
+// from the server's pixel free list. Any other body is rebuilt into one
+// that decodes exactly like the body the client sent and handed to the
+// encoding/json reference decoder, which decides acceptance, writes
+// every error message and allocates its own pixels.
 //
-// A check body, and every body dvgateway reads, is read whole into one
-// buffer (ReadBody). Buffers of up to 64 KiB come from power-of-two
-// size-class pools and go back through the release ReadBody returns.
-// The reader owns the bytes until it calls release, and releasing is
-// optional: a buffer never released is left to the GC. dvserve releases
-// as soon as the body is decoded (neither decoder keeps a reference into
-// it). dvgateway does not release: the transport may still read a
-// forwarded body after the handler returns.
+// The window and the decoder state around it come from one pool of
+// stream values, so a warm decode allocates neither. A window that grew
+// past 64 KiB (one image's JSON larger than it) is left to the GC.
+// Pooling whole bodies was measured and rejected: an idle pooled buffer
+// stays live heap and doubles in the GC goal, and holding ~400 KB batch
+// bodies raised batch-fleet's median RSS by 7-8%.
 //
-// dvserve never holds a whole batch body. decodeBatchStream decodes it
-// from the connection through one window taken from the 64 KiB class,
-// one image at a time, so no large buffer is allocated per request or
-// kept between requests. Pooling whole batch bodies was measured twice
-// and rejected: an idle pooled buffer stays live heap and doubles in the
-// GC goal, and holding ~400 KB bodies raised batch-fleet's median RSS by
-// 7-8%. A body the scanner declines is rebuilt into one that decodes
-// exactly like the body the client sent and handed to the reference.
+// dvgateway does read each body whole (ReadBody), into a buffer sized
+// from its Content-Length, and leaves it to the GC: the transport may
+// still read a forwarded body after the handler returns. Both tiers
+// answer a body they cannot read through writeBodyError, so they refuse
+// it with the same status and message.
 //
 // Decoded pixel slices are the next largest allocation (8 bytes per
 // value: 6,272 B for a 28×28 image) and come from pixelFree, a bounded
@@ -51,41 +49,6 @@ import (
 // batcher (shed, or a shape mismatch). On the deadline path a worker
 // may still be scoring the image, so those pixels, like dvgateway's
 // bodies, are left to the GC.
-
-// Pooled body size classes: 1 KiB << 0 .. 1 KiB << 6 (64 KiB).
-const (
-	minBodyShift = 10
-	maxBodyShift = 16
-)
-
-// bodyBuf is one request-body buffer. release hands a pooled buffer
-// back to its size class; for an unpooled one it does nothing.
-type bodyBuf struct {
-	b       []byte
-	release func()
-}
-
-var bodyPools [maxBodyShift - minBodyShift + 1]sync.Pool
-
-// takeBody returns an empty buffer with capacity at least n: pooled,
-// with capacity exactly its size class, when n fits the largest class;
-// otherwise freshly allocated at exactly n. Each pooled buffer carries
-// its own release, made once, so recycling allocates nothing.
-func takeBody(n int64) *bodyBuf {
-	if n > 1<<maxBodyShift {
-		return &bodyBuf{b: make([]byte, 0, n), release: func() {}}
-	}
-	c := max(bits.Len64(uint64(n-1))-minBodyShift, 0)
-	if bb, _ := bodyPools[c].Get().(*bodyBuf); bb != nil {
-		return bb
-	}
-	bb := &bodyBuf{b: make([]byte, 0, 1<<(c+minBodyShift))}
-	bb.release = func() {
-		bb.b = bb.b[:0]
-		bodyPools[c].Put(bb)
-	}
-	return bb
-}
 
 // pixelFree is a free list of decoded pixel slices: a mutex-guarded
 // stack holding at most limit slices, each of capacity n. A nil list
@@ -159,28 +122,17 @@ func (f *pixelFree) put(xs []float64, n int) {
 }
 
 // ReadBody reads a request body of at most limit bytes through
-// http.MaxBytesReader, answering 413 (oversized) or 400 (transport
-// error) itself. The boolean reports success. It is the body read of
-// both serving tiers, so dvserve and dvgateway refuse a body with the
-// same status and message. On success the caller may call release
-// once, after the last read of body, to recycle a body of up to 64 KiB
-// into its pool; a caller that cannot tell when the last read happens
-// skips it and leaves the buffer to the GC.
-func ReadBody(w http.ResponseWriter, r *http.Request, limit int64) (body []byte, release func(), ok bool) {
-	bb := takeBody(initialSize(r.ContentLength, limit))
-	body, err := readAll(http.MaxBytesReader(w, r.Body, limit), bb.b, limit, func(buf []byte, size int64) []byte {
-		next := takeBody(size)
-		next.b = append(next.b, buf...)
-		bb.release()
-		bb = next
-		return next.b
-	})
+// http.MaxBytesReader into one buffer, answering 413 (oversized) or 400
+// (transport error) itself. The boolean reports success. It is
+// dvgateway's body read; its errors go through the writer dvserve's
+// streamed decoders use, so both tiers refuse a body alike.
+func ReadBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool) {
+	body, err := ReadLimited(http.MaxBytesReader(w, r.Body, limit), r.ContentLength, limit)
 	if err != nil {
-		bb.release()
 		writeBodyError(w, readError(err), limit)
-		return nil, nil, false
+		return nil, false
 	}
-	return body, bb.release, true
+	return body, true
 }
 
 // readError marks err as a failure to read the request body rather than
@@ -205,36 +157,21 @@ func writeBodyError(w http.ResponseWriter, err error, limit int64) {
 // (a declared Content-Length) sizes the buffer once at
 // min(sizeHint, limit)+1 bytes — the extra byte lets the read see EOF
 // without growing; with no hint (-1) the buffer starts small and
-// doubles, never past limit+1. More than limit bytes fail with an
+// doubles, never past limit+1. No read goes past limit+1 bytes, even
+// into spare capacity, and more than limit bytes fail with an
 // *http.MaxBytesError, so no read allocates more than limit+1 bytes
 // (limit must be below math.MaxInt64).
 func ReadLimited(r io.Reader, sizeHint, limit int64) ([]byte, error) {
-	return readAll(r, make([]byte, 0, initialSize(sizeHint, limit)), limit, func(buf []byte, size int64) []byte {
-		grown := make([]byte, len(buf), size)
-		copy(grown, buf)
-		return grown
-	})
-}
-
-// initialSize is the first buffer size for a body of sizeHint bytes
-// (-1 when unknown) under limit.
-func initialSize(sizeHint, limit int64) int64 {
 	size := int64(512)
 	if sizeHint >= 0 {
 		size = sizeHint
 	}
-	return min(size, limit) + 1
-}
-
-// readAll reads r to EOF, appending to buf. When buf is full, grow must
-// return a buffer holding buf's bytes with capacity at least size
-// (double the old capacity, at most limit+1). No read goes past limit+1
-// bytes, even into spare capacity, and more than limit bytes fail with
-// an *http.MaxBytesError.
-func readAll(r io.Reader, buf []byte, limit int64, grow func(buf []byte, size int64) []byte) ([]byte, error) {
+	buf := make([]byte, 0, min(size, limit)+1)
 	for {
 		if len(buf) == cap(buf) {
-			buf = grow(buf, min(2*int64(cap(buf)), limit+1))
+			grown := make([]byte, len(buf), min(2*int64(cap(buf)), limit+1))
+			copy(grown, buf)
+			buf = grown
 		}
 		n, err := r.Read(buf[len(buf):min(int64(cap(buf)), limit+1)])
 		buf = buf[:len(buf)+n]
@@ -276,31 +213,6 @@ func decodeStrict(data []byte, what string, v any) error {
 // keys, duplicates, null, out-of-range numbers, unknown keys and
 // malformed input all decline, leaving the verdict and the message to
 // the reference.
-
-// scanCheckRequest scans a check-request body in canonical form,
-// taking its pixel slice from free. A body declined after the slice was
-// taken leaves it to the GC.
-func scanCheckRequest(data []byte, free *pixelFree) (CheckRequest, bool) {
-	s := scanner{data: data, free: free}
-	var req CheckRequest
-	ok := s.checkRequest(&req) && s.end()
-	return req, ok
-}
-
-// scanBatchRequest scans a batch-request body in canonical form, taking
-// every image's pixel slice from free. A declined body hands the slices
-// back.
-func scanBatchRequest(data []byte, free *pixelFree) (BatchRequest, bool) {
-	s := scanner{data: data, free: free}
-	var req BatchRequest
-	if s.batchRequest(&req) && s.end() {
-		return req, true
-	}
-	for _, r := range req.Images {
-		free.giveBack(r.Pixels)
-	}
-	return req, false
-}
 
 // scanner is a cursor over a request body, or over a window of one
 // whose end is not the body's end (more). Every method returns false to
@@ -428,19 +340,6 @@ func (s *scanner) image(req *CheckRequest) bool {
 	return false
 }
 
-func (s *scanner) batchRequest(req *BatchRequest) bool {
-	var seen uint8
-	return s.object(func(key []byte) bool {
-		switch string(key) {
-		case "images":
-			return once(&seen, 1) && s.images(&req.Images)
-		case "explain":
-			return once(&seen, 2) && s.boolean(&req.Explain)
-		}
-		return false
-	})
-}
-
 // array scans one JSON array, calling elem for each element; elem must
 // consume it.
 func (s *scanner) array(elem func() bool) bool {
@@ -458,18 +357,6 @@ func (s *scanner) array(elem func() bool) bool {
 			return s.consume(']')
 		}
 	}
-}
-
-// images scans an array of check-request objects.
-func (s *scanner) images(out *[]CheckRequest) bool {
-	return s.array(func() bool {
-		var r CheckRequest
-		if !s.image(&r) {
-			return false
-		}
-		*out = append(*out, r)
-		return true
-	})
 }
 
 // floats scans an array of JSON numbers in two passes: the first, on a
@@ -582,35 +469,126 @@ func numberEnd(d []byte, i int) (int, bool) {
 	return i, true
 }
 
-// decodeBatchStream decodes a batch-request body from r exactly as
-// decodeBatchRequest decodes the whole body, but never holds it: the
-// canonical scanner decodes one image at a time from a 64 KiB window.
-// r must end after at most limit bytes; more fail with an
-// *http.MaxBytesError. A read error is returned wrapped by readError,
-// and before any decode error: every body is read to EOF before it is
-// judged.
-//
-// The window holds the input from the commit point, where the
-// undecoded input starts: after `{"images":[`, then before or after
-// each image. A scan that comes up short moves the bytes from the
-// commit point to the front, reads until the window is full or the body
-// ends, and rescans from the commit point; the window grows, unpooled,
-// only while one image's JSON is larger than it. A scan that declines
-// hands the body, rebuilt, to decodeBatchRequest.
-func decodeBatchStream(r io.Reader, limit int64, free *pixelFree) ([]deepvalidation.Image, []bool, error) {
-	return decodeBatchWindow(r, limit, free, takeBody(1<<maxBodyShift))
+// windowSize is the pooled decode window's capacity. maxPooledImages
+// bounds the image list a pooled stream keeps: the default
+// Config.QueueDepth, beyond which dvserve refuses a batch anyway.
+const (
+	windowSize      = 64 << 10
+	maxPooledImages = 256
+)
+
+// streams holds idle stream values, each with an empty window of
+// windowSize bytes.
+var streams = sync.Pool{New: func() any { return &stream{buf: make([]byte, 0, windowSize)} }}
+
+// decodeCheckStream decodes a check-request body from r exactly as
+// decodeStrict and Validate decode the whole body; see stream.check.
+func decodeCheckStream(r io.Reader, limit int64, free *pixelFree) (deepvalidation.Image, bool, error) {
+	st := streams.Get().(*stream)
+	defer st.recycle()
+	return st.check(r, limit, free)
 }
 
-// decodeBatchWindow is decodeBatchStream starting from the empty window
-// bb, which it releases when done. A window of a few bytes makes almost
-// every scan come up short, which is how the tests drive the refill
-// path with small bodies.
-func decodeBatchWindow(r io.Reader, limit int64, free *pixelFree, bb *bodyBuf) ([]deepvalidation.Image, []bool, error) {
-	st := &batchStream{r: r, limit: limit, more: true, free: free, bb: bb}
-	defer func() { st.bb.release() }()
+// decodeBatchStream decodes a batch-request body from r exactly as
+// decodeStrict and batchImages decode the whole body; see stream.batch.
+func decodeBatchStream(r io.Reader, limit int64, free *pixelFree) ([]deepvalidation.Image, []bool, error) {
+	st := streams.Get().(*stream)
+	defer st.recycle()
+	return st.batch(r, limit, free)
+}
+
+// stream is one streamed decode: the window over a body, the scanner's
+// cursor and what the scan has accepted. r must end after at most limit
+// bytes; more fail with an *http.MaxBytesError. A read error is
+// returned wrapped by readError, and before any decode error: every
+// body is read to EOF before it is judged.
+//
+// The window holds the input from the commit point, where the
+// undecoded input starts: for a batch after `{"images":[`, then before
+// or after each image. A scan that comes up short moves the bytes from
+// the commit point to the front, reads until the window is full or the
+// body ends, and rescans from the commit point; the window grows only
+// while one image's JSON is larger than it. A window of a few bytes
+// makes almost every scan come up short, which is how the tests drive
+// the refill path with small bodies. A scan that declines hands the
+// body, rebuilt, to decodeStrict.
+type stream struct {
+	r      io.Reader
+	limit  int64
+	read   int64 // bytes read from r
+	more   bool  // r has not reported EOF
+	err    error // a read error, which ends the decode
+	free   *pixelFree
+	buf    []byte // the window: buf[commit:] is undecoded input
+	commit int
+	s      scanner // the cursor step hands to scan; a local one would escape to the heap on every step
+
+	// The consumed input of a batch, as rebuild writes it back:
+	// `{"images":[` when head, then each accepted image and the
+	// separator after it, which is `]` when closed and a comma
+	// otherwise. req.Explain is set only on acceptance.
+	head, closed bool
+	req          BatchRequest
+}
+
+// start readies st, empty but for its window's and request's capacity,
+// to decode from r.
+func (st *stream) start(r io.Reader, limit int64, free *pixelFree) {
+	*st = stream{r: r, limit: limit, more: true, free: free, buf: st.buf[:0], req: BatchRequest{Images: st.req.Images[:0]}}
+}
+
+// recycle drops st's references to the request and puts it back in the
+// pool, unless its window grew or its image list outgrew
+// maxPooledImages.
+func (st *stream) recycle() {
+	if cap(st.buf) != windowSize || cap(st.req.Images) > maxPooledImages {
+		return
+	}
+	clear(st.req.Images)
+	st.start(nil, 0, nil)
+	streams.Put(st)
+}
+
+// check decodes a check-request body, rejecting what decodeStrict
+// rejects and an image that fails Validate. JSON cannot carry NaN/Inf
+// literals, so accepted pixel values are always finite; Validate
+// enforces it regardless. The boolean is the request's Explain flag.
+func (st *stream) check(r io.Reader, limit int64, free *pixelFree) (deepvalidation.Image, bool, error) {
+	st.start(r, limit, free)
+	var req CheckRequest
+	if !st.scanCheck(&req) {
+		var ref CheckRequest
+		if err := st.fallback("check", &ref); err != nil {
+			return deepvalidation.Image{}, false, err
+		}
+		req = ref
+	}
+	img := req.image()
+	if err := img.Validate(); err != nil {
+		return deepvalidation.Image{}, false, err
+	}
+	return img, req.Explain, nil
+}
+
+// batch decodes a batch-request body one image at a time, validating
+// every member image.
+func (st *stream) batch(r io.Reader, limit int64, free *pixelFree) ([]deepvalidation.Image, []bool, error) {
+	st.start(r, limit, free)
 	if st.scan() {
 		return batchImages(st.req)
 	}
+	var ref BatchRequest
+	if err := st.fallback("batch", &ref); err != nil {
+		return nil, nil, err
+	}
+	return batchImages(ref)
+}
+
+// fallback decodes the body a scan declined with decodeStrict into v,
+// naming the request kind what in its errors. It first reads the rest
+// of the body, so a read error, wrapped by readError, comes before any
+// decode error.
+func (st *stream) fallback(what string, v any) error {
 	var body []byte
 	if st.err == nil {
 		body, st.err = st.rebuild()
@@ -618,40 +596,37 @@ func decodeBatchWindow(r io.Reader, limit int64, free *pixelFree, bb *bodyBuf) (
 	// Only now, with every accepted image re-serialized, may another
 	// request take their pixel slices.
 	for _, img := range st.req.Images {
-		free.giveBack(img.Pixels)
+		st.free.giveBack(img.Pixels)
 	}
 	if st.err != nil {
-		return nil, nil, readError(st.err)
+		return readError(st.err)
 	}
-	return decodeBatchRequest(body, free)
+	return decodeStrict(body, what, v)
 }
 
-// batchStream is one streamed batch decode: the window over the body
-// and what the scan has accepted from it.
-type batchStream struct {
-	r      io.Reader
-	limit  int64
-	read   int64 // bytes read from r
-	more   bool  // r has not reported EOF
-	err    error // a read error, which ends the decode
-	free   *pixelFree
-	bb     *bodyBuf // the window: bb.b[commit:] is undecoded input
-	commit int
-	s      scanner // the cursor step hands to scan; a local one would escape to the heap on every step
-
-	// The consumed input, as rebuild writes it back: `{"images":[` when
-	// head, then each accepted image and the separator after it, which
-	// is `]` when closed and a comma otherwise. req.Explain is set only
-	// on acceptance.
-	head, closed bool
-	req          BatchRequest
+// scanCheck decodes a check body through the window into req in one
+// step, reporting whether the scanner accepted all of it: one image
+// object, then the end of the body. An image followed by anything else
+// hands its pixel slice back.
+func (st *stream) scanCheck(req *CheckRequest) bool {
+	return st.step(func(s *scanner) bool {
+		*req = CheckRequest{}
+		if !s.image(req) {
+			return false
+		}
+		if s.end() {
+			return true
+		}
+		s.free.giveBack(req.Pixels)
+		return false
+	})
 }
 
-// scan decodes the body through the window, reporting whether the
+// scan decodes a batch body through the window, reporting whether the
 // scanner accepted all of it. On false, either err is set or the commit
 // point is where the scanner declined. An empty images array declines
-// too, and the fallback refuses it with decodeBatchRequest's error.
-func (st *batchStream) scan() bool {
+// too, and the fallback refuses it with batchImages' error.
+func (st *stream) scan() bool {
 	st.head = st.step(func(s *scanner) bool {
 		if !s.consume('{') {
 			return false
@@ -699,9 +674,9 @@ func (st *batchStream) scan() bool {
 // rescanning while it comes up short. On acceptance the commit point
 // moves past what scan consumed. It reports false when scan declines or
 // a read fails.
-func (st *batchStream) step(scan func(s *scanner) bool) bool {
+func (st *stream) step(scan func(s *scanner) bool) bool {
 	for {
-		st.s = scanner{data: st.bb.b, i: st.commit, free: st.free, more: st.more}
+		st.s = scanner{data: st.buf, i: st.commit, free: st.free, more: st.more}
 		if scan(&st.s) {
 			st.commit = st.s.i
 			return true
@@ -715,20 +690,19 @@ func (st *batchStream) step(scan func(s *scanner) bool) bool {
 // refill moves the undecoded input to the front of the window, growing
 // the window if that input fills it, and reads until the window is full
 // or the body ends. It reports false on a read error.
-func (st *batchStream) refill() bool {
-	n := copy(st.bb.b[:cap(st.bb.b)], st.bb.b[st.commit:])
-	st.bb.b, st.commit = st.bb.b[:n], 0
-	if n == cap(st.bb.b) {
-		next := takeBody(min(2*int64(n), st.limit+1))
-		next.b = append(next.b, st.bb.b...)
-		st.bb.release()
-		st.bb = next
+func (st *stream) refill() bool {
+	n := copy(st.buf[:cap(st.buf)], st.buf[st.commit:])
+	st.buf, st.commit = st.buf[:n], 0
+	if n == cap(st.buf) {
+		grown := make([]byte, n, min(2*int64(n), st.limit+1))
+		copy(grown, st.buf)
+		st.buf = grown
 	}
-	for st.more && len(st.bb.b) < cap(st.bb.b) {
-		b := st.bb.b
+	for st.more && len(st.buf) < cap(st.buf) {
+		b := st.buf
 		room := min(int64(cap(b)-len(b)), st.limit+1-st.read)
 		m, err := st.r.Read(b[len(b) : len(b)+int(room)])
-		st.bb.b, st.read = b[:len(b)+m], st.read+int64(m)
+		st.buf, st.read = b[:len(b)+m], st.read+int64(m)
 		if st.read > st.limit {
 			err = &http.MaxBytesError{Limit: st.limit}
 		}
@@ -745,7 +719,7 @@ func (st *batchStream) refill() bool {
 // decoded from, then the window from the commit point, then the rest of
 // the body, read to EOF under the same cap. It must be called before the
 // accepted images' pixel slices go back to the free list.
-func (st *batchStream) rebuild() ([]byte, error) {
+func (st *stream) rebuild() ([]byte, error) {
 	var rest []byte
 	if st.more {
 		var err error
@@ -769,7 +743,7 @@ func (st *batchStream) rebuild() ([]byte, error) {
 			body = append(body, ',')
 		}
 	}
-	body = append(body, st.bb.b[st.commit:]...)
+	body = append(body, st.buf[st.commit:]...)
 	return append(body, rest...), nil
 }
 

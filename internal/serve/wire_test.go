@@ -4,11 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
-	"math/bits"
 	"math/rand"
-	"net/http"
-	"net/http/httptest"
 	"testing"
 
 	"deepvalidation"
@@ -50,6 +48,7 @@ var declinedBodies = []string{
 	`{"images":null}`,                // batch, null array
 	`{"Images":[]}`,                  // batch, case-variant key
 	`{"images":[],"explain":"true"}`, // batch, string flag
+	`{"images":[]}`,                  // batch, no images: the reference refuses it
 }
 
 // acceptedBodies are canonical: the scanner must take them itself.
@@ -60,7 +59,6 @@ var acceptedBodies = []string{
 	`{"channels":-1,"height":0,"width":2,"pixels":[]}`,
 	`{}`,
 	`{"images":[{"channels":1,"height":1,"width":1,"pixels":[0.5],"explain":false},{"channels":1,"height":1,"width":1,"pixels":[1]}],"explain":true}`,
-	`{"images":[]}`,
 }
 
 // diffRequest describes the first difference between two decoded check
@@ -81,13 +79,42 @@ func diffRequest(got, want CheckRequest) string {
 	return ""
 }
 
-// diffScanned runs both scanners over data and, for each that accepts,
-// checks that the reference decoder accepts the body too and decodes
-// an equal request. It returns how many of the two scanners accepted.
+// referenceCheck decodes a whole check body as the streamed decoder's
+// fallback does: decodeStrict, then Validate.
+func referenceCheck(data []byte) (deepvalidation.Image, bool, error) {
+	var req CheckRequest
+	if err := decodeStrict(data, "check", &req); err != nil {
+		return deepvalidation.Image{}, false, err
+	}
+	img := req.image()
+	if err := img.Validate(); err != nil {
+		return deepvalidation.Image{}, false, err
+	}
+	return img, req.Explain, nil
+}
+
+// referenceBatch decodes a whole batch body as the streamed decoder's
+// fallback does: decodeStrict, then batchImages.
+func referenceBatch(data []byte) ([]deepvalidation.Image, []bool, error) {
+	var req BatchRequest
+	if err := decodeStrict(data, "batch", &req); err != nil {
+		return nil, nil, err
+	}
+	return batchImages(req)
+}
+
+// diffScanned runs the stream's check and batch scans over data, read
+// whole through the production window, and, for each that accepts
+// (takes no fallback), checks that the reference decoder accepts the
+// body too and decodes an equal request. It returns how many of the two
+// scans accepted.
 func diffScanned(t *testing.T, data []byte) int {
 	t.Helper()
 	accepted := 0
-	if got, ok := scanCheckRequest(data, nil); ok {
+	st := newStream(windowSize)
+	st.start(bytes.NewReader(data), int64(len(data)), nil)
+	var got CheckRequest
+	if st.scanCheck(&got) {
 		accepted++
 		var want CheckRequest
 		if err := decodeStrict(data, "check", &want); err != nil {
@@ -97,8 +124,10 @@ func diffScanned(t *testing.T, data []byte) int {
 			t.Fatalf("scanned check body differs from the reference: %s: %q", d, data)
 		}
 	}
-	if got, ok := scanBatchRequest(data, nil); ok {
+	st.start(bytes.NewReader(data), int64(len(data)), nil)
+	if st.scan() {
 		accepted++
+		got := st.req
 		var want BatchRequest
 		if err := decodeStrict(data, "batch", &want); err != nil {
 			t.Fatalf("scanner accepted a batch body the reference rejects (%v): %q", err, data)
@@ -116,21 +145,22 @@ func diffScanned(t *testing.T, data []byte) int {
 	return accepted
 }
 
-// diffRecycled decodes data through a free list primed with NaN-filled
-// slices of the reference's first pixel count, so a reused slice that
-// kept an old element shows up. Every image it accepts must be
-// bit-equal to decodeStrict's. It then releases those pixels to an
-// empty list and decodes a second check body, with the same geometry
-// and other pixels,
-// which must be bit-equal to the reference too and, when the list kept
-// the released slice, land in it.
+// diffRecycled decodes data through the streamed decoders' entry points
+// and a free list primed with NaN-filled slices of the reference's
+// first pixel count, so a reused slice that kept an old element shows
+// up. Every image it accepts must be bit-equal to decodeStrict's. It
+// then releases those pixels to an empty list and decodes a second
+// check body, with the same geometry and other pixels, which must be
+// bit-equal to the reference too and, when the list kept the released
+// slice, land in it.
 func diffRecycled(t *testing.T, data []byte) {
 	t.Helper()
+	limit := int64(len(data))
 	var refCheck CheckRequest
 	if decodeStrict(data, "check", &refCheck) == nil {
 		n := len(refCheck.Pixels)
 		free := primedFree(n, 1)
-		img, explain, err := decodeCheckRequest(data, free)
+		img, explain, err := decodeCheckStream(bytes.NewReader(data), limit, free)
 		if err != nil {
 			return
 		}
@@ -149,7 +179,7 @@ func diffRecycled(t *testing.T, data []byte) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		img2, explain2, err := decodeCheckRequest(body, free)
+		img2, explain2, err := decodeCheckStream(bytes.NewReader(body), int64(len(body)), free)
 		if err != nil {
 			t.Fatalf("decoding a re-marshaled accepted body: %v: %q", err, body)
 		}
@@ -163,7 +193,7 @@ func diffRecycled(t *testing.T, data []byte) {
 	}
 	var refBatch BatchRequest
 	if decodeStrict(data, "batch", &refBatch) == nil && len(refBatch.Images) > 0 {
-		imgs, explains, err := decodeBatchRequest(data, primedFree(len(refBatch.Images[0].Pixels), len(refBatch.Images)))
+		imgs, explains, err := decodeBatchStream(bytes.NewReader(data), limit, primedFree(len(refBatch.Images[0].Pixels), len(refBatch.Images)))
 		if err != nil {
 			return
 		}
@@ -191,8 +221,9 @@ func primedFree(n, k int) *pixelFree {
 	return free
 }
 
-// TestScannerCanonicalForm pins which bodies the scanner takes itself
-// and that it agrees with the reference on every one it takes.
+// TestScannerCanonicalForm pins which bodies the streamed decoder's
+// scanner takes itself and which it leaves to the fallback, and that it
+// agrees with the reference on every one it takes.
 func TestScannerCanonicalForm(t *testing.T) {
 	for _, body := range acceptedBodies {
 		if diffScanned(t, []byte(body)) == 0 {
@@ -224,9 +255,10 @@ func digitImages(n int) []deepvalidation.Image {
 // TestDecodeAllocBudget pins the canonical decode at one allocation per
 // pixel slice plus the request's own slices, and at none per pixel
 // slice once the free list is warm: each recycled case hands its pixels
-// back after every decode, as the handler does after the verdict. A
-// canonical body silently falling back to encoding/json costs ~25
-// allocations per image and trips it.
+// back after every decode, as the handler does after the verdict. The
+// decoders read through one bytes.Reader, reset before each decode, so
+// the reader is not counted. A canonical body silently falling back to
+// encoding/json costs ~25 allocations per image and trips it.
 func TestDecodeAllocBudget(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("race instrumentation allocates; budgets apply to normal builds")
@@ -234,20 +266,35 @@ func TestDecodeAllocBudget(t *testing.T) {
 	imgs := digitImages(32)
 	check, batch := checkBody(t, imgs[0]), batchBody(t, imgs)
 	free := newPixelFree(len(imgs))
+	rd := bytes.NewReader(nil)
+	read := func(body []byte) (io.Reader, int64) {
+		rd.Reset(body)
+		return rd, int64(len(body))
+	}
 	cases := []struct {
 		name   string
 		budget float64
 		decode func() error
 	}{
-		{"check 28x28", 2, func() error { _, _, err := decodeCheckRequest(check, nil); return err }},
-		{"batch 32x28x28", 48, func() error { _, _, err := decodeBatchRequest(batch, nil); return err }},
+		{"check 28x28", 2, func() error {
+			r, n := read(check)
+			_, _, err := decodeCheckStream(r, n, nil)
+			return err
+		}},
+		{"batch 32x28x28", 48, func() error {
+			r, n := read(batch)
+			_, _, err := decodeBatchStream(r, n, nil)
+			return err
+		}},
 		{"check 28x28, recycled pixels", 0, func() error {
-			img, _, err := decodeCheckRequest(check, free)
+			r, n := read(check)
+			img, _, err := decodeCheckStream(r, n, free)
 			free.put(img.Pixels, 28*28)
 			return err
 		}},
 		{"batch 32x28x28, recycled pixels", 16, func() error {
-			got, _, err := decodeBatchRequest(batch, free)
+			r, n := read(batch)
+			got, _, err := decodeBatchStream(r, n, free)
 			for _, img := range got {
 				free.put(img.Pixels, 28*28)
 			}
@@ -264,39 +311,5 @@ func TestDecodeAllocBudget(t *testing.T) {
 		if allocs > tc.budget {
 			t.Errorf("%s: %.0f allocations per decode, budget %.0f", tc.name, allocs, tc.budget)
 		}
-	}
-}
-
-// TestReadBodySizes reads bodies across the pooled size classes and
-// past the largest, with and without a declared length: each arrives
-// intact, in a pooled power-of-two buffer exactly when it fits 64 KiB
-// with the extra byte that detects EOF, and over the limit it is
-// refused with 413.
-func TestReadBodySizes(t *testing.T) {
-	const limit = 300_000
-	rng := rand.New(rand.NewSource(1))
-	for _, n := range []int{0, 1, 1023, 1024, 5000, 1<<16 - 1, 1 << 16, 200_000, limit} {
-		body := make([]byte, n)
-		rng.Read(body)
-		for _, declared := range []bool{true, false} {
-			req := httptest.NewRequest(http.MethodPost, "/v1/check", bytes.NewReader(body))
-			if !declared {
-				req.ContentLength = -1
-			}
-			got, release, ok := ReadBody(httptest.NewRecorder(), req, limit)
-			if !ok || !bytes.Equal(got, body) {
-				t.Fatalf("%d bytes, declared %v: ok=%v, %d bytes back", n, declared, ok, len(got))
-			}
-			pooled := cap(got) <= 1<<maxBodyShift
-			if pooled != (n < 1<<maxBodyShift) || pooled && bits.OnesCount(uint(cap(got))) != 1 {
-				t.Errorf("%d bytes, declared %v: buffer capacity %d", n, declared, cap(got))
-			}
-			release()
-		}
-	}
-	rec := httptest.NewRecorder()
-	req := httptest.NewRequest(http.MethodPost, "/v1/check", bytes.NewReader(make([]byte, limit+1)))
-	if _, _, ok := ReadBody(rec, req, limit); ok || rec.Code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized body: ok=%v, status %d", ok, rec.Code)
 	}
 }
