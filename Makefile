@@ -20,11 +20,12 @@ vet:
 # the fleet gateway (router, probers, rollout), the hunt scheduler
 # fanning candidates across the scoring pool (its worker-count
 # determinism test included), the experiment harness that drives
-# them, and the shared observability plane (the SLO engine's goroutine
-# reads the flight ring request goroutines write) — under the race
-# detector.
+# them, the shared observability plane (the SLO engine's goroutine
+# reads the flight ring request goroutines write), and the one-class
+# SVMs every scoring goroutine reads (built complete before they are
+# shared) — under the race detector.
 race:
-	$(GO) test -race -timeout 45m ./internal/nn ./internal/core ./internal/experiment ./internal/telemetry ./internal/serve ./internal/gateway ./internal/hunt ./internal/obs ./internal/trace .
+	$(GO) test -race -timeout 45m ./internal/nn ./internal/svm ./internal/core ./internal/experiment ./internal/telemetry ./internal/serve ./internal/gateway ./internal/hunt ./internal/obs ./internal/trace .
 
 # smoke runs the end-to-end checks against real processes: the
 # observability pass (train, score, scrape /metrics), the serving

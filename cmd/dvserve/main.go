@@ -138,26 +138,21 @@ func run() error {
 	}
 	defer func() { _ = events.Close() }()
 
-	// artifactSHAs reads the payload checksums of the artifacts on disk
-	// — the identity a fronting gateway compares during rollouts.
-	artifactSHAs := func() (modelSHA, valSHA string) {
+	// artifactInfo reads the payload checksums of the artifacts on disk
+	// — the identity a fronting gateway compares during rollouts — and
+	// publishes them as the dv_build_info series. After a reload swaps
+	// artifacts the checksum labels change, so it re-publishes the series
+	// and zeroes the stale one (labels are identity — the old series
+	// would otherwise stand at 1 forever). Calls are serialized: once in
+	// serve.New, then under the reload lock.
+	var buildInfoSeries string
+	artifactInfo := func() (m, v string) {
 		if h, err := artifact.ReadHeader(*modelPath); err == nil {
-			modelSHA = h.Header.PayloadSHA256
+			m = h.Header.PayloadSHA256
 		}
 		if h, err := artifact.ReadHeader(*valPath); err == nil {
-			valSHA = h.Header.PayloadSHA256
+			v = h.Header.PayloadSHA256
 		}
-		return modelSHA, valSHA
-	}
-	// The runtime collector publishes dv_runtime_* and a dv_build_info
-	// series pinning the artifact checksums actually loaded. After a
-	// reload swaps artifacts the checksum labels change, so artifactInfo
-	// re-publishes the series and zeroes the stale one (labels are
-	// identity — the old series would otherwise stand at 1 forever).
-	// Calls are serialized: once at startup, then under the reload lock.
-	var buildInfoSeries string
-	artifactInfo := func() (string, string) {
-		m, v := artifactSHAs()
 		if reg != nil {
 			name := obs.PublishBuildInfo(reg, map[string]string{"model_sha256": m, "validator_sha256": v})
 			if buildInfoSeries != "" && buildInfoSeries != name {
@@ -166,13 +161,6 @@ func run() error {
 			buildInfoSeries = name
 		}
 		return m, v
-	}
-	var rt *obs.Runtime
-	if reg != nil {
-		m, v := artifactSHAs()
-		rt = obs.NewRuntime(reg, map[string]string{"model_sha256": m, "validator_sha256": v})
-		rt.Start(0)
-		defer rt.Stop()
 	}
 	batchWindow := *window
 	if batchWindow <= 0 {
@@ -226,6 +214,15 @@ func run() error {
 	})
 	if err != nil {
 		return err
+	}
+	// The runtime collector publishes dv_runtime_* and re-publishes the
+	// one dv_build_info series with the checksums serve.New already
+	// read, rather than reading the artifacts again.
+	if reg != nil {
+		m, v := srv.ArtifactSHAs()
+		rt := obs.NewRuntime(reg, map[string]string{"model_sha256": m, "validator_sha256": v})
+		rt.Start(0)
+		defer rt.Stop()
 	}
 
 	if *metricsAddr != "" {

@@ -1,0 +1,108 @@
+package core
+
+import (
+	"runtime"
+	"testing"
+	"unsafe"
+
+	"deepvalidation/internal/nn"
+	"deepvalidation/internal/svm"
+)
+
+// TestFitAllocatesWhatItKeeps is Fit's byte budget. Like the serving
+// budgets it runs at GOMAXPROCS=1 and is skipped under -race. A warm Fit
+// of the determinism fixture must allocate less than the sum of what it
+// has to. The fixture keeps all 400 images; its 6 layers reduce to
+// 64+64+32+32+24+24 = 240 features; 10 classes × 25 samples feed each
+// of the 60 SVMs, which keep 294 support vectors in all.
+//
+//	kept × feature row   400 × (2,048 B for 240 floats, the size
+//	                     class measured below, + 6 × 24 B of
+//	                     per-layer row headers)       =   876,800 B
+//	workers × arena      one forward arena per collection worker,
+//	                     measured below               =   327,488 B each
+//	returned model       per SVM the struct, and per support vector
+//	                     its row header, Dim floats, α and norm
+//	                                                  ≈   120,000 B
+//	slack                                             =    98,304 B
+//
+// At Workers 1 that is 1,422,624 B against about 1,390,600 measured, and at
+// Workers 2 1,750,112 B against about 1,719,300. The slack covers what is
+// not kept: the per-class index lists (~22 KB), the drift snapshot's
+// buffers (~17 KB), the sample index slices (~22 KB), one solver
+// workspace per worker (25 × 25 × 8 B + α and gradient ≈ 6 KB) and
+// size-class rounding. Solving each (layer, class) SVM on its own
+// l×l matrix instead costs 60 × (25 rows of 208 B + their headers)
+// ≈ 350 KB per Fit; a second copy of the support vectors costs
+// 8 B × Σ nsv·Dim = 96,512 B. Either breaks the budget.
+func TestFitAllocatesWhatItKeeps(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	net, xs, ys := trainedDigitsModel(t)
+	const slack = 96 << 10
+
+	arena := bytesAllocated(func() { net.ForwardTappedScratch(xs[0], nn.NewScratch()) })
+	kept, sc := 0, nn.NewScratch()
+	for i, x := range xs {
+		if probs, _ := net.ForwardTappedScratch(x, sc); probs.ArgMax() == ys[i] {
+			kept++
+		}
+	}
+	for _, workers := range []int{1, 2} {
+		cfg := Config{Nu: 0.1, MaxPerClass: 25, MaxFeatures: 64, Workers: workers}
+		if _, err := Fit(net, xs, ys, cfg); err != nil { // warm
+			t.Fatal(err)
+		}
+		var v *Validator
+		got := bytesAllocated(func() {
+			var err error
+			if v, err = Fit(net, xs, ys, cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+
+		dims := 0
+		for _, row := range v.SVMs {
+			dims += row[0].Dim
+		}
+		row := bytesAllocated(func() { rowSink = make([]float64, dims) })
+		rows := kept * (row + len(v.LayerIdx)*int(unsafe.Sizeof([]float64(nil))))
+		model := modelBytes(v)
+		budget := rows + workers*arena + model + slack
+		t.Logf("workers=%d: Fit allocated %d B; budget %d = rows %d + %d × arena %d + model %d + slack %d",
+			workers, got, budget, rows, workers, arena, model, slack)
+		if got >= budget {
+			t.Errorf("workers=%d: a warm Fit allocates %d B, budget %d (rows %d + %d × arena %d + model %d + slack %d)",
+				workers, got, budget, rows, workers, arena, model, slack)
+		}
+	}
+}
+
+var rowSink []float64
+
+// modelBytes is the heap the fitted SVMs and the drift reference hold.
+func modelBytes(v *Validator) int {
+	const word, header = 8, int(unsafe.Sizeof([]float64(nil)))
+	n := 0
+	for _, row := range v.SVMs {
+		for _, m := range row {
+			nsv := m.NumSupport()
+			n += int(unsafe.Sizeof(svm.OneClass{})) + nsv*(header+word*m.Dim+2*word)
+		}
+	}
+	for _, q := range v.DriftQuantiles {
+		n += word * len(q)
+	}
+	return n
+}
+
+// bytesAllocated returns the heap bytes one call of fn allocates.
+func bytesAllocated(fn func()) int {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return int(after.TotalAlloc - before.TotalAlloc)
+}

@@ -43,7 +43,10 @@ type Config struct {
 	// hidden layer (taps 0..L-2), the paper's default; Section IV-C
 	// restricts DenseNet to the rear layers instead.
 	Layers []int
-	// Workers bounds the concurrent SVM fits (default GOMAXPROCS).
+	// Workers bounds Fit's concurrency (default GOMAXPROCS): the
+	// tapped forward passes of the collection pass, the (layer, class)
+	// SVM fits and the per-layer drift snapshot each run on at most
+	// this many goroutines. The fitted validator does not depend on it.
 	Workers int
 	// SkipDriftSnapshot disables the fit-time drift reference (the
 	// per-layer discrepancy quantiles persisted into the Validator for
@@ -280,7 +283,13 @@ func Fit(net *nn.Network, trainX []*tensor.Tensor, trainY []int, cfg Config) (*V
 
 	// Fan the (layer, class) fits across a worker pool; each fit is
 	// independent (the paper: "the training and validation pipeline can
-	// be parallelized based on our design").
+	// be parallelized based on our design"). Each worker trains all of
+	// its jobs on one solver workspace and one row slice, so the fits
+	// allocate only the models they return.
+	maxRows := 0
+	for _, idx := range byClass {
+		maxRows = max(maxRows, len(idx))
+	}
 	type job struct{ p, k int }
 	jobs := make(chan job)
 	errs := make([]error, len(layers)*net.Classes)
@@ -290,13 +299,15 @@ func Fit(net *nn.Network, trainX []*tensor.Tensor, trainY []int, cfg Config) (*V
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var ws svm.Workspace
+			data := make([][]float64, 0, maxRows)
 			for j := range jobs {
 				oneSpan := telemetry.StartSpan(fitSVMOne)
-				data := make([][]float64, 0, len(byClass[j.k]))
+				data = data[:0]
 				for _, i := range byClass[j.k] {
 					data = append(data, feats[j.p][i])
 				}
-				m, err := svm.Train(data, svm.Config{
+				m, err := ws.Train(data, svm.Config{
 					Nu:     cfg.Nu,
 					Kernel: svm.KernelRBF,
 					Gamma:  gammas[j.p],
@@ -423,10 +434,15 @@ func (v *Validator) snapshotDrift(feats [][][]float64, byClass [][]int, workers 
 	quantiles := make([][]float64, len(v.LayerIdx))
 	ok := true
 	var mu sync.Mutex
+	total, maxRows := 0, 0
+	for _, idx := range byClass {
+		total += len(idx)
+		maxRows = max(maxRows, len(idx))
+	}
 	forEachIndex(len(v.LayerIdx), workers, func(_, p int) {
-		ds := make([]float64, 0, 64)
-		rows := make([][]float64, 0, 64)
-		var dec []float64
+		ds := make([]float64, 0, total)
+		rows := make([][]float64, 0, maxRows)
+		dec := make([]float64, maxRows)
 		for k := range byClass {
 			// One batched decision call per (layer, class) SVM over all
 			// of its training points — bit-identical to the per-point
@@ -435,9 +451,8 @@ func (v *Validator) snapshotDrift(feats [][][]float64, byClass [][]int, workers 
 			for _, i := range byClass[k] {
 				rows = append(rows, feats[p][i])
 			}
-			dec = growFloats(dec, len(rows))
-			v.SVMs[p][k].DecisionBatchInto(dec, rows)
-			for _, f := range dec {
+			v.SVMs[p][k].DecisionBatchInto(dec[:len(rows)], rows)
+			for _, f := range dec[:len(rows)] {
 				if d := -f; finite(d) {
 					ds = append(ds, d)
 				}
@@ -774,11 +789,13 @@ func (v *Validator) Encode(w io.Writer) error {
 }
 
 // DecodeValidator reads a validator written by Encode and validates
-// its structural invariants. Support-vector norms are materialized
-// eagerly: legacy artifacts fitted before OneClass.SVNorms existed
-// decode with the field nil and recompute it here, so scoring never
-// pays the one-time cost mid-request and the next Save persists the
-// upgraded model.
+// its structural invariants. Each SVM's support vectors are then
+// flattened into the one matrix its decisions read, so the decoded
+// validator holds them once and is complete before it is shared.
+// Support-vector norms are materialized eagerly too: legacy artifacts
+// fitted before OneClass.SVNorms existed decode with the field nil and
+// recompute it here, so scoring never pays the one-time cost
+// mid-request and the next Save persists the upgraded model.
 func DecodeValidator(r io.Reader) (*Validator, error) {
 	var v Validator
 	if err := gob.NewDecoder(r).Decode(&v); err != nil {
@@ -789,6 +806,7 @@ func DecodeValidator(r io.Reader) (*Validator, error) {
 	}
 	for _, row := range v.SVMs {
 		for _, m := range row {
+			m.Flatten()
 			m.EnsureNorms()
 		}
 	}

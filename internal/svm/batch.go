@@ -22,14 +22,18 @@ func (m *OneClass) DecisionBatch(xs [][]float64) []float64 {
 }
 
 // DecisionBatchInto is DecisionBatch writing into dst; len(dst) must
-// equal len(xs). After the one-time flat-matrix build it allocates
-// nothing, which is what keeps steady-state scoring on an allocation
-// diet. It returns dst.
+// equal len(xs). On a model from Train or Flatten it allocates nothing,
+// which is what keeps steady-state scoring on an allocation diet; any
+// other model is scored from a per-call copy of its support vectors.
+// It returns dst.
 func (m *OneClass) DecisionBatchInto(dst []float64, xs [][]float64) []float64 {
 	if len(dst) != len(xs) {
 		panic(fmt.Sprintf("svm: DecisionBatchInto dst holds %d slots for %d inputs", len(dst), len(xs)))
 	}
-	flat := m.flatSupport()
+	flat := m.flat
+	if flat == nil {
+		flat = flatten(m.Support, m.Dim)
+	}
 	d := m.Dim
 	switch m.Kind {
 	case KernelLinear:
@@ -125,19 +129,29 @@ func supportNorms(support [][]float64) []float64 {
 	return out
 }
 
-// flatSupport returns the support vectors as one contiguous row-major
-// matrix, built once per model. The flat copy keeps the hot loops on a
-// single cache-friendly allocation instead of chasing len(Support)
-// pointers per evaluation.
-func (m *OneClass) flatSupport() []float64 {
-	m.flatOnce.Do(func() {
-		flat := make([]float64, len(m.Support)*m.Dim)
-		for i, sv := range m.Support {
-			copy(flat[i*m.Dim:(i+1)*m.Dim], sv)
-		}
-		m.flat = flat
-	})
-	return m.flat
+// Flatten stores m's support vectors once: it copies them into one
+// contiguous row-major matrix, the one DecisionBatchInto reads, and
+// re-points each Support row at its full-capacity view of it, so the
+// hot loops stay on a single cache-friendly allocation instead of
+// chasing len(Support) pointers per evaluation. Train's models are
+// born flat; core.DecodeValidator flattens every decoded model before
+// the validator is shared. Flatten must not run concurrently with any
+// other use of m. The gob encoding does not change.
+func (m *OneClass) Flatten() {
+	m.flat = flatten(m.Support, m.Dim)
+	d := m.Dim
+	for i := range m.Support {
+		m.Support[i] = m.flat[i*d : (i+1)*d : (i+1)*d]
+	}
+}
+
+// flatten copies support into a fresh len(support)×d row-major matrix.
+func flatten(support [][]float64, d int) []float64 {
+	flat := make([]float64, len(support)*d)
+	for i, sv := range support {
+		copy(flat[i*d:(i+1)*d], sv)
+	}
+	return flat
 }
 
 func (m *OneClass) checkDim(x []float64) {

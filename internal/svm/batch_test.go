@@ -3,6 +3,7 @@ package svm
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -233,8 +234,8 @@ func TestDecisionBatchPanics(t *testing.T) {
 }
 
 // TestDecisionBatchSteadyStateAllocs is the allocation-budget guard:
-// after the one-time flat-matrix build, batched scoring must allocate
-// nothing.
+// once Flatten has built the support-vector matrix, batched scoring
+// must allocate nothing.
 func TestDecisionBatchSteadyStateAllocs(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("race-detector instrumentation allocates; budgets apply to plain builds")
@@ -244,7 +245,7 @@ func TestDecisionBatchSteadyStateAllocs(t *testing.T) {
 		m := randModel(rng, kind, 8, 16, 3)
 		xs := randBatch(rng, 6, 16, false)
 		dst := make([]float64, len(xs))
-		m.DecisionBatchInto(dst, xs) // warm the flat-support cache
+		m.Flatten()
 		if n := testing.AllocsPerRun(50, func() {
 			m.DecisionBatchInto(dst, xs)
 		}); n != 0 {
@@ -253,10 +254,51 @@ func TestDecisionBatchSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestConcurrentDecisionBatch scores shared models from several
+// goroutines: a trained model, whose matrix Train built, and a model
+// Flatten never touched, which each call scores from its own copy.
+// Decisions only read the model, so the race detector stays quiet and
+// every goroutine sees the scalar bits.
+func TestConcurrentDecisionBatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(109))
+	data := randBatch(rng, 40, 12, false)
+	trained, err := Train(data, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	xs := randBatch(rng, 5, 12, true)
+	for _, m := range []*OneClass{trained, randModel(rng, KernelRBF, 9, 12, 3)} {
+		want := make([]float64, len(xs))
+		for i, x := range xs {
+			want[i] = m.Decision(x)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				dst := make([]float64, len(xs))
+				for r := 0; r < 20; r++ {
+					m.DecisionBatchInto(dst, xs)
+					for i := range want {
+						if !sameVerdictBits(dst[i], want[i]) {
+							t.Errorf("row %d: concurrent %x scalar %x", i, math.Float64bits(dst[i]), math.Float64bits(want[i]))
+							return
+						}
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+}
+
 // FuzzDecisionBatchEquivalence decodes arbitrary bytes into a model and
 // batch — kernel kind, SV count, dim, batch size, and every float drawn
 // from the raw input — and requires the batched verdicts to match the
-// scalar ones (bit-exact for non-NaN, NaN-class otherwise).
+// scalar ones (bit-exact for non-NaN, NaN-class otherwise), both for
+// the model as built and for a copy whose support vectors went through
+// Flatten, the single-copy step DecodeValidator applies.
 func FuzzDecisionBatchEquivalence(f *testing.F) {
 	f.Add([]byte{0, 4, 3, 2, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
 	f.Add([]byte{1, 1, 1, 1, 0x7f, 0xf0, 0, 0, 0, 0, 0, 0, 0xff, 0xf0, 0, 0, 0, 0, 0, 0})
@@ -301,12 +343,19 @@ func FuzzDecisionBatchEquivalence(f *testing.F) {
 				xs[i][j] = next()
 			}
 		}
-		got := m.DecisionBatch(xs)
+		flat := &OneClass{Kind: m.Kind, Gamma: m.Gamma, Degree: m.Degree, Coef0: m.Coef0, Rho: m.Rho,
+			Dim: m.Dim, Support: append([][]float64(nil), m.Support...), Alpha: m.Alpha}
+		flat.Flatten()
+		got, gotFlat := m.DecisionBatch(xs), flat.DecisionBatch(xs)
 		for bi, x := range xs {
 			want := m.Decision(x)
 			if !sameVerdictBits(got[bi], want) {
 				t.Fatalf("%s nsv=%d dim=%d row=%d: batch %x scalar %x",
 					kind, nsv, dim, bi, math.Float64bits(got[bi]), math.Float64bits(want))
+			}
+			if !sameVerdictBits(gotFlat[bi], want) {
+				t.Fatalf("%s nsv=%d dim=%d row=%d: flattened batch %x scalar %x",
+					kind, nsv, dim, bi, math.Float64bits(gotFlat[bi]), math.Float64bits(want))
 			}
 		}
 	})

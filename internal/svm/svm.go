@@ -63,9 +63,14 @@ func DefaultConfig() Config {
 // OneClass is a trained one-class SVM. Fields are exported for gob
 // serialization of fitted validators; treat them as read-only.
 //
-// A OneClass must not be copied by value after first use: the batched
-// decision paths guard their lazily built runtime caches with
-// sync.Once. Share models by pointer, as Train returns them.
+// Train's models hold their support vectors once: each Support row is
+// a full-capacity view of the row-major matrix DecisionBatchInto reads.
+// Models from elsewhere (gob decoding, literals) get the same layout
+// from Flatten, which must run before the model is shared.
+//
+// A OneClass must not be copied by value after first use: EnsureNorms
+// guards its lazy recompute with sync.Once. Share models by pointer, as
+// Train returns them.
 type OneClass struct {
 	Kind     KernelKind
 	Gamma    float64
@@ -84,14 +89,34 @@ type OneClass struct {
 	// demand.
 	SVNorms []float64
 
-	// Runtime caches, built lazily and skipped by gob.
-	flatOnce  sync.Once
-	flat      []float64 // Support flattened row-major, len(Support)×Dim
+	// Runtime state, skipped by gob.
+	flat      []float64 // the len(Support)×Dim matrix Support rows view; nil until Flatten
 	normsOnce sync.Once
 }
 
-// Train fits a one-class SVM on the rows of data.
+// Workspace is the solver's reusable scratch: the flat l×l kernel
+// matrix, α and the gradient. Its buffers grow only when a problem's l
+// exceeds every earlier one, so a caller that trains many SVMs on one
+// Workspace (each core.Fit worker does) allocates them once, at its
+// largest l. The zero value is ready to use. A Workspace is not safe
+// for concurrent use.
+type Workspace struct {
+	q, alpha, grad []float64
+}
+
+// Train fits a one-class SVM on the rows of data with a fresh
+// Workspace. The model is bit-identical to one trained on a reused
+// Workspace.
 func Train(data [][]float64, cfg Config) (*OneClass, error) {
+	var w Workspace
+	return w.Train(data, cfg)
+}
+
+// Train fits a one-class SVM on the rows of data. It solves on w's
+// buffers; the returned model shares no memory with w or data, and
+// holds its support vectors once, in the matrix DecisionBatchInto
+// reads.
+func (w *Workspace) Train(data [][]float64, cfg Config) (*OneClass, error) {
 	l := len(data)
 	if l == 0 {
 		return nil, errors.New("svm: empty training set")
@@ -135,21 +160,27 @@ func Train(data [][]float64, cfg Config) (*OneClass, error) {
 		return kernel(cfg.Kernel, gamma, cfg.Degree, cfg.Coef0, a, b)
 	}
 
-	// Precompute the kernel matrix; Deep Validation caps per-SVM
-	// training sizes in the hundreds, so the l×l matrix is small.
-	q := make([][]float64, l)
-	for i := range q {
-		q[i] = make([]float64, l)
+	// Precompute the kernel matrix, row-major in w.q; Deep Validation
+	// caps per-SVM training sizes in the hundreds, so the l×l matrix is
+	// small. Both halves get the same value, so row t of the matrix
+	// holds the bits of column t and the gradient update below reads
+	// rows contiguously. Every entry is written, so a reused matrix
+	// needs no reset.
+	w.q = resize(w.q, l*l)
+	q := w.q
+	for i := 0; i < l; i++ {
 		for j := 0; j <= i; j++ {
 			v := k(data[i], data[j])
-			q[i][j] = v
-			q[j][i] = v
+			q[i*l+j] = v
+			q[j*l+i] = v
 		}
 	}
 
 	// Initialize α per libsvm: the first ⌊νl⌋ points at the upper
 	// bound, the next taking the fractional remainder.
-	alpha := make([]float64, l)
+	w.alpha = resize(w.alpha, l)
+	alpha := w.alpha
+	clear(alpha)
 	total := cfg.Nu * float64(l)
 	n := int(total)
 	for i := 0; i < n && i < l; i++ {
@@ -159,13 +190,15 @@ func Train(data [][]float64, cfg Config) (*OneClass, error) {
 		alpha[n] = total - float64(n)
 	}
 
-	// Gradient G = Qα.
-	grad := make([]float64, l)
+	// Gradient G = Qα, assigned in full.
+	w.grad = resize(w.grad, l)
+	grad := w.grad
 	for i := 0; i < l; i++ {
+		qi := q[i*l : (i+1)*l]
 		s := 0.0
-		for j := 0; j < l; j++ {
-			if alpha[j] != 0 {
-				s += q[i][j] * alpha[j]
+		for j, a := range alpha {
+			if a != 0 {
+				s += qi[j] * a
 			}
 		}
 		grad[i] = s
@@ -192,7 +225,8 @@ func Train(data [][]float64, cfg Config) (*OneClass, error) {
 			break
 		}
 
-		a := q[i][i] + q[j][j] - 2*q[i][j]
+		qi, qj := q[i*l:(i+1)*l], q[j*l:(j+1)*l]
+		a := qi[i] + qj[j] - 2*qi[j]
 		if a <= 0 {
 			a = tau
 		}
@@ -215,8 +249,8 @@ func Train(data [][]float64, cfg Config) (*OneClass, error) {
 		}
 		alpha[i] += delta
 		alpha[j] -= delta
-		for t := 0; t < l; t++ {
-			grad[t] += delta * (q[t][i] - q[t][j])
+		for t := range grad {
+			grad[t] += delta * (qi[t] - qj[t])
 		}
 	}
 
@@ -264,16 +298,32 @@ func Train(data [][]float64, cfg Config) (*OneClass, error) {
 		TrainedN: l,
 		Iters:    iters,
 	}
-	for t := 0; t < l; t++ {
-		if alpha[t] > 0 {
-			sv := make([]float64, d)
-			copy(sv, data[t])
-			m.Support = append(m.Support, sv)
-			m.Alpha = append(m.Alpha, alpha[t])
+	nsv := 0
+	for _, a := range alpha {
+		if a > 0 {
+			nsv++
 		}
 	}
+	m.Support = make([][]float64, 0, nsv)
+	m.Alpha = make([]float64, 0, nsv)
+	for t, a := range alpha {
+		if a > 0 {
+			m.Support = append(m.Support, data[t])
+			m.Alpha = append(m.Alpha, a)
+		}
+	}
+	m.Flatten() // copies the support vectors out of data
 	m.SVNorms = supportNorms(m.Support)
 	return m, nil
+}
+
+// resize returns buf with length n, reallocating only when its capacity
+// is short. The contents are unspecified.
+func resize(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	return buf[:n]
 }
 
 // Decision evaluates f(x) = Σ αᵢK(xᵢ,x) − ρ: non-negative inside the
