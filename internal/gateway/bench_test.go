@@ -3,6 +3,7 @@ package gateway
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -31,11 +32,15 @@ type gwObsVariant struct {
 }
 
 // benchGateway builds a gateway over one fake fast replica (an
-// in-process httptest handler answering instantly) so the measured
-// per-request cost is the gateway's own proxy path, not detector work.
+// in-process httptest handler that drains the body and answers
+// instantly) so the measured per-request cost is the gateway's own
+// proxy path, not detector work.
 func benchGateway(t *testing.T, tune func(*Config)) *Gateway {
 	t.Helper()
-	ts := httptest.NewServer(echoReplica("a"))
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.Copy(io.Discard, r.Body)
+		echoReplica("a")(w, r)
+	}))
 	t.Cleanup(ts.Close)
 	cfg := Config{
 		Replicas:      []ReplicaSpec{{Name: "a", Addr: strings.TrimPrefix(ts.URL, "http://")}},

@@ -310,6 +310,10 @@ type Gateway struct {
 	replicas []*replica
 	client   *http.Client
 
+	// reqFree and respFree recycle request bodies and replica responses
+	// (body.go).
+	reqFree, respFree bufFree
+
 	stop      chan struct{}
 	wg        sync.WaitGroup
 	closeOnce sync.Once
@@ -367,6 +371,7 @@ func New(cfg Config) (*Gateway, error) {
 		events: cfg.Events,
 		client: &http.Client{
 			Transport: &http.Transport{
+				DialContext:         dialCopyConn,
 				MaxIdleConns:        4 * len(cfg.Replicas),
 				MaxIdleConnsPerHost: 4,
 				IdleConnTimeout:     90 * time.Second,

@@ -1,7 +1,6 @@
 package gateway
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -126,8 +125,12 @@ type upstreamResponse struct {
 }
 
 // forward sends one buffered request to a replica and buffers its
-// response, accounting in-flight load for the duration.
-func (g *Gateway) forward(ctx context.Context, rep *replica, path, query, contentType, traceID string, body []byte) (*upstreamResponse, error) {
+// response in a buffer from the gateway's response free list,
+// accounting in-flight load for the duration. The transport reads the
+// request through its own reader of body, which holds a reference until
+// the transport closes it, so a body it is still writing after Do
+// returns is not recycled under it.
+func (g *Gateway) forward(ctx context.Context, rep *replica, path, query, contentType, traceID string, body *sharedBody) (*upstreamResponse, error) {
 	if err := faultinject.Check(faultinject.PointGatewayRoute); err != nil {
 		return nil, err
 	}
@@ -140,9 +143,18 @@ func (g *Gateway) forward(ctx context.Context, rep *replica, path, query, conten
 	if query != "" {
 		url += "?" + query
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, nil)
 	if err != nil {
 		return nil, err
+	}
+	// An empty body stays nil: the transport takes a non-nil body with
+	// ContentLength 0 for one of unknown length.
+	if len(body.buf) > 0 {
+		if req.Body, err = body.reader(); err != nil {
+			return nil, err
+		}
+		req.ContentLength = int64(len(body.buf))
+		req.GetBody = body.reader
 	}
 	if contentType != "" {
 		req.Header.Set("Content-Type", contentType)
@@ -157,7 +169,7 @@ func (g *Gateway) forward(ctx context.Context, rep *replica, path, query, conten
 	defer resp.Body.Close()
 	// Capped like every other replica read: an oversized response is a
 	// transport error, so it takes the 502/retry path.
-	respBody, err := serve.ReadLimited(resp.Body, resp.ContentLength, g.cfg.MaxBodyBytes)
+	respBody, err := serve.ReadLimited(resp.Body, resp.ContentLength, g.cfg.MaxBodyBytes, g.respFree.get())
 	if err != nil {
 		return nil, fmt.Errorf("reading replica response: %w", err)
 	}
@@ -215,7 +227,7 @@ func (rr *routeResult) clientStatus() int {
 // route runs the placement/retry loop for one request and classifies
 // the terminal outcome. Hop records are collected only when keepHops —
 // the untraced path allocates nothing for them.
-func (g *Gateway) route(ctx context.Context, key uint64, path, query, contentType, fwdID string, body []byte, keepHops bool) routeResult {
+func (g *Gateway) route(ctx context.Context, key uint64, path, query, contentType, fwdID string, body *sharedBody, keepHops bool) routeResult {
 	var res routeResult
 	var exclude *replica // the replica a retry must avoid
 	var lastErr error
@@ -283,6 +295,7 @@ func (g *Gateway) route(ctx context.Context, key uint64, path, query, contentTyp
 				g.retries.Inc()
 				exclude = rep
 				lastErr = fmt.Errorf("replica %s answered %d", rep.name, up.status)
+				g.respFree.put(up.body)
 				continue
 			}
 			g.budgetExhausted.Inc()
@@ -327,13 +340,15 @@ func (g *Gateway) proxy(endpoint string, w http.ResponseWriter, r *http.Request)
 		// looked up afterwards, even if it never reached a replica.
 		w.Header().Set(trace.HeaderTraceID, id)
 	}
-	// The body is left to the GC: the transport may still be writing it
-	// to a replica that answered before reading it after Do returns.
-	body, ok := serve.ReadBody(w, r, g.cfg.MaxBodyBytes)
+	// The handler's reference keeps the body for every hop and retry;
+	// each transport reader holds its own (see sharedBody).
+	buf, ok := serve.ReadBody(w, r, g.cfg.MaxBodyBytes, g.reqFree.get())
 	if !ok {
 		return
 	}
-	key := routeKey(r, body)
+	body := newSharedBody(buf, &g.reqFree)
+	defer body.release()
+	key := routeKey(r, buf)
 	admissionEnd := time.Now()
 	ctx, cancel := context.WithTimeout(r.Context(), g.cfg.ProxyTimeout)
 	defer cancel()
@@ -355,6 +370,8 @@ func (g *Gateway) proxy(endpoint string, w http.ResponseWriter, r *http.Request)
 		return
 	}
 	g.writeUpstream(w, res.up, id)
+	// Write has copied the response out, so nothing reads it any more.
+	g.respFree.put(res.up.body)
 }
 
 // writeUpstream relays a buffered replica response. The trace header

@@ -1,13 +1,16 @@
 package gateway
 
 import (
+	"bytes"
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -209,25 +212,262 @@ func TestRoutingEquivalenceUnderProbes(t *testing.T) {
 }
 
 // TestRetryOnReplica500 re-routes a 500 to a different replica and
-// spends one budget token doing it.
+// spends one budget token doing it. The retry resends the very bytes
+// the first replica read, and the client sent.
 func TestRetryOnReplica500(t *testing.T) {
-	bad := func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/readyz" {
-			io.WriteString(w, "ready\n{\"status\":\"ready\"}\n")
-			return
+	var mu sync.Mutex
+	received := map[string]string{}
+	recording := func(name string, status int) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/readyz" {
+				io.WriteString(w, "ready\n{\"status\":\"ready\"}\n")
+				return
+			}
+			b, err := io.ReadAll(r.Body)
+			if err != nil {
+				http.Error(w, err.Error(), http.StatusBadRequest)
+				return
+			}
+			mu.Lock()
+			received[name] = string(b)
+			mu.Unlock()
+			if status != http.StatusOK {
+				http.Error(w, "boom", status)
+				return
+			}
+			io.WriteString(w, name)
 		}
-		http.Error(w, "boom", http.StatusInternalServerError)
 	}
-	g, reg := fakeFleet(t, map[string]http.HandlerFunc{"bad": bad, "good": echoReplica("good")}, nil)
+	g, reg := fakeFleet(t, map[string]http.HandlerFunc{
+		"bad": recording("bad", http.StatusInternalServerError), "good": recording("good", http.StatusOK),
+	}, nil)
 	ts := gwServer(t, g)
 
 	id := traceIDTargeting(t, []string{"bad", "good"}, "bad")
-	resp, body := postTraced(t, ts.URL+"/v1/check", id, "{}")
+	sent := string(randomBody(rand.New(rand.NewSource(1)), 256<<10))
+	resp, body := postTraced(t, ts.URL+"/v1/check", id, sent)
 	if resp.StatusCode != http.StatusOK || body != "good" {
 		t.Fatalf("status %d body %q, want 200 from good", resp.StatusCode, body)
 	}
 	if n := counterValue(t, reg, MetricRetries); n != 1 {
 		t.Fatalf("retries counter %d, want 1", n)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, name := range []string{"bad", "good"} {
+		if got := received[name]; got != sent {
+			t.Errorf("replica %s read %d bytes that differ from the %d the client sent", name, len(got), len(sent))
+		}
+	}
+}
+
+// randomBody returns n random bytes: a body no other test request
+// shares, so a replica reading any other bytes shows up.
+func randomBody(rng *rand.Rand, n int) []byte {
+	b := make([]byte, n)
+	rng.Read(b)
+	return b
+}
+
+// roundTripFunc adapts a function to http.RoundTripper.
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(req *http.Request) (*http.Response, error) { return f(req) }
+
+// TestEarlyAnswerBodyIntact forwards bodies to a replica that answers
+// 429 before it reads them, and reads each one only after that, while
+// concurrent requests take buffers from the gateway's free list. Every
+// body read must be the one its client sent.
+//
+// Over a real connection ("replica") http.Transport holds back the end
+// of the answer until it has written the body, or for 50 ms after which
+// it closes the connection, so the handler lets go only once the write
+// is over. The RoundTripper contract allows a transport to read the body
+// after RoundTrip returns, and the gateway must not lean on that wait:
+// in "transport" the reader of each body runs only once its client has
+// its 429 and has sent its next body, which a buffer recycled too early
+// would now hold.
+func TestEarlyAnswerBodyIntact(t *testing.T) {
+	const clients, perClient = 4, 8
+	// Under freeBufMax, so every body's buffer is recycled; made up front
+	// so each client sends its next body right after its answer.
+	bodies := make([][][]byte, clients)
+	for c := range bodies {
+		rng := rand.New(rand.NewSource(int64(c)))
+		for range perClient {
+			bodies[c] = append(bodies[c], randomBody(rng, 64<<10))
+		}
+	}
+	// sent identifies a forwarded body by the trace ID its client set,
+	// which the gateway forwards verbatim while tracing is off.
+	sent := func(r *http.Request) (c, s int) {
+		if _, err := fmt.Sscanf(r.Header.Get(trace.HeaderTraceID), "%d/%d", &c, &s); err != nil {
+			t.Errorf("trace ID %q: %v", r.Header.Get(trace.HeaderTraceID), err)
+		}
+		return c, s
+	}
+	var reads sync.WaitGroup
+	var corrupt atomic.Int64
+	check := func(c, s int, body io.ReadCloser) {
+		defer reads.Done()
+		b, err := io.ReadAll(body)
+		body.Close()
+		if err != nil || !bytes.Equal(b, bodies[c][s]) {
+			corrupt.Add(1)
+		}
+	}
+	// drive sends every client's bodies, each client from its own
+	// goroutine, and closes answered[c][s] once client c has its answer
+	// to body s.
+	drive := func(t *testing.T, g *Gateway, answered [][]chan struct{}) {
+		ts := gwServer(t, g)
+		var wg sync.WaitGroup
+		for c := range clients {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				s := 0
+				defer func() { // on an early return too, so no reader waits forever
+					for ; s < perClient; s++ {
+						close(answered[c][s])
+					}
+				}()
+				for ; s < perClient; s++ {
+					req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/batch", bytes.NewReader(bodies[c][s]))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					req.Header.Set(trace.HeaderTraceID, fmt.Sprintf("%d/%d", c, s))
+					resp, err := http.DefaultClient.Do(req)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					_, _ = io.Copy(io.Discard, resp.Body)
+					resp.Body.Close()
+					if resp.StatusCode != http.StatusTooManyRequests {
+						t.Errorf("status %d, want the replica's 429", resp.StatusCode)
+					}
+					close(answered[c][s])
+				}
+			}()
+		}
+		wg.Wait()
+		reads.Wait()
+		if n := corrupt.Swap(0); n != 0 {
+			t.Fatalf("%d bodies read differ from what their client sent", n)
+		}
+	}
+	newAnswered := func() [][]chan struct{} {
+		answered := make([][]chan struct{}, clients)
+		for c := range answered {
+			for range perClient {
+				answered[c] = append(answered[c], make(chan struct{}))
+			}
+		}
+		return answered
+	}
+
+	t.Run("replica", func(t *testing.T) {
+		early := func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/readyz" {
+				io.WriteString(w, "ready\n{\"status\":\"ready\"}\n")
+				return
+			}
+			if err := http.NewResponseController(w).EnableFullDuplex(); err != nil {
+				t.Error(err)
+				return
+			}
+			reads.Add(1) // before the answer, so before drive waits
+			w.Header().Set("Content-Length", "4")
+			w.WriteHeader(http.StatusTooManyRequests)
+			io.WriteString(w, "shed")
+			w.(http.Flusher).Flush()
+			c, s := sent(r)
+			check(c, s, r.Body)
+		}
+		g, _ := fakeFleet(t, map[string]http.HandlerFunc{"early": early}, nil)
+		drive(t, g, newAnswered())
+	})
+	t.Run("transport", func(t *testing.T) {
+		g, _ := fakeFleet(t, map[string]http.HandlerFunc{"early": echoReplica("early")}, nil)
+		answered := newAnswered()
+		g.client.Transport = roundTripFunc(func(req *http.Request) (*http.Response, error) {
+			c, s := sent(req)
+			reads.Add(1) // before the answer, so before drive waits
+			go func() {
+				if s+1 < perClient {
+					<-answered[c][s+1]
+				}
+				check(c, s, req.Body)
+			}()
+			return &http.Response{StatusCode: http.StatusTooManyRequests, Header: http.Header{}, Body: http.NoBody, Request: req}, nil
+		})
+		drive(t, g, answered)
+	})
+}
+
+// TestBodyRefCount pins the request body's reference count: Close is
+// idempotent, GetBody's readers take their own reference, and the
+// buffer goes back to the free list only when the last reference drops
+// — and then not when it is over freeBufMax or the list is full.
+func TestBodyRefCount(t *testing.T) {
+	var free bufFree
+	buf := []byte("request body")
+	b := newSharedBody(buf, &free)
+	first, err := b.reader() // the transport's request body
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := &http.Request{GetBody: b.reader}
+	rewound, err := req.GetBody()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := b.refs.Load(); n != 3 {
+		t.Fatalf("refs %d with the handler and two readers, want 3", n)
+	}
+	first.Close()
+	first.Close()
+	if n := b.refs.Load(); n != 2 {
+		t.Fatalf("refs %d after a double Close, want 2", n)
+	}
+	if _, err := first.Read(make([]byte, 1)); err == nil {
+		t.Fatal("a closed reader still reads")
+	}
+	b.release() // the handler returns
+	if len(free.bufs) != 0 {
+		t.Fatal("buffer recycled while a reader still holds it")
+	}
+	if got, err := io.ReadAll(rewound); err != nil || string(got) != string(buf) {
+		t.Fatalf("rewound reader read %q, %v", got, err)
+	}
+	rewound.Close()
+	if len(free.bufs) != 1 || &free.bufs[0][:1][0] != &buf[0] {
+		t.Fatalf("buffer not recycled at zero references: list %d", len(free.bufs))
+	}
+	if _, err := b.reader(); err == nil {
+		t.Fatal("GetBody took a reference on a recycled body")
+	}
+	free.get()
+
+	newSharedBody(make([]byte, freeBufMax+1), &free).release()
+	if len(free.bufs) != 0 {
+		t.Fatalf("kept a %d-byte buffer, over the %d-byte bound", freeBufMax+1, freeBufMax)
+	}
+	for range freeListLen {
+		free.put(make([]byte, 8))
+	}
+	extra := make([]byte, 8)
+	newSharedBody(extra, &free).release()
+	if len(free.bufs) != freeListLen {
+		t.Fatalf("list holds %d buffers, bound %d", len(free.bufs), freeListLen)
+	}
+	for _, kept := range free.bufs {
+		if &kept[:1][0] == &extra[0] {
+			t.Fatal("a full list took one more buffer")
+		}
 	}
 }
 

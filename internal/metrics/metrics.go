@@ -227,7 +227,12 @@ func Normalize(scores []float64) []float64 {
 // sketches be compared exactly. Probabilities clamp to [0, 1]; an empty
 // sample yields NaNs.
 func QuantilesSorted(sorted []float64, probs []float64) []float64 {
-	out := make([]float64, len(probs))
+	return QuantilesSortedInto(make([]float64, len(probs)), sorted, probs)
+}
+
+// QuantilesSortedInto is QuantilesSorted writing into out, which must
+// have len(probs) elements, and returning it.
+func QuantilesSortedInto(out, sorted, probs []float64) []float64 {
 	n := len(sorted)
 	if n == 0 {
 		for i := range out {

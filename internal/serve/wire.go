@@ -34,10 +34,10 @@ import (
 // bodies raised batch-fleet's median RSS by 7-8%.
 //
 // dvgateway does read each body whole (ReadBody), into a buffer sized
-// from its Content-Length, and leaves it to the GC: the transport may
-// still read a forwarded body after the handler returns. Both tiers
-// answer a body they cannot read through writeBodyError, so they refuse
-// it with the same status and message.
+// from its Content-Length or one from its own free list when that is
+// large enough; it recycles the buffer once the last transport reader
+// has let go of it. Both tiers answer a body they cannot read through
+// writeBodyError, so they refuse it with the same status and message.
 //
 // Decoded pixel slices are the next largest allocation (8 bytes per
 // value: 6,272 B for a 28×28 image) and come from pixelFree, a bounded
@@ -47,8 +47,7 @@ import (
 // verdict of every image in the request (runBatch reads no image after
 // delivering its verdict), or when the request never reached the
 // batcher (shed, or a shape mismatch). On the deadline path a worker
-// may still be scoring the image, so those pixels, like dvgateway's
-// bodies, are left to the GC.
+// may still be scoring the image, so those pixels are left to the GC.
 
 // pixelFree is a free list of decoded pixel slices: a mutex-guarded
 // stack holding at most limit slices, each of capacity n. A nil list
@@ -122,12 +121,13 @@ func (f *pixelFree) put(xs []float64, n int) {
 }
 
 // ReadBody reads a request body of at most limit bytes through
-// http.MaxBytesReader into one buffer, answering 413 (oversized) or 400
-// (transport error) itself. The boolean reports success. It is
-// dvgateway's body read; its errors go through the writer dvserve's
-// streamed decoders use, so both tiers refuse a body alike.
-func ReadBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool) {
-	body, err := ReadLimited(http.MaxBytesReader(w, r.Body, limit), r.ContentLength, limit)
+// http.MaxBytesReader into one buffer (buf when it is large enough, see
+// ReadLimited), answering 413 (oversized) or 400 (transport error)
+// itself. The boolean reports success. It is dvgateway's body read; its
+// errors go through the writer dvserve's streamed decoders use, so both
+// tiers refuse a body alike.
+func ReadBody(w http.ResponseWriter, r *http.Request, limit int64, buf []byte) ([]byte, bool) {
+	body, err := ReadLimited(http.MaxBytesReader(w, r.Body, limit), r.ContentLength, limit, buf)
 	if err != nil {
 		writeBodyError(w, readError(err), limit)
 		return nil, false
@@ -156,17 +156,23 @@ func writeBodyError(w http.ResponseWriter, err error, limit int64) {
 // ReadLimited reads r to EOF into one buffer. A non-negative sizeHint
 // (a declared Content-Length) sizes the buffer once at
 // min(sizeHint, limit)+1 bytes — the extra byte lets the read see EOF
-// without growing; with no hint (-1) the buffer starts small and
-// doubles, never past limit+1. No read goes past limit+1 bytes, even
-// into spare capacity, and more than limit bytes fail with an
-// *http.MaxBytesError, so no read allocates more than limit+1 bytes
-// (limit must be below math.MaxInt64).
-func ReadLimited(r io.Reader, sizeHint, limit int64) ([]byte, error) {
+// without growing; with no hint (-1) the buffer starts at 512 bytes and
+// doubles, never past limit+1. When buf's capacity is at least that
+// starting size, the read starts in buf instead of a new buffer, and
+// the result shares buf's array unless the read outgrew it. No read
+// goes past limit+1 bytes, even into spare capacity, and more than
+// limit bytes fail with an *http.MaxBytesError, so no read allocates
+// more than limit+1 bytes (limit must be below math.MaxInt64).
+func ReadLimited(r io.Reader, sizeHint, limit int64, buf []byte) ([]byte, error) {
 	size := int64(512)
 	if sizeHint >= 0 {
 		size = sizeHint
 	}
-	buf := make([]byte, 0, min(size, limit)+1)
+	if start := min(size, limit) + 1; int64(cap(buf)) >= start {
+		buf = buf[:0]
+	} else {
+		buf = make([]byte, 0, start)
+	}
 	for {
 		if len(buf) == cap(buf) {
 			grown := make([]byte, len(buf), min(2*int64(cap(buf)), limit+1))
@@ -723,7 +729,7 @@ func (st *stream) rebuild() ([]byte, error) {
 	var rest []byte
 	if st.more {
 		var err error
-		if rest, err = ReadLimited(st.r, -1, st.limit-st.read); err != nil {
+		if rest, err = ReadLimited(st.r, -1, st.limit-st.read, nil); err != nil {
 			return nil, err
 		}
 	}

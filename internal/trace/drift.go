@@ -90,6 +90,10 @@ type DriftWatch struct {
 	scores   []float64
 	maxScore float64
 	alarm    bool
+	// live and quantiles are recomputeLocked's scratch: the window
+	// sorted for one layer, and that layer's quantiles.
+	live      []float64
+	quantiles []float64
 
 	gScores []*telemetry.Gauge
 	gAlarm  *telemetry.Gauge
@@ -116,11 +120,13 @@ func NewDriftWatch(cfg DriftConfig) *DriftWatch {
 		cfg.Threshold = DefaultDriftThreshold
 	}
 	w := &DriftWatch{
-		cfg:     cfg,
-		minFill: min(DefaultDriftMinFill, cfg.Window),
-		rings:   make([][]float64, len(cfg.Layers)),
-		scores:  make([]float64, len(cfg.Layers)),
-		gScores: make([]*telemetry.Gauge, len(cfg.Layers)),
+		cfg:       cfg,
+		minFill:   min(DefaultDriftMinFill, cfg.Window),
+		rings:     make([][]float64, len(cfg.Layers)),
+		scores:    make([]float64, len(cfg.Layers)),
+		gScores:   make([]*telemetry.Gauge, len(cfg.Layers)),
+		live:      make([]float64, cfg.Window),
+		quantiles: make([]float64, len(cfg.Probs)),
 	}
 	for i := range w.rings {
 		w.rings[i] = make([]float64, cfg.Window)
@@ -176,15 +182,15 @@ func (w *DriftWatch) Observe(perLayer []float64) {
 }
 
 // recomputeLocked refreshes per-layer scores, the alarm, and their
-// gauges. Caller holds w.mu.
+// gauges without allocating. Caller holds w.mu.
 func (w *DriftWatch) recomputeLocked() {
 	w.sinceRec = 0
 	w.maxScore = 0
-	live := make([]float64, w.fill)
+	live := w.live[:w.fill]
 	for l := range w.rings {
 		copy(live, w.rings[l][:w.fill])
 		sort.Float64s(live)
-		qs := metrics.QuantilesSorted(live, w.cfg.Probs)
+		qs := metrics.QuantilesSortedInto(w.quantiles, live, w.cfg.Probs)
 		ref := w.cfg.Ref[l]
 		scale := math.Abs(ref[len(ref)-1] - ref[0])
 		if scale < 1e-9 {

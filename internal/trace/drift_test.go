@@ -208,3 +208,31 @@ func TestDriftGaugeLabels(t *testing.T) {
 		}
 	}
 }
+
+// TestDriftRecomputeAllocatesNothing pins the watch's steady state at
+// zero allocations: 16 accepted verdicts include one recompute, which
+// sorts and takes quantiles in buffers the watch owns.
+func TestDriftRecomputeAllocatesNothing(t *testing.T) {
+	w := NewDriftWatch(DriftConfig{
+		Layers: []int{1, 2},
+		Probs:  testProbs,
+		Ref:    refFromSamples(ramp(100, 0, 1), ramp(100, 0, 2)),
+		Window: 64,
+	})
+	r := ramp(100, 0, 1.5)
+	v := make([]float64, 2)
+	i := 0
+	observe16 := func() {
+		for range driftRecomputeEvery {
+			v[0], v[1] = r[(i*7)%100], r[(i*3)%100]
+			w.Observe(v)
+			i++
+		}
+	}
+	for range 8 { // past the window and several recomputes
+		observe16()
+	}
+	if allocs := testing.AllocsPerRun(20, observe16); allocs != 0 {
+		t.Fatalf("16 Observe calls allocate %.1f objects, want 0", allocs)
+	}
+}
