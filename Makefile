@@ -90,12 +90,6 @@ fuzz:
 	$(GO) test -fuzz FuzzAxpyKernelEquivalence -fuzztime 30s -run '^$$' ./internal/tensor
 
 # snapshot refreshes BENCH_pipeline.json, the committed perf trajectory
-# for the parallel scoring & fitting pipeline plus the serving
-# micro-batcher and the gateway observability plane (the later passes
-# merge into the file, so order matters).
+# for the parallel scoring & fitting pipeline.
 snapshot:
 	DV_BENCH_SNAPSHOT=1 $(GO) test -run TestBenchPipelineSnapshot -count=1 -v .
-	DV_BENCH_SNAPSHOT=1 $(GO) test -run 'TestBenchServeSnapshot$$' -count=1 -v ./internal/serve
-	DV_BENCH_SNAPSHOT=1 $(GO) test -run TestBenchServeWorkersSnapshot -count=1 -v ./internal/serve
-	DV_BENCH_SNAPSHOT=1 $(GO) test -run TestBenchTraceSnapshot -count=1 -v ./internal/serve
-	DV_BENCH_SNAPSHOT=1 $(GO) test -run TestBenchGatewayObsSnapshot -count=1 -v ./internal/gateway

@@ -476,22 +476,7 @@ func TestBenchPipelineSnapshot(t *testing.T) {
 		SpeedupAtLeast2: scoreSpeedup >= 2,
 		Telemetry:       telSummary,
 	}
-	// Merge over the committed file, so the sections the later passes own
-	// survive a pipeline refresh.
-	doc := map[string]json.RawMessage{}
-	if raw, err := os.ReadFile("BENCH_pipeline.json"); err == nil {
-		if err := json.Unmarshal(raw, &doc); err != nil {
-			t.Fatal(err)
-		}
-	}
-	own, err := json.Marshal(snapshot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(own, &doc); err != nil {
-		t.Fatal(err)
-	}
-	data, err := json.MarshalIndent(doc, "", "  ")
+	data, err := json.MarshalIndent(snapshot, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}

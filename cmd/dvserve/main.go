@@ -5,9 +5,10 @@
 //	dvserve -model digits.model -validator digits.validator -eps 1.2 -addr :8080
 //
 // Requests to POST /v1/check (one image) and POST /v1/batch (many) are
-// micro-batched: collected up to -max-batch or for -batch-window,
-// whichever fires first, and scored through Detector.CheckBatch on a
-// bounded worker pool, so throughput rides the parallel scoring
+// micro-batched: whenever one of -dispatch-workers frees, everything
+// queued, up to -max-batch, is scored as one Detector.CheckBatch call.
+// An idle server scores a lone request at once; under load batches
+// fill from the queue, so throughput rides the parallel scoring
 // pipeline while verdicts stay bit-identical to sequential checks.
 // A bounded admission queue sheds overload with 429 + Retry-After,
 // request bodies are size-capped, and every request carries a
@@ -81,7 +82,6 @@ func run() error {
 		addr        = flag.String("addr", ":8080", `serving address (e.g. ":8080" or "127.0.0.1:0")`)
 		metricsAddr = flag.String("metrics-addr", "", `serve /metrics, /debug/vars, and /debug/pprof on this address (empty disables)`)
 		maxBatch    = flag.Int("max-batch", 32, "micro-batch size cap")
-		window      = flag.Duration("batch-window", 2*time.Millisecond, "micro-batch collection window (0 disables waiting)")
 		queueDepth  = flag.Int("queue-depth", 256, "admission queue bound; beyond it requests shed with 429")
 		dispatchers = flag.Int("dispatch-workers", 2, "concurrent micro-batch dispatches")
 		workers     = flag.Int("workers", 0, "detector CheckBatch worker bound (0 = GOMAXPROCS, 1 = sequential)")
@@ -162,10 +162,6 @@ func run() error {
 		}
 		return m, v
 	}
-	batchWindow := *window
-	if batchWindow <= 0 {
-		batchWindow = -1 // 0 on the flag means "no waiting", not "default"
-	}
 	// On the flags, 0 means "off"; in serve.Config, negative disables
 	// and 0 means "default".
 	flight := *flightSize
@@ -178,7 +174,6 @@ func run() error {
 	}
 	srv, err := serve.New(handle, serve.Config{
 		MaxBatch:       *maxBatch,
-		BatchWindow:    batchWindow,
 		QueueDepth:     *queueDepth,
 		Workers:        *dispatchers,
 		MaxBodyBytes:   *maxBody,
@@ -242,8 +237,8 @@ func run() error {
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	fmt.Fprintf(os.Stderr, "dvserve: serving /v1/check, /v1/batch, /v1/reload, /healthz, /readyz, /admin/drain, /debug/dv/{trace,flight,drift,events,slo} on http://%s\n", ln.Addr())
-	fmt.Fprintf(os.Stderr, "dvserve: ready (eps %.4f, max-batch %d, batch-window %v, queue-depth %d, dispatch-workers %d, trace-sample %g, drift %s)\n",
-		det.Epsilon(), *maxBatch, *window, *queueDepth, *dispatchers, *traceSample, driftMode(srv))
+	fmt.Fprintf(os.Stderr, "dvserve: ready (eps %.4f, max-batch %d, queue-depth %d, dispatch-workers %d, trace-sample %g, drift %s)\n",
+		det.Epsilon(), *maxBatch, *queueDepth, *dispatchers, *traceSample, driftMode(srv))
 
 	sigs := make(chan os.Signal, 2)
 	signal.Notify(sigs, syscall.SIGINT, syscall.SIGTERM, syscall.SIGHUP)

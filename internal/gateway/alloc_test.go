@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -13,10 +14,35 @@ import (
 	"deepvalidation/internal/telemetry"
 )
 
-// TestGatewaySinksOffAllocs is the tier-1 form of
-// TestBenchGatewayObsSnapshot's guard: a gateway with only a metrics
-// registry (every trace, SLO and event sink off) may allocate at most
-// 12 more objects per proxied /v1/check than a bare gateway. Metrics
+// benchGateway builds a gateway over one fake fast replica (an
+// in-process httptest handler that drains the body and answers
+// instantly) so the measured per-request cost is the gateway's own
+// proxy path, not detector work.
+func benchGateway(t *testing.T, tune func(*Config)) *Gateway {
+	t.Helper()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.Copy(io.Discard, r.Body)
+		echoReplica("a")(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	cfg := Config{
+		Replicas:      []ReplicaSpec{{Name: "a", Addr: strings.TrimPrefix(ts.URL, "http://")}},
+		ProbeInterval: -1,
+	}
+	if tune != nil {
+		tune(&cfg)
+	}
+	g, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(g.Close)
+	return g
+}
+
+// TestGatewaySinksOffAllocs: a gateway with only a metrics registry
+// (every trace, SLO and event sink off) may allocate at most 12 more
+// objects per proxied /v1/check than a bare gateway. Metrics
 // are atomic counter and histogram math; span assembly, flight records
 // or SLO bookkeeping leaking into the disabled path cost far more.
 func TestGatewaySinksOffAllocs(t *testing.T) {

@@ -160,7 +160,7 @@ func startReplica(t testing.TB, dir, name string, repTune ...func(*serve.Config)
 	}
 	det.SetEpsilon(testEps)
 	scfg := serve.Config{
-		MaxBatch: 4, BatchWindow: time.Millisecond,
+		MaxBatch:     4,
 		Loader:       loader,
 		ArtifactInfo: artifactInfoFor(p),
 	}

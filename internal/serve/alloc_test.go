@@ -147,10 +147,10 @@ func bandImages28(rng *rand.Rand, n, side int) ([]deepvalidation.Image, []int) {
 	return imgs, labels
 }
 
-// TestCheckBatchDetailedSinksOffAllocs is the tier-1 form of
-// TestBenchTraceSnapshot's guard: the call the serving batcher makes
-// with every observability sink off, CheckBatchDetailed(imgs, nil),
-// may allocate at most 8 more objects per batch than plain CheckBatch.
+// TestCheckBatchDetailedSinksOffAllocs: the call the serving batcher
+// makes with every observability sink off, CheckBatchDetailed(imgs,
+// nil), may allocate at most 8 more objects per batch than plain
+// CheckBatch.
 // Detail fills, span trees and trace IDs all allocate per image, so
 // any of them creeping into the disabled path breaks the bound.
 func TestCheckBatchDetailedSinksOffAllocs(t *testing.T) {

@@ -73,10 +73,12 @@ func (s *Server) dequeued(p *pending) {
 	}
 }
 
-// runBatcher is the collection loop: pull the first waiting request,
-// gather batch-mates up to MaxBatch or for BatchWindow, and hand the
-// batch to the worker pool. On stop it flushes whatever is still
-// queued (the graceful-drain tail) and exits.
+// runBatcher is the batching loop: pull the first waiting request, wait
+// for a free worker, sweep whatever queued behind it into the batch and
+// hand the batch to that worker. An idle server therefore scores a lone
+// request at once, and a busy one batches everything that queued while
+// its workers were busy. On stop it flushes whatever is still queued
+// (the graceful-drain tail) and exits.
 func (s *Server) runBatcher() {
 	defer s.wg.Done()
 	for {
@@ -85,38 +87,19 @@ func (s *Server) runBatcher() {
 			s.flush()
 			return
 		case first := <-s.queue:
-			s.dequeued(first)
-			s.dispatch(s.collect(first))
+			s.dispatch(s.claim(first))
 		}
 	}
 }
 
-// collect gathers one micro-batch starting from first. With a positive
-// window it waits up to BatchWindow for the batch to fill; with the
-// window disabled it only sweeps requests already queued.
-func (s *Server) collect(first *pending) []*pending {
-	batch := []*pending{first}
-	if s.cfg.MaxBatch <= 1 {
-		return batch
-	}
-	if s.cfg.BatchWindow <= 0 {
-		return s.sweep(batch)
-	}
-	timer := time.NewTimer(s.cfg.BatchWindow)
-	defer timer.Stop()
-	for len(batch) < s.cfg.MaxBatch {
-		select {
-		case p := <-s.queue:
-			s.dequeued(p)
-			batch = append(batch, p)
-		case <-timer.C:
-			return batch
-		case <-s.stop:
-			// Draining: stop waiting for the window, score what we have.
-			return batch
-		}
-	}
-	return batch
+// claim takes a worker slot for the batch that starts with first, then
+// sweeps its batch-mates from the queue. Waiting for the slot is the
+// backpressure path: while every worker is busy the queue fills behind
+// the blocked batcher and admission starts shedding.
+func (s *Server) claim(first *pending) []*pending {
+	s.dequeued(first)
+	s.sem <- struct{}{}
+	return s.sweep([]*pending{first})
 }
 
 // sweep non-blockingly tops the batch up from the queue.
@@ -133,12 +116,10 @@ func (s *Server) sweep(batch []*pending) []*pending {
 	return batch
 }
 
-// dispatch hands one batch to the bounded worker pool. It blocks while
-// every worker is busy — that is the backpressure path: the queue
-// fills behind the blocked batcher and admission starts shedding.
+// dispatch scores one batch on the worker slot claim took, and frees
+// the slot when the batch is done.
 func (s *Server) dispatch(batch []*pending) {
 	s.batchSize.Observe(float64(len(batch)))
-	s.sem <- struct{}{}
 	s.wg.Add(1)
 	go func() {
 		defer func() { <-s.sem; s.wg.Done() }()
@@ -152,8 +133,7 @@ func (s *Server) flush() {
 	for {
 		select {
 		case p := <-s.queue:
-			s.dequeued(p)
-			s.dispatch(s.sweep([]*pending{p}))
+			s.dispatch(s.claim(p))
 		default:
 			return
 		}

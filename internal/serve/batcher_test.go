@@ -1,0 +1,104 @@
+package serve
+
+// The batching rule, read from counters rather than the clock: a batch
+// is formed when a worker frees, from whatever has queued by then.
+
+import (
+	"encoding/json"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"deepvalidation"
+	"deepvalidation/internal/faultinject"
+	"deepvalidation/internal/telemetry"
+)
+
+// holdFirstBatch arms the serve.batch point so the first batch scored
+// blocks until the returned release is called (at the latest when the
+// test ends, before its server closes), and every later batch passes.
+// calls counts the batches that reached the point.
+func holdFirstBatch(t *testing.T) (calls *atomic.Int32, release func()) {
+	t.Helper()
+	t.Cleanup(faultinject.Reset)
+	held := make(chan struct{})
+	release = sync.OnceFunc(func() { close(held) })
+	t.Cleanup(release)
+	calls = new(atomic.Int32)
+	faultinject.Arm(faultinject.PointServeBatch, func() error {
+		if calls.Add(1) == 1 {
+			<-held
+		}
+		return nil
+	})
+	return calls, release
+}
+
+// checkAsync posts one image to /v1/check and delivers the outcome,
+// checked against want, on the returned channel.
+func checkAsync(url string, img deepvalidation.Image, want deepvalidation.Verdict) <-chan error {
+	c := make(chan error, 1)
+	body, err := json.Marshal(CheckRequest{Channels: img.Channels, Height: img.Height, Width: img.Width, Pixels: img.Pixels})
+	if err != nil {
+		c <- err
+		return c
+	}
+	go func() {
+		var v VerdictResponse
+		if err := postJSON(url+"/v1/check", body, &v); err != nil {
+			c <- err
+			return
+		}
+		c <- equalVerdict(v, want)
+	}()
+	return c
+}
+
+// TestBatcherSweepsQueueBehindBusyWorker: with the only worker busy,
+// the batcher pulls one request and waits for the worker; the requests
+// queued behind it join its batch once the worker frees. Request A
+// holds the worker inside the serve.batch point, N more requests
+// arrive, and releasing A must score those N as one batch.
+func TestBatcherSweepsQueueBehindBusyWorker(t *testing.T) {
+	const n = 5
+	reg := telemetry.New()
+	s, ts := newTestServer(t, Config{MaxBatch: 8, Workers: 1, Registry: reg})
+	calls, release := holdFirstBatch(t)
+	imgs, _ := testImages(59, n+1)
+	want := refVerdicts(t, imgs)
+
+	replies := []<-chan error{checkAsync(ts.URL, imgs[0], want[0])}
+	waitFor(t, "request A's batch to block in its worker", func() bool { return calls.Load() == 1 })
+	for i := 1; i <= n; i++ {
+		replies = append(replies, checkAsync(ts.URL, imgs[i], want[i]))
+	}
+	waitFor(t, "one request pulled and the rest queued", func() bool {
+		return s.pulls.Load() == 2 && s.QueueLen() == n-1
+	})
+	release()
+	for i, c := range replies {
+		if err := <-c; err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+	}
+	sizes := reg.Histogram(MetricBatchSize, nil)
+	if got, sum := sizes.Count(), sizes.Sum(); got != 2 || sum != 1+n {
+		t.Fatalf("%s: %d batches carrying %v requests, want A's batch of 1 and one batch of %d", MetricBatchSize, got, sum, n)
+	}
+}
+
+// TestBatcherIdleScoresAlone: a lone request on an idle server is
+// scored as a batch of one, with the reference verdict.
+func TestBatcherIdleScoresAlone(t *testing.T) {
+	reg := telemetry.New()
+	_, ts := newTestServer(t, Config{Registry: reg})
+	imgs, _ := testImages(61, 1)
+	want := refVerdicts(t, imgs)
+	if err := <-checkAsync(ts.URL, imgs[0], want[0]); err != nil {
+		t.Fatal(err)
+	}
+	sizes := reg.Histogram(MetricBatchSize, nil)
+	if got, sum := sizes.Count(), sizes.Sum(); got != 1 || sum != 1 {
+		t.Fatalf("%s: %d batches carrying %v requests, want one batch of 1", MetricBatchSize, got, sum)
+	}
+}

@@ -53,8 +53,7 @@ func TestReloadUnderCorruption(t *testing.T) {
 
 	reg := telemetry.New()
 	s, ts := newTestServer(t, Config{
-		BatchWindow: time.Millisecond,
-		Registry:    reg,
+		Registry: reg,
 		Loader: func() (*deepvalidation.Detector, error) {
 			return deepvalidation.Load(modelPath, valPath)
 		},
@@ -151,8 +150,7 @@ func TestReloadWithBackoff(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
 	reg := telemetry.New()
 	s, _ := newTestServer(t, Config{
-		BatchWindow: time.Millisecond,
-		Registry:    reg,
+		Registry: reg,
 		Loader: func() (*deepvalidation.Detector, error) {
 			return deepvalidation.Load(testModelPath, testValPath)
 		},
@@ -216,8 +214,7 @@ func TestReloadRejectsGeometryChange(t *testing.T) {
 	}
 
 	s, ts := newTestServer(t, Config{
-		BatchWindow: time.Millisecond,
-		Loader:      func() (*deepvalidation.Detector, error) { return big, nil },
+		Loader: func() (*deepvalidation.Detector, error) { return big, nil },
 	})
 	before := s.Detector()
 	resp, body := post(t, ts.URL+"/v1/reload", nil)
@@ -240,7 +237,7 @@ func TestReloadRejectsGeometryChange(t *testing.T) {
 // exactly once.
 func TestBatchFallbackUnderFault(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
-	s, ts := newTestServer(t, Config{MaxBatch: 8, BatchWindow: 5 * time.Millisecond})
+	s, ts := newTestServer(t, Config{MaxBatch: 8})
 	ref := loadDetector(t)
 	imgs, _ := testImages(47, 4)
 	want := make([]deepvalidation.Verdict, len(imgs))
@@ -289,7 +286,7 @@ func TestBatchFallbackUnderFault(t *testing.T) {
 // fails the test.
 func TestDeadlinePixelsNotRecycled(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
-	_, ts := newTestServer(t, Config{MaxBatch: 1, BatchWindow: -1, Workers: 2, RequestTimeout: time.Second})
+	_, ts := newTestServer(t, Config{MaxBatch: 1, Workers: 2, RequestTimeout: time.Second})
 	answered := make(chan struct{})
 	unblock := sync.OnceFunc(func() { close(answered) })
 	t.Cleanup(unblock) // runs before the server closes, even on failure

@@ -328,7 +328,7 @@ func (s *Server) storeDropTrace(endpoint, id string, traced bool, t0 time.Time, 
 //	verdict
 //	├── admission   (handler: read, decode, shape check, enqueue)
 //	├── batch_wait  (queued, waiting for the micro-batcher)
-//	├── dispatch    (collected, waiting for a batch worker)
+//	├── dispatch    (pulled, waiting for a batch worker)
 //	└── score       (forward pass + per-layer SVM scoring)
 //	    ├── forward
 //	    └── svm_layer_{i} — with attribute d = d_i

@@ -251,11 +251,11 @@ func TestSLOBreachEventCrossLinksTraces(t *testing.T) {
 	events := obs.New(obs.Config{Registry: reg})
 	s, ts := newTestServer(t, Config{
 		QueueDepth: 1, MaxBatch: 1, Workers: 1,
-		BatchWindow: -1, RequestTimeout: 30 * time.Second,
-		Registry:    reg,
-		Events:      events,
-		TraceSample: 1,
-		SLO:         SLOOptions{SLOOptions: obs.SLOOptions{Enabled: true}},
+		RequestTimeout: 30 * time.Second,
+		Registry:       reg,
+		Events:         events,
+		TraceSample:    1,
+		SLO:            SLOOptions{SLOOptions: obs.SLOOptions{Enabled: true}},
 	})
 	img, _ := testImages(17, 1)
 	body := checkBody(t, img[0])
@@ -264,7 +264,7 @@ func TestSLOBreachEventCrossLinksTraces(t *testing.T) {
 	s.SLOTick()
 
 	// Deterministic overload (the TestQueueFullSheds pattern): occupy
-	// the single worker slot, let one request block at dispatch and one
+	// the single worker slot, let one request block waiting for it and one
 	// fill the queue, then every further request sheds.
 	s.sem <- struct{}{}
 	type reply struct{ status int }

@@ -5,10 +5,11 @@
 // must flag corner-case inputs as they arrive.
 //
 // The core of the package is a micro-batcher. Requests admitted
-// through a bounded queue are collected into batches of up to
-// Config.MaxBatch, or for at most Config.BatchWindow (whichever fires
-// first), and dispatched to Detector.CheckBatch on a bounded worker
-// pool — so serving throughput rides the parallel scoring pipeline
+// through a bounded queue wait there for a free worker of a bounded
+// pool; once one frees, the batcher hands it everything queued, up to
+// Config.MaxBatch, as one Detector.CheckBatch call. An idle server
+// scores a lone request at once, and under load batches fill from the
+// queue, so serving throughput rides the parallel scoring pipeline
 // instead of paying per-request scoring cost, while verdicts stay
 // bit-identical to sequential Detector.Check calls.
 //
@@ -87,11 +88,6 @@ type Config struct {
 	// MaxBatch caps how many requests one micro-batch may carry
 	// (default 32).
 	MaxBatch int
-	// BatchWindow is how long the batcher waits for a batch to fill
-	// after the first request arrives. 0 means the default (2ms); a
-	// negative value disables waiting entirely, so each batch carries
-	// only the requests already queued at dispatch time.
-	BatchWindow time.Duration
 	// QueueDepth bounds the admission queue; requests beyond it are
 	// shed with 429 (default 256).
 	QueueDepth int
@@ -185,9 +181,6 @@ type SLOOptions struct {
 func (c *Config) defaults() {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 32
-	}
-	if c.BatchWindow == 0 {
-		c.BatchWindow = 2 * time.Millisecond
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 256

@@ -166,7 +166,7 @@ func sameVerdict(t testing.TB, got VerdictResponse, want deepvalidation.Verdict,
 // TestCheckEndpoint is the table-driven status-code battery for
 // POST /v1/check.
 func TestCheckEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxBatch: 4, BatchWindow: time.Millisecond, MaxBodyBytes: 8 << 10})
+	_, ts := newTestServer(t, Config{MaxBatch: 4, MaxBodyBytes: 8 << 10})
 	ref := loadDetector(t)
 	good, _ := testImages(7, 1)
 	wantVerdict, err := ref.Check(good[0])
@@ -228,7 +228,7 @@ func TestCheckEndpoint(t *testing.T) {
 // TestBatchEndpoint covers POST /v1/batch: ordering, per-image
 // validation errors, and the queue-depth bound on batch size.
 func TestBatchEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxBatch: 8, BatchWindow: time.Millisecond})
+	_, ts := newTestServer(t, Config{MaxBatch: 8})
 	ref := loadDetector(t)
 	imgs, _ := testImages(11, 5)
 
@@ -282,7 +282,7 @@ func TestBatchEndpoint(t *testing.T) {
 // TestBatchExceedsQueue asserts the explicit rejection of batches that
 // could never be admitted.
 func TestBatchExceedsQueue(t *testing.T) {
-	_, ts := newTestServer(t, Config{QueueDepth: 2, MaxBatch: 8, BatchWindow: time.Millisecond})
+	_, ts := newTestServer(t, Config{QueueDepth: 2, MaxBatch: 8})
 	imgs, _ := testImages(13, 3)
 	resp, body := post(t, ts.URL+"/v1/batch", batchBody(t, imgs))
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body, "exceeds the admission queue depth") {
@@ -304,21 +304,21 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 // TestQueueFullSheds drives the server into overload deterministically.
 // The single worker slot is occupied by the test itself, so request A
-// blocks the batcher at dispatch, request B fills the depth-1
+// blocks the batcher waiting for a worker, request B fills the depth-1
 // admission queue, and request C must shed with 429 + Retry-After —
 // never block. Releasing the slot then lets A and B finish with 200.
 func TestQueueFullSheds(t *testing.T) {
 	reg := telemetry.New()
 	s, ts := newTestServer(t, Config{
 		QueueDepth: 1, MaxBatch: 1, Workers: 1,
-		BatchWindow: -1, RequestTimeout: 30 * time.Second,
-		Registry: reg,
+		RequestTimeout: 30 * time.Second,
+		Registry:       reg,
 	})
 	img, _ := testImages(17, 1)
 	body := checkBody(t, img[0])
 
 	// Occupy the only worker slot: the batcher will dequeue one request
-	// and then block handing its batch to the pool.
+	// and then block waiting for a worker.
 	s.sem <- struct{}{}
 
 	type reply struct {
@@ -335,7 +335,7 @@ func TestQueueFullSheds(t *testing.T) {
 	}
 
 	// Request A: admitted, dequeued by the batcher, which is now stuck
-	// at dispatch behind the occupied worker slot.
+	// behind the occupied worker slot.
 	a := async()
 	waitFor(t, "batcher to pull request A", func() bool { return s.pulls.Load() == 1 })
 	// Request B: admitted, fills the depth-1 queue.
@@ -431,8 +431,7 @@ func TestHealthAndReady(t *testing.T) {
 func TestReload(t *testing.T) {
 	reg := telemetry.New()
 	cfg := Config{
-		BatchWindow: time.Millisecond,
-		Registry:    reg,
+		Registry: reg,
 		Loader: func() (*deepvalidation.Detector, error) {
 			return deepvalidation.Load(testModelPath, testValPath)
 		},
@@ -492,7 +491,6 @@ func TestReloadNotConfigured(t *testing.T) {
 // detector in place and traffic unaffected.
 func TestReloadFailureKeepsServing(t *testing.T) {
 	cfg := Config{
-		BatchWindow: time.Millisecond,
 		Loader: func() (*deepvalidation.Detector, error) {
 			return nil, fmt.Errorf("artifact store unreachable")
 		},
@@ -513,34 +511,40 @@ func TestReloadFailureKeepsServing(t *testing.T) {
 	}
 }
 
-// TestDrain covers the SIGTERM path: a request held in the batcher's
-// collection window must complete during Drain, and the server must
-// refuse new work afterwards.
+// TestDrain covers the SIGTERM path: a request the batcher has pulled
+// while its only worker is busy must complete during Drain, and the
+// server must refuse new work afterwards. Request A holds the worker
+// inside the serve.batch point; request B is pulled and waits for it.
 func TestDrain(t *testing.T) {
-	s, ts := newTestServer(t, Config{MaxBatch: 8, BatchWindow: 300 * time.Millisecond})
-	img, _ := testImages(31, 1)
-	body := checkBody(t, img[0])
+	s, ts := newTestServer(t, Config{MaxBatch: 8, Workers: 1})
+	calls, release := holdFirstBatch(t)
+	imgs, _ := testImages(31, 2)
+	want := refVerdicts(t, imgs)
 
-	done := make(chan int, 1)
+	a := checkAsync(ts.URL, imgs[0], want[0])
+	waitFor(t, "request A's batch to block in its worker", func() bool { return calls.Load() == 1 })
+	b := checkAsync(ts.URL, imgs[1], want[1])
+	waitFor(t, "batcher to pull request B", func() bool { return s.pulls.Load() == 2 })
+	drained := make(chan error, 1)
 	go func() {
-		resp, _ := post(t, ts.URL+"/v1/check", body)
-		done <- resp.StatusCode
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		drained <- s.Drain(ctx, ts.Config)
 	}()
-	// Wait until the batcher has pulled the request and is holding it
-	// in its 300ms collection window.
-	waitFor(t, "batcher to pull the request", func() bool { return s.pulls.Load() == 1 })
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := s.Drain(ctx, ts.Config); err != nil {
+	waitFor(t, "drain to begin", func() bool { return !s.Ready() })
+	release()
+	if err := <-drained; err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-	select {
-	case status := <-done:
-		if status != http.StatusOK {
-			t.Fatalf("in-flight request finished with %d during drain, want 200", status)
+	for name, c := range map[string]<-chan error{"A": a, "B": b} {
+		select {
+		case err := <-c:
+			if err != nil {
+				t.Fatalf("in-flight request %s during drain: %v", name, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("in-flight request %s was dropped by drain", name)
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("in-flight request was dropped by drain")
 	}
 	if s.Ready() {
 		t.Fatal("server still ready after drain")
@@ -551,7 +555,7 @@ func TestDrain(t *testing.T) {
 // registry next to the detector's own series.
 func TestServeMetrics(t *testing.T) {
 	reg := telemetry.New()
-	_, ts := newTestServer(t, Config{MaxBatch: 4, BatchWindow: time.Millisecond, Registry: reg})
+	_, ts := newTestServer(t, Config{MaxBatch: 4, Registry: reg})
 	imgs, _ := testImages(37, 3)
 	for _, img := range imgs {
 		resp, body := post(t, ts.URL+"/v1/check", checkBody(t, img))

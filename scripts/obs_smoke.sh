@@ -38,7 +38,7 @@ echo "== starting dvserve (-slo, trace-sample 1, NDJSON event log, queue-depth 1
 # roll the log within one smoke run.
 start_dvserve "$workdir/serve.stderr" -metrics-addr 127.0.0.1:0 -eps 1000 \
     -slo -slo-interval 1s -trace-sample 1 \
-    -queue-depth 16 -dispatch-workers 1 -max-batch 1 -batch-window 0 -workers 1 \
+    -queue-depth 16 -dispatch-workers 1 -max-batch 1 -workers 1 \
     -log info -log-file "$workdir/events.ndjson" -log-max-bytes 2000
 maddr=$(await_addr "$workdir/serve.stderr" metrics "$pid")
 echo "   serving:  http://$addr"

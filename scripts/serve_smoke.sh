@@ -89,7 +89,7 @@ done
 
 echo "== overload sheds 429 + Retry-After (queue-depth 1, single worker)"
 start_dvserve "$workdir/shed.stderr" \
-    -queue-depth 1 -max-batch 1 -batch-window 0 -dispatch-workers 1 -workers 1 \
+    -queue-depth 1 -max-batch 1 -dispatch-workers 1 -workers 1 \
     -request-timeout 10s
 # Eight keep-alive flood clients against a one-deep queue and one
 # sequential worker: most requests must shed, some must still score.
@@ -114,11 +114,12 @@ grep -qi '^retry-after:' "$workdir"/shed.headers.* \
 echo "   codes: $(grep -c '^200$' "$workdir/shed.codes" || true)x200, $(grep -c '^429$' "$workdir/shed.codes" || true)x429"
 
 echo "== SIGTERM drains the in-flight request to a 200"
-start_dvserve "$workdir/drain.stderr" -max-batch 8 -batch-window 5s -eps 0.5
+start_dvserve "$workdir/drain.stderr" -max-batch 8 -eps 0.5
 drain_pid=$pid
-# The request parks in the 5s batch window; SIGTERM must cut the window
-# short and answer it, not drop it.
-curl -sS -o "$workdir/drain.body" -w '%{http_code}' \
+# The ~1.6 KB body uploads at 500 bytes/s, so it is still arriving when
+# SIGTERM lands. Admission checks for a drain only at handler entry, so
+# the request is in flight: it must be answered, not dropped.
+curl -sS --limit-rate 500 -o "$workdir/drain.body" -w '%{http_code}' \
     -H 'Content-Type: application/json' --data-binary @"$workdir/check.json" \
     "http://$addr/v1/check" >"$workdir/drain.code" &
 curl_pid=$!
