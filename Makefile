@@ -38,7 +38,9 @@ race:
 # recorder triage, drift gauges, legacy drift degradation — against a
 # race-built dvserve), the hunt pass (train → coverage-guided
 # mine → byte-identical corpora across -workers → strict replay →
-# dvreport escape-rate table → committed-corpus regression test), and
+# dvbench writes the reproduction golden plus the escape-rate table →
+# unknown -exp rejected before the cache → committed-corpus regression
+# test), and
 # the obs pass (wide-event log + rotation, dv_runtime_*/dv_slo_*
 # gauges, forced 429 burn to a cross-linked SLO breach event — against
 # a race-built dvserve), and the gateway pass (race-built 2-replica

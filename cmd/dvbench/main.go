@@ -4,20 +4,39 @@
 //	dvbench -exp table6 -dataset objects
 //	dvbench -exp fig2 -out figures/
 //
+// The evaluation report is one markdown run over the paper's tables
+// and figures; at quick scale on digits it writes the bytes of
+// internal/experiment/testdata/digits_quick.md:
+//
+//	dvbench -exp table3,table5,fig3,table6,table7,table8,fig4 \
+//	    -scale quick -dataset digits -format markdown > report.md
+//
+// -hunt appends a dvhunt escape corpus to the output: the
+// per-composition escape-rate table from the corpus's rates.json plus
+// the persisted escapes from its manifest:
+//
+//	dvbench -exp table7 -scale quick -hunt testdata/escapes -format markdown
+//
 // Expensive artifacts (trained models, fitted validators, corner-case
 // corpora, attack suites) are cached under -cache, so repeated
-// invocations re-render tables from the same inputs.
+// invocations re-render tables from the same inputs. Tables go to
+// stdout and progress to stderr.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
 	"deepvalidation/internal/core"
 	"deepvalidation/internal/experiment"
+	"deepvalidation/internal/hunt"
 	"deepvalidation/internal/obs"
 	"deepvalidation/internal/telemetry"
 )
@@ -29,19 +48,15 @@ func main() {
 	}
 }
 
-var experiments = []string{
-	"table3", "table5", "fig2", "fig3", "table6", "table7", "table8", "fig4",
-	"ablation-weights", "ablation-rear", "ablation-nu", "ablation-norm", "ext-novel",
-}
-
 func run() error {
 	var (
-		exp      = flag.String("exp", "all", "experiment id: "+strings.Join(experiments, ", ")+", or all")
+		exp      = flag.String("exp", "all", "comma-separated experiment ids: "+strings.Join(experiment.Experiments, ", ")+", or all")
 		scale    = flag.String("scale", "full", "experiment scale: quick or full")
 		cacheDir = flag.String("cache", "artifacts", "artifact cache directory (empty disables caching)")
-		dsName   = flag.String("dataset", "", "restrict per-dataset experiments to one scenario")
+		dsName   = flag.String("dataset", "", "comma-separated scenarios for the per-dataset experiments (default all)")
 		outDir   = flag.String("out", "figures", "output directory for fig2 images")
 		format   = flag.String("format", "text", "table format: text or markdown")
+		huntDir  = flag.String("hunt", "", "dvhunt corpus directory: append its escape-rate table (e.g. testdata/escapes)")
 		workers  = flag.Int("workers", 0, "scoring/fitting worker bound (0 = GOMAXPROCS, 1 = sequential; results are identical)")
 		quiet    = flag.Bool("quiet", false, "suppress progress logging")
 		telFlag  = flag.Bool("telemetry", false, "print a telemetry summary after the experiments")
@@ -51,6 +66,34 @@ func run() error {
 	)
 	logOpts := obs.AddLogFlags(flag.CommandLine)
 	flag.Parse()
+
+	// Every argument is checked before the first experiment trains, so
+	// a typo late in -exp does not cost the runs ahead of it.
+	var sc experiment.Scale
+	switch *scale {
+	case "quick":
+		sc = experiment.QuickScale()
+	case "full":
+		sc = experiment.FullScale()
+	default:
+		return fmt.Errorf("unknown scale %q (want quick or full)", *scale)
+	}
+	if *format != "text" && *format != "markdown" {
+		return fmt.Errorf("unknown format %q (want text or markdown)", *format)
+	}
+	markdown := *format == "markdown"
+	todo, names := experiment.Experiments, experiment.ScenarioNames()
+	var err error
+	if *exp != "all" {
+		if todo, err = splitKnown(*exp, todo, "experiment"); err != nil {
+			return err
+		}
+	}
+	if *dsName != "" {
+		if names, err = splitKnown(*dsName, names, "dataset"); err != nil {
+			return err
+		}
+	}
 
 	var reg *telemetry.Registry
 	if *telFlag || *addr != "" {
@@ -79,15 +122,6 @@ func run() error {
 		defer func() { core.TelemetrySummary(os.Stdout, reg.Snapshot()) }()
 	}
 
-	var sc experiment.Scale
-	switch *scale {
-	case "quick":
-		sc = experiment.QuickScale()
-	case "full":
-		sc = experiment.FullScale()
-	default:
-		return fmt.Errorf("unknown scale %q (want quick or full)", *scale)
-	}
 	lab := experiment.NewLab(sc, *cacheDir)
 	lab.Workers = *workers
 	lab.Telemetry = reg
@@ -95,32 +129,12 @@ func run() error {
 		lab.Log = os.Stderr
 	}
 
-	names := experiment.ScenarioNames()
-	if *dsName != "" {
-		names = []string{*dsName}
-	}
-
-	var render func(*experiment.Table)
-	switch *format {
-	case "text":
-		render = func(t *experiment.Table) { t.Render(os.Stdout) }
-	case "markdown":
-		render = func(t *experiment.Table) { t.RenderMarkdown(os.Stdout) }
-	default:
-		return fmt.Errorf("unknown format %q (want text or markdown)", *format)
-	}
-
-	todo := experiments
-	if *exp != "all" {
-		todo = strings.Split(*exp, ",")
-	}
 	for _, id := range todo {
-		id = strings.TrimSpace(id)
 		events.Emit(obs.Event{
 			Type: obs.TypeLifecycle, Level: obs.LevelInfo, Msg: "experiment starting",
 			Extra: map[string]any{"experiment": id, "scale": *scale},
 		})
-		if err := runOne(lab, id, names, *outDir, render); err != nil {
+		if err := lab.Render(os.Stdout, id, names, markdown, *outDir); err != nil {
 			events.Emit(obs.Event{
 				Type: obs.TypeLifecycle, Level: obs.LevelError, Msg: "experiment failed",
 				Err: err.Error(), Extra: map[string]any{"experiment": id},
@@ -128,120 +142,60 @@ func run() error {
 			return fmt.Errorf("%s: %w", id, err)
 		}
 	}
-	return nil
-}
-
-func runOne(lab *experiment.Lab, id string, names []string, outDir string, render func(*experiment.Table)) error {
-	switch id {
-	case "table3":
-		t, err := lab.Table3(names...)
-		if err != nil {
-			return err
-		}
-		render(t)
-	case "table5":
-		for _, name := range names {
-			t, err := lab.Table5(name)
-			if err != nil {
-				return err
-			}
-			render(t)
-		}
-	case "fig2":
-		if err := os.MkdirAll(outDir, 0o755); err != nil {
-			return err
-		}
-		for _, name := range names {
-			files, err := lab.Figure2(name, outDir)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("Figure 2 (%s): wrote %d images under %s\n", name, len(files), outDir)
-		}
-	case "fig3":
-		for _, name := range names {
-			d, err := lab.Figure3(name)
-			if err != nil {
-				return err
-			}
-			d.RenderHistograms(os.Stdout, 80, 12)
-			render(d.Summary())
-		}
-	case "table6":
-		for _, name := range names {
-			t, err := lab.Table6(name)
-			if err != nil {
-				return err
-			}
-			render(t)
-		}
-	case "table7":
-		t, err := lab.Table7(names...)
-		if err != nil {
-			return err
-		}
-		render(t)
-	case "table8":
-		t, err := lab.Table8()
-		if err != nil {
-			return err
-		}
-		render(t)
-	case "fig4":
-		const fpr = 0.059 // the paper's Figure 4 operating point
-		pts, err := lab.Figure4("digits", fpr)
-		if err != nil {
-			return err
-		}
-		render(experiment.Fig4Table("digits", fpr, pts))
-	case "ablation-weights":
-		for _, name := range names {
-			t, err := lab.AblationWeightedJoint(name)
-			if err != nil {
-				return err
-			}
-			render(t)
-		}
-	case "ablation-rear":
-		t, err := lab.AblationRearLayers(pick(names, "objects"))
-		if err != nil {
-			return err
-		}
-		render(t)
-	case "ablation-nu":
-		t, err := lab.AblationNu(pick(names, "digits"), []float64{0.02, 0.05, 0.1, 0.2, 0.4})
-		if err != nil {
-			return err
-		}
-		render(t)
-	case "ablation-norm":
-		for _, name := range names {
-			t, err := lab.AblationNormalizedJoint(name)
-			if err != nil {
-				return err
-			}
-			render(t)
-		}
-	case "ext-novel":
-		for _, name := range names {
-			t, err := lab.ExtensionNovelTransforms(name)
-			if err != nil {
-				return err
-			}
-			render(t)
-		}
-	default:
-		return fmt.Errorf("unknown experiment %q", id)
+	if *huntDir != "" {
+		return writeHuntSection(os.Stdout, *huntDir, markdown)
 	}
 	return nil
 }
 
-// pick prefers want when present in names, else the first entry.
-func pick(names []string, want string) string {
-	for _, n := range names {
-		if n == want {
-			return n
+// splitKnown splits a comma-separated list and rejects any entry not
+// in known.
+func splitKnown(list string, known []string, what string) ([]string, error) {
+	var out []string
+	for _, s := range strings.Split(list, ",") {
+		s = strings.TrimSpace(s)
+		if !slices.Contains(known, s) {
+			return nil, fmt.Errorf("unknown %s %q (want one of %s)", what, s, strings.Join(known, ", "))
+		}
+		out = append(out, s)
+	}
+	return out, nil
+}
+
+// writeHuntSection appends the corner-case mining section: the hunt's
+// per-composition escape-rate table (rates.json) and a summary of the
+// escapes persisted in the corpus manifest.
+func writeHuntSection(w io.Writer, dir string, markdown bool) error {
+	report, err := hunt.LoadReport(filepath.Join(dir, hunt.RatesName))
+	if err != nil {
+		return err
+	}
+	heading := "== Detector-escape mining (dvhunt) ==\n\n"
+	if markdown {
+		heading = "## Detector-escape mining (dvhunt)\n\n"
+	}
+	if _, err := fmt.Fprintf(w, "\n%s", heading); err != nil {
+		return err
+	}
+	if err := report.WriteTable(w, markdown); err != nil {
+		return err
+	}
+	// The manifest is optional detail: a rates.json without a persisted
+	// corpus (replay-only layouts) still renders the table above.
+	corpus, manifest, err := hunt.LoadCorpus(dir)
+	if err != nil {
+		if errors.Is(err, os.ErrNotExist) {
+			return nil
+		}
+		return err
+	}
+	live := 0
+	for _, e := range corpus.Escapes {
+		if !e.Near {
+			live++
 		}
 	}
-	return names[0]
+	_, err = fmt.Fprintf(w, "\ncorpus %s: %d persisted escapes (%d full, %d near) against model %q at eps=%.6g\n",
+		dir, corpus.Len(), live, corpus.Len()-live, manifest.Model, manifest.Epsilon)
+	return err
 }

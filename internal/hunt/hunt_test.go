@@ -272,8 +272,9 @@ func testEscape(seedVal float64) *Escape {
 // a literal. The ID must hash the canonical field fingerprint, never the
 // gob payload: gob assigns type IDs in global first-use order, so
 // payload bytes (and a payload-derived ID) change in processes that
-// gob-encoded other types first — exactly how dvreport, which runs the
-// experiment lab before loading a corpus, once rejected every manifest.
+// gob-encoded other types first. dvbench -hunt runs the experiment lab
+// before it loads a corpus, so a payload-derived ID would make it
+// reject every manifest.
 func TestEscapeIDPinned(t *testing.T) {
 	id, err := testEscape(0.1).ID()
 	if err != nil {

@@ -28,7 +28,7 @@ func (f FamilyStats) Rate() float64 {
 }
 
 // Report summarizes one hunt: budgets spent, finds, coverage reached,
-// and the per-composition escape-rate table dvreport renders.
+// and the per-composition escape-rate table dvbench -hunt renders.
 type Report struct {
 	Seed          int64   `json:"seed"`
 	Budget        int     `json:"budget"`
@@ -84,7 +84,7 @@ func LoadReport(path string) (*Report, error) {
 }
 
 // WriteTable renders the escape-rate table, plain or markdown — the
-// same rows dvreport merges into its evaluation report.
+// same rows dvbench -hunt appends to the evaluation report.
 func (r *Report) WriteTable(w io.Writer, markdown bool) error {
 	var err error
 	p := func(format string, args ...any) {

@@ -9,7 +9,9 @@
 # plus a manifest and a per-composition escape-rate table; a fixed-seed
 # hunt is byte-identical at a different -workers setting; replaying the
 # corpus against the same detector reproduces every recorded verdict
-# (-strict); dvreport merges the escape-rate table; and the committed
+# (-strict); dvbench writes the committed quick digits reproduction
+# golden and merges the escape-rate table after it; dvbench rejects an
+# unknown experiment id before it creates its cache; and the committed
 # testdata/escapes corpus passes its replay regression test. Used by
 # `make smoke` and CI.
 set -euo pipefail
@@ -17,7 +19,7 @@ source "$(dirname "$0")/lib.sh"
 smoke_init hunt
 
 echo "== building CLIs"
-build dvtrain dvvalidate dvhunt dvreport
+build dvtrain dvvalidate dvhunt dvbench
 
 echo "== training a tiny model + validator (with drift reference)"
 train_fixture
@@ -56,13 +58,23 @@ echo "== strict replay against the same detector reproduces every verdict"
 grep -q '0 verdicts diverged from manifest, 0 with transformed-pixel drift' "$workdir/replay.out" \
     || { echo "replay diverged from the mining run"; exit 1; }
 
-echo "== dvreport merges the escape-rate table"
-"$workdir/dvreport" -scale quick -cache "$workdir/cache" -attacks=false \
-    -datasets digits -hunt "$workdir/escapes" 2>/dev/null >"$workdir/report.out"
+echo "== dvbench writes the reproduction golden and merges the escape-rate table"
+golden=internal/experiment/testdata/digits_quick.md
+"$workdir/dvbench" -exp table3,table5,fig3,table6,table7,table8,fig4 \
+    -scale quick -dataset digits -format markdown -quiet \
+    -cache "$workdir/cache" -hunt "$workdir/escapes" >"$workdir/report.out"
+head -c "$(wc -c <"$golden")" "$workdir/report.out" | cmp - "$golden" \
+    || { echo "dvbench output does not begin with $golden"; exit 1; }
 grep -q 'Detector-escape mining' "$workdir/report.out" \
-    || { echo "dvreport output lacks the mining section"; exit 1; }
+    || { echo "dvbench output lacks the mining section"; exit 1; }
 grep -q 'persisted escapes' "$workdir/report.out" \
-    || { echo "dvreport output lacks the corpus summary"; exit 1; }
+    || { echo "dvbench output lacks the corpus summary"; exit 1; }
+
+echo "== dvbench rejects an unknown experiment before creating its cache"
+if "$workdir/dvbench" -exp bogus -cache "$workdir/bogus-cache" 2>/dev/null; then
+    echo "dvbench accepted -exp bogus"; exit 1
+fi
+[ ! -e "$workdir/bogus-cache" ] || { echo "dvbench created -cache for a rejected run"; exit 1; }
 
 echo "== committed escape corpus passes its replay regression test"
 go test -run TestEscapeCorpusReplay -count=1 .
