@@ -2,14 +2,18 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"deepvalidation"
+	"deepvalidation/internal/faultinject"
 )
 
 // The serving path's byte budgets: warm requests through the full
@@ -27,7 +31,7 @@ import (
 // second pixel copy before scoring, pushes the total past the body
 // length.
 func TestCheckAllocatesLessThanBody(t *testing.T) {
-	perReq, body := warmAllocs(t, "/v1/check", 1)
+	perReq, _, body := warmAllocs(t, "/v1/check", 1)
 	if perReq >= float64(body) {
 		t.Errorf("a warm /v1/check allocates %.0f bytes per request, not less than its %d-byte body", perReq, body)
 	}
@@ -37,7 +41,7 @@ func TestCheckAllocatesLessThanBody(t *testing.T) {
 // than one decoded image, so the pixels must come from the server's
 // free list rather than a new slice per request.
 func TestCheckAllocatesLessThanImage(t *testing.T) {
-	perReq, _ := warmAllocs(t, "/v1/check", 1)
+	perReq, _, _ := warmAllocs(t, "/v1/check", 1)
 	if image := 28 * 28 * 8; perReq >= float64(image) {
 		t.Errorf("a warm /v1/check allocates %.0f bytes per request, not less than one %d-byte decoded image", perReq, image)
 	}
@@ -51,9 +55,154 @@ func TestCheckAllocatesLessThanImage(t *testing.T) {
 // breaks the budget.
 func TestBatchAllocatesLessThanImageShare(t *testing.T) {
 	const n = 32
-	perReq, _ := warmAllocs(t, "/v1/batch", n)
+	perReq, _, _ := warmAllocs(t, "/v1/batch", n)
 	if perImage, budget := perReq/n, float64(28*28*8/2); perImage >= budget {
 		t.Errorf("a warm %d-image /v1/batch allocates %.0f bytes per image, budget %.0f (half a decoded image)", n, perImage, budget)
+	}
+}
+
+// TestBatchAllocatesObjectsPerRequest: a warm 32-image POST /v1/batch
+// makes at most 2 more heap objects per extra image than a warm
+// /v1/check. Requests, result channels, per-image details and batch
+// slices are made once per request or per micro-batch, so what grows
+// with the image count is the per-layer discrepancy slice each verdict
+// hands the flight recorder and little else; a pending, channel or
+// Detail allocated per image breaks the bound.
+func TestBatchAllocatesObjectsPerRequest(t *testing.T) {
+	const n = 32
+	_, check, _ := warmAllocs(t, "/v1/check", 1)
+	_, batch, _ := warmAllocs(t, "/v1/batch", n)
+	if extra, budget := batch-check, float64(2*(n-1)); extra > budget {
+		t.Errorf("a warm %d-image /v1/batch makes %.1f heap objects, %.1f more than a /v1/check's %.1f; budget %.0f (2 per extra image)",
+			n, batch, extra, check, budget)
+	}
+}
+
+// TestOverlappingBatchesReusePixels: on a Workers: 2 server, two
+// 32-image POST /v1/batch requests in flight at once hold 64 decoded
+// pixel slices, one full micro-batch per worker, and the free list
+// keeps all of them. Request A's first micro-batch is held in the
+// serve.batch point until request B has been decoded and queued, so
+// B decodes while all of A's pixels are out. A warm overlapping pair
+// allocates under half a decoded image (3,136 B) per image; a list of
+// only MaxBatch slices makes B's decode allocate 32 new slices, which
+// alone is half an image per image of the pair. Every verdict must
+// equal Detector.Check's; that part also runs under -race, where the
+// byte budget is skipped like the others.
+func TestOverlappingBatchesReusePixels(t *testing.T) {
+	const n = 32
+	if !raceDetectorEnabled {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	}
+	det, err := allocDetector()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(deepvalidation.NewHandle(det), Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	h := s.Handler()
+
+	// The next micro-batch to reach the point after hold is set waits
+	// until hold's channel closes.
+	var hold atomic.Pointer[chan struct{}]
+	t.Cleanup(faultinject.Reset)
+	faultinject.Arm(faultinject.PointServeBatch, func() error {
+		if c := hold.Swap(nil); c != nil {
+			<-*c
+		}
+		return nil
+	})
+
+	var probes [2][]deepvalidation.Image
+	var bodies [2][]byte
+	var want [2][]deepvalidation.Verdict
+	for k := range probes {
+		probes[k], _ = bandImages28(rand.New(rand.NewSource(int64(4+k))), n, 28)
+		bodies[k] = batchBody(t, probes[k])
+		for _, img := range probes[k] {
+			v, err := det.Check(img)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[k] = append(want[k], v)
+		}
+	}
+
+	warm, measured := 3, 10
+	if raceDetectorEnabled {
+		warm, measured = 1, 2
+	}
+	pairs := warm + measured
+	reqs := make([][2]*http.Request, pairs)
+	recs := make([][2]*httptest.ResponseRecorder, pairs)
+	for i := range reqs {
+		for k := range reqs[i] {
+			reqs[i][k] = httptest.NewRequest(http.MethodPost, "/v1/batch", bytes.NewReader(bodies[k]))
+			reqs[i][k].Header.Set("Content-Type", "application/json")
+			recs[i][k] = httptest.NewRecorder()
+			recs[i][k].Body.Grow(256 * n)
+		}
+	}
+	served := make(chan struct{}, 2)
+	serve := func(i, k int) {
+		h.ServeHTTP(recs[i][k], reqs[i][k])
+		served <- struct{}{}
+	}
+	overlap := func(i int) {
+		held := make(chan struct{})
+		release := sync.OnceFunc(func() { close(held) })
+		defer release()
+		base := s.pulls.Load()
+		hold.Store(&held)
+		go serve(i, 0)
+		waitFor(t, "request A's first batch to block in its worker", func() bool { return hold.Load() == nil })
+		go serve(i, 1)
+		waitFor(t, "request B decoded and queued", func() bool {
+			return s.pulls.Load()+int64(s.QueueLen()) == base+2*n
+		})
+		release()
+		<-served
+		<-served
+	}
+	for i := 0; i < warm; i++ {
+		overlap(i)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := warm; i < pairs; i++ {
+		overlap(i)
+	}
+	runtime.ReadMemStats(&after)
+
+	for i := range recs {
+		for k, rec := range recs[i] {
+			if rec.Code != http.StatusOK {
+				t.Fatalf("pair %d request %d: status %d: %s", i, k, rec.Code, rec.Body.String())
+			}
+			var got BatchResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+				t.Fatal(err)
+			}
+			if len(got.Verdicts) != n {
+				t.Fatalf("pair %d request %d: %d verdicts, want %d", i, k, len(got.Verdicts), n)
+			}
+			for j, v := range got.Verdicts {
+				if err := equalVerdict(v, want[k][j]); err != nil {
+					t.Fatal(fmt.Errorf("pair %d request %d image %d: %w", i, k, j, err))
+				}
+			}
+		}
+	}
+	if raceDetectorEnabled {
+		return
+	}
+	perImage := float64(after.TotalAlloc-before.TotalAlloc) / float64(measured*2*n)
+	t.Logf("overlapping %d-image batches: %.0f bytes allocated per image", n, perImage)
+	if budget := float64(28 * 28 * 8 / 2); perImage >= budget {
+		t.Errorf("overlapping %d-image /v1/batch pairs allocate %.0f bytes per image, budget %.0f (half a decoded image)", n, perImage, budget)
 	}
 }
 
@@ -68,9 +217,10 @@ var allocDetector = sync.OnceValues(func() (*deepvalidation.Detector, error) {
 
 // warmAllocs serves warm requests of n 28×28 images each (a check body
 // for n == 1 on /v1/check, a batch body otherwise) through a fresh
-// server's handler and returns the bytes allocated per request,
-// averaged over the measured requests, and the body length.
-func warmAllocs(t *testing.T, path string, n int) (perReq float64, bodyLen int) {
+// server's handler and returns the bytes allocated per request
+// and heap objects made per request, averaged over the measured
+// requests, and the body length.
+func warmAllocs(t *testing.T, path string, n int) (perReq, objsPerReq float64, bodyLen int) {
 	if raceDetectorEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
@@ -119,9 +269,10 @@ func warmAllocs(t *testing.T, path string, n int) (perReq float64, bodyLen int) 
 	}
 	runtime.ReadMemStats(&after)
 	perReq = float64(after.TotalAlloc-before.TotalAlloc) / float64(measured)
-	t.Logf("%s: %.0f bytes allocated per request of %d images (%.0f per image) for a %d-byte body",
-		path, perReq, n, perReq/float64(n), len(body))
-	return perReq, len(body)
+	objsPerReq = float64(after.Mallocs-before.Mallocs) / float64(measured)
+	t.Logf("%s: %.0f bytes in %.1f objects allocated per request of %d images (%.0f bytes per image) for a %d-byte body",
+		path, perReq, objsPerReq, n, perReq/float64(n), len(body))
+	return perReq, objsPerReq, len(body)
 }
 
 // bandImages28 is testImages' band corpus at side×side: class k lights

@@ -9,10 +9,12 @@ import (
 	"deepvalidation/internal/trace"
 )
 
-// result is the batcher's answer to one admitted request. d is the
-// per-layer detail, present only when this request (or the server's
-// flight recorder / drift watch) asked for it.
+// result is the batcher's answer to one member of an admitted request:
+// i is the member's index in its request. d is the per-layer detail,
+// present only when this request (or the server's flight recorder /
+// drift watch) asked for it.
 type result struct {
+	i   int
 	v   deepvalidation.Verdict
 	err error
 	d   *deepvalidation.Detail
@@ -21,28 +23,45 @@ type result struct {
 // reqTrace carries one traced request's stage timestamps through the
 // batcher. The handler writes id/t0/enq before enqueueing; the batcher
 // goroutine writes deq/scoreStart/scoreEnd; the handler reads them only
-// after receiving on done (the channel receive is the happens-before
-// edge), and never on the deadline path.
+// after receiving the member's result (the channel receive is the
+// happens-before edge), and never on the deadline path.
 type reqTrace struct {
 	id                   string
 	t0, enq, deq         time.Time
 	scoreStart, scoreEnd time.Time
 }
 
-// pending is one admitted request waiting for a verdict. done is
-// buffered so a batch worker never blocks delivering to a handler that
-// already gave up (deadline expiry between scoring and delivery).
+// pending is one member of an admitted request waiting for a verdict.
+// A request's members live in one slab (newMembers) and share one done
+// channel, buffered to the member count, so a batch worker never blocks
+// delivering, even to a handler that already gave up (deadline expiry
+// between scoring and delivery). Each result carries the member's
+// index i, because members scored in different micro-batches may
+// answer out of order.
 //
 // img's pixels belong to the handler, which recycles them once it has
-// received on done. runBatch therefore never reads p.img after sending
-// on p.done, in the batch path and in the per-request fallback alike;
-// a handler that stops waiting (deadline) leaves them to the GC.
+// received the result of every member. runBatch therefore never reads
+// p.img after sending p's result, in the batch path and in the
+// per-request fallback alike; a handler that stops waiting (deadline)
+// leaves them to the GC.
 type pending struct {
 	img     deepvalidation.Image
 	ctx     context.Context
-	done    chan result
+	done    chan<- result
+	i       int
 	explain bool      // caller asked for per-layer discrepancies
 	tr      *reqTrace // non-nil when this request is traced
+}
+
+// newMembers makes the pending members of one request in one slab,
+// answering on one result channel with room for every member.
+func newMembers(ctx context.Context, imgs []deepvalidation.Image, explains []bool) ([]pending, <-chan result) {
+	done := make(chan result, len(imgs))
+	ps := make([]pending, len(imgs))
+	for i, img := range imgs {
+		ps[i] = pending{img: img, ctx: ctx, done: done, i: i, explain: explains[i]}
+	}
+	return ps, done
 }
 
 // tryEnqueue admits the requests all-or-nothing. The atomic depth
@@ -50,15 +69,15 @@ type pending struct {
 // and decremented at dequeue, so the channel (whose capacity equals
 // QueueDepth) can never block an admitted sender, and admission beyond
 // QueueDepth is refused here — the caller sheds with 429.
-func (s *Server) tryEnqueue(ps ...*pending) bool {
+func (s *Server) tryEnqueue(ps []pending) bool {
 	n := int64(len(ps))
 	if s.depth.Add(n) > int64(s.cfg.QueueDepth) {
 		s.depth.Add(-n)
 		return false
 	}
 	s.queueDepth.Set(float64(s.depth.Load()))
-	for _, p := range ps {
-		s.queue <- p
+	for i := range ps {
+		s.queue <- &ps[i]
 	}
 	return true
 }
@@ -71,6 +90,35 @@ func (s *Server) dequeued(p *pending) {
 	if p.tr != nil {
 		p.tr.deq = time.Now()
 	}
+}
+
+// batchBuf is one dispatch worker slot and its reusable batch storage:
+// the batch and the image slice runBatch hands the detector, each with
+// room for MaxBatch members. The server's slots channel holds the free
+// ones; a batch takes one and returns it emptied, so forming and
+// scoring a micro-batch grows no slice.
+type batchBuf struct {
+	batch []*pending
+	imgs  []deepvalidation.Image
+}
+
+func newSlots(workers, maxBatch int) chan *batchBuf {
+	slots := make(chan *batchBuf, workers)
+	for range workers {
+		slots <- &batchBuf{
+			batch: make([]*pending, 0, maxBatch),
+			imgs:  make([]deepvalidation.Image, 0, maxBatch),
+		}
+	}
+	return slots
+}
+
+// reset empties b, dropping its references to requests and pixels so
+// a parked slot keeps none of them alive.
+func (b *batchBuf) reset() {
+	clear(b.batch)
+	clear(b.imgs)
+	b.batch, b.imgs = b.batch[:0], b.imgs[:0]
 }
 
 // runBatcher is the batching loop: pull the first waiting request, wait
@@ -93,37 +141,42 @@ func (s *Server) runBatcher() {
 }
 
 // claim takes a worker slot for the batch that starts with first, then
-// sweeps its batch-mates from the queue. Waiting for the slot is the
-// backpressure path: while every worker is busy the queue fills behind
-// the blocked batcher and admission starts shedding.
-func (s *Server) claim(first *pending) []*pending {
+// sweeps its batch-mates from the queue into the slot's buffer. Waiting
+// for the slot is the backpressure path: while every worker is busy the
+// queue fills behind the blocked batcher and admission starts shedding.
+func (s *Server) claim(first *pending) *batchBuf {
 	s.dequeued(first)
-	s.sem <- struct{}{}
-	return s.sweep([]*pending{first})
+	b := <-s.slots
+	b.batch = append(b.batch, first)
+	s.sweep(b)
+	return b
 }
 
 // sweep non-blockingly tops the batch up from the queue.
-func (s *Server) sweep(batch []*pending) []*pending {
-	for len(batch) < s.cfg.MaxBatch {
+func (s *Server) sweep(b *batchBuf) {
+	for len(b.batch) < s.cfg.MaxBatch {
 		select {
 		case p := <-s.queue:
 			s.dequeued(p)
-			batch = append(batch, p)
+			b.batch = append(b.batch, p)
 		default:
-			return batch
+			return
 		}
 	}
-	return batch
 }
 
 // dispatch scores one batch on the worker slot claim took, and frees
-// the slot when the batch is done.
-func (s *Server) dispatch(batch []*pending) {
-	s.batchSize.Observe(float64(len(batch)))
+// the slot, emptied, when the batch is done.
+func (s *Server) dispatch(b *batchBuf) {
+	s.batchSize.Observe(float64(len(b.batch)))
 	s.wg.Add(1)
 	go func() {
-		defer func() { <-s.sem; s.wg.Done() }()
-		s.runBatch(batch)
+		defer func() {
+			b.reset()
+			s.slots <- b
+			s.wg.Done()
+		}()
+		s.runBatch(b)
 	}()
 }
 
@@ -151,15 +204,17 @@ func (s *Server) flush() {
 // the flight recorder, the drift watch, an explain=1 request, or a
 // traced request (which additionally gets stage timings). With all of
 // those off, the path is exactly the pre-observability CheckBatch.
-func (s *Server) runBatch(batch []*pending) {
-	live := make([]*pending, 0, len(batch))
-	imgs := make([]deepvalidation.Image, 0, len(batch))
-	for _, p := range batch {
+// The batch's details are one slab: handlers keep pointers into it
+// until they answer, and recorders keep only the PerLayer slices the
+// detector allocates per image.
+func (s *Server) runBatch(b *batchBuf) {
+	live := b.batch[:0]
+	for _, p := range b.batch {
 		if p.ctx.Err() != nil {
 			continue
 		}
 		live = append(live, p)
-		imgs = append(imgs, p.img)
+		b.imgs = append(b.imgs, p.img)
 	}
 	if len(live) == 0 {
 		return
@@ -174,9 +229,11 @@ func (s *Server) runBatch(batch []*pending) {
 	}
 	var details []*deepvalidation.Detail
 	if needDetail {
+		slab := make([]deepvalidation.Detail, len(live))
 		details = make([]*deepvalidation.Detail, len(live))
 		for i, p := range live {
-			details[i] = &deepvalidation.Detail{Timed: p.tr != nil}
+			slab[i].Timed = p.tr != nil
+			details[i] = &slab[i]
 		}
 	}
 	det := s.handle.Get()
@@ -191,7 +248,7 @@ func (s *Server) runBatch(batch []*pending) {
 	var vs []deepvalidation.Verdict
 	err := faultinject.Check(faultinject.PointServeBatch)
 	if err == nil {
-		vs, err = det.CheckBatchDetailed(imgs, details)
+		vs, err = det.CheckBatchDetailed(b.imgs, details)
 	}
 	end := time.Now()
 	for _, p := range live {
@@ -206,14 +263,14 @@ func (s *Server) runBatch(batch []*pending) {
 				d = details[i]
 				s.observeDrift(drift, vs[i], d)
 			}
-			p.done <- result{v: vs[i], d: d}
+			p.done <- result{i: p.i, v: vs[i], d: d}
 		}
 		return
 	}
-	for _, p := range live {
+	for i, p := range live {
 		var d *deepvalidation.Detail
-		if needDetail {
-			d = &deepvalidation.Detail{Timed: p.tr != nil}
+		if details != nil {
+			d = details[i]
 		}
 		if p.tr != nil {
 			p.tr.scoreStart = time.Now()
@@ -225,7 +282,7 @@ func (s *Server) runBatch(batch []*pending) {
 		if cerr == nil && d != nil {
 			s.observeDrift(drift, v, d)
 		}
-		p.done <- result{v: v, err: cerr, d: d}
+		p.done <- result{i: p.i, v: v, err: cerr, d: d}
 	}
 }
 

@@ -4,7 +4,10 @@ package serve
 // is formed when a worker frees, from whatever has queued by then.
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
+	"net/http"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,6 +15,7 @@ import (
 	"deepvalidation"
 	"deepvalidation/internal/faultinject"
 	"deepvalidation/internal/telemetry"
+	"deepvalidation/internal/trace"
 )
 
 // holdFirstBatch arms the serve.batch point so the first batch scored
@@ -100,5 +104,71 @@ func TestBatcherIdleScoresAlone(t *testing.T) {
 	sizes := reg.Histogram(MetricBatchSize, nil)
 	if got, sum := sizes.Count(), sizes.Sum(); got != 1 || sum != 1 {
 		t.Fatalf("%s: %d batches carrying %v requests, want one batch of 1", MetricBatchSize, got, sum)
+	}
+}
+
+// TestBatchRecordsInMemberOrder: a batch request whose members are
+// scored in several micro-batches answers and files its flight entries
+// in member order even when micro-batches finish out of order. Five
+// members at MaxBatch 2 make at least three micro-batches; the first to
+// reach the serve.batch point (the first or the second formed) is held
+// until every other member has been scored on the second worker and
+// its slot is free again, so a later micro-batch always answers before
+// an earlier one. The request's flight entries, newest first, must
+// then read members n-1 … 0.
+func TestBatchRecordsInMemberOrder(t *testing.T) {
+	const n = 5
+	s, ts := newTestServer(t, Config{MaxBatch: 2, Workers: 2, TraceSample: 1})
+	calls, release := holdFirstBatch(t)
+	imgs, _ := testImages(67, n)
+	want := refVerdicts(t, imgs)
+
+	body := batchBody(t, imgs)
+	reply := make(chan error, 1)
+	go func() {
+		reply <- func() error {
+			req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/batch", bytes.NewReader(body))
+			if err != nil {
+				return err
+			}
+			req.Header.Set(trace.HeaderTraceID, "ordered")
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				return err
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				return fmt.Errorf("status %d", resp.StatusCode)
+			}
+			var got BatchResponse
+			if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+				return err
+			}
+			if len(got.Verdicts) != n {
+				return fmt.Errorf("%d verdicts for %d images", len(got.Verdicts), n)
+			}
+			for i, v := range got.Verdicts {
+				if err := equalVerdict(v, want[i]); err != nil {
+					return fmt.Errorf("image %d: %w", i, err)
+				}
+			}
+			return nil
+		}()
+	}()
+	waitFor(t, "every member but the held micro-batch's scored", func() bool {
+		return calls.Load() >= 2 && s.pulls.Load() == n && s.QueueLen() == 0 && len(s.slots) == 1
+	})
+	release()
+	if err := <-reply; err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for _, e := range s.flight.Snapshot(trace.Filter{}) {
+		ids = append(ids, e.TraceID)
+	}
+	for i, id := range ids {
+		if want := trace.ItemID("ordered", n-1-i); id != want || len(ids) != n {
+			t.Fatalf("flight entries, newest first: %q; want ordered.%d down to ordered.0", ids, n-1)
+		}
 	}
 }

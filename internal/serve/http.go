@@ -333,7 +333,7 @@ func (s *Server) storeDropTrace(endpoint, id string, traced bool, t0 time.Time, 
 //	    ├── forward
 //	    └── svm_layer_{i} — with attribute d = d_i
 //
-// Must only be called after receiving on p.done: the batcher goroutine
+// Must only be called after receiving p's result: the batcher goroutine
 // writes the deq/score timestamps, and the channel receive is the
 // happens-before edge making them safe to read.
 func (s *Server) storeTrace(endpoint string, p *pending, res result, end time.Time) {
@@ -404,11 +404,11 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
-	p := &pending{img: img, ctx: ctx, done: make(chan result, 1), explain: explain}
+	ps, done := newMembers(ctx, []deepvalidation.Image{img}, []bool{explain})
 	if traced {
-		p.tr = &reqTrace{id: id, t0: t0, enq: time.Now()}
+		ps[0].tr = &reqTrace{id: id, t0: t0, enq: time.Now()}
 	}
-	if !s.tryEnqueue(p) {
+	if !s.tryEnqueue(ps) {
 		s.releasePixels(img)
 		lat := time.Since(t0)
 		s.recordDropFlight("check", id, trace.OutcomeShed, lat)
@@ -418,10 +418,10 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	select {
-	case res := <-p.done:
+	case res := <-done:
 		s.releasePixels(img)
 		end := time.Now()
-		s.storeTrace("check", p, res, end)
+		s.storeTrace("check", &ps[0], res, end)
 		if res.err != nil {
 			s.recordDropFlight("check", id, trace.OutcomeError, end.Sub(t0))
 			s.emitRequest("check", id, trace.OutcomeError, &res, end.Sub(t0))
@@ -488,16 +488,17 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
-	ps := make([]*pending, len(imgs))
-	enq := time.Now()
-	for i, img := range imgs {
-		ps[i] = &pending{img: img, ctx: ctx, done: make(chan result, 1), explain: explains[i]}
-		if traced {
-			// Each batch member is traced individually under {base}.{i}.
-			ps[i].tr = &reqTrace{id: trace.ItemID(base, i), t0: t0, enq: enq}
+	ps, done := newMembers(ctx, imgs, explains)
+	if traced {
+		// Each batch member is traced individually under {base}.{i}.
+		enq := time.Now()
+		trs := make([]reqTrace, len(ps))
+		for i := range ps {
+			trs[i] = reqTrace{id: trace.ItemID(base, i), t0: t0, enq: enq}
+			ps[i].tr = &trs[i]
 		}
 	}
-	if !s.tryEnqueue(ps...) {
+	if !s.tryEnqueue(ps) {
 		s.releasePixels(imgs...)
 		lat := time.Since(t0)
 		s.recordDropFlight("batch", base, trace.OutcomeShed, lat)
@@ -506,46 +507,87 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.shedResponse(w)
 		return
 	}
-	// The early returns below leave imgs to the GC: later members may
-	// still be queued or scoring.
-	resp := BatchResponse{Verdicts: make([]VerdictResponse, len(ps))}
-	for i, p := range ps {
-		itemID := ""
-		if base != "" {
-			itemID = trace.ItemID(base, i)
+	itemID := func(i int) string {
+		if base == "" {
+			return ""
 		}
-		select {
-		case res := <-p.done:
-			end := time.Now()
-			s.storeTrace("batch", p, res, end)
-			if res.err != nil {
-				s.recordDropFlight("batch", itemID, trace.OutcomeError, end.Sub(t0))
-				s.emitRequest("batch", itemID, trace.OutcomeError, &res, end.Sub(t0))
-				obs.WriteError(w, http.StatusBadRequest, fmt.Sprintf("image %d: %v", i, res.err))
-				return
-			}
-			s.recordVerdictFlight("batch", itemID, res, end, end.Sub(t0))
-			outcome := trace.OutcomeOK
-			if res.v.Quarantined {
-				outcome = trace.OutcomeQuarantined
-			}
-			s.emitRequest("batch", itemID, outcome, &res, end.Sub(t0))
-			resp.Verdicts[i] = verdictResponse(res.v)
-			if p.explain {
-				resp.Verdicts[i].PerLayer = perLayerMap(res.d)
-			}
-		case <-ctx.Done():
-			s.deadlines.Inc()
-			lat := time.Since(t0)
-			s.recordDropFlight("batch", itemID, trace.OutcomeDeadline, lat)
-			s.storeDropTrace("batch", itemID, traced, t0, trace.OutcomeDeadline)
-			s.emitRequest("batch", itemID, trace.OutcomeDeadline, nil, lat)
-			obs.WriteError(w, http.StatusGatewayTimeout, "deadline exceeded before all verdicts were produced")
-			return
-		}
+		return trace.ItemID(base, i)
 	}
-	s.releasePixels(imgs...)
-	obs.WriteJSON(w, http.StatusOK, resp)
+	// Only a request whose every member answered releases its pixels:
+	// after a 400 or a 504 later members may still be queued or
+	// scoring, so imgs are left to the GC.
+	resp := BatchResponse{Verdicts: make([]VerdictResponse, len(ps))}
+	next, expired := await(ctx, done, len(ps), func(res result) bool {
+		i, p, id := res.i, &ps[res.i], itemID(res.i)
+		end := time.Now()
+		s.storeTrace("batch", p, res, end)
+		if res.err != nil {
+			s.recordDropFlight("batch", id, trace.OutcomeError, end.Sub(t0))
+			s.emitRequest("batch", id, trace.OutcomeError, &res, end.Sub(t0))
+			obs.WriteError(w, http.StatusBadRequest, fmt.Sprintf("image %d: %v", i, res.err))
+			return false
+		}
+		s.recordVerdictFlight("batch", id, res, end, end.Sub(t0))
+		outcome := trace.OutcomeOK
+		if res.v.Quarantined {
+			outcome = trace.OutcomeQuarantined
+		}
+		s.emitRequest("batch", id, outcome, &res, end.Sub(t0))
+		resp.Verdicts[i] = verdictResponse(res.v)
+		if p.explain {
+			resp.Verdicts[i].PerLayer = perLayerMap(res.d)
+		}
+		return true
+	})
+	switch {
+	case expired:
+		s.deadlines.Inc()
+		lat := time.Since(t0)
+		s.recordDropFlight("batch", itemID(next), trace.OutcomeDeadline, lat)
+		s.storeDropTrace("batch", itemID(next), traced, t0, trace.OutcomeDeadline)
+		s.emitRequest("batch", itemID(next), trace.OutcomeDeadline, nil, lat)
+		obs.WriteError(w, http.StatusGatewayTimeout, "deadline exceeded before all verdicts were produced")
+	case next == len(ps):
+		s.releasePixels(imgs...)
+		obs.WriteJSON(w, http.StatusOK, resp)
+	}
+}
+
+// await hands a request's n member results from done to use in
+// member-index order, each once it and every earlier member's result
+// have arrived, so flight entries, wide events and traces are filed in
+// input order although micro-batches may finish out of order. It
+// returns n once use has taken them all, or the index of the member it
+// stopped at: the one use refused, or, with expired set, the first
+// still waiting when ctx ended. A result arriving ahead of its turn
+// waits in a buffer made on the first such arrival.
+func await(ctx context.Context, done <-chan result, n int, use func(result) bool) (next int, expired bool) {
+	var early []result
+	var arrived []bool // arrived[i]: early[i] holds member i's result
+	for next < n {
+		var res result
+		if arrived != nil && arrived[next] {
+			res = early[next]
+		} else {
+			select {
+			case res = <-done:
+			case <-ctx.Done():
+				return next, true
+			}
+			if res.i != next {
+				if early == nil {
+					early, arrived = make([]result, n), make([]bool, n)
+				}
+				early[res.i], arrived[res.i] = res, true
+				continue
+			}
+		}
+		if !use(res) {
+			return next, false
+		}
+		next++
+	}
+	return n, false
 }
 
 // handleTrace serves one sampled trace's span tree as JSON.

@@ -266,7 +266,7 @@ func TestSLOBreachEventCrossLinksTraces(t *testing.T) {
 	// Deterministic overload (the TestQueueFullSheds pattern): occupy
 	// the single worker slot, let one request block waiting for it and one
 	// fill the queue, then every further request sheds.
-	s.sem <- struct{}{}
+	slot := <-s.slots
 	type reply struct{ status int }
 	async := func() chan reply {
 		c := make(chan reply, 1)
@@ -293,7 +293,7 @@ func TestSLOBreachEventCrossLinksTraces(t *testing.T) {
 	if shedIDs == 0 {
 		t.Fatal("no shed response carried a trace ID")
 	}
-	<-s.sem
+	s.slots <- slot
 	for _, c := range []chan reply{a, b} {
 		select {
 		case r := <-c:

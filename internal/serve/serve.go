@@ -236,9 +236,9 @@ type Server struct {
 	handle *deepvalidation.Handle
 
 	queue chan *pending
-	depth atomic.Int64 // admitted but not yet dequeued; bounds the queue
-	pulls atomic.Int64 // requests the batcher has dequeued (test sync point)
-	sem   chan struct{}
+	depth atomic.Int64   // admitted but not yet dequeued; bounds the queue
+	pulls atomic.Int64   // requests the batcher has dequeued (test sync point)
+	slots chan *batchBuf // free dispatch worker slots; see claim
 	stop  chan struct{}
 	wg    sync.WaitGroup // batcher goroutine + in-flight batch workers
 
@@ -293,9 +293,9 @@ func New(h *deepvalidation.Handle, cfg Config) (*Server, error) {
 		cfg:    cfg,
 		handle: h,
 		queue:  make(chan *pending, cfg.QueueDepth),
-		sem:    make(chan struct{}, cfg.Workers),
+		slots:  newSlots(cfg.Workers, cfg.MaxBatch),
 		stop:   make(chan struct{}),
-		pixels: newPixelFree(cfg.MaxBatch),
+		pixels: newPixelFree(cfg.Workers * cfg.MaxBatch),
 		events: cfg.Events,
 
 		queueDepth:  reg.Gauge(MetricQueueDepth),
@@ -398,8 +398,10 @@ func (s *Server) buildSLO() {
 // arrives: one throwaway CheckBatch of max(width, 1) zero images makes
 // every concurrent scoring worker pull — and therefore allocate — its
 // scratch arena from the validator's pool. Without it the first live
-// batch pays one arena construction (forward-pass buffers, im2col
-// scratch, flattened support vectors) per worker. The throwaway
+// batch pays one arena construction (forward-pass buffers, plus im2col
+// column scratch for convolutions whose stride is not 1) per worker.
+// Support vectors need no warming: core.DecodeValidator flattens them
+// when the validator loads. The throwaway
 // verdicts land in the detector's Stats, but not in telemetry when
 // called before AttachTelemetry, as New and reloads do.
 func Warm(det *deepvalidation.Detector, width int) error {

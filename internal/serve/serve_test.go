@@ -319,7 +319,7 @@ func TestQueueFullSheds(t *testing.T) {
 
 	// Occupy the only worker slot: the batcher will dequeue one request
 	// and then block waiting for a worker.
-	s.sem <- struct{}{}
+	slot := <-s.slots
 
 	type reply struct {
 		status int
@@ -356,7 +356,7 @@ func TestQueueFullSheds(t *testing.T) {
 		t.Fatalf("429 body %q does not mention the queue", cBody)
 	}
 	// Release the worker slot: the held requests must now complete.
-	<-s.sem
+	s.slots <- slot
 	for name, c := range map[string]chan reply{"A": a, "B": b} {
 		select {
 		case r := <-c:

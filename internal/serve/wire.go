@@ -52,9 +52,12 @@ import (
 // pixelFree is a free list of decoded pixel slices: a mutex-guarded
 // stack holding at most limit slices, each of capacity n. A nil list
 // holds nothing, so decoding through it always allocates. dvserve sizes
-// limit to Config.MaxBatch, one full micro-batch: every slice held is
-// live heap, and a list holding 256 slices raised batch-fleet's median
-// RSS by 3% where one holding 32 raised it 1.4%.
+// limit to Config.Workers × Config.MaxBatch (64 at the defaults), one
+// full micro-batch per dispatch worker: what the server can score at
+// once, so two full batch requests in flight together decode without
+// allocating. Every slice held is live heap: a list of 256 slices
+// raised batch-fleet's median RSS by 3%, while at this bound it read
+// 50.2 MiB against 50.3 with a list of 32 (10 pairs).
 type pixelFree struct {
 	mu    sync.Mutex
 	n     int
