@@ -15,7 +15,8 @@ vet:
 
 # race exercises the concurrency-bearing packages — the trainer's
 # worker goroutines sharing one network, the parallel Fit
-# collection pass, the ScoreBatch worker pool, Monitor.CheckBatch, the
+# collection pass, the validator's ScoreEach worker pool, the
+# Detector's check body (its statistics and ε under one lock), the
 # telemetry registry they all observe into, the serving micro-batcher,
 # the fleet gateway (router, probers, rollout), the hunt scheduler
 # fanning candidates across the scoring pool (its worker-count
@@ -34,7 +35,8 @@ race:
 # observability pass (train, score, scrape /metrics), the serving
 # pass (dvserve check/batch/reload, 429 shedding, SIGTERM drain), the
 # chaos pass (artifact corruption, crash-safe saves, reload
-# degradation and recovery), the tracing pass (span trees, flight
+# degradation and recovery, mismatched model/validator pairs refused by
+# dvcheck and dvvalidate score), the tracing pass (span trees, flight
 # recorder triage, drift gauges, legacy drift degradation — against a
 # race-built dvserve), the hunt pass (train → coverage-guided
 # mine → byte-identical corpora across -workers → strict replay →

@@ -68,7 +68,7 @@ func TestCheckBatchAllocatesOnlyVerdicts(t *testing.T) {
 	}
 }
 
-// primeArenas runs one batch check whose workers each hold their first
+// primeArenas scores one batch whose workers each hold their first
 // image until all of them have started, so the validator's arena pool
 // ends up holding one arena per worker. A plain warm-up call cannot
 // promise that: if the first worker finishes the batch before the
@@ -78,16 +78,13 @@ func primeArenas(det *Detector, imgs []Image, workers int) {
 	var started sync.WaitGroup
 	started.Add(workers)
 	in := pixels(imgs)
-	det.mon.CheckBatchInto(core.Batch{
-		Input: func(i int, hdr *tensor.Tensor) *tensor.Tensor {
-			// A worker blocked here holds sample i, so the first
-			// `workers` samples go to distinct workers.
-			if i < workers {
-				started.Done()
-				started.Wait()
-			}
-			return in(i, hdr)
-		},
-		Out: make([]Verdict, len(imgs)),
-	})
+	det.val.ScoreEach(det.net, len(imgs), workers, func(i int, hdr *tensor.Tensor) *tensor.Tensor {
+		// A worker blocked here holds sample i, so the first `workers`
+		// samples go to distinct workers.
+		if i < workers {
+			started.Done()
+			started.Wait()
+		}
+		return in(i, hdr)
+	}, nil, func(int, *core.Result) {})
 }

@@ -418,17 +418,18 @@ func TestBenchPipelineSnapshot(t *testing.T) {
 		}
 	}
 
-	// One instrumented monitored pass over the score set records the
+	// One instrumented detector pass over the score set records the
 	// operator-facing numbers (same ones dvvalidate/dvbench print with
 	// -telemetry) into the snapshot.
 	reg := telemetry.New()
-	mon, err := core.NewMonitor(s.Net, s.Validator.Clone(), 0)
-	if err != nil {
+	det := assemble(s.Net, s.Validator.Clone())
+	det.AttachTelemetry(reg)
+	if _, err := det.Calibrate(imagesOf(fitX[:200]), 0.05); err != nil {
 		t.Fatal(err)
 	}
-	mon.SetTelemetry(reg)
-	mon.CalibrateEpsilon(fitX[:200], 0.05)
-	mon.CheckBatch(scoreX)
+	if _, err := det.CheckBatch(imagesOf(scoreX)); err != nil {
+		t.Fatal(err)
+	}
 	snap := reg.Snapshot()
 	vl := snap.Histograms[core.MetricVerdictLatency]
 	checked := snap.Counters[core.MetricChecked]

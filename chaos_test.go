@@ -16,6 +16,7 @@ import (
 
 	"deepvalidation/internal/core"
 	"deepvalidation/internal/faultinject"
+	"deepvalidation/internal/obs"
 )
 
 // chaosBuild trains a small real detector (the golden recipe — known
@@ -182,12 +183,11 @@ func TestSaveIsAtomicUnderCrash(t *testing.T) {
 }
 
 // quarantineRun is one detector's record of TestBatchQuarantineMatchesSequential:
-// verdicts before and after the poison, what its quarantine hook saw,
-// and its statistics.
+// verdicts before and after the poison, the quarantine events it
+// emitted, and its statistics.
 type quarantineRun struct {
 	healthy, poisoned []Verdict
-	hooked            []core.Result
-	hookVerdicts      []Verdict
+	events            []obs.Event
 	stats             StatsDetail
 	quarantined       int64
 }
@@ -196,9 +196,9 @@ type quarantineRun struct {
 // TestQuarantineOnNonFiniteNumerics through the batch body at 1, 2 and
 // 4 workers. Verdicts, StatsDetail (its recent ring included) and
 // dv_quarantined_total must equal a sequential CheckDetailed loop's;
-// the quarantine hook must fire once per image, in input order; and
-// every per-layer row it received must keep its bits through a later
-// CheckBatch, so none aliases a worker's reused row.
+// one quarantine event must be emitted per image, in input order; and
+// every per-layer row the events carry must keep its bits through a
+// later CheckBatch, so none aliases a worker's reused row.
 func TestBatchQuarantineMatchesSequential(t *testing.T) {
 	// More healthy images than the 50-verdict recent window, with a mix
 	// of valid and flagged verdicts, so the ring's contents depend on
@@ -213,22 +213,24 @@ func TestBatchQuarantineMatchesSequential(t *testing.T) {
 		det.SetEpsilon(1.0)
 		det.SetWorkers(workers)
 		reg := det.Telemetry()
+		log := obs.New(obs.Config{})
+		det.AttachEvents(log)
 		var r quarantineRun
-		det.mon.SetQuarantineHook(func(v core.Verdict, res core.Result) {
-			r.hookVerdicts = append(r.hookVerdicts, v)
-			r.hooked = append(r.hooked, res)
-		})
 		r.healthy = check(det, healthy)
 		poisonLastLayer(t, det)
 		r.poisoned = check(det, probes)
 		r.stats = det.StatsDetail()
 		r.quarantined = reg.Snapshot().Counters[core.MetricQuarantined]
+		// The snapshot is newest first; its events share their PerLayer
+		// rows with whatever the detector emitted.
+		evs := log.Snapshot(obs.Filter{Type: obs.TypeQuarantine})
+		for i := len(evs) - 1; i >= 0; i-- {
+			r.events = append(r.events, evs[i])
+		}
 		// Overwrite every worker's row with other images' discrepancies.
 		if _, err := det.CheckBatch(healthy); err != nil {
 			t.Fatal(err)
 		}
-		r.hooked = r.hooked[:len(probes)]
-		r.hookVerdicts = r.hookVerdicts[:len(probes)]
 		return r
 	}
 	want := run(1, func(det *Detector, imgs []Image) []Verdict {
@@ -263,20 +265,49 @@ func TestBatchQuarantineMatchesSequential(t *testing.T) {
 		if got.quarantined != want.quarantined {
 			t.Errorf("workers=%d: dv_quarantined_total %d, sequential %d", workers, got.quarantined, want.quarantined)
 		}
-		if !reflect.DeepEqual(got.hookVerdicts, got.poisoned) {
-			t.Errorf("workers=%d: hook saw verdicts %+v, not the batch's in input order %+v", workers, got.hookVerdicts, got.poisoned)
+		if len(got.events) != len(probes) || len(want.events) != len(probes) {
+			t.Fatalf("workers=%d: %d quarantine events (sequential %d) for %d poisoned images",
+				workers, len(got.events), len(want.events), len(probes))
 		}
-		for i, res := range got.hooked {
-			w := want.hooked[i]
-			if len(res.Layer) != len(w.Layer) {
-				t.Fatalf("workers=%d: hook result %d has %d layers, want %d", workers, i, len(res.Layer), len(w.Layer))
+		for i, e := range got.events {
+			if v := got.poisoned[i]; e.Class != v.Label || e.Joint != v.Discrepancy {
+				t.Errorf("workers=%d: event %d carries %d/%v, not the batch's verdict %d in input order (%d/%v)",
+					workers, i, e.Class, e.Joint, i, v.Label, v.Discrepancy)
 			}
-			for p := range res.Layer {
-				if math.Float64bits(res.Layer[p]) != math.Float64bits(w.Layer[p]) {
-					t.Errorf("workers=%d: hook result %d layer %d is %v after a later batch, sequential %v (aliased row?)",
-						workers, i, p, res.Layer[p], w.Layer[p])
+			w := want.events[i]
+			if len(e.PerLayer) != len(w.PerLayer) || !reflect.DeepEqual(e.Extra, w.Extra) {
+				t.Fatalf("workers=%d: event %d per-layer payload %v %v, sequential %v %v", workers, i, e.PerLayer, e.Extra, w.PerLayer, w.Extra)
+			}
+			for p := range e.PerLayer {
+				if math.Float64bits(e.PerLayer[p]) != math.Float64bits(w.PerLayer[p]) {
+					t.Errorf("workers=%d: event %d layer %d is %v after a later batch, sequential %v (aliased row?)",
+						workers, i, p, e.PerLayer[p], w.PerLayer[p])
 				}
 			}
+		}
+	}
+}
+
+// TestCorruptedFirstLayerNeverValid: a model whose whole first-layer
+// weight tensor is NaN (a bad checkpoint) must never yield a valid
+// verdict under the ε calibrated on the healthy model. A ReLU squashes
+// NaN to zero, so this corruption need not quarantine; the activations
+// then sit far outside every reference region instead.
+func TestCorruptedFirstLayerNeverValid(t *testing.T) {
+	det := goldenDetector(t, 0)
+	clean, _ := benchBandImages(rand.New(rand.NewSource(2)), 60)
+	eps, err := det.Calibrate(clean, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	det.net.Params()[0].Value.Fill(math.NaN())
+	vs, err := det.CheckBatch(clean[:20])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range vs {
+		if v.Valid {
+			t.Errorf("image %d: corrupted model produced a valid verdict %+v (ε = %v)", i, v, eps)
 		}
 	}
 }

@@ -15,9 +15,8 @@ import (
 	"fmt"
 	"os"
 
-	"deepvalidation/internal/core"
+	"deepvalidation"
 	"deepvalidation/internal/dataset"
-	"deepvalidation/internal/nn"
 	"deepvalidation/internal/obs"
 )
 
@@ -48,31 +47,26 @@ func run() (int, error) {
 	}
 	defer func() { _ = events.Close() }()
 
-	net, err := nn.Load(*modelPath)
+	det, err := deepvalidation.Load(*modelPath, *valPath)
 	if err != nil {
 		return 0, err
 	}
-	val, err := core.LoadValidator(*valPath)
-	if err != nil {
-		return 0, err
-	}
-	mon, err := core.NewMonitor(net, val, *eps)
-	if err != nil {
-		return 0, err
-	}
+	det.SetEpsilon(*eps)
 
 	flagged := 0
 	for _, path := range flag.Args() {
-		img, err := dataset.LoadPNM(path)
+		x, err := dataset.LoadPNM(path)
 		if err != nil {
 			return 0, err
 		}
-		if err := net.CheckInput(img); err != nil {
-			return 0, fmt.Errorf("%s: %w", path, err)
-		}
+		img := deepvalidation.Image{Channels: x.Shape[0], Height: x.Shape[1], Width: x.Shape[2], Pixels: x.Data}
 		// One scoring pass serves both the verdict and the per-layer
 		// breakdown (the -v path used to score the image twice).
-		v, res := mon.CheckDetailed(img, nil)
+		var detail deepvalidation.Detail
+		v, err := det.CheckDetailed(img, &detail)
+		if err != nil {
+			return 0, fmt.Errorf("%s: %w", path, err)
+		}
 		status := "VALID"
 		if !v.Valid {
 			status = "CORNER CASE"
@@ -97,8 +91,8 @@ func run() (int, error) {
 			Extra: map[string]any{"path": path},
 		})
 		if *verbose {
-			for p, d := range res.Layer {
-				fmt.Printf("  layer %d: d = %+.4f\n", val.LayerIdx[p]+1, d)
+			for p, d := range detail.PerLayer {
+				fmt.Printf("  layer %d: d = %+.4f\n", detail.Layers[p]+1, d)
 			}
 		}
 	}

@@ -26,6 +26,7 @@ import (
 	"deepvalidation/internal/corner"
 	"deepvalidation/internal/dataset"
 	"deepvalidation/internal/hunt"
+	"deepvalidation/internal/metrics"
 	"deepvalidation/internal/nn"
 	"deepvalidation/internal/obs"
 	"deepvalidation/internal/telemetry"
@@ -98,10 +99,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	epsilon, err := resolveEpsilon(tgt, ds, *eps, *fpr, *workers)
-	if err != nil {
-		return err
-	}
+	epsilon := resolveEpsilon(tgt, ds, *eps, *fpr, *workers)
 
 	rng := rand.New(rand.NewSource(*seed))
 	seedX, seedY, err := corner.SelectSeeds(net, ds.TestX, ds.TestY, *seeds, rng)
@@ -164,16 +162,12 @@ func run() error {
 
 // resolveEpsilon uses the explicit -eps when given, else calibrates on
 // the dataset's test split at the -fpr budget.
-func resolveEpsilon(tgt hunt.Target, ds *dataset.Dataset, eps, fpr float64, workers int) (float64, error) {
+func resolveEpsilon(tgt hunt.Target, ds *dataset.Dataset, eps, fpr float64, workers int) float64 {
 	if eps > 0 {
-		return eps, nil
+		return eps
 	}
-	mon, err := core.NewMonitor(tgt.Net, tgt.Val, 0)
-	if err != nil {
-		return 0, err
-	}
-	mon.SetWorkers(workers)
-	return mon.CalibrateEpsilon(ds.TestX, fpr), nil
+	scores := core.JointScores(tgt.Val.ScoreBatchWorkers(tgt.Net, ds.TestX, workers))
+	return metrics.ThresholdForFPR(scores, fpr)
 }
 
 // replay re-runs a persisted corpus and compares current verdicts to
@@ -192,9 +186,7 @@ func replay(tgt hunt.Target, dir string, eps, fpr float64, dsName string, trainN
 		if err != nil {
 			return err
 		}
-		if epsilon, err = resolveEpsilon(tgt, ds, 0, fpr, workers); err != nil {
-			return err
-		}
+		epsilon = resolveEpsilon(tgt, ds, 0, fpr, workers)
 	}
 	outcomes, err := hunt.Replay(tgt, corpus, epsilon, workers)
 	if err != nil {

@@ -19,6 +19,7 @@ import (
 	"strings"
 	"time"
 
+	"deepvalidation"
 	"deepvalidation/internal/core"
 	"deepvalidation/internal/dataset"
 	"deepvalidation/internal/imgtrans"
@@ -210,11 +211,7 @@ func runScore(args []string) error {
 	defer finish()
 	defer tf.report(reg)
 
-	net, err := nn.Load(*modelPath)
-	if err != nil {
-		return err
-	}
-	val, err := core.LoadValidator(*valPath)
+	det, err := deepvalidation.Load(*modelPath, *valPath)
 	if err != nil {
 		return err
 	}
@@ -223,15 +220,13 @@ func runScore(args []string) error {
 		return err
 	}
 
-	mon, err := core.NewMonitor(net, val, 0)
+	det.SetWorkers(*workers)
+	det.AttachTelemetry(reg)
+	clean := images(ds.TestX)
+	eps, err := det.Calibrate(clean, *fpr)
 	if err != nil {
 		return err
 	}
-	mon.SetWorkers(*workers)
-	if reg != nil {
-		mon.SetTelemetry(reg)
-	}
-	eps := mon.CalibrateEpsilon(ds.TestX, *fpr)
 	fmt.Printf("calibrated ε = %.4f at FPR ≤ %.3f on %d clean test images\n", eps, *fpr, len(ds.TestX))
 	events.Emit(obs.Event{
 		Type: obs.TypeLifecycle, Level: obs.LevelInfo, Msg: "epsilon calibrated",
@@ -239,8 +234,12 @@ func runScore(args []string) error {
 	})
 
 	// Clean pass, batched across the worker pool.
+	cleanVerdicts, err := det.CheckBatch(clean)
+	if err != nil {
+		return err
+	}
 	cleanValid := 0
-	for _, v := range mon.CheckBatch(ds.TestX) {
+	for _, v := range cleanVerdicts {
 		if v.Valid {
 			cleanValid++
 		}
@@ -254,9 +253,13 @@ func runScore(args []string) error {
 	for i, x := range ds.TestX {
 		transformed[i] = tr.Apply(x)
 	}
+	verdicts, err := det.CheckBatch(images(transformed))
+	if err != nil {
+		return err
+	}
 	flagged, wrong, wrongCaught := 0, 0, 0
 	var discrepancies []float64
-	for i, v := range mon.CheckBatch(transformed) {
+	for i, v := range verdicts {
 		discrepancies = append(discrepancies, v.Discrepancy)
 		if !v.Valid {
 			flagged++
@@ -279,6 +282,15 @@ func runScore(args []string) error {
 		},
 	})
 	return nil
+}
+
+// images views C×H×W tensors as detector images, sharing their pixels.
+func images(xs []*tensor.Tensor) []deepvalidation.Image {
+	out := make([]deepvalidation.Image, len(xs))
+	for i, x := range xs {
+		out[i] = deepvalidation.Image{Channels: x.Shape[0], Height: x.Shape[1], Width: x.Shape[2], Pixels: x.Data}
+	}
+	return out
 }
 
 func parseLayers(spec string, net *nn.Network) ([]int, error) {

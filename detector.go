@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"deepvalidation/internal/core"
+	"deepvalidation/internal/metrics"
 	"deepvalidation/internal/nn"
 	"deepvalidation/internal/obs"
 	"deepvalidation/internal/opt"
@@ -18,27 +19,61 @@ import (
 )
 
 // Detector pairs a trained classifier with its fitted Deep Validation
-// monitor. Construct one with Build (train from scratch) or Load
-// (restore persisted artifacts); it is safe for concurrent Check calls.
+// validator and turns each prediction into a verdict: it owns the
+// detection threshold ε, the worker bound, the verdict statistics and
+// telemetry, and the quarantine events. Construct one with Build (train
+// from scratch) or Load (restore persisted artifacts); it is safe for
+// concurrent use.
 type Detector struct {
 	net *nn.Network
 	val *core.Validator
-	mon *core.Monitor
+
+	// mu guards ε, the worker bound and the verdict statistics.
+	mu           sync.Mutex
+	epsilon      float64
+	workers      int
+	checked      int
+	flagged      int
+	classChecked []int // indexed by predicted class
+	classFlagged []int
+	recent       []bool // ring buffer of recent flags
+	next         int
+	filled       bool
 
 	telOnce sync.Once
 	telReg  *telemetry.Registry
-	invalid atomic.Pointer[telemetry.Counter]
+	// tel holds the resolved instruments (nil until telemetry is
+	// enabled), read atomically so a check never takes mu for it.
+	tel atomic.Pointer[detTelemetry]
+	// events receives a wide event per quarantined verdict (nil when
+	// detached); a check consults it only on the quarantine branch.
+	events atomic.Pointer[obs.Logger]
 }
 
-// Verdict is the outcome of checking one image: the classifier's
-// Label and its softmax Confidence, the joint Discrepancy d of the
-// paper's Algorithm 2, Valid (d below the calibrated threshold ε, so
-// the prediction may be trusted) and Quarantined (scoring hit NaN or
-// Inf numerics; never valid, and counted into dv_quarantined_total).
-// It is the monitor's verdict type, so a batch check writes each
-// verdict straight into the slice it returns; core.Verdict documents
-// every field.
-type Verdict = core.Verdict
+// recentWindow sizes the sliding alarm-rate window.
+const recentWindow = 50
+
+// Verdict is the outcome of checking one image.
+type Verdict struct {
+	// Label and Confidence are the classifier's output.
+	Label      int
+	Confidence float64
+	// Discrepancy is the joint discrepancy d of Algorithm 2; higher
+	// means further outside the training distribution. For a
+	// quarantined verdict it covers only the finite layer terms, so it
+	// stays representable everywhere (JSON cannot carry NaN).
+	Discrepancy float64
+	// Valid is true when d < ε: the prediction may be trusted. A
+	// quarantined verdict is never valid.
+	Valid bool
+	// Quarantined is true when scoring hit non-finite numerics (an
+	// overflowing activation, a corrupt weight): the discrepancy is not
+	// a trustworthy distance, so the image is rejected outright instead
+	// of being compared against ε. Counted separately in telemetry
+	// (dv_quarantined_total) so operators can tell numeric corruption
+	// apart from detected corner cases.
+	Quarantined bool
+}
 
 // BuildConfig controls Build.
 type BuildConfig struct {
@@ -128,10 +163,7 @@ func Build(images []Image, labels []int, cfg BuildConfig) (*Detector, error) {
 	if err != nil {
 		return nil, err
 	}
-	det, err := assemble(net, val)
-	if err != nil {
-		return nil, err
-	}
+	det := assemble(net, val)
 	det.SetWorkers(cfg.Workers)
 	return det, nil
 }
@@ -155,15 +187,18 @@ func Load(modelPath, validatorPath string) (*Detector, error) {
 	if err := core.CheckCompat(net, val); err != nil {
 		return nil, fmt.Errorf("deepvalidation: %s and %s are not a compatible pair: %w", modelPath, validatorPath, err)
 	}
-	return assemble(net, val)
+	return assemble(net, val), nil
 }
 
-func assemble(net *nn.Network, val *core.Validator) (*Detector, error) {
-	mon, err := core.NewMonitor(net, val, 0)
-	if err != nil {
-		return nil, err
+// assemble wraps a compatible model/validator pair with ε = 0 and
+// empty statistics.
+func assemble(net *nn.Network, val *core.Validator) *Detector {
+	return &Detector{
+		net: net, val: val,
+		recent:       make([]bool, recentWindow),
+		classChecked: make([]int, val.Classes),
+		classFlagged: make([]int, val.Classes),
 	}
-	return &Detector{net: net, val: val, mon: mon}, nil
 }
 
 // Save persists the detector's model and validator as checksummed
@@ -208,16 +243,64 @@ func (d *Detector) AttachTelemetry(r *telemetry.Registry) bool {
 	return attached
 }
 
-// attachTelemetry resolves the instrument handles; callers hold telOnce.
+// detTelemetry holds the detector's resolved instrument handles.
+type detTelemetry struct {
+	checked        *telemetry.Counter
+	flagged        *telemetry.Counter
+	quarantined    *telemetry.Counter
+	invalid        *telemetry.Counter
+	classChecked   []*telemetry.Counter // indexed by predicted class
+	classFlagged   []*telemetry.Counter
+	verdictLatency *telemetry.Histogram
+	epsilon        *telemetry.Gauge
+}
+
+// attachTelemetry resolves the instrument handles, the validator's
+// included, so one registry instruments the whole check path; callers
+// hold telOnce.
 func (d *Detector) attachTelemetry(r *telemetry.Registry) {
-	d.mon.SetTelemetry(r)
-	d.invalid.Store(r.Counter(core.MetricInvalidInput))
+	d.val.SetTelemetry(r)
+	t := &detTelemetry{
+		checked:        r.Counter(core.MetricChecked),
+		flagged:        r.Counter(core.MetricFlagged),
+		quarantined:    r.Counter(core.MetricQuarantined),
+		invalid:        r.Counter(core.MetricInvalidInput),
+		classChecked:   make([]*telemetry.Counter, d.val.Classes),
+		classFlagged:   make([]*telemetry.Counter, d.val.Classes),
+		verdictLatency: r.Histogram(core.MetricVerdictLatency, telemetry.DefLatencyBuckets),
+		epsilon:        r.Gauge(core.MetricEpsilon),
+	}
+	for k := range t.classChecked {
+		label := strconv.Itoa(k)
+		t.classChecked[k] = r.Counter(telemetry.Label(core.MetricClassChecked, "class", label))
+		t.classFlagged[k] = r.Counter(telemetry.Label(core.MetricClassFlagged, "class", label))
+	}
+	t.epsilon.Set(d.Epsilon())
+	d.tel.Store(t)
 	d.telReg = r
 }
 
-// countInvalid records one rejected input; a no-op until Telemetry has
-// been called.
-func (d *Detector) countInvalid() { d.invalid.Load().Inc() }
+// observe folds one verdict into the counters; latency is observed
+// separately because a batch amortizes it.
+func (t *detTelemetry) observe(v Verdict) {
+	t.checked.Inc()
+	t.classChecked[v.Label].Inc()
+	if !v.Valid {
+		t.flagged.Inc()
+		t.classFlagged[v.Label].Inc()
+	}
+	if v.Quarantined {
+		t.quarantined.Inc()
+	}
+}
+
+// countInvalid records one rejected input; a no-op until telemetry is
+// enabled.
+func (d *Detector) countInvalid() {
+	if t := d.tel.Load(); t != nil {
+		t.invalid.Inc()
+	}
+}
 
 // AttachEvents mirrors every quarantined verdict into the wide-event
 // log: each one becomes a TypeQuarantine event carrying the predicted
@@ -226,43 +309,39 @@ func (d *Detector) countInvalid() { d.invalid.Load().Inc() }
 // on a hot reload the replacement detector is attached to the same
 // logger — and a nil logger detaches. The valid-verdict hot path pays
 // only one atomic load either way.
-func (d *Detector) AttachEvents(log *obs.Logger) {
-	if log == nil {
-		d.mon.SetQuarantineHook(nil)
-		return
+func (d *Detector) AttachEvents(log *obs.Logger) { d.events.Store(log) }
+
+// emitQuarantine logs one quarantined verdict with its per-layer row.
+func (d *Detector) emitQuarantine(log *obs.Logger, v Verdict, row []float64) {
+	e := obs.Event{
+		Type:    obs.TypeQuarantine,
+		Level:   obs.LevelWarn,
+		Msg:     "verdict quarantined: non-finite numerics during scoring",
+		Outcome: "quarantined",
+		Class:   v.Label,
+		Joint:   v.Discrepancy,
+		Layers:  d.val.LayerIdx,
 	}
-	layers := d.val.LayerIdx
-	d.mon.SetQuarantineHook(func(v core.Verdict, res core.Result) {
-		e := obs.Event{
-			Type:    obs.TypeQuarantine,
-			Level:   obs.LevelWarn,
-			Msg:     "verdict quarantined: non-finite numerics during scoring",
-			Outcome: "quarantined",
-			Class:   v.Label,
-			Joint:   v.Discrepancy,
-			Layers:  layers,
+	// The per-layer discrepancies usually include the NaN/Inf that
+	// caused the quarantine; JSON cannot carry those, so non-finite
+	// vectors ride along as strings instead.
+	finite := true
+	for _, x := range row {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			finite = false
+			break
 		}
-		// The per-layer discrepancies usually include the NaN/Inf that
-		// caused the quarantine; JSON cannot carry those, so non-finite
-		// vectors ride along as strings instead.
-		finite := true
-		for _, x := range res.Layer {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				finite = false
-				break
-			}
+	}
+	if finite {
+		e.PerLayer = row
+	} else {
+		raw := make([]string, len(row))
+		for i, x := range row {
+			raw[i] = strconv.FormatFloat(x, 'g', -1, 64)
 		}
-		if finite {
-			e.PerLayer = res.Layer
-		} else {
-			raw := make([]string, len(res.Layer))
-			for i, x := range res.Layer {
-				raw[i] = strconv.FormatFloat(x, 'g', -1, 64)
-			}
-			e.Extra = map[string]any{"per_layer_raw": raw}
-		}
-		log.Emit(e)
-	})
+		e.Extra = map[string]any{"per_layer_raw": raw}
+	}
+	log.Emit(e)
 }
 
 // Calibrate sets the detection threshold ε so that at most fpr of the
@@ -280,15 +359,32 @@ func (d *Detector) Calibrate(clean []Image, fpr float64) (float64, error) {
 	if err := d.validateAll(clean); err != nil {
 		return 0, err
 	}
-	return d.mon.CalibrateInput(len(clean), pixels(clean), fpr), nil
+	scores := make([]float64, len(clean))
+	d.val.ScoreEach(d.net, len(clean), d.workerBound(), pixels(clean), nil, func(i int, res *core.Result) {
+		scores[i] = res.Joint
+	})
+	eps := metrics.ThresholdForFPR(scores, fpr)
+	d.SetEpsilon(eps)
+	return eps, nil
 }
 
 // SetEpsilon overrides the detection threshold directly; most callers
 // should prefer Calibrate.
-func (d *Detector) SetEpsilon(eps float64) { d.mon.SetEpsilon(eps) }
+func (d *Detector) SetEpsilon(eps float64) {
+	d.mu.Lock()
+	d.epsilon = eps
+	d.mu.Unlock()
+	if t := d.tel.Load(); t != nil {
+		t.epsilon.Set(eps)
+	}
+}
 
 // Epsilon returns the current detection threshold.
-func (d *Detector) Epsilon() float64 { return d.mon.Epsilon() }
+func (d *Detector) Epsilon() float64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.epsilon
+}
 
 // Check classifies the image and validates the prediction. Rejected
 // inputs (Image.Validate or geometry failures) count into the
@@ -387,42 +483,101 @@ func (d *Detector) CheckBatchDetailed(imgs []Image, details []*Detail) ([]Verdic
 	return out, nil
 }
 
-// check is the body of every Detector check: it scores validated imgs
-// through the monitor's batch body straight into out. Only images with
-// a non-nil Detail get a PerLayer copy, and only Timed ones a
-// ScoreTimings.
+// check is the one check body, the only place ε is compared and
+// statistics are recorded. Scoring fans validated imgs across the
+// worker pool, one arena and one input header per worker for the
+// whole batch, and writes each verdict straight into out, so a warm
+// call allocates only a constant per batch. Only images with a non-nil
+// Detail get a PerLayer copy, and only Timed ones a ScoreTimings. The
+// statistics are then updated once, in input order, so Stats afterwards
+// is identical to a sequence of one-image checks. With telemetry
+// enabled each verdict observes the batch's amortized per-image latency
+// (elapsed / batch size); per-image score latency comes from the
+// validator's own MetricScoreLatency histogram. Quarantined verdicts
+// then go to the event log, in input order, each with an owned copy of
+// its per-layer row.
 func (d *Detector) check(imgs []Image, details []*Detail, out []Verdict) {
 	details = details[:min(len(details), len(imgs))]
-	b := core.Batch{Input: pixels(imgs), Out: out}
-	detailed := false
+	var tms []*core.ScoreTimings
 	for i, dt := range details {
-		if dt == nil {
-			continue
-		}
-		detailed = true
-		if dt.Timed {
-			if b.Timings == nil {
-				b.Timings = make([]*core.ScoreTimings, len(details))
+		if dt != nil && dt.Timed {
+			if tms == nil {
+				tms = make([]*core.ScoreTimings, len(details))
 			}
-			b.Timings[i] = &core.ScoreTimings{}
+			tms[i] = &core.ScoreTimings{}
 		}
 	}
-	if detailed {
-		tms := b.Timings
-		b.Result = func(i int, r core.Result) {
-			if i >= len(details) || details[i] == nil {
-				return
+	tel := d.tel.Load()
+	var t0 time.Time
+	if tel != nil {
+		t0 = time.Now()
+	}
+	events := d.events.Load()
+	var held struct {
+		sync.Mutex
+		rows [][]float64 // rows[i]: quarantined image i's row, for the event log
+	}
+	d.val.ScoreEach(d.net, len(out), d.workerBound(), pixels(imgs), tms, func(i int, res *core.Result) {
+		out[i] = Verdict{
+			Label:       res.Label,
+			Confidence:  res.Confidence,
+			Discrepancy: res.Joint,
+			Quarantined: res.NonFinite,
+		}
+		if i < len(details) && details[i] != nil {
+			details[i].Layers = d.val.LayerIdx
+			details[i].PerLayer = append([]float64(nil), res.Layer...)
+		}
+		if res.NonFinite && events != nil {
+			row := append([]float64(nil), res.Layer...)
+			held.Lock()
+			if held.rows == nil {
+				held.rows = make([][]float64, len(out))
 			}
-			dt := details[i]
-			dt.Layers = d.val.LayerIdx
-			dt.PerLayer = append([]float64(nil), r.Layer...)
-			if tms != nil && tms[i] != nil {
-				dt.Forward = tms[i].Forward
-				dt.LayerTimes = tms[i].Layers
-			}
+			held.rows[i] = row
+			held.Unlock()
+		}
+	})
+	for i, tm := range tms {
+		if tm != nil {
+			details[i].Forward, details[i].LayerTimes = tm.Forward, tm.Layers
 		}
 	}
-	d.mon.CheckBatchInto(b)
+	d.mu.Lock()
+	for i := range out {
+		v := &out[i]
+		v.Valid = !v.Quarantined && v.Discrepancy < d.epsilon
+		d.record(v.Label, v.Valid)
+	}
+	d.mu.Unlock()
+	if tel != nil && len(out) > 0 {
+		perImage := time.Since(t0).Seconds() / float64(len(out))
+		for _, v := range out {
+			tel.verdictLatency.Observe(perImage)
+			tel.observe(v)
+		}
+	}
+	for i, row := range held.rows {
+		if row != nil {
+			d.emitQuarantine(events, out[i], row)
+		}
+	}
+}
+
+// record folds one verdict into the lifetime statistics. Callers hold
+// d.mu.
+func (d *Detector) record(label int, valid bool) {
+	d.checked++
+	d.classChecked[label]++
+	if !valid {
+		d.flagged++
+		d.classFlagged[label]++
+	}
+	d.recent[d.next] = !valid
+	d.next = (d.next + 1) % len(d.recent)
+	if d.next == 0 {
+		d.filled = true
+	}
 }
 
 // DriftReference returns the fit-time drift reference persisted in the
@@ -448,7 +603,18 @@ func (d *Detector) DriftReference() (layers []int, probs []float64, quantiles []
 // SetWorkers bounds the worker pool CheckBatch and Calibrate use
 // (0 = GOMAXPROCS, 1 = sequential). Results are identical for every
 // setting; only throughput changes.
-func (d *Detector) SetWorkers(n int) { d.mon.SetWorkers(n) }
+func (d *Detector) SetWorkers(n int) {
+	d.mu.Lock()
+	d.workers = n
+	d.mu.Unlock()
+}
+
+// workerBound returns the bound SetWorkers stored.
+func (d *Detector) workerBound() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.workers
+}
 
 // CheckBatch classifies and validates many images concurrently,
 // returning verdicts in input order. Verdicts — and the detector's
@@ -470,9 +636,11 @@ func (d *Detector) CheckBatch(imgs []Image) ([]Verdict, error) {
 // inputs — a drift signal for fail-safe supervisors. Until 50 inputs
 // have been checked, recentAlarmRate is computed over only the inputs
 // seen so far (a partially filled window) and is correspondingly
-// noisy; StatsDetail exposes the fill level to gate on.
+// noisy; StatsDetail exposes the fill level to gate on. With zero
+// checks the rate is 0.
 func (d *Detector) Stats() (checked, flagged int, recentAlarmRate float64) {
-	return d.mon.Stats()
+	s := d.StatsDetail()
+	return s.Checked, s.Flagged, s.RecentAlarmRate
 }
 
 // ClassStats is one predicted class's slice of the detector's lifetime
@@ -501,17 +669,32 @@ type StatsDetail struct {
 // StatsDetail reports lifetime totals, the recent-window alarm rate
 // with its fill level, and per-predicted-class breakdowns.
 func (d *Detector) StatsDetail() StatsDetail {
-	s := d.mon.StatsDetail()
-	per := make([]ClassStats, len(s.PerClass))
-	for k, c := range s.PerClass {
-		per[k] = ClassStats{Checked: c.Checked, Flagged: c.Flagged}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	n := d.next
+	if d.filled {
+		n = len(d.recent)
+	}
+	alarms := 0
+	for _, flagged := range d.recent[:n] {
+		if flagged {
+			alarms++
+		}
+	}
+	rate := 0.0
+	if n > 0 {
+		rate = float64(alarms) / float64(n)
+	}
+	per := make([]ClassStats, len(d.classChecked))
+	for k := range per {
+		per[k] = ClassStats{Checked: d.classChecked[k], Flagged: d.classFlagged[k]}
 	}
 	return StatsDetail{
-		Checked:         s.Checked,
-		Flagged:         s.Flagged,
-		RecentAlarmRate: s.RecentAlarmRate,
-		RecentWindow:    s.RecentWindow,
-		RecentFill:      s.RecentFill,
+		Checked:         d.checked,
+		Flagged:         d.flagged,
+		RecentAlarmRate: rate,
+		RecentWindow:    len(d.recent),
+		RecentFill:      n,
 		PerClass:        per,
 	}
 }

@@ -89,6 +89,14 @@ func imageOf(t *tensor.Tensor) Image {
 	}
 }
 
+func imagesOf(xs []*tensor.Tensor) []Image {
+	out := make([]Image, len(xs))
+	for i, x := range xs {
+		out[i] = imageOf(x)
+	}
+	return out
+}
+
 func TestEscapeCorpusReplay(t *testing.T) {
 	det, err := escapesBuild()
 	if err != nil {

@@ -55,7 +55,7 @@ func main() {
 			labels = append(labels, ds.TestY[i])
 		}
 	}
-	cleanScores := core.JointScores(val.ScoreBatch(net, ds.TestX[:100]))
+	cleanScores := core.JointScores(val.ScoreBatchWorkers(net, ds.TestX[:100], 0))
 
 	cw := attack.DefaultCWConfig()
 	attacks := []struct {

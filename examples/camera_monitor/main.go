@@ -21,11 +21,10 @@ import (
 	"math/rand"
 	"strings"
 
-	"deepvalidation/internal/core"
+	"deepvalidation"
 	"deepvalidation/internal/dataset"
 	"deepvalidation/internal/imgtrans"
-	"deepvalidation/internal/nn"
-	"deepvalidation/internal/opt"
+	"deepvalidation/internal/tensor"
 )
 
 const (
@@ -37,27 +36,19 @@ func main() {
 	ds := dataset.Digits(dataset.Config{TrainN: 1000, TestN: 400, Seed: 11})
 
 	fmt.Println("training the on-vehicle classifier...")
-	rng := rand.New(rand.NewSource(3))
-	net, err := nn.NewSevenLayerCNN("camera", ds.InC, ds.Size, ds.Classes,
-		nn.ArchConfig{Width: 6, FCWidth: 32}, rng)
+	det, err := deepvalidation.Build(images(ds.TrainX), ds.TrainY, deepvalidation.BuildConfig{
+		Classes: ds.Classes, Epochs: 7, Width: 6, FCWidth: 32,
+		SVMPerClass: 100, SVMFeatures: 128, Seed: 3,
+	})
 	if err != nil {
-		log.Fatal(err)
-	}
-	tr := nn.NewTrainer(net, opt.NewAdadelta(1.0, 0.95), rand.New(rand.NewSource(4)))
-	if _, err := tr.Train(ds.TrainX, ds.TrainY, 7); err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Println("fitting Deep Validation and calibrating on clean footage...")
-	val, err := core.Fit(net, ds.TrainX, ds.TrainY, core.Config{MaxPerClass: 100, MaxFeatures: 128})
+	eps, err := det.Calibrate(images(ds.TestX[:200]), 0.05)
 	if err != nil {
 		log.Fatal(err)
 	}
-	mon, err := core.NewMonitor(net, val, 0)
-	if err != nil {
-		log.Fatal(err)
-	}
-	eps := mon.CalibrateEpsilon(ds.TestX[:200], 0.05)
 	fmt.Printf("ε = %.4f (5%% false alarms on clean footage)\n\n", eps)
 
 	// Three phases of a drive: clear conditions, fading light, and a
@@ -89,14 +80,17 @@ func main() {
 			scene, truth := ds.TestX[idx], ds.TestY[idx]
 
 			img := phase.env(float64(i) / framesPerPhase).Apply(scene)
-			v := mon.Check(img)
+			v, err := det.Check(image(img))
+			if err != nil {
+				log.Fatal(err)
+			}
 			if v.Label != truth {
 				misclassified++
 				if !v.Valid {
 					caught++
 				}
 			}
-			_, _, alarmRate := mon.Stats()
+			_, _, alarmRate := det.Stats()
 			if alarmRate > alarmBudget && !handedOver {
 				fmt.Printf("  frame %3d: ALARM RATE %.0f%% — requesting human intervention\n",
 					frame+i, 100*alarmRate)
@@ -104,15 +98,28 @@ func main() {
 			}
 		}
 		frame += framesPerPhase
-		_, _, alarmRate := mon.Stats()
+		_, _, alarmRate := det.Stats()
 		fmt.Printf("  wrong predictions: %d/%d, flagged before damage: %d\n",
 			misclassified, framesPerPhase, caught)
 		fmt.Printf("  sliding alarm rate at phase end: %s %.0f%%\n\n",
 			bar(alarmRate), 100*alarmRate)
 	}
 
-	checked, flagged, _ := mon.Stats()
+	checked, flagged, _ := det.Stats()
 	fmt.Printf("drive summary: %d frames checked, %d flagged as invalid\n", checked, flagged)
+}
+
+// image views a C×H×W tensor as a detector image, sharing its pixels.
+func image(x *tensor.Tensor) deepvalidation.Image {
+	return deepvalidation.Image{Channels: x.Shape[0], Height: x.Shape[1], Width: x.Shape[2], Pixels: x.Data}
+}
+
+func images(xs []*tensor.Tensor) []deepvalidation.Image {
+	out := make([]deepvalidation.Image, len(xs))
+	for i, x := range xs {
+		out[i] = image(x)
+	}
+	return out
 }
 
 // bar renders a crude alarm-rate gauge.

@@ -60,8 +60,8 @@ func main() {
 		fmt.Printf("  %-22s success rate %.2f (%d SCCs)\n", trf.Describe(), g.SuccessRate, len(imgs))
 	}
 
-	cleanScores := core.JointScores(val.ScoreBatch(net, ds.TestX[:200]))
-	sccScores := core.JointScores(val.ScoreBatch(net, scc))
+	cleanScores := core.JointScores(val.ScoreBatchWorkers(net, ds.TestX[:200], 0))
+	sccScores := core.JointScores(val.ScoreBatchWorkers(net, scc, 0))
 	fmt.Printf("\noverall ROC-AUC: %.4f over %d SCCs vs %d clean\n\n",
 		metrics.AUC(sccScores, cleanScores), len(sccScores), len(cleanScores))
 

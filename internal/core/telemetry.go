@@ -13,7 +13,7 @@ import (
 // counters, _seconds for timing histograms. Labeled families append
 // {label="value"} via telemetry.Label.
 const (
-	// MetricChecked / MetricFlagged count monitored verdicts; the
+	// MetricChecked / MetricFlagged count detector verdicts; the
 	// per-class families break them down by *predicted* class
 	// (label class="k").
 	MetricChecked      = "dv_checked_total"
@@ -30,8 +30,8 @@ const (
 	// detected corner cases. Quarantined verdicts also count into
 	// MetricChecked/MetricFlagged.
 	MetricQuarantined = "dv_quarantined_total"
-	// MetricVerdictLatency is the end-to-end Monitor.Check latency; in
-	// CheckBatch each verdict observes the batch's amortized
+	// MetricVerdictLatency is the end-to-end Detector check latency; in
+	// a batch check each verdict observes the batch's amortized
 	// per-sample latency (total elapsed / batch size), which is the
 	// throughput-side number an operator provisions against.
 	MetricVerdictLatency = "dv_verdict_latency_seconds"
@@ -102,64 +102,9 @@ func (v *Validator) SetTelemetry(r *telemetry.Registry) {
 	v.tel.Store(t)
 }
 
-// monTelemetry holds the monitor's resolved instrument handles,
-// likewise swapped atomically.
-type monTelemetry struct {
-	checked        *telemetry.Counter
-	flagged        *telemetry.Counter
-	quarantined    *telemetry.Counter
-	classChecked   []*telemetry.Counter // indexed by predicted class
-	classFlagged   []*telemetry.Counter
-	verdictLatency *telemetry.Histogram
-	epsilon        *telemetry.Gauge
-}
-
-// SetTelemetry attaches a metrics registry to the monitor and, through
-// it, to the underlying validator, so one call instruments the whole
-// check path: verdict counters (total and per predicted class),
-// verdict latency, the ε gauge, score latency, and the discrepancy
-// histograms. A nil registry detaches everything.
-func (m *Monitor) SetTelemetry(r *telemetry.Registry) {
-	m.val.SetTelemetry(r)
-	if r == nil {
-		m.tel.Store(nil)
-		return
-	}
-	t := &monTelemetry{
-		checked:        r.Counter(MetricChecked),
-		flagged:        r.Counter(MetricFlagged),
-		quarantined:    r.Counter(MetricQuarantined),
-		classChecked:   make([]*telemetry.Counter, m.val.Classes),
-		classFlagged:   make([]*telemetry.Counter, m.val.Classes),
-		verdictLatency: r.Histogram(MetricVerdictLatency, telemetry.DefLatencyBuckets),
-		epsilon:        r.Gauge(MetricEpsilon),
-	}
-	for k := 0; k < m.val.Classes; k++ {
-		label := strconv.Itoa(k)
-		t.classChecked[k] = r.Counter(telemetry.Label(MetricClassChecked, "class", label))
-		t.classFlagged[k] = r.Counter(telemetry.Label(MetricClassFlagged, "class", label))
-	}
-	t.epsilon.Set(m.Epsilon())
-	m.tel.Store(t)
-}
-
-// observe folds one verdict into the monitor's counters; latency is
-// recorded separately because batch paths amortize it.
-func (t *monTelemetry) observe(label int, valid, quarantined bool) {
-	t.checked.Inc()
-	t.classChecked[label].Inc()
-	if !valid {
-		t.flagged.Inc()
-		t.classFlagged[label].Inc()
-	}
-	if quarantined {
-		t.quarantined.Inc()
-	}
-}
-
 // TelemetrySummary renders the operator-facing digest of a snapshot:
 // totals, flag rate, and latency quantiles. Verdict latency is
-// preferred; runs that score without a monitor (dvbench experiments)
+// preferred; runs that score without a Detector (dvbench experiments)
 // fall back to the validator's score latency.
 func TelemetrySummary(w io.Writer, s telemetry.Snapshot) {
 	checked := s.Counters[MetricChecked]
@@ -172,7 +117,7 @@ func TelemetrySummary(w io.Writer, s telemetry.Snapshot) {
 		}
 	}
 	if checked == 0 && lat.Count > 0 {
-		// No monitor in the loop: report scored samples as checks.
+		// No Detector in the loop: report scored samples as checks.
 		checked = lat.Count
 	}
 	fmt.Fprintln(w, "telemetry summary:")

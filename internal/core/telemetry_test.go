@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/rand"
 	"path/filepath"
 	"strconv"
 	"testing"
@@ -87,145 +86,6 @@ func TestFitTelemetryStages(t *testing.T) {
 	// Reduce observations: one per kept (correctly classified) sample.
 	if got := s.Histograms[MetricFitReduce].Count; got != kept {
 		t.Errorf("reduce observations = %d, want %d (one per kept sample)", got, kept)
-	}
-}
-
-func TestMonitorTelemetry(t *testing.T) {
-	net, xs, ys := trainedToyModel(t)
-	v := fitToyValidator(t, net, xs, ys)
-	m, err := NewMonitor(net, v, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := telemetry.New()
-	m.SetTelemetry(reg)
-
-	rng := rand.New(rand.NewSource(71))
-	cleanX, _ := toyProblem(rng, 30)
-	eps := m.CalibrateEpsilon(cleanX, 0.1)
-	if got := reg.Snapshot().Gauges[MetricEpsilon]; got != eps {
-		t.Errorf("epsilon gauge = %v, want %v", got, eps)
-	}
-
-	for _, x := range cleanX[:10] {
-		m.Check(x)
-	}
-	m.CheckBatch(cleanX[10:])
-
-	s := reg.Snapshot()
-	if got := s.Counters[MetricChecked]; got != int64(len(cleanX)) {
-		t.Errorf("checked counter = %d, want %d", got, len(cleanX))
-	}
-	checked, flagged, _ := m.Stats()
-	if int64(checked) != s.Counters[MetricChecked] || int64(flagged) != s.Counters[MetricFlagged] {
-		t.Errorf("telemetry (%d, %d) disagrees with Stats (%d, %d)",
-			s.Counters[MetricChecked], s.Counters[MetricFlagged], checked, flagged)
-	}
-	// Per-class counters partition the totals.
-	var classSum int64
-	for k := 0; k < v.Classes; k++ {
-		classSum += s.Counters[telemetry.Label(MetricClassChecked, "class", strconv.Itoa(k))]
-	}
-	if classSum != s.Counters[MetricChecked] {
-		t.Errorf("per-class checked sums to %d, want %d", classSum, s.Counters[MetricChecked])
-	}
-	// Verdict latency: one observation per verdict, including the
-	// amortized batch observations.
-	if got := s.Histograms[MetricVerdictLatency].Count; got != int64(len(cleanX)) {
-		t.Errorf("verdict latency count = %d, want %d", got, len(cleanX))
-	}
-	// Monitor wiring also instruments the validator's score path.
-	if got := s.Histograms[MetricScoreLatency].Count; got < int64(len(cleanX)) {
-		t.Errorf("score latency count = %d, want ≥ %d", got, len(cleanX))
-	}
-
-	// SetEpsilon keeps the gauge current.
-	m.SetEpsilon(1.5)
-	if got := reg.Snapshot().Gauges[MetricEpsilon]; got != 1.5 {
-		t.Errorf("epsilon gauge after SetEpsilon = %v, want 1.5", got)
-	}
-}
-
-// TestMonitorStatsPartialWindow pins the documented semantics of
-// recentAlarmRate before the 50-verdict window fills: the rate is
-// computed over only the verdicts seen so far.
-func TestMonitorStatsPartialWindow(t *testing.T) {
-	net, xs, ys := trainedToyModel(t)
-	v := fitToyValidator(t, net, xs, ys)
-	m, err := NewMonitor(net, v, -1e9) // ε below every score: flag everything
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := m.StatsDetail()
-	if d.RecentWindow != 50 || d.RecentFill != 0 || d.RecentAlarmRate != 0 {
-		t.Fatalf("fresh monitor detail = %+v", d)
-	}
-
-	const n = 7 // well below the 50-slot window
-	for i := 0; i < n; i++ {
-		m.Check(xs[i])
-	}
-	d = m.StatsDetail()
-	if d.RecentFill != n {
-		t.Errorf("recent fill = %d, want %d", d.RecentFill, n)
-	}
-	if d.RecentAlarmRate != 1 {
-		t.Errorf("partial-window alarm rate = %v, want 1 (every check flagged, rate over %d not %d)",
-			d.RecentAlarmRate, n, d.RecentWindow)
-	}
-	if _, _, rate := m.Stats(); rate != 1 {
-		t.Errorf("Stats alarm rate = %v, want 1 over the partial window", rate)
-	}
-
-	// Accept everything from here on: the window mixes 7 alarms with
-	// accepts, still partially filled.
-	m.SetEpsilon(1e9)
-	for i := 0; i < n; i++ {
-		m.Check(xs[n+i])
-	}
-	d = m.StatsDetail()
-	if d.RecentFill != 2*n {
-		t.Errorf("recent fill = %d, want %d", d.RecentFill, 2*n)
-	}
-	if d.RecentAlarmRate != 0.5 {
-		t.Errorf("mixed partial-window rate = %v, want 0.5", d.RecentAlarmRate)
-	}
-}
-
-func TestMonitorStatsDetailPerClass(t *testing.T) {
-	net, xs, ys := trainedToyModel(t)
-	v := fitToyValidator(t, net, xs, ys)
-	m, err := NewMonitor(net, v, -1e9) // flag everything
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 60
-	m.CheckBatch(xs[:n])
-	d := m.StatsDetail()
-	if len(d.PerClass) != v.Classes {
-		t.Fatalf("per-class entries = %d, want %d", len(d.PerClass), v.Classes)
-	}
-	sumChecked, sumFlagged := 0, 0
-	for _, c := range d.PerClass {
-		sumChecked += c.Checked
-		sumFlagged += c.Flagged
-	}
-	if sumChecked != d.Checked || sumFlagged != d.Flagged {
-		t.Errorf("per-class sums (%d, %d) != totals (%d, %d)", sumChecked, sumFlagged, d.Checked, d.Flagged)
-	}
-	if d.Checked != n || d.Flagged != n {
-		t.Errorf("totals = (%d, %d), want (%d, %d) with ε = -1e9", d.Checked, d.Flagged, n, n)
-	}
-	// The toy model is near-perfect, so every class must have seen
-	// predictions — the breakdown is genuinely per-class, not lumped.
-	for k, c := range d.PerClass {
-		if c.Checked == 0 {
-			t.Errorf("class %d saw no predictions; labels %v", k, ys[:5])
-		}
-	}
-	// Window saturated past 50: fill caps at the window size.
-	if d.RecentFill != d.RecentWindow {
-		t.Errorf("fill = %d, want %d after %d checks", d.RecentFill, d.RecentWindow, n)
 	}
 }
 

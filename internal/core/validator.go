@@ -3,9 +3,11 @@
 // of correctly classified training images (Algorithm 1), and at
 // inference time scores a sample by its joint discrepancy — the sum over
 // validated layers of the negated signed distance to the reference
-// SVM of the *predicted* class (Algorithm 2, Eqs. 2–3). Samples whose
-// joint discrepancy exceeds a threshold ε are flagged as error-inducing
-// corner cases.
+// SVM of the *predicted* class (Algorithm 2, Eqs. 2–3). The threshold ε
+// that turns a joint discrepancy into a verdict (d ≥ ε flags an
+// error-inducing corner case) and the verdict statistics live one layer
+// up, in the root package's Detector, whose one check body runs
+// ScoreEach.
 package core
 
 import (
@@ -631,7 +633,7 @@ func (v *Validator) score(net *nn.Network, x *tensor.Tensor, sc *scoreScratch, t
 	if tel != nil {
 		tel.scoreLatency.ObserveSince(t0)
 		if !res.NonFinite {
-			// Non-finite samples are counted by the monitor's quarantine
+			// Non-finite samples are counted by the detector's quarantine
 			// counter; their partial sums would distort the histograms.
 			tel.joint.Observe(res.Joint)
 			for p, d := range res.Layer {
@@ -655,21 +657,14 @@ func (r Result) WeightedJoint(weights []float64) float64 {
 	return s
 }
 
-// ScoreBatch scores many samples across a bounded worker pool sized to
-// GOMAXPROCS, returning results in input order. Scoring is read-only on
-// both the validator and the network, so the samples are independent;
-// use ScoreBatchWorkers to pin the pool size (1 = sequential).
-func (v *Validator) ScoreBatch(net *nn.Network, xs []*tensor.Tensor) []Result {
-	return v.ScoreBatchWorkers(net, xs, 0)
-}
-
-// ScoreBatchWorkers scores many samples with an explicit worker bound,
-// preserving input order. workers ≤ 0 uses GOMAXPROCS; workers == 1
-// runs sequentially on the calling goroutine. Every worker count yields
-// identical results.
+// ScoreBatchWorkers scores many samples across a bounded worker pool,
+// returning results in input order. Scoring is read-only on both the
+// validator and the network, so the samples are independent. workers ≤
+// 0 uses GOMAXPROCS; workers == 1 runs sequentially on the calling
+// goroutine. Every worker count yields identical results.
 func (v *Validator) ScoreBatchWorkers(net *nn.Network, xs []*tensor.Tensor, workers int) []Result {
 	out := make([]Result, len(xs))
-	v.scoreEach(net, len(xs), workers, Tensors(xs), nil, func(i int, res *Result) {
+	v.ScoreEach(net, len(xs), workers, Tensors(xs), nil, func(i int, res *Result) {
 		out[i] = *res
 		out[i].Layer = append([]float64(nil), res.Layer...)
 	})
@@ -687,16 +682,17 @@ func Tensors(xs []*tensor.Tensor) Input {
 	return func(i int, _ *tensor.Tensor) *tensor.Tensor { return xs[i] }
 }
 
-// scoreEach is the batch scoring body: it scores samples 0..n-1 of in
-// across a bounded worker pool and hands each result to emit on the
-// worker that scored it. Each worker takes one arena when it starts and
-// returns it when the samples run out, so a warm batch allocates
-// nothing per sample; res and its Layer belong to that arena and are
-// overwritten by the worker's next sample, so emit must copy whatever
-// it keeps. tms may be nil, shorter than n, or hold nil entries: only
+// ScoreEach is the one batch scoring primitive: it scores samples
+// 0..n-1 of in across a bounded worker pool (workers as in
+// ScoreBatchWorkers) and hands each result to emit on the worker that
+// scored it, concurrently for distinct samples. Each worker takes one
+// arena when it starts and returns it when the samples run out, so a
+// warm batch allocates nothing per sample; res and its Layer belong to
+// that arena and are overwritten by the worker's next sample, so emit
+// must copy whatever it keeps. tms may be nil, shorter than n, or hold nil entries: only
 // samples with a non-nil *ScoreTimings pay for clock reads. Results are
 // identical at every worker count.
-func (v *Validator) scoreEach(net *nn.Network, n, workers int, in Input, tms []*ScoreTimings, emit func(i int, res *Result)) {
+func (v *Validator) ScoreEach(net *nn.Network, n, workers int, in Input, tms []*ScoreTimings, emit func(i int, res *Result)) {
 	// One forEachIndex item per worker, each draining the shared sample
 	// counter. The arena is taken on the worker's own goroutine, not
 	// up front by the caller: a worker that has not started holds none,

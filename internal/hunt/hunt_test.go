@@ -12,6 +12,7 @@ import (
 
 	"deepvalidation/internal/core"
 	"deepvalidation/internal/corner"
+	"deepvalidation/internal/metrics"
 	"deepvalidation/internal/nn"
 	"deepvalidation/internal/opt"
 	"deepvalidation/internal/tensor"
@@ -79,13 +80,8 @@ func toyTarget(t *testing.T) (Target, float64, []*tensor.Tensor, []int) {
 			fail(fmt.Errorf("fit recorded no drift reference"))
 			return
 		}
-		mon, err := core.NewMonitor(net, val, 0)
-		if err != nil {
-			fail(err)
-			return
-		}
 		cleanX, cleanY := toyProblem(rand.New(rand.NewSource(50)), 90)
-		fixture.epsilon = mon.CalibrateEpsilon(cleanX, 0.1)
+		fixture.epsilon = metrics.ThresholdForFPR(core.JointScores(val.ScoreBatchWorkers(net, cleanX, 0)), 0.1)
 		fixture.seedX, fixture.seedY, err = corner.SelectSeeds(net, cleanX, cleanY, 12, rand.New(rand.NewSource(51)))
 		if err != nil {
 			fail(err)

@@ -106,7 +106,7 @@ const (
 	// TypeRequest is one served request decision (ok, quarantined,
 	// shed, deadline, error) — the wide event of the serving hot path.
 	TypeRequest = "request"
-	// TypeQuarantine is emitted by the core monitor when a verdict is
+	// TypeQuarantine is emitted by the Detector when a verdict is
 	// quarantined for non-finite numerics; it fires on the quarantine
 	// branch only, so the valid-verdict path never sees it.
 	TypeQuarantine = "quarantine"

@@ -1,6 +1,6 @@
 package deepvalidation
 
-// Tests for Detector.AttachEvents: the quarantine hook must emit one
+// Tests for Detector.AttachEvents: the detector must emit one
 // wide event per quarantined verdict, stay silent on the healthy path,
 // never change verdicts, and detach cleanly (hot reload re-attaches).
 

@@ -9,13 +9,15 @@
 # corrupted validator makes every reload fail with 500 while the old
 # detector keeps answering the exact same verdict; enough consecutive
 # reload failures flip /readyz to degraded; restoring the artifact
-# heals the instance. Used by `make smoke` and CI.
+# heals the instance; dvcheck and dvvalidate score refuse a validator
+# fitted for another architecture with an error, not a panic. Used by
+# `make smoke` and CI.
 set -euo pipefail
 source "$(dirname "$0")/lib.sh"
 smoke_init chaos
 
 echo "== building CLIs"
-build dvtrain dvvalidate dvserve
+build dvtrain dvvalidate dvserve dvcheck
 
 echo "== training a tiny model + validator"
 train_fixture
@@ -91,5 +93,28 @@ grep -q ready <<<"$rz" || { echo "readyz after recovery not ready: $rz"; exit 1;
 post "$addr" /v1/check "$workdir/check.json"
 [ "$code" = 200 ] && [ "$body" = "$good_verdict" ] \
     || { echo "post-recovery verdict differs: $body"; exit 1; }
+
+echo "== a validator fitted for another architecture is refused, not a panic"
+"$workdir/dvtrain" -dataset digits -train 400 -test 100 -epochs 1 \
+    -width 6 -fc 24 -out "$workdir/wide.gob" -quiet >/dev/null
+{ printf 'P5\n28 28\n255\n'; head -c 784 /dev/zero; } >"$workdir/probe.pgm"
+# refuses NAME CMD... — CMD must exit non-zero, naming the incompatible
+# pair on stderr, without a panic.
+refuses() {
+    local name=$1
+    shift
+    if "$@" >/dev/null 2>"$workdir/$name.stderr"; then
+        echo "$name accepted a mismatched model/validator pair"; exit 1
+    fi
+    if grep -q 'panic:' "$workdir/$name.stderr"; then
+        cat "$workdir/$name.stderr"; echo "$name panicked on a mismatched pair"; exit 1
+    fi
+    grep -q 'not a compatible pair' "$workdir/$name.stderr" \
+        || { cat "$workdir/$name.stderr"; echo "$name error does not name the incompatible pair"; exit 1; }
+}
+refuses dvcheck "$workdir/dvcheck" -model "$workdir/wide.gob" \
+    -validator "$workdir/validator.gob" "$workdir/probe.pgm"
+refuses dvvalidate "$workdir/dvvalidate" score -model "$workdir/wide.gob" \
+    -validator "$workdir/validator.gob" -train 400 -test 100
 
 echo "chaos smoke: OK"
