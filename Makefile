@@ -24,12 +24,15 @@ vet:
 # them, the shared observability plane (the SLO engine's goroutine
 # reads the flight ring request goroutines write), and the one-class
 # SVMs every scoring goroutine reads (built complete before they are
-# shared) — under the race detector. The gateway's request-body
-# lifetime tests (a buffer recycled only after its last transport
-# reader closes) then run 20 more times.
+# shared) — under the race detector. Then two lifetime sets run 20
+# more times, as CI runs them: the gateway's request-body tests (a
+# buffer recycled only after its last transport reader closes) and
+# dvserve's pixel and result tests (a decoded pixel slice recycled only
+# after every verdict of its request arrives, never on the 504 path).
 race:
 	$(GO) test -race -timeout 45m ./internal/nn ./internal/svm ./internal/core ./internal/experiment ./internal/telemetry ./internal/serve ./internal/gateway ./internal/hunt ./internal/obs ./internal/trace .
 	$(GO) test -race -count=20 -run 'TestBodyRefCount|TestEarlyAnswerBodyIntact|TestRetryOnReplica500' ./internal/gateway
+	$(GO) test -race -count=20 -run 'TestDeadlinePixelsNotRecycled|TestOverlappingBatchesReusePixels|TestServeEquivalenceConcurrent|TestBatcherSweepsQueueBehindBusyWorker|TestBatchRecordsInMemberOrder' ./internal/serve
 
 # smoke runs the end-to-end checks against real processes: the
 # observability pass (train, score, scrape /metrics), the serving

@@ -424,10 +424,10 @@ func TestBenchPipelineSnapshot(t *testing.T) {
 	reg := telemetry.New()
 	det := assemble(s.Net, s.Validator.Clone())
 	det.AttachTelemetry(reg)
-	if _, err := det.Calibrate(imagesOf(fitX[:200]), 0.05); err != nil {
+	if _, err := det.Calibrate(ImagesOf(fitX[:200]), 0.05); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := det.CheckBatch(imagesOf(scoreX)); err != nil {
+	if _, err := det.CheckBatch(ImagesOf(scoreX)); err != nil {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()

@@ -59,11 +59,10 @@ func run() (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		img := deepvalidation.Image{Channels: x.Shape[0], Height: x.Shape[1], Width: x.Shape[2], Pixels: x.Data}
 		// One scoring pass serves both the verdict and the per-layer
 		// breakdown (the -v path used to score the image twice).
 		var detail deepvalidation.Detail
-		v, err := det.CheckDetailed(img, &detail)
+		v, err := det.CheckDetailed(deepvalidation.ImageOf(x), &detail)
 		if err != nil {
 			return 0, fmt.Errorf("%s: %w", path, err)
 		}

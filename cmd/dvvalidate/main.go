@@ -222,7 +222,7 @@ func runScore(args []string) error {
 
 	det.SetWorkers(*workers)
 	det.AttachTelemetry(reg)
-	clean := images(ds.TestX)
+	clean := deepvalidation.ImagesOf(ds.TestX)
 	eps, err := det.Calibrate(clean, *fpr)
 	if err != nil {
 		return err
@@ -253,7 +253,7 @@ func runScore(args []string) error {
 	for i, x := range ds.TestX {
 		transformed[i] = tr.Apply(x)
 	}
-	verdicts, err := det.CheckBatch(images(transformed))
+	verdicts, err := det.CheckBatch(deepvalidation.ImagesOf(transformed))
 	if err != nil {
 		return err
 	}
@@ -282,15 +282,6 @@ func runScore(args []string) error {
 		},
 	})
 	return nil
-}
-
-// images views C×H×W tensors as detector images, sharing their pixels.
-func images(xs []*tensor.Tensor) []deepvalidation.Image {
-	out := make([]deepvalidation.Image, len(xs))
-	for i, x := range xs {
-		out[i] = deepvalidation.Image{Channels: x.Shape[0], Height: x.Shape[1], Width: x.Shape[2], Pixels: x.Data}
-	}
-	return out
 }
 
 func parseLayers(spec string, net *nn.Network) ([]int, error) {

@@ -88,6 +88,22 @@ func tensorOf(im Image) (*tensor.Tensor, error) {
 	return tensor.From(append([]float64(nil), im.Pixels...), im.Channels, im.Height, im.Width), nil
 }
 
+// ImageOf views the C×H×W tensor x as an Image sharing its pixels; it
+// is the inverse of tensorOf, for the commands, examples and tests in
+// this module that hold internal tensors.
+func ImageOf(x *tensor.Tensor) Image {
+	return Image{Channels: x.Shape[0], Height: x.Shape[1], Width: x.Shape[2], Pixels: x.Data}
+}
+
+// ImagesOf is ImageOf over a slice.
+func ImagesOf(xs []*tensor.Tensor) []Image {
+	out := make([]Image, len(xs))
+	for i, x := range xs {
+		out[i] = ImageOf(x)
+	}
+	return out
+}
+
 func tensorsOf(ims []Image) ([]*tensor.Tensor, error) {
 	out := make([]*tensor.Tensor, len(ims))
 	for i, im := range ims {

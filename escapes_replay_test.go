@@ -82,21 +82,6 @@ func escapesBuild() (*Detector, error) {
 	return det, nil
 }
 
-func imageOf(t *tensor.Tensor) Image {
-	return Image{
-		Channels: t.Shape[0], Height: t.Shape[1], Width: t.Shape[2],
-		Pixels: append([]float64(nil), t.Data...),
-	}
-}
-
-func imagesOf(xs []*tensor.Tensor) []Image {
-	out := make([]Image, len(xs))
-	for i, x := range xs {
-		out[i] = imageOf(x)
-	}
-	return out
-}
-
 func TestEscapeCorpusReplay(t *testing.T) {
 	det, err := escapesBuild()
 	if err != nil {
@@ -151,7 +136,7 @@ func TestEscapeCorpusReplay(t *testing.T) {
 			if !match {
 				t.Fatal("freshly mined escape fails its own pixel pin")
 			}
-			vs, err := det.CheckBatch([]Image{imageOf(img)})
+			vs, err := det.CheckBatch([]Image{ImageOf(img)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -213,7 +198,7 @@ func TestEscapeCorpusReplay(t *testing.T) {
 			t.Fatalf("%s: transformation pipeline no longer reproduces the mined pixels — "+
 				"intentional imgtrans change? regenerate with DV_ESCAPES_REGEN=1", manifest.Escapes[i].ID)
 		}
-		imgs[i] = imageOf(img)
+		imgs[i] = ImageOf(img)
 	}
 	verdicts, err := det.CheckBatch(imgs)
 	if err != nil {

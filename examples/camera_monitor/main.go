@@ -24,7 +24,6 @@ import (
 	"deepvalidation"
 	"deepvalidation/internal/dataset"
 	"deepvalidation/internal/imgtrans"
-	"deepvalidation/internal/tensor"
 )
 
 const (
@@ -36,7 +35,7 @@ func main() {
 	ds := dataset.Digits(dataset.Config{TrainN: 1000, TestN: 400, Seed: 11})
 
 	fmt.Println("training the on-vehicle classifier...")
-	det, err := deepvalidation.Build(images(ds.TrainX), ds.TrainY, deepvalidation.BuildConfig{
+	det, err := deepvalidation.Build(deepvalidation.ImagesOf(ds.TrainX), ds.TrainY, deepvalidation.BuildConfig{
 		Classes: ds.Classes, Epochs: 7, Width: 6, FCWidth: 32,
 		SVMPerClass: 100, SVMFeatures: 128, Seed: 3,
 	})
@@ -45,7 +44,7 @@ func main() {
 	}
 
 	fmt.Println("fitting Deep Validation and calibrating on clean footage...")
-	eps, err := det.Calibrate(images(ds.TestX[:200]), 0.05)
+	eps, err := det.Calibrate(deepvalidation.ImagesOf(ds.TestX[:200]), 0.05)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -80,7 +79,7 @@ func main() {
 			scene, truth := ds.TestX[idx], ds.TestY[idx]
 
 			img := phase.env(float64(i) / framesPerPhase).Apply(scene)
-			v, err := det.Check(image(img))
+			v, err := det.Check(deepvalidation.ImageOf(img))
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -107,19 +106,6 @@ func main() {
 
 	checked, flagged, _ := det.Stats()
 	fmt.Printf("drive summary: %d frames checked, %d flagged as invalid\n", checked, flagged)
-}
-
-// image views a C×H×W tensor as a detector image, sharing its pixels.
-func image(x *tensor.Tensor) deepvalidation.Image {
-	return deepvalidation.Image{Channels: x.Shape[0], Height: x.Shape[1], Width: x.Shape[2], Pixels: x.Data}
-}
-
-func images(xs []*tensor.Tensor) []deepvalidation.Image {
-	out := make([]deepvalidation.Image, len(xs))
-	for i, x := range xs {
-		out[i] = image(x)
-	}
-	return out
 }
 
 // bar renders a crude alarm-rate gauge.

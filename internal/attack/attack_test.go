@@ -306,35 +306,3 @@ func absf(v float64) float64 {
 	}
 	return v
 }
-
-func TestPGDBoundedAndAtLeastBIM(t *testing.T) {
-	net, seeds, ys := toyNet(t)
-	eps := 0.25
-	rng := rand.New(rand.NewSource(91))
-	pgdWins, bimWins := 0, 0
-	for i, x := range seeds {
-		rp := PGD(net, x, ys[i], eps, 0.05, 10, 2, rng)
-		inBox(t, rp.Adversarial)
-		if d := rp.Adversarial.Sub(x).LInfNorm(); d > eps+1e-12 {
-			t.Fatalf("PGD L∞ = %v exceeds eps %v", d, eps)
-		}
-		if rp.Success {
-			pgdWins++
-		}
-		if BIM(net, x, ys[i], eps, 0.05, 10).Success {
-			bimWins++
-		}
-	}
-	if pgdWins < bimWins-1 {
-		t.Fatalf("PGD (%d wins) notably weaker than BIM (%d wins)", pgdWins, bimWins)
-	}
-}
-
-func TestPGDZeroEpsilonStaysPut(t *testing.T) {
-	net, seeds, ys := toyNet(t)
-	rng := rand.New(rand.NewSource(92))
-	r := PGD(net, seeds[0], ys[0], 0, 0.05, 5, 1, rng)
-	if !r.Adversarial.AllClose(seeds[0], 1e-12) {
-		t.Fatal("eps=0 PGD moved the image")
-	}
-}

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,6 +14,7 @@ import (
 	"deepvalidation/internal/metrics"
 	"deepvalidation/internal/nn"
 	"deepvalidation/internal/opt"
+	"deepvalidation/internal/svm"
 	"deepvalidation/internal/tensor"
 )
 
@@ -238,6 +241,47 @@ func TestValidatorSaveLoadRoundTrip(t *testing.T) {
 	got := loaded.Score(net, xs[3])
 	if got.Joint != want.Joint || got.Label != want.Label {
 		t.Fatalf("loaded validator scores differently: %+v vs %+v", got, want)
+	}
+}
+
+// TestValidateRefusesNonRBFKernel: scoring evaluates the RBF kernel
+// only, so a validator holding an SVM of any other recorded kind must
+// fail at load, naming the kind and the (layer, class), instead of
+// being scored with the wrong kernel. The committed golden validators,
+// all RBF, still load.
+func TestValidateRefusesNonRBFKernel(t *testing.T) {
+	net, xs, ys := trainedToyModel(t)
+	base := fitToyValidator(t, net, xs, ys)
+	p, k := len(base.LayerIdx)-1, 1
+	for _, kind := range []svm.KernelKind{"linear", "poly", "sigmoid"} {
+		v := base.Clone()
+		v.SVMs = make([][]*svm.OneClass, len(base.SVMs))
+		for i, row := range base.SVMs {
+			v.SVMs[i] = append([]*svm.OneClass(nil), row...)
+		}
+		m := base.SVMs[p][k]
+		v.SVMs[p][k] = &svm.OneClass{Kind: kind, Gamma: m.Gamma, Nu: m.Nu,
+			Support: m.Support, Alpha: m.Alpha, Rho: m.Rho, Dim: m.Dim}
+		var buf bytes.Buffer
+		if err := v.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		_, err := DecodeValidator(&buf)
+		if err == nil {
+			t.Fatalf("kind %q: validator decoded", kind)
+		}
+		want := fmt.Sprintf("SVM(layer %d, class %d)", v.LayerIdx[p], k)
+		if !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), string(kind)) {
+			t.Errorf("kind %q: error %q does not name the kind and %s", kind, err, want)
+		}
+	}
+	if err := base.Validate(); err != nil {
+		t.Fatalf("fitted validator refused: %v", err)
+	}
+	for _, name := range []string{"validator.gob", "validator.dvart", "validator_norms.dvart"} {
+		if _, err := LoadValidator(filepath.Join("..", "..", "artifacts", "golden", name)); err != nil {
+			t.Errorf("golden %s refused: %v", name, err)
+		}
 	}
 }
 
@@ -558,55 +602,6 @@ func TestMonitorConcurrentChecks(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-}
-
-func TestTuneNu(t *testing.T) {
-	net, xs, ys := trainedToyModel(t)
-	rng := rand.New(rand.NewSource(61))
-	valX, _ := toyProblem(rng, 40)
-	base := Config{MaxPerClass: 40, MaxFeatures: 64, Workers: 2}
-	cands, best, err := TuneNu(net, xs, ys, valX, 0.15, base, []float64{0.05, 0.1, 0.3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cands) != 3 {
-		t.Fatalf("candidates = %d", len(cands))
-	}
-	found := false
-	for _, c := range cands {
-		if c.CleanFlagRate < 0 || c.CleanFlagRate > 1 {
-			t.Fatalf("flag rate %v out of range", c.CleanFlagRate)
-		}
-		if c.Nu == best {
-			found = true
-			if c.CleanFlagRate > 0.15 {
-				// best may be the fallback; only check when some
-				// candidate met the budget.
-				for _, o := range cands {
-					if o.CleanFlagRate <= 0.15 {
-						t.Fatalf("selected ν=%v violates budget though %v met it", best, o.Nu)
-					}
-				}
-			}
-		}
-	}
-	if !found {
-		t.Fatalf("selected ν=%v not among candidates", best)
-	}
-}
-
-func TestTuneNuValidation(t *testing.T) {
-	net, xs, ys := trainedToyModel(t)
-	base := Config{MaxPerClass: 40, MaxFeatures: 64}
-	if _, _, err := TuneNu(net, xs, ys, nil, 0.1, base, []float64{0.1}); err == nil {
-		t.Error("empty validation set accepted")
-	}
-	if _, _, err := TuneNu(net, xs, ys, xs[:5], 0.1, base, nil); err == nil {
-		t.Error("empty candidates accepted")
-	}
-	if _, _, err := TuneNu(net, xs, ys, xs[:5], 0.1, base, []float64{2}); err == nil {
-		t.Error("ν > 1 accepted")
-	}
 }
 
 func TestScoreBatchMatchesSequentialScore(t *testing.T) {

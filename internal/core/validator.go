@@ -309,11 +309,7 @@ func Fit(net *nn.Network, trainX []*tensor.Tensor, trainY []int, cfg Config) (*V
 				for _, i := range byClass[j.k] {
 					data = append(data, feats[j.p][i])
 				}
-				m, err := ws.Train(data, svm.Config{
-					Nu:     cfg.Nu,
-					Kernel: svm.KernelRBF,
-					Gamma:  gammas[j.p],
-				})
+				m, err := ws.Train(data, svm.Config{Nu: cfg.Nu, Gamma: gammas[j.p]})
 				oneSpan.End()
 				if err != nil {
 					errs[j.p*net.Classes+j.k] = fmt.Errorf("core: SVM(layer %d, class %d): %w", v.LayerIdx[j.p], j.k, err)
@@ -842,6 +838,10 @@ func (v *Validator) Validate() error {
 		for k, m := range row {
 			if m == nil {
 				return fmt.Errorf("core: validator for %q is missing SVM(layer %d, class %d)", v.ModelName, v.LayerIdx[p], k)
+			}
+			if m.Kind != svm.KernelRBF {
+				return fmt.Errorf("core: SVM(layer %d, class %d) of %q has kernel %q; only %q models can be scored",
+					v.LayerIdx[p], k, v.ModelName, m.Kind, svm.KernelRBF)
 			}
 			if m.Dim <= 0 || len(m.Support) != len(m.Alpha) {
 				return fmt.Errorf("core: SVM(layer %d, class %d) of %q is malformed (%d-dim, %d support vectors, %d coefficients)",

@@ -221,10 +221,7 @@ func CombineSearch(net *nn.Network, seeds []*tensor.Tensor, labels []int, kept [
 			if i == j || !kept[i].Kept || !kept[j].Kept {
 				continue
 			}
-			tr := imgtrans.Compose{
-				First:  kept[i].Best.Transform,
-				Second: kept[j].Best.Transform,
-			}
+			tr := imgtrans.Chain{kept[i].Best.Transform, kept[j].Best.Transform}
 			g := Generate(net, seeds, labels, "combined", tr)
 			if g.SuccessRate < MinSuccess {
 				continue

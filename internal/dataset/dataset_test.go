@@ -193,15 +193,6 @@ func TestWritePNMRejectsBadShapes(t *testing.T) {
 	}
 }
 
-func TestASCIIArtDimensions(t *testing.T) {
-	img := tensor.New(1, 3, 5)
-	art := ASCII(img)
-	lines := strings.Split(strings.TrimRight(art, "\n"), "\n")
-	if len(lines) != 3 || len(lines[0]) != 5 {
-		t.Fatalf("ASCII art %dx%d, want 3x5", len(lines), len(lines[0]))
-	}
-}
-
 func TestCanvasPrimitives(t *testing.T) {
 	cv := NewCanvas(1, 10, 10)
 	cv.Disk(5, 5, 2, []float64{1})

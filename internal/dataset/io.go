@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"deepvalidation/internal/tensor"
 )
@@ -62,30 +61,4 @@ func SavePNM(path string, img *tensor.Tensor) (err error) {
 		}
 	}()
 	return WritePNM(f, img)
-}
-
-// ASCII renders a coarse text view of an image's luminance, handy for
-// debugging renderers and transformations in a terminal.
-func ASCII(img *tensor.Tensor) string {
-	const ramp = " .:-=+*#%@"
-	c, h, w := img.Shape[0], img.Shape[1], img.Shape[2]
-	var b strings.Builder
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			lum := 0.0
-			for ch := 0; ch < c; ch++ {
-				lum += img.At(ch, y, x)
-			}
-			lum /= float64(c)
-			idx := int(lum * float64(len(ramp)-1))
-			if idx < 0 {
-				idx = 0
-			} else if idx >= len(ramp) {
-				idx = len(ramp) - 1
-			}
-			b.WriteByte(ramp[idx])
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
 }

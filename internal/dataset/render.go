@@ -88,19 +88,6 @@ func (cv *Canvas) Polyline(pts [][2]float64, thickness float64, color []float64)
 	}
 }
 
-// EllipseArc draws the arc of an axis-aligned ellipse centered at
-// (cx, cy) with radii (rx, ry) from angle a0 to a1 (radians, clockwise
-// with screen coordinates).
-func (cv *Canvas) EllipseArc(cx, cy, rx, ry, a0, a1, thickness float64, color []float64) {
-	arc := math.Abs(a1 - a0)
-	steps := int(arc*math.Max(rx, ry)) + 8
-	r := thickness / 2
-	for i := 0; i <= steps; i++ {
-		a := a0 + (a1-a0)*float64(i)/float64(steps)
-		cv.Disk(cx+rx*math.Cos(a), cy+ry*math.Sin(a), r, color)
-	}
-}
-
 // FillRect paints an axis-aligned filled rectangle.
 func (cv *Canvas) FillRect(x0, y0, x1, y1 float64, color []float64) {
 	for y := int(math.Floor(y0)); y <= int(math.Ceil(y1)); y++ {

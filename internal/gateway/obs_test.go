@@ -596,6 +596,24 @@ func TestDebugHandlersBothTiers(t *testing.T) {
 			false: {404, "", `{"error":"event log disabled (run with -log)"}` + "\n"},
 			true:  {400, "", `{"error":"bad level filter: obs: unknown level \"bogus\" (want debug, info, warn or error)"}` + "\n"},
 		}},
+		// The shared triage axes answer the flight recorder's 400 texts,
+		// and ?level= is checked before them.
+		{"GET", "/debug/dv/events?valid=maybe", map[bool]reply{
+			false: {404, "", `{"error":"event log disabled (run with -log)"}` + "\n"},
+			true:  {400, "", `{"error":"bad valid filter: strconv.ParseBool: parsing \"maybe\": invalid syntax"}` + "\n"},
+		}},
+		{"GET", "/debug/dv/events?class=x", map[bool]reply{
+			false: {404, "", `{"error":"event log disabled (run with -log)"}` + "\n"},
+			true:  {400, "", `{"error":"bad class filter: strconv.Atoi: parsing \"x\": invalid syntax"}` + "\n"},
+		}},
+		{"GET", "/debug/dv/events?limit=many", map[bool]reply{
+			false: {404, "", `{"error":"event log disabled (run with -log)"}` + "\n"},
+			true:  {400, "", `{"error":"bad limit: strconv.Atoi: parsing \"many\": invalid syntax"}` + "\n"},
+		}},
+		{"GET", "/debug/dv/events?valid=maybe&level=bogus", map[bool]reply{
+			false: {404, "", `{"error":"event log disabled (run with -log)"}` + "\n"},
+			true:  {400, "", `{"error":"bad level filter: obs: unknown level \"bogus\" (want debug, info, warn or error)"}` + "\n"},
+		}},
 		{"POST", "/debug/dv/events", map[bool]reply{
 			false: {405, "GET", `{"error":"use GET"}` + "\n"},
 			true:  {405, "GET", `{"error":"use GET"}` + "\n"},

@@ -208,27 +208,10 @@ func Translation(tx, ty float64) Affine {
 	}
 }
 
-// Compose chains two transformations, applying first then second —
-// the paper's "combination of two transformations" (Section III-A2).
-type Compose struct {
-	First, Second Transform
-}
-
-// Name implements Transform.
-func (t Compose) Name() string { return t.First.Name() + "+" + t.Second.Name() }
-
-// Describe implements Transform.
-func (t Compose) Describe() string { return t.First.Describe() + " ∘ " + t.Second.Describe() }
-
-// Apply implements Transform.
-func (t Compose) Apply(img *tensor.Tensor) *tensor.Tensor {
-	return t.Second.Apply(t.First.Apply(img))
-}
-
-// Chain applies a sequence of transformations left to right — the
-// N-ary generalization of Compose that the corner-case miner's
-// composition search builds its candidates from. An empty chain is the
-// identity.
+// Chain applies a sequence of transformations left to right. A
+// two-stage chain is the paper's "combination of two transformations"
+// (Section III-A2); the corner-case miner's composition search builds
+// its candidates from longer ones. An empty chain is the identity.
 type Chain []Transform
 
 // Name implements Transform: the "+"-joined family names, the key the
@@ -287,7 +270,6 @@ var (
 	_ Transform = Contrast{}
 	_ Transform = Complement{}
 	_ Transform = Affine{}
-	_ Transform = Compose{}
 	_ Transform = Chain{}
 	_ Transform = Identity{}
 )

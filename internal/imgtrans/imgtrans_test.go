@@ -205,7 +205,7 @@ func TestSingularMatrixPanics(t *testing.T) {
 func TestComposeAppliesInOrder(t *testing.T) {
 	img := tensor.From([]float64{0.5}, 1, 1, 1)
 	// contrast then brightness: 0.5*2=1.0 clamp, +(-0.4) = 0.6
-	c := Compose{First: Contrast{Alpha: 2}, Second: Brightness{Beta: -0.4}}
+	c := Chain{Contrast{Alpha: 2}, Brightness{Beta: -0.4}}
 	out := c.Apply(img)
 	if math.Abs(out.Data[0]-0.6) > 1e-12 {
 		t.Fatalf("compose = %v, want 0.6", out.Data[0])
@@ -213,13 +213,16 @@ func TestComposeAppliesInOrder(t *testing.T) {
 	if c.Name() != "contrast+brightness" {
 		t.Fatalf("compose name = %q", c.Name())
 	}
+	if want := c[0].Describe() + " ∘ " + c[1].Describe(); c.Describe() != want {
+		t.Fatalf("compose description = %q, want %q", c.Describe(), want)
+	}
 }
 
 func TestDescribeNonEmpty(t *testing.T) {
 	for _, tr := range []Transform{
 		Brightness{Beta: 0.5}, Contrast{Alpha: 2}, Complement{},
 		Rotation(40), Shear(0.2, 0.3), Scale(0.8, 0.8), Translation(4, 3),
-		Compose{First: Complement{}, Second: Scale(0.8, 0.8)}, Identity{},
+		Chain{Complement{}, Scale(0.8, 0.8)}, Identity{},
 	} {
 		if tr.Name() == "" || tr.Describe() == "" {
 			t.Errorf("%T has empty name or description", tr)

@@ -44,22 +44,6 @@ func (c *ClassConfusion) Accuracy() float64 {
 	return float64(diag) / float64(total)
 }
 
-// PerClassRecall returns the recall of each true class (NaN-free: 0 for
-// unobserved classes).
-func (c *ClassConfusion) PerClassRecall() []float64 {
-	out := make([]float64, c.Classes)
-	for i, row := range c.Counts {
-		total := 0
-		for _, v := range row {
-			total += v
-		}
-		if total > 0 {
-			out[i] = float64(row[i]) / float64(total)
-		}
-	}
-	return out
-}
-
 // MostConfused returns the off-diagonal cell with the highest count:
 // the (true, predicted) pair the model mixes up most. ok is false when
 // there are no errors.

@@ -12,7 +12,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 )
 
@@ -273,35 +272,4 @@ func Mean(xs []float64) float64 {
 		s += v
 	}
 	return s / float64(len(xs))
-}
-
-// AUCWithCI computes the ROC-AUC together with a bootstrap confidence
-// interval: both score sets are resampled with replacement iters times
-// and the (α/2, 1−α/2) quantiles of the resampled AUCs are returned.
-// The experiments report 95% intervals (alpha = 0.05) so paper-vs-
-// reproduction comparisons carry their uncertainty.
-func AUCWithCI(pos, neg []float64, iters int, alpha float64, rng *rand.Rand) (auc, lo, hi float64) {
-	auc = AUC(pos, neg)
-	if len(pos) == 0 || len(neg) == 0 || iters <= 0 {
-		return auc, math.NaN(), math.NaN()
-	}
-	samples := make([]float64, iters)
-	rp := make([]float64, len(pos))
-	rn := make([]float64, len(neg))
-	for it := 0; it < iters; it++ {
-		for i := range rp {
-			rp[i] = pos[rng.Intn(len(pos))]
-		}
-		for i := range rn {
-			rn[i] = neg[rng.Intn(len(neg))]
-		}
-		samples[it] = AUC(rp, rn)
-	}
-	sort.Float64s(samples)
-	loIdx := int(alpha / 2 * float64(iters))
-	hiIdx := int((1 - alpha/2) * float64(iters))
-	if hiIdx >= iters {
-		hiIdx = iters - 1
-	}
-	return auc, samples[loIdx], samples[hiIdx]
 }

@@ -261,28 +261,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestAUCWithCI(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	pos := make([]float64, 80)
-	neg := make([]float64, 80)
-	for i := range pos {
-		pos[i] = rng.NormFloat64() + 1.5
-		neg[i] = rng.NormFloat64()
-	}
-	auc, lo, hi := AUCWithCI(pos, neg, 300, 0.05, rand.New(rand.NewSource(13)))
-	if !(lo <= auc && auc <= hi) {
-		t.Fatalf("point estimate %v outside CI [%v, %v]", auc, lo, hi)
-	}
-	if hi-lo <= 0 || hi-lo > 0.5 {
-		t.Fatalf("implausible CI width %v", hi-lo)
-	}
-	// Degenerate inputs: NaN bounds, no panic.
-	_, lo2, hi2 := AUCWithCI(nil, neg, 100, 0.05, rng)
-	if !math.IsNaN(lo2) || !math.IsNaN(hi2) {
-		t.Fatal("empty positives should give NaN bounds")
-	}
-}
-
 func TestQuantilesSorted(t *testing.T) {
 	data := []float64{1, 2, 3, 4, 5}
 	got := QuantilesSorted(data, []float64{0, 0.25, 0.5, 0.75, 1})

@@ -31,12 +31,6 @@ type ArchConfig struct {
 	StemStride int
 }
 
-// DefaultArchConfig returns the CPU-scale defaults used across the
-// experiments.
-func DefaultArchConfig() ArchConfig {
-	return ArchConfig{Width: 8, FCWidth: 64, Dropout: 0, Growth: 8, BlockConvs: 4}
-}
-
 // NewSevenLayerCNN builds the seven-layer CNN of paper Table II:
 //
 //	Conv+ReLU / Conv+ReLU+MaxPool / Conv+ReLU / Conv+ReLU+MaxPool /
@@ -149,9 +143,6 @@ var (
 	_ Layer = (*BatchNorm)(nil)
 	_ Layer = (*Seq)(nil)
 	_ Layer = (*DenseBlock)(nil)
-	_ Layer = (*Sigmoid)(nil)
-	_ Layer = (*Tanh)(nil)
-	_ Layer = (*LeakyReLU)(nil)
 )
 
 // inputShapeElems is a small helper used by arch validation.
@@ -184,43 +175,4 @@ func (n *Network) checkInput(elems int, shape []int) error {
 			n.ModelName, n.InShape, inputShapeElems(n.InShape), append([]int(nil), shape...))
 	}
 	return nil
-}
-
-// NewLeNet builds the classic LeNet-5 style network (LeCun et al., the
-// paper's reference [30]): two conv+tanh+avgpool stages followed by two
-// fully connected tanh layers and a softmax head. It is provided as an
-// alternative substrate for experiments on architecture sensitivity;
-// each stage is one validation tap.
-func NewLeNet(name string, inC, size, classes int, rng *rand.Rand) (*Network, error) {
-	if size < 12 {
-		return nil, fmt.Errorf("nn: LeNet needs inputs of at least 12px, got %d", size)
-	}
-	s1 := size / 2
-	s2 := s1 / 2
-	flat := 16 * s2 * s2
-	return NewNetwork(name, []int{inC, size, size}, classes,
-		NewSeq("c1",
-			NewConv2D("c1.conv", inC, 6, 5, 1, 2, rng),
-			NewTanh("c1.tanh"),
-			NewAvgPool2D("c1.pool", 2, 2),
-		),
-		NewSeq("c2",
-			NewConv2D("c2.conv", 6, 16, 5, 1, 2, rng),
-			NewTanh("c2.tanh"),
-			NewAvgPool2D("c2.pool", 2, 2),
-		),
-		NewSeq("f3",
-			NewFlatten("f3.flatten"),
-			NewDense("f3.fc", flat, 120, rng),
-			NewTanh("f3.tanh"),
-		),
-		NewSeq("f4",
-			NewDense("f4.fc", 120, 84, rng),
-			NewTanh("f4.tanh"),
-		),
-		NewSeq("out",
-			NewDense("out.fc", 84, classes, rng),
-			NewSoftmax("softmax"),
-		),
-	)
 }

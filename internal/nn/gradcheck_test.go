@@ -237,15 +237,3 @@ func TestLogitsForwardBackwardConsistency(t *testing.T) {
 		t.Fatal("softmax(ForwardToLogits) != Forward")
 	}
 }
-
-func TestSigmoidGradients(t *testing.T) {
-	checkLayerGradients(t, NewSigmoid("s"), []int{2, 3, 3}, 1e-5)
-}
-
-func TestTanhGradients(t *testing.T) {
-	checkLayerGradients(t, NewTanh("t"), []int{2, 3, 3}, 1e-5)
-}
-
-func TestLeakyReLUGradients(t *testing.T) {
-	checkLayerGradients(t, NewLeakyReLU("l", 0.1), []int{2, 3, 3}, 1e-5)
-}

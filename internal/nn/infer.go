@@ -449,37 +449,6 @@ func (l *Softmax) ForwardInfer(x *tensor.Tensor, sc *Scratch) *tensor.Tensor {
 	return out
 }
 
-// ForwardInfer implements Layer.
-func (l *Sigmoid) ForwardInfer(x *tensor.Tensor, sc *Scratch) *tensor.Tensor {
-	out := sc.like(skey{l, 0}, x)
-	for i, v := range x.Data {
-		out.Data[i] = 1 / (1 + math.Exp(-v))
-	}
-	return out
-}
-
-// ForwardInfer implements Layer.
-func (l *Tanh) ForwardInfer(x *tensor.Tensor, sc *Scratch) *tensor.Tensor {
-	out := sc.like(skey{l, 0}, x)
-	for i, v := range x.Data {
-		out.Data[i] = math.Tanh(v)
-	}
-	return out
-}
-
-// ForwardInfer implements Layer.
-func (l *LeakyReLU) ForwardInfer(x *tensor.Tensor, sc *Scratch) *tensor.Tensor {
-	out := sc.like(skey{l, 0}, x)
-	for i, v := range x.Data {
-		if v > 0 {
-			out.Data[i] = v
-		} else {
-			out.Data[i] = l.Alpha * v
-		}
-	}
-	return out
-}
-
 // ForwardInfer implements Layer: a cached flat view of x.
 func (l *Flatten) ForwardInfer(x *tensor.Tensor, sc *Scratch) *tensor.Tensor {
 	return sc.viewOf1(skey{l, 0}, x.Data)

@@ -13,7 +13,7 @@ import (
 // specialization: a stride-1 conv (direct-convolution path), a stride-2
 // conv (im2col fallback), a 2×2/2 max pool on even dims (unrolled fast
 // path), max and avg pools hitting the generic loops, BatchNorm,
-// DenseBlock, Seq nesting, every activation, Dropout, Flatten, Dense,
+// DenseBlock, Seq nesting, both activations, Dropout, Flatten, Dense,
 // and Softmax.
 func allLayerNet(t *testing.T) *Network {
 	t.Helper()
@@ -23,15 +23,13 @@ func allLayerNet(t *testing.T) *Network {
 		NewBatchNorm("bn1", 4),
 		NewReLU("relu1"),
 		NewConv2D("conv_s2", 4, 6, 3, 2, 1, rng), // 6×7×7, im2col path
-		NewLeakyReLU("lrelu", 0.1),
 		NewSeq("block",
 			NewConv2D("conv_k1", 6, 6, 1, 1, 0, rng), // 1×1 kernel, direct
-			NewTanh("tanh"),
+			NewReLU("relu_block"),
 		),
 		NewMaxPool2D("pool_odd", 2, 2), // 7×7 odd input → generic pool
 		NewDenseBlock("dense_block", 6, 4, 2, rng),
 		NewConv2D("conv_pad0", 14, 8, 3, 1, 0, rng), // pad 0, direct → 8×1×1... careful
-		NewSigmoid("sigmoid"),
 		NewFlatten("flatten"),
 		NewDropout("dropout", 0.5),
 		NewDense("fc", 8, 4, rng),
@@ -131,17 +129,6 @@ func refForward(l Layer, x *tensor.Tensor) *tensor.Tensor {
 			}
 			return 0
 		})
-	case *LeakyReLU:
-		return x.Map(func(v float64) float64 {
-			if v > 0 {
-				return v
-			}
-			return l.Alpha * v
-		})
-	case *Sigmoid:
-		return x.Map(func(v float64) float64 { return 1 / (1 + math.Exp(-v)) })
-	case *Tanh:
-		return x.Map(math.Tanh)
 	case *Softmax:
 		return SoftmaxVector(x)
 	case *Flatten:

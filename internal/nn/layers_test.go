@@ -279,37 +279,3 @@ func TestBackwardBeforeForwardPanics(t *testing.T) {
 		})
 	}
 }
-
-func TestSigmoidRange(t *testing.T) {
-	rng := rand.New(rand.NewSource(51))
-	x := tensor.New(50).FillNormal(rng, 0, 5)
-	y := NewSigmoid("s").Forward(x, NewContext(false, nil))
-	for _, v := range y.Data {
-		if v <= 0 || v >= 1 {
-			t.Fatalf("sigmoid output %v outside (0,1)", v)
-		}
-	}
-	mid := NewSigmoid("s").Forward(tensor.From([]float64{0}, 1), NewContext(false, nil))
-	if math.Abs(mid.Data[0]-0.5) > 1e-12 {
-		t.Fatalf("sigmoid(0) = %v", mid.Data[0])
-	}
-}
-
-func TestTanhOddFunction(t *testing.T) {
-	x := tensor.From([]float64{-2, -1, 0, 1, 2}, 5)
-	y := NewTanh("t").Forward(x, NewContext(false, nil))
-	if y.Data[2] != 0 {
-		t.Fatal("tanh(0) != 0")
-	}
-	if math.Abs(y.Data[0]+y.Data[4]) > 1e-12 || math.Abs(y.Data[1]+y.Data[3]) > 1e-12 {
-		t.Fatal("tanh not odd")
-	}
-}
-
-func TestLeakyReLUNegativeSlope(t *testing.T) {
-	x := tensor.From([]float64{-10, 10}, 2)
-	y := NewLeakyReLU("l", 0.1).Forward(x, NewContext(false, nil))
-	if y.Data[0] != -1 || y.Data[1] != 10 {
-		t.Fatalf("leaky relu = %v", y.Data)
-	}
-}

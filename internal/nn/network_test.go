@@ -295,30 +295,3 @@ func TestEncodeDecodeStream(t *testing.T) {
 		t.Fatal("stream round trip changed the model")
 	}
 }
-
-func TestLeNetBuildsAndClassifies(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	net, err := NewLeNet("lenet", 1, 28, 10, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if net.NumLayers() != 5 {
-		t.Fatalf("LeNet taps = %d, want 5", net.NumLayers())
-	}
-	x := tensor.New(1, 28, 28).FillUniform(rng, 0, 1)
-	probs := net.Forward(x)
-	if probs.Len() != 10 || math.Abs(probs.Sum()-1) > 1e-9 {
-		t.Fatalf("probs len %d sum %v", probs.Len(), probs.Sum())
-	}
-	// Logits path works for attacks on LeNet too.
-	z := net.Logits(x)
-	if !SoftmaxVector(z).AllClose(probs, 1e-12) {
-		t.Fatal("LeNet logits inconsistent")
-	}
-}
-
-func TestLeNetTooSmall(t *testing.T) {
-	if _, err := NewLeNet("l", 1, 8, 10, rand.New(rand.NewSource(1))); err == nil {
-		t.Fatal("tiny input accepted")
-	}
-}

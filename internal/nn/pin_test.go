@@ -49,16 +49,16 @@ func paramHash(net *Network) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// TestTrainedParamsPinned pins the bits of three trained reference
+// TestTrainedParamsPinned pins the bits of the two trained reference
 // architectures after two Adadelta epochs at batch 16: the seven-layer
-// CNN (conv, ReLU, max pool, dense), the DenseNet (dense blocks,
+// CNN (conv, ReLU, max pool, dense) and the DenseNet (dense blocks,
 // BatchNorm refreshed by CalibrateWith, a strided stem, average and
-// global pools) and LeNet (tanh, average pool). The hashes were
-// recorded with Workers=1 before training moved onto arena forward
-// passes; every worker count must reproduce them, because the trainer
-// folds per-sample gradients in sample order. The bits come from
-// linux/amd64 (like the escape and golden corpora); other platforms
-// may round fused operations differently, so the test skips there.
+// global pools). The hashes were recorded with Workers=1 before
+// training moved onto arena forward passes; every worker count must
+// reproduce them, because the trainer folds per-sample gradients in
+// sample order. The bits come from linux/amd64 (like the escape and
+// golden corpora); other platforms may round fused operations
+// differently, so the test skips there.
 func TestTrainedParamsPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("trained-parameter hashes are recorded on amd64")
@@ -76,9 +76,6 @@ func TestTrainedParamsPinned(t *testing.T) {
 		{"densenet", func(rng *rand.Rand) (*Network, error) {
 			return NewDenseNetLite("pindn", 3, 12, 3, ArchConfig{Growth: 3, BlockConvs: 2, StemStride: 2}, rng)
 		}, 3, 12, true, "4a703949c5a8f888"},
-		{"lenet", func(rng *rand.Rand) (*Network, error) {
-			return NewLeNet("pinlenet", 1, 12, 3, rng)
-		}, 1, 12, false, "858be223074d4c03"},
 	}
 	for _, tc := range cases {
 		for _, workers := range []int{1, 2, 4} {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"strings"
 	"sync"
 
 	"deepvalidation/internal/tensor"
@@ -34,16 +33,6 @@ type Trainer struct {
 	BatchSize int
 	Workers   int
 	Rng       *rand.Rand
-
-	// WeightDecay adds L2 regularization to convolution and dense
-	// weights (parameters named "*.weight"); biases and normalization
-	// parameters are exempt, the usual convention. 0 disables it.
-	WeightDecay float64
-
-	// ClipNorm rescales each parameter's averaged gradient so its L2
-	// norm does not exceed this bound, taming the occasional exploding
-	// batch. 0 disables clipping.
-	ClipNorm float64
 
 	// CalibrateWith, when non-empty, is streamed through the network
 	// after every epoch to refresh BatchNorm running statistics.
@@ -188,14 +177,6 @@ func (t *Trainer) trainBatch(xs []*tensor.Tensor, ys []int, batch []int, ctxs []
 			continue
 		}
 		g.ScaleInPlace(inv)
-		if t.WeightDecay > 0 && strings.HasSuffix(p.Name, ".weight") {
-			g.AxpyInPlace(t.WeightDecay, p.Value)
-		}
-		if t.ClipNorm > 0 {
-			if norm := g.L2Norm(); norm > t.ClipNorm {
-				g.ScaleInPlace(t.ClipNorm / norm)
-			}
-		}
 		t.Optimizer.Step(p.Name, p.Value, g)
 	}
 	return lossSum, correct

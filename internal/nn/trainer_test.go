@@ -3,7 +3,6 @@ package nn
 import (
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"deepvalidation/internal/tensor"
@@ -187,55 +186,5 @@ func TestTrainerWithDropout(t *testing.T) {
 	}
 	if stats[len(stats)-1].Accuracy < 0.8 {
 		t.Fatalf("dropout training accuracy = %v, want ≥ 0.8", stats[len(stats)-1].Accuracy)
-	}
-}
-
-func TestTrainerWeightDecayShrinksWeights(t *testing.T) {
-	weightNorm := func(decay float64) float64 {
-		tr, xs, ys := toyTrainer(t, 800, 2)
-		tr.WeightDecay = decay
-		if _, err := tr.Train(xs, ys, 8); err != nil {
-			t.Fatal(err)
-		}
-		norm := 0.0
-		for _, p := range tr.Net.Params() {
-			if strings.HasSuffix(p.Name, ".weight") {
-				norm += p.Value.Dot(p.Value)
-			}
-		}
-		return norm
-	}
-	plain := weightNorm(0)
-	decayed := weightNorm(0.05)
-	if decayed >= plain {
-		t.Fatalf("weight decay did not shrink weights: %v vs %v", decayed, plain)
-	}
-}
-
-func TestTrainerClipNormBoundsUpdates(t *testing.T) {
-	// With an aggressive clip the first update's magnitude is bounded;
-	// verify by comparing against a recording optimizer.
-	tr, xs, ys := toyTrainer(t, 900, 1)
-	maxNorm := 0.0
-	tr.ClipNorm = 0.01
-	tr.Optimizer = recordingOptimizer{maxNorm: &maxNorm}
-	tr.BatchSize = len(xs)
-	if _, err := tr.Train(xs, ys, 1); err != nil {
-		t.Fatal(err)
-	}
-	if maxNorm > 0.01+1e-12 {
-		t.Fatalf("gradient norm %v exceeded clip bound", maxNorm)
-	}
-	if maxNorm == 0 {
-		t.Fatal("no gradients observed")
-	}
-}
-
-// recordingOptimizer tracks the largest gradient norm it is handed.
-type recordingOptimizer struct{ maxNorm *float64 }
-
-func (o recordingOptimizer) Step(_ string, _, grad *tensor.Tensor) {
-	if n := grad.L2Norm(); n > *o.maxNorm {
-		*o.maxNorm = n
 	}
 }

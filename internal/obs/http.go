@@ -3,7 +3,8 @@ package obs
 import (
 	"encoding/json"
 	"net/http"
-	"strconv"
+
+	"deepvalidation/internal/trace"
 )
 
 // EventsResponse is the body of GET /debug/dv/events. It is a wire
@@ -47,8 +48,10 @@ func HandleSLO(e *Engine, w http.ResponseWriter, r *http.Request) {
 
 // HandleEvents serves a wide-event ring, newest first, under the shared
 // triage filters: the flight recorder's (?valid=, ?class=, ?outcome=,
-// ?limit=) plus the event-native ?type= and ?level= axes. A nil logger
-// answers 404 so the disabled path is explicit rather than empty.
+// ?limit=, parsed by trace.ParseFilter so both endpoints answer the same
+// 400s) plus the event-native ?type= and ?level= axes, ?level= checked
+// first. A nil logger answers 404 so the disabled path is explicit
+// rather than empty.
 func HandleEvents(l *Logger, w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
@@ -60,7 +63,7 @@ func HandleEvents(l *Logger, w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := r.URL.Query()
-	f := Filter{Type: q.Get("type"), Outcome: q.Get("outcome")}
+	f := Filter{Type: q.Get("type")}
 	if v := q.Get("level"); v != "" {
 		lvl, err := ParseLevel(v)
 		if err != nil {
@@ -69,30 +72,12 @@ func HandleEvents(l *Logger, w http.ResponseWriter, r *http.Request) {
 		}
 		f.MinLevel = lvl
 	}
-	if v := q.Get("valid"); v != "" {
-		b, err := strconv.ParseBool(v)
-		if err != nil {
-			WriteError(w, http.StatusBadRequest, "bad valid filter: "+err.Error())
-			return
-		}
-		f.Valid = &b
+	tf, err := trace.ParseFilter(q)
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, err.Error())
+		return
 	}
-	if v := q.Get("class"); v != "" {
-		k, err := strconv.Atoi(v)
-		if err != nil {
-			WriteError(w, http.StatusBadRequest, "bad class filter: "+err.Error())
-			return
-		}
-		f.Class = &k
-	}
-	if v := q.Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			WriteError(w, http.StatusBadRequest, "bad limit: "+err.Error())
-			return
-		}
-		f.Limit = n
-	}
+	f.Valid, f.Class, f.Outcome, f.Limit = tf.Valid, tf.Class, tf.Outcome, tf.Limit
 	evs := l.Snapshot(f)
 	if evs == nil {
 		evs = []Event{}

@@ -1,9 +1,9 @@
-// Package opt provides the gradient-descent optimizers used to train
-// the paper's classifiers (Adadelta, Section IV-A) and to drive the
-// Carlini–Wagner attack's inner optimization (Adam).
+// Package opt provides the optimizer the paper trains its classifiers
+// with (Adadelta, Section IV-A). The Carlini–Wagner attacks run their
+// own Adam state inside internal/attack.
 //
-// Optimizers keep per-parameter state keyed by the parameter's stable
-// name, so they satisfy nn.Optimizer without opt depending on nn.
+// The optimizer keeps per-parameter state keyed by the parameter's
+// stable name, so it satisfies nn.Optimizer without opt depending on nn.
 package opt
 
 import (
@@ -12,35 +12,6 @@ import (
 
 	"deepvalidation/internal/tensor"
 )
-
-// SGD is stochastic gradient descent with optional momentum.
-type SGD struct {
-	LR       float64
-	Momentum float64
-	velocity map[string]*tensor.Tensor
-}
-
-// NewSGD returns an SGD optimizer.
-func NewSGD(lr, momentum float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, velocity: make(map[string]*tensor.Tensor)}
-}
-
-// Step implements nn.Optimizer.
-func (o *SGD) Step(name string, value, grad *tensor.Tensor) {
-	if o.Momentum == 0 {
-		value.AxpyInPlace(-o.LR, grad)
-		return
-	}
-	v, ok := o.velocity[name]
-	if !ok {
-		v = tensor.New(grad.Shape...)
-		o.velocity[name] = v
-	}
-	for i := range v.Data {
-		v.Data[i] = o.Momentum*v.Data[i] - o.LR*grad.Data[i]
-		value.Data[i] += v.Data[i]
-	}
-}
 
 // Adadelta implements Zeiler's adaptive learning-rate method — the
 // optimizer the paper trains with ("an Adadelta optimizer, with an
@@ -85,63 +56,5 @@ func (o *Adadelta) Step(name string, value, grad *tensor.Tensor) {
 	}
 }
 
-// Adam implements Kingma & Ba's optimizer. The CW attacks use it to
-// minimize their box-constrained objective.
-type Adam struct {
-	LR    float64
-	Beta1 float64
-	Beta2 float64
-	Eps   float64
-	m, v  map[string]*tensor.Tensor
-	t     map[string]int
-}
-
-// NewAdam returns an Adam optimizer with the canonical defaults for the
-// moment decay rates.
-func NewAdam(lr float64) *Adam {
-	return &Adam{
-		LR:    lr,
-		Beta1: 0.9,
-		Beta2: 0.999,
-		Eps:   1e-8,
-		m:     make(map[string]*tensor.Tensor),
-		v:     make(map[string]*tensor.Tensor),
-		t:     make(map[string]int),
-	}
-}
-
-// Step implements nn.Optimizer.
-func (o *Adam) Step(name string, value, grad *tensor.Tensor) {
-	m, ok := o.m[name]
-	if !ok {
-		m = tensor.New(grad.Shape...)
-		o.m[name] = m
-		o.v[name] = tensor.New(grad.Shape...)
-	}
-	v := o.v[name]
-	o.t[name]++
-	tt := float64(o.t[name])
-	c1 := 1 - math.Pow(o.Beta1, tt)
-	c2 := 1 - math.Pow(o.Beta2, tt)
-	for i, g := range grad.Data {
-		m.Data[i] = o.Beta1*m.Data[i] + (1-o.Beta1)*g
-		v.Data[i] = o.Beta2*v.Data[i] + (1-o.Beta2)*g*g
-		mh := m.Data[i] / c1
-		vh := v.Data[i] / c2
-		value.Data[i] -= o.LR * mh / (math.Sqrt(vh) + o.Eps)
-	}
-}
-
-// Reset clears all per-parameter state, letting one optimizer be reused
-// across independent optimizations (the CW attack does this per seed).
-func (o *Adam) Reset() {
-	o.m = make(map[string]*tensor.Tensor)
-	o.v = make(map[string]*tensor.Tensor)
-	o.t = make(map[string]int)
-}
-
-// String implementations aid experiment logging.
-
-func (o *SGD) String() string      { return fmt.Sprintf("SGD(lr=%g, momentum=%g)", o.LR, o.Momentum) }
+// String aids experiment logging.
 func (o *Adadelta) String() string { return fmt.Sprintf("Adadelta(lr=%g, rho=%g)", o.LR, o.Rho) }
-func (o *Adam) String() string     { return fmt.Sprintf("Adam(lr=%g)", o.LR) }

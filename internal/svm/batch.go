@@ -1,8 +1,8 @@
 // Batched decision evaluation.
 //
 // Deep Validation's serving hot path evaluates f(x) = Σ αᵢK(xᵢ,x) − ρ
-// once per (layer, sample); at scale the per-call [][]float64 walk and
-// math.Pow dominate. DecisionBatch / DecisionBatchInto walk a
+// once per (layer, sample); at scale the per-call [][]float64 walk
+// dominates. DecisionBatch / DecisionBatchInto walk a
 // flattened, contiguous support-vector matrix but perform exactly the
 // same floating-point operations in exactly the same order as the
 // scalar Decision, so results are bit-identical — including NaN/±Inf
@@ -35,68 +35,47 @@ func (m *OneClass) DecisionBatchInto(dst []float64, xs [][]float64) []float64 {
 		flat = flatten(m.Support, m.Dim)
 	}
 	d := m.Dim
-	switch m.Kind {
-	case KernelLinear:
-		for bi, x := range xs {
-			m.checkDim(x)
-			s := 0.0
-			for i, a := range m.Alpha {
-				s += a * dotFlat(flat[i*d:(i+1)*d], x)
+	for bi, x := range xs {
+		m.checkDim(x)
+		s := 0.0
+		// Four support vectors per pass: each squared distance
+		// still sums over features in ascending order with its own
+		// accumulator, and the kernel contributions are added to s
+		// in ascending support-vector order, so the result is
+		// bit-identical to the one-vector-at-a-time loop — the four
+		// independent accumulator chains just overlap in the FPU.
+		i := 0
+		for ; i+4 <= len(m.Alpha); i += 4 {
+			r0 := flat[i*d : i*d+d]
+			r1 := flat[(i+1)*d : (i+1)*d+d]
+			r2 := flat[(i+2)*d : (i+2)*d+d]
+			r3 := flat[(i+3)*d : (i+3)*d+d]
+			var q0, q1, q2, q3 float64
+			for j, xv := range x {
+				dv0 := r0[j] - xv
+				q0 += dv0 * dv0
+				dv1 := r1[j] - xv
+				q1 += dv1 * dv1
+				dv2 := r2[j] - xv
+				q2 += dv2 * dv2
+				dv3 := r3[j] - xv
+				q3 += dv3 * dv3
 			}
-			dst[bi] = s - m.Rho
+			s += m.Alpha[i] * math.Exp(-m.Gamma*q0)
+			s += m.Alpha[i+1] * math.Exp(-m.Gamma*q1)
+			s += m.Alpha[i+2] * math.Exp(-m.Gamma*q2)
+			s += m.Alpha[i+3] * math.Exp(-m.Gamma*q3)
 		}
-	case KernelPoly:
-		for bi, x := range xs {
-			m.checkDim(x)
-			s := 0.0
-			for i, a := range m.Alpha {
-				s += a * ipow(m.Gamma*dotFlat(flat[i*d:(i+1)*d], x)+m.Coef0, m.Degree)
+		for ; i < len(m.Alpha); i++ {
+			row := flat[i*d : (i+1)*d]
+			sq := 0.0
+			for j, v := range row {
+				dv := v - x[j]
+				sq += dv * dv
 			}
-			dst[bi] = s - m.Rho
+			s += m.Alpha[i] * math.Exp(-m.Gamma*sq)
 		}
-	default: // RBF
-		for bi, x := range xs {
-			m.checkDim(x)
-			s := 0.0
-			// Four support vectors per pass: each squared distance
-			// still sums over features in ascending order with its own
-			// accumulator, and the kernel contributions are added to s
-			// in ascending support-vector order, so the result is
-			// bit-identical to the one-vector-at-a-time loop — the four
-			// independent accumulator chains just overlap in the FPU.
-			i := 0
-			for ; i+4 <= len(m.Alpha); i += 4 {
-				r0 := flat[i*d : i*d+d]
-				r1 := flat[(i+1)*d : (i+1)*d+d]
-				r2 := flat[(i+2)*d : (i+2)*d+d]
-				r3 := flat[(i+3)*d : (i+3)*d+d]
-				var q0, q1, q2, q3 float64
-				for j, xv := range x {
-					dv0 := r0[j] - xv
-					q0 += dv0 * dv0
-					dv1 := r1[j] - xv
-					q1 += dv1 * dv1
-					dv2 := r2[j] - xv
-					q2 += dv2 * dv2
-					dv3 := r3[j] - xv
-					q3 += dv3 * dv3
-				}
-				s += m.Alpha[i] * math.Exp(-m.Gamma*q0)
-				s += m.Alpha[i+1] * math.Exp(-m.Gamma*q1)
-				s += m.Alpha[i+2] * math.Exp(-m.Gamma*q2)
-				s += m.Alpha[i+3] * math.Exp(-m.Gamma*q3)
-			}
-			for ; i < len(m.Alpha); i++ {
-				row := flat[i*d : (i+1)*d]
-				sq := 0.0
-				for j, v := range row {
-					dv := v - x[j]
-					sq += dv * dv
-				}
-				s += m.Alpha[i] * math.Exp(-m.Gamma*sq)
-			}
-			dst[bi] = s - m.Rho
-		}
+		dst[bi] = s - m.Rho
 	}
 	return dst
 }
@@ -158,28 +137,4 @@ func (m *OneClass) checkDim(x []float64) {
 	if len(x) != m.Dim {
 		panic(fmt.Sprintf("svm: Decision input has %d features, model expects %d", len(x), m.Dim))
 	}
-}
-
-func dotFlat(a, b []float64) float64 {
-	s := 0.0
-	for i, v := range a {
-		s += v * b[i]
-	}
-	return s
-}
-
-// ipow computes base^n for n ≥ 0 by left-to-right iterated
-// multiplication — one rounding per step, the same sequence the scalar
-// and batched poly kernels share so their results agree bit-for-bit.
-// It replaces math.Pow, which costs an order of magnitude more for the
-// small integer degrees poly kernels use.
-func ipow(base float64, n int) float64 {
-	if n <= 0 {
-		return 1
-	}
-	r := base
-	for i := 1; i < n; i++ {
-		r *= base
-	}
-	return r
 }

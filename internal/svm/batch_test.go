@@ -23,15 +23,13 @@ var svmSpecials = []float64{
 // controls support-vector counts and dimensions exactly — including
 // shapes Train would never emit (single SV, remainder counts around the
 // 4-SV blocking seam).
-func randModel(rng *rand.Rand, kind KernelKind, nsv, dim, degree int) *OneClass {
+func randModel(rng *rand.Rand, nsv, dim int) *OneClass {
 	m := &OneClass{
-		Kind:   kind,
-		Gamma:  0.01 + rng.Float64(),
-		Degree: degree,
-		Coef0:  rng.NormFloat64(),
-		Nu:     0.1,
-		Rho:    rng.NormFloat64(),
-		Dim:    dim,
+		Kind:  KernelRBF,
+		Gamma: 0.01 + rng.Float64(),
+		Nu:    0.1,
+		Rho:   rng.NormFloat64(),
+		Dim:   dim,
 	}
 	for i := 0; i < nsv; i++ {
 		sv := make([]float64, dim)
@@ -65,28 +63,25 @@ func sameVerdictBits(a, b float64) bool {
 		(math.IsNaN(a) && math.IsNaN(b))
 }
 
-// TestDecisionBatchMatchesDecision is the core differential table: all
-// three kernels, SV counts straddling the 4-SV blocking seam, several
-// dims, batch sizes 1..N, and rows salted with NaN/±Inf/-0.
+// TestDecisionBatchMatchesDecision is the core differential table: SV
+// counts straddling the 4-SV blocking seam, several dims, batch sizes
+// 1..N, and rows salted with NaN/±Inf/-0.
 func TestDecisionBatchMatchesDecision(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
-	kernels := []KernelKind{KernelLinear, KernelPoly, KernelRBF}
-	for _, kind := range kernels {
-		for _, nsv := range []int{1, 2, 3, 4, 5, 7, 8, 9, 60} {
-			for _, dim := range []int{1, 2, 7, 32, 128} {
-				m := randModel(rng, kind, nsv, dim, 3)
-				for _, batch := range []int{1, 2, 5} {
-					xs := randBatch(rng, batch, dim, true)
-					got := m.DecisionBatch(xs)
-					if len(got) != batch {
-						t.Fatalf("%s nsv=%d dim=%d: DecisionBatch returned %d results for %d inputs", kind, nsv, dim, len(got), batch)
-					}
-					for bi, x := range xs {
-						want := m.Decision(x)
-						if !sameVerdictBits(got[bi], want) {
-							t.Fatalf("%s nsv=%d dim=%d row=%d: batch %x scalar %x",
-								kind, nsv, dim, bi, math.Float64bits(got[bi]), math.Float64bits(want))
-						}
+	for _, nsv := range []int{1, 2, 3, 4, 5, 7, 8, 9, 60} {
+		for _, dim := range []int{1, 2, 7, 32, 128} {
+			m := randModel(rng, nsv, dim)
+			for _, batch := range []int{1, 2, 5} {
+				xs := randBatch(rng, batch, dim, true)
+				got := m.DecisionBatch(xs)
+				if len(got) != batch {
+					t.Fatalf("nsv=%d dim=%d: DecisionBatch returned %d results for %d inputs", nsv, dim, len(got), batch)
+				}
+				for bi, x := range xs {
+					want := m.Decision(x)
+					if !sameVerdictBits(got[bi], want) {
+						t.Fatalf("nsv=%d dim=%d row=%d: batch %x scalar %x",
+							nsv, dim, bi, math.Float64bits(got[bi]), math.Float64bits(want))
 					}
 				}
 			}
@@ -98,7 +93,7 @@ func TestDecisionBatchMatchesDecision(t *testing.T) {
 // DecisionBatch, dst returned, and an empty batch is a no-op.
 func TestDecisionBatchIntoReusesDst(t *testing.T) {
 	rng := rand.New(rand.NewSource(102))
-	m := randModel(rng, KernelRBF, 6, 16, 3)
+	m := randModel(rng, 6, 16)
 	xs := randBatch(rng, 4, 16, false)
 	dst := make([]float64, 4)
 	out := m.DecisionBatchInto(dst, xs)
@@ -113,72 +108,6 @@ func TestDecisionBatchIntoReusesDst(t *testing.T) {
 	}
 	if got := m.DecisionBatchInto(nil, nil); len(got) != 0 {
 		t.Fatalf("empty batch returned %d results", len(got))
-	}
-}
-
-// TestPolyDegreesScalarBatchExact is the polynomial-degree sweep: for
-// every degree 1..6 the batched path, the scalar path, and a
-// math.Pow-free reference built from explicit repeated multiplication
-// must agree exactly on finite inputs (satellite: the ipow swap must
-// never move a bit relative to iterated multiply).
-func TestPolyDegreesScalarBatchExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(103))
-	for degree := 1; degree <= 6; degree++ {
-		m := randModel(rng, KernelPoly, 5, 9, degree)
-		xs := randBatch(rng, 8, 9, false)
-		got := m.DecisionBatch(xs)
-		for bi, x := range xs {
-			scalar := m.Decision(x)
-			if math.Float64bits(got[bi]) != math.Float64bits(scalar) {
-				t.Fatalf("degree %d row %d: batch %x scalar %x",
-					degree, bi, math.Float64bits(got[bi]), math.Float64bits(scalar))
-			}
-			// Reference: f(x) rebuilt with left-to-right multiplies.
-			ref := 0.0
-			for i, sv := range m.Support {
-				base := m.Gamma*dotRef(sv, x) + m.Coef0
-				p := base
-				for k := 1; k < degree; k++ {
-					p *= base
-				}
-				ref += m.Alpha[i] * p
-			}
-			ref -= m.Rho
-			if math.Float64bits(ref) != math.Float64bits(scalar) {
-				t.Fatalf("degree %d row %d: reference %x scalar %x",
-					degree, bi, math.Float64bits(ref), math.Float64bits(scalar))
-			}
-		}
-	}
-}
-
-func dotRef(a, b []float64) float64 {
-	s := 0.0
-	for i, v := range a {
-		s += v * b[i]
-	}
-	return s
-}
-
-// TestIpowEdgeCases pins ipow on the degree and operand edges the poly
-// kernel can see.
-func TestIpowEdgeCases(t *testing.T) {
-	cases := []struct {
-		base float64
-		n    int
-		want float64
-	}{
-		{2, 0, 1}, {2, -1, 1}, {2, 1, 2}, {2, 3, 8}, {-2, 3, -8}, {-2, 4, 16},
-		{0, 3, 0}, {math.Inf(1), 2, math.Inf(1)}, {math.Inf(-1), 3, math.Inf(-1)},
-		{math.Inf(-1), 2, math.Inf(1)}, {1e200, 2, math.Inf(1)},
-	}
-	for _, c := range cases {
-		if got := ipow(c.base, c.n); math.Float64bits(got) != math.Float64bits(c.want) {
-			t.Errorf("ipow(%v, %d) = %v, want %v", c.base, c.n, got, c.want)
-		}
-	}
-	if !math.IsNaN(ipow(math.NaN(), 2)) {
-		t.Error("ipow(NaN, 2) should be NaN")
 	}
 }
 
@@ -199,7 +128,7 @@ func TestEnsureNormsLegacyRecompute(t *testing.T) {
 		t.Fatalf("Train left SVNorms with %d entries for %d SVs", len(m.SVNorms), len(m.Support))
 	}
 	legacy := &OneClass{
-		Kind: m.Kind, Gamma: m.Gamma, Degree: m.Degree, Coef0: m.Coef0,
+		Kind: m.Kind, Gamma: m.Gamma,
 		Nu: m.Nu, Support: m.Support, Alpha: m.Alpha, Rho: m.Rho, Dim: m.Dim,
 	}
 	norms := legacy.EnsureNorms()
@@ -215,7 +144,7 @@ func TestEnsureNormsLegacyRecompute(t *testing.T) {
 
 // TestDecisionBatchPanics pins the dst-length and feature-dim guards.
 func TestDecisionBatchPanics(t *testing.T) {
-	m := randModel(rand.New(rand.NewSource(106)), KernelRBF, 3, 4, 3)
+	m := randModel(rand.New(rand.NewSource(106)), 3, 4)
 	mustPanic := func(name string, fn func()) {
 		t.Helper()
 		defer func() {
@@ -241,16 +170,14 @@ func TestDecisionBatchSteadyStateAllocs(t *testing.T) {
 		t.Skip("race-detector instrumentation allocates; budgets apply to plain builds")
 	}
 	rng := rand.New(rand.NewSource(107))
-	for _, kind := range []KernelKind{KernelLinear, KernelPoly, KernelRBF} {
-		m := randModel(rng, kind, 8, 16, 3)
-		xs := randBatch(rng, 6, 16, false)
-		dst := make([]float64, len(xs))
-		m.Flatten()
-		if n := testing.AllocsPerRun(50, func() {
-			m.DecisionBatchInto(dst, xs)
-		}); n != 0 {
-			t.Errorf("%s: DecisionBatchInto allocates %.1f/op in steady state, want 0", kind, n)
-		}
+	m := randModel(rng, 8, 16)
+	xs := randBatch(rng, 6, 16, false)
+	dst := make([]float64, len(xs))
+	m.Flatten()
+	if n := testing.AllocsPerRun(50, func() {
+		m.DecisionBatchInto(dst, xs)
+	}); n != 0 {
+		t.Errorf("DecisionBatchInto allocates %.1f/op in steady state, want 0", n)
 	}
 }
 
@@ -267,7 +194,7 @@ func TestConcurrentDecisionBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	xs := randBatch(rng, 5, 12, true)
-	for _, m := range []*OneClass{trained, randModel(rng, KernelRBF, 9, 12, 3)} {
+	for _, m := range []*OneClass{trained, randModel(rng, 9, 12)} {
 		want := make([]float64, len(xs))
 		for i, x := range xs {
 			want[i] = m.Decision(x)
@@ -294,8 +221,8 @@ func TestConcurrentDecisionBatch(t *testing.T) {
 }
 
 // FuzzDecisionBatchEquivalence decodes arbitrary bytes into a model and
-// batch — kernel kind, SV count, dim, batch size, and every float drawn
-// from the raw input — and requires the batched verdicts to match the
+// batch — SV count, dim, batch size, and every float drawn from the raw
+// input — and requires the batched verdicts to match the
 // scalar ones (bit-exact for non-NaN, NaN-class otherwise), both for
 // the model as built and for a copy whose support vectors went through
 // Flatten, the single-copy step DecodeValidator applies.
@@ -307,8 +234,7 @@ func FuzzDecisionBatchEquivalence(f *testing.F) {
 		if len(raw) < 8 {
 			return
 		}
-		kinds := []KernelKind{KernelLinear, KernelPoly, KernelRBF}
-		kind := kinds[int(raw[0])%3]
+		// raw[0] is unread, so the seeds keep decoding to the same shapes.
 		nsv := int(raw[1])%9 + 1
 		dim := int(raw[2])%17 + 1
 		batch := int(raw[3])%5 + 1
@@ -321,12 +247,11 @@ func FuzzDecisionBatchEquivalence(f *testing.F) {
 		}
 		fi := 0
 		next := func() float64 { v := nextF(fi); fi++; return v }
-		m := &OneClass{Kind: kind, Degree: int(raw[4])%6 + 1, Dim: dim}
+		m := &OneClass{Kind: KernelRBF, Dim: dim}
 		m.Gamma = math.Abs(next())
 		if math.IsInf(m.Gamma, 0) || math.IsNaN(m.Gamma) || m.Gamma == 0 {
 			m.Gamma = 0.5
 		}
-		m.Coef0 = next()
 		m.Rho = next()
 		for i := 0; i < nsv; i++ {
 			sv := make([]float64, dim)
@@ -343,19 +268,19 @@ func FuzzDecisionBatchEquivalence(f *testing.F) {
 				xs[i][j] = next()
 			}
 		}
-		flat := &OneClass{Kind: m.Kind, Gamma: m.Gamma, Degree: m.Degree, Coef0: m.Coef0, Rho: m.Rho,
+		flat := &OneClass{Kind: m.Kind, Gamma: m.Gamma, Rho: m.Rho,
 			Dim: m.Dim, Support: append([][]float64(nil), m.Support...), Alpha: m.Alpha}
 		flat.Flatten()
 		got, gotFlat := m.DecisionBatch(xs), flat.DecisionBatch(xs)
 		for bi, x := range xs {
 			want := m.Decision(x)
 			if !sameVerdictBits(got[bi], want) {
-				t.Fatalf("%s nsv=%d dim=%d row=%d: batch %x scalar %x",
-					kind, nsv, dim, bi, math.Float64bits(got[bi]), math.Float64bits(want))
+				t.Fatalf("nsv=%d dim=%d row=%d: batch %x scalar %x",
+					nsv, dim, bi, math.Float64bits(got[bi]), math.Float64bits(want))
 			}
 			if !sameVerdictBits(gotFlat[bi], want) {
-				t.Fatalf("%s nsv=%d dim=%d row=%d: flattened batch %x scalar %x",
-					kind, nsv, dim, bi, math.Float64bits(gotFlat[bi]), math.Float64bits(want))
+				t.Fatalf("nsv=%d dim=%d row=%d: flattened batch %x scalar %x",
+					nsv, dim, bi, math.Float64bits(gotFlat[bi]), math.Float64bits(want))
 			}
 		}
 	})
@@ -363,7 +288,7 @@ func FuzzDecisionBatchEquivalence(f *testing.F) {
 
 func BenchmarkDecisionBatchRBF(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
-	m := randModel(rng, KernelRBF, 60, 128, 3)
+	m := randModel(rng, 60, 128)
 	xs := randBatch(rng, 16, 128, false)
 	dst := make([]float64, len(xs))
 	m.DecisionBatchInto(dst, xs)
@@ -376,7 +301,7 @@ func BenchmarkDecisionBatchRBF(b *testing.B) {
 
 func BenchmarkDecisionScalarRBF(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
-	m := randModel(rng, KernelRBF, 60, 128, 3)
+	m := randModel(rng, 60, 128)
 	xs := randBatch(rng, 16, 128, false)
 	b.ReportAllocs()
 	b.ResetTimer()

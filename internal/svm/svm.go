@@ -24,30 +24,21 @@ import (
 	"sync"
 )
 
-// KernelKind selects the kernel function.
+// KernelKind names a model's kernel. Persisted models record it; RBF,
+// the paper's kernel, is the only one.
 type KernelKind string
 
-// Supported kernels.
-const (
-	KernelRBF    KernelKind = "rbf"
-	KernelLinear KernelKind = "linear"
-	KernelPoly   KernelKind = "poly"
-)
+// KernelRBF is the Gaussian kernel K(a, b) = exp(−γ‖a − b‖²).
+const KernelRBF KernelKind = "rbf"
 
 // Config parameterizes training.
 type Config struct {
 	// Nu bounds the fraction of training outliers from above and the
 	// fraction of support vectors from below; must be in (0, 1].
 	Nu float64
-	// Kernel selects the kernel; RBF is the paper's setting.
-	Kernel KernelKind
-	// Gamma is the RBF bandwidth (also the polynomial scale). If 0,
-	// the scikit-learn "scale" heuristic 1/(d·Var(X)) is used.
+	// Gamma is the RBF bandwidth. If 0, the scikit-learn "scale"
+	// heuristic 1/(d·Var(X)) is used.
 	Gamma float64
-	// Degree and Coef0 parameterize the polynomial kernel
-	// (γ·aᵀb + coef0)^degree; Degree defaults to 3.
-	Degree int
-	Coef0  float64
 	// Tol is the SMO stopping tolerance (default 1e-3).
 	Tol float64
 	// MaxIter caps SMO iterations (default 100·l, at least 10000).
@@ -57,7 +48,7 @@ type Config struct {
 // DefaultConfig mirrors scikit-learn's OneClassSVM defaults, which the
 // paper's implementation used.
 func DefaultConfig() Config {
-	return Config{Nu: 0.1, Kernel: KernelRBF}
+	return Config{Nu: 0.1}
 }
 
 // OneClass is a trained one-class SVM. Fields are exported for gob
@@ -74,8 +65,6 @@ func DefaultConfig() Config {
 type OneClass struct {
 	Kind     KernelKind
 	Gamma    float64
-	Degree   int
-	Coef0    float64
 	Nu       float64
 	Support  [][]float64 // support vectors
 	Alpha    []float64   // dual coefficients of the support vectors
@@ -133,15 +122,6 @@ func (w *Workspace) Train(data [][]float64, cfg Config) (*OneClass, error) {
 	if cfg.Nu <= 0 || cfg.Nu > 1 {
 		return nil, fmt.Errorf("svm: nu = %v outside (0, 1]", cfg.Nu)
 	}
-	if cfg.Kernel == "" {
-		cfg.Kernel = KernelRBF
-	}
-	if cfg.Kernel != KernelRBF && cfg.Kernel != KernelLinear && cfg.Kernel != KernelPoly {
-		return nil, fmt.Errorf("svm: unknown kernel %q", cfg.Kernel)
-	}
-	if cfg.Degree <= 0 {
-		cfg.Degree = 3
-	}
 	if cfg.Tol <= 0 {
 		cfg.Tol = 1e-3
 	}
@@ -152,12 +132,8 @@ func (w *Workspace) Train(data [][]float64, cfg Config) (*OneClass, error) {
 		}
 	}
 	gamma := cfg.Gamma
-	if gamma <= 0 && cfg.Kernel != KernelLinear {
+	if gamma <= 0 {
 		gamma = scaleGamma(data)
-	}
-
-	k := func(a, b []float64) float64 {
-		return kernel(cfg.Kernel, gamma, cfg.Degree, cfg.Coef0, a, b)
 	}
 
 	// Precompute the kernel matrix, row-major in w.q; Deep Validation
@@ -170,7 +146,7 @@ func (w *Workspace) Train(data [][]float64, cfg Config) (*OneClass, error) {
 	q := w.q
 	for i := 0; i < l; i++ {
 		for j := 0; j <= i; j++ {
-			v := k(data[i], data[j])
+			v := kernel(gamma, data[i], data[j])
 			q[i*l+j] = v
 			q[j*l+i] = v
 		}
@@ -288,10 +264,8 @@ func (w *Workspace) Train(data [][]float64, cfg Config) (*OneClass, error) {
 	}
 
 	m := &OneClass{
-		Kind:     cfg.Kernel,
+		Kind:     KernelRBF,
 		Gamma:    gamma,
-		Degree:   cfg.Degree,
-		Coef0:    cfg.Coef0,
 		Nu:       cfg.Nu,
 		Rho:      rho,
 		Dim:      d,
@@ -334,7 +308,7 @@ func (m *OneClass) Decision(x []float64) float64 {
 	}
 	s := 0.0
 	for i, sv := range m.Support {
-		s += m.Alpha[i] * kernel(m.Kind, m.Gamma, m.Degree, m.Coef0, sv, x)
+		s += m.Alpha[i] * kernel(m.Gamma, sv, x)
 	}
 	return s - m.Rho
 }
@@ -350,31 +324,14 @@ func (m *OneClass) Predict(x []float64) int {
 // NumSupport returns the number of support vectors.
 func (m *OneClass) NumSupport() int { return len(m.Support) }
 
-func kernel(kind KernelKind, gamma float64, degree int, coef0 float64, a, b []float64) float64 {
-	switch kind {
-	case KernelLinear:
-		return dot(a, b)
-	case KernelPoly:
-		// Iterated multiply, not math.Pow: an order of magnitude cheaper
-		// for the small integer degrees poly kernels use, and the same
-		// rounding sequence as the batched path (bit-exact agreement).
-		return ipow(gamma*dot(a, b)+coef0, degree)
-	default: // RBF
-		s := 0.0
-		for i, v := range a {
-			d := v - b[i]
-			s += d * d
-		}
-		return math.Exp(-gamma * s)
-	}
-}
-
-func dot(a, b []float64) float64 {
+// kernel is the RBF kernel exp(−γ‖a − b‖²).
+func kernel(gamma float64, a, b []float64) float64 {
 	s := 0.0
 	for i, v := range a {
-		s += v * b[i]
+		d := v - b[i]
+		s += d * d
 	}
-	return s
+	return math.Exp(-gamma * s)
 }
 
 // scaleGamma implements scikit-learn's gamma="scale":

@@ -23,7 +23,7 @@ func gaussianCluster(rng *rand.Rand, n, d int, center, sigma float64) [][]float6
 func TestTrainSeparatesClusterFromOutliers(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	data := gaussianCluster(rng, 200, 2, 0, 1)
-	m, err := Train(data, Config{Nu: 0.1, Kernel: KernelRBF})
+	m, err := Train(data, Config{Nu: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestNuControlsTrainingOutlierFraction(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	data := gaussianCluster(rng, 300, 3, 0, 1)
 	for _, nu := range []float64{0.05, 0.1, 0.3} {
-		m, err := Train(data, Config{Nu: nu, Kernel: KernelRBF})
+		m, err := Train(data, Config{Nu: nu})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,7 +72,7 @@ func TestAlphaConstraints(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	data := gaussianCluster(rng, 150, 2, 0, 1)
 	nu := 0.2
-	m, err := Train(data, Config{Nu: nu, Kernel: KernelRBF})
+	m, err := Train(data, Config{Nu: nu})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestDecisionContinuityNearBoundary(t *testing.T) {
 	// decrease (RBF on an isotropic cluster).
 	rng := rand.New(rand.NewSource(4))
 	data := gaussianCluster(rng, 200, 2, 0, 1)
-	m, err := Train(data, Config{Nu: 0.1, Kernel: KernelRBF})
+	m, err := Train(data, Config{Nu: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,26 +108,6 @@ func TestDecisionContinuityNearBoundary(t *testing.T) {
 	}
 }
 
-func TestLinearKernel(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	// Points on the positive orthant shell; linear one-class SVM
-	// separates from the origin direction.
-	data := make([][]float64, 100)
-	for i := range data {
-		data[i] = []float64{1 + 0.2*rng.NormFloat64(), 1 + 0.2*rng.NormFloat64()}
-	}
-	m, err := Train(data, Config{Nu: 0.1, Kernel: KernelLinear})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := m.Decision([]float64{1, 1}); d <= 0 {
-		t.Fatalf("decision at data mean = %v, want > 0", d)
-	}
-	if d := m.Decision([]float64{-2, -2}); d >= 0 {
-		t.Fatalf("decision opposite the data = %v, want < 0", d)
-	}
-}
-
 func TestTrainValidation(t *testing.T) {
 	good := [][]float64{{1, 2}, {3, 4}}
 	tests := []struct {
@@ -138,9 +118,8 @@ func TestTrainValidation(t *testing.T) {
 		{"empty", nil, DefaultConfig()},
 		{"zero-dim", [][]float64{{}}, DefaultConfig()},
 		{"ragged", [][]float64{{1, 2}, {3}}, DefaultConfig()},
-		{"nu zero", good, Config{Nu: 0, Kernel: KernelRBF}},
-		{"nu > 1", good, Config{Nu: 1.5, Kernel: KernelRBF}},
-		{"bad kernel", good, Config{Nu: 0.5, Kernel: "sigmoid"}},
+		{"nu zero", good, Config{Nu: 0}},
+		{"nu > 1", good, Config{Nu: 1.5}},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
@@ -198,7 +177,7 @@ func TestScaleGammaHeuristic(t *testing.T) {
 func TestNuOneUsesAllPointsAsSupport(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	data := gaussianCluster(rng, 50, 2, 0, 1)
-	m, err := Train(data, Config{Nu: 1, Kernel: KernelRBF})
+	m, err := Train(data, Config{Nu: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +192,7 @@ func TestSmallTrainingSets(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 5} {
 		rng := rand.New(rand.NewSource(int64(10 + n)))
 		data := gaussianCluster(rng, n, 2, 0, 1)
-		m, err := Train(data, Config{Nu: 0.5, Kernel: KernelRBF})
+		m, err := Train(data, Config{Nu: 0.5})
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -238,7 +217,7 @@ func TestPropertyRBFTranslationInvariance(t *testing.T) {
 			shifted[i] = []float64{row[0] + shift, row[1] + shift}
 		}
 		// Pin gamma so both models use the same bandwidth.
-		cfg := Config{Nu: 0.2, Kernel: KernelRBF, Gamma: 0.5}
+		cfg := Config{Nu: 0.2, Gamma: 0.5}
 		a, err := Train(data, cfg)
 		if err != nil {
 			return false
@@ -281,38 +260,5 @@ func BenchmarkDecision(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Decision(q)
-	}
-}
-
-func TestPolyKernel(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	data := gaussianCluster(rng, 120, 2, 1, 0.3)
-	m, err := Train(data, Config{Nu: 0.1, Kernel: KernelPoly, Gamma: 0.5, Degree: 3, Coef0: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Degree != 3 {
-		t.Fatalf("degree = %d", m.Degree)
-	}
-	if d := m.Decision([]float64{1, 1}); d <= 0 {
-		t.Fatalf("decision at cluster center = %v, want > 0", d)
-	}
-	// Polynomial kernels are directional, not radial: the clear outside
-	// is the half-space opposite the data, where an odd-degree kernel
-	// goes negative.
-	if d := m.Decision([]float64{-5, -5}); d >= 0 {
-		t.Fatalf("decision opposite the data = %v, want < 0", d)
-	}
-}
-
-func TestPolyDefaultDegree(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	data := gaussianCluster(rng, 60, 2, 1, 0.3)
-	m, err := Train(data, Config{Nu: 0.2, Kernel: KernelPoly})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Degree != 3 {
-		t.Fatalf("default degree = %d, want 3", m.Degree)
 	}
 }

@@ -11,24 +11,17 @@ import (
 )
 
 // TestWorkspaceMatchesFreshTrain trains a sequence of problems whose l
-// and d grow and shrink on one Workspace, over every kernel and two
-// values of ν, and requires each model to be bit-equal to a fresh
-// Train's. A buffer the solver failed to reset would carry the previous
-// problem's α, gradient or kernel rows into the next one. Each model
+// and d grow and shrink on one Workspace, at two values of ν, and
+// requires each model to be bit-equal to a fresh Train's. A buffer the
+// solver failed to reset would carry the previous problem's α, gradient
+// or kernel rows into the next one. Each model
 // must also hold its support vectors once, as full-capacity views of
 // the matrix DecisionBatchInto reads, so its first decision allocates
 // nothing; and later problems must not disturb earlier models.
 func TestWorkspaceMatchesFreshTrain(t *testing.T) {
 	rng := rand.New(rand.NewSource(108))
 	shapes := []struct{ l, d int }{{60, 96}, {7, 32}, {120, 108}, {1, 32}, {60, 96}}
-	cfgs := []Config{
-		{Nu: 0.1, Kernel: KernelRBF},
-		{Nu: 0.5, Kernel: KernelRBF},
-		{Nu: 0.1, Kernel: KernelLinear},
-		{Nu: 0.5, Kernel: KernelLinear},
-		{Nu: 0.1, Kernel: KernelPoly, Degree: 3, Coef0: 1},
-		{Nu: 0.5, Kernel: KernelPoly, Degree: 3, Coef0: 1},
-	}
+	cfgs := []Config{{Nu: 0.1}, {Nu: 0.5}}
 	var ws Workspace
 	type trained struct {
 		name string
@@ -38,7 +31,7 @@ func TestWorkspaceMatchesFreshTrain(t *testing.T) {
 	var models []trained
 	for _, cfg := range cfgs {
 		for _, sh := range shapes {
-			name := fmt.Sprintf("%s nu=%v l=%d d=%d", cfg.Kernel, cfg.Nu, sh.l, sh.d)
+			name := fmt.Sprintf("nu=%v l=%d d=%d", cfg.Nu, sh.l, sh.d)
 			data := make([][]float64, sh.l)
 			for i := range data {
 				data[i] = make([]float64, sh.d)
