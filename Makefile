@@ -27,12 +27,14 @@ vet:
 # shared) — under the race detector. Then two lifetime sets run 20
 # more times, as CI runs them: the gateway's request-body tests (a
 # buffer recycled only after its last transport reader closes) and
-# dvserve's pixel and result tests (a decoded pixel slice recycled only
-# after every verdict of its request arrives, never on the 504 path).
+# dvserve's pixel, record and result tests (a request record and its
+# decoded pixels recycled only after every verdict of the request
+# arrives, never on the 504 or client-gone path, and a gone client's
+# request never scored).
 race:
 	$(GO) test -race -timeout 45m ./internal/nn ./internal/svm ./internal/core ./internal/experiment ./internal/telemetry ./internal/serve ./internal/gateway ./internal/hunt ./internal/obs ./internal/trace .
 	$(GO) test -race -count=20 -run 'TestBodyRefCount|TestEarlyAnswerBodyIntact|TestRetryOnReplica500' ./internal/gateway
-	$(GO) test -race -count=20 -run 'TestDeadlinePixelsNotRecycled|TestOverlappingBatchesReusePixels|TestServeEquivalenceConcurrent|TestBatcherSweepsQueueBehindBusyWorker|TestBatchRecordsInMemberOrder' ./internal/serve
+	$(GO) test -race -count=20 -run 'TestDeadlinePixelsNotRecycled|TestOverlappingBatchesReusePixels|TestServeEquivalenceConcurrent|TestBatcherSweepsQueueBehindBusyWorker|TestBatchRecordsInMemberOrder|TestClientGoneNotScored|TestExpiredRecordsNotReused' ./internal/serve
 
 # smoke runs the end-to-end checks against real processes: the
 # observability pass (train, score, scrape /metrics), the serving

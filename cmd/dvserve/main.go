@@ -53,7 +53,6 @@ import (
 	"time"
 
 	"deepvalidation"
-	"deepvalidation/internal/artifact"
 	"deepvalidation/internal/obs"
 	"deepvalidation/internal/serve"
 	"deepvalidation/internal/telemetry"
@@ -138,30 +137,6 @@ func run() error {
 	}
 	defer func() { _ = events.Close() }()
 
-	// artifactInfo reads the payload checksums of the artifacts on disk
-	// — the identity a fronting gateway compares during rollouts — and
-	// publishes them as the dv_build_info series. After a reload swaps
-	// artifacts the checksum labels change, so it re-publishes the series
-	// and zeroes the stale one (labels are identity — the old series
-	// would otherwise stand at 1 forever). Calls are serialized: once in
-	// serve.New, then under the reload lock.
-	var buildInfoSeries string
-	artifactInfo := func() (m, v string) {
-		if h, err := artifact.ReadHeader(*modelPath); err == nil {
-			m = h.Header.PayloadSHA256
-		}
-		if h, err := artifact.ReadHeader(*valPath); err == nil {
-			v = h.Header.PayloadSHA256
-		}
-		if reg != nil {
-			name := obs.PublishBuildInfo(reg, map[string]string{"model_sha256": m, "validator_sha256": v})
-			if buildInfoSeries != "" && buildInfoSeries != name {
-				reg.Gauge(buildInfoSeries).Set(0)
-			}
-			buildInfoSeries = name
-		}
-		return m, v
-	}
 	// On the flags, 0 means "off"; in serve.Config, negative disables
 	// and 0 means "default".
 	flight := *flightSize
@@ -180,7 +155,6 @@ func run() error {
 		RequestTimeout: *reqTimeout,
 		RetryAfter:     *retryAfter,
 		Loader:         load,
-		ArtifactInfo:   artifactInfo,
 		Registry:       reg,
 
 		ReloadRetries:     *reloadRetry,
@@ -211,8 +185,8 @@ func run() error {
 		return err
 	}
 	// The runtime collector publishes dv_runtime_* and re-publishes the
-	// one dv_build_info series with the checksums serve.New already
-	// read, rather than reading the artifacts again.
+	// one dv_build_info series serve.New set from the checksums Load
+	// verified; the server moves it to the new checksums on each reload.
 	if reg != nil {
 		m, v := srv.ArtifactSHAs()
 		rt := obs.NewRuntime(reg, map[string]string{"model_sha256": m, "validator_sha256": v})

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -27,6 +28,10 @@ import (
 type Detector struct {
 	net *nn.Network
 	val *core.Validator
+
+	// modelSHA and validatorSHA are the payload checksums Load verified
+	// (empty when built, or for legacy bare-gob files).
+	modelSHA, validatorSHA string
 
 	// mu guards ε, the worker bound and the verdict statistics.
 	mu           sync.Mutex
@@ -175,19 +180,33 @@ func Build(images []Image, labels []int, cfg BuildConfig) (*Detector, error) {
 // tap-shape↔SVM-dimensionality agreement that would otherwise panic at
 // the first Check — so a corrupt or mismatched pair fails here with a
 // descriptive error instead of poisoning a running service.
+//
+// The detector keeps the payload checksums it verified (ArtifactSHAs),
+// so what it reports describes the bytes it was built from even if the
+// files are replaced afterwards.
 func Load(modelPath, validatorPath string) (*Detector, error) {
-	net, err := nn.Load(modelPath)
+	net, mInfo, err := nn.LoadInfo(modelPath)
 	if err != nil {
 		return nil, err
 	}
-	val, err := core.LoadValidator(validatorPath)
+	val, vInfo, err := core.LoadValidatorInfo(validatorPath)
 	if err != nil {
 		return nil, err
 	}
 	if err := core.CheckCompat(net, val); err != nil {
 		return nil, fmt.Errorf("deepvalidation: %s and %s are not a compatible pair: %w", modelPath, validatorPath, err)
 	}
-	return assemble(net, val), nil
+	d := assemble(net, val)
+	d.modelSHA, d.validatorSHA = mInfo.Header.PayloadSHA256, vInfo.Header.PayloadSHA256
+	return d, nil
+}
+
+// ArtifactSHAs returns the SHA-256 payload checksums (hex) of the model
+// and validator artifacts Load verified: the identity a fleet compares
+// during a rollout. Both are empty for a detector from Build, and each
+// is empty for a legacy bare-gob file, which carries no checksum.
+func (d *Detector) ArtifactSHAs() (modelSHA256, validatorSHA256 string) {
+	return d.modelSHA, d.validatorSHA
 }
 
 // assemble wraps a compatible model/validator pair with ε = 0 and
@@ -468,19 +487,22 @@ func (d *Detector) CheckDetailed(img Image, out *Detail) (Verdict, error) {
 	return v[0], nil
 }
 
-// CheckBatchDetailed is CheckBatch with per-image diagnostics: details
-// may be nil, shorter than imgs, or hold nil entries — only images
-// with a non-nil *Detail collect diagnostics, and only those with
-// Timed set pay for stage clock reads. Verdicts do not depend on
-// details or the worker count; CheckBatch is CheckBatchDetailed(imgs,
-// nil).
-func (d *Detector) CheckBatchDetailed(imgs []Image, details []*Detail) ([]Verdict, error) {
+// CheckBatchDetailed is CheckBatch with per-image diagnostics, appending
+// the verdicts to dst and returning the extended slice (dst unchanged
+// on error), so a caller that checks batch after batch can reuse one
+// verdict buffer. details may be nil, shorter than imgs, or hold nil
+// entries — only images with a non-nil *Detail collect diagnostics,
+// and only those with Timed set pay for stage clock reads. Verdicts do
+// not depend on dst, details or the worker count; CheckBatch is
+// CheckBatchDetailed(nil, imgs, nil).
+func (d *Detector) CheckBatchDetailed(dst []Verdict, imgs []Image, details []*Detail) ([]Verdict, error) {
 	if err := d.validateAll(imgs); err != nil {
-		return nil, err
+		return dst, err
 	}
-	out := make([]Verdict, len(imgs))
-	d.check(imgs, details, out)
-	return out, nil
+	n := len(dst)
+	dst = slices.Grow(dst, len(imgs))[:n+len(imgs)]
+	d.check(imgs, details, dst[n:])
+	return dst, nil
 }
 
 // check is the one check body, the only place ε is compared and
@@ -628,7 +650,7 @@ func (d *Detector) workerBound() int {
 // place, never written or retained (see Image); concurrent calls may
 // share one []Image.
 func (d *Detector) CheckBatch(imgs []Image) ([]Verdict, error) {
-	return d.CheckBatchDetailed(imgs, nil)
+	return d.CheckBatchDetailed(nil, imgs, nil)
 }
 
 // Stats reports how many inputs were checked and flagged since the

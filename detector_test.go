@@ -264,10 +264,16 @@ func TestCheckDetailedMatchesCheck(t *testing.T) {
 	details := make([]*Detail, len(imgs))
 	details[4] = &Detail{}
 	details[7] = &Detail{Timed: true}
-	vs, err := batch.CheckBatchDetailed(imgs, details)
+	// The verdicts append to dst, leaving what it held.
+	held := Verdict{Label: -1}
+	vs, err := batch.CheckBatchDetailed([]Verdict{held}, imgs, details)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(vs) != 1+len(imgs) || vs[0] != held {
+		t.Fatalf("CheckBatchDetailed appended to dst as %d verdicts starting %+v, want %d starting %+v", len(vs), vs[0], 1+len(imgs), held)
+	}
+	vs = vs[1:]
 	for i, im := range imgs {
 		want, _ := plain.Check(im)
 		if vs[i] != want {

@@ -238,8 +238,10 @@ func WriteFile(path string, h Header, payload []byte) (err error) {
 }
 
 // ReadHeader reads and verifies an artifact and returns only its
-// container header — the cheap way to get identity metadata (model
-// name, payload checksum) without decoding the gob payload. Legacy
+// container header (model name, payload checksum) without decoding the
+// gob payload. It is not cheap: like ReadFile it reads the whole file
+// and hashes the payload. A detector already loaded from the file
+// knows its checksum (deepvalidation.Detector.ArtifactSHAs). Legacy
 // bare-gob files return Info{Legacy: true} with a zero header.
 func ReadHeader(path string) (Info, error) {
 	info, _, err := ReadFile(path)

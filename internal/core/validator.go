@@ -983,25 +983,33 @@ func (v *Validator) Save(path string) error {
 // files load through a transparent fallback. The decoded validator is
 // structurally validated either way.
 func LoadValidator(path string) (*Validator, error) {
+	v, _, err := LoadValidatorInfo(path)
+	return v, err
+}
+
+// LoadValidatorInfo is LoadValidator that also returns how the file was
+// read: the container header whose payload checksum it verified, or
+// Legacy set for a bare gob.
+func LoadValidatorInfo(path string) (*Validator, artifact.Info, error) {
 	info, payload, err := artifact.ReadFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("core: loading validator: %w", err)
+		return nil, info, fmt.Errorf("core: loading validator: %w", err)
 	}
 	v, err := DecodeValidator(bytes.NewReader(payload))
 	if err != nil {
-		return nil, fmt.Errorf("core: loading validator from %s: %w", path, err)
+		return nil, info, fmt.Errorf("core: loading validator from %s: %w", path, err)
 	}
 	if !info.Legacy {
 		h := info.Header
 		if h.Kind != artifact.KindValidator {
-			return nil, fmt.Errorf("core: %s is a %q artifact, want %q", path, h.Kind, artifact.KindValidator)
+			return nil, info, fmt.Errorf("core: %s is a %q artifact, want %q", path, h.Kind, artifact.KindValidator)
 		}
 		if h.ModelName != v.ModelName || h.Classes != v.Classes || !layersEqual(h.Layers, v.LayerIdx) {
-			return nil, fmt.Errorf("core: %s header (%s, %d classes, layers %v) disagrees with its payload (%s, %d classes, layers %v)",
+			return nil, info, fmt.Errorf("core: %s header (%s, %d classes, layers %v) disagrees with its payload (%s, %d classes, layers %v)",
 				path, h.ModelName, h.Classes, h.Layers, v.ModelName, v.Classes, v.LayerIdx)
 		}
 	}
-	return v, nil
+	return v, info, nil
 }
 
 func layersEqual(a, b []int) bool {

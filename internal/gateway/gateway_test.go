@@ -160,9 +160,8 @@ func startReplica(t testing.TB, dir, name string, repTune ...func(*serve.Config)
 	}
 	det.SetEpsilon(testEps)
 	scfg := serve.Config{
-		MaxBatch:     4,
-		Loader:       loader,
-		ArtifactInfo: artifactInfoFor(p),
+		MaxBatch: 4,
+		Loader:   loader,
 	}
 	for _, tune := range repTune {
 		tune(&scfg)
@@ -178,14 +177,6 @@ func startReplica(t testing.TB, dir, name string, repTune ...func(*serve.Config)
 		srv.Close()
 	})
 	return p
-}
-
-// artifactInfoFor mirrors dvserve's wiring: payload checksums read from
-// the replica's own artifact files.
-func artifactInfoFor(p *replicaProc) func() (string, string) {
-	return func() (string, string) {
-		return headerSHA(p.modelP), headerSHA(p.valP)
-	}
 }
 
 func headerSHA(path string) string {

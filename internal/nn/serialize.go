@@ -134,25 +134,33 @@ func (n *Network) Save(path string) error {
 // through a transparent fallback. Either way the decoded network is
 // structurally validated before it is returned.
 func Load(path string) (*Network, error) {
+	n, _, err := LoadInfo(path)
+	return n, err
+}
+
+// LoadInfo is Load that also returns how the file was read: the
+// container header whose payload checksum it verified, or Legacy set
+// for a bare gob.
+func LoadInfo(path string) (*Network, artifact.Info, error) {
 	info, payload, err := artifact.ReadFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("nn: loading network: %w", err)
+		return nil, info, fmt.Errorf("nn: loading network: %w", err)
 	}
 	n, err := Decode(bytes.NewReader(payload))
 	if err != nil {
-		return nil, fmt.Errorf("nn: loading network from %s: %w", path, err)
+		return nil, info, fmt.Errorf("nn: loading network from %s: %w", path, err)
 	}
 	if !info.Legacy {
 		h := info.Header
 		if h.Kind != artifact.KindModel {
-			return nil, fmt.Errorf("nn: %s is a %q artifact, want %q", path, h.Kind, artifact.KindModel)
+			return nil, info, fmt.Errorf("nn: %s is a %q artifact, want %q", path, h.Kind, artifact.KindModel)
 		}
 		if h.ModelName != n.ModelName || h.Classes != n.Classes || !shapeEqual(h.InputShape, n.InShape) {
-			return nil, fmt.Errorf("nn: %s header (%s, %d classes, shape %v) disagrees with its payload (%s, %d classes, shape %v)",
+			return nil, info, fmt.Errorf("nn: %s header (%s, %d classes, shape %v) disagrees with its payload (%s, %d classes, shape %v)",
 				path, h.ModelName, h.Classes, h.InputShape, n.ModelName, n.Classes, n.InShape)
 		}
 	}
-	return n, nil
+	return n, info, nil
 }
 
 func shapeEqual(a, b []int) bool {

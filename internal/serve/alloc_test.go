@@ -63,11 +63,11 @@ func TestBatchAllocatesLessThanImageShare(t *testing.T) {
 
 // TestBatchAllocatesObjectsPerRequest: a warm 32-image POST /v1/batch
 // makes at most 2 more heap objects per extra image than a warm
-// /v1/check. Requests, result channels, per-image details and batch
-// slices are made once per request or per micro-batch, so what grows
-// with the image count is the per-layer discrepancy slice each verdict
-// hands the flight recorder and little else; a pending, channel or
-// Detail allocated per image breaks the bound.
+// /v1/check. Request records with their result channels and per-image
+// details, and the batch slices, are reused, so what grows with the
+// image count is the per-layer discrepancy slice each verdict hands the
+// flight recorder and little else; a pending, channel or Detail
+// allocated per image breaks the bound.
 func TestBatchAllocatesObjectsPerRequest(t *testing.T) {
 	const n = 32
 	_, check, _ := warmAllocs(t, "/v1/check", 1)
@@ -75,6 +75,21 @@ func TestBatchAllocatesObjectsPerRequest(t *testing.T) {
 	if extra, budget := batch-check, float64(2*(n-1)); extra > budget {
 		t.Errorf("a warm %d-image /v1/batch makes %.1f heap objects, %.1f more than a /v1/check's %.1f; budget %.0f (2 per extra image)",
 			n, batch, extra, check, budget)
+	}
+}
+
+// TestCheckAllocatesObjects: a warm POST /v1/check makes at most 14
+// heap objects and allocates under 1,300 bytes. What is left belongs to
+// net/http and the test's recorder (the body limit reader, header
+// writes and their snapshot), the JSON encoding of the verdict, and
+// the detector's scoring call, which copies each image's per-layer
+// discrepancies for the flight recorder. A per-request context or
+// timer, a member slab or result channel per request, a Detail slab,
+// verdict slice or goroutine per batch: any one of them breaks a bound.
+func TestCheckAllocatesObjects(t *testing.T) {
+	perReq, objs, _ := warmAllocs(t, "/v1/check", 1)
+	if objs > 14 || perReq >= 1300 {
+		t.Errorf("a warm /v1/check makes %.1f heap objects and %.0f bytes per request; budget 14 objects and under 1300 bytes", objs, perReq)
 	}
 }
 
@@ -299,8 +314,8 @@ func bandImages28(rng *rand.Rand, n, side int) ([]deepvalidation.Image, []int) {
 }
 
 // TestCheckBatchDetailedSinksOffAllocs: the call the serving batcher
-// makes with every observability sink off, CheckBatchDetailed(imgs,
-// nil), may allocate at most 8 more objects per batch than plain
+// makes with every observability sink off, CheckBatchDetailed(nil,
+// imgs, nil), may allocate at most 8 more objects per batch than plain
 // CheckBatch.
 // Detail fills, span trees and trace IDs all allocate per image, so
 // any of them creeping into the disabled path breaks the bound.
@@ -316,7 +331,7 @@ func TestCheckBatchDetailedSinksOffAllocs(t *testing.T) {
 		}
 	}
 	detailedNil := func() {
-		if _, err := det.CheckBatchDetailed(imgs, nil); err != nil {
+		if _, err := det.CheckBatchDetailed(nil, imgs, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"sync"
 	"time"
 
 	"deepvalidation"
@@ -32,52 +33,167 @@ type reqTrace struct {
 }
 
 // pending is one member of an admitted request waiting for a verdict.
-// A request's members live in one slab (newMembers) and share one done
-// channel, buffered to the member count, so a batch worker never blocks
-// delivering, even to a handler that already gave up (deadline expiry
-// between scoring and delivery). Each result carries the member's
-// index i, because members scored in different micro-batches may
-// answer out of order.
-//
-// img's pixels belong to the handler, which recycles them once it has
-// received the result of every member. runBatch therefore never reads
-// p.img after sending p's result, in the batch path and in the
-// per-request fallback alike; a handler that stops waiting (deadline)
-// leaves them to the GC.
+// img's pixels belong to the handler until it releases the request
+// (see request). d is the member's per-layer detail, which runBatch
+// fills when something will read it.
 type pending struct {
 	img     deepvalidation.Image
-	ctx     context.Context
-	done    chan<- result
+	rq      *request
 	i       int
 	explain bool      // caller asked for per-layer discrepancies
 	tr      *reqTrace // non-nil when this request is traced
+	d       deepvalidation.Detail
 }
 
-// newMembers makes the pending members of one request in one slab,
-// answering on one result channel with room for every member.
-func newMembers(ctx context.Context, imgs []deepvalidation.Image, explains []bool) ([]pending, <-chan result) {
-	done := make(chan result, len(imgs))
-	ps := make([]pending, len(imgs))
-	for i, img := range imgs {
-		ps[i] = pending{img: img, ctx: ctx, done: done, i: i, explain: explains[i]}
+// request is the record of one admitted request: its members, the
+// result channel they share, and what tells a batch worker whether a
+// member is still worth scoring, the request's deadline and its
+// client's context, held once per request. done is buffered to the
+// member count, so a worker never blocks delivering, even to a handler
+// that already gave up. Each result carries the member's index i,
+// because members scored in different micro-batches may answer out of
+// order.
+//
+// Records come from the server's free list (requestFree) and go back
+// to it, with their members' pixels, only through release: after the
+// handler has received the result of every member, or when the request
+// was never enqueued. runBatch therefore never touches a member after
+// sending its result, in the batch path and in the per-request
+// fallback alike. A handler that stops waiting (deadline, client gone,
+// an error answer) leaves the record to the GC, so a late verdict can
+// only land in a channel no other request reads.
+type request struct {
+	members  []pending
+	done     chan result
+	deadline time.Time
+	client   context.Context // the HTTP request's context: done once the client has gone
+	timer    *time.Timer     // fires at the deadline; kept with the record
+}
+
+// expired reports whether the handler has stopped waiting for rq, or
+// will: its deadline has passed or its client has gone.
+func (rq *request) expired(now time.Time) bool {
+	return !now.Before(rq.deadline) || rq.client.Err() != nil
+}
+
+// arm starts rq's deadline, timeout from now, for a request from
+// client.
+func (rq *request) arm(client context.Context, timeout time.Duration) {
+	rq.client = client
+	rq.deadline = time.Now().Add(timeout)
+	if rq.timer == nil {
+		rq.timer = time.NewTimer(timeout)
+	} else {
+		rq.timer.Reset(timeout)
 	}
-	return ps, done
 }
 
-// tryEnqueue admits the requests all-or-nothing. The atomic depth
+// await hands rq's member results to use in member-index order, each
+// once it and every earlier member's result have arrived, so flight
+// entries, wide events and traces are filed in input order although
+// micro-batches may finish out of order. It returns the member count
+// once use has taken them all, or the index of the member it stopped
+// at: the one use refused, or, with gone set, the first still waiting
+// when the deadline passed or the client went away. A result arriving
+// ahead of its turn waits in a buffer made on the first such arrival.
+func (rq *request) await(use func(result) bool) (next int, gone bool) {
+	n := len(rq.members)
+	var early []result
+	var arrived []bool // arrived[i]: early[i] holds member i's result
+	for next < n {
+		var res result
+		if arrived != nil && arrived[next] {
+			res = early[next]
+		} else {
+			select {
+			case res = <-rq.done:
+			case <-rq.timer.C:
+				return next, true
+			case <-rq.client.Done():
+				return next, true
+			}
+			if res.i != next {
+				if early == nil {
+					early, arrived = make([]result, n), make([]bool, n)
+				}
+				early[res.i], arrived[res.i] = res, true
+				continue
+			}
+		}
+		if !use(res) {
+			return next, false
+		}
+		next++
+	}
+	return n, false
+}
+
+// requestFree is the free list of request records: a mutex-guarded
+// stack of at most limit records. dvserve sizes limit like the pixel
+// list, Config.Workers × Config.MaxBatch; the list only ever holds as
+// many records as were in flight at once.
+type requestFree struct {
+	mu    sync.Mutex
+	limit int
+	stack []*request
+}
+
+func newRequestFree(limit int) *requestFree {
+	return &requestFree{limit: limit, stack: make([]*request, 0, limit)}
+}
+
+// take returns a record with n members, zero but for their index and
+// record, and room in done for n results: a held one if the list has
+// any, grown if it is too small, otherwise a new one.
+func (f *requestFree) take(n int) *request {
+	var rq *request
+	f.mu.Lock()
+	if k := len(f.stack); k > 0 {
+		rq = f.stack[k-1]
+		f.stack[k-1] = nil
+		f.stack = f.stack[:k-1]
+	}
+	f.mu.Unlock()
+	if rq == nil {
+		rq = &request{}
+	}
+	if cap(rq.done) < n {
+		rq.done = make(chan result, n)
+		rq.members = make([]pending, n)
+	}
+	rq.members = rq.members[:n]
+	for i := range rq.members {
+		rq.members[i] = pending{rq: rq, i: i}
+	}
+	return rq
+}
+
+// put keeps rq if the list has room. rq's done channel must be empty
+// and its timer stopped, or nil.
+func (f *requestFree) put(rq *request) {
+	clear(rq.members)
+	rq.client = nil
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if len(f.stack) < f.limit {
+		f.stack = append(f.stack, rq)
+	}
+}
+
+// tryEnqueue admits rq's members all-or-nothing. The atomic depth
 // counter is the real bound: it is incremented before the channel send
 // and decremented at dequeue, so the channel (whose capacity equals
 // QueueDepth) can never block an admitted sender, and admission beyond
 // QueueDepth is refused here — the caller sheds with 429.
-func (s *Server) tryEnqueue(ps []pending) bool {
-	n := int64(len(ps))
+func (s *Server) tryEnqueue(rq *request) bool {
+	n := int64(len(rq.members))
 	if s.depth.Add(n) > int64(s.cfg.QueueDepth) {
 		s.depth.Add(-n)
 		return false
 	}
 	s.queueDepth.Set(float64(s.depth.Load()))
-	for i := range ps {
-		s.queue <- &ps[i]
+	for i := range rq.members {
+		s.queue <- &rq.members[i]
 	}
 	return true
 }
@@ -93,21 +209,27 @@ func (s *Server) dequeued(p *pending) {
 }
 
 // batchBuf is one dispatch worker slot and its reusable batch storage:
-// the batch and the image slice runBatch hands the detector, each with
-// room for MaxBatch members. The server's slots channel holds the free
-// ones; a batch takes one and returns it emptied, so forming and
-// scoring a micro-batch grows no slice.
+// the batch, and the images, detail pointers and verdicts runBatch
+// exchanges with the detector, each with room for MaxBatch members.
+// The server's slots channel holds the free ones; the batcher takes
+// one, fills it and hands it to a worker on work, and the worker
+// returns it emptied, so forming and scoring a micro-batch grows no
+// slice.
 type batchBuf struct {
-	batch []*pending
-	imgs  []deepvalidation.Image
+	batch    []*pending
+	imgs     []deepvalidation.Image
+	details  []*deepvalidation.Detail
+	verdicts []deepvalidation.Verdict
 }
 
 func newSlots(workers, maxBatch int) chan *batchBuf {
 	slots := make(chan *batchBuf, workers)
 	for range workers {
 		slots <- &batchBuf{
-			batch: make([]*pending, 0, maxBatch),
-			imgs:  make([]deepvalidation.Image, 0, maxBatch),
+			batch:    make([]*pending, 0, maxBatch),
+			imgs:     make([]deepvalidation.Image, 0, maxBatch),
+			details:  make([]*deepvalidation.Detail, 0, maxBatch),
+			verdicts: make([]deepvalidation.Verdict, 0, maxBatch),
 		}
 	}
 	return slots
@@ -118,7 +240,8 @@ func newSlots(workers, maxBatch int) chan *batchBuf {
 func (b *batchBuf) reset() {
 	clear(b.batch)
 	clear(b.imgs)
-	b.batch, b.imgs = b.batch[:0], b.imgs[:0]
+	clear(b.details)
+	b.batch, b.imgs, b.details, b.verdicts = b.batch[:0], b.imgs[:0], b.details[:0], b.verdicts[:0]
 }
 
 // runBatcher is the batching loop: pull the first waiting request, wait
@@ -126,9 +249,11 @@ func (b *batchBuf) reset() {
 // hand the batch to that worker. An idle server therefore scores a lone
 // request at once, and a busy one batches everything that queued while
 // its workers were busy. On stop it flushes whatever is still queued
-// (the graceful-drain tail) and exits.
+// (the graceful-drain tail), closes work so the workers exit once they
+// have scored every batch handed to them, and exits.
 func (s *Server) runBatcher() {
 	defer s.wg.Done()
+	defer close(s.work)
 	for {
 		select {
 		case <-s.stop:
@@ -137,6 +262,18 @@ func (s *Server) runBatcher() {
 		case first := <-s.queue:
 			s.dispatch(s.claim(first))
 		}
+	}
+}
+
+// runWorker is one of the Config.Workers dispatch workers started by
+// New: it scores each batch the batcher hands it and frees the batch's
+// slot, emptied, until work is closed.
+func (s *Server) runWorker() {
+	defer s.wg.Done()
+	for b := range s.work {
+		s.runBatch(b)
+		b.reset()
+		s.slots <- b
 	}
 }
 
@@ -165,19 +302,11 @@ func (s *Server) sweep(b *batchBuf) {
 	}
 }
 
-// dispatch scores one batch on the worker slot claim took, and frees
-// the slot, emptied, when the batch is done.
+// dispatch hands the batch claim formed to the workers. work holds as
+// many batches as there are slots, so the send never blocks.
 func (s *Server) dispatch(b *batchBuf) {
 	s.batchSize.Observe(float64(len(b.batch)))
-	s.wg.Add(1)
-	go func() {
-		defer func() {
-			b.reset()
-			s.slots <- b
-			s.wg.Done()
-		}()
-		s.runBatch(b)
-	}()
+	s.work <- b
 }
 
 // flush drains the queue after stop: every straggler still gets a
@@ -193,24 +322,26 @@ func (s *Server) flush() {
 	}
 }
 
-// runBatch scores one micro-batch. Requests whose context already
-// expired are skipped (their handlers have answered 504). Verdicts are
-// produced by Detector.CheckBatch, which is bit-identical to
-// sequential Check calls; if the batch as a whole is rejected (e.g. an
-// input geometry change racing a hot reload), members are re-scored
-// singly so one poisoned request cannot fail its batch-mates.
+// runBatch scores one micro-batch. Members whose request expired (its
+// deadline passed or its client went away) are skipped: their handlers
+// have answered 504, or will. Verdicts are produced by
+// Detector.CheckBatchDetailed, which is bit-identical to sequential
+// Check calls; if the batch as a whole is rejected (e.g. an input
+// geometry change racing a hot reload), members are re-scored singly
+// so one poisoned request cannot fail its batch-mates.
 //
 // Per-layer detail is computed only when something will consume it —
 // the flight recorder, the drift watch, an explain=1 request, or a
 // traced request (which additionally gets stage timings). With all of
 // those off, the path is exactly the pre-observability CheckBatch.
-// The batch's details are one slab: handlers keep pointers into it
-// until they answer, and recorders keep only the PerLayer slices the
+// Each member's detail lives in its request record, which the handler
+// reads until it answers; recorders keep only the PerLayer slices the
 // detector allocates per image.
 func (s *Server) runBatch(b *batchBuf) {
+	now := time.Now()
 	live := b.batch[:0]
 	for _, p := range b.batch {
-		if p.ctx.Err() != nil {
+		if p.rq.expired(now) {
 			continue
 		}
 		live = append(live, p)
@@ -227,17 +358,14 @@ func (s *Server) runBatch(b *batchBuf) {
 			break
 		}
 	}
-	var details []*deepvalidation.Detail
 	if needDetail {
-		slab := make([]deepvalidation.Detail, len(live))
-		details = make([]*deepvalidation.Detail, len(live))
-		for i, p := range live {
-			slab[i].Timed = p.tr != nil
-			details[i] = &slab[i]
+		for _, p := range live {
+			p.d = deepvalidation.Detail{Timed: p.tr != nil}
+			b.details = append(b.details, &p.d)
 		}
 	}
 	det := s.handle.Get()
-	now := time.Now()
+	now = time.Now()
 	for _, p := range live {
 		if p.tr != nil {
 			p.tr.scoreStart = now
@@ -245,10 +373,9 @@ func (s *Server) runBatch(b *batchBuf) {
 	}
 	// Chaos seam: an injected error skips the batch call and takes the
 	// per-request fallback path.
-	var vs []deepvalidation.Verdict
 	err := faultinject.Check(faultinject.PointServeBatch)
 	if err == nil {
-		vs, err = det.CheckBatchDetailed(b.imgs, details)
+		b.verdicts, err = det.CheckBatchDetailed(b.verdicts, b.imgs, b.details)
 	}
 	end := time.Now()
 	for _, p := range live {
@@ -259,18 +386,18 @@ func (s *Server) runBatch(b *batchBuf) {
 	if err == nil {
 		for i, p := range live {
 			var d *deepvalidation.Detail
-			if details != nil {
-				d = details[i]
-				s.observeDrift(drift, vs[i], d)
+			if needDetail {
+				d = &p.d
+				s.observeDrift(drift, b.verdicts[i], d)
 			}
-			p.done <- result{i: p.i, v: vs[i], d: d}
+			p.rq.done <- result{i: p.i, v: b.verdicts[i], d: d}
 		}
 		return
 	}
-	for i, p := range live {
+	for _, p := range live {
 		var d *deepvalidation.Detail
-		if details != nil {
-			d = details[i]
+		if needDetail {
+			d = &p.d
 		}
 		if p.tr != nil {
 			p.tr.scoreStart = time.Now()
@@ -282,7 +409,7 @@ func (s *Server) runBatch(b *batchBuf) {
 		if cerr == nil && d != nil {
 			s.observeDrift(drift, v, d)
 		}
-		p.done <- result{i: p.i, v: v, err: cerr, d: d}
+		p.rq.done <- result{i: p.i, v: v, err: cerr, d: d}
 	}
 }
 

@@ -9,12 +9,15 @@ package serve
 // bit-identical verdicts.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -24,7 +27,9 @@ import (
 	"time"
 
 	"deepvalidation"
+	"deepvalidation/internal/artifact"
 	"deepvalidation/internal/faultinject"
+	"deepvalidation/internal/obs"
 	"deepvalidation/internal/telemetry"
 )
 
@@ -327,5 +332,223 @@ func TestDeadlinePixelsNotRecycled(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameVerdict(t, got, want, fmt.Sprintf("fresh check %d", i))
+	}
+}
+
+// TestClientGoneNotScored: a request whose client goes away while it
+// waits behind a busy worker is answered at once as a deadline and is
+// never scored. Request A holds the only worker in the serve.batch
+// point and B is admitted behind it; then B's client disconnects. B's
+// handler must answer 504 without waiting out its 30 s deadline, and
+// once A is released the batcher must skip B, so the detector's Stats
+// count A alone.
+func TestClientGoneNotScored(t *testing.T) {
+	reg := telemetry.New()
+	s, ts := newTestServer(t, Config{MaxBatch: 1, Workers: 1, Registry: reg})
+	calls, release := holdFirstBatch(t)
+	imgs, _ := testImages(71, 2)
+	want := refVerdicts(t, imgs)
+	before, _, _ := s.Detector().Stats()
+
+	a := checkAsync(ts.URL, imgs[0], want[0])
+	waitFor(t, "request A's batch to block in its worker", func() bool { return calls.Load() == 1 })
+	client, leave := context.WithCancel(context.Background())
+	defer leave()
+	req := httptest.NewRequest(http.MethodPost, "/v1/check", bytes.NewReader(checkBody(t, imgs[1]))).WithContext(client)
+	rec := httptest.NewRecorder()
+	answered := make(chan struct{})
+	go func() {
+		defer close(answered)
+		s.Handler().ServeHTTP(rec, req)
+	}()
+	waitFor(t, "request B admitted behind A", func() bool { return s.pulls.Load()+int64(s.QueueLen()) == 2 })
+	leave()
+	select {
+	case <-answered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("request B's handler still waiting 10 s after its client went away")
+	}
+	if rec.Code != http.StatusGatewayTimeout {
+		t.Fatalf("request B = %d (body %q), want 504", rec.Code, rec.Body.String())
+	}
+	if got := reg.Counter(MetricDeadline).Value(); got != 1 {
+		t.Fatalf("%s = %d, want 1", MetricDeadline, got)
+	}
+	release()
+	if err := <-a; err != nil {
+		t.Fatalf("request A: %v", err)
+	}
+	s.Close() // every batch the batcher formed has been run
+	if after, _, _ := s.Detector().Stats(); after-before != 1 {
+		t.Fatalf("the detector checked %d images, want 1: the request whose client went away was scored", after-before)
+	}
+}
+
+// TestExpiredRecordsNotReused pins who may reuse a request record. Both
+// worker slots are taken by the test, so a burst of checks on a server
+// whose deadlines pass at once (RequestTimeout 1 ns) all answer 504
+// while their members wait in the queue. Then, with a real deadline,
+// one more check queues behind them before the slots come back, and
+// checks sent one at a time after it must each receive the verdict of
+// its own image. A handler that put its record back on the deadline
+// path would hand a later request a record whose member is still
+// queued, perhaps many times over: the batcher would score that
+// request's image once per queued pointer, and the surplus verdicts
+// would be read by the next requests to take the record, or block the
+// worker delivering them.
+func TestExpiredRecordsNotReused(t *testing.T) {
+	s, err := New(deepvalidation.NewHandle(loadDetector(t)), Config{RequestTimeout: time.Nanosecond, MaxBatch: 1, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// After a failure a worker may be blocked delivering a surplus
+	// verdict, which Close would wait for forever.
+	t.Cleanup(func() {
+		if !t.Failed() {
+			s.Close()
+		}
+	})
+	h := s.Handler()
+	const burst = 32
+	imgs, _ := testImages(73, burst+8)
+	want := refVerdicts(t, imgs[burst:])
+	bodies := make([][]byte, len(imgs))
+	for i, img := range imgs {
+		bodies[i] = checkBody(t, img)
+	}
+	check := func(body []byte) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/check", bytes.NewReader(body)))
+		return rec
+	}
+
+	slots := []*batchBuf{<-s.slots, <-s.slots}
+	var wg sync.WaitGroup
+	for _, body := range bodies[:burst] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if rec := check(body); rec.Code != http.StatusGatewayTimeout {
+				t.Errorf("expired check = %d (body %q), want 504", rec.Code, rec.Body.String())
+			}
+		}()
+	}
+	wg.Wait()
+	// No handler runs now, and every later one starts after this write.
+	s.cfg.RequestTimeout = 10 * time.Second
+	first := make(chan *httptest.ResponseRecorder, 1)
+	go func() { first <- check(bodies[burst]) }()
+	waitFor(t, "the first fresh check queued behind the burst", func() bool {
+		return s.pulls.Load()+int64(s.QueueLen()) == burst+1
+	})
+	for _, b := range slots {
+		s.slots <- b
+	}
+	recs := []*httptest.ResponseRecorder{<-first}
+	for _, body := range bodies[burst+1:] {
+		recs = append(recs, check(body))
+	}
+	for i, rec := range recs {
+		if rec.Code != http.StatusOK {
+			t.Fatalf("fresh check %d = %d (body %q)", i, rec.Code, rec.Body.String())
+		}
+		var got VerdictResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+			t.Fatal(err)
+		}
+		sameVerdict(t, got, want[i], fmt.Sprintf("fresh check %d", i))
+	}
+}
+
+// TestReadyzReportsLoadedChecksums: /readyz names the artifacts the
+// serving detector was loaded from, not what the files hold now. The
+// loader writes another artifact pair over the files right after
+// loading them, as a deploy racing a reload would. After the first
+// reload /readyz must still report the checksums of the pair it
+// loaded; the second reload loads the new pair and must report it, with
+// dv_build_info moved to the new checksums.
+func TestReadyzReportsLoadedChecksums(t *testing.T) {
+	dir := t.TempDir()
+	modelP, valP := filepath.Join(dir, "model.dvart"), filepath.Join(dir, "validator.dvart")
+	copyFile(t, testModelPath, modelP)
+	copyFile(t, testValPath, valP)
+	imgs, labels := testImages(1, 90)
+	other, err := deepvalidation.Build(imgs, labels, deepvalidation.BuildConfig{
+		Classes: 3, Epochs: 6, Width: 4, FCWidth: 16,
+		SVMPerClass: 20, SVMFeatures: 64, Seed: 6,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	otherM, otherV := filepath.Join(dir, "other-model.dvart"), filepath.Join(dir, "other-validator.dvart")
+	if err := other.Save(otherM, otherV); err != nil {
+		t.Fatal(err)
+	}
+	sha := func(path string) string {
+		info, err := artifact.ReadHeader(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return info.Header.PayloadSHA256
+	}
+	loaded := [2]string{sha(modelP), sha(valP)}
+	next := [2]string{sha(otherM), sha(otherV)}
+	if loaded[0] == next[0] || loaded[1] == next[1] {
+		t.Fatalf("the two artifact pairs share a checksum: %q and %q", loaded, next)
+	}
+
+	reg := telemetry.New()
+	s, ts := newTestServer(t, Config{
+		Registry: reg,
+		Loader: func() (*deepvalidation.Detector, error) {
+			det, err := deepvalidation.Load(modelP, valP)
+			copyFile(t, otherM, modelP)
+			copyFile(t, otherV, valP)
+			return det, err
+		},
+	})
+	readyz := func() [2]string {
+		resp, err := http.Get(ts.URL + "/readyz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimRight(string(raw), "\n"), "\n")
+		var body ReadyzBody
+		if err := json.Unmarshal([]byte(lines[len(lines)-1]), &body); err != nil {
+			t.Fatalf("readyz JSON line %q: %v", lines[len(lines)-1], err)
+		}
+		return [2]string{body.ModelSHA256, body.ValidatorSHA256}
+	}
+	buildInfo := func(shas [2]string) float64 {
+		for name, v := range reg.Snapshot().Gauges {
+			if strings.HasPrefix(name, obs.MetricBuildInfo+"{") &&
+				strings.Contains(name, `model_sha256="`+shas[0]+`"`) && strings.Contains(name, `validator_sha256="`+shas[1]+`"`) {
+				return v
+			}
+		}
+		return -1
+	}
+	if got := readyz(); got != loaded {
+		t.Fatalf("readyz at start reports %q, want the loaded pair %q", got, loaded)
+	}
+	if _, err := s.Reload(); err != nil {
+		t.Fatal(err)
+	}
+	if got := readyz(); got != loaded {
+		t.Fatalf("readyz after a reload that loaded %q reports %q: the files replaced afterwards", loaded, got)
+	}
+	if _, err := s.Reload(); err != nil {
+		t.Fatal(err)
+	}
+	if got := readyz(); got != next {
+		t.Fatalf("readyz after reloading the new pair reports %q, want %q", got, next)
+	}
+	if old, cur := buildInfo(loaded), buildInfo(next); old != 0 || cur != 1 {
+		t.Fatalf("%s: the replaced checksums' series = %v, the serving ones' = %v; want 0 and 1", obs.MetricBuildInfo, old, cur)
 	}
 }

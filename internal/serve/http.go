@@ -93,8 +93,12 @@ func batchImages(req BatchRequest) ([]deepvalidation.Image, []bool, error) {
 }
 
 // queryExplain reports whether the request's query string asks for the
-// per-layer breakdown (?explain=1 or ?explain=true).
+// per-layer breakdown (?explain=1 or ?explain=true). A request without
+// a query string, the common case, parses nothing.
 func queryExplain(r *http.Request) bool {
+	if r.URL.RawQuery == "" {
+		return false
+	}
 	v := r.URL.Query().Get("explain")
 	if v == "" {
 		return false
@@ -149,13 +153,6 @@ func RetryAfterHeader(d time.Duration) string {
 	return strconv.FormatInt(secs, 10)
 }
 
-// shedResponse answers 429 with the configured Retry-After hint.
-func (s *Server) shedResponse(w http.ResponseWriter) {
-	s.shed.Inc()
-	w.Header().Set("Retry-After", RetryAfterHeader(s.cfg.RetryAfter))
-	obs.WriteError(w, http.StatusTooManyRequests, "admission queue full; retry later")
-}
-
 // admissible answers method/drain preconditions shared by the check
 // and batch handlers.
 func (s *Server) admissible(w http.ResponseWriter, r *http.Request) bool {
@@ -171,14 +168,74 @@ func (s *Server) admissible(w http.ResponseWriter, r *http.Request) bool {
 	return true
 }
 
-// releasePixels returns the images' pixel slices to the free list. Call
-// it only when no batch worker can read them again: after every one of
-// the request's verdicts was received, or when none was enqueued.
+// releasePixels returns the images' pixel slices to the free list, for
+// a request refused before it had a record.
 func (s *Server) releasePixels(imgs ...deepvalidation.Image) {
 	c, h, w := s.handle.Get().InputShape()
 	for _, img := range imgs {
 		s.pixels.put(img.Pixels, c*h*w)
 	}
+}
+
+// admit takes a record for imgs, a request from r, and starts its
+// deadline.
+func (s *Server) admit(r *http.Request, imgs []deepvalidation.Image, explains []bool) *request {
+	rq := s.requests.take(len(imgs))
+	for i := range rq.members {
+		rq.members[i].img, rq.members[i].explain = imgs[i], explains[i]
+	}
+	rq.arm(r.Context(), s.cfg.RequestTimeout)
+	return rq
+}
+
+// release hands rq and its members' pixels back for reuse. Call it
+// only when no batch worker can touch the record again: after the
+// handler has received the result of every member, or when rq was
+// never enqueued.
+func (s *Server) release(rq *request) {
+	if !rq.timer.Stop() {
+		// The deadline fired as the last result arrived (or before a
+		// shed). Under the pre-1.23 timer semantics go.mod selects, its
+		// tick may still be on its way into the channel when Stop
+		// returns, and the next request on this record would read it
+		// as its own deadline; a non-blocking drain could miss it, so
+		// the timer is dropped instead.
+		rq.timer = nil
+	}
+	c, h, w := s.handle.Get().InputShape()
+	for i := range rq.members {
+		s.pixels.put(rq.members[i].img.Pixels, c*h*w)
+	}
+	s.requests.put(rq)
+}
+
+// expire answers a request whose deadline passed or whose client went
+// away before every verdict arrived: 504, counted as a deadline. Its
+// record is left to the GC, since a batch worker may still score its
+// members; the timer is stopped so the runtime does not hold the
+// record until it fires.
+func (s *Server) expire(w http.ResponseWriter, rq *request, endpoint, id string, traced bool, t0 time.Time, msg string) {
+	rq.timer.Stop()
+	s.deadlines.Inc()
+	lat := time.Since(t0)
+	s.recordDropFlight(endpoint, id, trace.OutcomeDeadline, lat)
+	s.storeDropTrace(endpoint, id, traced, t0, trace.OutcomeDeadline)
+	s.emitRequest(endpoint, id, trace.OutcomeDeadline, nil, lat)
+	obs.WriteError(w, http.StatusGatewayTimeout, msg)
+}
+
+// shedRequest answers a request the queue refused: 429 with the
+// configured Retry-After hint. It was never enqueued, so its record
+// goes back at once.
+func (s *Server) shedRequest(w http.ResponseWriter, rq *request, endpoint, id string, traced bool, t0 time.Time) {
+	s.release(rq)
+	lat := time.Since(t0)
+	s.recordDropFlight(endpoint, id, trace.OutcomeShed, lat)
+	s.storeDropTrace(endpoint, id, traced, t0, trace.OutcomeShed)
+	s.emitRequest(endpoint, id, trace.OutcomeShed, nil, lat)
+	s.shed.Inc()
+	w.Header().Set("Retry-After", RetryAfterHeader(s.cfg.RetryAfter))
+	obs.WriteError(w, http.StatusTooManyRequests, "admission queue full; retry later")
 }
 
 // checkShape rejects images whose geometry the current detector cannot
@@ -402,31 +459,23 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		obs.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	defer cancel()
-	ps, done := newMembers(ctx, []deepvalidation.Image{img}, []bool{explain})
+	rq := s.admit(r, []deepvalidation.Image{img}, []bool{explain})
+	p := &rq.members[0]
 	if traced {
-		ps[0].tr = &reqTrace{id: id, t0: t0, enq: time.Now()}
+		p.tr = &reqTrace{id: id, t0: t0, enq: time.Now()}
 	}
-	if !s.tryEnqueue(ps) {
-		s.releasePixels(img)
-		lat := time.Since(t0)
-		s.recordDropFlight("check", id, trace.OutcomeShed, lat)
-		s.storeDropTrace("check", id, traced, t0, trace.OutcomeShed)
-		s.emitRequest("check", id, trace.OutcomeShed, nil, lat)
-		s.shedResponse(w)
+	if !s.tryEnqueue(rq) {
+		s.shedRequest(w, rq, "check", id, traced, t0)
 		return
 	}
-	select {
-	case res := <-done:
-		s.releasePixels(img)
+	next, gone := rq.await(func(res result) bool {
 		end := time.Now()
-		s.storeTrace("check", &ps[0], res, end)
+		s.storeTrace("check", p, res, end)
 		if res.err != nil {
 			s.recordDropFlight("check", id, trace.OutcomeError, end.Sub(t0))
 			s.emitRequest("check", id, trace.OutcomeError, &res, end.Sub(t0))
 			obs.WriteError(w, http.StatusBadRequest, res.err.Error())
-			return
+			return false
 		}
 		s.recordVerdictFlight("check", id, res, end, end.Sub(t0))
 		outcome := trace.OutcomeOK
@@ -435,18 +484,17 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		}
 		s.emitRequest("check", id, outcome, &res, end.Sub(t0))
 		resp := verdictResponse(res.v)
-		if explain {
+		if p.explain {
 			resp.PerLayer = perLayerMap(res.d)
 		}
 		obs.WriteJSON(w, http.StatusOK, resp)
-	case <-ctx.Done():
-		// img is not released: a batch worker may still be scoring it.
-		s.deadlines.Inc()
-		lat := time.Since(t0)
-		s.recordDropFlight("check", id, trace.OutcomeDeadline, lat)
-		s.storeDropTrace("check", id, traced, t0, trace.OutcomeDeadline)
-		s.emitRequest("check", id, trace.OutcomeDeadline, nil, lat)
-		obs.WriteError(w, http.StatusGatewayTimeout, "deadline exceeded before a verdict was produced")
+		return true
+	})
+	switch {
+	case gone:
+		s.expire(w, rq, "check", id, traced, t0, "deadline exceeded before a verdict was produced")
+	case next == 1:
+		s.release(rq)
 	}
 }
 
@@ -486,25 +534,18 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	defer cancel()
-	ps, done := newMembers(ctx, imgs, explains)
+	rq := s.admit(r, imgs, explains)
 	if traced {
 		// Each batch member is traced individually under {base}.{i}.
 		enq := time.Now()
-		trs := make([]reqTrace, len(ps))
-		for i := range ps {
+		trs := make([]reqTrace, len(imgs))
+		for i := range trs {
 			trs[i] = reqTrace{id: trace.ItemID(base, i), t0: t0, enq: enq}
-			ps[i].tr = &trs[i]
+			rq.members[i].tr = &trs[i]
 		}
 	}
-	if !s.tryEnqueue(ps) {
-		s.releasePixels(imgs...)
-		lat := time.Since(t0)
-		s.recordDropFlight("batch", base, trace.OutcomeShed, lat)
-		s.storeDropTrace("batch", base, traced, t0, trace.OutcomeShed)
-		s.emitRequest("batch", base, trace.OutcomeShed, nil, lat)
-		s.shedResponse(w)
+	if !s.tryEnqueue(rq) {
+		s.shedRequest(w, rq, "batch", base, traced, t0)
 		return
 	}
 	itemID := func(i int) string {
@@ -513,12 +554,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		return trace.ItemID(base, i)
 	}
-	// Only a request whose every member answered releases its pixels:
-	// after a 400 or a 504 later members may still be queued or
-	// scoring, so imgs are left to the GC.
-	resp := BatchResponse{Verdicts: make([]VerdictResponse, len(ps))}
-	next, expired := await(ctx, done, len(ps), func(res result) bool {
-		i, p, id := res.i, &ps[res.i], itemID(res.i)
+	// Only a request whose every member answered goes back to the free
+	// list: after a 400 or a 504 later members may still be queued or
+	// scoring.
+	resp := BatchResponse{Verdicts: make([]VerdictResponse, len(imgs))}
+	next, gone := rq.await(func(res result) bool {
+		i, p, id := res.i, &rq.members[res.i], itemID(res.i)
 		end := time.Now()
 		s.storeTrace("batch", p, res, end)
 		if res.err != nil {
@@ -540,54 +581,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return true
 	})
 	switch {
-	case expired:
-		s.deadlines.Inc()
-		lat := time.Since(t0)
-		s.recordDropFlight("batch", itemID(next), trace.OutcomeDeadline, lat)
-		s.storeDropTrace("batch", itemID(next), traced, t0, trace.OutcomeDeadline)
-		s.emitRequest("batch", itemID(next), trace.OutcomeDeadline, nil, lat)
-		obs.WriteError(w, http.StatusGatewayTimeout, "deadline exceeded before all verdicts were produced")
-	case next == len(ps):
-		s.releasePixels(imgs...)
+	case gone:
+		s.expire(w, rq, "batch", itemID(next), traced, t0, "deadline exceeded before all verdicts were produced")
+	case next == len(imgs):
 		obs.WriteJSON(w, http.StatusOK, resp)
+		s.release(rq)
 	}
-}
-
-// await hands a request's n member results from done to use in
-// member-index order, each once it and every earlier member's result
-// have arrived, so flight entries, wide events and traces are filed in
-// input order although micro-batches may finish out of order. It
-// returns n once use has taken them all, or the index of the member it
-// stopped at: the one use refused, or, with expired set, the first
-// still waiting when ctx ended. A result arriving ahead of its turn
-// waits in a buffer made on the first such arrival.
-func await(ctx context.Context, done <-chan result, n int, use func(result) bool) (next int, expired bool) {
-	var early []result
-	var arrived []bool // arrived[i]: early[i] holds member i's result
-	for next < n {
-		var res result
-		if arrived != nil && arrived[next] {
-			res = early[next]
-		} else {
-			select {
-			case res = <-done:
-			case <-ctx.Done():
-				return next, true
-			}
-			if res.i != next {
-				if early == nil {
-					early, arrived = make([]result, n), make([]bool, n)
-				}
-				early[res.i], arrived[res.i] = res, true
-				continue
-			}
-		}
-		if !use(res) {
-			return next, false
-		}
-		next++
-	}
-	return n, false
 }
 
 // handleTrace serves one sampled trace's span tree as JSON.
@@ -725,11 +724,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 type ReadyzBody struct {
 	Status           string `json:"status"`
 	ReloadFailStreak int    `json:"reload_fail_streak"`
-	// ModelSHA256 and ValidatorSHA256 are the payload checksums of the
-	// artifacts behind the currently serving detector (empty when the
-	// server has no Config.ArtifactInfo or the files are legacy bare
-	// gobs with no container header). Refreshed on every successful
-	// reload.
+	// ModelSHA256 and ValidatorSHA256 are the payload checksums the
+	// currently serving detector's Load verified (empty for a detector
+	// from Build, or legacy bare gobs with no container header). They
+	// change with every successful reload, and only then.
 	ModelSHA256     string            `json:"model_sha256,omitempty"`
 	ValidatorSHA256 string            `json:"validator_sha256,omitempty"`
 	Drift           trace.DriftStatus `json:"drift"`

@@ -18,9 +18,10 @@
 //   - Bounded memory: the admission queue sheds load with 429 +
 //     Retry-After once Config.QueueDepth requests are waiting, and
 //     request bodies are capped at Config.MaxBodyBytes (413 beyond).
-//   - Bounded latency: every request carries a context deadline
-//     (Config.RequestTimeout); requests whose deadline expires before
-//     a verdict is produced get 504 and are skipped by the batcher.
+//   - Bounded latency: every request carries a deadline
+//     (Config.RequestTimeout) in its request record; requests whose
+//     deadline passes, or whose client goes away, before a verdict is
+//     produced get 504 and are skipped by the batcher.
 //   - Graceful drain: Drain stops admission, lets in-flight requests
 //     finish on the still-running batcher, then stops it — no verdict
 //     in flight is lost on SIGTERM.
@@ -121,13 +122,6 @@ type Config struct {
 	// 10s).
 	ReloadBackoff    time.Duration
 	ReloadBackoffCap time.Duration
-	// ArtifactInfo, when non-nil, reports the SHA-256 payload checksums
-	// (model, validator) of the artifacts currently on disk. It is
-	// consulted once at startup and again after every successful
-	// reload, and the result is surfaced in the /readyz JSON tail so a
-	// fronting gateway can verify rollout convergence without a second
-	// endpoint. Callers may use it to refresh dv_build_info too.
-	ArtifactInfo func() (modelSHA256, validatorSHA256 string)
 	// Registry, when non-nil, receives the serving metrics and the
 	// detector's own instruments (verdict counters, discrepancy and
 	// latency histograms). Nil disables collection at zero cost.
@@ -239,10 +233,12 @@ type Server struct {
 	depth atomic.Int64   // admitted but not yet dequeued; bounds the queue
 	pulls atomic.Int64   // requests the batcher has dequeued (test sync point)
 	slots chan *batchBuf // free dispatch worker slots; see claim
+	work  chan *batchBuf // formed batches, to the dispatch workers
 	stop  chan struct{}
-	wg    sync.WaitGroup // batcher goroutine + in-flight batch workers
+	wg    sync.WaitGroup // the batcher and dispatch worker goroutines
 
-	pixels *pixelFree // decoded pixel slices for reuse; see releasePixels
+	pixels   *pixelFree   // decoded pixel slices for reuse; see releasePixels
+	requests *requestFree // request records for reuse; see release
 
 	ready     atomic.Bool
 	draining  atomic.Bool
@@ -252,9 +248,9 @@ type Server struct {
 	reloadMu   sync.Mutex   // serializes Reload swaps
 	failStreak atomic.Int64 // consecutive reload failures since the last success
 
-	// artSHAs holds the {model, validator} payload checksums reported
-	// by Config.ArtifactInfo, refreshed on successful reloads.
-	artSHAs atomic.Pointer[[2]string]
+	// buildInfo is the dv_build_info series naming the serving
+	// detector's artifacts (see publishBuildInfo); guarded by reloadMu.
+	buildInfo string
 
 	// Request-scoped observability; all nil when disabled, and every
 	// consumer is nil-safe, so the disabled path allocates nothing.
@@ -290,13 +286,15 @@ func New(h *deepvalidation.Handle, cfg Config) (*Server, error) {
 	cfg.defaults()
 	reg := cfg.Registry
 	s := &Server{
-		cfg:    cfg,
-		handle: h,
-		queue:  make(chan *pending, cfg.QueueDepth),
-		slots:  newSlots(cfg.Workers, cfg.MaxBatch),
-		stop:   make(chan struct{}),
-		pixels: newPixelFree(cfg.Workers * cfg.MaxBatch),
-		events: cfg.Events,
+		cfg:      cfg,
+		handle:   h,
+		queue:    make(chan *pending, cfg.QueueDepth),
+		slots:    newSlots(cfg.Workers, cfg.MaxBatch),
+		work:     make(chan *batchBuf, cfg.Workers),
+		stop:     make(chan struct{}),
+		pixels:   newPixelFree(cfg.Workers * cfg.MaxBatch),
+		requests: newRequestFree(cfg.Workers * cfg.MaxBatch),
+		events:   cfg.Events,
 
 		queueDepth:  reg.Gauge(MetricQueueDepth),
 		batchSize:   reg.Histogram(MetricBatchSize, BatchSizeBuckets),
@@ -322,13 +320,16 @@ func New(h *deepvalidation.Handle, cfg Config) (*Server, error) {
 	}
 	h.Get().AttachTelemetry(reg)
 	h.Get().AttachEvents(cfg.Events)
-	s.refreshArtifactSHAs()
+	s.publishBuildInfo()
 	s.rebuildDrift(h.Get())
 	s.buildSLO()
 	s.slo.Start()
 	s.ready.Store(true)
-	s.wg.Add(1)
+	s.wg.Add(1 + cfg.Workers)
 	go s.runBatcher()
+	for range cfg.Workers {
+		go s.runWorker()
+	}
 	s.events.Emit(obs.Event{
 		Type: obs.TypeLifecycle, Level: obs.LevelInfo, Msg: "server ready",
 		Extra: map[string]any{"workers": cfg.Workers, "max_batch": cfg.MaxBatch, "queue_depth": cfg.QueueDepth},
@@ -500,7 +501,7 @@ func (s *Server) tryReload() (float64, error) {
 	det.AttachTelemetry(s.cfg.Registry)
 	det.AttachEvents(s.events)
 	s.handle.Swap(det)
-	s.refreshArtifactSHAs()
+	s.publishBuildInfo()
 	// The drift reference travels with the validator, so a reloaded
 	// detector gets a fresh watch (and a reloaded legacy artifact
 	// degrades the watch to disabled).
@@ -549,30 +550,32 @@ func (s *Server) rebuildDrift(det *deepvalidation.Detector) {
 	}))
 }
 
-// refreshArtifactSHAs re-reads Config.ArtifactInfo (when configured)
-// and publishes the result for ArtifactSHAs / the /readyz JSON tail.
-// Called at startup and after every successful reload, so the surfaced
-// checksums always describe the artifacts the serving detector came
-// from.
-func (s *Server) refreshArtifactSHAs() {
-	if s.cfg.ArtifactInfo == nil {
+// publishBuildInfo sets the dv_build_info series labelled with the
+// serving detector's artifact checksums, when the server has a
+// registry, and zeroes the series it replaces: labels are identity, so
+// after a reload the old checksums would otherwise stand at 1 forever.
+// Called from New and, under reloadMu, after every successful swap.
+func (s *Server) publishBuildInfo() {
+	reg := s.cfg.Registry
+	if reg == nil {
 		return
 	}
-	m, v := s.cfg.ArtifactInfo()
-	s.artSHAs.Store(&[2]string{m, v})
+	m, v := s.ArtifactSHAs()
+	name := obs.PublishBuildInfo(reg, map[string]string{"model_sha256": m, "validator_sha256": v})
+	if s.buildInfo != "" && s.buildInfo != name {
+		reg.Gauge(s.buildInfo).Set(0)
+	}
+	s.buildInfo = name
 }
 
 // ArtifactSHAs returns the SHA-256 payload checksums (model, validator)
-// of the artifacts the serving detector was loaded from, or empty
-// strings when Config.ArtifactInfo is not configured. This is the value
-// a fronting gateway compares against a rollout target to verify
-// convergence.
+// that the serving detector's Load verified, or empty strings for a
+// detector from Build or legacy bare-gob artifacts. This is the value a
+// fronting gateway compares against a rollout target to verify
+// convergence; it describes the serving detector even when the files on
+// disk have since been replaced.
 func (s *Server) ArtifactSHAs() (modelSHA256, validatorSHA256 string) {
-	p := s.artSHAs.Load()
-	if p == nil {
-		return "", ""
-	}
-	return p[0], p[1]
+	return s.handle.Get().ArtifactSHAs()
 }
 
 // SetDrain toggles the reversible drain switch used by a fronting

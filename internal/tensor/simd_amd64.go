@@ -1,3 +1,5 @@
+//go:build !purego
+
 package tensor
 
 // AVX dispatch for the scoring hot-path kernels. The assembly versions
@@ -5,7 +7,9 @@ package tensor
 // as the Go references (vectorized across independent output elements
 // only), so enabling them never moves a bit in any verdict. AVX is
 // gated on both the CPU feature flag and OS XSAVE support; everything
-// else falls back to the pure-Go path.
+// else falls back to the pure-Go path. Building with the purego tag
+// leaves this file and simd_amd64.s out, so amd64 runs the kernels of
+// simd_generic.go, as a host without AVX would.
 
 func cpuid(leaf uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() uint32

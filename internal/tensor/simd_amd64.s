@@ -1,3 +1,5 @@
+//go:build !purego
+
 // AVX kernels for the scoring hot path. Every kernel performs the
 // exact same per-element rounding sequence as its Go reference
 // (axpy4Generic): vectorization is across independent output elements
