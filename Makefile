@@ -72,9 +72,9 @@ smoke:
 	./scripts/fleet_obs_smoke.sh
 
 # perf is the allocation-regression gate for scoring and fitting:
-# bytes/op of BenchmarkScoreBatch/workers=1 and BenchmarkFit/workers=1
-# must each stay within 2x of the committed BENCH_pipeline.json
-# baseline (bytes/op is deterministic for
+# bytes/op of BenchmarkScoreBatch/workers=1 and BenchmarkFit/workers=1,
+# at GOMAXPROCS 1, 2 and 4, must each stay within 2x of the committed
+# BENCH_pipeline.json baseline (bytes/op is deterministic for
 # the fixed workload, unlike wall clock). Pass WORKERS="1 2 4" for the
 # informational multicore sweep the nightly CI job runs.
 perf:

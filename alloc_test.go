@@ -14,15 +14,16 @@ import (
 // TestCheckBatchAllocatesOnlyVerdicts pins what a warm CheckBatch
 // allocates: the []Verdict it returns plus a constant per call (worker
 // goroutines, closures), never anything per image. Each worker scores
-// on one pooled arena, one tensor header and one per-layer row for the
-// whole batch, so the object count must not grow from 32 to 300 images.
+// on one scoring state (forward arena, tensor header and per-layer row)
+// from the validator's free list for the whole batch, so the object
+// count must not grow from 32 to 300 images.
 //
-// How many arenas a call takes depends on the scheduler: a worker
-// takes one only once it runs, so the pool grows to as many workers as
-// have ever overlapped. The test therefore warms the pool with
+// How many states a call takes depends on the scheduler: a worker
+// takes one only once it runs, so the list grows to as many workers as
+// have ever overlapped. The test therefore warms the list with
 // primeArenas, and, like testing.AllocsPerRun, measures at
-// GOMAXPROCS=1 (two workers still run as two goroutines), because with
-// more Ps a worker can start on a P whose pool shard holds no arena.
+// GOMAXPROCS=1 (two workers still run as two goroutines; the list
+// keeps 2 × GOMAXPROCS states).
 func TestCheckBatchAllocatesOnlyVerdicts(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -43,9 +44,6 @@ func TestCheckBatchAllocatesOnlyVerdicts(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			// Collect first so no GC cycle empties the arena pool inside
-			// the measured window, then warm the pool.
-			runtime.GC()
 			primeArenas(det, batch, workers)
 			check()
 			var before, after runtime.MemStats
@@ -69,8 +67,8 @@ func TestCheckBatchAllocatesOnlyVerdicts(t *testing.T) {
 }
 
 // primeArenas scores one batch whose workers each hold their first
-// image until all of them have started, so the validator's arena pool
-// ends up holding one arena per worker. A plain warm-up call cannot
+// image until all of them have started, so the validator's free list
+// ends up holding one scoring state per worker. A plain warm-up call cannot
 // promise that: if the first worker finishes the batch before the
 // second is scheduled, the second never takes an arena. imgs must hold
 // at least workers images.

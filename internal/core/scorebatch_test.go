@@ -1,11 +1,15 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
+
+	"deepvalidation/internal/nn"
 )
 
 // Allocation-budget and scratch-aliasing guards for the batched scoring
@@ -25,13 +29,13 @@ func TestScoreSteadyStateAllocBudget(t *testing.T) {
 	}
 	net, xs, ys := trainedToyModel(t)
 	v := fitToyValidator(t, net, xs, ys)
-	v.Score(net, xs[0]) // warm the scratch pool
+	v.Score(net, xs[0]) // warm the validator's scoring states
 	allocs := testing.AllocsPerRun(30, func() {
 		v.Score(net, xs[0])
 	})
-	// Observed: 2 allocs/op (the Result.Layer slice plus one pool
-	// round-trip interface box). Allow slack for runtime variation but
-	// fail hard before the pre-diet regime (hundreds per score).
+	// Observed: 1 alloc/op (the Result.Layer slice). Allow slack for
+	// runtime variation but fail hard before the pre-diet regime
+	// (hundreds per score).
 	if allocs > 8 {
 		t.Errorf("steady-state Score allocates %.1f/op, budget is 8", allocs)
 	}
@@ -47,7 +51,7 @@ func TestScoreBatchSteadyStateAllocBudget(t *testing.T) {
 	net, xs, ys := trainedToyModel(t)
 	v := fitToyValidator(t, net, xs, ys)
 	batch := xs[:8]
-	v.ScoreBatchWorkers(net, batch, 1) // warm the scratch pool
+	v.ScoreBatchWorkers(net, batch, 1) // warm the validator's scoring states
 	allocs := testing.AllocsPerRun(20, func() {
 		v.ScoreBatchWorkers(net, batch, 1)
 	})
@@ -243,5 +247,60 @@ func TestCheckCompatRejectsDimMismatch(t *testing.T) {
 	}
 	if err := CheckCompat(net, broken); err == nil {
 		t.Fatal("CheckCompat accepted a validator with mismatched feature dims")
+	}
+}
+
+// TestWarmScoringAfterGCBuildsNoArena: the validator's scoring states
+// outlive garbage collection and are found from any goroutine. With
+// GOMAXPROCS warm states on the list, two runtime.GC calls (which
+// would empty a sync.Pool, victim cache included) and then a batch at
+// 1 or GOMAXPROCS workers, run from a fresh goroutine, must allocate
+// less than one forward arena, at GOMAXPROCS 1, 2 and 4.
+func TestWarmScoringAfterGCBuildsNoArena(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("race-detector instrumentation allocates; budgets apply to plain builds")
+	}
+	net, xs, ys := trainedToyModel(t)
+	v := fitToyValidator(t, net, xs, ys)
+	batch := xs[:16]
+	arena := bytesAllocated(func() { net.ForwardTappedScratch(batch[0], nn.NewScratch()) })
+	// warm leaves k warm states on the list: all k held at once, as k
+	// concurrent workers would hold them, and each scores a sample.
+	warm := func(k int) {
+		held := make([]*scoreScratch, k)
+		for i := range held {
+			held[i] = v.getScratch()
+			held[i].res.Layer = held[i].layer
+			v.score(net, batch[0], held[i], nil, &held[i].res)
+		}
+		for _, s := range held {
+			v.putScratch(s)
+		}
+	}
+	// scoreFresh scores the batch on a goroutine that has never scored.
+	scoreFresh := func(workers int) {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			v.ScoreBatchWorkers(net, batch, workers)
+		}()
+		<-done
+	}
+	for _, procs := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			warm(procs)
+			for _, workers := range []int{1, procs} {
+				runtime.GC()
+				runtime.GC()
+				got := bytesAllocated(func() { scoreFresh(workers) })
+				t.Logf("workers=%d: a warm %d-image batch after two GCs allocated %d B; one arena is %d B",
+					workers, len(batch), got, arena)
+				if got >= arena {
+					t.Errorf("workers=%d: a warm batch after two GCs allocated %d B, at least one forward arena (%d B)",
+						workers, got, arena)
+				}
+			}
+		})
 	}
 }

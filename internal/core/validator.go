@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"deepvalidation/internal/artifact"
+	"deepvalidation/internal/freelist"
 	"deepvalidation/internal/metrics"
 	"deepvalidation/internal/nn"
 	"deepvalidation/internal/svm"
@@ -111,14 +112,17 @@ type Validator struct {
 	// Unexported, so gob round-trips skip it; re-attach after Load.
 	tel atomic.Pointer[valTelemetry]
 
-	// scratch pools per-worker scoring arenas (forward-pass buffers,
-	// reduced-feature buffers, SVM batch rows, the input header and the
-	// per-layer row). A ScoreTimed call takes one arena for its whole
-	// duration, and a batch takes one per worker for the whole batch,
-	// so arenas are never shared between concurrent scores — the
-	// ownership rule that keeps the allocation diet race-free.
-	// Unexported: gob skips it, and Clone starts with a fresh pool.
-	scratch sync.Pool
+	// scratch is the free list of scoring states, each with its own
+	// forward arena, reduced-feature buffers, SVM batch row, input
+	// header and per-layer row. A ScoreTimed call takes one state for
+	// its whole duration, and a batch takes one per worker, on the
+	// worker's own goroutine, for the whole batch, so states are never
+	// shared between concurrent scores — the ownership rule that keeps
+	// the allocation diet race-free. The list keeps at most 2 ×
+	// GOMAXPROCS states and a GC never empties it, so warm scoring
+	// builds none. Unexported: gob skips it, and Clone starts with an
+	// empty list.
+	scratch freelist.List[*scoreScratch]
 }
 
 // scoreScratch is one worker's reusable scoring arena.
@@ -132,9 +136,10 @@ type scoreScratch struct {
 	res   Result        // the batch body's result, Layer aliasing layer
 }
 
-// getScratch takes an arena from the pool, building one on first use.
+// getScratch takes a scoring state from the list, building one only
+// when every state the list kept is in use.
 func (v *Validator) getScratch() *scoreScratch {
-	if s, ok := v.scratch.Get().(*scoreScratch); ok && len(s.layer) == len(v.LayerIdx) {
+	if s, ok := v.scratch.Get(); ok && len(s.layer) == len(v.LayerIdx) {
 		return s
 	}
 	n := len(v.LayerIdx)
@@ -142,7 +147,7 @@ func (v *Validator) getScratch() *scoreScratch {
 }
 
 func (v *Validator) putScratch(s *scoreScratch) {
-	s.hdr.Data = nil // a pooled arena keeps no caller's pixels alive
+	s.hdr.Data = nil // a held state keeps no caller's pixels alive
 	v.scratch.Put(s)
 }
 
@@ -350,12 +355,12 @@ func Fit(net *nn.Network, trainX []*tensor.Tensor, trainY []int, cfg Config) (*V
 // (≥ 1) and merge in input order, so the result is independent of the
 // worker count.
 //
-// Each worker runs its passes on its own nn.Scratch arena, held for the
-// whole collection — per-worker arenas rather than a sync.Pool, so the
-// allocation profile never depends on when the GC empties a pool. Taps
-// alias arena memory until the worker's next pass; the reduction copies
-// them out into one buffer per kept sample, which the per-layer feature
-// rows slice with full capacity so no row can grow into its neighbour.
+// Each worker runs its passes on an arena from the network's free list,
+// held for the whole collection and handed back when it ends, so a
+// network that has fitted before builds none. Taps alias arena memory
+// until the worker's next pass; the reduction copies them out into one
+// buffer per kept sample, which the per-layer feature rows slice with
+// full capacity so no row can grow into its neighbour.
 // Every sample must share xs[0]'s shape (Fit checks this), so each
 // reducer fills its slot of the buffer in place. fwd and reduce, when
 // non-nil, time each sample's pass and reduction.
@@ -372,7 +377,7 @@ func collectFeatures(net *nn.Network, xs []*tensor.Tensor, ys []int, layers []in
 	bufs := make([][]float64, len(xs)) // nil for misclassified samples
 	forEachIndex(len(xs), workers, func(w, idx int) {
 		if arenas[w] == nil {
-			arenas[w] = nn.NewScratch()
+			arenas[w] = net.GetScratch()
 		}
 		var t0 time.Time
 		if instrumented {
@@ -398,6 +403,11 @@ func collectFeatures(net *nn.Network, xs []*tensor.Tensor, ys []int, layers []in
 		}
 		bufs[idx] = buf
 	})
+	for _, sc := range arenas {
+		if sc != nil {
+			net.PutScratch(sc)
+		}
+	}
 
 	for idx, buf := range bufs {
 		if buf != nil {
@@ -526,10 +536,11 @@ func pooledScaleGamma(rows [][]float64) float64 {
 }
 
 // Clone returns a shallow copy sharing the fitted components (SVMs,
-// reducers, slices) but carrying no telemetry attachment — the idiom
-// for tweaking a validator (normalization, layer subsets) without
-// mutating the original. The Validator struct itself must not be
-// copied by assignment; it embeds an atomic telemetry slot.
+// reducers, slices) but carrying no telemetry attachment and no scoring
+// states — the idiom for tweaking a validator (normalization, layer
+// subsets) without mutating the original. The Validator struct itself
+// must not be copied by assignment; it embeds an atomic telemetry slot
+// and a mutex-guarded free list.
 func (v *Validator) Clone() *Validator {
 	return &Validator{
 		ModelName:      v.ModelName,
@@ -690,10 +701,8 @@ func Tensors(xs []*tensor.Tensor) Input {
 // identical at every worker count.
 func (v *Validator) ScoreEach(net *nn.Network, n, workers int, in Input, tms []*ScoreTimings, emit func(i int, res *Result)) {
 	// One forEachIndex item per worker, each draining the shared sample
-	// counter. The arena is taken on the worker's own goroutine, not
-	// up front by the caller: a worker that has not started holds none,
-	// and it finds the arena its P's pool shard kept, even after a GC
-	// moved it to the victim cache.
+	// counter. The state is taken on the worker's own goroutine, not up
+	// front by the caller, so a worker that has not started holds none.
 	k := poolSize(n, workers)
 	var next atomic.Int64
 	forEachIndex(k, k, func(_, _ int) {

@@ -62,9 +62,10 @@ func Fit(net *nn.Network, trainX []*tensor.Tensor, trainY []int, cfg Config) (*D
 		maxPer = 200
 	}
 
-	// One scratch arena serves every pass; the kept tap is copied out
-	// before the next pass overwrites it.
-	sc := nn.NewScratch()
+	// One arena from the network's list serves every pass; the kept tap
+	// is copied out before the next pass overwrites it.
+	sc := net.GetScratch()
+	defer net.PutScratch(sc)
 	points := make([][][]float64, net.Classes)
 	var dim int
 	for i, x := range trainX {
@@ -132,13 +133,16 @@ func scottBandwidth(points [][][]float64, dim int) float64 {
 // of its penultimate activation under the predicted class's KDE.
 // Higher means more anomalous.
 func (d *Detector) Score(net *nn.Network, x *tensor.Tensor) float64 {
-	return d.score(net, x, nn.NewScratch())
+	sc := net.GetScratch()
+	defer net.PutScratch(sc)
+	return d.score(net, x, sc)
 }
 
-// ScoreBatch scores many samples, sharing one scratch arena across the
-// batch.
+// ScoreBatch scores many samples, sharing one arena from the network's
+// list across the batch.
 func (d *Detector) ScoreBatch(net *nn.Network, xs []*tensor.Tensor) []float64 {
-	sc := nn.NewScratch()
+	sc := net.GetScratch()
+	defer net.PutScratch(sc)
 	out := make([]float64, len(xs))
 	for i, x := range xs {
 		out[i] = d.score(net, x, sc)

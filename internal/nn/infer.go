@@ -22,9 +22,14 @@
 // out):
 //
 //   - A Scratch must only ever be used by one goroutine at a time; give
-//     each worker its own (core.Validator pools scoring arenas in a
-//     sync.Pool; core.Fit holds one per worker for its collection pass;
-//     every Context owns one).
+//     each worker its own. Each Network keeps a bounded free list of
+//     them (GetScratch/PutScratch): Forward and Predict take one per
+//     call, core.Fit one per collection worker for the whole pass, and
+//     kde one per fit or scoring call, and each hands it back when no
+//     output of its passes is read any more. Each of core.Validator's
+//     scoring states owns one, and every Context owns one.
+//     ForwardTapped alone runs on a fresh arena, because its taps
+//     belong to the caller.
 //   - Tensors returned by ForwardInfer / ForwardTappedScratch alias
 //     arena memory and are valid only until the next forward pass on
 //     the same Scratch. Callers must copy anything they keep.

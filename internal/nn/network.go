@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 
+	"deepvalidation/internal/freelist"
 	"deepvalidation/internal/metrics"
 	"deepvalidation/internal/tensor"
 )
@@ -16,6 +17,10 @@ type Network struct {
 	InShape   []int
 	Classes   int
 	Layers    []Layer
+
+	// scratch holds the forward arenas GetScratch hands out. Unexported,
+	// so gob skips it; a decoded network starts with an empty list.
+	scratch freelist.List[*Scratch]
 }
 
 // NewNetwork assembles a network and verifies that the layer shapes
@@ -77,11 +82,30 @@ func (n *Network) ForwardCtx(x *tensor.Tensor, ctx *Context) *tensor.Tensor {
 	return x
 }
 
-// Forward runs one sample through the network in inference mode on a
-// fresh arena, so the result belongs to the caller.
+// GetScratch takes a forward arena from the network's free list, or
+// builds one when the list is empty. The caller owns it until it hands
+// it back with PutScratch.
+func (n *Network) GetScratch() *Scratch {
+	if sc, ok := n.scratch.Get(); ok {
+		return sc
+	}
+	return NewScratch()
+}
+
+// PutScratch hands back an arena once nothing reads the outputs of its
+// passes any more. The list keeps at most 2 × GOMAXPROCS arenas and
+// drops the rest for the GC, so a network holds only as many as were
+// in use at once.
+func (n *Network) PutScratch(sc *Scratch) { n.scratch.Put(sc) }
+
+// Forward runs one sample through the network in inference mode on an
+// arena from the network's list and returns a copy of the
+// probabilities, which belongs to the caller.
 func (n *Network) Forward(x *tensor.Tensor) *tensor.Tensor {
-	probs, _ := n.ForwardTapped(x)
-	return probs
+	sc := n.GetScratch()
+	defer n.PutScratch(sc)
+	probs, _ := n.ForwardTappedScratch(x, sc)
+	return probs.Clone()
 }
 
 // ForwardTapped is ForwardTappedScratch on a fresh arena: the
@@ -170,7 +194,9 @@ func (n *Network) BackwardFromLogits(grad *tensor.Tensor, ctx *Context) *tensor.
 // Predict returns the predicted class label and its confidence for one
 // sample.
 func (n *Network) Predict(x *tensor.Tensor) (label int, confidence float64) {
-	p := n.Forward(x)
+	sc := n.GetScratch()
+	defer n.PutScratch(sc)
+	p, _ := n.ForwardTappedScratch(x, sc)
 	label = p.ArgMax()
 	return label, p.Data[label]
 }

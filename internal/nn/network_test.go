@@ -102,6 +102,25 @@ func TestPredictReturnsArgmaxAndConfidence(t *testing.T) {
 	}
 }
 
+// TestForwardResultOutlivesNextForward: Forward runs on an arena from
+// the network's free list, which the next call reuses, so it must
+// return a copy. A result stays bit-equal to ForwardTapped's after
+// later calls on other inputs, and two results never share memory.
+func TestForwardResultOutlivesNextForward(t *testing.T) {
+	net := testNet(t)
+	rng := rand.New(rand.NewSource(6))
+	x1 := tensor.New(1, 8, 8).FillUniform(rng, 0, 1)
+	x2 := tensor.New(1, 8, 8).FillUniform(rng, 0, 1)
+	want, _ := net.ForwardTapped(x1)
+	p1 := net.Forward(x1)
+	p2 := net.Forward(x2)
+	net.Predict(x2)
+	if &p1.Data[0] == &p2.Data[0] {
+		t.Fatal("two Forward results share memory")
+	}
+	assertTensorBits(t, "first Forward after a second", p1, want)
+}
+
 func TestAccuracy(t *testing.T) {
 	net := testNet(t)
 	rng := rand.New(rand.NewSource(6))

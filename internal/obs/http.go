@@ -22,9 +22,14 @@ type ErrorResponse struct {
 	Error string `json:"error"`
 }
 
+// jsonContentType is the Content-Type value every JSON response
+// shares. Assigning it directly, instead of Header().Set, saves the
+// []string Set would allocate per response; net/http only reads it.
+var jsonContentType = []string{"application/json"}
+
 // WriteJSON answers status with body encoded as JSON.
 func WriteJSON(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(body)
 }

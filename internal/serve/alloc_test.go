@@ -17,10 +17,8 @@ import (
 )
 
 // The serving path's byte budgets: warm requests through the full
-// handler, at GOMAXPROCS=1 like testing.AllocsPerRun. With more Ps each
-// one may hold its own pooled scoring arena, and every GC cycle inside
-// the window rebuilds them all, which is arena churn, not the
-// per-request cost pinned here. The images are 28×28 with
+// handler, at GOMAXPROCS=1 like testing.AllocsPerRun, so no other
+// goroutine allocates inside the window. The images are 28×28 with
 // full-precision pixels, the shape of the benchmark's check-direct and
 // batch-fleet traffic, so the fixed per-request cost is weighed against
 // realistic bodies. Each budget sits below what one more copy of an
@@ -78,18 +76,22 @@ func TestBatchAllocatesObjectsPerRequest(t *testing.T) {
 	}
 }
 
-// TestCheckAllocatesObjects: a warm POST /v1/check makes at most 14
-// heap objects and allocates under 1,300 bytes. What is left belongs to
-// net/http and the test's recorder (the body limit reader, header
-// writes and their snapshot), the JSON encoding of the verdict, and
-// the detector's scoring call, which copies each image's per-layer
-// discrepancies for the flight recorder. A per-request context or
-// timer, a member slab or result channel per request, a Detail slab,
-// verdict slice or goroutine per batch: any one of them breaks a bound.
+// TestCheckAllocatesObjects: a warm POST /v1/check makes 12 heap
+// objects and allocates under 1,300 bytes. The object budget is an
+// average under 12.5: the runtime adds a few objects over the 300
+// measured requests (12.00–12.03 per request measured), and one more
+// per request reads 13. What is left belongs to net/http and the
+// test's recorder (the body limit reader and the header snapshot;
+// obs.WriteJSON's Content-Type value is shared), the JSON encoding of
+// the verdict, and the detector's scoring call, which copies each
+// image's per-layer discrepancies for the flight recorder. A
+// Content-Type value, a context or timer or member slab or result
+// channel per request, a Detail slab, verdict slice or goroutine per
+// batch: any one of them breaks a bound.
 func TestCheckAllocatesObjects(t *testing.T) {
 	perReq, objs, _ := warmAllocs(t, "/v1/check", 1)
-	if objs > 14 || perReq >= 1300 {
-		t.Errorf("a warm /v1/check makes %.1f heap objects and %.0f bytes per request; budget 14 objects and under 1300 bytes", objs, perReq)
+	if objs >= 12.5 || perReq >= 1300 {
+		t.Errorf("a warm /v1/check makes %.2f heap objects and %.0f bytes per request; budget under 12.5 objects and 1300 bytes", objs, perReq)
 	}
 }
 

@@ -2,11 +2,11 @@ package serve
 
 import (
 	"context"
-	"sync"
 	"time"
 
 	"deepvalidation"
 	"deepvalidation/internal/faultinject"
+	"deepvalidation/internal/freelist"
 	"deepvalidation/internal/trace"
 )
 
@@ -54,7 +54,7 @@ type pending struct {
 // because members scored in different micro-batches may answer out of
 // order.
 //
-// Records come from the server's free list (requestFree) and go back
+// Records come from the server's free list (newRequestFree) and go back
 // to it, with their members' pixels, only through release: after the
 // handler has received the result of every member, or when the request
 // was never enqueued. runBatch therefore never touches a member after
@@ -128,33 +128,25 @@ func (rq *request) await(use func(result) bool) (next int, gone bool) {
 	return n, false
 }
 
-// requestFree is the free list of request records: a mutex-guarded
-// stack of at most limit records. dvserve sizes limit like the pixel
-// list, Config.Workers × Config.MaxBatch; the list only ever holds as
-// many records as were in flight at once.
-type requestFree struct {
-	mu    sync.Mutex
-	limit int
-	stack []*request
+// newRequestFree returns the free list of request records. dvserve
+// sizes limit like the pixel list, Config.Workers × Config.MaxBatch;
+// the list only ever holds as many records as were in flight at once.
+// A record handed back keeps no member's image or client context.
+func newRequestFree(limit int) *freelist.List[*request] {
+	return &freelist.List[*request]{Max: limit, Reset: func(rq *request) {
+		clear(rq.members)
+		rq.client = nil
+	}}
 }
 
-func newRequestFree(limit int) *requestFree {
-	return &requestFree{limit: limit, stack: make([]*request, 0, limit)}
-}
-
-// take returns a record with n members, zero but for their index and
-// record, and room in done for n results: a held one if the list has
-// any, grown if it is too small, otherwise a new one.
-func (f *requestFree) take(n int) *request {
-	var rq *request
-	f.mu.Lock()
-	if k := len(f.stack); k > 0 {
-		rq = f.stack[k-1]
-		f.stack[k-1] = nil
-		f.stack = f.stack[:k-1]
-	}
-	f.mu.Unlock()
-	if rq == nil {
+// takeRequest returns a record from f with n members, zero but for
+// their index and record, and room in done for n results: a held one
+// if the list has any, grown if it is too small, otherwise a new one.
+// Records reach the list only through release, so a held record's done
+// channel is empty and its timer stopped, or nil.
+func takeRequest(f *freelist.List[*request], n int) *request {
+	rq, ok := f.Get()
+	if !ok {
 		rq = &request{}
 	}
 	if cap(rq.done) < n {
@@ -166,18 +158,6 @@ func (f *requestFree) take(n int) *request {
 		rq.members[i] = pending{rq: rq, i: i}
 	}
 	return rq
-}
-
-// put keeps rq if the list has room. rq's done channel must be empty
-// and its timer stopped, or nil.
-func (f *requestFree) put(rq *request) {
-	clear(rq.members)
-	rq.client = nil
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if len(f.stack) < f.limit {
-		f.stack = append(f.stack, rq)
-	}
 }
 
 // tryEnqueue admits rq's members all-or-nothing. The atomic depth

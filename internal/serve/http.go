@@ -180,7 +180,7 @@ func (s *Server) releasePixels(imgs ...deepvalidation.Image) {
 // admit takes a record for imgs, a request from r, and starts its
 // deadline.
 func (s *Server) admit(r *http.Request, imgs []deepvalidation.Image, explains []bool) *request {
-	rq := s.requests.take(len(imgs))
+	rq := takeRequest(s.requests, len(imgs))
 	for i := range rq.members {
 		rq.members[i].img, rq.members[i].explain = imgs[i], explains[i]
 	}
@@ -206,7 +206,7 @@ func (s *Server) release(rq *request) {
 	for i := range rq.members {
 		s.pixels.put(rq.members[i].img.Pixels, c*h*w)
 	}
-	s.requests.put(rq)
+	s.requests.Put(rq)
 }
 
 // expire answers a request whose deadline passed or whose client went

@@ -42,6 +42,7 @@ import (
 	"deepvalidation"
 	"deepvalidation/internal/core"
 	"deepvalidation/internal/faultinject"
+	"deepvalidation/internal/freelist"
 	"deepvalidation/internal/obs"
 	"deepvalidation/internal/telemetry"
 	"deepvalidation/internal/trace"
@@ -237,8 +238,8 @@ type Server struct {
 	stop  chan struct{}
 	wg    sync.WaitGroup // the batcher and dispatch worker goroutines
 
-	pixels   *pixelFree   // decoded pixel slices for reuse; see releasePixels
-	requests *requestFree // request records for reuse; see release
+	pixels   *pixelFree               // decoded pixel slices for reuse; see releasePixels
+	requests *freelist.List[*request] // request records for reuse; see release
 
 	ready     atomic.Bool
 	draining  atomic.Bool
@@ -397,9 +398,9 @@ func (s *Server) buildSLO() {
 
 // Warm forces the detector's lazy allocations before live traffic
 // arrives: one throwaway CheckBatch of max(width, 1) zero images makes
-// every concurrent scoring worker pull — and therefore allocate — its
-// scratch arena from the validator's pool. Without it the first live
-// batch pays one arena construction (forward-pass buffers, plus im2col
+// every concurrent scoring worker take — and therefore build — its
+// scoring state from the validator's free list. Without it the first
+// live batch pays one arena construction (forward-pass buffers, plus im2col
 // column scratch for convolutions whose stride is not 1) per worker.
 // Support vectors need no warming: core.DecodeValidator flattens them
 // when the validator loads. The throwaway
