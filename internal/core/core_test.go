@@ -100,7 +100,7 @@ func TestFitProducesAllSVMs(t *testing.T) {
 			if m == nil {
 				t.Fatalf("SVM(%d, %d) missing", v.LayerIdx[p], k)
 			}
-			if m.NumSupport() == 0 {
+			if len(m.Support) == 0 {
 				t.Fatalf("SVM(%d, %d) has no support vectors", v.LayerIdx[p], k)
 			}
 		}

@@ -89,9 +89,9 @@ func TestFitDeterministicAcrossWorkers(t *testing.T) {
 				t.Fatalf("workers=%d: reducer %d differs: %+v vs %+v", workers, p, seq.Reducers[p], par.Reducers[p])
 			}
 			for k := range seq.SVMs[p] {
-				if seq.SVMs[p][k].NumSupport() != par.SVMs[p][k].NumSupport() {
+				if len(seq.SVMs[p][k].Support) != len(par.SVMs[p][k].Support) {
 					t.Fatalf("workers=%d: SVM(%d,%d) support counts differ: %d vs %d", workers,
-						seq.LayerIdx[p], k, seq.SVMs[p][k].NumSupport(), par.SVMs[p][k].NumSupport())
+						seq.LayerIdx[p], k, len(seq.SVMs[p][k].Support), len(par.SVMs[p][k].Support))
 				}
 			}
 		}

@@ -20,14 +20,14 @@ import (
 //	                     class measured below, + 6 × 24 B of
 //	                     per-layer row headers)       =   876,800 B
 //	returned model       per SVM the struct, and per support vector
-//	                     its row header, Dim floats, α and norm
-//	                                                  ≈   119,000 B
+//	                     its row header, Dim floats and α
+//	                                                  ≈   114,300 B
 //	slack                                             =    98,304 B
 //
 // The collection workers' forward arenas (327,488 B each) are not in
 // the budget: the network has fitted before, so its free list hands
-// them out and Fit builds none. At Workers 1 and 2 that is 1,094,176 B
-// against about 1,062,200 and 1,063,300 measured. The slack covers what is
+// them out and Fit builds none. At Workers 1 and 2 that is 1,089,424 B
+// against about 1,057,700 and 1,058,800 measured. The slack covers what is
 // not kept: the per-class index lists (~22 KB), the drift snapshot's
 // buffers (~17 KB), the sample index slices (~22 KB), one solver
 // workspace per worker (25 × 25 × 8 B + α and gradient ≈ 6 KB) and
@@ -88,8 +88,8 @@ func modelBytes(v *Validator) int {
 	n := 0
 	for _, row := range v.SVMs {
 		for _, m := range row {
-			nsv := m.NumSupport()
-			n += int(unsafe.Sizeof(svm.OneClass{})) + nsv*(header+word*m.Dim+2*word)
+			nsv := len(m.Support)
+			n += int(unsafe.Sizeof(svm.OneClass{})) + nsv*(header+word*m.Dim+word)
 		}
 	}
 	for _, q := range v.DriftQuantiles {

@@ -1,10 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
-	"path/filepath"
+	"os"
 	"runtime"
 	"sync"
 	"testing"
@@ -13,8 +14,10 @@ import (
 )
 
 // Allocation-budget and scratch-aliasing guards for the batched scoring
-// hot path, plus the artifact-compatibility battery for the SVNorms
-// field introduced with the norms-expansion decision path.
+// hot path, plus the artifact-compatibility checks for the retired
+// per-SVM SVNorms field: new artifacts do not write it, and the
+// committed golden that carries it loads to the same validator as the
+// one that never had it.
 
 // TestScoreSteadyStateAllocBudget pins the per-sample allocation budget
 // of a warmed-up Score. The Result itself owns one fresh Layer slice
@@ -125,94 +128,58 @@ func resultBitsEqual(a, b Result) bool {
 	return true
 }
 
-// TestSVNormsSurviveSaveLoad: a freshly fitted validator carries
-// trained-in support-vector norms, and they round-trip through the
-// .dvart container bit-for-bit.
-func TestSVNormsSurviveSaveLoad(t *testing.T) {
+// TestFittedValidatorOmitsSVNorms: a freshly fitted validator's gob
+// names no SVNorms field. Gob writes every field name into the stream's
+// type descriptors, so the bytes alone show whether the field is there.
+func TestFittedValidatorOmitsSVNorms(t *testing.T) {
 	net, xs, ys := trainedToyModel(t)
 	v := fitToyValidator(t, net, xs, ys)
-	for p, row := range v.SVMs {
-		for c, m := range row {
-			if len(m.SVNorms) != len(m.Support) {
-				t.Fatalf("fitted SVM [%d][%d] has %d norms for %d SVs", p, c, len(m.SVNorms), len(m.Support))
-			}
-		}
-	}
-	path := filepath.Join(t.TempDir(), "v.dvart")
-	if err := v.Save(path); err != nil {
+	var buf bytes.Buffer
+	if err := v.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadValidator(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for p, row := range v.SVMs {
-		for c, m := range row {
-			lm := loaded.SVMs[p][c]
-			if len(lm.SVNorms) != len(m.SVNorms) {
-				t.Fatalf("SVM [%d][%d]: %d norms after round-trip, want %d", p, c, len(lm.SVNorms), len(m.SVNorms))
-			}
-			for i := range m.SVNorms {
-				if math.Float64bits(lm.SVNorms[i]) != math.Float64bits(m.SVNorms[i]) {
-					t.Fatalf("SVM [%d][%d] norm %d moved across save/load", p, c, i)
-				}
-			}
-		}
+	if bytes.Contains(buf.Bytes(), []byte("SVNorms")) {
+		t.Fatal("a fitted validator's gob still carries the SVNorms field")
 	}
 }
 
-// TestLegacyGoldenArtifactRecomputesNorms loads the committed
-// pre-SVNorms golden validator: the decode path must materialize the
-// norms eagerly, and they must equal a by-hand recomputation
-// bit-for-bit.
-func TestLegacyGoldenArtifactRecomputesNorms(t *testing.T) {
-	v, err := LoadValidator("../../artifacts/golden/validator.dvart")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for p, row := range v.SVMs {
-		for c, m := range row {
-			if len(m.SVNorms) != len(m.Support) {
-				t.Fatalf("legacy SVM [%d][%d]: decode left %d norms for %d SVs", p, c, len(m.SVNorms), len(m.Support))
-			}
-			for i, sv := range m.Support {
-				s := 0.0
-				for _, x := range sv {
-					s += x * x
-				}
-				if math.Float64bits(s) != math.Float64bits(m.SVNorms[i]) {
-					t.Fatalf("legacy SVM [%d][%d] norm %d: %x, recompute %x", p, c, i, math.Float64bits(m.SVNorms[i]), math.Float64bits(s))
-				}
-			}
-		}
-	}
-}
-
-// TestGoldenNormsArtifactAgreesWithLegacy pins the upgraded golden
-// (validator_norms.dvart, written by Save after a legacy load): its
-// persisted norms and its decisions must be bit-identical to the
-// legacy artifact's — upgrading an artifact must never move a verdict.
+// TestGoldenNormsArtifactAgreesWithLegacy pins the committed golden
+// that still carries SVNorms (validator_norms.dvart, saved when every
+// fitted SVM persisted its support-vector norms) against the legacy
+// golden that never had them (validator.dvart): both must load, re-encode
+// to identical bytes and give bit-identical decisions, so dropping the
+// field moved no verdict.
 func TestGoldenNormsArtifactAgreesWithLegacy(t *testing.T) {
-	legacy, err := LoadValidator("../../artifacts/golden/validator.dvart")
+	const dir = "../../artifacts/golden/"
+	raw, err := os.ReadFile(dir + "validator_norms.dvart")
 	if err != nil {
 		t.Fatal(err)
 	}
-	upgraded, err := LoadValidator("../../artifacts/golden/validator_norms.dvart")
+	if !bytes.Contains(raw, []byte("SVNorms")) {
+		t.Fatal("validator_norms.dvart no longer carries SVNorms; the test needs an artifact that does")
+	}
+	legacy, err := LoadValidator(dir + "validator.dvart")
 	if err != nil {
 		t.Fatal(err)
+	}
+	withNorms, err := LoadValidator(dir + "validator_norms.dvart")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lb, nb bytes.Buffer
+	if err := legacy.Encode(&lb); err != nil {
+		t.Fatal(err)
+	}
+	if err := withNorms.Encode(&nb); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(lb.Bytes(), nb.Bytes()) {
+		t.Fatalf("the goldens re-encode to different bytes (%d vs %d)", lb.Len(), nb.Len())
 	}
 	rng := rand.New(rand.NewSource(77))
 	for p, row := range legacy.SVMs {
 		for c, lm := range row {
-			um := upgraded.SVMs[p][c]
-			if len(um.SVNorms) != len(lm.SVNorms) {
-				t.Fatalf("SVM [%d][%d]: norms count %d vs %d", p, c, len(um.SVNorms), len(lm.SVNorms))
-			}
-			for i := range lm.SVNorms {
-				if math.Float64bits(um.SVNorms[i]) != math.Float64bits(lm.SVNorms[i]) {
-					t.Fatalf("SVM [%d][%d] norm %d differs between artifacts", p, c, i)
-				}
-			}
+			nm := withNorms.SVMs[p][c]
 			// Verdicts on random probes of the right dimensionality.
 			xs := make([][]float64, 4)
 			for i := range xs {
@@ -221,11 +188,11 @@ func TestGoldenNormsArtifactAgreesWithLegacy(t *testing.T) {
 					xs[i][j] = rng.NormFloat64()
 				}
 			}
-			lv := lm.DecisionBatch(xs)
-			uv := um.DecisionBatch(xs)
+			lv := lm.DecisionBatchInto(make([]float64, len(xs)), xs)
+			nv := nm.DecisionBatchInto(make([]float64, len(xs)), xs)
 			for i := range lv {
-				if math.Float64bits(lv[i]) != math.Float64bits(uv[i]) {
-					t.Fatalf("SVM [%d][%d] probe %d: upgraded artifact moved the verdict", p, c, i)
+				if math.Float64bits(lv[i]) != math.Float64bits(nv[i]) {
+					t.Fatalf("SVM [%d][%d] probe %d: the goldens disagree", p, c, i)
 				}
 			}
 		}

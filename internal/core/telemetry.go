@@ -21,7 +21,7 @@ const (
 	MetricClassChecked = "dv_class_checked_total"
 	MetricClassFlagged = "dv_class_flagged_total"
 	// MetricInvalidInput counts inputs rejected before scoring
-	// (Image.Validate / CheckInput failures) — malformed data, not
+	// (Image.Validate / CheckInputShape failures) — malformed data, not
 	// detected corner cases.
 	MetricInvalidInput = "dv_invalid_input_total"
 	// MetricQuarantined counts verdicts quarantined because scoring hit

@@ -793,10 +793,8 @@ func (v *Validator) Encode(w io.Writer) error {
 // its structural invariants. Each SVM's support vectors are then
 // flattened into the one matrix its decisions read, so the decoded
 // validator holds them once and is complete before it is shared.
-// Support-vector norms are materialized eagerly too: legacy artifacts
-// fitted before OneClass.SVNorms existed decode with the field nil and
-// recompute it here, so scoring never pays the one-time cost
-// mid-request and the next Save persists the upgraded model.
+// Artifacts that still carry the retired per-SVM SVNorms field load
+// too, because gob skips stream fields the struct lacks.
 func DecodeValidator(r io.Reader) (*Validator, error) {
 	var v Validator
 	if err := gob.NewDecoder(r).Decode(&v); err != nil {
@@ -808,7 +806,6 @@ func DecodeValidator(r io.Reader) (*Validator, error) {
 	for _, row := range v.SVMs {
 		for _, m := range row {
 			m.Flatten()
-			m.EnsureNorms()
 		}
 	}
 	return &v, nil
@@ -866,18 +863,6 @@ func (v *Validator) Validate() error {
 				}
 				if !finiteAll(sv) {
 					return fmt.Errorf("core: SVM(layer %d, class %d) of %q carries a non-finite support vector", v.LayerIdx[p], k, v.ModelName)
-				}
-			}
-			// Precomputed SV norms are optional (legacy artifacts carry
-			// none and recompute on demand), but when present they must
-			// be shaped and finite like any other coefficient.
-			if len(m.SVNorms) != 0 {
-				if len(m.SVNorms) != len(m.Support) {
-					return fmt.Errorf("core: SVM(layer %d, class %d) of %q carries %d SV norms for %d support vectors",
-						v.LayerIdx[p], k, v.ModelName, len(m.SVNorms), len(m.Support))
-				}
-				if !finiteAll(m.SVNorms) {
-					return fmt.Errorf("core: SVM(layer %d, class %d) of %q carries non-finite SV norms", v.LayerIdx[p], k, v.ModelName)
 				}
 			}
 		}

@@ -67,7 +67,7 @@ const (
 
 // points holds the armed fault functions. The map is copy-on-write
 // behind an atomic pointer: Check (the hot path) is a single load, and
-// Arm/Disarm (test-time only) clone under a lock.
+// Arm and Reset (test-time only) swap it under a lock.
 var (
 	armMu  sync.Mutex
 	points atomic.Pointer[map[string]func() error]
@@ -122,12 +122,16 @@ func Check(name string) error {
 // ErrInjected. Arming is test-time machinery; it clones the point map
 // so concurrent Check calls never see a partial update.
 func Arm(name string, fn func() error) {
-	mutate(func(m map[string]func() error) { m[name] = fn })
-}
-
-// ArmError arms the point to fail with a fixed error.
-func ArmError(name string, err error) {
-	Arm(name, func() error { return err })
+	armMu.Lock()
+	defer armMu.Unlock()
+	next := make(map[string]func() error)
+	if m := points.Load(); m != nil {
+		for k, v := range *m {
+			next[k] = v
+		}
+	}
+	next[name] = fn
+	points.Store(&next)
 }
 
 // ArmCount arms the point to fail with ErrInjected for the first n
@@ -144,34 +148,12 @@ func ArmCount(name string, n int64) {
 	})
 }
 
-// Disarm removes the named point.
-func Disarm(name string) {
-	mutate(func(m map[string]func() error) { delete(m, name) })
-}
-
 // Reset disarms every point. Tests that arm points should
 // t.Cleanup(faultinject.Reset).
 func Reset() {
 	armMu.Lock()
 	defer armMu.Unlock()
 	points.Store(nil)
-}
-
-func mutate(f func(map[string]func() error)) {
-	armMu.Lock()
-	defer armMu.Unlock()
-	next := make(map[string]func() error)
-	if m := points.Load(); m != nil {
-		for k, v := range *m {
-			next[k] = v
-		}
-	}
-	f(next)
-	if len(next) == 0 {
-		points.Store(nil)
-		return
-	}
-	points.Store(&next)
 }
 
 // FlipBit flips one bit of the file in place — the single-event-upset

@@ -28,21 +28,28 @@ func TestArmNilFails(t *testing.T) {
 	}
 }
 
+// TestArmError: a point armed with a function returns that function's
+// error, and arming a second point keeps the first.
 func TestArmError(t *testing.T) {
 	t.Cleanup(Reset)
 	sentinel := errors.New("boom")
-	ArmError("test.point", sentinel)
+	Arm("test.point", func() error { return sentinel })
+	Arm("test.other", nil)
 	if err := Check("test.point"); !errors.Is(err, sentinel) {
 		t.Fatalf("got %v, want the armed sentinel", err)
 	}
 }
 
+// TestDisarm: Reset disarms every armed point.
 func TestDisarm(t *testing.T) {
 	t.Cleanup(Reset)
 	Arm("test.point", nil)
-	Disarm("test.point")
-	if err := Check("test.point"); err != nil {
-		t.Fatalf("disarmed point returned %v", err)
+	Arm("test.other", nil)
+	Reset()
+	for _, name := range []string{"test.point", "test.other"} {
+		if err := Check(name); err != nil {
+			t.Fatalf("%s returned %v after Reset", name, err)
+		}
 	}
 }
 
@@ -62,7 +69,7 @@ func TestArmCount(t *testing.T) {
 }
 
 // TestConcurrentArmCheck exercises the copy-on-write map under -race:
-// concurrent Arm/Disarm/Check must never trip the detector or observe
+// concurrent Arm/Reset/Check must never trip the detector or observe
 // a partial map.
 func TestConcurrentArmCheck(t *testing.T) {
 	t.Cleanup(Reset)
@@ -74,7 +81,7 @@ func TestConcurrentArmCheck(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				Arm("test.race", nil)
 				_ = Check("test.race")
-				Disarm("test.race")
+				Reset()
 			}
 		}()
 	}

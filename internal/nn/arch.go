@@ -3,8 +3,6 @@ package nn
 import (
 	"fmt"
 	"math/rand"
-
-	"deepvalidation/internal/tensor"
 )
 
 // ArchConfig sizes the reference architectures. The defaults mirror the
@@ -154,21 +152,12 @@ func inputShapeElems(shape []int) int {
 	return n
 }
 
-// CheckInput validates that x matches the network's declared input
-// shape, returning a descriptive error for API misuse.
-func (n *Network) CheckInput(x *tensor.Tensor) error {
-	return n.checkInput(x.Len(), x.Shape)
-}
-
-// CheckInputShape is CheckInput for an input of the given shape (its
-// element count being the product of the dimensions), without building
-// a tensor for it.
+// CheckInputShape validates that an input of the given shape (its
+// element count being the product of the dimensions) matches the
+// network's declared input shape, returning a descriptive error for API
+// misuse. It needs no tensor for the input.
 func (n *Network) CheckInputShape(shape ...int) error {
-	return n.checkInput(inputShapeElems(shape), shape)
-}
-
-func (n *Network) checkInput(elems int, shape []int) error {
-	if elems != inputShapeElems(n.InShape) {
+	if inputShapeElems(shape) != inputShapeElems(n.InShape) {
 		// The copy keeps shape from escaping, so callers' shapes stay on
 		// their stacks.
 		return fmt.Errorf("nn: network %q expects input shape %v (%d elements), got %v",

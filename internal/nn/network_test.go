@@ -166,10 +166,10 @@ func TestParamCountPositiveAndStable(t *testing.T) {
 
 func TestCheckInput(t *testing.T) {
 	net := testNet(t)
-	if err := net.CheckInput(tensor.New(1, 8, 8)); err != nil {
+	if err := net.CheckInputShape(1, 8, 8); err != nil {
 		t.Fatalf("valid input rejected: %v", err)
 	}
-	if err := net.CheckInput(tensor.New(3, 8, 8)); err == nil {
+	if err := net.CheckInputShape(3, 8, 8); err == nil {
 		t.Fatal("wrong-shaped input accepted")
 	}
 }

@@ -2,12 +2,12 @@
 //
 // Deep Validation's serving hot path evaluates f(x) = Σ αᵢK(xᵢ,x) − ρ
 // once per (layer, sample); at scale the per-call [][]float64 walk
-// dominates. DecisionBatch / DecisionBatchInto walk a
-// flattened, contiguous support-vector matrix but perform exactly the
-// same floating-point operations in exactly the same order as the
-// scalar Decision, so results are bit-identical — including NaN/±Inf
-// propagation. Golden artifacts pin verdict bits, which is why no
-// reassociated (norms-expansion) form exists.
+// dominates. DecisionBatchInto walks a flattened, contiguous
+// support-vector matrix but performs exactly the same floating-point
+// operations in exactly the same order as the scalar Decision, so
+// results are bit-identical — including NaN/±Inf propagation. Golden
+// artifacts pin verdict bits, which is why no reassociated form (such
+// as expanding ‖a−b‖² into ‖a‖² + ‖b‖² − 2a·b) exists.
 package svm
 
 import (
@@ -15,17 +15,12 @@ import (
 	"math"
 )
 
-// DecisionBatch evaluates f(x) for every row of xs, returning a fresh
-// slice. Results are bit-identical to calling Decision per row.
-func (m *OneClass) DecisionBatch(xs [][]float64) []float64 {
-	return m.DecisionBatchInto(make([]float64, len(xs)), xs)
-}
-
-// DecisionBatchInto is DecisionBatch writing into dst; len(dst) must
-// equal len(xs). On a model from Train or Flatten it allocates nothing,
-// which is what keeps steady-state scoring on an allocation diet; any
-// other model is scored from a per-call copy of its support vectors.
-// It returns dst.
+// DecisionBatchInto evaluates f(x) for every row of xs into dst, whose
+// length must equal len(xs), and returns dst. The results are
+// bit-identical to calling Decision per row. On a model from Train or
+// Flatten it allocates nothing, which is what keeps steady-state
+// scoring on an allocation diet; any other model is scored from a
+// per-call copy of its support vectors.
 func (m *OneClass) DecisionBatchInto(dst []float64, xs [][]float64) []float64 {
 	if len(dst) != len(xs) {
 		panic(fmt.Sprintf("svm: DecisionBatchInto dst holds %d slots for %d inputs", len(dst), len(xs)))
@@ -36,7 +31,9 @@ func (m *OneClass) DecisionBatchInto(dst []float64, xs [][]float64) []float64 {
 	}
 	d := m.Dim
 	for bi, x := range xs {
-		m.checkDim(x)
+		if len(x) != d {
+			panic(fmt.Sprintf("svm: DecisionBatchInto input has %d features, model expects %d", len(x), d))
+		}
 		s := 0.0
 		// Four support vectors per pass: each squared distance
 		// still sums over features in ascending order with its own
@@ -80,34 +77,6 @@ func (m *OneClass) DecisionBatchInto(dst []float64, xs [][]float64) []float64 {
 	return dst
 }
 
-// EnsureNorms returns the support-vector squared norms, computing and
-// caching them into SVNorms when absent — the upgrade path for legacy
-// artifacts fitted before the field existed: they decode with SVNorms
-// nil, recompute here on first use, and persist the norms on their next
-// save. Safe for concurrent callers.
-func (m *OneClass) EnsureNorms() []float64 {
-	m.normsOnce.Do(func() {
-		if len(m.SVNorms) == len(m.Support) && len(m.Support) > 0 {
-			return
-		}
-		m.SVNorms = supportNorms(m.Support)
-	})
-	return m.SVNorms
-}
-
-// supportNorms computes ‖sv‖² per support vector.
-func supportNorms(support [][]float64) []float64 {
-	out := make([]float64, len(support))
-	for i, sv := range support {
-		s := 0.0
-		for _, v := range sv {
-			s += v * v
-		}
-		out[i] = s
-	}
-	return out
-}
-
 // Flatten stores m's support vectors once: it copies them into one
 // contiguous row-major matrix, the one DecisionBatchInto reads, and
 // re-points each Support row at its full-capacity view of it, so the
@@ -131,10 +100,4 @@ func flatten(support [][]float64, d int) []float64 {
 		copy(flat[i*d:(i+1)*d], sv)
 	}
 	return flat
-}
-
-func (m *OneClass) checkDim(x []float64) {
-	if len(x) != m.Dim {
-		panic(fmt.Sprintf("svm: Decision input has %d features, model expects %d", len(x), m.Dim))
-	}
 }

@@ -1,14 +1,15 @@
 package svm
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
 	"testing"
 )
 
-// Differential-equivalence battery for the batched decision paths.
-// DecisionBatch is the serving path and must agree with the scalar
+// Differential-equivalence battery for the batched decision path.
+// DecisionBatchInto is the serving path and must agree with the scalar
 // Decision bit-for-bit on every non-NaN output; NaN outputs must agree
 // as NaNs (payload propagation through compiled loops is register-
 // allocation dependent and carries no information — see the tensor
@@ -73,10 +74,7 @@ func TestDecisionBatchMatchesDecision(t *testing.T) {
 			m := randModel(rng, nsv, dim)
 			for _, batch := range []int{1, 2, 5} {
 				xs := randBatch(rng, batch, dim, true)
-				got := m.DecisionBatch(xs)
-				if len(got) != batch {
-					t.Fatalf("nsv=%d dim=%d: DecisionBatch returned %d results for %d inputs", nsv, dim, len(got), batch)
-				}
+				got := m.DecisionBatchInto(make([]float64, batch), xs)
 				for bi, x := range xs {
 					want := m.Decision(x)
 					if !sameVerdictBits(got[bi], want) {
@@ -89,8 +87,8 @@ func TestDecisionBatchMatchesDecision(t *testing.T) {
 	}
 }
 
-// TestDecisionBatchIntoReusesDst pins the in-place form: same bits as
-// DecisionBatch, dst returned, and an empty batch is a no-op.
+// TestDecisionBatchIntoReusesDst pins the in-place form: scalar bits,
+// dst returned, and an empty batch is a no-op.
 func TestDecisionBatchIntoReusesDst(t *testing.T) {
 	rng := rand.New(rand.NewSource(102))
 	m := randModel(rng, 6, 16)
@@ -100,10 +98,9 @@ func TestDecisionBatchIntoReusesDst(t *testing.T) {
 	if &out[0] != &dst[0] {
 		t.Fatal("DecisionBatchInto did not return dst")
 	}
-	want := m.DecisionBatch(xs)
-	for i := range want {
-		if math.Float64bits(out[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("row %d: into %x fresh %x", i, math.Float64bits(out[i]), math.Float64bits(want[i]))
+	for i, x := range xs {
+		if want := m.Decision(x); math.Float64bits(out[i]) != math.Float64bits(want) {
+			t.Fatalf("row %d: into %x scalar %x", i, math.Float64bits(out[i]), math.Float64bits(want))
 		}
 	}
 	if got := m.DecisionBatchInto(nil, nil); len(got) != 0 {
@@ -111,54 +108,27 @@ func TestDecisionBatchIntoReusesDst(t *testing.T) {
 	}
 }
 
-// TestEnsureNormsLegacyRecompute covers the legacy-artifact upgrade
-// path: a model decoded without SVNorms recomputes them on demand, and
-// the recomputation matches the trained-in values bit-for-bit.
-func TestEnsureNormsLegacyRecompute(t *testing.T) {
-	rng := rand.New(rand.NewSource(105))
-	data := make([][]float64, 40)
-	for i := range data {
-		data[i] = []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
-	}
-	m, err := Train(data, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.SVNorms) != len(m.Support) {
-		t.Fatalf("Train left SVNorms with %d entries for %d SVs", len(m.SVNorms), len(m.Support))
-	}
-	legacy := &OneClass{
-		Kind: m.Kind, Gamma: m.Gamma,
-		Nu: m.Nu, Support: m.Support, Alpha: m.Alpha, Rho: m.Rho, Dim: m.Dim,
-	}
-	norms := legacy.EnsureNorms()
-	if len(norms) != len(m.SVNorms) {
-		t.Fatalf("EnsureNorms returned %d norms, want %d", len(norms), len(m.SVNorms))
-	}
-	for i := range norms {
-		if math.Float64bits(norms[i]) != math.Float64bits(m.SVNorms[i]) {
-			t.Fatalf("norm %d: recomputed %x trained %x", i, math.Float64bits(norms[i]), math.Float64bits(m.SVNorms[i]))
-		}
-	}
-}
-
 // TestDecisionBatchPanics pins the dst-length and feature-dim guards.
 func TestDecisionBatchPanics(t *testing.T) {
 	m := randModel(rand.New(rand.NewSource(106)), 3, 4)
-	mustPanic := func(name string, fn func()) {
+	mustPanic := func(name, want string, fn func()) {
 		t.Helper()
 		defer func() {
-			if recover() == nil {
+			t.Helper()
+			r := recover()
+			if r == nil {
 				t.Errorf("%s did not panic", name)
+			} else if msg := fmt.Sprint(r); msg != want {
+				t.Errorf("%s panicked with %q, want %q", name, msg, want)
 			}
 		}()
 		fn()
 	}
-	mustPanic("short dst", func() {
+	mustPanic("short dst", "svm: DecisionBatchInto dst holds 1 slots for 2 inputs", func() {
 		m.DecisionBatchInto(make([]float64, 1), make([][]float64, 2))
 	})
-	mustPanic("dim mismatch", func() {
-		m.DecisionBatch([][]float64{{1, 2}})
+	mustPanic("dim mismatch", "svm: DecisionBatchInto input has 2 features, model expects 4", func() {
+		m.DecisionBatchInto(make([]float64, 1), [][]float64{{1, 2}})
 	})
 }
 
@@ -271,7 +241,8 @@ func FuzzDecisionBatchEquivalence(f *testing.F) {
 		flat := &OneClass{Kind: m.Kind, Gamma: m.Gamma, Rho: m.Rho,
 			Dim: m.Dim, Support: append([][]float64(nil), m.Support...), Alpha: m.Alpha}
 		flat.Flatten()
-		got, gotFlat := m.DecisionBatch(xs), flat.DecisionBatch(xs)
+		got := m.DecisionBatchInto(make([]float64, batch), xs)
+		gotFlat := flat.DecisionBatchInto(make([]float64, batch), xs)
 		for bi, x := range xs {
 			want := m.Decision(x)
 			if !sameVerdictBits(got[bi], want) {

@@ -21,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 )
 
 // KernelKind names a model's kernel. Persisted models record it; RBF,
@@ -59,9 +58,9 @@ func DefaultConfig() Config {
 // Models from elsewhere (gob decoding, literals) get the same layout
 // from Flatten, which must run before the model is shared.
 //
-// A OneClass must not be copied by value after first use: EnsureNorms
-// guards its lazy recompute with sync.Once. Share models by pointer, as
-// Train returns them.
+// The decision reads Support, Alpha, Gamma and Rho only. Older
+// artifacts also carry each support vector's squared norm in a field
+// named SVNorms, which gob skips on decode.
 type OneClass struct {
 	Kind     KernelKind
 	Gamma    float64
@@ -72,15 +71,9 @@ type OneClass struct {
 	Dim      int
 	TrainedN int
 	Iters    int
-	// SVNorms[i] is ‖Support[i]‖², precomputed at training time and
-	// persisted with the model; it is part of the pinned gob format.
-	// Legacy artifacts decode with it nil; EnsureNorms recomputes it on
-	// demand.
-	SVNorms []float64
 
 	// Runtime state, skipped by gob.
-	flat      []float64 // the len(Support)×Dim matrix Support rows view; nil until Flatten
-	normsOnce sync.Once
+	flat []float64 // the len(Support)×Dim matrix Support rows view; nil until Flatten
 }
 
 // Workspace is the solver's reusable scratch: the flat l×l kernel
@@ -287,7 +280,6 @@ func (w *Workspace) Train(data [][]float64, cfg Config) (*OneClass, error) {
 		}
 	}
 	m.Flatten() // copies the support vectors out of data
-	m.SVNorms = supportNorms(m.Support)
 	return m, nil
 }
 
@@ -312,17 +304,6 @@ func (m *OneClass) Decision(x []float64) float64 {
 	}
 	return s - m.Rho
 }
-
-// Predict returns +1 for inliers (Decision ≥ 0) and −1 for outliers.
-func (m *OneClass) Predict(x []float64) int {
-	if m.Decision(x) >= 0 {
-		return 1
-	}
-	return -1
-}
-
-// NumSupport returns the number of support vectors.
-func (m *OneClass) NumSupport() int { return len(m.Support) }
 
 // kernel is the RBF kernel exp(−γ‖a − b‖²).
 func kernel(gamma float64, a, b []float64) float64 {

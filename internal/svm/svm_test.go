@@ -35,9 +35,6 @@ func TestTrainSeparatesClusterFromOutliers(t *testing.T) {
 	if d := m.Decision([]float64{10, 10}); d >= 0 {
 		t.Fatalf("decision far from cluster = %v, want < 0", d)
 	}
-	if m.Predict([]float64{0, 0}) != 1 || m.Predict([]float64{10, 10}) != -1 {
-		t.Fatal("Predict signs wrong")
-	}
 }
 
 func TestNuControlsTrainingOutlierFraction(t *testing.T) {
@@ -61,7 +58,7 @@ func TestNuControlsTrainingOutlierFraction(t *testing.T) {
 		if frac > nu+0.05 {
 			t.Errorf("nu=%v: training outlier fraction %v exceeds nu", nu, frac)
 		}
-		svFrac := float64(m.NumSupport()) / float64(len(data))
+		svFrac := float64(len(m.Support)) / float64(len(data))
 		if svFrac < nu-0.05 {
 			t.Errorf("nu=%v: SV fraction %v below nu", nu, svFrac)
 		}
@@ -155,7 +152,7 @@ func TestDeterministicTraining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Rho != b.Rho || a.NumSupport() != b.NumSupport() {
+	if a.Rho != b.Rho || len(a.Support) != len(b.Support) {
 		t.Fatal("training is not deterministic")
 	}
 }
@@ -183,8 +180,8 @@ func TestNuOneUsesAllPointsAsSupport(t *testing.T) {
 	}
 	// With ν=1 every α is forced to its upper bound: all points are
 	// (bounded) support vectors — the Parzen-window limit.
-	if m.NumSupport() != len(data) {
-		t.Fatalf("support vectors = %d, want %d", m.NumSupport(), len(data))
+	if len(m.Support) != len(data) {
+		t.Fatalf("support vectors = %d, want %d", len(m.Support), len(data))
 	}
 }
 

@@ -382,15 +382,6 @@ func Label(name string, kv ...string) string {
 	return b.String()
 }
 
-// LinearBuckets returns n ascending bounds start, start+width, ...
-func LinearBuckets(start, width float64, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start + float64(i)*width
-	}
-	return out
-}
-
 // ExponentialBuckets returns n ascending bounds start, start·factor,
 // start·factor², ... Panics unless start > 0 and factor > 1.
 func ExponentialBuckets(start, factor float64, n int) []float64 {

@@ -145,10 +145,6 @@ func TestLabel(t *testing.T) {
 }
 
 func TestBucketHelpers(t *testing.T) {
-	lin := LinearBuckets(0, 0.5, 3)
-	if len(lin) != 3 || lin[0] != 0 || lin[1] != 0.5 || lin[2] != 1 {
-		t.Errorf("LinearBuckets = %v", lin)
-	}
 	exp := ExponentialBuckets(1, 10, 3)
 	if len(exp) != 3 || exp[0] != 1 || exp[1] != 10 || exp[2] != 100 {
 		t.Errorf("ExponentialBuckets = %v", exp)

@@ -137,9 +137,6 @@ func (t *Tensor) Fill(v float64) *Tensor {
 	return t
 }
 
-// Zero sets every element to 0 and returns t.
-func (t *Tensor) Zero() *Tensor { return t.Fill(0) }
-
 // Apply replaces each element x with fn(x) and returns t.
 func (t *Tensor) Apply(fn func(float64) float64) *Tensor {
 	for i, v := range t.Data {
@@ -172,15 +169,6 @@ func (t *Tensor) SubInPlace(o *Tensor) *Tensor {
 	return t
 }
 
-// MulInPlace multiplies t by o elementwise (Hadamard) and returns t.
-func (t *Tensor) MulInPlace(o *Tensor) *Tensor {
-	t.requireSameShape(o, "MulInPlace")
-	for i, v := range o.Data {
-		t.Data[i] *= v
-	}
-	return t
-}
-
 // ScaleInPlace multiplies every element by s and returns t.
 func (t *Tensor) ScaleInPlace(s float64) *Tensor {
 	for i := range t.Data {
@@ -202,9 +190,6 @@ func (t *Tensor) Add(o *Tensor) *Tensor { return t.Clone().AddInPlace(o) }
 
 // Sub returns t - o as a new tensor.
 func (t *Tensor) Sub(o *Tensor) *Tensor { return t.Clone().SubInPlace(o) }
-
-// Mul returns the elementwise product as a new tensor.
-func (t *Tensor) Mul(o *Tensor) *Tensor { return t.Clone().MulInPlace(o) }
 
 // Scale returns s*t as a new tensor.
 func (t *Tensor) Scale(s float64) *Tensor { return t.Clone().ScaleInPlace(s) }

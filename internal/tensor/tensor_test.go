@@ -111,7 +111,6 @@ func TestElementwiseOps(t *testing.T) {
 	}{
 		{"Add", a.Add(b), []float64{11, 22, 33, 44}},
 		{"Sub", b.Sub(a), []float64{9, 18, 27, 36}},
-		{"Mul", a.Mul(b), []float64{10, 40, 90, 160}},
 		{"Scale", a.Scale(2), []float64{2, 4, 6, 8}},
 		{"Axpy", a.Clone().AxpyInPlace(0.5, b), []float64{6, 12, 18, 24}},
 	}
