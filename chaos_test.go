@@ -221,8 +221,8 @@ func TestBatchQuarantineMatchesSequential(t *testing.T) {
 		r.poisoned = check(det, probes)
 		r.stats = det.StatsDetail()
 		r.quarantined = reg.Snapshot().Counters[core.MetricQuarantined]
-		// The snapshot is newest first; its events share their PerLayer
-		// rows with whatever the detector emitted.
+		// The snapshot is newest first; its events own copies of their
+		// PerLayer rows.
 		evs := log.Snapshot(obs.Filter{Type: obs.TypeQuarantine})
 		for i := len(evs) - 1; i >= 0; i-- {
 			r.events = append(r.events, evs[i])

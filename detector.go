@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"deepvalidation/internal/core"
+	"deepvalidation/internal/freelist"
 	"deepvalidation/internal/metrics"
 	"deepvalidation/internal/nn"
 	"deepvalidation/internal/obs"
@@ -53,6 +54,10 @@ type Detector struct {
 	// events receives a wide event per quarantined verdict (nil when
 	// detached); a check consults it only on the quarantine branch.
 	events atomic.Pointer[obs.Logger]
+
+	// states is the free list of check states (see checkState); a GC
+	// never empties it, so a warm check builds none.
+	states freelist.List[*checkState]
 }
 
 // recentWindow sizes the sliding alarm-rate window.
@@ -217,6 +222,8 @@ func assemble(net *nn.Network, val *core.Validator) *Detector {
 		recent:       make([]bool, recentWindow),
 		classChecked: make([]int, val.Classes),
 		classFlagged: make([]int, val.Classes),
+		// A held state keeps no caller's images, details or verdicts.
+		states: freelist.List[*checkState]{Reset: func(st *checkState) { *st = checkState{} }},
 	}
 }
 
@@ -378,10 +385,14 @@ func (d *Detector) Calibrate(clean []Image, fpr float64) (float64, error) {
 	if err := d.validateAll(clean); err != nil {
 		return 0, err
 	}
+	out := make([]Verdict, len(clean))
+	st := d.takeState(clean, nil, out, nil)
+	d.val.ScoreEach(d.net, len(clean), d.workerBound(), st, nil)
+	d.states.Put(st)
 	scores := make([]float64, len(clean))
-	d.val.ScoreEach(d.net, len(clean), d.workerBound(), pixels(clean), nil, func(i int, res *core.Result) {
-		scores[i] = res.Joint
-	})
+	for i, v := range out {
+		scores[i] = v.Discrepancy
+	}
 	eps := metrics.ThresholdForFPR(scores, fpr)
 	d.SetEpsilon(eps)
 	return eps, nil
@@ -441,17 +452,67 @@ func (d *Detector) validateAll(imgs []Image) error {
 	return firstErr
 }
 
-// pixels is the core.Input over validated images: it points the
-// scoring worker's header at each image's pixels, uncopied. Scoring
-// runs each layer's ForwardInfer (nn.InferenceLayer), which only reads
-// its input, so scoring the caller's pixels in place leaves them
-// untouched.
-func pixels(imgs []Image) core.Input {
-	return func(i int, hdr *tensor.Tensor) *tensor.Tensor {
-		im := imgs[i]
-		hdr.Shape = append(hdr.Shape[:0], im.Channels, im.Height, im.Width)
-		hdr.Data = im.Pixels
-		return hdr
+// checkState is the core.Batch of one check call: the validated images
+// it scores, in place and uncopied, and the verdicts and details it
+// fills. Scoring runs each layer's ForwardInfer (nn.InferenceLayer),
+// which only reads its input, so the caller's pixels stay untouched.
+// States come from the detector's free list and go back after the
+// call, so a warm check makes no closure and no state.
+type checkState struct {
+	layers  []int // the validator's LayerIdx, for Detail.Layers
+	imgs    []Image
+	details []*Detail
+	out     []Verdict
+	// events is the event log quarantined verdicts go to (nil when
+	// detached). held[i] is quarantined image i's row, kept for it;
+	// quarantine is rare, so held is made on the first one.
+	events *obs.Logger
+	mu     sync.Mutex
+	held   [][]float64
+}
+
+// takeState returns a state, from the free list when it holds one, for
+// one check call.
+func (d *Detector) takeState(imgs []Image, details []*Detail, out []Verdict, events *obs.Logger) *checkState {
+	st, ok := d.states.Get()
+	if !ok {
+		st = &checkState{}
+	}
+	st.layers, st.imgs, st.details, st.out, st.events = d.val.LayerIdx, imgs, details, out, events
+	return st
+}
+
+// Input points the worker's header at image i's pixels.
+func (st *checkState) Input(i int, hdr *tensor.Tensor) *tensor.Tensor {
+	im := st.imgs[i]
+	hdr.Shape = append(hdr.Shape[:0], im.Channels, im.Height, im.Width)
+	hdr.Data = im.Pixels
+	return hdr
+}
+
+// Emit writes image i's verdict, less Valid, which check decides under
+// the detector's lock, and its row into the storage of its Detail, if
+// it has one.
+func (st *checkState) Emit(i int, res *core.Result) {
+	st.out[i] = Verdict{
+		Label:       res.Label,
+		Confidence:  res.Confidence,
+		Discrepancy: res.Joint,
+		Quarantined: res.NonFinite,
+	}
+	if i < len(st.details) && st.details[i] != nil {
+		dt := st.details[i]
+		dt.Layers = st.layers
+		dt.PerLayer = append(dt.PerLayer[:0], res.Layer...)
+	}
+	if res.NonFinite && st.events != nil {
+		row := append([]float64(nil), res.Layer...)
+		st.mu.Lock()
+		if st.held == nil {
+			st.held = make([][]float64, len(st.out))
+		}
+		st.held[i] = row
+		st.mu.Unlock()
 	}
 }
 
@@ -463,8 +524,11 @@ func pixels(imgs []Image) core.Input {
 type Detail struct {
 	// Layers lists the validated tap indices; PerLayer[i] is d_i for
 	// Layers[i]. Layers aliases the detector's internal slice — treat
-	// it as read-only. PerLayer may carry NaN/±Inf on a quarantined
-	// verdict; sanitize before JSON-encoding.
+	// it as read-only. A check writes PerLayer into the storage it
+	// already holds when that is large enough, so a Detail reused
+	// across checks keeps one row and allocates none; copy PerLayer to
+	// keep a row past the Detail's next check. PerLayer may carry
+	// NaN/±Inf on a quarantined verdict; sanitize before JSON-encoding.
 	Layers   []int
 	PerLayer []float64
 	// Timed requests stage timings: Forward is the tapped forward pass,
@@ -508,16 +572,16 @@ func (d *Detector) CheckBatchDetailed(dst []Verdict, imgs []Image, details []*De
 // check is the one check body, the only place ε is compared and
 // statistics are recorded. Scoring fans validated imgs across the
 // worker pool, one arena and one input header per worker for the
-// whole batch, and writes each verdict straight into out, so a warm
-// call allocates only a constant per batch. Only images with a non-nil
-// Detail get a PerLayer copy, and only Timed ones a ScoreTimings. The
-// statistics are then updated once, in input order, so Stats afterwards
-// is identical to a sequence of one-image checks. With telemetry
-// enabled each verdict observes the batch's amortized per-image latency
-// (elapsed / batch size); per-image score latency comes from the
-// validator's own MetricScoreLatency histogram. Quarantined verdicts
-// then go to the event log, in input order, each with an owned copy of
-// its per-layer row.
+// whole batch, and writes each verdict straight into out and each row
+// into its Detail's own storage, so a warm call allocates nothing on a
+// single worker and only a constant per batch on several. Only Timed
+// details get a ScoreTimings. The statistics are then updated once, in
+// input order, so Stats afterwards is identical to a sequence of
+// one-image checks. With telemetry enabled each verdict observes the
+// batch's amortized per-image latency (elapsed / batch size); per-image
+// score latency comes from the validator's own MetricScoreLatency
+// histogram. Quarantined verdicts then go to the event log, in input
+// order, each with an owned copy of its per-layer row.
 func (d *Detector) check(imgs []Image, details []*Detail, out []Verdict) {
 	details = details[:min(len(details), len(imgs))]
 	var tms []*core.ScoreTimings
@@ -535,31 +599,10 @@ func (d *Detector) check(imgs []Image, details []*Detail, out []Verdict) {
 		t0 = time.Now()
 	}
 	events := d.events.Load()
-	var held struct {
-		sync.Mutex
-		rows [][]float64 // rows[i]: quarantined image i's row, for the event log
-	}
-	d.val.ScoreEach(d.net, len(out), d.workerBound(), pixels(imgs), tms, func(i int, res *core.Result) {
-		out[i] = Verdict{
-			Label:       res.Label,
-			Confidence:  res.Confidence,
-			Discrepancy: res.Joint,
-			Quarantined: res.NonFinite,
-		}
-		if i < len(details) && details[i] != nil {
-			details[i].Layers = d.val.LayerIdx
-			details[i].PerLayer = append([]float64(nil), res.Layer...)
-		}
-		if res.NonFinite && events != nil {
-			row := append([]float64(nil), res.Layer...)
-			held.Lock()
-			if held.rows == nil {
-				held.rows = make([][]float64, len(out))
-			}
-			held.rows[i] = row
-			held.Unlock()
-		}
-	})
+	st := d.takeState(imgs, details, out, events)
+	d.val.ScoreEach(d.net, len(out), d.workerBound(), st, tms)
+	held := st.held
+	d.states.Put(st)
 	for i, tm := range tms {
 		if tm != nil {
 			details[i].Forward, details[i].LayerTimes = tm.Forward, tm.Layers
@@ -579,7 +622,7 @@ func (d *Detector) check(imgs []Image, details []*Detail, out []Verdict) {
 			tel.observe(v)
 		}
 	}
-	for i, row := range held.rows {
+	for i, row := range held {
 		if row != nil {
 			d.emitQuarantine(events, out[i], row)
 		}

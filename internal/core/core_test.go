@@ -401,15 +401,15 @@ func TestJointAndLayerScoreExtractors(t *testing.T) {
 
 // jointsEach scores xs through ScoreEach at the given worker bound and
 // returns each sample's joint score, failing the test unless every
-// sample is handed to emit exactly once.
+// sample is handed to Emit exactly once.
 func jointsEach(t *testing.T, v *Validator, net *nn.Network, xs []*tensor.Tensor, workers int) []float64 {
 	t.Helper()
 	out := make([]float64, len(xs))
 	hits := make([]atomic.Int32, len(xs))
-	v.ScoreEach(net, len(xs), workers, Tensors(xs), nil, func(i int, res *Result) {
+	v.ScoreEach(net, len(xs), workers, Funcs{In: Tensors(xs), Out: func(i int, res *Result) {
 		hits[i].Add(1)
 		out[i] = res.Joint
-	})
+	}}, nil)
 	for i := range hits {
 		if n := hits[i].Load(); n != 1 {
 			t.Errorf("sample %d emitted %d times, want 1", i, n)

@@ -224,7 +224,7 @@ func TestScoreTimedMatchesScore(t *testing.T) {
 	tms := make([]*ScoreTimings, 4) // shorter than the batch
 	tms[1] = &ScoreTimings{}
 	got := make([]float64, len(want))
-	v.ScoreEach(net, len(want), 2, Tensors(xs[:10]), tms, func(i int, res *Result) { got[i] = res.Joint })
+	v.ScoreEach(net, len(want), 2, Funcs{In: Tensors(xs[:10]), Out: func(i int, res *Result) { got[i] = res.Joint }}, tms)
 	for i := range want {
 		if math.Float64bits(want[i].Joint) != math.Float64bits(got[i]) {
 			t.Fatalf("batch sample %d differs under sparse timing", i)

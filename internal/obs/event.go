@@ -131,8 +131,10 @@ const (
 
 // Event is one wide observability event. Fields are flat and typed so
 // the NDJSON stream is directly queryable (jq, duckdb, grep) without
-// schema gymnastics; unused fields marshal away via omitempty. Slices
-// are shared, not copied — treat a recorded Event as immutable.
+// schema gymnastics; unused fields marshal away via omitempty. The ring
+// copies Layers and PerLayer, so an emitter may reuse its rows once
+// Emit returns; the other slices and maps are shared, not copied —
+// treat them as immutable once emitted.
 type Event struct {
 	// Seq is a process-local monotone sequence number, assigned at
 	// Emit. Gaps reveal rate-capped drops.

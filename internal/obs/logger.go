@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"deepvalidation/internal/telemetry"
+	"deepvalidation/internal/trace"
 )
 
 // Metric names published by the logger itself, so the event pipeline
@@ -282,7 +283,9 @@ func (l *Logger) Snapshot(f Filter) []Event {
 }
 
 // eventRing is a fixed-capacity overwrite-oldest ring of events,
-// mirroring the flight recorder's shape.
+// mirroring the flight recorder's shape: each slot owns the storage of
+// its event's Layers and PerLayer and reuses it when it is overwritten,
+// and snapshots hand out copies.
 type eventRing struct {
 	mu   sync.Mutex
 	buf  []Event
@@ -298,7 +301,10 @@ func (r *eventRing) add(e Event) {
 		return
 	}
 	r.mu.Lock()
-	r.buf[r.next%uint64(len(r.buf))] = e
+	slot := &r.buf[r.next%uint64(len(r.buf))]
+	e.Layers = append(slot.Layers[:0], e.Layers...)
+	e.PerLayer = append(slot.PerLayer[:0], e.PerLayer...)
+	*slot = e
 	r.next++
 	r.mu.Unlock()
 }
@@ -318,6 +324,8 @@ func (r *eventRing) snapshot(f Filter) []Event {
 			continue
 		}
 		out = append(out, *e)
+		last := &out[len(out)-1]
+		last.Layers, last.PerLayer = trace.Own(e.Layers), trace.Own(e.PerLayer)
 		if f.Limit > 0 && len(out) >= f.Limit {
 			break
 		}

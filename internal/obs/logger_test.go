@@ -314,3 +314,53 @@ func TestParseLevelRoundTrip(t *testing.T) {
 		t.Fatal("ParseLevel accepted garbage")
 	}
 }
+
+// TestEventSnapshotOwnsRows: the ring copies an event's Layers and
+// PerLayer into storage its slot owns, and Snapshot copies them out, so
+// an emitter reusing its row after Emit, the ring wrapping, or a write
+// into a snapshot's row changes no other snapshot's values.
+func TestEventSnapshotOwnsRows(t *testing.T) {
+	const n, width = 4, 3
+	l := New(Config{Ring: n, Rates: map[string]float64{TypeRequest: -1}})
+	row := make([]float64, width)
+	layers := []int{1, 3, 5}
+	emit := func(k int) {
+		for j := range row {
+			row[j] = float64(10*k + j)
+		}
+		l.Emit(Event{Type: TypeRequest, Outcome: "ok", Class: k, Layers: layers, PerLayer: row})
+	}
+	check := func(what string, es []Event) {
+		t.Helper()
+		if len(es) != n {
+			t.Fatalf("%s: %d events, want %d", what, len(es), n)
+		}
+		for _, e := range es {
+			if len(e.PerLayer) != width || len(e.Layers) != width {
+				t.Fatalf("%s: event %d carries %d layers and %d values, want %d", what, e.Class, len(e.Layers), len(e.PerLayer), width)
+			}
+			for j, v := range e.PerLayer {
+				if want := float64(10*e.Class + j); v != want || e.Layers[j] != layers[j] {
+					t.Fatalf("%s: event %d value %d = %v at layer %d, want %v at layer %d", what, e.Class, j, v, e.Layers[j], want, layers[j])
+				}
+			}
+		}
+	}
+	for k := 0; k < n; k++ {
+		emit(k)
+	}
+	snap := l.Snapshot(Filter{})
+	check("ring after the emitter reused its row", snap)
+	for k := n; k < 3*n; k++ {
+		emit(k)
+	}
+	check("snapshot after the ring wrapped twice", snap)
+	check("ring after wrapping", l.Snapshot(Filter{}))
+	snap[0].PerLayer[0], snap[0].Layers[0] = -1, -1
+	check("ring after a snapshot's row was written", l.Snapshot(Filter{}))
+
+	l.Emit(Event{Type: TypeReload})
+	if e := l.Snapshot(Filter{Limit: 1})[0]; e.Layers != nil || e.PerLayer != nil {
+		t.Fatalf("a reload event emitted over a verdict's slot carries layers %v and values %v", e.Layers, e.PerLayer)
+	}
+}

@@ -6,6 +6,7 @@ package serve
 // serve_test.go.
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"math"
@@ -18,6 +19,7 @@ import (
 
 	"deepvalidation"
 	"deepvalidation/internal/core"
+	"deepvalidation/internal/obs"
 	"deepvalidation/internal/telemetry"
 	"deepvalidation/internal/trace"
 )
@@ -358,6 +360,82 @@ func TestFlightRecorder(t *testing.T) {
 	// Bad filter values are 400s.
 	if code := getJSON(t, ts.URL+"/debug/dv/flight?valid=maybe", nil); code != http.StatusBadRequest {
 		t.Fatalf("valid=maybe = %d, want 400", code)
+	}
+}
+
+// TestFlightEntriesKeepTheirRows: every flight entry and wide event on
+// /debug/dv/flight and /debug/dv/events carries the per-layer values of
+// its own verdict after 300 more requests. The detector writes each row
+// into storage the request record's member reuses for the next request,
+// and the recorders copy it into storage their slots own, so a
+// recorder that kept the member's slice instead would show later
+// verdicts' values here.
+func TestFlightEntriesKeepTheirRows(t *testing.T) {
+	const more = 300
+	imgs, _ := testImages(53, 8)
+	ref := loadDetector(t)
+	rows := make([][]float64, len(imgs))
+	for k, img := range imgs {
+		var d deepvalidation.Detail
+		if _, err := ref.CheckDetailed(img, &d); err != nil {
+			t.Fatal(err)
+		}
+		rows[k] = d.PerLayer
+	}
+	events := obs.New(obs.Config{Ring: 512, Rates: map[string]float64{obs.TypeRequest: -1}})
+	s, err := New(deepvalidation.NewHandle(loadDetector(t)), Config{FlightSize: 512, Events: events})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	h := s.Handler()
+	serve := func(method, path string, body []byte) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s %s: status %d: %s", method, path, rec.Code, rec.Body.String())
+		}
+		return rec
+	}
+	// want[i] is the image behind the i-th verdict filed: a batch of
+	// four first, then one check after another.
+	var want []int
+	serve(http.MethodPost, "/v1/batch", batchBody(t, imgs[:4]))
+	want = append(want, 0, 1, 2, 3)
+	for i := 0; i < more; i++ {
+		k := (i + 4) % len(imgs)
+		serve(http.MethodPost, "/v1/check", checkBody(t, imgs[k]))
+		want = append(want, k)
+	}
+
+	sameRow := func(what string, i int, layers []int, got []float64) {
+		t.Helper()
+		wantRow := rows[want[i]]
+		if len(got) != len(wantRow) || len(layers) != len(wantRow) {
+			t.Fatalf("%s %d: %d layers and %d values, want %d", what, i, len(layers), len(got), len(wantRow))
+		}
+		for j := range got {
+			if math.Float64bits(got[j]) != math.Float64bits(wantRow[j]) {
+				t.Fatalf("%s %d (image %d): per_layer[%d] = %v, want %v", what, i, want[i], j, got[j], wantRow[j])
+			}
+		}
+	}
+	var fr FlightResponse
+	if err := json.Unmarshal(serve(http.MethodGet, "/debug/dv/flight", nil).Body.Bytes(), &fr); err != nil {
+		t.Fatal(err)
+	}
+	if fr.Count != len(want) {
+		t.Fatalf("flight holds %d entries, want %d", fr.Count, len(want))
+	}
+	for n, e := range fr.Entries { // newest first
+		sameRow("flight entry", len(want)-1-n, e.Layers, e.PerLayer)
+	}
+	evs := events.Snapshot(obs.Filter{Type: obs.TypeRequest})
+	if len(evs) != len(want) {
+		t.Fatalf("event ring holds %d request events, want %d", len(evs), len(want))
+	}
+	for n, e := range evs {
+		sameRow("request event", len(want)-1-n, e.Layers, e.PerLayer)
 	}
 }
 

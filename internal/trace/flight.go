@@ -33,7 +33,10 @@ type Entry struct {
 
 // Flight is a bounded ring buffer of the last N verdicts. Recording is
 // a short critical section (one slot write); snapshots copy out under
-// the same lock. Nil-safe throughout.
+// the same lock. Each slot owns the storage of its entry's Layers and
+// PerLayer and reuses it when it is overwritten, so a warm recorder
+// allocates nothing and a caller may reuse its row as soon as Record
+// returns. Nil-safe throughout.
 type Flight struct {
 	mu   sync.Mutex
 	ring []Entry
@@ -51,7 +54,8 @@ func NewFlight(size int) *Flight {
 	return &Flight{ring: make([]Entry, size)}
 }
 
-// Record stores one entry, overwriting the oldest when full. The
+// Record stores one entry, overwriting the oldest when full, and
+// copies its Layers and PerLayer into the slot's own storage. The
 // sequence number is assigned here, monotonically.
 func (f *Flight) Record(e Entry) {
 	if f == nil {
@@ -61,7 +65,10 @@ func (f *Flight) Record(e Entry) {
 	defer f.mu.Unlock()
 	f.seq++
 	e.Seq = f.seq
-	f.ring[f.next] = e
+	slot := &f.ring[f.next]
+	e.Layers = append(slot.Layers[:0], e.Layers...)
+	e.PerLayer = append(slot.PerLayer[:0], e.PerLayer...)
+	*slot = e
 	f.next = (f.next + 1) % len(f.ring)
 	if f.n < len(f.ring) {
 		f.n++
@@ -92,9 +99,9 @@ func verdictBearing(outcome string) bool {
 	return outcome == OutcomeOK || outcome == OutcomeQuarantined
 }
 
-// Snapshot returns matching entries newest-first. PerLayer/Layers
-// slices are shared with the ring's stored entries — they are written
-// once at record time and never mutated, so sharing is safe.
+// Snapshot returns matching entries newest-first. Each entry's Layers
+// and PerLayer are its own copies (nil when empty), so they keep their
+// values after the ring overwrites the slots they came from.
 func (f *Flight) Snapshot(fl Filter) []Entry {
 	if f == nil {
 		return nil
@@ -115,10 +122,20 @@ func (f *Flight) Snapshot(fl Filter) []Entry {
 		if fl.Outcome != "" && e.Outcome != fl.Outcome {
 			continue
 		}
+		e.Layers, e.PerLayer = Own(e.Layers), Own(e.PerLayer)
 		out = append(out, e)
 		if fl.Limit > 0 && len(out) >= fl.Limit {
 			break
 		}
 	}
 	return out
+}
+
+// Own returns a copy of xs that shares no storage with it, or nil when
+// xs is empty: what a ring snapshot hands out for a slot's reused row.
+func Own[T any](xs []T) []T {
+	if len(xs) == 0 {
+		return nil
+	}
+	return append([]T(nil), xs...)
 }

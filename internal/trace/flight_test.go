@@ -212,3 +212,54 @@ func TestFlightConcurrentRecordSnapshot(t *testing.T) {
 		}
 	}
 }
+
+// TestFlightSnapshotOwnsRows: Record copies an entry's Layers and
+// PerLayer into storage its slot owns, and Snapshot copies them out, so
+// a caller reusing its row after Record, the ring wrapping, or a write
+// into a snapshot's row changes no other snapshot's values. An entry
+// without rows recorded over a slot that had some has none.
+func TestFlightSnapshotOwnsRows(t *testing.T) {
+	const n, width = 4, 3
+	f := NewFlight(n)
+	row := make([]float64, width)
+	layers := []int{1, 3, 5}
+	record := func(k int) {
+		for j := range row {
+			row[j] = float64(10*k + j)
+		}
+		f.Record(Entry{Outcome: OutcomeOK, Label: k, Layers: layers, PerLayer: row})
+	}
+	check := func(what string, es []Entry) {
+		t.Helper()
+		if len(es) != n {
+			t.Fatalf("%s: %d entries, want %d", what, len(es), n)
+		}
+		for _, e := range es {
+			if len(e.PerLayer) != width || len(e.Layers) != width {
+				t.Fatalf("%s: entry %d carries %d layers and %d values, want %d", what, e.Label, len(e.Layers), len(e.PerLayer), width)
+			}
+			for j, v := range e.PerLayer {
+				if want := float64(10*e.Label + j); v != want || e.Layers[j] != layers[j] {
+					t.Fatalf("%s: entry %d value %d = %v at layer %d, want %v at layer %d", what, e.Label, j, v, e.Layers[j], want, layers[j])
+				}
+			}
+		}
+	}
+	for k := 0; k < n; k++ {
+		record(k)
+	}
+	snap := f.Snapshot(Filter{})
+	check("ring after the caller reused its row", snap)
+	for k := n; k < 3*n; k++ {
+		record(k)
+	}
+	check("snapshot after the ring wrapped twice", snap)
+	check("ring after wrapping", f.Snapshot(Filter{}))
+	snap[0].PerLayer[0], snap[0].Layers[0] = -1, -1
+	check("ring after a snapshot's row was written", f.Snapshot(Filter{}))
+
+	f.Record(Entry{Outcome: OutcomeShed})
+	if e := f.Snapshot(Filter{Limit: 1})[0]; e.Layers != nil || e.PerLayer != nil {
+		t.Fatalf("a shed entry recorded over a verdict's slot carries layers %v and values %v", e.Layers, e.PerLayer)
+	}
+}
