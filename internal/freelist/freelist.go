@@ -1,6 +1,7 @@
 // Package freelist holds List, a bounded free list for objects too
 // costly to build per call: the forward arenas a network hands out, the
-// validator's scoring states and dvserve's request records.
+// validator's scoring states and dvserve's request records and decode
+// windows.
 package freelist
 
 import (

@@ -172,3 +172,27 @@ func TestBatchRecordsInMemberOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestRejectedBatchKeepsNoImages: a batch whose third image fails
+// validation is refused after its first two were decoded into the
+// request record, and the record goes back to the free list. The
+// record handed out next must hold none of those images anywhere in its
+// storage, not just within its length: a record kept on the list must
+// not keep a refused request's pixels alive.
+func TestRejectedBatchKeepsNoImages(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	imgs, _ := testImages(91, 3)
+	imgs[2].Pixels = imgs[2].Pixels[:len(imgs[2].Pixels)-1]
+	if resp, body := post(t, ts.URL+"/v1/batch", batchBody(t, imgs)); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("batch with a short image = %d (%s), want 400", resp.StatusCode, body)
+	}
+	rq := takeRequest(s.requests)
+	if cap(rq.imgs) < 2 {
+		t.Fatalf("the next record has room for %d images; want the refused batch's record, which held 2", cap(rq.imgs))
+	}
+	for i, img := range rq.imgs[:cap(rq.imgs)] {
+		if img.Pixels != nil {
+			t.Errorf("the next record still holds image %d's %d pixels", i, len(img.Pixels))
+		}
+	}
+}
