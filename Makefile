@@ -25,8 +25,10 @@ vet:
 # reads the flight ring request goroutines write), and the one-class
 # SVMs every scoring goroutine reads (built complete before they are
 # shared) — under the race detector. Then two lifetime sets run 20
-# more times, as CI runs them: the gateway's request-body tests (a
-# buffer recycled only after its last transport reader closes) and
+# more times, as CI runs them: the gateway's request-record tests (a
+# record recycled only after its last transport reader closes, each
+# client answered from its own record, and forward header maps never
+# written once the transport has them) and
 # dvserve's pixel, record and result tests (a request record and its
 # decoded pixels recycled only after every verdict of the request
 # arrives, never on the 504 or client-gone path, a gone client's
@@ -34,7 +36,7 @@ vet:
 # verdict's per-layer row in storage their slots own).
 race:
 	$(GO) test -race -timeout 45m ./internal/nn ./internal/svm ./internal/core ./internal/experiment ./internal/telemetry ./internal/serve ./internal/gateway ./internal/hunt ./internal/obs ./internal/trace .
-	$(GO) test -race -count=20 -run 'TestBodyRefCount|TestEarlyAnswerBodyIntact|TestRetryOnReplica500' ./internal/gateway
+	$(GO) test -race -count=20 -run 'TestBodyRefCount|TestEarlyAnswerBodyIntact|TestRetryOnReplica500|TestForwardHeadersImmutable|TestRecordsCarryTheirOwnAnswers' ./internal/gateway
 	$(GO) test -race -count=20 -run 'TestDeadlinePixelsNotRecycled|TestOverlappingBatchesReusePixels|TestServeEquivalenceConcurrent|TestBatcherSweepsQueueBehindBusyWorker|TestBatchRecordsInMemberOrder|TestClientGoneNotScored|TestExpiredRecordsNotReused|TestFlightEntriesKeepTheirRows|TestFlightSnapshotOwnsRows|TestEventSnapshotOwnsRows|TestRejectedBatchKeepsNoImages' ./internal/serve ./internal/trace ./internal/obs
 
 # smoke runs the end-to-end checks against real processes: the

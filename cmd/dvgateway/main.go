@@ -101,7 +101,7 @@ func run() error {
 
 		maxInflight = flag.Int("max-inflight", 64, "per-replica in-flight request cap; beyond it routing falls to the least-loaded replica, then sheds 429")
 		maxBody     = flag.Int64("max-body", 8<<20, "request body byte cap (413 beyond)")
-		proxyTO     = flag.Duration("proxy-timeout", 30*time.Second, "forwarded request deadline")
+		proxyTO     = flag.Duration("proxy-timeout", 30*time.Second, "one deadline for a proxied request's whole route, retries included")
 		retryAfter  = flag.Duration("retry-after", time.Second, "Retry-After hint on gateway-origin 429/503 and unlabeled replica backpressure")
 		maxRetries  = flag.Int("max-retries", 1, "re-route attempts per request after connect failure or replica 500/502")
 		budgetRatio = flag.Float64("retry-budget", 0.1, "retry-budget earn rate: tokens per successful request (bounds retry amplification)")

@@ -63,7 +63,7 @@ func (g *Gateway) handleFleet(w http.ResponseWriter, r *http.Request) {
 				row.Fetch = TierUnreachable
 				row.FetchError = err.Error()
 			} else {
-				row.Readyz = body
+				row.Readyz = &body
 			}
 			rows[i] = row
 		}(i, rep)

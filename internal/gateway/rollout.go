@@ -225,7 +225,7 @@ func (g *Gateway) reloadAndVerify(r *replica, target string) error {
 			// Feed the fresh identity into the replica's status so
 			// /admin/replicas reflects the converged fleet immediately.
 			ok := body.Status == "ready"
-			g.observe(r, ok, body, "")
+			g.observe(r, ok, &body, "")
 			return nil
 		}
 		if attempt >= g.cfg.RolloutVerifyAttempts {

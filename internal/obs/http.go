@@ -27,6 +27,16 @@ type ErrorResponse struct {
 // []string Set would allocate per response; net/http only reads it.
 var jsonContentType = []string{"application/json"}
 
+// SetContentType sets h's Content-Type to v, to the shared
+// jsonContentType slice when v is its value.
+func SetContentType(h http.Header, v string) {
+	if v == jsonContentType[0] {
+		h["Content-Type"] = jsonContentType
+		return
+	}
+	h.Set("Content-Type", v)
+}
+
 // WriteJSON answers status with body encoded as JSON.
 func WriteJSON(w http.ResponseWriter, status int, body any) {
 	w.Header()["Content-Type"] = jsonContentType
