@@ -3,10 +3,13 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"math/rand"
+	"net/http"
+	"strings"
 	"testing"
 
 	"deepvalidation"
@@ -310,6 +313,46 @@ func TestDecodeAllocBudget(t *testing.T) {
 		t.Logf("%s: %.0f allocations per decode", tc.name, allocs)
 		if allocs > tc.budget {
 			t.Errorf("%s: %.0f allocations per decode, budget %.0f", tc.name, allocs, tc.budget)
+		}
+	}
+}
+
+// failReader fails the test that reads it.
+type failReader struct{ t *testing.T }
+
+func (f failReader) Read([]byte) (int, error) {
+	f.t.Fatal("a body declared over the cap was read")
+	return 0, io.EOF
+}
+
+// TestReadLimitedSizing pins ReadLimited's buffers: a declared length
+// gets a new buffer of its sizeClass, which a somewhat longer body then
+// reuses; an undeclared length starts at 513 bytes; nothing exceeds
+// limit+1; and a length declared over the cap fails without a read.
+func TestReadLimitedSizing(t *testing.T) {
+	const limit = 1 << 20
+	first, err := ReadLimited(strings.NewReader(strings.Repeat("a", 400_000)), 400_000, limit, nil)
+	if err != nil || len(first) != 400_000 || cap(first) != 448<<10 {
+		t.Fatalf("declared 400,000: len %d cap %d (%v), want cap %d", len(first), cap(first), err, 448<<10)
+	}
+	second, err := ReadLimited(strings.NewReader(strings.Repeat("b", 430_000)), 430_000, limit, first)
+	if err != nil || len(second) != 430_000 || &second[0] != &first[0] {
+		t.Fatalf("declared 430,000 into a 448 KiB buffer: len %d cap %d (%v), want the same array", len(second), cap(second), err)
+	}
+	if got, err := ReadLimited(strings.NewReader("x"), -1, limit, nil); err != nil || cap(got) != 513 {
+		t.Fatalf("undeclared: cap %d (%v), want 513", cap(got), err)
+	}
+	if got, err := ReadLimited(strings.NewReader(strings.Repeat("c", 1000)), 1000, 1000, nil); err != nil || cap(got) != 1001 {
+		t.Fatalf("declared at a 1,000-byte cap: cap %d (%v), want 1001", cap(got), err)
+	}
+	_, err = ReadLimited(failReader{t}, limit+1, limit, nil)
+	var mbe *http.MaxBytesError
+	if !errors.As(err, &mbe) {
+		t.Fatalf("declared over the cap: %v, want an *http.MaxBytesError", err)
+	}
+	for _, c := range []struct{ n, want int64 }{{1, 512}, {512, 512}, {513, 640}, {640, 640}, {641, 768}, {1 << 20, 1 << 20}, {1<<20 + 1, 1<<20 + 1<<18}} {
+		if got := sizeClass(c.n); got != c.want {
+			t.Errorf("sizeClass(%d) = %d, want %d", c.n, got, c.want)
 		}
 	}
 }
