@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"sort"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"deepvalidation/internal/dataset"
 	"deepvalidation/internal/nn"
@@ -103,18 +105,15 @@ func TestFitDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestCollectFeaturesMatchesReference pins the arena-backed collection
-// pass against the allocating reference — nn.ForwardTapped plus Reduce
-// per sample — bit for bit: the same kept indices in input order and
-// the same feature values at every worker count.
+// TestCollectFeaturesMatchesReference pins the arena-backed, block-
+// backed collection pass against the allocating reference —
+// nn.ForwardTapped plus Reduce per sample — bit for bit: the same kept
+// indices in input order and the same feature values at every worker
+// count. The sample counts straddle the run boundaries, and one input
+// has a whole run of misclassified samples, which must get no block.
+// Every row must be a full-capacity view that overlaps no other.
 func TestCollectFeaturesMatchesReference(t *testing.T) {
-	net, xs, trueYs := trainedDigitsModel(t)
-	// The fixture model classifies its whole training set correctly, so
-	// relabel every seventh sample to exercise the drop path too.
-	ys := append([]int(nil), trueYs...)
-	for i := 0; i < len(ys); i += 7 {
-		ys[i] = (ys[i] + 1) % net.Classes
-	}
+	net, xs, _ := trainedDigitsModel(t)
 	layers := make([]int, net.NumLayers()-1)
 	for i := range layers {
 		layers[i] = i
@@ -124,45 +123,88 @@ func TestCollectFeaturesMatchesReference(t *testing.T) {
 	for p, l := range layers {
 		reducers[p] = fitReducer(tapShapes[l], 64)
 	}
-
-	var wantKept []int
-	wantFeats := make([][][]float64, len(layers))
+	// The reference features and prediction of every sample; a case
+	// keeps sample i exactly when its label is preds[i].
+	preds := make([]int, len(xs))
+	ref := make([][][]float64, len(xs))
 	for i, x := range xs {
 		probs, taps := net.ForwardTapped(x)
-		if probs.ArgMax() != ys[i] {
-			continue
-		}
-		wantKept = append(wantKept, i)
+		preds[i] = probs.ArgMax()
 		for p, l := range layers {
-			wantFeats[p] = append(wantFeats[p], reducers[p].Reduce(taps[l]))
+			ref[i] = append(ref[i], reducers[p].Reduce(taps[l]))
 		}
-	}
-	if len(wantKept) == 0 || len(wantKept) == len(xs) {
-		t.Fatalf("fixture keeps %d of %d samples; the test needs both kept and dropped ones", len(wantKept), len(xs))
 	}
 
-	for _, workers := range []int{1, 2, 4} {
-		kept, feats := collectFeatures(net, xs, ys, layers, reducers, workers, nil, nil)
-		if len(kept) != len(wantKept) {
-			t.Fatalf("workers=%d: kept %d samples, reference kept %d", workers, len(kept), len(wantKept))
-		}
-		for j := range kept {
-			if kept[j] != wantKept[j] {
-				t.Fatalf("workers=%d: kept[%d] = %d, reference %d", workers, j, kept[j], wantKept[j])
+	// Each case relabels some samples away from the prediction to
+	// exercise the drop path.
+	every7th := func(i int) bool { return i%7 == 3 }
+	cases := []struct {
+		name string
+		n    int
+		drop func(i int) bool
+	}{
+		{"all", len(xs), every7th},
+		{"one", 1, every7th},
+		{"block-1", featureBlock - 1, every7th},
+		{"block", featureBlock, every7th},
+		{"block+1", featureBlock + 1, every7th},
+		{"dropped-run", 3 * featureBlock, func(i int) bool { return i/featureBlock == 1 || every7th(i) }},
+	}
+	for _, c := range cases {
+		ys := make([]int, c.n)
+		var wantKept []int
+		for i := range ys {
+			ys[i] = preds[i]
+			if c.drop(i) {
+				ys[i] = (preds[i] + 1) % net.Classes
+			} else {
+				wantKept = append(wantKept, i)
 			}
 		}
-		for p := range layers {
-			for j := range kept {
-				got, want := feats[p][j], wantFeats[p][j]
-				if len(got) != len(want) || cap(got) != len(got) {
-					t.Fatalf("workers=%d: layer %d sample %d: len %d cap %d, reference len %d",
-						workers, layers[p], kept[j], len(got), cap(got), len(want))
+		if len(wantKept) == 0 || len(wantKept) == c.n && c.n > 1 {
+			t.Fatalf("%s: case keeps %d of %d samples; it needs kept and, past one sample, dropped ones",
+				c.name, len(wantKept), c.n)
+		}
+		for _, workers := range []int{1, 2, 4} {
+			feats := collectFeatures(net, xs[:c.n], ys, layers, reducers, workers, nil, nil)
+			kept := feats.kept
+			if len(kept) != len(wantKept) {
+				t.Fatalf("%s workers=%d: kept %d samples, reference kept %d", c.name, workers, len(kept), len(wantKept))
+			}
+			for b, blk := range feats.blocks {
+				lo, hi := b*featureBlock, min((b+1)*featureBlock, c.n)
+				i := sort.SearchInts(wantKept, lo)
+				if keeps := i < len(wantKept) && wantKept[i] < hi; keeps != (blk != nil) {
+					t.Fatalf("%s workers=%d: run %d keeps a sample: %v, has a block: %v",
+						c.name, workers, b, keeps, blk != nil)
 				}
-				for d := range want {
-					if math.Float64bits(got[d]) != math.Float64bits(want[d]) {
-						t.Fatalf("workers=%d: layer %d sample %d feature %d = %v, reference %v",
-							workers, layers[p], kept[j], d, got[d], want[d])
+			}
+			type span struct{ lo, hi uintptr }
+			var spans []span
+			for j := range kept {
+				if kept[j] != wantKept[j] {
+					t.Fatalf("%s workers=%d: kept[%d] = %d, reference %d", c.name, workers, j, kept[j], wantKept[j])
+				}
+				for p := range layers {
+					got, want := feats.row(p, j), ref[kept[j]][p]
+					if len(got) != len(want) || cap(got) != len(got) {
+						t.Fatalf("%s workers=%d: layer %d sample %d: len %d cap %d, reference len %d",
+							c.name, workers, layers[p], kept[j], len(got), cap(got), len(want))
 					}
+					for d := range want {
+						if math.Float64bits(got[d]) != math.Float64bits(want[d]) {
+							t.Fatalf("%s workers=%d: layer %d sample %d feature %d = %v, reference %v",
+								c.name, workers, layers[p], kept[j], d, got[d], want[d])
+						}
+					}
+					lo := uintptr(unsafe.Pointer(unsafe.SliceData(got)))
+					spans = append(spans, span{lo, lo + uintptr(len(got))*8})
+				}
+			}
+			sort.Slice(spans, func(a, b int) bool { return spans[a].lo < spans[b].lo })
+			for i := 1; i < len(spans); i++ {
+				if spans[i].lo < spans[i-1].hi {
+					t.Fatalf("%s workers=%d: two kept rows overlap in memory", c.name, workers)
 				}
 			}
 		}

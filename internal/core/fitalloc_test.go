@@ -16,24 +16,33 @@ import (
 // 64+64+32+32+24+24 = 240 features; 10 classes × 25 samples feed each
 // of the 60 SVMs, which keep 294 support vectors in all.
 //
-//	kept × feature row   400 × (2,048 B for 240 floats, the size
-//	                     class measured below, + 6 × 24 B of
-//	                     per-layer row headers)       =   876,800 B
+//	kept × feature row   400 × 240 floats × 8 B       =   768,000 B
+//	block rounding       the rows of one run of 64
+//	                     samples share a block; the 6
+//	                     full blocks (122,880 B) are
+//	                     whole pages, the last run's
+//	                     16 rows (30,720 B) round up to
+//	                     the 32 KiB size class         =     2,048 B
 //	returned model       per SVM the struct, and per support vector
 //	                     its row header, Dim floats and α
 //	                                                  ≈   114,300 B
 //	slack                                             =    98,304 B
 //
-// The collection workers' forward arenas (327,488 B each) are not in
-// the budget: the network has fitted before, so its free list hands
-// them out and Fit builds none. At Workers 1 and 2 that is 1,089,424 B
-// against about 1,057,700 and 1,058,800 measured. The slack covers what is
-// not kept: the per-class index lists (~22 KB), the drift snapshot's
-// buffers (~17 KB), the sample index slices (~22 KB), one solver
-// workspace per worker (25 × 25 × 8 B + α and gradient ≈ 6 KB) and
-// size-class rounding. Solving each (layer, class) SVM on its own
-// l×l matrix instead costs 60 × (25 rows of 208 B + their headers)
-// ≈ 350 KB per Fit; a second copy of the support vectors costs
+// The block term is measured below, as each run's block size class
+// less the exact rows; a sample dropped after its run's first kept one
+// would add its unused row to it (this fixture drops none). The
+// collection workers' forward arenas (327,488 B each) are not in the
+// budget: the network has fitted before, so its free list hands them
+// out and Fit builds none. At Workers 1 and 2 that is 982,672 B against
+// about 926,100 and 927,200 measured. The slack covers what is not
+// kept: the drift snapshot's buffers (~17 KB), the kept and per-class
+// index slices and the class subsamples (~9 KB), one solver workspace
+// per worker (25 × 25 × 8 B + α and gradient ≈ 6 KB) and the
+// per-layer bookkeeping. A heap object per kept row instead costs
+// 400 × (2,048 B size class − 1,920 B + 6 × 24 B of per-layer row
+// headers) = 108,800 B; solving each (layer, class) SVM on its own
+// l×l matrix costs 60 × (25 rows of 208 B + their headers) ≈ 350 KB
+// per Fit; a second copy of the support vectors costs
 // 8 B × Σ nsv·Dim = 96,512 B; building one arena per worker per Fit
 // costs 327,488 B each. Any one breaks the budget.
 func TestFitAllocatesWhatItKeeps(t *testing.T) {
@@ -67,15 +76,20 @@ func TestFitAllocatesWhatItKeeps(t *testing.T) {
 		for _, row := range v.SVMs {
 			dims += row[0].Dim
 		}
-		row := bytesAllocated(func() { rowSink = make([]float64, dims) })
-		rows := kept * (row + len(v.LayerIdx)*int(unsafe.Sizeof([]float64(nil))))
+		rows := kept * dims * 8
+		blocks := 0
+		for lo := 0; lo < len(xs); lo += featureBlock {
+			n := min(featureBlock, len(xs)-lo) * dims
+			blocks += bytesAllocated(func() { rowSink = make([]float64, n) })
+		}
+		rounding := blocks - rows
 		model := modelBytes(v)
-		budget := rows + model + slack
-		t.Logf("workers=%d: Fit allocated %d B; budget %d = rows %d + model %d + slack %d",
-			workers, got, budget, rows, model, slack)
+		budget := rows + rounding + model + slack
+		t.Logf("workers=%d: Fit allocated %d B; budget %d = rows %d + block rounding %d + model %d + slack %d",
+			workers, got, budget, rows, rounding, model, slack)
 		if got >= budget {
-			t.Errorf("workers=%d: a warm Fit allocates %d B, budget %d (rows %d + model %d + slack %d)",
-				workers, got, budget, rows, model, slack)
+			t.Errorf("workers=%d: a warm Fit allocates %d B, budget %d (rows %d + block rounding %d + model %d + slack %d)",
+				workers, got, budget, rows, rounding, model, slack)
 		}
 	}
 }

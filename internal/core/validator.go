@@ -247,21 +247,28 @@ func Fit(net *nn.Network, trainX []*tensor.Tensor, trainY []int, cfg Config) (*V
 	}
 
 	collectSpan := telemetry.StartSpan(fitCollect)
-	kept, feats := collectFeatures(net, trainX, trainY, layers, reducers, workers, fitForward, fitReduce)
+	feats := collectFeatures(net, trainX, trainY, layers, reducers, workers, fitForward, fitReduce)
 	collectSpan.End()
-	keptLabels := make([]int, len(kept))
-	for j, idx := range kept {
-		keptLabels[j] = trainY[idx]
-	}
-	if len(keptLabels) == 0 {
+	kept := feats.kept
+	if len(kept) == 0 {
 		return nil, fmt.Errorf("core: model misclassifies every training sample; nothing to fit")
 	}
-	reg.Counter(MetricFitKept).Add(int64(len(keptLabels)))
+	reg.Counter(MetricFitKept).Add(int64(len(kept)))
 
-	// Group sample indices by class and subsample deterministically.
-	byClass := make([][]int, net.Classes)
-	for i, y := range keptLabels {
-		byClass[y] = append(byClass[y], i)
+	// Group the kept indices by class, every class a full-capacity slice
+	// of one array, and subsample deterministically. A kept sample's
+	// label is its prediction, so it lies in [0, Classes).
+	counts := make([]int, net.Classes)
+	for _, idx := range kept {
+		counts[trainY[idx]]++
+	}
+	byClass, all := make([][]int, net.Classes), make([]int, len(kept))
+	for k, off := 0, 0; k < net.Classes; k++ {
+		byClass[k] = all[off : off : off+counts[k]]
+		off += counts[k]
+	}
+	for j, idx := range kept {
+		byClass[trainY[idx]] = append(byClass[trainY[idx]], j)
 	}
 	for k := range byClass {
 		if len(byClass[k]) == 0 {
@@ -285,7 +292,7 @@ func Fit(net *nn.Network, trainX []*tensor.Tensor, trainY []int, cfg Config) (*V
 	// One gamma per layer, shared by all its class SVMs.
 	gammas := make([]float64, len(layers))
 	for p := range layers {
-		gammas[p] = pooledScaleGamma(feats[p])
+		gammas[p] = feats.pooledScaleGamma(p)
 	}
 
 	// Fan the (layer, class) fits across a worker pool; each fit is
@@ -312,7 +319,7 @@ func Fit(net *nn.Network, trainX []*tensor.Tensor, trainY []int, cfg Config) (*V
 				oneSpan := telemetry.StartSpan(fitSVMOne)
 				data = data[:0]
 				for _, i := range byClass[j.k] {
-					data = append(data, feats[j.p][i])
+					data = append(data, feats.row(j.p, i))
 				}
 				m, err := ws.Train(data, svm.Config{Nu: cfg.Nu, Gamma: gammas[j.p]})
 				oneSpan.End()
@@ -347,61 +354,99 @@ func Fit(net *nn.Network, trainX []*tensor.Tensor, trainY []int, cfg Config) (*V
 	return v, nil
 }
 
+// featureBlock is the length of the runs of consecutive samples the
+// collection workers claim: the kept samples of one run share one row
+// block, so a fit allocates one object per run rather than per sample.
+const featureBlock = 64
+
+// featureRows is collectFeatures' result: kept sample j's reduced
+// features at every layer position, back to back in one row of
+// bounds[len(bounds)-1] floats. The rows of run b's kept samples (input
+// indices [b·featureBlock, (b+1)·featureBlock)) lie in input order in
+// blocks[b], which is nil when the run kept none.
+type featureRows struct {
+	kept   []int       // the kept sample indices, in input order
+	bounds []int       // layer position p of a row is row[bounds[p]:bounds[p+1]]
+	blocks [][]float64 // one per run
+	first  []int       // first[b] is the kept index of blocks[b]'s first row
+}
+
+// row returns kept sample j's layer-position-p features, a view with
+// full capacity so that no row can grow into its neighbour.
+func (f *featureRows) row(p, j int) []float64 {
+	b := f.kept[j] / featureBlock
+	o := (j - f.first[b]) * f.bounds[len(f.bounds)-1]
+	lo, hi := o+f.bounds[p], o+f.bounds[p+1]
+	return f.blocks[b][lo:hi:hi]
+}
+
 // collectFeatures is Algorithm 1 line 2: it keeps only the correctly
 // classified samples and reduces their hidden representations at the
-// given layers, one tapped forward pass per sample. It returns the kept
-// sample indices in input order and feats[p][j], the layer-position-p
-// features of sample kept[j]. The passes fan across a pool of workers
-// (≥ 1) and merge in input order, so the result is independent of the
-// worker count.
+// given layers, one tapped forward pass per sample. The workers (≥ 1)
+// claim runs of featureBlock consecutive samples, and each run's kept
+// rows go into one block sized for the rest of the run at its first
+// kept sample, so a run's samples dropped after that one leave their
+// rows unused. The result is indexed by position in input order, so it
+// is independent of the worker count.
 //
 // Each worker runs its passes on an arena from the network's free list,
 // held for the whole collection and handed back when it ends, so a
 // network that has fitted before builds none. Taps alias arena memory
-// until the worker's next pass; the reduction copies them out into one
-// buffer per kept sample, which the per-layer feature rows slice with
-// full capacity so no row can grow into its neighbour.
-// Every sample must share xs[0]'s shape (Fit checks this), so each
-// reducer fills its slot of the buffer in place. fwd and reduce, when
-// non-nil, time each sample's pass and reduction.
+// until the worker's next pass; the reduction copies them out into the
+// sample's row. Every sample must share xs[0]'s shape (Fit checks
+// this), so each reducer fills its slot of the row in place. fwd and
+// reduce, when non-nil, time each sample's pass and reduction.
 func collectFeatures(net *nn.Network, xs []*tensor.Tensor, ys []int, layers []int, reducers []FeatureReducer,
-	workers int, fwd, reduce *telemetry.Histogram) (kept []int, feats [][][]float64) {
+	workers int, fwd, reduce *telemetry.Histogram) *featureRows {
 	tapShapes := net.TapShapes(xs[0].Shape)
-	bounds := make([]int, len(layers)+1) // layer position p of a sample is buf[bounds[p]:bounds[p+1]]
+	bounds := make([]int, len(layers)+1)
 	for p, l := range layers {
 		bounds[p+1] = bounds[p] + reducers[p].OutDim(tapShapes[l])
 	}
+	dim := bounds[len(layers)]
 
 	instrumented := fwd != nil || reduce != nil
+	runs := (len(xs) + featureBlock - 1) / featureBlock
 	arenas := make([]*nn.Scratch, workers)
-	bufs := make([][]float64, len(xs)) // nil for misclassified samples
-	forEachIndex(len(xs), workers, func(w, idx int) {
+	blocks := make([][]float64, runs)
+	counts := make([]int, runs)
+	keep := make([]bool, len(xs))
+	forEachIndex(runs, workers, func(w, b int) {
 		if arenas[w] == nil {
 			arenas[w] = net.GetScratch()
 		}
-		var t0 time.Time
-		if instrumented {
-			t0 = time.Now()
+		var blk []float64
+		end := min((b+1)*featureBlock, len(xs))
+		for idx := b * featureBlock; idx < end; idx++ {
+			var t0 time.Time
+			if instrumented {
+				t0 = time.Now()
+			}
+			probs, taps := net.ForwardTappedScratch(xs[idx], arenas[w])
+			if instrumented {
+				fwd.ObserveSince(t0)
+			}
+			if probs.ArgMax() != ys[idx] {
+				continue
+			}
+			if instrumented {
+				t0 = time.Now()
+			}
+			if blk == nil {
+				blk = make([]float64, (end-idx)*dim)
+			}
+			o := counts[b] * dim
+			for p, l := range layers {
+				lo, hi := o+bounds[p], o+bounds[p+1]
+				reducers[p].ReduceInto(blk[lo:hi:hi], taps[l])
+			}
+			if instrumented {
+				reduce.ObserveSince(t0)
+			}
+			counts[b]++
+			keep[idx] = true
 		}
-		probs, taps := net.ForwardTappedScratch(xs[idx], arenas[w])
-		if instrumented {
-			fwd.ObserveSince(t0)
-		}
-		if probs.ArgMax() != ys[idx] {
-			return
-		}
-		if instrumented {
-			t0 = time.Now()
-		}
-		buf := make([]float64, bounds[len(layers)])
-		for p, l := range layers {
-			a, b := bounds[p], bounds[p+1]
-			reducers[p].ReduceInto(buf[a:b:b], taps[l])
-		}
-		if instrumented {
-			reduce.ObserveSince(t0)
-		}
-		bufs[idx] = buf
+		blocks[b] = blk
 	})
 	for _, sc := range arenas {
 		if sc != nil {
@@ -409,20 +454,18 @@ func collectFeatures(net *nn.Network, xs []*tensor.Tensor, ys []int, layers []in
 		}
 	}
 
-	for idx, buf := range bufs {
-		if buf != nil {
+	first, n := make([]int, runs), 0
+	for b, c := range counts {
+		first[b] = n
+		n += c
+	}
+	kept := make([]int, 0, n)
+	for idx, k := range keep {
+		if k {
 			kept = append(kept, idx)
 		}
 	}
-	feats = make([][][]float64, len(layers))
-	for p := range layers {
-		a, b := bounds[p], bounds[p+1]
-		feats[p] = make([][]float64, len(kept))
-		for j, idx := range kept {
-			feats[p][j] = bufs[idx][a:b:b]
-		}
-	}
-	return kept, feats
+	return &featureRows{kept: kept, bounds: bounds, blocks: blocks, first: first}
 }
 
 // DefaultDriftProbs are the quantile probabilities of the fit-time
@@ -438,7 +481,7 @@ var DefaultDriftProbs = []float64{0.05, 0.25, 0.5, 0.75, 0.95}
 // order is fixed (class-major over the deterministic subsample) and
 // the values are sorted before taking exact quantiles, so the
 // reference is bit-identical at any worker count.
-func (v *Validator) snapshotDrift(feats [][][]float64, byClass [][]int, workers int) {
+func (v *Validator) snapshotDrift(feats *featureRows, byClass [][]int, workers int) {
 	quantiles := make([][]float64, len(v.LayerIdx))
 	ok := true
 	var mu sync.Mutex
@@ -457,7 +500,7 @@ func (v *Validator) snapshotDrift(feats [][][]float64, byClass [][]int, workers 
 			// scalar Decision, just without the per-call overhead.
 			rows = rows[:0]
 			for _, i := range byClass[k] {
-				rows = append(rows, feats[p][i])
+				rows = append(rows, feats.row(p, i))
 			}
 			v.SVMs[p][k].DecisionBatchInto(dec[:len(rows)], rows)
 			for _, f := range dec[:len(rows)] {
@@ -506,14 +549,14 @@ func stride(idx []int, max int) []int {
 	return out
 }
 
-// pooledScaleGamma computes the scikit-learn "scale" bandwidth over a
-// whole layer's features (all classes pooled), so every SVM in the
-// layer shares it.
-func pooledScaleGamma(rows [][]float64) float64 {
+// pooledScaleGamma computes the scikit-learn "scale" bandwidth over
+// layer position p's features of every kept sample (all classes
+// pooled), so every SVM in the layer shares it.
+func (f *featureRows) pooledScaleGamma(p int) float64 {
 	n := 0
 	mean := 0.0
-	for _, row := range rows {
-		for _, v := range row {
+	for j := range f.kept {
+		for _, v := range f.row(p, j) {
 			mean += v
 			n++
 		}
@@ -523,8 +566,8 @@ func pooledScaleGamma(rows [][]float64) float64 {
 	}
 	mean /= float64(n)
 	variance := 0.0
-	for _, row := range rows {
-		for _, v := range row {
+	for j := range f.kept {
+		for _, v := range f.row(p, j) {
 			variance += (v - mean) * (v - mean)
 		}
 	}
@@ -532,7 +575,7 @@ func pooledScaleGamma(rows [][]float64) float64 {
 	if variance < 1e-12 {
 		variance = 1e-12
 	}
-	return 1 / (float64(len(rows[0])) * variance)
+	return 1 / (float64(f.bounds[p+1]-f.bounds[p]) * variance)
 }
 
 // Clone returns a shallow copy sharing the fitted components (SVMs,

@@ -258,5 +258,5 @@ func ByName(name string, cfg Config) (*Dataset, error) {
 	}
 }
 
-// Names lists the available dataset names.
+// Names lists the available dataset names, in paper order.
 func Names() []string { return []string{"digits", "objects", "streetdigits"} }

@@ -266,8 +266,9 @@ func (l *Lab) build(s *Scenario) error {
 	return nil
 }
 
-// ScenarioNames lists the three evaluation scenarios in paper order.
-func ScenarioNames() []string { return []string{"digits", "objects", "streetdigits"} }
+// ScenarioNames lists the three evaluation scenarios in paper order:
+// the datasets dataset.ByName builds.
+func ScenarioNames() []string { return dataset.Names() }
 
 // seedRNG derives the seed-selection stream for a scenario.
 func seedRNG(name string) *rand.Rand {
