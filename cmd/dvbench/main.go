@@ -32,13 +32,11 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
-	"time"
 
 	"deepvalidation/internal/core"
 	"deepvalidation/internal/experiment"
 	"deepvalidation/internal/hunt"
 	"deepvalidation/internal/obs"
-	"deepvalidation/internal/telemetry"
 )
 
 func main() {
@@ -59,12 +57,8 @@ func run() error {
 		huntDir  = flag.String("hunt", "", "dvhunt corpus directory: append its escape-rate table (e.g. testdata/escapes)")
 		workers  = flag.Int("workers", 0, "scoring/fitting worker bound (0 = GOMAXPROCS, 1 = sequential; results are identical)")
 		quiet    = flag.Bool("quiet", false, "suppress progress logging")
-		telFlag  = flag.Bool("telemetry", false, "print a telemetry summary after the experiments")
-
-		addr   = flag.String("metrics-addr", "", `serve /metrics, /debug/vars, and /debug/pprof on this address (e.g. ":9090" or "127.0.0.1:0"; empty disables)`)
-		linger = flag.Duration("metrics-linger", 0, "keep the metrics endpoint serving this long after the run finishes (for scrapers)")
 	)
-	logOpts := obs.AddLogFlags(flag.CommandLine)
+	of := obs.AddOfflineFlags(flag.CommandLine)
 	flag.Parse()
 
 	// Every argument is checked before the first experiment trains, so
@@ -95,36 +89,16 @@ func run() error {
 		}
 	}
 
-	var reg *telemetry.Registry
-	if *telFlag || *addr != "" {
-		reg = telemetry.New()
-	}
-	events, err := logOpts.Build(reg)
+	op, err := of.Open(map[string]string{"component": "dvbench"}, core.TelemetrySummary)
 	if err != nil {
 		return err
 	}
-	defer func() { _ = events.Close() }()
-	if *addr != "" {
-		bound, stop, err := telemetry.Serve(*addr, reg)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "metrics: serving /metrics, /debug/vars, and /debug/pprof/ on http://%s\n", bound)
-		defer func() {
-			if *linger > 0 {
-				fmt.Fprintf(os.Stderr, "metrics: lingering %v before shutdown\n", *linger)
-				time.Sleep(*linger)
-			}
-			_ = stop()
-		}()
-	}
-	if *telFlag {
-		defer func() { core.TelemetrySummary(os.Stdout, reg.Snapshot()) }()
-	}
+	defer op.Close()
+	events := op.Events
 
 	lab := experiment.NewLab(sc, *cacheDir)
 	lab.Workers = *workers
-	lab.Telemetry = reg
+	lab.Telemetry = op.Registry
 	if !*quiet {
 		lab.Log = os.Stderr
 	}

@@ -52,7 +52,6 @@ import (
 
 	"deepvalidation/internal/gateway"
 	"deepvalidation/internal/obs"
-	"deepvalidation/internal/telemetry"
 )
 
 func main() {
@@ -89,8 +88,7 @@ func run() error {
 		return nil
 	})
 	var (
-		addr        = flag.String("addr", ":8080", `gateway address (e.g. ":8080" or "127.0.0.1:0")`)
-		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /debug/vars, and /debug/pprof on this address (empty disables)")
+		addr = flag.String("addr", ":8080", `gateway address (e.g. ":8080" or "127.0.0.1:0")`)
 
 		probeInterval = flag.Duration("probe-interval", time.Second, "replica /readyz probe cadence (jittered)")
 		probeTimeout  = flag.Duration("probe-timeout", 2*time.Second, "one probe's deadline")
@@ -108,41 +106,20 @@ func run() error {
 
 		reloadRetries = flag.Int("rollout-reload-retries", 3, "per-replica /v1/reload attempts during a rollout before it halts")
 
-		traceSample = flag.Float64("trace-sample", 0, "gateway hop-span trace head-sampling rate in [0,1]; 0 disables tracing (X-DV-Trace-Id headers are always traced when > 0)")
-		traceStore  = flag.Int("trace-store", 256, "retained gateway traces for /debug/dv/trace/{id}")
-
-		sloOn       = flag.Bool("slo", false, "evaluate gateway SLO burn rates (/debug/dv/slo, dv_slo_* metrics, breach events)")
-		sloAvail    = flag.Float64("slo-availability", 0.999, "availability objective: goal fraction of requests not shed at capacity or refused unroutable")
 		sloPassGoal = flag.Float64("slo-passthrough-goal", 0.99, "passthrough objective: goal fraction of requests not answered with relayed replica 429/503 backpressure")
 		sloBGGoal   = flag.Float64("slo-bad-gateway-goal", 0.999, "bad-gateway objective: goal fraction of requests not answered 502 (or a relayed replica 500/502)")
-		sloLatTgt   = flag.Duration("slo-latency-target", 250*time.Millisecond, "route-latency objective target, end to end through the gateway")
-		sloLatGoal  = flag.Float64("slo-latency-goal", 0.99, "route-latency objective: goal fraction of routed requests under -slo-latency-target")
-		sloInterval = flag.Duration("slo-interval", 0, "burn-rate evaluation cadence (0: the engine default)")
-		sloBurn     = flag.Float64("slo-burn", 0, "burn-rate breach threshold sustained on every window (0: the engine default 14.4)")
 	)
-	logOpts := obs.AddLogFlags(flag.CommandLine)
+	of := obs.AddServerFlags(flag.CommandLine)
 	flag.Parse()
 	if len(replicas) == 0 {
 		return errors.New("need at least one -replica addr[=validatorPath]")
 	}
 
-	var reg *telemetry.Registry
-	if *metricsAddr != "" || *sloOn {
-		// The SLO engine differences the dv_gw_* instruments, so -slo
-		// forces a registry even without a metrics listener.
-		reg = telemetry.New()
-	}
-	events, err := logOpts.Build(reg)
+	op, err := of.Open(map[string]string{"component": "dvgateway"})
 	if err != nil {
 		return err
 	}
-	defer func() { _ = events.Close() }()
-	var rt *obs.Runtime
-	if reg != nil {
-		rt = obs.NewRuntime(reg, map[string]string{"component": "dvgateway"})
-		rt.Start(0)
-		defer rt.Stop()
-	}
+	defer op.Close()
 
 	gw, err := gateway.New(gateway.Config{
 		Replicas:          replicas,
@@ -159,19 +136,12 @@ func run() error {
 		MaxRetries:        *maxRetries,
 		RetryBudgetRatio:  *budgetRatio,
 		ReloadRetries:     *reloadRetries,
-		Registry:          reg,
-		Events:            events,
-		TraceSample:       *traceSample,
-		TraceStore:        *traceStore,
+		Registry:          op.Registry,
+		Events:            op.Events,
+		TraceSample:       of.TraceSample,
+		TraceStore:        of.TraceStore,
 		SLO: gateway.SLOOptions{
-			SLOOptions: obs.SLOOptions{
-				Enabled:       *sloOn,
-				Availability:  *sloAvail,
-				LatencyTarget: *sloLatTgt,
-				LatencyGoal:   *sloLatGoal,
-				Interval:      *sloInterval,
-				Burn:          *sloBurn,
-			},
+			SLOOptions:      of.SLO,
 			PassthroughGoal: *sloPassGoal,
 			BadGatewayGoal:  *sloBGGoal,
 		},
@@ -184,13 +154,8 @@ func run() error {
 	// rollout preconditions reflect reality from the first request.
 	gw.ProbeAll()
 
-	if *metricsAddr != "" {
-		bound, stopMetrics, err := telemetry.Serve(*metricsAddr, reg)
-		if err != nil {
-			return err
-		}
-		defer func() { _ = stopMetrics() }()
-		fmt.Fprintf(os.Stderr, "metrics: serving /metrics, /debug/vars, and /debug/pprof/ on http://%s\n", bound)
+	if err := op.ServeMetrics(); err != nil {
+		return err
 	}
 
 	ln, err := net.Listen("tcp", *addr)
@@ -202,7 +167,7 @@ func run() error {
 	go func() { errc <- hs.Serve(ln) }()
 	fmt.Fprintf(os.Stderr, "dvgateway: serving /v1/check, /v1/batch, /admin/rollout, /admin/replicas, /healthz, /readyz, /debug/dv/{trace,fleet,flight,events,slo} on http://%s\n", ln.Addr())
 	fmt.Fprintf(os.Stderr, "dvgateway: ready (%d replicas, %d in rotation, probe-interval %v, drain-after %d, max-inflight %d, trace-sample %g, slo %v)\n",
-		len(replicas), gw.InRotation(), *probeInterval, *drainAfter, *maxInflight, *traceSample, *sloOn)
+		len(replicas), gw.InRotation(), *probeInterval, *drainAfter, *maxInflight, of.TraceSample, of.SLO.Enabled)
 
 	sigs := make(chan os.Signal, 2)
 	signal.Notify(sigs, syscall.SIGINT, syscall.SIGTERM)

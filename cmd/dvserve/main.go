@@ -55,7 +55,6 @@ import (
 	"deepvalidation"
 	"deepvalidation/internal/obs"
 	"deepvalidation/internal/serve"
-	"deepvalidation/internal/telemetry"
 )
 
 func main() {
@@ -79,7 +78,6 @@ func run() error {
 		valPath     = flag.String("validator", "validator.gob", "fitted validator path")
 		eps         = flag.Float64("eps", 0, "detection threshold ε (see dvvalidate score); carried across reloads")
 		addr        = flag.String("addr", ":8080", `serving address (e.g. ":8080" or "127.0.0.1:0")`)
-		metricsAddr = flag.String("metrics-addr", "", `serve /metrics, /debug/vars, and /debug/pprof on this address (empty disables)`)
 		maxBatch    = flag.Int("max-batch", 32, "micro-batch size cap")
 		queueDepth  = flag.Int("queue-depth", 256, "admission queue bound; beyond it requests shed with 429")
 		dispatchers = flag.Int("dispatch-workers", 2, "concurrent micro-batch dispatches")
@@ -93,21 +91,13 @@ func run() error {
 		reloadCap   = flag.Duration("reload-backoff-cap", 10*time.Second, "SIGHUP reload backoff ceiling")
 		reloadMax   = flag.Int("reload-max-failures", 3, "consecutive reload failures before /readyz reports degraded")
 
-		traceSample = flag.Float64("trace-sample", 0, "per-verdict trace head-sampling rate in [0,1]; 0 disables tracing (X-DV-Trace-Id headers are always traced when > 0)")
-		traceStore  = flag.Int("trace-store", 256, "retained sampled traces for /debug/dv/trace/{id}")
 		flightSize  = flag.Int("flight", 256, "flight recorder size for /debug/dv/flight (0 disables)")
 		driftWindow = flag.Int("drift-window", 512, "drift-watch sliding window over accepted verdicts (0 disables)")
 		driftThresh = flag.Float64("drift-threshold", 0.5, "per-layer quantile-shift score that raises dv_drift_alarm")
 
-		sloOn       = flag.Bool("slo", false, "evaluate SLO burn rates (/debug/dv/slo, dv_slo_* metrics, breach events)")
-		sloAvail    = flag.Float64("slo-availability", 0.999, "availability objective: goal fraction of requests not shed or expired")
-		sloLatTgt   = flag.Duration("slo-latency-target", 250*time.Millisecond, "latency objective target for /v1/check")
-		sloLatGoal  = flag.Float64("slo-latency-goal", 0.99, "latency objective: goal fraction of checks under -slo-latency-target")
 		sloQuarGoal = flag.Float64("slo-quarantine-goal", 0.999, "quarantine objective: goal fraction of verdicts not quarantined")
-		sloInterval = flag.Duration("slo-interval", 0, "burn-rate evaluation cadence (0: the engine default)")
-		sloBurn     = flag.Float64("slo-burn", 0, "burn-rate breach threshold sustained on every window (0: the engine default 14.4)")
 	)
-	logOpts := obs.AddLogFlags(flag.CommandLine)
+	of := obs.AddServerFlags(flag.CommandLine)
 	flag.Parse()
 
 	load := func() (*deepvalidation.Detector, error) {
@@ -125,17 +115,16 @@ func run() error {
 	det.SetEpsilon(*eps)
 	handle := deepvalidation.NewHandle(det)
 
-	var reg *telemetry.Registry
-	if *metricsAddr != "" || *sloOn {
-		// The SLO engine differences counters out of the registry, so
-		// enabling it forces collection even without a metrics listener.
-		reg = telemetry.New()
-	}
-	events, err := logOpts.Build(reg)
+	// The runtime collector publishes the one dv_build_info series that
+	// serve.New also sets from the checksums Load verified; the server
+	// moves it to the new checksums on each reload.
+	m, v := det.ArtifactSHAs()
+	op, err := of.Open(map[string]string{"model_sha256": m, "validator_sha256": v})
 	if err != nil {
 		return err
 	}
-	defer func() { _ = events.Close() }()
+	defer op.Close()
+	events := op.Events
 
 	// On the flags, 0 means "off"; in serve.Config, negative disables
 	// and 0 means "default".
@@ -155,52 +144,27 @@ func run() error {
 		RequestTimeout: *reqTimeout,
 		RetryAfter:     *retryAfter,
 		Loader:         load,
-		Registry:       reg,
+		Registry:       op.Registry,
 
 		ReloadRetries:     *reloadRetry,
 		ReloadBackoff:     *reloadBack,
 		ReloadBackoffCap:  *reloadCap,
 		ReloadMaxFailures: *reloadMax,
 
-		TraceSample:    *traceSample,
-		TraceStore:     *traceStore,
+		TraceSample:    of.TraceSample,
+		TraceStore:     of.TraceStore,
 		FlightSize:     flight,
 		DriftWindow:    drift,
 		DriftThreshold: *driftThresh,
 
 		Events: events,
-		SLO: serve.SLOOptions{
-			SLOOptions: obs.SLOOptions{
-				Enabled:       *sloOn,
-				Availability:  *sloAvail,
-				LatencyTarget: *sloLatTgt,
-				LatencyGoal:   *sloLatGoal,
-				Interval:      *sloInterval,
-				Burn:          *sloBurn,
-			},
-			QuarantineGoal: *sloQuarGoal,
-		},
+		SLO:    serve.SLOOptions{SLOOptions: of.SLO, QuarantineGoal: *sloQuarGoal},
 	})
 	if err != nil {
 		return err
 	}
-	// The runtime collector publishes dv_runtime_* and re-publishes the
-	// one dv_build_info series serve.New set from the checksums Load
-	// verified; the server moves it to the new checksums on each reload.
-	if reg != nil {
-		m, v := srv.ArtifactSHAs()
-		rt := obs.NewRuntime(reg, map[string]string{"model_sha256": m, "validator_sha256": v})
-		rt.Start(0)
-		defer rt.Stop()
-	}
-
-	if *metricsAddr != "" {
-		bound, stopMetrics, err := telemetry.Serve(*metricsAddr, reg)
-		if err != nil {
-			return err
-		}
-		defer func() { _ = stopMetrics() }()
-		fmt.Fprintf(os.Stderr, "metrics: serving /metrics, /debug/vars, and /debug/pprof/ on http://%s\n", bound)
+	if err := op.ServeMetrics(); err != nil {
+		return err
 	}
 
 	ln, err := net.Listen("tcp", *addr)
@@ -212,7 +176,7 @@ func run() error {
 	go func() { errc <- hs.Serve(ln) }()
 	fmt.Fprintf(os.Stderr, "dvserve: serving /v1/check, /v1/batch, /v1/reload, /healthz, /readyz, /admin/drain, /debug/dv/{trace,flight,drift,events,slo} on http://%s\n", ln.Addr())
 	fmt.Fprintf(os.Stderr, "dvserve: ready (eps %.4f, max-batch %d, queue-depth %d, dispatch-workers %d, trace-sample %g, drift %s)\n",
-		det.Epsilon(), *maxBatch, *queueDepth, *dispatchers, *traceSample, driftMode(srv))
+		det.Epsilon(), *maxBatch, *queueDepth, *dispatchers, of.TraceSample, driftMode(srv))
 
 	sigs := make(chan os.Signal, 2)
 	signal.Notify(sigs, syscall.SIGINT, syscall.SIGTERM, syscall.SIGHUP)

@@ -17,7 +17,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"deepvalidation"
 	"deepvalidation/internal/core"
@@ -26,61 +25,8 @@ import (
 	"deepvalidation/internal/metrics"
 	"deepvalidation/internal/nn"
 	"deepvalidation/internal/obs"
-	"deepvalidation/internal/telemetry"
 	"deepvalidation/internal/tensor"
 )
-
-// telemetryFlags is the observability flag set both subcommands share.
-type telemetryFlags struct {
-	summary *bool
-	addr    *string
-	linger  *time.Duration
-}
-
-func addTelemetryFlags(fs *flag.FlagSet) telemetryFlags {
-	return telemetryFlags{
-		summary: fs.Bool("telemetry", false, "print a telemetry summary on exit"),
-		addr:    fs.String("metrics-addr", "", `serve /metrics, /debug/vars, and /debug/pprof on this address (e.g. ":9090" or "127.0.0.1:0"; empty disables)`),
-		linger:  fs.Duration("metrics-linger", 0, "keep the metrics endpoint serving this long after the run finishes (for scrapers)"),
-	}
-}
-
-// registry returns the run's metrics registry, nil when observability
-// is fully disabled (nil adds no overhead to the hot paths).
-func (t telemetryFlags) registry() *telemetry.Registry {
-	if !*t.summary && *t.addr == "" {
-		return nil
-	}
-	return telemetry.New()
-}
-
-// serve starts the metrics endpoint when -metrics-addr is set,
-// printing the bound address (so ":0" runs are scrapable), and returns
-// a finish func that lingers and shuts down.
-func (t telemetryFlags) serve(reg *telemetry.Registry) (finish func(), err error) {
-	if *t.addr == "" {
-		return func() {}, nil
-	}
-	bound, stop, err := telemetry.Serve(*t.addr, reg)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(os.Stderr, "metrics: serving /metrics, /debug/vars, and /debug/pprof/ on http://%s\n", bound)
-	return func() {
-		if *t.linger > 0 {
-			fmt.Fprintf(os.Stderr, "metrics: lingering %v before shutdown\n", *t.linger)
-			time.Sleep(*t.linger)
-		}
-		_ = stop()
-	}, nil
-}
-
-// report prints the summary table when -telemetry is set.
-func (t telemetryFlags) report(reg *telemetry.Registry) {
-	if *t.summary && reg != nil {
-		core.TelemetrySummary(os.Stdout, reg.Snapshot())
-	}
-}
 
 func main() {
 	if len(os.Args) < 2 {
@@ -117,24 +63,17 @@ func runFit(args []string) error {
 		workers   = fs.Int("workers", 0, "fitting worker bound (0 = GOMAXPROCS, 1 = sequential; the fitted validator is identical)")
 		drift     = fs.Bool("drift", true, "persist the per-layer discrepancy quantile reference dvserve's drift watch compares against")
 		out       = fs.String("out", "validator.gob", "output validator path")
-		tf        = addTelemetryFlags(fs)
 	)
-	logOpts := obs.AddLogFlags(fs)
+	of := obs.AddOfflineFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	reg := tf.registry()
-	events, err := logOpts.Build(reg)
+	op, err := of.Open(map[string]string{"component": "dvvalidate"}, core.TelemetrySummary)
 	if err != nil {
 		return err
 	}
-	defer func() { _ = events.Close() }()
-	finish, err := tf.serve(reg)
-	if err != nil {
-		return err
-	}
-	defer finish()
-	defer tf.report(reg)
+	defer op.Close()
+	reg, events := op.Registry, op.Events
 
 	net, err := nn.Load(*modelPath)
 	if err != nil {
@@ -192,24 +131,17 @@ func runScore(args []string) error {
 		fpr       = fs.Float64("fpr", 0.05, "false positive rate budget for ε calibration")
 		rotate    = fs.Float64("rotate", 40, "rotation angle for the demonstration corner cases")
 		workers   = fs.Int("workers", 0, "scoring worker bound (0 = GOMAXPROCS, 1 = sequential; verdicts are identical)")
-		tf        = addTelemetryFlags(fs)
 	)
-	logOpts := obs.AddLogFlags(fs)
+	of := obs.AddOfflineFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	reg := tf.registry()
-	events, err := logOpts.Build(reg)
+	op, err := of.Open(map[string]string{"component": "dvvalidate"}, core.TelemetrySummary)
 	if err != nil {
 		return err
 	}
-	defer func() { _ = events.Close() }()
-	finish, err := tf.serve(reg)
-	if err != nil {
-		return err
-	}
-	defer finish()
-	defer tf.report(reg)
+	defer op.Close()
+	reg, events := op.Registry, op.Events
 
 	det, err := deepvalidation.Load(*modelPath, *valPath)
 	if err != nil {

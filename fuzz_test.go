@@ -40,7 +40,7 @@ func FuzzImageValidate(f *testing.F) {
 	f.Add(-1, 8, 8, make([]byte, 64))      // negative dimension
 	f.Add(0, 0, 0, []byte{})               // all-zero dimensions
 	f.Add(1, 8, 8, make([]byte, 10))       // count mismatch
-	f.Add(1<<31, 1<<31, 4, make([]byte, 16))
+	f.Add(math.MaxInt32, math.MaxInt32, 4, make([]byte, 16))
 	f.Add(math.MaxInt, math.MaxInt, math.MaxInt, []byte{}) // overflow bait
 	f.Fuzz(func(t *testing.T, c, h, w int, data []byte) {
 		im := Image{Channels: c, Height: h, Width: w, Pixels: pixelsFromBytes(data)}

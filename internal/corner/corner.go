@@ -142,22 +142,12 @@ func Generate(net *nn.Network, seeds []*tensor.Tensor, labels []int, family stri
 	return g
 }
 
-// SCC returns the successful corner cases (misclassified) and FCC the
-// failed ones, the split of Section IV-D1.
+// SCC returns the successful corner cases (misclassified); the rest
+// are the failed ones (FCC, still classified correctly), the split of
+// Section IV-D1.
 func (g Generated) SCC() (imgs []*tensor.Tensor, seedLabels []int) {
 	for i, img := range g.Images {
 		if g.Preds[i] != g.SeedLabels[i] {
-			imgs = append(imgs, img)
-			seedLabels = append(seedLabels, g.SeedLabels[i])
-		}
-	}
-	return imgs, seedLabels
-}
-
-// FCC returns the failed corner cases (still classified correctly).
-func (g Generated) FCC() (imgs []*tensor.Tensor, seedLabels []int) {
-	for i, img := range g.Images {
-		if g.Preds[i] == g.SeedLabels[i] {
 			imgs = append(imgs, img)
 			seedLabels = append(seedLabels, g.SeedLabels[i])
 		}

@@ -118,14 +118,37 @@ func TestGenerateIdentityHasZeroSuccess(t *testing.T) {
 	if len(g.Images) != 30 || len(g.Preds) != 30 || len(g.Confs) != 30 {
 		t.Fatal("output arity mismatch")
 	}
-	scc, _ := g.SCC()
-	fcc, fccLabels := g.FCC()
-	if len(scc) != 0 || len(fcc) != 30 {
-		t.Fatalf("SCC/FCC split %d/%d, want 0/30", len(scc), len(fcc))
+	if scc, fcc := checkSplit(t, g); scc != 0 || fcc != 30 {
+		t.Fatalf("SCC/FCC split %d/%d, want 0/30", scc, fcc)
 	}
-	if len(fccLabels) != 30 {
-		t.Fatal("FCC labels missing")
+}
+
+// checkSplit checks that SCC returns exactly the misclassified images,
+// in order and with their seed labels, and returns the SCC and FCC
+// (still correctly classified) counts.
+func checkSplit(t *testing.T, g Generated) (scc, fcc int) {
+	t.Helper()
+	if len(g.SeedLabels) != len(g.Images) {
+		t.Fatalf("%d seed labels for %d images", len(g.SeedLabels), len(g.Images))
 	}
+	imgs, labels := g.SCC()
+	if len(imgs) != len(labels) {
+		t.Fatal("SCC labels mismatch")
+	}
+	for i, img := range g.Images {
+		if g.Preds[i] == g.SeedLabels[i] {
+			fcc++
+			continue
+		}
+		if scc >= len(imgs) || imgs[scc] != img || labels[scc] != g.SeedLabels[i] {
+			t.Fatalf("SCC entry %d is not misclassified image %d", scc, i)
+		}
+		scc++
+	}
+	if scc != len(imgs) {
+		t.Fatalf("SCC returned %d images, %d are misclassified", len(imgs), scc)
+	}
+	return scc, fcc
 }
 
 func TestGenerateComplementBreaksToyModel(t *testing.T) {
@@ -134,17 +157,13 @@ func TestGenerateComplementBreaksToyModel(t *testing.T) {
 	net := toyNet(t)
 	xs, ys := seeds(t, 30)
 	g := Generate(net, xs, ys, "complement", imgtrans.Complement{})
-	scc, sccLabels := g.SCC()
-	fcc, _ := g.FCC()
-	if len(scc)+len(fcc) != 30 {
-		t.Fatalf("SCC+FCC = %d, want 30", len(scc)+len(fcc))
+	scc, fcc := checkSplit(t, g)
+	if scc+fcc != 30 {
+		t.Fatalf("SCC+FCC = %d, want 30", scc+fcc)
 	}
-	if len(scc) != len(sccLabels) {
-		t.Fatal("SCC labels mismatch")
-	}
-	wantRate := float64(len(scc)) / 30
+	wantRate := float64(scc) / 30
 	if g.SuccessRate != wantRate {
-		t.Fatalf("success rate %v inconsistent with SCC count %d", g.SuccessRate, len(scc))
+		t.Fatalf("success rate %v inconsistent with SCC count %d", g.SuccessRate, scc)
 	}
 }
 

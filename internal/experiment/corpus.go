@@ -23,22 +23,12 @@ type CornerSet struct {
 	MeanWrongConf float64
 }
 
-// SCC returns the successful corner cases (misclassified seeds).
+// SCC returns the successful corner cases (misclassified seeds); the
+// rest of Images are the failed ones (FCC).
 func (c CornerSet) SCC() []*tensor.Tensor {
 	var out []*tensor.Tensor
 	for i, img := range c.Images {
 		if c.Preds[i] != c.SeedLabels[i] {
-			out = append(out, img)
-		}
-	}
-	return out
-}
-
-// FCC returns the failed corner cases.
-func (c CornerSet) FCC() []*tensor.Tensor {
-	var out []*tensor.Tensor
-	for i, img := range c.Images {
-		if c.Preds[i] == c.SeedLabels[i] {
 			out = append(out, img)
 		}
 	}

@@ -119,7 +119,13 @@ func TestCorpusStructure(t *testing.T) {
 		if set.SuccessRate < 0.3 {
 			t.Fatalf("%s kept with success %v", set.Family, set.SuccessRate)
 		}
-		if got := len(set.SCC()) + len(set.FCC()); got != len(set.Images) {
+		fcc := 0
+		for i := range set.Images {
+			if set.Preds[i] == set.SeedLabels[i] {
+				fcc++
+			}
+		}
+		if got := len(set.SCC()) + fcc; got != len(set.Images) {
 			t.Fatalf("%s SCC+FCC = %d, want %d", set.Family, got, len(set.Images))
 		}
 		total += len(set.Images)

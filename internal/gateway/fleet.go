@@ -46,9 +46,7 @@ type FleetResponse struct {
 // handleFleet fans one /readyz fetch out to every configured replica
 // concurrently and merges the results with the gateway's own view.
 func (g *Gateway) handleFleet(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		obs.WriteError(w, http.StatusMethodNotAllowed, "use GET")
+	if !obs.AllowMethod(w, r, http.MethodGet) {
 		return
 	}
 	rows := make([]FleetReplica, len(g.replicas))
@@ -106,9 +104,7 @@ type FleetFlightResponse struct {
 // newest-first. The merged set honors ?limit=; each replica fetch also
 // carries it, so no replica ships more than the client can receive.
 func (g *Gateway) handleFleetFlight(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		obs.WriteError(w, http.StatusMethodNotAllowed, "use GET")
+	if !obs.AllowMethod(w, r, http.MethodGet) {
 		return
 	}
 	q := r.URL.Query()

@@ -48,7 +48,6 @@ import (
 	"deepvalidation/internal/obs"
 	"deepvalidation/internal/serve"
 	"deepvalidation/internal/telemetry"
-	"deepvalidation/internal/trace"
 )
 
 // Metric names for the gateway instruments (dv_gw_ prefix). Per-replica
@@ -263,9 +262,6 @@ func (c *Config) defaults() {
 	if c.RolloutVerifyDelay <= 0 {
 		c.RolloutVerifyDelay = 50 * time.Millisecond
 	}
-	if c.TraceStore <= 0 {
-		c.TraceStore = 256
-	}
 	c.SLO.Defaults()
 	c.SLO.PassthroughGoal = obs.Goal(c.SLO.PassthroughGoal, 0.99)
 	c.SLO.BadGatewayGoal = obs.Goal(c.SLO.BadGatewayGoal, 0.999)
@@ -332,14 +328,12 @@ type Gateway struct {
 	rolloutMu sync.Mutex // one rollout at a time
 	events    *obs.Logger
 
-	sampler *trace.Sampler
-	traces  *trace.Store
-	// recent is a bounded ring of route outcomes (trace ID, outcome,
-	// latency) kept solely so SLO breach events can cross-link the
-	// offending trace IDs; it is not an endpoint of its own — the
-	// gateway's /debug/dv/flight aggregates the replicas' recorders.
-	recent *trace.Flight
-	slo    *obs.Engine
+	// plane holds the hop-span sampler and store and the SLO engine.
+	// Its Recent ring of route outcomes (trace ID, outcome, latency) is
+	// kept solely so SLO breach events can cross-link the offending
+	// trace IDs; it is not an endpoint of its own — the gateway's
+	// /debug/dv/flight aggregates the replicas' recorders.
+	plane obs.Plane
 
 	reqCheck        *telemetry.Counter
 	reqBatch        *telemetry.Counter
@@ -416,13 +410,6 @@ func New(cfg Config) (*Gateway, error) {
 		latPassthrough: reg.Histogram(telemetry.Label(MetricRouteLatency, "outcome", outcomePassthrough), telemetry.DefLatencyBuckets),
 		latBadGateway:  reg.Histogram(telemetry.Label(MetricRouteLatency, "outcome", outcomeBadGateway), telemetry.DefLatencyBuckets),
 	}
-	if cfg.TraceSample > 0 {
-		g.sampler = trace.NewSampler(cfg.TraceSample)
-		g.traces = trace.NewStore(cfg.TraceStore)
-	}
-	if g.traces != nil || cfg.SLO.Enabled {
-		g.recent = trace.NewFlight(recentOutcomes)
-	}
 	seen := make(map[string]bool, len(cfg.Replicas))
 	for _, spec := range cfg.Replicas {
 		if spec.Addr == "" {
@@ -457,8 +444,20 @@ func New(cfg Config) (*Gateway, error) {
 			inflightGauge: reg.Gauge(telemetry.Label(MetricInflight, "replica", name)),
 		})
 	}
-	g.buildSLO()
-	g.slo.Start()
+	recent := 0 // the ring only serves traced or SLO-evaluated gateways
+	if cfg.TraceSample > 0 || cfg.SLO.Enabled {
+		recent = recentOutcomes
+	}
+	g.plane = obs.NewPlane(obs.PlaneConfig{
+		TraceSample: cfg.TraceSample,
+		TraceStore:  cfg.TraceStore,
+		Recent:      recent,
+		Registry:    reg,
+		Events:      cfg.Events,
+		SLO:         cfg.SLO.SLOOptions,
+		Objectives:  g.objectives,
+	})
+	g.plane.SLO.Start()
 	if cfg.ProbeInterval > 0 {
 		for _, r := range g.replicas {
 			g.wg.Add(1)
@@ -476,7 +475,7 @@ func New(cfg Config) (*Gateway, error) {
 func (g *Gateway) Close() {
 	g.closeOnce.Do(func() {
 		close(g.stop)
-		g.slo.Stop()
+		g.plane.SLO.Stop()
 		g.events.Emit(obs.Event{Type: obs.TypeLifecycle, Level: obs.LevelInfo, Msg: "gateway closing"})
 	})
 	g.wg.Wait()

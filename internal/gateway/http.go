@@ -38,12 +38,7 @@ func (g *Gateway) Handler() http.Handler {
 	mux.HandleFunc("/debug/dv/trace/", g.handleTrace)
 	mux.HandleFunc("/debug/dv/fleet", g.handleFleet)
 	mux.HandleFunc("/debug/dv/flight", g.handleFleetFlight)
-	mux.HandleFunc("/debug/dv/events", func(w http.ResponseWriter, r *http.Request) {
-		obs.HandleEvents(g.events, w, r)
-	})
-	mux.HandleFunc("/debug/dv/slo", func(w http.ResponseWriter, r *http.Request) {
-		obs.HandleSLO(g.slo, w, r)
-	})
+	g.plane.Mount(mux)
 	return mux
 }
 
@@ -103,9 +98,7 @@ type replicasResponse struct {
 }
 
 func (g *Gateway) handleReplicas(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		obs.WriteError(w, http.StatusMethodNotAllowed, "use GET")
+	if !obs.AllowMethod(w, r, http.MethodGet) {
 		return
 	}
 	obs.WriteJSON(w, http.StatusOK, replicasResponse{

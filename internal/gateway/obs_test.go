@@ -550,6 +550,31 @@ func TestGatewayReadyzQuietTail(t *testing.T) {
 	}
 }
 
+// rawReply is one bodyless request's answer: status, Allow header and
+// body bytes.
+type rawReply struct {
+	status      int
+	allow, body string
+}
+
+func doRaw(t *testing.T, method, url string) rawReply {
+	t.Helper()
+	req, err := http.NewRequest(method, url, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rawReply{resp.StatusCode, resp.Header.Get("Allow"), string(raw)}
+}
+
 // TestDebugHandlersBothTiers pins the shared observability plane: a
 // replica and the gateway mount the same obs handlers on
 // /debug/dv/slo and /debug/dv/events, so with SLOs and events off and
@@ -558,63 +583,42 @@ func TestGatewayReadyzQuietTail(t *testing.T) {
 // enabled GET /debug/dv/slo, which lists each tier's own objectives;
 // there the shared header fields must agree.
 func TestDebugHandlersBothTiers(t *testing.T) {
-	type reply struct {
-		status      int
-		allow, body string
-	}
-	do := func(t *testing.T, method, url string) reply {
-		t.Helper()
-		req, err := http.NewRequest(method, url, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		raw, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return reply{resp.StatusCode, resp.Header.Get("Allow"), string(raw)}
-	}
 	cases := []struct {
 		method, path string
-		want         map[bool]reply // keyed by plane on; absent: tier-specific
+		want         map[bool]rawReply // keyed by plane on; absent: tier-specific
 	}{
-		{"GET", "/debug/dv/slo", map[bool]reply{false: {200, "", `{"enabled":false,"breaching":false}` + "\n"}}},
-		{"POST", "/debug/dv/slo", map[bool]reply{
+		{"GET", "/debug/dv/slo", map[bool]rawReply{false: {200, "", `{"enabled":false,"breaching":false}` + "\n"}}},
+		{"POST", "/debug/dv/slo", map[bool]rawReply{
 			false: {405, "GET", `{"error":"use GET"}` + "\n"},
 			true:  {405, "GET", `{"error":"use GET"}` + "\n"},
 		}},
-		{"GET", "/debug/dv/events?type=no_such_type", map[bool]reply{
+		{"GET", "/debug/dv/events?type=no_such_type", map[bool]rawReply{
 			false: {404, "", `{"error":"event log disabled (run with -log)"}` + "\n"},
 			true:  {200, "", `{"count":0,"events":[]}` + "\n"},
 		}},
-		{"GET", "/debug/dv/events?level=bogus", map[bool]reply{
+		{"GET", "/debug/dv/events?level=bogus", map[bool]rawReply{
 			false: {404, "", `{"error":"event log disabled (run with -log)"}` + "\n"},
 			true:  {400, "", `{"error":"bad level filter: obs: unknown level \"bogus\" (want debug, info, warn or error)"}` + "\n"},
 		}},
 		// The shared triage axes answer the flight recorder's 400 texts,
 		// and ?level= is checked before them.
-		{"GET", "/debug/dv/events?valid=maybe", map[bool]reply{
+		{"GET", "/debug/dv/events?valid=maybe", map[bool]rawReply{
 			false: {404, "", `{"error":"event log disabled (run with -log)"}` + "\n"},
 			true:  {400, "", `{"error":"bad valid filter: strconv.ParseBool: parsing \"maybe\": invalid syntax"}` + "\n"},
 		}},
-		{"GET", "/debug/dv/events?class=x", map[bool]reply{
+		{"GET", "/debug/dv/events?class=x", map[bool]rawReply{
 			false: {404, "", `{"error":"event log disabled (run with -log)"}` + "\n"},
 			true:  {400, "", `{"error":"bad class filter: strconv.Atoi: parsing \"x\": invalid syntax"}` + "\n"},
 		}},
-		{"GET", "/debug/dv/events?limit=many", map[bool]reply{
+		{"GET", "/debug/dv/events?limit=many", map[bool]rawReply{
 			false: {404, "", `{"error":"event log disabled (run with -log)"}` + "\n"},
 			true:  {400, "", `{"error":"bad limit: strconv.Atoi: parsing \"many\": invalid syntax"}` + "\n"},
 		}},
-		{"GET", "/debug/dv/events?valid=maybe&level=bogus", map[bool]reply{
+		{"GET", "/debug/dv/events?valid=maybe&level=bogus", map[bool]rawReply{
 			false: {404, "", `{"error":"event log disabled (run with -log)"}` + "\n"},
 			true:  {400, "", `{"error":"bad level filter: obs: unknown level \"bogus\" (want debug, info, warn or error)"}` + "\n"},
 		}},
-		{"POST", "/debug/dv/events", map[bool]reply{
+		{"POST", "/debug/dv/events", map[bool]rawReply{
 			false: {405, "GET", `{"error":"use GET"}` + "\n"},
 			true:  {405, "GET", `{"error":"use GET"}` + "\n"},
 		}},
@@ -640,8 +644,8 @@ func TestDebugHandlersBothTiers(t *testing.T) {
 				{"gateway", gwServer(t, g).URL},
 			}
 			for _, tc := range cases {
-				replica := do(t, tc.method, tiers[0].url+tc.path)
-				gateway := do(t, tc.method, tiers[1].url+tc.path)
+				replica := doRaw(t, tc.method, tiers[0].url+tc.path)
+				gateway := doRaw(t, tc.method, tiers[1].url+tc.path)
 				if want, ok := tc.want[on]; ok {
 					if replica != want || gateway != want {
 						t.Fatalf("%s %s:\ndvserve: %+v\ngateway: %+v\nwant:    %+v", tc.method, tc.path, replica, gateway, want)
@@ -662,5 +666,59 @@ func TestDebugHandlersBothTiers(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestWrongMethodEveryGuardedRoute sends the wrong method to every
+// method-guarded route of both tiers: each answers 405 with an Allow
+// header naming the one method it takes and the body "use METHOD". A
+// wrong-method /v1/check or /v1/batch still counts as a request on
+// both tiers and, on dvserve, in the endpoint's latency histogram; the
+// gateway's route-latency histograms only see routed requests.
+func TestWrongMethodEveryGuardedRoute(t *testing.T) {
+	serveReg := telemetry.New()
+	g, procs, gwReg := newFleet(t, 1, nil, func(c *serve.Config) { c.Registry = serveReg })
+	tiers := []struct {
+		name, url string
+		routes    map[string]string // path → the method it takes
+	}{
+		{"dvserve", "http://" + procs[0].addr, map[string]string{
+			"/v1/check": "POST", "/v1/batch": "POST", "/v1/reload": "POST", "/admin/drain": "POST",
+			"/debug/dv/trace/abc": "GET", "/debug/dv/flight": "GET", "/debug/dv/drift": "GET",
+			"/debug/dv/events": "GET", "/debug/dv/slo": "GET",
+		}},
+		{"gateway", gwServer(t, g).URL, map[string]string{
+			"/v1/check": "POST", "/v1/batch": "POST", "/admin/rollout": "POST", "/admin/replicas": "GET",
+			"/debug/dv/trace/abc": "GET", "/debug/dv/fleet": "GET", "/debug/dv/flight": "GET",
+			"/debug/dv/events": "GET", "/debug/dv/slo": "GET",
+		}},
+	}
+	for _, tier := range tiers {
+		for path, method := range tier.routes {
+			wrong := map[string][]string{"GET": {"POST", "PUT"}, "POST": {"GET", "DELETE"}}[method]
+			for _, m := range wrong {
+				want := rawReply{405, method, `{"error":"use ` + method + `"}` + "\n"}
+				if got := doRaw(t, m, tier.url+path); got != want {
+					t.Errorf("%s %s %s = %+v, want %+v", tier.name, m, path, got, want)
+				}
+			}
+		}
+	}
+	ss, gs := serveReg.Snapshot(), gwReg.Snapshot()
+	for _, ep := range []string{"check", "batch"} {
+		if n := ss.Counters[telemetry.Label(serve.MetricRequests, "endpoint", ep)]; n != 2 {
+			t.Errorf("dvserve %s requests = %d, want 2", ep, n)
+		}
+		if n := ss.Histograms[telemetry.Label(serve.MetricRequestLatency, "endpoint", ep)].Count; n != 2 {
+			t.Errorf("dvserve %s latency observations = %d, want 2", ep, n)
+		}
+		if n := gs.Counters[telemetry.Label(MetricRequests, "endpoint", ep)]; n != 2 {
+			t.Errorf("gateway %s requests = %d, want 2", ep, n)
+		}
+	}
+	for name, h := range gs.Histograms {
+		if strings.HasPrefix(name, MetricRouteLatency) && h.Count != 0 {
+			t.Errorf("gateway %s = %d observations, want 0 (no request was routed)", name, h.Count)
+		}
 	}
 }

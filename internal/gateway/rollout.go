@@ -309,9 +309,7 @@ func shortSHA(sha string) string {
 
 // handleRollout is POST /admin/rollout.
 func (g *Gateway) handleRollout(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		obs.WriteError(w, http.StatusMethodNotAllowed, "use POST")
+	if !obs.AllowMethod(w, r, http.MethodPost) {
 		return
 	}
 	var req RolloutRequest

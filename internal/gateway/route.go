@@ -346,13 +346,11 @@ func (g *Gateway) route(ctx context.Context, key uint64, endpoint, query, conten
 // the per-outcome latency histograms, the SLO cross-link ring, and —
 // when the request is traced — the gateway's hop-span store.
 func (g *Gateway) proxy(endpoint string, w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		obs.WriteError(w, http.StatusMethodNotAllowed, "use POST")
+	if !obs.AllowMethod(w, r, http.MethodPost) {
 		return
 	}
 	t0 := time.Now()
-	id, traced := g.sampler.Decide(r.Header.Get(trace.HeaderTraceID))
+	id, traced := g.plane.Sampler.Decide(r.Header.Get(trace.HeaderTraceID))
 	if id != "" {
 		// Echo the gateway's trace identity on every response — success
 		// or error — so any request seen while tracing is on can be

@@ -24,18 +24,16 @@ type SLOOptions struct {
 	BadGatewayGoal float64
 }
 
-// buildSLO assembles the burn-rate engine over the gateway objectives.
-// All sources difference monotone counters/histograms the route path
-// already maintains, so evaluation costs nothing on the hot path;
-// breach evidence comes from the outcome ring. With tracing on, every
-// cited ID resolves on the gateway's own /debug/dv/trace/{id}.
-func (g *Gateway) buildSLO() {
+// objectives declares the gateway objectives the plane's burn-rate
+// engine evaluates. All sources difference monotone counters and
+// histograms the route path already maintains, so evaluation costs
+// nothing on the hot path; breach evidence comes from the outcome
+// ring. With tracing on, every cited ID resolves on the gateway's own
+// /debug/dv/trace/{id}.
+func (g *Gateway) objectives() []obs.Objective {
 	o := g.cfg.SLO
-	if !o.Enabled || g.cfg.Registry == nil {
-		return
-	}
 	target := o.LatencyTarget.Seconds()
-	objectives := []obs.Objective{
+	return []obs.Objective{
 		{
 			Name:        "availability",
 			Description: fmt.Sprintf("fraction of requests routed without gateway-origin shedding (goal %g)", o.Availability),
@@ -82,24 +80,15 @@ func (g *Gateway) buildSLO() {
 			SlowerThan: target,
 		},
 	}
-	g.slo = obs.NewEngine(obs.SLOConfig{
-		Objectives: objectives,
-		Windows:    o.Windows,
-		Interval:   o.Interval,
-		Burn:       o.Burn,
-		Registry:   g.cfg.Registry,
-		Events:     g.events,
-		Recent:     g.recent,
-	})
 }
 
 // SLOStatus returns the gateway SLO engine's last evaluation (Enabled
 // false when the engine is off).
 func (g *Gateway) SLOStatus() obs.Status {
-	return g.slo.Status()
+	return g.plane.SLO.Status()
 }
 
 // SLOTick forces one synchronous SLO evaluation — the deterministic
 // hook tests and smoke drivers use instead of waiting out the engine's
 // interval. Nil-safe when the engine is disabled.
-func (g *Gateway) SLOTick() { g.slo.Tick() }
+func (g *Gateway) SLOTick() { g.plane.SLO.Tick() }

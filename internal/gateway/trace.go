@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"time"
 
 	"deepvalidation/internal/obs"
@@ -56,8 +55,8 @@ func (g *Gateway) finishProxy(endpoint, id string, traced bool, t0, admissionEnd
 	end := time.Now()
 	lat := end.Sub(t0)
 	g.observeRouteLatency(res.outcome, lat.Seconds())
-	if g.recent != nil {
-		g.recent.Record(trace.Entry{
+	if g.plane.Recent != nil {
+		g.plane.Recent.Record(trace.Entry{
 			TimeNs:     end.UnixNano(),
 			TraceID:    id,
 			Endpoint:   endpoint,
@@ -65,7 +64,7 @@ func (g *Gateway) finishProxy(endpoint, id string, traced bool, t0, admissionEnd
 			LatencySec: lat.Seconds(),
 		})
 	}
-	if !traced || g.traces == nil || id == "" {
+	if !traced || g.plane.Traces == nil || id == "" {
 		return
 	}
 	root := trace.NewSpan("gateway", t0, end)
@@ -95,7 +94,7 @@ func (g *Gateway) finishProxy(endpoint, id string, traced bool, t0, admissionEnd
 			us.SetAttr("status", h.status)
 		}
 	}
-	g.traces.Add(&trace.Trace{ID: id, Endpoint: endpoint, Root: root})
+	g.plane.Traces.Add(&trace.Trace{ID: id, Endpoint: endpoint, Root: root})
 }
 
 // Tier fetch states reported per tier in a stitched trace.
@@ -130,26 +129,9 @@ type StitchedTrace struct {
 
 // handleTrace serves one stitched cross-tier trace.
 func (g *Gateway) handleTrace(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		obs.WriteError(w, http.StatusMethodNotAllowed, "use GET")
-		return
+	if tr := g.plane.LookupTrace(w, r, "tracing disabled (run dvgateway with -trace-sample > 0)"); tr != nil {
+		obs.WriteJSON(w, http.StatusOK, g.stitch(r.Context(), tr))
 	}
-	if g.traces == nil {
-		obs.WriteError(w, http.StatusNotFound, "tracing disabled (run dvgateway with -trace-sample > 0)")
-		return
-	}
-	id := strings.TrimPrefix(r.URL.Path, "/debug/dv/trace/")
-	if id == "" {
-		obs.WriteError(w, http.StatusBadRequest, "missing trace id: GET /debug/dv/trace/{id}")
-		return
-	}
-	tr := g.traces.Get(id)
-	if tr == nil {
-		obs.WriteError(w, http.StatusNotFound, "no trace "+id+" (evicted, unsampled, or never seen)")
-		return
-	}
-	obs.WriteJSON(w, http.StatusOK, g.stitch(r.Context(), tr))
 }
 
 // lastUpstream returns the gateway tree's last answered upstream span —

@@ -140,14 +140,6 @@ func (m Matrix) apply(x, y float64) (float64, float64) {
 	return m.A*x + m.B*y + m.C, m.D*x + m.E*y + m.F
 }
 
-// Mul composes two matrices: (m ∘ n)(p) = m(n(p)).
-func (m Matrix) Mul(n Matrix) Matrix {
-	return Matrix{
-		A: m.A*n.A + m.B*n.D, B: m.A*n.B + m.B*n.E, C: m.A*n.C + m.B*n.F + m.C,
-		D: m.D*n.A + m.E*n.D, E: m.D*n.B + m.E*n.E, F: m.D*n.C + m.E*n.F + m.F,
-	}
-}
-
 // Invert returns the inverse affine matrix; it panics if the linear
 // part is singular (a programmer error for the transforms in Table IV's
 // ranges).

@@ -184,9 +184,16 @@ func TestMatrixInvertRoundTrip(t *testing.T) {
 		if math.IsNaN(m.A + m.B + m.C + m.D + m.E + m.F) {
 			return true
 		}
-		id := m.Mul(m.Invert())
-		return math.Abs(id.A-1) < 1e-9 && math.Abs(id.B) < 1e-9 && math.Abs(id.C) < 1e-9 &&
-			math.Abs(id.D) < 1e-9 && math.Abs(id.E-1) < 1e-9 && math.Abs(id.F) < 1e-9
+		// Three non-collinear points pin an affine map, so returning
+		// them (and a far one) unchanged makes inv ∘ m the identity.
+		inv := m.Invert()
+		for _, p := range [][2]float64{{0, 0}, {1, 0}, {0, 1}, {7, -3}} {
+			x, y := inv.apply(m.apply(p[0], p[1]))
+			if math.Abs(x-p[0]) > 1e-9 || math.Abs(y-p[1]) > 1e-9 {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -8,8 +8,8 @@ import (
 )
 
 // EventsResponse is the body of GET /debug/dv/events. It is a wire
-// contract shared by dvserve and dvgateway, which both mount
-// HandleEvents and HandleSLO — one triage grammar across the fleet.
+// contract shared by dvserve and dvgateway, which both mount it through
+// Plane.Mount — one triage grammar across the fleet.
 type EventsResponse struct {
 	Count  int     `json:"count"`
 	Events []Event `json:"events"`
@@ -49,28 +49,36 @@ func WriteError(w http.ResponseWriter, status int, msg string) {
 	WriteJSON(w, status, ErrorResponse{Error: msg})
 }
 
-// HandleSLO serves the burn-rate engine's per-objective evaluation. A
+// AllowMethod reports whether r uses method. Otherwise it answers 405
+// with an Allow header naming method and the error "use METHOD", the
+// one wrong-method answer of every dvserve and dvgateway endpoint.
+func AllowMethod(w http.ResponseWriter, r *http.Request, method string) bool {
+	if r.Method == method {
+		return true
+	}
+	w.Header().Set("Allow", method)
+	WriteError(w, http.StatusMethodNotAllowed, "use "+method)
+	return false
+}
+
+// handleSLO serves the burn-rate engine's per-objective evaluation. A
 // nil engine answers Status{} (enabled false), so the endpoint is
 // mounted whether or not the tier runs SLOs.
-func HandleSLO(e *Engine, w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		WriteError(w, http.StatusMethodNotAllowed, "use GET")
+func handleSLO(e *Engine, w http.ResponseWriter, r *http.Request) {
+	if !AllowMethod(w, r, http.MethodGet) {
 		return
 	}
 	WriteJSON(w, http.StatusOK, e.Status())
 }
 
-// HandleEvents serves a wide-event ring, newest first, under the shared
+// handleEvents serves a wide-event ring, newest first, under the shared
 // triage filters: the flight recorder's (?valid=, ?class=, ?outcome=,
 // ?limit=, parsed by trace.ParseFilter so both endpoints answer the same
 // 400s) plus the event-native ?type= and ?level= axes, ?level= checked
 // first. A nil logger answers 404 so the disabled path is explicit
 // rather than empty.
-func HandleEvents(l *Logger, w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		WriteError(w, http.StatusMethodNotAllowed, "use GET")
+func handleEvents(l *Logger, w http.ResponseWriter, r *http.Request) {
+	if !AllowMethod(w, r, http.MethodGet) {
 		return
 	}
 	if l == nil {

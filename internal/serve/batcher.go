@@ -373,7 +373,7 @@ func (s *Server) runBatch(b *batchBuf) {
 		return
 	}
 	drift := s.drift.Load()
-	needDetail := s.flight != nil || drift != nil
+	needDetail := s.plane.Recent != nil || drift != nil
 	for _, p := range live {
 		if p.rq.explains[p.i] || p.tr != nil {
 			needDetail = true

@@ -163,7 +163,7 @@ func TestBatchRecordsInMemberOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ids []string
-	for _, e := range s.flight.Snapshot(trace.Filter{}) {
+	for _, e := range s.plane.Recent.Snapshot(trace.Filter{}) {
 		ids = append(ids, e.TraceID)
 	}
 	for i, id := range ids {

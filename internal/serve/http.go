@@ -8,7 +8,6 @@ import (
 	"math"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"deepvalidation"
@@ -130,12 +129,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/debug/dv/trace/", s.handleTrace)
 	mux.HandleFunc("/debug/dv/flight", s.handleFlight)
 	mux.HandleFunc("/debug/dv/drift", s.handleDrift)
-	mux.HandleFunc("/debug/dv/events", func(w http.ResponseWriter, r *http.Request) {
-		obs.HandleEvents(s.events, w, r)
-	})
-	mux.HandleFunc("/debug/dv/slo", func(w http.ResponseWriter, r *http.Request) {
-		obs.HandleSLO(s.slo, w, r)
-	})
+	s.plane.Mount(mux)
 	return mux
 }
 
@@ -155,9 +149,7 @@ func RetryAfterHeader(d time.Duration) string {
 // admissible answers method/drain preconditions shared by the check
 // and batch handlers.
 func (s *Server) admissible(w http.ResponseWriter, r *http.Request) bool {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		obs.WriteError(w, http.StatusMethodNotAllowed, "use POST")
+	if !obs.AllowMethod(w, r, http.MethodPost) {
 		return false
 	}
 	if s.draining.Load() {
@@ -262,7 +254,7 @@ func perLayerMap(d *deepvalidation.Detail) map[int]float64 {
 // recordVerdictFlight files one scored verdict with the flight
 // recorder. Per-layer discrepancies ride along when finite.
 func (s *Server) recordVerdictFlight(endpoint, id string, res result, end time.Time, lat time.Duration) {
-	if s.flight == nil {
+	if s.plane.Recent == nil {
 		return
 	}
 	e := trace.Entry{
@@ -283,16 +275,16 @@ func (s *Server) recordVerdictFlight(endpoint, id string, res result, end time.T
 		e.Layers = res.d.Layers
 		e.PerLayer = res.d.PerLayer
 	}
-	s.flight.Record(e)
+	s.plane.Recent.Record(e)
 }
 
 // recordDropFlight files a request that never produced a verdict
 // (shed, deadline, scoring error).
 func (s *Server) recordDropFlight(endpoint, id, outcome string, lat time.Duration) {
-	if s.flight == nil {
+	if s.plane.Recent == nil {
 		return
 	}
-	s.flight.Record(trace.Entry{
+	s.plane.Recent.Record(trace.Entry{
 		TimeNs:     time.Now().UnixNano(),
 		TraceID:    id,
 		Endpoint:   endpoint,
@@ -348,13 +340,13 @@ func (s *Server) emitRequest(endpoint, id, outcome string, res *result, lat time
 // cross-linked from SLO breach events stay resolvable on
 // /debug/dv/trace/{id} even when the request died at admission.
 func (s *Server) storeDropTrace(endpoint, id string, traced bool, t0 time.Time, outcome string) {
-	if !traced || s.traces == nil || id == "" {
+	if !traced || s.plane.Traces == nil || id == "" {
 		return
 	}
 	root := trace.NewSpan("verdict", t0, time.Now())
 	root.SetAttr("endpoint", endpoint)
 	root.SetAttr("outcome", outcome)
-	s.traces.Add(&trace.Trace{ID: id, Endpoint: endpoint, Root: root})
+	s.plane.Traces.Add(&trace.Trace{ID: id, Endpoint: endpoint, Root: root})
 }
 
 // storeTrace assembles and stores one traced request's span tree:
@@ -371,7 +363,7 @@ func (s *Server) storeDropTrace(endpoint, id string, traced bool, t0 time.Time, 
 // writes the deq/score timestamps, and the channel receive is the
 // happens-before edge making them safe to read.
 func (s *Server) storeTrace(endpoint string, p *pending, res result, end time.Time) {
-	if p.tr == nil || s.traces == nil {
+	if p.tr == nil || s.plane.Traces == nil {
 		return
 	}
 	tr := p.tr
@@ -409,7 +401,7 @@ func (s *Server) storeTrace(endpoint string, p *pending, res result, end time.Ti
 			cur = nxt
 		}
 	}
-	s.traces.Add(&trace.Trace{ID: tr.id, Endpoint: endpoint, Root: root})
+	s.plane.Traces.Add(&trace.Trace{ID: tr.id, Endpoint: endpoint, Root: root})
 }
 
 func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
@@ -420,7 +412,7 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	t0 := time.Now()
-	id, traced := s.sampler.Decide(r.Header.Get(trace.HeaderTraceID))
+	id, traced := s.plane.Sampler.Decide(r.Header.Get(trace.HeaderTraceID))
 	if id != "" {
 		w.Header().Set(trace.HeaderTraceID, id)
 	}
@@ -449,7 +441,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	t0 := time.Now()
-	base, traced := s.sampler.Decide(r.Header.Get(trace.HeaderTraceID))
+	base, traced := s.plane.Sampler.Decide(r.Header.Get(trace.HeaderTraceID))
 	if base != "" {
 		w.Header().Set(trace.HeaderTraceID, base)
 	}
@@ -560,26 +552,9 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, rq *request, end
 
 // handleTrace serves one sampled trace's span tree as JSON.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		obs.WriteError(w, http.StatusMethodNotAllowed, "use GET")
-		return
+	if tr := s.plane.LookupTrace(w, r, "tracing disabled (serve with TraceSample > 0)"); tr != nil {
+		obs.WriteJSON(w, http.StatusOK, tr)
 	}
-	if s.traces == nil {
-		obs.WriteError(w, http.StatusNotFound, "tracing disabled (serve with TraceSample > 0)")
-		return
-	}
-	id := strings.TrimPrefix(r.URL.Path, "/debug/dv/trace/")
-	if id == "" {
-		obs.WriteError(w, http.StatusBadRequest, "missing trace id: GET /debug/dv/trace/{id}")
-		return
-	}
-	tr := s.traces.Get(id)
-	if tr == nil {
-		obs.WriteError(w, http.StatusNotFound, "no trace "+id+" (evicted, unsampled, or never seen)")
-		return
-	}
-	obs.WriteJSON(w, http.StatusOK, tr)
 }
 
 // FlightResponse is the body of GET /debug/dv/flight. It is exported
@@ -595,12 +570,10 @@ type FlightResponse struct {
 // ?outcome=shed, ?limit=20 — parsed by trace.ParseFilter, the grammar
 // shared with the gateway's fleet aggregation.
 func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		obs.WriteError(w, http.StatusMethodNotAllowed, "use GET")
+	if !obs.AllowMethod(w, r, http.MethodGet) {
 		return
 	}
-	if s.flight == nil {
+	if s.plane.Recent == nil {
 		obs.WriteError(w, http.StatusNotFound, "flight recorder disabled (serve with FlightSize >= 0)")
 		return
 	}
@@ -609,7 +582,7 @@ func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
 		obs.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	entries := s.flight.Snapshot(f)
+	entries := s.plane.Recent.Snapshot(f)
 	if entries == nil {
 		entries = []trace.Entry{}
 	}
@@ -619,18 +592,14 @@ func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
 // handleDrift serves the drift-watch status (Enabled false when the
 // watch is off or the loaded artifact carries no fit-time reference).
 func (s *Server) handleDrift(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		obs.WriteError(w, http.StatusMethodNotAllowed, "use GET")
+	if !obs.AllowMethod(w, r, http.MethodGet) {
 		return
 	}
 	obs.WriteJSON(w, http.StatusOK, s.DriftStatus())
 }
 
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		obs.WriteError(w, http.StatusMethodNotAllowed, "use POST")
+	if !obs.AllowMethod(w, r, http.MethodPost) {
 		return
 	}
 	if s.cfg.Loader == nil {
@@ -657,9 +626,7 @@ type drainResponse struct {
 // reversible — it is how a replica is parked for maintenance and
 // brought back.
 func (s *Server) handleAdminDrain(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		obs.WriteError(w, http.StatusMethodNotAllowed, "use POST")
+	if !obs.AllowMethod(w, r, http.MethodPost) {
 		return
 	}
 	enable := true

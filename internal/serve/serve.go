@@ -204,22 +204,11 @@ func (c *Config) defaults() {
 	if c.ReloadBackoffCap <= 0 {
 		c.ReloadBackoffCap = 10 * time.Second
 	}
-	if c.TraceSample < 0 {
-		c.TraceSample = 0
-	}
-	if c.TraceSample > 1 {
-		c.TraceSample = 1
-	}
-	if c.TraceStore <= 0 {
-		c.TraceStore = 256
-	}
 	if c.FlightSize == 0 {
 		c.FlightSize = 256
 	}
-	if c.SLO.Enabled {
-		c.SLO.Defaults()
-		c.SLO.QuarantineGoal = obs.Goal(c.SLO.QuarantineGoal, 0.999)
-	}
+	c.SLO.Defaults()
+	c.SLO.QuarantineGoal = obs.Goal(c.SLO.QuarantineGoal, 0.999)
 }
 
 // Server is the serving subsystem: admission queue, micro-batcher,
@@ -254,14 +243,12 @@ type Server struct {
 	// detector's artifacts (see publishBuildInfo); guarded by reloadMu.
 	buildInfo string
 
-	// Request-scoped observability; all nil when disabled, and every
-	// consumer is nil-safe, so the disabled path allocates nothing.
-	sampler *trace.Sampler
-	traces  *trace.Store
-	flight  *trace.Flight
-	drift   atomic.Pointer[trace.DriftWatch] // rebuilt on hot reload
-	events  *obs.Logger                      // nil disables wide events
-	slo     *obs.Engine                      // nil disables the SLO engine
+	// Request-scoped observability: the plane's Recent ring is the
+	// flight recorder. Every part is nil when disabled and nil-safe, so
+	// the disabled path allocates nothing.
+	plane  obs.Plane
+	drift  atomic.Pointer[trace.DriftWatch] // rebuilt on hot reload
+	events *obs.Logger                      // nil disables wide events
 
 	// Instrument handles resolved once at New; all nil-safe.
 	queueDepth  *telemetry.Gauge
@@ -311,11 +298,6 @@ func New(h *deepvalidation.Handle, cfg Config) (*Server, error) {
 		reloadFails: reg.Counter(MetricReloadFailed),
 		streakGauge: reg.Gauge(MetricReloadFailStreak),
 	}
-	if cfg.TraceSample > 0 {
-		s.sampler = trace.NewSampler(cfg.TraceSample)
-		s.traces = trace.NewStore(cfg.TraceStore)
-	}
-	s.flight = trace.NewFlight(cfg.FlightSize) // nil when FlightSize < 0
 	// Warm before attaching telemetry so the throwaway verdict doesn't
 	// pollute the counters.
 	if err := Warm(h.Get(), cfg.Workers); err != nil {
@@ -325,8 +307,16 @@ func New(h *deepvalidation.Handle, cfg Config) (*Server, error) {
 	h.Get().AttachEvents(cfg.Events)
 	s.publishBuildInfo()
 	s.rebuildDrift(h.Get())
-	s.buildSLO()
-	s.slo.Start()
+	s.plane = obs.NewPlane(obs.PlaneConfig{
+		TraceSample: cfg.TraceSample,
+		TraceStore:  cfg.TraceStore,
+		Recent:      cfg.FlightSize, // negative disables the recorder
+		Registry:    reg,
+		Events:      cfg.Events,
+		SLO:         cfg.SLO.SLOOptions,
+		Objectives:  s.objectives,
+	})
+	s.plane.SLO.Start()
 	s.ready.Store(true)
 	s.wg.Add(1 + cfg.Workers)
 	go s.runBatcher()
@@ -340,22 +330,19 @@ func New(h *deepvalidation.Handle, cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// buildSLO assembles the burn-rate engine over the serving objectives.
-// All sources difference cumulative counters already maintained by the
-// request path, so evaluation costs nothing per request; breach
-// evidence comes from the flight recorder.
-func (s *Server) buildSLO() {
+// objectives declares the serving objectives the plane's burn-rate
+// engine evaluates. All sources difference cumulative counters already
+// maintained by the request path, so evaluation costs nothing per
+// request; breach evidence comes from the flight recorder.
+func (s *Server) objectives() []obs.Objective {
 	o := s.cfg.SLO
 	reg := s.cfg.Registry
-	if !o.Enabled || reg == nil {
-		return
-	}
 	// The quarantine objective reads the detector's own counters. They
 	// live in the shared registry, so the handles survive hot reloads.
 	checked := reg.Counter(core.MetricChecked)
 	quarantined := reg.Counter(core.MetricQuarantined)
 	target := o.LatencyTarget.Seconds()
-	objectives := []obs.Objective{
+	return []obs.Objective{
 		{
 			Name:        "availability",
 			Description: fmt.Sprintf("fraction of requests answered without shedding or deadline expiry (goal %g)", o.Availability),
@@ -387,15 +374,6 @@ func (s *Server) buildSLO() {
 			Outcomes: []string{trace.OutcomeQuarantined},
 		},
 	}
-	s.slo = obs.NewEngine(obs.SLOConfig{
-		Objectives: objectives,
-		Windows:    o.Windows,
-		Interval:   o.Interval,
-		Burn:       o.Burn,
-		Registry:   reg,
-		Events:     s.events,
-		Recent:     s.flight,
-	})
 }
 
 // Warm forces the detector's lazy allocations before live traffic
@@ -617,13 +595,13 @@ func (s *Server) DriftStatus() trace.DriftStatus {
 // SLOStatus returns the SLO engine's last evaluation (Enabled false
 // when the engine is off).
 func (s *Server) SLOStatus() obs.Status {
-	return s.slo.Status()
+	return s.plane.SLO.Status()
 }
 
 // SLOTick forces one synchronous SLO evaluation — the deterministic
 // hook tests and smoke drivers use instead of waiting out the engine's
 // interval. Nil-safe when the engine is disabled.
-func (s *Server) SLOTick() { s.slo.Tick() }
+func (s *Server) SLOTick() { s.plane.SLO.Tick() }
 
 // Events returns the server's wide-event logger (nil when disabled).
 func (s *Server) Events() *obs.Logger { return s.events }
@@ -680,7 +658,7 @@ func (s *Server) Close() {
 		s.closed.Store(true)
 		s.draining.Store(true)
 		close(s.stop)
-		s.slo.Stop()
+		s.plane.SLO.Stop()
 		s.events.Emit(obs.Event{Type: obs.TypeLifecycle, Level: obs.LevelInfo, Msg: "server closing"})
 	})
 	s.wg.Wait()
