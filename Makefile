@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race check bench fuzz snapshot smoke perf
+.PHONY: build test vet race check bench fuzz snapshot smoke perf fma
 
 build:
 	$(GO) build ./...
@@ -33,11 +33,14 @@ vet:
 # decoded pixels recycled only after every verdict of the request
 # arrives, never on the 504 or client-gone path, a gone client's
 # request never scored, and the flight and event rings keeping each
-# verdict's per-layer row in storage their slots own).
+# verdict's per-layer row in storage their slots own). Last, the pair
+# loader's error-order and join tests run at 1, 2 and 4 Ps, so both of
+# its loads finish first at some interleaving.
 race:
 	$(GO) test -race -timeout 45m ./internal/nn ./internal/svm ./internal/core ./internal/experiment ./internal/telemetry ./internal/serve ./internal/gateway ./internal/hunt ./internal/obs ./internal/trace .
 	$(GO) test -race -count=20 -run 'TestBodyRefCount|TestEarlyAnswerBodyIntact|TestRetryOnReplica500|TestForwardHeadersImmutable|TestRecordsCarryTheirOwnAnswers' ./internal/gateway
 	$(GO) test -race -count=20 -run 'TestDeadlinePixelsNotRecycled|TestOverlappingBatchesReusePixels|TestServeEquivalenceConcurrent|TestBatcherSweepsQueueBehindBusyWorker|TestBatchRecordsInMemberOrder|TestClientGoneNotScored|TestExpiredRecordsNotReused|TestFlightEntriesKeepTheirRows|TestFlightSnapshotOwnsRows|TestEventSnapshotOwnsRows|TestRejectedBatchKeepsNoImages' ./internal/serve ./internal/trace ./internal/obs
+	$(GO) test -race -cpu 1,2,4 -run 'TestLoadPair' ./internal/core
 
 # smoke runs the end-to-end checks against real processes: the
 # observability pass (train, score, scrape /metrics), the serving
@@ -83,9 +86,15 @@ smoke:
 perf:
 	./scripts/perf_smoke.sh $(WORKERS)
 
+# fma cross-builds every command for arm64 and fails on any fused
+# multiply-add in the repo's own functions: a fused x*y + z rounds once,
+# so arm64 would compute other bits than amd64 (see scripts/fma_scan.sh).
+fma:
+	./scripts/fma_scan.sh
+
 # check is the CI gate: full build + tests, vet, the race pass, the
-# end-to-end smoke runs, and the perf allocation gate.
-check: build test vet race smoke perf
+# end-to-end smoke runs, the perf allocation gate and the fusion scan.
+check: build test vet race smoke perf fma
 
 bench:
 	$(GO) test -bench 'BenchmarkFit|BenchmarkScoreBatch' -benchmem -run '^$$' .

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"deepvalidation/internal/core"
+	"deepvalidation/internal/nn"
 	"deepvalidation/internal/tensor"
 )
 
@@ -109,4 +110,58 @@ func primeArenas(det *Detector, imgs []Image, workers int) {
 		}
 		return st.Input(i, hdr)
 	}, Out: func(int, *core.Result) {}}, nil)
+}
+
+// TestLoadAllocatesAsSequential: Load's second goroutine adds no copy of
+// either artifact. A warm Load of the golden container pair allocates
+// no more than loading the model, then the validator, on one goroutine
+// (and cross-checking and assembling them as Load does), plus 1 KiB for
+// the goroutine's closure and the channel that joins it. It measures at
+// GOMAXPROCS=1, so the goroutine's descriptor is reused from one call to
+// the next: on several Ps it may exit on a P other than the one that
+// starts the next, and the runtime then allocates a fresh descriptor
+// until its free lists settle.
+func TestLoadAllocatesAsSequential(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	sequential := func() {
+		net, _, err := nn.LoadInfo(goldenModelContainer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		val, _, err := core.LoadValidatorInfo(goldenValContainer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := core.CheckCompat(net, val); err != nil {
+			t.Fatal(err)
+		}
+		assemble(net, val)
+	}
+	pair := func() {
+		if _, err := Load(goldenModelContainer, goldenValContainer); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seq, got := bytesPerCall(sequential), bytesPerCall(pair)
+	t.Logf("sequential %.0f B, Load %.0f B per call", seq, got)
+	if got > seq+1024 {
+		t.Errorf("Load allocates %.0f B per call, more than the sequential %.0f B + 1 KiB", got, seq)
+	}
+}
+
+// bytesPerCall returns the heap bytes one warm call of f allocates,
+// averaged over 10 calls.
+func bytesPerCall(f func()) float64 {
+	const runs = 10
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / runs
 }

@@ -212,6 +212,17 @@ func BenchmarkDetectorBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkLoad times Load of the golden container pair: both files
+// read, checksummed and decoded, and the pair cross-checked.
+func BenchmarkLoad(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Load(goldenModelContainer, goldenValContainer); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // benchWorkerCounts returns the worker counts the pipeline benchmarks
 // sweep: the sequential baseline, the 2- and 4-wide pools (so the
 // committed snapshot records the multicore scaling curve, not just its

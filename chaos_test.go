@@ -7,6 +7,7 @@ package deepvalidation
 // because the root package is in the race target list.
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"os"
@@ -14,6 +15,7 @@ import (
 	"reflect"
 	"testing"
 
+	"deepvalidation/internal/artifact"
 	"deepvalidation/internal/core"
 	"deepvalidation/internal/faultinject"
 	"deepvalidation/internal/obs"
@@ -58,7 +60,10 @@ func poisonLastLayer(t *testing.T, det *Detector) {
 // corrupts each file two ways — truncation and a single bit flip — at
 // every 1 KiB boundary (plus the edges). Load must reject every
 // corrupted artifact with an error; no shape of corruption may panic
-// or yield a working detector from damaged bytes.
+// or yield a working detector from damaged bytes. Where the damage is
+// inside a container's payload, the error must be the container's
+// *artifact.CorruptError: the checksum stops the bytes before gob reads
+// them, so a flipped length byte can never make gob allocate for it.
 func TestCorruptionMatrix(t *testing.T) {
 	det := chaosBuild(t)
 	dir := t.TempDir()
@@ -83,20 +88,33 @@ func TestCorruptionMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		info, err := artifact.ReadHeader(target.path)
+		if err != nil {
+			t.Fatal(err)
+		}
 		size := int64(len(data))
+		payloadStart := size - info.Header.PayloadSize
 		// 1 KiB boundaries, plus the first and last byte.
 		offsets := []int64{0, size - 1}
 		for off := int64(1024); off < size; off += 1024 {
 			offsets = append(offsets, off)
 		}
 
-		loadPair := func() error {
+		loadPair := func(damage string, off int64) {
+			t.Helper()
+			var err error
 			if target.name == "model" {
-				_, err := Load(filepath.Join(dir, "corrupt"), goodVal)
-				return err
+				_, err = Load(filepath.Join(dir, "corrupt"), goodVal)
+			} else {
+				_, err = Load(goodModel, filepath.Join(dir, "corrupt"))
 			}
-			_, err := Load(goodModel, filepath.Join(dir, "corrupt"))
-			return err
+			var corrupt *artifact.CorruptError
+			switch {
+			case err == nil:
+				t.Errorf("%s %s at %d loaded without error", target.name, damage, off)
+			case off >= payloadStart && !errors.As(err, &corrupt):
+				t.Errorf("%s %s at %d (inside the payload) = %v, want an *artifact.CorruptError", target.name, damage, off, err)
+			}
 		}
 		restore := func() {
 			if err := os.WriteFile(filepath.Join(dir, "corrupt"), data, 0o644); err != nil {
@@ -109,17 +127,13 @@ func TestCorruptionMatrix(t *testing.T) {
 			if err := faultinject.Truncate(filepath.Join(dir, "corrupt"), off); err != nil {
 				t.Fatal(err)
 			}
-			if err := loadPair(); err == nil {
-				t.Errorf("%s truncated at %d loaded without error", target.name, off)
-			}
+			loadPair("truncated", off)
 
 			restore()
 			if err := faultinject.FlipBit(filepath.Join(dir, "corrupt"), off, uint(off)%8); err != nil {
 				t.Fatal(err)
 			}
-			if err := loadPair(); err == nil {
-				t.Errorf("%s with bit flipped at %d loaded without error", target.name, off)
-			}
+			loadPair("with a bit flipped", off)
 		}
 	}
 }

@@ -27,7 +27,6 @@ import (
 	"deepvalidation/internal/dataset"
 	"deepvalidation/internal/hunt"
 	"deepvalidation/internal/metrics"
-	"deepvalidation/internal/nn"
 	"deepvalidation/internal/obs"
 	"deepvalidation/internal/telemetry"
 )
@@ -78,18 +77,11 @@ func run() error {
 	}
 	defer func() { _ = events.Close() }()
 
-	net, err := nn.Load(*modelPath)
+	pair, err := core.LoadPair(*modelPath, *valPath)
 	if err != nil {
 		return err
 	}
-	val, err := core.LoadValidator(*valPath)
-	if err != nil {
-		return err
-	}
-	if err := core.CheckCompat(net, val); err != nil {
-		return err
-	}
-	tgt := hunt.Target{Net: net, Val: val}
+	tgt := hunt.Target{Net: pair.Net, Val: pair.Val}
 
 	if *replayDir != "" {
 		return replay(tgt, *replayDir, *eps, *fpr, *dsName, *trainN, *testN, *dsSeed, *workers, *strict)
@@ -102,7 +94,7 @@ func run() error {
 	epsilon := resolveEpsilon(tgt, ds, *eps, *fpr, *workers)
 
 	rng := rand.New(rand.NewSource(*seed))
-	seedX, seedY, err := corner.SelectSeeds(net, ds.TestX, ds.TestY, *seeds, rng)
+	seedX, seedY, err := corner.SelectSeeds(tgt.Net, ds.TestX, ds.TestY, *seeds, rng)
 	if err != nil {
 		return err
 	}
@@ -135,7 +127,7 @@ func run() error {
 
 	shape := seedX[0].Shape
 	spaces := corner.Spaces(shape[0] == 1, shape[1], shape[2])
-	if err := corpus.Save(*outDir, spaces, net.ModelName, epsilon); err != nil {
+	if err := corpus.Save(*outDir, spaces, tgt.Net.ModelName, epsilon); err != nil {
 		return err
 	}
 	if err := report.Save(filepath.Join(*outDir, hunt.RatesName)); err != nil {

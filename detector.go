@@ -1,6 +1,7 @@
 package deepvalidation
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -178,31 +179,32 @@ func Build(images []Image, labels []int, cfg BuildConfig) (*Detector, error) {
 	return det, nil
 }
 
-// Load restores a detector from files written by Save. Both artifacts
-// are integrity-checked (SHA-256 for checksummed containers, gob and
-// structural validation for legacy bare-gob files) and the pair is
-// cross-checked for compatibility — model name, class count, and the
+// Load restores a detector from files written by Save, through
+// core.LoadPair: the model and the validator load at once, on two
+// goroutines joined before Load returns. Both artifacts are
+// integrity-checked (SHA-256 for checksummed containers, verified
+// before the payload is decoded; gob and structural validation for
+// legacy bare-gob files) and the pair is cross-checked for
+// compatibility — model name, class count, and the
 // tap-shape↔SVM-dimensionality agreement that would otherwise panic at
 // the first Check — so a corrupt or mismatched pair fails here with a
-// descriptive error instead of poisoning a running service.
+// descriptive error instead of poisoning a running service. When both
+// files are bad, the model's error is the one returned.
 //
 // The detector keeps the payload checksums it verified (ArtifactSHAs),
 // so what it reports describes the bytes it was built from even if the
 // files are replaced afterwards.
 func Load(modelPath, validatorPath string) (*Detector, error) {
-	net, mInfo, err := nn.LoadInfo(modelPath)
+	p, err := core.LoadPair(modelPath, validatorPath)
 	if err != nil {
+		var incompat *core.IncompatibleError
+		if errors.As(err, &incompat) {
+			return nil, fmt.Errorf("deepvalidation: %s and %s are not a compatible pair: %w", modelPath, validatorPath, err)
+		}
 		return nil, err
 	}
-	val, vInfo, err := core.LoadValidatorInfo(validatorPath)
-	if err != nil {
-		return nil, err
-	}
-	if err := core.CheckCompat(net, val); err != nil {
-		return nil, fmt.Errorf("deepvalidation: %s and %s are not a compatible pair: %w", modelPath, validatorPath, err)
-	}
-	d := assemble(net, val)
-	d.modelSHA, d.validatorSHA = mInfo.Header.PayloadSHA256, vInfo.Header.PayloadSHA256
+	d := assemble(p.Net, p.Val)
+	d.modelSHA, d.validatorSHA = p.ModelInfo.Header.PayloadSHA256, p.ValidatorInfo.Header.PayloadSHA256
 	return d, nil
 }
 

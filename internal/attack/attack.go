@@ -45,7 +45,7 @@ func FGSM(net *nn.Network, x *tensor.Tensor, label int, eps float64) Result {
 	g := lossGrad(net, x, label)
 	adv := x.Clone()
 	for i, v := range g.Data {
-		adv.Data[i] += eps * sign(v)
+		adv.Data[i] += float64(eps * sign(v))
 	}
 	adv.ClampInPlace(0, 1)
 	return finish(net, adv, label)
@@ -59,7 +59,7 @@ func BIM(net *nn.Network, x *tensor.Tensor, label int, eps, alpha float64, iters
 	for it := 0; it < iters; it++ {
 		g := lossGrad(net, adv, label)
 		for i, v := range g.Data {
-			adv.Data[i] += alpha * sign(v)
+			adv.Data[i] += float64(alpha * sign(v))
 			// Project into the ε-ball and the box.
 			lo, hi := x.Data[i]-eps, x.Data[i]+eps
 			if adv.Data[i] < lo {
@@ -147,7 +147,7 @@ func JSMA(net *nn.Network, x *tensor.Tensor, origLabel, target int, theta, maxFr
 		if bestIdx < 0 {
 			break
 		}
-		adv.Data[bestIdx] += bestDir * theta
+		adv.Data[bestIdx] += float64(bestDir * theta)
 		if adv.Data[bestIdx] > 1 {
 			adv.Data[bestIdx] = 1
 		} else if adv.Data[bestIdx] < 0 {
@@ -258,7 +258,7 @@ func CWL2(net *nn.Network, x *tensor.Tensor, origLabel, target int, cfg CWConfig
 			}
 			// ∇_w [‖x'−x‖² + c·f(x')] = (2(x'−x) + c∇f) ⊙ dx'/dw.
 			for i := 0; i < n; i++ {
-				g := (2*(adv.Data[i]-x.Data[i]) + c*gAttack.Data[i]) * dxdw[i]
+				g := (float64(2*(adv.Data[i]-x.Data[i])) + float64(c*gAttack.Data[i])) * dxdw[i]
 				w[i] += adam.step(i, g)
 			}
 		}
@@ -302,7 +302,7 @@ func CWLInf(net *nn.Network, x *tensor.Tensor, origLabel, target int, cfg CWConf
 				succeeded = true
 			}
 			for i := 0; i < n; i++ {
-				g := c * gAttack.Data[i]
+				g := float64(c * gAttack.Data[i])
 				d := cur.Data[i] - x.Data[i]
 				if d > tau {
 					g += 1
@@ -438,7 +438,7 @@ func cwL2Masked(net *nn.Network, x *tensor.Tensor, target int, cfg CWConfig, all
 				if !allowed[i] {
 					continue
 				}
-				g := (2*(adv.Data[i]-x.Data[i]) + c*gAttack.Data[i]) * dxdw[i]
+				g := (float64(2*(adv.Data[i]-x.Data[i])) + float64(c*gAttack.Data[i])) * dxdw[i]
 				cur[i] += adam.step(i, g)
 			}
 		}
@@ -458,7 +458,7 @@ func tanhImage(w []float64, shape []int) (*tensor.Tensor, []float64) {
 	for i, v := range w {
 		th := math.Tanh(v)
 		img.Data[i] = (th + 1) / 2
-		dx[i] = (1 - th*th) / 2
+		dx[i] = (1 - float64(th*th)) / 2
 	}
 	return img, dx
 }
@@ -483,8 +483,8 @@ func (a *adamState) step(i int, g float64) float64 {
 	if i == 0 {
 		a.t++
 	}
-	a.m[i] = b1*a.m[i] + (1-b1)*g
-	a.v[i] = b2*a.v[i] + (1-b2)*g*g
+	a.m[i] = float64(b1*a.m[i]) + float64((1-b1)*g)
+	a.v[i] = float64(b2*a.v[i]) + float64((1-b2)*g*g)
 	mh := a.m[i] / (1 - math.Pow(b1, float64(a.t)))
 	vh := a.v[i] / (1 - math.Pow(b2, float64(a.t)))
 	return -a.lr * mh / (math.Sqrt(vh) + eps)

@@ -25,14 +25,14 @@ func (v *Validator) FitNormalization(net *nn.Network, clean []*tensor.Tensor) er
 		r := v.Score(net, x)
 		for p, d := range r.Layer {
 			mean[p] += d
-			m2[p] += d * d
+			m2[p] += float64(d * d)
 		}
 	}
 	cnt := float64(len(clean))
 	std := make([]float64, n)
 	for p := range mean {
 		mean[p] /= cnt
-		variance := m2[p]/cnt - mean[p]*mean[p]
+		variance := m2[p]/cnt - float64(mean[p]*mean[p])
 		if variance < 1e-12 {
 			variance = 1e-12
 		}

@@ -568,7 +568,7 @@ func (f *featureRows) pooledScaleGamma(p int) float64 {
 	variance := 0.0
 	for j := range f.kept {
 		for _, v := range f.row(p, j) {
-			variance += (v - mean) * (v - mean)
+			variance += float64((v - mean) * (v - mean))
 		}
 	}
 	variance /= float64(n)
@@ -702,7 +702,7 @@ func (r Result) WeightedJoint(weights []float64) float64 {
 	}
 	s := 0.0
 	for i, d := range r.Layer {
-		s += weights[i] * d
+		s += float64(weights[i] * d)
 	}
 	return s
 }
@@ -1027,6 +1027,67 @@ func CheckCompat(net *nn.Network, val *Validator) error {
 		}
 	}
 	return nil
+}
+
+// Pair is a model and its validator as LoadPair returns them, with how
+// each file was read: the container header whose payload checksum was
+// verified, or Legacy set for a bare gob.
+type Pair struct {
+	Net           *nn.Network
+	Val           *Validator
+	ModelInfo     artifact.Info
+	ValidatorInfo artifact.Info
+}
+
+// IncompatibleError is LoadPair's error for a model and a validator
+// that each load cleanly but fail CheckCompat. It reads as, and
+// unwraps to, CheckCompat's error.
+type IncompatibleError struct{ Err error }
+
+func (e *IncompatibleError) Error() string { return e.Err.Error() }
+func (e *IncompatibleError) Unwrap() error { return e.Err }
+
+// LoadPair loads a model and its validator together: the validator on
+// a second goroutine, the model on the caller's, each through
+// nn.LoadInfo or LoadValidatorInfo, so each payload's SHA-256 is
+// verified before gob reads a byte of it. It joins both loads before it
+// returns, on error too, then runs CheckCompat. When both files are
+// bad the model's error wins, so the error never depends on which load
+// finished first. At GOMAXPROCS 1 the two loads take turns on one core
+// and cost what they cost in sequence.
+func LoadPair(modelPath, validatorPath string) (Pair, error) {
+	type loaded struct {
+		val      *Validator
+		info     artifact.Info
+		err      error
+		panicked any
+	}
+	done := make(chan loaded, 1)
+	go func() {
+		var l loaded
+		// A panic resurfaces on the caller's goroutine, as it would in
+		// a sequential load: net/http recovers a reload handler's
+		// panic, but not one on a goroutine of its own.
+		defer func() {
+			l.panicked = recover()
+			done <- l
+		}()
+		l.val, l.info, l.err = LoadValidatorInfo(validatorPath)
+	}()
+	net, mInfo, mErr := nn.LoadInfo(modelPath)
+	v := <-done
+	switch {
+	case v.panicked != nil:
+		panic(v.panicked)
+	case mErr != nil:
+		return Pair{}, mErr
+	case v.err != nil:
+		return Pair{}, v.err
+	}
+	if err := CheckCompat(net, v.val); err != nil {
+		return Pair{}, &IncompatibleError{Err: err}
+	}
+	return Pair{Net: net, Val: v.val, ModelInfo: mInfo, ValidatorInfo: v.info}, nil
 }
 
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }

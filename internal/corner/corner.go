@@ -44,7 +44,7 @@ func Families(grayscale bool) []Family {
 	// Distortion grows away from α = 1 in both directions; interleave
 	// amplification and attenuation by growing |log α|.
 	for i := 1; i <= 16; i++ {
-		up := 1 + float64(i)*0.25
+		up := 1 + float64(float64(i)*0.25)
 		contrast.Grid = append(contrast.Grid, imgtrans.Contrast{Alpha: up})
 	}
 	fams = append(fams, contrast)

@@ -30,7 +30,7 @@ type Space struct {
 func (s Space) Sample(rng *rand.Rand) []float64 {
 	p := make([]float64, len(s.Params))
 	for i, r := range s.Params {
-		p[i] = r.Min + rng.Float64()*(r.Max-r.Min)
+		p[i] = r.Min + float64(rng.Float64()*(r.Max-r.Min))
 	}
 	return p
 }

@@ -76,7 +76,7 @@ func Digits(cfg Config) *Dataset {
 		label := rng.Intn(10)
 		cv := NewCanvas(1, size, size)
 		cv.FillBackground([]float64{0.02 * rng.Float64()})
-		ink := 0.85 + 0.15*rng.Float64()
+		ink := 0.85 + float64(0.15*rng.Float64())
 		DrawDigit(cv, label, rng, size, []float64{ink})
 		cv.AddNoise(rng, 0.015)
 		return cv.Finish(), label
@@ -100,16 +100,16 @@ func Objects(cfg Config) *Dataset {
 		label := rng.Intn(10)
 		cv := NewCanvas(3, size, size)
 		bg := []float64{
-			0.10 + 0.30*rng.Float64(),
-			0.10 + 0.30*rng.Float64(),
-			0.10 + 0.30*rng.Float64(),
+			0.10 + float64(0.30*rng.Float64()),
+			0.10 + float64(0.30*rng.Float64()),
+			0.10 + float64(0.30*rng.Float64()),
 		}
 		cv.FillBackground(bg)
 		cv.AddTexture(rng, 0.05)
 		fg := []float64{
-			0.45 + 0.45*rng.Float64(),
-			0.45 + 0.45*rng.Float64(),
-			0.45 + 0.45*rng.Float64(),
+			0.45 + float64(0.45*rng.Float64()),
+			0.45 + float64(0.45*rng.Float64()),
+			0.45 + float64(0.45*rng.Float64()),
 		}
 		drawObject(cv, label, rng, size, fg, bg)
 		cv.AddNoise(rng, 0.02)
@@ -119,9 +119,9 @@ func Objects(cfg Config) *Dataset {
 
 func drawObject(cv *Canvas, label int, rng *rand.Rand, size int, fg, bg []float64) {
 	s := float64(size)
-	cx := s/2 + (rng.Float64()-0.5)*0.2*s
-	cy := s/2 + (rng.Float64()-0.5)*0.2*s
-	r := s * (0.22 + 0.10*rng.Float64())
+	cx := float64(s/2) + float64((float64(rng.Float64())-0.5)*0.2*s)
+	cy := float64(s/2) + float64((float64(rng.Float64())-0.5)*0.2*s)
+	r := float64(s * (0.22 + float64(0.10*rng.Float64())))
 	switch label {
 	case 0: // circle
 		cv.Disk(cx, cy, r, fg)
@@ -129,47 +129,47 @@ func drawObject(cv *Canvas, label int, rng *rand.Rand, size int, fg, bg []float6
 		cv.FillRect(cx-r, cy-r, cx+r, cy+r, fg)
 	case 2: // triangle
 		cv.FillTriangle(
-			[2]float64{cx, cy - 1.2*r},
-			[2]float64{cx - 1.1*r, cy + 0.9*r},
-			[2]float64{cx + 1.1*r, cy + 0.9*r}, fg)
+			[2]float64{cx, cy - float64(1.2*r)},
+			[2]float64{cx - float64(1.1*r), cy + float64(0.9*r)},
+			[2]float64{cx + float64(1.1*r), cy + float64(0.9*r)}, fg)
 	case 3: // ring
 		cv.Disk(cx, cy, r, fg)
 		cv.Disk(cx, cy, r*0.55, bg)
 	case 4: // cross
-		w := r * 0.4
+		w := float64(r * 0.4)
 		cv.FillRect(cx-r, cy-w, cx+r, cy+w, fg)
 		cv.FillRect(cx-w, cy-r, cx+w, cy+r, fg)
 	case 5: // horizontal stripes
-		for y := cy - r; y <= cy+r; y += r * 0.55 {
-			cv.FillRect(cx-r, y, cx+r, y+r*0.25, fg)
+		for y := cy - r; y <= cy+r; y += float64(r * 0.55) {
+			cv.FillRect(cx-r, y, cx+r, y+float64(r*0.25), fg)
 		}
 	case 6: // vertical stripes
-		for x := cx - r; x <= cx+r; x += r * 0.55 {
-			cv.FillRect(x, cy-r, x+r*0.25, cy+r, fg)
+		for x := cx - r; x <= cx+r; x += float64(r * 0.55) {
+			cv.FillRect(x, cy-r, x+float64(r*0.25), cy+r, fg)
 		}
 	case 7: // checker
-		cell := r * 0.6
+		cell := float64(r * 0.6)
 		for i := 0; i < 4; i++ {
 			for j := 0; j < 4; j++ {
 				if (i+j)%2 == 0 {
-					x0 := cx - r + float64(i)*cell
-					y0 := cy - r + float64(j)*cell
+					x0 := cx - r + float64(float64(i)*cell)
+					y0 := cy - r + float64(float64(j)*cell)
 					cv.FillRect(x0, y0, x0+cell, y0+cell, fg)
 				}
 			}
 		}
 	case 8: // diamond
 		cv.FillTriangle(
-			[2]float64{cx, cy - 1.3*r},
+			[2]float64{cx, cy - float64(1.3*r)},
 			[2]float64{cx - r, cy},
 			[2]float64{cx + r, cy}, fg)
 		cv.FillTriangle(
-			[2]float64{cx, cy + 1.3*r},
+			[2]float64{cx, cy + float64(1.3*r)},
 			[2]float64{cx - r, cy},
 			[2]float64{cx + r, cy}, fg)
 	case 9: // twin dots
-		cv.Disk(cx-0.6*r, cy-0.6*r, 0.55*r, fg)
-		cv.Disk(cx+0.6*r, cy+0.6*r, 0.55*r, fg)
+		cv.Disk(cx-float64(0.6*r), cy-float64(0.6*r), 0.55*r, fg)
+		cv.Disk(cx+float64(0.6*r), cy+float64(0.6*r), 0.55*r, fg)
 	default:
 		panic(fmt.Sprintf("dataset: object label %d out of range", label))
 	}
@@ -184,11 +184,11 @@ func StreetDigits(cfg Config) *Dataset {
 	return generate("streetdigits", 3, size, 10, names, cfg, func(rng *rand.Rand) (*tensor.Tensor, int) {
 		label := rng.Intn(10)
 		cv := NewCanvas(3, size, size)
-		base := 0.15 + 0.35*rng.Float64()
+		base := 0.15 + float64(0.35*rng.Float64())
 		bg := []float64{
-			base + 0.15*(rng.Float64()-0.5),
-			base + 0.15*(rng.Float64()-0.5),
-			base + 0.15*(rng.Float64()-0.5),
+			base + float64(0.15*(float64(rng.Float64())-0.5)),
+			base + float64(0.15*(float64(rng.Float64())-0.5)),
+			base + float64(0.15*(float64(rng.Float64())-0.5)),
 		}
 		cv.FillBackground(bg)
 		cv.AddTexture(rng, 0.12)
@@ -198,15 +198,15 @@ func StreetDigits(cfg Config) *Dataset {
 		var ink []float64
 		if rng.Float64() < 0.5 {
 			ink = []float64{
-				minf(base+0.35+0.25*rng.Float64(), 1),
-				minf(base+0.35+0.25*rng.Float64(), 1),
-				minf(base+0.35+0.25*rng.Float64(), 1),
+				minf(base+0.35+float64(0.25*rng.Float64()), 1),
+				minf(base+0.35+float64(0.25*rng.Float64()), 1),
+				minf(base+0.35+float64(0.25*rng.Float64()), 1),
 			}
 		} else {
 			ink = []float64{
-				maxf(base-0.30-0.15*rng.Float64(), 0),
-				maxf(base-0.30-0.15*rng.Float64(), 0),
-				maxf(base-0.30-0.15*rng.Float64(), 0),
+				maxf(base-0.30-float64(0.15*rng.Float64()), 0),
+				maxf(base-0.30-float64(0.15*rng.Float64()), 0),
+				maxf(base-0.30-float64(0.15*rng.Float64()), 0),
 			}
 		}
 
@@ -215,9 +215,9 @@ func StreetDigits(cfg Config) *Dataset {
 		for k := 0; k < 1+rng.Intn(2); k++ {
 			st := randomGlyphStyle(rng, size, ink)
 			if rng.Float64() < 0.5 {
-				st.cx = float64(size) * (0.02 + 0.05*rng.Float64())
+				st.cx = float64(size) * (0.02 + float64(0.05*rng.Float64()))
 			} else {
-				st.cx = float64(size) * (0.93 + 0.05*rng.Float64())
+				st.cx = float64(size) * (0.93 + float64(0.05*rng.Float64()))
 			}
 			st.scale *= 0.8
 			drawGlyphStyled(cv, rng.Intn(10), st)

@@ -78,11 +78,11 @@ type glyphStyle struct {
 func randomGlyphStyle(rng *rand.Rand, size int, color []float64) glyphStyle {
 	s := float64(size)
 	return glyphStyle{
-		cx:        s/2 + (rng.Float64()-0.5)*0.10*s,
-		cy:        s/2 + (rng.Float64()-0.5)*0.10*s,
-		scale:     s * (0.80 + 0.18*rng.Float64()),
-		rot:       (rng.Float64() - 0.5) * 0.24,
-		thickness: s * (0.055 + 0.03*rng.Float64()),
+		cx:        float64(s/2) + float64((float64(rng.Float64())-0.5)*0.10*s),
+		cy:        float64(s/2) + float64((float64(rng.Float64())-0.5)*0.10*s),
+		scale:     s * (0.80 + float64(0.18*rng.Float64())),
+		rot:       (float64(rng.Float64()) - 0.5) * 0.24,
+		thickness: s * (0.055 + float64(0.03*rng.Float64())),
 		color:     color,
 	}
 }
@@ -91,7 +91,7 @@ func randomGlyphStyle(rng *rand.Rand, size int, color []float64) glyphStyle {
 func (st glyphStyle) place(p [2]float64) (x, y float64) {
 	dx, dy := p[0]-0.5, p[1]-0.5
 	c, s := math.Cos(st.rot), math.Sin(st.rot)
-	return st.cx + st.scale*(c*dx-s*dy), st.cy + st.scale*(s*dx+c*dy)
+	return st.cx + float64(st.scale*(float64(c*dx)-float64(s*dy))), st.cy + float64(st.scale*(float64(s*dx)+float64(c*dy)))
 }
 
 // DrawDigit renders digit d (0–9) onto the canvas with the given style
@@ -114,7 +114,7 @@ func drawGlyphStyled(cv *Canvas, d int, st glyphStyle) {
 			prev := [2]float64{}
 			for i := 0; i <= steps; i++ {
 				a := op.a0 + (op.a1-op.a0)*float64(i)/float64(steps)
-				p := [2]float64{op.cx + op.rx*math.Cos(a), op.cy + op.ry*math.Sin(a)}
+				p := [2]float64{op.cx + float64(op.rx*math.Cos(a)), op.cy + float64(op.ry*math.Sin(a))}
 				x, y := st.place(p)
 				if i > 0 {
 					cv.Line(prev[0], prev[1], x, y, st.thickness, st.color)

@@ -52,7 +52,7 @@ func (cv *Canvas) blend(x, y int, color []float64, a float64) {
 	for ch := 0; ch < cv.C; ch++ {
 		i := ch*cv.H*cv.W + y*cv.W + x
 		c := color[ch%len(color)]
-		cv.T.Data[i] = (1-a)*cv.T.Data[i] + a*c
+		cv.T.Data[i] = float64((1-a)*cv.T.Data[i]) + float64(a*c)
 	}
 }
 
@@ -76,7 +76,7 @@ func (cv *Canvas) Line(x0, y0, x1, y1, thickness float64, color []float64) {
 	r := thickness / 2
 	for i := 0; i <= steps; i++ {
 		t := float64(i) / float64(steps)
-		cv.Disk(x0+t*(x1-x0), y0+t*(y1-y0), r, color)
+		cv.Disk(x0+float64(t*(x1-x0)), y0+float64(t*(y1-y0)), r, color)
 	}
 }
 
@@ -116,7 +116,7 @@ func (cv *Canvas) FillTriangle(p0, p1, p2 [2]float64, color []float64) {
 	minY := int(math.Floor(math.Min(p0[1], math.Min(p1[1], p2[1]))))
 	maxY := int(math.Ceil(math.Max(p0[1], math.Max(p1[1], p2[1]))))
 	edge := func(a, b, p [2]float64) float64 {
-		return (b[0]-a[0])*(p[1]-a[1]) - (b[1]-a[1])*(p[0]-a[0])
+		return float64((b[0]-a[0])*(p[1]-a[1])) - float64((b[1]-a[1])*(p[0]-a[0]))
 	}
 	for y := minY; y <= maxY; y++ {
 		for x := minX; x <= maxX; x++ {
@@ -134,7 +134,7 @@ func (cv *Canvas) FillTriangle(p0, p1, p2 [2]float64, color []float64) {
 // clamps to [0,1].
 func (cv *Canvas) AddNoise(rng *rand.Rand, sigma float64) {
 	for i := range cv.T.Data {
-		cv.T.Data[i] += sigma * rng.NormFloat64()
+		cv.T.Data[i] += float64(sigma * rng.NormFloat64())
 	}
 	cv.T.ClampInPlace(0, 1)
 }
@@ -146,19 +146,19 @@ func (cv *Canvas) AddTexture(rng *rand.Rand, amp float64) {
 	waves := make([]wave, 3)
 	for i := range waves {
 		waves[i] = wave{
-			fx: (rng.Float64() - 0.5) * 0.8,
-			fy: (rng.Float64() - 0.5) * 0.8,
-			ph: rng.Float64() * 2 * math.Pi,
+			fx: (float64(rng.Float64()) - 0.5) * 0.8,
+			fy: (float64(rng.Float64()) - 0.5) * 0.8,
+			ph: float64(float64(rng.Float64()) * 2 * math.Pi),
 			w:  rng.Float64(),
 		}
 	}
 	for ch := 0; ch < cv.C; ch++ {
-		chShift := rng.Float64() * 2 * math.Pi
+		chShift := float64(float64(rng.Float64()) * 2 * math.Pi)
 		for y := 0; y < cv.H; y++ {
 			for x := 0; x < cv.W; x++ {
 				v := 0.0
 				for _, wv := range waves {
-					v += wv.w * math.Sin(wv.fx*float64(x)+wv.fy*float64(y)+wv.ph+chShift)
+					v += float64(wv.w * math.Sin(float64(wv.fx*float64(x))+float64(wv.fy*float64(y))+wv.ph+chShift))
 				}
 				i := ch*cv.H*cv.W + y*cv.W + x
 				cv.T.Data[i] += amp * v / 3

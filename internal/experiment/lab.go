@@ -159,18 +159,16 @@ func (l *Lab) Scenario(name string) (*Scenario, error) {
 	s := &Scenario{Name: name, Dataset: ds, Grayscale: ds.InC == 1}
 
 	if l.CacheDir != "" {
-		if net, err := nn.Load(l.cachePath("model", name)); err == nil {
-			if val, err := core.LoadValidator(l.cachePath("validator", name)); err == nil {
-				s.Net = net
-				s.Validator = val
-				if l.Telemetry != nil {
-					val.SetTelemetry(l.Telemetry)
-				}
-				s.TestAcc, s.TestConf = net.Accuracy(ds.TestX, ds.TestY)
-				l.logf("[%s] loaded cached model (test acc %.4f)", name, s.TestAcc)
-				l.scenarios[name] = s
-				return s, nil
+		if pair, err := core.LoadPair(l.cachePath("model", name), l.cachePath("validator", name)); err == nil {
+			s.Net = pair.Net
+			s.Validator = pair.Val
+			if l.Telemetry != nil {
+				pair.Val.SetTelemetry(l.Telemetry)
 			}
+			s.TestAcc, s.TestConf = pair.Net.Accuracy(ds.TestX, ds.TestY)
+			l.logf("[%s] loaded cached model (test acc %.4f)", name, s.TestAcc)
+			l.scenarios[name] = s
+			return s, nil
 		}
 	}
 

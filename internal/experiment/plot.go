@@ -72,7 +72,7 @@ func rebin(h *metrics.Histogram, cols int) []float64 {
 	n := len(h.Counts)
 	for i, c := range h.Counts {
 		// Map source bin center back to the global normalized axis.
-		x := h.Min + (float64(i)+0.5)/float64(n)*(h.Max-h.Min)
+		x := h.Min + float64((float64(i)+0.5)/float64(n)*(h.Max-h.Min))
 		col := int(x * float64(cols))
 		if col < 0 {
 			col = 0

@@ -74,7 +74,7 @@ func Minimize(tgt Target, seed *tensor.Tensor, chain Chain, spaces []corner.Spac
 		for j, r := range sp.Params {
 			for round := 0; round < shrinkRounds; round++ {
 				p := cur[i].Params[j]
-				mid := p + (r.Neutral-p)/2
+				mid := p + float64((r.Neutral-p)/2)
 				if mid == p {
 					break
 				}

@@ -59,7 +59,7 @@ func (m *Mutator) Mutate(c Chain, rng *rand.Rand) Chain {
 		}
 		j := rng.Intn(len(sp.Params))
 		r := sp.Params[j]
-		out[i].Params[j] += rng.NormFloat64() * perturbScale * (r.Max - r.Min)
+		out[i].Params[j] += float64(rng.NormFloat64() * perturbScale * (r.Max - r.Min))
 		out[i].Params = sp.Clamp(out[i].Params)
 	case 2: // resample one stage's whole parameter vector
 		i := rng.Intn(len(out))

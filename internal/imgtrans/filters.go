@@ -53,7 +53,7 @@ func (t GaussianBlur) Apply(img *tensor.Tensor) *tensor.Tensor {
 				s := 0.0
 				for k, kv := range kernel {
 					xx := clampIdx(x+k-radius, w)
-					s += kv * img.At(ch, y, xx)
+					s += float64(kv * img.At(ch, y, xx))
 				}
 				tmp.Set(s, ch, y, x)
 			}
@@ -66,7 +66,7 @@ func (t GaussianBlur) Apply(img *tensor.Tensor) *tensor.Tensor {
 				s := 0.0
 				for k, kv := range kernel {
 					yy := clampIdx(y+k-radius, h)
-					s += kv * tmp.At(ch, yy, x)
+					s += float64(kv * tmp.At(ch, yy, x))
 				}
 				out.Set(s, ch, y, x)
 			}
@@ -104,7 +104,7 @@ func (t AdditiveNoise) Apply(img *tensor.Tensor) *tensor.Tensor {
 	rng := rand.New(rand.NewSource(t.Seed))
 	out := img.Clone()
 	for i := range out.Data {
-		out.Data[i] += t.Sigma * rng.NormFloat64()
+		out.Data[i] += float64(t.Sigma * rng.NormFloat64())
 	}
 	return out.ClampInPlace(0, 1)
 }

@@ -98,7 +98,7 @@ func (t Affine) Apply(img *tensor.Tensor) *tensor.Tensor {
 	}
 	c, h, w := img.Shape[0], img.Shape[1], img.Shape[2]
 	out := tensor.New(c, h, w)
-	cx, cy := float64(w-1)/2, float64(h-1)/2
+	cx, cy := float64(float64(w-1)/2), float64(float64(h-1)/2)
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			sx, sy := t.Inv.apply(float64(x)-cx, float64(y)-cy)
@@ -125,8 +125,8 @@ func bilinear(img *tensor.Tensor, ch int, x, y float64) float64 {
 		}
 		return img.At(ch, yy, xx)
 	}
-	return (1-fy)*((1-fx)*get(ix, iy)+fx*get(ix+1, iy)) +
-		fy*((1-fx)*get(ix, iy+1)+fx*get(ix+1, iy+1))
+	return float64((1-fy)*(float64((1-fx)*get(ix, iy))+float64(fx*get(ix+1, iy)))) +
+		float64(fy*(float64((1-fx)*get(ix, iy+1))+float64(fx*get(ix+1, iy+1))))
 }
 
 // Matrix is a 2×3 affine matrix in homogeneous form (the last row is
@@ -137,22 +137,22 @@ type Matrix struct {
 }
 
 func (m Matrix) apply(x, y float64) (float64, float64) {
-	return m.A*x + m.B*y + m.C, m.D*x + m.E*y + m.F
+	return float64(m.A*x) + float64(m.B*y) + m.C, float64(m.D*x) + float64(m.E*y) + m.F
 }
 
 // Invert returns the inverse affine matrix; it panics if the linear
 // part is singular (a programmer error for the transforms in Table IV's
 // ranges).
 func (m Matrix) Invert() Matrix {
-	det := m.A*m.E - m.B*m.D
+	det := float64(m.A*m.E) - float64(m.B*m.D)
 	if math.Abs(det) < 1e-12 {
 		panic("imgtrans: singular affine matrix")
 	}
 	ia, ib := m.E/det, -m.B/det
 	id, ie := -m.D/det, m.A/det
 	return Matrix{
-		A: ia, B: ib, C: -(ia*m.C + ib*m.F),
-		D: id, E: ie, F: -(id*m.C + ie*m.F),
+		A: ia, B: ib, C: -(float64(ia*m.C) + float64(ib*m.F)),
+		D: id, E: ie, F: -(float64(id*m.C) + float64(ie*m.F)),
 	}
 }
 

@@ -117,7 +117,7 @@ func scottBandwidth(points [][][]float64, dim int) float64 {
 	for _, cls := range points {
 		for _, p := range cls {
 			for _, v := range p {
-				variance += (v - mean) * (v - mean)
+				variance += float64((v - mean) * (v - mean))
 			}
 		}
 	}
@@ -167,7 +167,7 @@ func (d *Detector) logDensity(x []float64, class int) float64 {
 		s := 0.0
 		for j, v := range x {
 			dd := v - p[j]
-			s += dd * dd
+			s += float64(dd * dd)
 		}
 		e := -s * inv
 		es[i] = e

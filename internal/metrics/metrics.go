@@ -45,7 +45,7 @@ func AUC(pos, neg []float64) float64 {
 		for j < len(all) && all[j].v == all[i].v {
 			j++
 		}
-		avgRank := float64(i+j+1) / 2 // ranks are 1-based: (i+1 + j) / 2
+		avgRank := float64(float64(i+j+1) / 2) // ranks are 1-based: (i+1 + j) / 2
 		for k := i; k < j; k++ {
 			if all[k].pos {
 				rankSumPos += avgRank
@@ -54,7 +54,7 @@ func AUC(pos, neg []float64) float64 {
 		i = j
 	}
 	np, nn := float64(len(pos)), float64(len(neg))
-	u := rankSumPos - np*(np+1)/2
+	u := rankSumPos - float64(np*(np+1)/2)
 	return u / (np * nn)
 }
 
@@ -246,7 +246,7 @@ func QuantilesSortedInto(out, sorted, probs []float64) []float64 {
 		if q > 1 {
 			q = 1
 		}
-		pos := q * float64(n-1)
+		pos := float64(q * float64(n-1))
 		lo := int(math.Floor(pos))
 		hi := int(math.Ceil(pos))
 		if hi >= n {
@@ -257,7 +257,7 @@ func QuantilesSortedInto(out, sorted, probs []float64) []float64 {
 			continue
 		}
 		frac := pos - float64(lo)
-		out[i] = sorted[lo] + (sorted[hi]-sorted[lo])*frac
+		out[i] = sorted[lo] + float64((sorted[hi]-sorted[lo])*frac)
 	}
 	return out
 }

@@ -74,7 +74,7 @@ func (l *Softmax) Backward(grad *tensor.Tensor, ctx *Context) *tensor.Tensor {
 	y := ctx.cached(l)
 	dot := 0.0
 	for i, g := range grad.Data {
-		dot += g * y.Data[i]
+		dot += float64(g * y.Data[i])
 	}
 	out := tensor.New(y.Len())
 	for i := range out.Data {

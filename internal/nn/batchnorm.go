@@ -88,7 +88,7 @@ func (l *BatchNorm) Backward(grad *tensor.Tensor, ctx *Context) *tensor.Tensor {
 		sg, sb := 0.0, 0.0
 		for i, gv := range gs {
 			xh := (xs[i] - mean) * invStd
-			sg += gv * xh
+			sg += float64(gv * xh)
 			sb += gv
 			ds[i] = gv * g * invStd
 		}
@@ -115,10 +115,10 @@ func (l *BatchNorm) UpdateStats(x *tensor.Tensor) {
 		mean /= float64(area)
 		variance := 0.0
 		for _, v := range in {
-			variance += (v - mean) * (v - mean)
+			variance += float64((v - mean) * (v - mean))
 		}
 		variance /= float64(area)
-		l.RunMean.Data[ch] = m*l.RunMean.Data[ch] + (1-m)*mean
-		l.RunVar.Data[ch] = m*l.RunVar.Data[ch] + (1-m)*variance
+		l.RunMean.Data[ch] = float64(m*l.RunMean.Data[ch]) + float64((1-m)*mean)
+		l.RunVar.Data[ch] = float64(m*l.RunVar.Data[ch]) + float64((1-m)*variance)
 	}
 }

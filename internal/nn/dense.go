@@ -78,7 +78,7 @@ func (l *Dense) Backward(grad *tensor.Tensor, ctx *Context) *tensor.Tensor {
 		}
 		row := l.Weight.Value.Data[o*l.In : (o+1)*l.In]
 		for i, w := range row {
-			dX.Data[i] += g * w
+			dX.Data[i] += float64(g * w)
 		}
 	}
 	return dX

@@ -482,7 +482,7 @@ func (l *BatchNorm) ForwardInfer(x *tensor.Tensor, sc *Scratch) *tensor.Tensor {
 		o := out.Data[ch*area : (ch+1)*area]
 		for i, v := range in {
 			n := (v - mean) * invStd
-			o[i] = g*n + b
+			o[i] = float64(g*n) + b
 		}
 	}
 	return out

@@ -129,7 +129,7 @@ func (l *AvgPool2D) Backward(grad *tensor.Tensor, ctx *Context) *tensor.Tensor {
 		plane := dX.Data[ch*h*w : (ch+1)*h*w]
 		for oy := 0; oy < oh; oy++ {
 			for ox := 0; ox < ow; ox++ {
-				g := grad.Data[oi] * inv
+				g := float64(grad.Data[oi] * inv)
 				oi++
 				for ky := 0; ky < l.K; ky++ {
 					iy := oy*l.Stride + ky

@@ -86,7 +86,7 @@ func (b *tokenBucket) allow(now time.Time) bool {
 		return true
 	}
 	if !b.last.IsZero() {
-		b.tokens += now.Sub(b.last).Seconds() * b.rate
+		b.tokens += float64(now.Sub(b.last).Seconds() * b.rate)
 	}
 	b.last = now
 	if b.tokens > b.burst {

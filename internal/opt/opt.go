@@ -49,10 +49,10 @@ func (o *Adadelta) Step(name string, value, grad *tensor.Tensor) {
 		o.accDX[name] = ad
 	}
 	for i, g := range grad.Data {
-		ag.Data[i] = o.Rho*ag.Data[i] + (1-o.Rho)*g*g
+		ag.Data[i] = float64(o.Rho*ag.Data[i]) + float64((1-o.Rho)*g*g)
 		dx := -math.Sqrt(ad.Data[i]+o.Eps) / math.Sqrt(ag.Data[i]+o.Eps) * g
-		ad.Data[i] = o.Rho*ad.Data[i] + (1-o.Rho)*dx*dx
-		value.Data[i] += o.LR * dx
+		ad.Data[i] = float64(o.Rho*ad.Data[i]) + float64((1-o.Rho)*dx*dx)
+		value.Data[i] += float64(o.LR * dx)
 	}
 }
 

@@ -383,3 +383,38 @@ func TestReloadFailureEvent(t *testing.T) {
 		t.Fatalf("reload event missing fail_streak: %+v", e.Extra)
 	}
 }
+
+// TestReloadEventsCarryLoadTime: both reload events, the rejection and
+// the hot swap, report in latency_sec what the attempt spent loading,
+// checking and warming the pair.
+func TestReloadEventsCarryLoadTime(t *testing.T) {
+	const loadTime = 5 * time.Millisecond
+	events := obs.New(obs.Config{})
+	fail := true
+	s, _ := newTestServer(t, Config{
+		Events: events,
+		Loader: func() (*deepvalidation.Detector, error) {
+			time.Sleep(loadTime)
+			if fail {
+				return nil, errors.New("artifacts corrupted")
+			}
+			return deepvalidation.Load(testModelPath, testValPath)
+		},
+	})
+	if _, err := s.Reload(); err == nil {
+		t.Fatal("reload with a failing loader succeeded")
+	}
+	fail = false
+	if _, err := s.Reload(); err != nil {
+		t.Fatal(err)
+	}
+	evs := events.Snapshot(obs.Filter{Type: obs.TypeReload})
+	if len(evs) != 2 {
+		t.Fatalf("got %d reload events, want 2", len(evs))
+	}
+	for _, e := range evs {
+		if e.LatencySec < loadTime.Seconds() {
+			t.Errorf("%q: latency_sec = %v, want at least the loader's %v", e.Msg, e.LatencySec, loadTime)
+		}
+	}
+}

@@ -437,15 +437,20 @@ func (s *Server) Reload() (epsilon float64, err error) {
 	}
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
+	start := time.Now()
 	eps, err := s.tryReload()
+	// Both outcomes' events carry what the attempt took: loading,
+	// checking and warming the pair.
+	took := time.Since(start).Seconds()
 	if err != nil {
 		s.reloadFails.Inc()
 		streak := s.failStreak.Add(1)
 		s.streakGauge.Set(float64(streak))
 		s.events.Emit(obs.Event{
 			Type: obs.TypeReload, Level: obs.LevelError,
-			Msg: "detector reload rejected; previous detector keeps serving",
-			Err: err.Error(),
+			Msg:        "detector reload rejected; previous detector keeps serving",
+			LatencySec: took,
+			Err:        err.Error(),
 			Extra: map[string]any{
 				"fail_streak": streak,
 				"degraded":    int(streak) >= s.cfg.ReloadMaxFailures,
@@ -458,8 +463,9 @@ func (s *Server) Reload() (epsilon float64, err error) {
 	s.reloads.Inc()
 	s.events.Emit(obs.Event{
 		Type: obs.TypeReload, Level: obs.LevelInfo,
-		Msg:   "detector hot-swapped",
-		Extra: map[string]any{"epsilon": eps},
+		Msg:        "detector hot-swapped",
+		LatencySec: took,
+		Extra:      map[string]any{"epsilon": eps},
 	})
 	return eps, nil
 }

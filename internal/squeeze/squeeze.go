@@ -113,7 +113,7 @@ func (s NonLocalMeans) Apply(img *tensor.Tensor) *tensor.Tensor {
 			for dx := -pr; dx <= pr; dx++ {
 				a := img.At(ch, clampInt(y0+dy, 0, h-1), clampInt(x0+dx, 0, w-1))
 				b := img.At(ch, clampInt(y1+dy, 0, h-1), clampInt(x1+dx, 0, w-1))
-				d += (a - b) * (a - b)
+				d += float64((a - b) * (a - b))
 			}
 		}
 		return d / float64(s.Patch*s.Patch)
@@ -127,7 +127,7 @@ func (s NonLocalMeans) Apply(img *tensor.Tensor) *tensor.Tensor {
 						yy := clampInt(y+dy, 0, h-1)
 						xx := clampInt(x+dx, 0, w-1)
 						wgt := math.Exp(-patchDist(ch, y, x, yy, xx) / h2)
-						num += wgt * img.At(ch, yy, xx)
+						num += float64(wgt * img.At(ch, yy, xx))
 						den += wgt
 					}
 				}

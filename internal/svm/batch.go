@@ -50,27 +50,27 @@ func (m *OneClass) DecisionBatchInto(dst []float64, xs [][]float64) []float64 {
 			var q0, q1, q2, q3 float64
 			for j, xv := range x {
 				dv0 := r0[j] - xv
-				q0 += dv0 * dv0
+				q0 += float64(dv0 * dv0)
 				dv1 := r1[j] - xv
-				q1 += dv1 * dv1
+				q1 += float64(dv1 * dv1)
 				dv2 := r2[j] - xv
-				q2 += dv2 * dv2
+				q2 += float64(dv2 * dv2)
 				dv3 := r3[j] - xv
-				q3 += dv3 * dv3
+				q3 += float64(dv3 * dv3)
 			}
-			s += m.Alpha[i] * math.Exp(-m.Gamma*q0)
-			s += m.Alpha[i+1] * math.Exp(-m.Gamma*q1)
-			s += m.Alpha[i+2] * math.Exp(-m.Gamma*q2)
-			s += m.Alpha[i+3] * math.Exp(-m.Gamma*q3)
+			s += float64(m.Alpha[i] * math.Exp(-m.Gamma*q0))
+			s += float64(m.Alpha[i+1] * math.Exp(-m.Gamma*q1))
+			s += float64(m.Alpha[i+2] * math.Exp(-m.Gamma*q2))
+			s += float64(m.Alpha[i+3] * math.Exp(-m.Gamma*q3))
 		}
 		for ; i < len(m.Alpha); i++ {
 			row := flat[i*d : (i+1)*d]
 			sq := 0.0
 			for j, v := range row {
 				dv := v - x[j]
-				sq += dv * dv
+				sq += float64(dv * dv)
 			}
-			s += m.Alpha[i] * math.Exp(-m.Gamma*sq)
+			s += float64(m.Alpha[i] * math.Exp(-m.Gamma*sq))
 		}
 		dst[bi] = s - m.Rho
 	}

@@ -150,7 +150,7 @@ func (w *Workspace) Train(data [][]float64, cfg Config) (*OneClass, error) {
 	w.alpha = resize(w.alpha, l)
 	alpha := w.alpha
 	clear(alpha)
-	total := cfg.Nu * float64(l)
+	total := float64(cfg.Nu * float64(l))
 	n := int(total)
 	for i := 0; i < n && i < l; i++ {
 		alpha[i] = 1
@@ -167,7 +167,7 @@ func (w *Workspace) Train(data [][]float64, cfg Config) (*OneClass, error) {
 		s := 0.0
 		for j, a := range alpha {
 			if a != 0 {
-				s += qi[j] * a
+				s += float64(qi[j] * a)
 			}
 		}
 		grad[i] = s
@@ -219,7 +219,7 @@ func (w *Workspace) Train(data [][]float64, cfg Config) (*OneClass, error) {
 		alpha[i] += delta
 		alpha[j] -= delta
 		for t := range grad {
-			grad[t] += delta * (qi[t] - qj[t])
+			grad[t] += float64(delta * (qi[t] - qj[t]))
 		}
 	}
 
@@ -310,7 +310,7 @@ func kernel(gamma float64, a, b []float64) float64 {
 	s := 0.0
 	for i, v := range a {
 		d := v - b[i]
-		s += d * d
+		s += float64(d * d)
 	}
 	return math.Exp(-gamma * s)
 }
@@ -331,7 +331,7 @@ func scaleGamma(data [][]float64) float64 {
 	variance := 0.0
 	for _, row := range data {
 		for _, v := range row {
-			variance += (v - mean) * (v - mean)
+			variance += float64((v - mean) * (v - mean))
 		}
 	}
 	variance /= float64(n)

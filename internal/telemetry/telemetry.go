@@ -182,7 +182,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 	if q > 1 {
 		q = 1
 	}
-	rank := q * float64(total)
+	rank := float64(q * float64(total))
 	cum := int64(0)
 	for i := range h.counts {
 		n := h.counts[i].Load()
@@ -207,7 +207,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 				return upper
 			}
 			frac := (rank - float64(cum)) / float64(n)
-			return lower + (upper-lower)*frac
+			return lower + float64((upper-lower)*frac)
 		}
 		cum += n
 	}

@@ -151,7 +151,7 @@ func MatMulTransB(a, b *Tensor) *Tensor {
 			brow := b.Data[j*kb : (j+1)*kb]
 			s := 0.0
 			for p, av := range arow {
-				s += av * brow[p]
+				s += float64(av * brow[p])
 			}
 			drow[j] = s
 		}
@@ -179,7 +179,7 @@ func MatMulTransA(a, b *Tensor) *Tensor {
 			}
 			drow := out.Data[i*n : (i+1)*n]
 			for j, bv := range brow {
-				drow[j] += av * bv
+				drow[j] += float64(av * bv)
 			}
 		}
 	}
@@ -243,10 +243,10 @@ func MatVecInto(dst, a, x *Tensor) {
 		r3 := a.Data[(i+3)*n : (i+3)*n+n]
 		var s0, s1, s2, s3 float64
 		for j, v := range xv {
-			s0 += r0[j] * v
-			s1 += r1[j] * v
-			s2 += r2[j] * v
-			s3 += r3[j] * v
+			s0 += float64(r0[j] * v)
+			s1 += float64(r1[j] * v)
+			s2 += float64(r2[j] * v)
+			s3 += float64(r3[j] * v)
 		}
 		dst.Data[i] = s0
 		dst.Data[i+1] = s1
@@ -257,7 +257,7 @@ func MatVecInto(dst, a, x *Tensor) {
 		row := a.Data[i*n : (i+1)*n]
 		s := 0.0
 		for j, v := range row {
-			s += v * xv[j]
+			s += float64(v * xv[j])
 		}
 		dst.Data[i] = s
 	}

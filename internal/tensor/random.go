@@ -10,7 +10,7 @@ import (
 func (t *Tensor) FillUniform(rng *rand.Rand, lo, hi float64) *Tensor {
 	span := hi - lo
 	for i := range t.Data {
-		t.Data[i] = lo + span*rng.Float64()
+		t.Data[i] = lo + float64(span*rng.Float64())
 	}
 	return t
 }
@@ -19,7 +19,7 @@ func (t *Tensor) FillUniform(rng *rand.Rand, lo, hi float64) *Tensor {
 // N(mean, stddev²) using rng, and returns t.
 func (t *Tensor) FillNormal(rng *rand.Rand, mean, stddev float64) *Tensor {
 	for i := range t.Data {
-		t.Data[i] = mean + stddev*rng.NormFloat64()
+		t.Data[i] = mean + float64(stddev*rng.NormFloat64())
 	}
 	return t
 }

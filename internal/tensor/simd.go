@@ -23,15 +23,17 @@ func Axpy8(d, b0, b1, b2, b3, b4, b5, b6, b7 []float64, a0, a1, a2, a3, a4, a5, 
 
 // axpy4Generic is the portable reference for the four-row multiply-add
 // block: d[j] = (((d[j] + a0*b0[j]) + a1*b1[j]) + a2*b2[j]) + a3*b3[j]
-// with each add rounded separately in ascending row order. The AVX
-// kernel must match it bit-for-bit on every input.
+// with each product and each add rounded separately in ascending row
+// order; the float64 conversions keep a target with a fused
+// multiply-add from merging them. The AVX kernel must match it
+// bit-for-bit on every input.
 func axpy4Generic(d, b0, b1, b2, b3 []float64, a0, a1, a2, a3 float64) {
 	b0 = b0[:len(d)]
 	for j, v := range b0 {
-		s := d[j] + a0*v
-		s += a1 * b1[j]
-		s += a2 * b2[j]
-		s += a3 * b3[j]
+		s := d[j] + float64(a0*v)
+		s += float64(a1 * b1[j])
+		s += float64(a2 * b2[j])
+		s += float64(a3 * b3[j])
 		d[j] = s
 	}
 }
@@ -41,7 +43,7 @@ func axpy4Generic(d, b0, b1, b2, b3 []float64, a0, a1, a2, a3 float64) {
 func axpy1Generic(d, b []float64, a float64) {
 	b = b[:len(d)]
 	for j, v := range b {
-		d[j] += a * v
+		d[j] += float64(a * v)
 	}
 }
 
